@@ -66,8 +66,6 @@ from .asymptotics import (
     expansion_check,
     f_ode_residual,
     inversion_report,
-    inversion_residual,
-    origin_series_check,
     origin_series_report,
     wbar_ode_residual,
 )
@@ -120,7 +118,7 @@ __all__ = [
     # asymptotics
     "ExpansionReport", "InversionReport", "SeriesReport", "expansion_check",
     "wbar_ode_residual", "f_ode_residual", "inversion_report",
-    "inversion_residual", "origin_series_report", "origin_series_check",
+    "origin_series_report",
     # weight
     "BumpSpec", "WeightFunction", "build_weight", "eval_weight",
     "weighted_l1_distance",

@@ -11,9 +11,9 @@ satisfies equivalent differential/series representations:
       + a2/rho^2 (wb_rho/wb^m) = a3/rho^2.
   * f_ode_residual: defect of (f^m/m)'' + (n-1)/r (f^m/m)' + alpha f
       + beta r f_r = 0, all derivatives by centered differences.
-  * inversion_residual: defect of the Kelvin-inverted equation for
+  * inversion_report: defect of the Kelvin-inverted equation for
     g(y) = y^(-(n-2)/m) f(1/y), plus the involution and limit checks.
-  * origin_series_check: the 3-term origin series
+  * origin_series_report: the 3-term origin series
     r^gamma f = eta + d1 rho + (d2/2) rho^2 + o(rho^2) and the f_r companion.
 
 All residuals are normalized by the largest term magnitude at each node
@@ -41,9 +41,7 @@ __all__ = [
     "expansion_check",
     "wbar_ode_residual",
     "f_ode_residual",
-    "inversion_residual",
     "inversion_report",
-    "origin_series_check",
     "origin_series_report",
 ]
 
@@ -305,10 +303,6 @@ def inversion_report(profile: Profile) -> InversionReport:
     )
 
 
-def inversion_residual(profile: Profile) -> float:
-    return inversion_report(profile).residual
-
-
 def origin_series_report(profile: Profile, exp_consts: ExpansionConstants, eta: float,
                          noise_floor: float = 1e-11) -> SeriesReport:
     """Compare r^gamma f against the 3-term origin series over the final
@@ -357,7 +351,3 @@ def origin_series_report(profile: Profile, exp_consts: ExpansionConstants, eta: 
         monotone=mono, fr_limit=fr_limit, fr_limit_ref=fr_limit_ref,
         fr_K=fr_K, fr_K_ref=fr_K_ref,
     )
-
-
-def origin_series_check(profile: Profile, exp_consts: ExpansionConstants, eta: float) -> float:
-    return origin_series_report(profile, exp_consts, eta).max_ratio

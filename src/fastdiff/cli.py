@@ -4,8 +4,10 @@ emits machine-readable CSV/JSON artifacts.
 Layout of a run: every subcommand resolves its configuration (flags override
 an optional --config JSON file, which overrides built-in defaults), computes
 everything in memory, and only then writes artifacts, so a failed run leaves
-no partial outputs - just error.json with the failure record.  Exit codes:
-0 success, 2 configuration problems, 3 numerical failures, 4 violated
+no partial outputs - just error.json with the failure record.  Each option is
+declared once, in the tables below; they generate the flags, the defaults,
+the manifest's config block and the EvolveConfig.  Exit codes come from the
+exception classes: 0 success, 2 bad input, 3 numerical failures, 4 violated
 mathematical invariants.
 """
 
@@ -16,9 +18,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,26 +31,8 @@ from .asymptotics import (
     origin_series_report,
     wbar_ode_residual,
 )
-from .errors import (
-    BlowUpError,
-    BoundViolationError,
-    ConfigError,
-    DegenerateError,
-    ExtrapolationError,
-    FastDiffError,
-    GridMismatchError,
-    InternalError,
-    NewtonDivergence,
-    NonContractionError,
-    PositivityError,
-    QuadratureError,
-    RangeError,
-    ResolutionError,
-    SandwichViolationError,
-    StiffnessError,
-    ToleranceError,
-)
-from .params import derive_expansion_constants, derive_fp_constants, derive_params
+from .errors import ConfigError, FastDiffError, RangeError
+from .params import ParamSet, derive_expansion_constants, derive_fp_constants, derive_params
 from .pde import (
     EvolveConfig,
     RadialField,
@@ -60,57 +44,60 @@ from .pde import (
     make_self_similar_field,
     power_bump_initial,
     random_sandwiched_pair,
+    sup_compact,
 )
-from .profile import solve_for_eta
-from .weight import BumpSpec, build_weight, eval_weight, weighted_l1_distance
-
-_EXIT_CONFIG = (ConfigError, RangeError, DegenerateError, GridMismatchError)
-_EXIT_NUMERIC = (
-    QuadratureError,
-    ToleranceError,
-    StiffnessError,
-    BlowUpError,
-    ExtrapolationError,
-    ResolutionError,
-    NewtonDivergence,
-)
-_EXIT_INVARIANT = (
-    BoundViolationError,
-    PositivityError,
-    SandwichViolationError,
-    NonContractionError,
-    InternalError,
-)
+from .profile import profile_interpolator, rescale_profile, solve_for_eta
+from .weight import BumpSpec, WeightFunction, build_weight, eval_weight, weighted_l1_distance
 
 
-def _exit_code(exc: FastDiffError) -> int:
-    if isinstance(exc, _EXIT_INVARIANT):
-        return 4
-    if isinstance(exc, _EXIT_NUMERIC):
-        return 3
-    if isinstance(exc, _EXIT_CONFIG):
-        return 2
-    return 3
+class Opt(NamedTuple):
+    """One option: its type (or tuple of choices), its default and its help.
+    The flag is --name with "_" -> "-".  A nullable option also takes null
+    from a --config file, for the None its consumer accepts."""
+
+    type: object
+    default: object
+    help: Optional[str]
+    nullable: bool = False
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: command, validated parameters, numerics."""
-
-    command: str
-    n: int
-    m: float
-    gamma: float
-    rho1: float
-    eta: float
-    eta_inf: float
-    b1_margin: float
-    tol: float
-    mu: float
-    out_dir: str
-    write_csv: bool
-    write_json: bool
-    options: dict
+_MODEL = {
+    "m": Opt(float, 0.2, "diffusion exponent, 0 < m < (n-2)/n"),
+    "gamma": Opt(float, 4.0, "singularity strength, 2/(1-m) < gamma < (n-2)/m"),
+    "rho1": Opt(float, 1.0, "tail-equation rate constant (default 1)"),
+    "eta": Opt(float, 1.0, "target origin coefficient lim r^gamma f"),
+    "eta_inf": Opt(float, 1.0, "far-field coefficient for derived constants"),
+    "b1_margin": Opt(float, 0.05, "relative safety margin above b0"),
+    "tol": Opt(float, 1e-12, "master tolerance for the solvers"),
+    "mu": Opt(float, None, "weight decay exponent, 0 < mu < n-2 (default (n-2)/2)",
+               nullable=True),
+    "out": Opt(str, "out", "output directory (env FDX_OUT overrides)"),
+}
+_S_RANGE = {
+    "s_min": Opt(float, None, "left end of the log-radius range", nullable=True),
+    "s_max": Opt(float, None, "right end of the log-radius range", nullable=True),
+}
+_STEPPING = {
+    "dt_init": Opt(float, EvolveConfig.dt_init, "initial time step"),
+    "dt_max": Opt(float, EvolveConfig.dt_max, "largest allowed time step"),
+    "dt_min": Opt(float, EvolveConfig.dt_min, "smallest allowed time step before aborting"),
+    "dt_rel_max": Opt(float, EvolveConfig.dt_rel_max, "cap dt at this fraction of the current time",
+                      nullable=True),
+    "newton_tol": Opt(float, EvolveConfig.newton_tol, "relative tolerance of the inner Newton solve"),
+    "newton_max": Opt(int, EvolveConfig.newton_max, "inner iteration cap"),
+    "r_in": Opt(float, 1e-3, "inner truncation radius"),
+    "r_out": Opt(float, 1e3, "outer truncation radius"),
+    "nodes": Opt(int, 512, "grid nodes (log-uniform)"),
+    "t0": Opt(float, 1.0, "initial time"),
+}
+_BUMP = {
+    "a0": Opt(float, 1.0, "power-law amplitude"),
+    "amp": Opt(float, 0.10, "bump amplitude"),
+    "center": Opt(float, -1.2, "bump center in log r"),
+    "width": Opt(float, 2.0, "bump half-width in log r"),
+}
+_EVOLVE_FIELDS = {f.name for f in fields(EvolveConfig)}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
 
 def _fmt(v) -> str:
@@ -143,11 +130,9 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _derived_block(config: RunConfig) -> dict:
-    params = derive_params(config.n, config.m, config.gamma, config.rho1)
-    fp = derive_fp_constants(params, eta_inf=config.eta_inf, b1_margin=config.b1_margin)
+def _derived_block(o: dict, params: ParamSet, weight: WeightFunction) -> dict:
+    fp = derive_fp_constants(params, eta_inf=o["eta_inf"], b1_margin=o["b1_margin"])
     exp_c = derive_expansion_constants(params)
-    weight = build_weight(BumpSpec(mu=config.mu, n=config.n))
     return {
         "alpha": params.alpha,
         "beta": params.beta,
@@ -167,49 +152,24 @@ def _derived_block(config: RunConfig) -> dict:
         "a3": exp_c.a3,
         "a4": weight.a4,
         "a5": weight.a5,
-        "mu": config.mu,
+        "mu": o["mu"],
     }
 
 
-def _manifest(config: RunConfig, extra: Optional[dict] = None) -> dict:
-    body = {
-        "command": config.command,
-        "config": {
-            "n": config.n,
-            "m": config.m,
-            "gamma": config.gamma,
-            "rho1": config.rho1,
-            "eta": config.eta,
-            "eta_inf": config.eta_inf,
-            "b1_margin": config.b1_margin,
-            "tol": config.tol,
-            "mu": config.mu,
-            "out": config.out_dir,
-            **config.options,
-        },
-        "derived": _derived_block(config),
-    }
-    if extra:
-        body.update(extra)
-    return body
-
-
-def _build_profile(config: RunConfig):
-    params = derive_params(config.n, config.m, config.gamma, config.rho1)
+def _build_profile(o: dict, params: ParamSet):
     return solve_for_eta(
         params,
-        target_eta=config.eta,
-        tol=config.tol,
-        b1_margin=config.b1_margin,
-        s_min=config.options.get("s_min"),
-        s_max=config.options.get("s_max"),
+        target_eta=o["eta"],
+        tol=o["tol"],
+        b1_margin=o["b1_margin"],
+        s_min=o.get("s_min"),
+        s_max=o.get("s_max"),
     )
 
 
-def _cmd_profile(config: RunConfig) -> dict:
-    prof = _build_profile(config)
+def _cmd_profile(o: dict, params: ParamSet, weight: WeightFunction):
+    prof = _build_profile(o, params)
     rows = zip(prof.s_grid, prof.r_grid, prof.h, prof.wt, prof.f, prof.rfr_over_f)
-    csv_text = _csv_text(["s", "r", "h", "wt", "f", "rfr_over_f"], rows)
     summary = {
         "eta_origin": prof.eta_origin,
         "eta_inf": prof.eta_inf,
@@ -219,17 +179,15 @@ def _cmd_profile(config: RunConfig) -> dict:
         "far_field_gap": prof.far_field_gap,
         "s_range": [float(prof.s_grid[0]), float(prof.s_grid[-1])],
     }
-    out = {"profile_manifest.json": _json_text(_manifest(config))}
-    if config.write_csv:
-        out["profile.csv"] = csv_text
-    if config.write_json:
-        out["profile_summary.json"] = _json_text(summary)
-    return out
+    return {
+        "profile.csv": _csv_text(["s", "r", "h", "wt", "f", "rfr_over_f"], rows),
+        "profile_summary.json": _json_text(summary),
+    }, {}
 
 
-def _cmd_expansion(config: RunConfig) -> dict:
-    prof = _build_profile(config)
-    exp_c = derive_expansion_constants(prof.params)
+def _cmd_expansion(o: dict, params: ParamSet, weight: WeightFunction):
+    prof = _build_profile(o, params)
+    exp_c = derive_expansion_constants(params)
     report = expansion_check(prof, exp_c)
     series = origin_series_report(prof, exp_c, eta=prof.eta_origin)
     inv = inversion_report(prof)
@@ -243,45 +201,18 @@ def _cmd_expansion(config: RunConfig) -> dict:
             "inversion_equation": inv.residual,
         },
     }
-    out = {"expansion_manifest.json": _json_text(_manifest(config))}
-    if config.write_json:
-        out["expansion_summary.json"] = _json_text(summary)
-    return out
+    return {"expansion_summary.json": _json_text(summary)}, {}
 
 
-def _cmd_weight(config: RunConfig) -> dict:
-    weight = build_weight(BumpSpec(mu=config.mu, n=config.n), quad_tol=config.tol)
-    opts = config.options
-    r = log_grid(opts["r_lo"], opts["r_hi"], opts["nodes"])
+def _cmd_weight(o: dict, params: ParamSet, weight: WeightFunction):
+    r = log_grid(o["r_lo"], o["r_hi"], o["nodes"])
     phi, dphi = eval_weight(weight, r)
-    preamble = (
-        f"# a4={weight.a4:.17g} a5={weight.a5:.17g} mu={config.mu:.17g} n={config.n}"
-    )
-    csv_text = _csv_text(["r", "phi", "dphi"], zip(r, phi, dphi), preamble=preamble)
-    summary = {
-        "a4": weight.a4,
-        "a5": weight.a5,
-        "R0": weight.R0,
-        "mu": config.mu,
-        "n": config.n,
-    }
-    out = {"weight_manifest.json": _json_text(_manifest(config))}
-    if config.write_csv:
-        out["weight.csv"] = csv_text
-    if config.write_json:
-        out["weight_summary.json"] = _json_text(summary)
-    return out
-
-
-def _evolve_config(opts: dict) -> EvolveConfig:
-    return EvolveConfig(
-        dt_init=opts["dt_init"],
-        dt_max=opts["dt_max"],
-        dt_min=opts["dt_min"],
-        dt_rel_max=opts["dt_rel_max"],
-        newton_tol=opts["newton_tol"],
-        newton_max=opts["newton_max"],
-    )
+    preamble = f"# a4={weight.a4:.17g} a5={weight.a5:.17g} mu={o['mu']:.17g} n={o['n']}"
+    summary = {"a4": weight.a4, "a5": weight.a5, "R0": weight.R0, "mu": o["mu"], "n": o["n"]}
+    return {
+        "weight.csv": _csv_text(["r", "phi", "dphi"], zip(r, phi, dphi), preamble=preamble),
+        "weight_summary.json": _json_text(summary),
+    }, {}
 
 
 def _grid_block(grid: np.ndarray) -> dict:
@@ -293,27 +224,29 @@ def _grid_block(grid: np.ndarray) -> dict:
     }
 
 
-def _cmd_evolve(config: RunConfig) -> dict:
-    opts = config.options
-    cfg = _evolve_config(opts)
-    grid = log_grid(opts["r_in"], opts["r_out"], opts["nodes"])
-    kind, t0, t_end = opts["kind"], opts["t0"], opts["t_end"]
+def _stepping(o: dict):
+    """EvolveConfig and grid of a stepping command, and their manifest block."""
+    cfg = EvolveConfig(**{k: v for k, v in o.items() if k in _EVOLVE_FIELDS})
+    grid = log_grid(o["r_in"], o["r_out"], o["nodes"])
+    return cfg, grid, {"evolve_config": asdict(cfg), "grid": _grid_block(grid)}
+
+
+def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
+    cfg, grid, manifest = _stepping(o)
+    kind, t0, t_end = o["kind"], o["t0"], o["t_end"]
     if not t_end > t0:
         raise RangeError(f"t_end must exceed t0, got {t_end} <= {t0}")
-    params = derive_params(config.n, config.m, config.gamma, config.rho1)
 
     exact = None
     if kind == "self-similar":
-        prof = _build_profile(config)
-        field = make_self_similar_field(prof, opts["lam"], t0, grid)
-        from .profile import profile_interpolator, rescale_profile
-
-        itp = profile_interpolator(rescale_profile(prof, opts["lam"]))
+        prof = _build_profile(o, params)
+        field = make_self_similar_field(prof, o["lam"], t0, grid)
+        itp = profile_interpolator(rescale_profile(prof, o["lam"]))
         exact = lambda r, t: t ** (-params.alpha) * itp(t ** (-params.beta) * r)
     elif kind == "barenblatt":
-        B = barenblatt(config.n, config.m, opts["bb_k"], opts["bb_t"])
-        if not t_end < opts["bb_t"]:
-            raise RangeError(f"t_end must stay below the extinction time {opts['bb_t']}")
+        B = barenblatt(o["n"], o["m"], o["bb_k"], o["bb_t"])
+        if not t_end < o["bb_t"]:
+            raise RangeError(f"t_end must stay below the extinction time {o['bb_t']}")
         field = RadialField(
             grid, B(grid, t0), t0,
             bc=(lambda t: B(float(grid[0]), t), lambda t: B(float(grid[-1]), t)),
@@ -321,22 +254,19 @@ def _cmd_evolve(config: RunConfig) -> dict:
         )
         exact = B
     elif kind == "constant":
-        c0 = opts["c0"]
+        c0 = o["c0"]
         field = RadialField(
             grid, np.full(grid.size, c0), t0,
             bc=(lambda t: c0, lambda t: c0), params=params,
         )
         exact = lambda r, t: np.full(np.shape(r), c0) if np.ndim(r) else c0
-    elif kind == "power-bump":
-        u0_fn = power_bump_initial(params, opts["a0"], opts["amp"], opts["center"], opts["width"])
+    else:  # power-bump
+        u0_fn = power_bump_initial(params, o["a0"], o["amp"], o["center"], o["width"])
         vals = u0_fn(grid)
         left, right = float(vals[0]), float(vals[-1])
         field = RadialField(grid, vals, t0, bc=(lambda t: left, lambda t: right), params=params)
-    else:
-        raise ConfigError(f"unknown data kind {kind!r}")
 
-    weight = build_weight(BumpSpec(mu=config.mu, n=config.n))
-    times = np.exp(np.linspace(math.log(t0), math.log(t_end), opts["samples"]))
+    times = np.exp(np.linspace(math.log(t0), math.log(t_end), o["samples"]))
     rows = []
     current = field
     agg = {"n_steps": 0, "n_rejected": 0, "newton_total": 0,
@@ -353,9 +283,7 @@ def _cmd_evolve(config: RunConfig) -> dict:
         if exact is not None:
             ref = np.asarray(exact(grid, float(t_target)), dtype=float)
             d_l1 = weighted_l1_distance(weight, (grid, current.u), (grid, ref))
-            mask = (grid >= 0.1) & (grid <= 10.0)
-            denom = np.maximum(np.maximum(current.u[mask], ref[mask]), 1e-300)
-            d_sup = float(np.max(np.abs(current.u[mask] - ref[mask]) / denom))
+            d_sup = sup_compact(grid, current.u, ref)
         else:
             d_l1 = d_sup = math.nan
         rows.append((t_target, math.log(t_target), d_l1, d_sup))
@@ -367,83 +295,64 @@ def _cmd_evolve(config: RunConfig) -> dict:
         "dist_final_l1w": rows[-1][2],
         "dist_final_sup_compact": rows[-1][3],
     }
-    manifest = _manifest(config, {"evolve_config": asdict(cfg), "grid": _grid_block(grid)})
-    out = {"evolve_manifest.json": _json_text(manifest)}
-    if config.write_csv:
-        out["evolve.csv"] = _csv_text(["t", "tau", "dist_L1w", "dist_sup_compact"], rows)
-        out["evolve_field.csv"] = _csv_text(["r", "u"], zip(grid, current.u))
-    if config.write_json:
-        out["evolve_summary.json"] = _json_text(summary)
-    return out
+    return {
+        "evolve.csv": _csv_text(["t", "tau", "dist_L1w", "dist_sup_compact"], rows),
+        "evolve_field.csv": _csv_text(["r", "u"], zip(grid, current.u)),
+        "evolve_summary.json": _json_text(summary),
+    }, manifest
 
 
-def _cmd_contract(config: RunConfig) -> dict:
-    opts = config.options
-    cfg = _evolve_config(opts)
-    grid = log_grid(opts["r_in"], opts["r_out"], opts["nodes"])
-    prof = _build_profile(config)
-    rng = np.random.default_rng(opts["seed"])
+def _cmd_contract(o: dict, params: ParamSet, weight: WeightFunction):
+    cfg, grid, manifest = _stepping(o)
+    prof = _build_profile(o, params)
+    rng = np.random.default_rng(o["seed"])
     u0, v0, sandwich = random_sandwiched_pair(
-        prof, grid, opts["t0"], rng,
-        lam_pair=(opts["lam_a"], opts["lam_b"]),
-        theta_amp=opts["theta_amp"],
+        prof, grid, o["t0"], rng,
+        lam_pair=(o["lam_a"], o["lam_b"]),
+        theta_amp=o["theta_amp"],
     )
-    weight = build_weight(BumpSpec(mu=config.mu, n=config.n))
-    times = np.exp(np.linspace(math.log(opts["t0"]), math.log(opts["t_end"]), opts["samples"]))
+    times = np.exp(np.linspace(math.log(o["t0"]), math.log(o["t_end"]), o["samples"]))
     result = contraction_experiment(u0, v0, weight, times, cfg, sandwich=sandwich)
 
     slack = 1e-6 * (1.0 + result.dist_abs[0])
-    mono_abs = bool(np.all(np.diff(result.dist_abs) <= slack))
-    mono_pos = bool(np.all(np.diff(result.dist_pos) <= slack))
     rows = zip(result.times, result.tau, result.dist_abs, result.dist_sup_compact)
     summary = {
         "dist_abs": result.dist_abs,
         "dist_pos": result.dist_pos,
         "dist_sup_compact": result.dist_sup_compact,
-        "monotone_abs": mono_abs,
-        "monotone_pos": mono_pos,
+        "monotone_abs": bool(np.all(np.diff(result.dist_abs) <= slack)),
+        "monotone_pos": bool(np.all(np.diff(result.dist_pos) <= slack)),
         "slack": slack,
         "stats_u": asdict(result.u_final.stats),
         "stats_v": asdict(result.v_final.stats),
     }
-    manifest = _manifest(config, {"evolve_config": asdict(cfg), "grid": _grid_block(grid)})
-    out = {"contract_manifest.json": _json_text(manifest)}
-    if config.write_csv:
-        out["contract.csv"] = _csv_text(["t", "tau", "dist_L1w", "dist_sup_compact"], rows)
-    if config.write_json:
-        out["contract_summary.json"] = _json_text(summary)
-    return out
+    return {
+        "contract.csv": _csv_text(["t", "tau", "dist_L1w", "dist_sup_compact"], rows),
+        "contract_summary.json": _json_text(summary),
+    }, manifest
 
 
-def _cmd_converge(config: RunConfig) -> dict:
-    opts = config.options
-    cfg = _evolve_config(opts)
-    grid = log_grid(opts["r_in"], opts["r_out"], opts["nodes"])
-    prof = _build_profile(config)
-    params = prof.params
-    weight = build_weight(BumpSpec(mu=config.mu, n=config.n))
-    if opts["case"] == "orbit":
-        u0_spec = None
-    elif opts["case"] == "bump":
-        u0_spec = power_bump_initial(params, opts["a0"], opts["amp"], opts["center"], opts["width"])
-    else:
-        raise ConfigError(f"unknown case {opts['case']!r}; expected 'orbit' or 'bump'")
-    tau_grid = np.linspace(math.log(opts["t0"]), math.log(opts["t0"]) + opts["tau_max"], opts["samples"])
+def _cmd_converge(o: dict, params: ParamSet, weight: WeightFunction):
+    cfg, grid, manifest = _stepping(o)
+    prof = _build_profile(o, params)
+    u0_spec = None
+    if o["case"] == "bump":
+        u0_spec = power_bump_initial(params, o["a0"], o["amp"], o["center"], o["width"])
+    tau_grid = np.linspace(math.log(o["t0"]), math.log(o["t0"]) + o["tau_max"], o["samples"])
     result = convergence_experiment(
-        prof, opts["a0"], opts["a1"], opts["a2"], u0_spec, tau_grid, cfg,
-        weight=weight, r_grid=grid, t0=opts["t0"],
+        prof, o["a0"], o["a1"], o["a2"], u0_spec, tau_grid, cfg,
+        weight=weight, r_grid=grid, t0=o["t0"],
     )
     rows = zip(result.t_grid, result.tau_grid, result.dist_l1w, result.dist_sup_compact)
-    rel = result.dist_l1w / result.norm_ref
     summary = {
-        "case": opts["case"],
+        "case": o["case"],
         "lam0": result.lam0,
         "lam1": result.lam1,
         "lam2": result.lam2,
         "norm_ref": result.norm_ref,
         "u0_l1_gap": result.u0_l1_gap,
         "dist_l1w": result.dist_l1w,
-        "dist_rel_l1w": rel,
+        "dist_rel_l1w": result.dist_l1w / result.norm_ref,
         "dist_sup_compact": result.dist_sup_compact,
         "final_over_initial": float(result.dist_l1w[-1] / result.dist_l1w[0])
         if result.dist_l1w[0] > 0
@@ -451,113 +360,58 @@ def _cmd_converge(config: RunConfig) -> dict:
         "stats": asdict(result.field_final.stats),
         "reference_grid": _grid_block(result.y_grid),
     }
-    manifest = _manifest(config, {"evolve_config": asdict(cfg), "grid": _grid_block(grid)})
-    out = {"converge_manifest.json": _json_text(manifest)}
-    if config.write_csv:
-        out["converge.csv"] = _csv_text(["t", "tau", "dist_L1w", "dist_sup_compact"], rows)
-    if config.write_json:
-        out["converge_summary.json"] = _json_text(summary)
-    return out
+    return {
+        "converge.csv": _csv_text(["t", "tau", "dist_L1w", "dist_sup_compact"], rows),
+        "converge_summary.json": _json_text(summary),
+    }, manifest
+
+
+class Command(NamedTuple):
+    compute: Callable
+    help: str
+    options: dict    # command options beyond the model group, in flag order
 
 
 _COMMANDS = {
-    "profile": _cmd_profile,
-    "expansion": _cmd_expansion,
-    "weight": _cmd_weight,
-    "evolve": _cmd_evolve,
-    "contract": _cmd_contract,
-    "converge": _cmd_converge,
+    "profile": Command(_cmd_profile, "construct the singular profile f", _S_RANGE),
+    "expansion": Command(_cmd_expansion, "origin/far-field expansion and inversion checks", _S_RANGE),
+    "weight": Command(_cmd_weight, "superharmonic weight phi_mu", {
+        "r_lo": Opt(float, 0.1, "smallest tabulated radius"),
+        "r_hi": Opt(float, 100.0, "largest tabulated radius"),
+        "nodes": _STEPPING["nodes"]._replace(default=401),
+    }),
+    "evolve": Command(_cmd_evolve, "advance one radial field and compare to exact solutions", {
+        **_STEPPING,
+        "kind": Opt(("self-similar", "barenblatt", "constant", "power-bump"), "self-similar", None),
+        "t_end": Opt(float, 2.0, "final time"),
+        "samples": Opt(int, 9, "number of sampled times"),
+        "lam": Opt(float, 1.0, "scaling parameter of the self-similar datum"),
+        "bb_k": Opt(float, 1.0, "Barenblatt core width"),
+        "bb_t": Opt(float, 8.0, "Barenblatt extinction time"),
+        "c0": Opt(float, 1.0, "constant datum value"),
+        **_BUMP,
+    }),
+    "contract": Command(_cmd_contract, "weighted-L1 contraction of a sandwiched pair", {
+        **_STEPPING,
+        "t_end": Opt(float, 3.0, "final time"),
+        "samples": Opt(int, 12, "number of sampled times"),
+        "lam_a": Opt(float, 1.2, "first envelope scaling"),
+        "lam_b": Opt(float, 0.8, "second envelope scaling"),
+        "theta_amp": Opt(float, 0.12, "amplitude of the random interpolation field"),
+        "seed": Opt(int, 0, "random seed"),
+    }),
+    "converge": Command(_cmd_converge, "large-time convergence of rescaled solutions", {
+        **_STEPPING,
+        "dt_rel_max": _STEPPING["dt_rel_max"]._replace(default=2.5e-4),
+        "nodes": _STEPPING["nodes"]._replace(default=640),
+        "case": Opt(("orbit", "bump"), "orbit", None),
+        "tau_max": Opt(float, 3.0, "length of the log-time horizon"),
+        "samples": Opt(int, 16, "number of sampled log-times"),
+        "a1": Opt(float, 1.0, "lower envelope amplitude"),
+        "a2": Opt(float, 1.2, "upper envelope amplitude"),
+        **_BUMP,
+    }),
 }
-
-# built-in defaults; --config values override these, explicit flags override both
-_COMMON_DEFAULTS = {
-    "m": 0.2,
-    "gamma": 4.0,
-    "rho1": 1.0,
-    "eta": 1.0,
-    "eta_inf": 1.0,
-    "b1_margin": 0.05,
-    "tol": 1e-12,
-    "mu": None,  # resolved to (n-2)/2
-    "out": "out",
-    "s_min": None,
-    "s_max": None,
-}
-_EVOLVE_DEFAULTS = {
-    "dt_init": 1e-4,
-    "dt_max": 0.05,
-    "dt_min": 1e-12,
-    "dt_rel_max": None,
-    "newton_tol": 1e-11,
-    "newton_max": 12,
-    "r_in": 1e-3,
-    "r_out": 1e3,
-    "t0": 1.0,
-}
-_CMD_DEFAULTS = {
-    "profile": {},
-    "expansion": {},
-    "weight": {"r_lo": 0.1, "r_hi": 100.0, "nodes": 401},
-    "evolve": {
-        **_EVOLVE_DEFAULTS,
-        "kind": "self-similar",
-        "nodes": 512,
-        "t_end": 2.0,
-        "samples": 9,
-        "lam": 1.0,
-        "bb_k": 1.0,
-        "bb_t": 8.0,
-        "c0": 1.0,
-        "a0": 1.0,
-        "amp": 0.10,
-        "center": -1.2,
-        "width": 2.0,
-    },
-    "contract": {
-        **_EVOLVE_DEFAULTS,
-        "nodes": 512,
-        "t_end": 3.0,
-        "samples": 12,
-        "lam_a": 1.2,
-        "lam_b": 0.8,
-        "theta_amp": 0.12,
-        "seed": 0,
-    },
-    "converge": {
-        **_EVOLVE_DEFAULTS,
-        "dt_rel_max": 2.5e-4,
-        "nodes": 640,
-        "tau_max": 3.0,
-        "samples": 16,
-        "case": "orbit",
-        "a0": 1.0,
-        "a1": 1.0,
-        "a2": 1.2,
-        "amp": 0.10,
-        "center": -1.2,
-        "width": 2.0,
-    },
-}
-
-
-def _add_common(p: argparse.ArgumentParser, require_model: bool) -> None:
-    p.add_argument("--config", type=str, default=None, help="JSON file with default values for any flag")
-    p.add_argument("--n", type=int, required=require_model, default=None, help="space dimension (integer >= 3)")
-    p.add_argument("--m", type=float, default=None, help="diffusion exponent, 0 < m < (n-2)/n")
-    p.add_argument("--gamma", type=float, default=None, help="singularity strength, 2/(1-m) < gamma < (n-2)/m")
-    p.add_argument("--rho1", type=float, default=None, help="tail-equation rate constant (default 1)")
-    p.add_argument("--eta", type=float, default=None, help="target origin coefficient lim r^gamma f")
-    p.add_argument("--eta-inf", dest="eta_inf", type=float, default=None, help="far-field coefficient for derived constants")
-    p.add_argument("--b1-margin", dest="b1_margin", type=float, default=None, help="relative safety margin above b0")
-    p.add_argument("--tol", type=float, default=None, help="master tolerance for the solvers")
-    p.add_argument("--mu", type=float, default=None, help="weight decay exponent, 0 < mu < n-2 (default (n-2)/2)")
-    p.add_argument("--out", type=str, default=None, help="output directory (env FDX_OUT overrides)")
-    p.add_argument("--no-csv", action="store_true", default=False, help="skip CSV artifacts")
-    p.add_argument("--no-json", action="store_true", default=False, help="skip JSON summaries (manifest is always written)")
-
-
-def _add_float(p, name, help_text, as_int=False):
-    p.add_argument(name, type=int if as_int else float, default=None, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,167 +421,114 @@ def build_parser() -> argparse.ArgumentParser:
         "weighted-contraction experiments for the associated radial flow.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_prof = sub.add_parser("profile", help="construct the singular profile f")
-    _add_common(p_prof, require_model=True)
-    _add_float(p_prof, "--s-min", "left end of the log-radius range")
-    _add_float(p_prof, "--s-max", "right end of the log-radius range")
-
-    p_exp = sub.add_parser("expansion", help="origin/far-field expansion and inversion checks")
-    _add_common(p_exp, require_model=True)
-    _add_float(p_exp, "--s-min", "left end of the log-radius range")
-    _add_float(p_exp, "--s-max", "right end of the log-radius range")
-
-    p_w = sub.add_parser("weight", help="superharmonic weight phi_mu")
-    _add_common(p_w, require_model=True)
-    _add_float(p_w, "--r-lo", "smallest tabulated radius")
-    _add_float(p_w, "--r-hi", "largest tabulated radius")
-    _add_float(p_w, "--nodes", "number of tabulated radii", as_int=True)
-
-    def add_evolve_flags(p):
-        _add_float(p, "--dt-init", "initial time step")
-        _add_float(p, "--dt-max", "largest allowed time step")
-        _add_float(p, "--dt-min", "smallest allowed time step before aborting")
-        _add_float(p, "--dt-rel-max", "cap dt at this fraction of the current time")
-        _add_float(p, "--newton-tol", "relative tolerance of the inner Newton solve")
-        _add_float(p, "--newton-max", "inner iteration cap", as_int=True)
-        _add_float(p, "--r-in", "inner truncation radius")
-        _add_float(p, "--r-out", "outer truncation radius")
-        _add_float(p, "--nodes", "grid nodes (log-uniform)", as_int=True)
-        _add_float(p, "--t0", "initial time")
-
-    p_ev = sub.add_parser("evolve", help="advance one radial field and compare to exact solutions")
-    _add_common(p_ev, require_model=True)
-    add_evolve_flags(p_ev)
-    p_ev.add_argument("--kind", type=str, default=None,
-                      choices=["self-similar", "barenblatt", "constant", "power-bump"])
-    _add_float(p_ev, "--t-end", "final time")
-    _add_float(p_ev, "--samples", "number of sampled times", as_int=True)
-    _add_float(p_ev, "--lam", "scaling parameter of the self-similar datum")
-    _add_float(p_ev, "--bb-k", "Barenblatt core width")
-    _add_float(p_ev, "--bb-t", "Barenblatt extinction time")
-    _add_float(p_ev, "--c0", "constant datum value")
-    _add_float(p_ev, "--a0", "power-law amplitude")
-    _add_float(p_ev, "--amp", "bump amplitude")
-    _add_float(p_ev, "--center", "bump center in log r")
-    _add_float(p_ev, "--width", "bump half-width in log r")
-
-    p_ct = sub.add_parser("contract", help="weighted-L1 contraction of a sandwiched pair")
-    _add_common(p_ct, require_model=True)
-    add_evolve_flags(p_ct)
-    _add_float(p_ct, "--t-end", "final time")
-    _add_float(p_ct, "--samples", "number of sampled times", as_int=True)
-    _add_float(p_ct, "--lam-a", "first envelope scaling")
-    _add_float(p_ct, "--lam-b", "second envelope scaling")
-    _add_float(p_ct, "--theta-amp", "amplitude of the random interpolation field")
-    _add_float(p_ct, "--seed", "random seed", as_int=True)
-
-    p_cv = sub.add_parser("converge", help="large-time convergence of rescaled solutions")
-    _add_common(p_cv, require_model=True)
-    add_evolve_flags(p_cv)
-    p_cv.add_argument("--case", type=str, default=None, choices=["orbit", "bump"])
-    _add_float(p_cv, "--tau-max", "length of the log-time horizon")
-    _add_float(p_cv, "--samples", "number of sampled log-times", as_int=True)
-    _add_float(p_cv, "--a0", "asymptotic power-law amplitude")
-    _add_float(p_cv, "--a1", "lower envelope amplitude")
-    _add_float(p_cv, "--a2", "upper envelope amplitude")
-    _add_float(p_cv, "--amp", "bump amplitude")
-    _add_float(p_cv, "--center", "bump center in log r")
-    _add_float(p_cv, "--width", "bump half-width in log r")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", type=str, help="JSON file with default values for any flag")
+        p.add_argument("--n", type=int, required=True, help="space dimension (integer >= 3)")
+        for key, opt in {**_MODEL, **command.options}.items():
+            choices = opt.type if isinstance(opt.type, tuple) else None
+            p.add_argument("--" + key.replace("_", "-"), type=str if choices else opt.type,
+                           choices=choices, help=opt.help)
+        p.add_argument("--no-csv", action="store_true", help="skip CSV artifacts")
+        p.add_argument("--no-json", action="store_true",
+                       help="skip JSON summaries (manifest is always written)")
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    file_cfg = {}
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            file_cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-
-    def pick(key: str, hard_default):
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            return flag_val
-        if key in file_cfg:
-            return file_cfg[key]
-        return hard_default
-
-    n = pick("n", None)
-    if n is None:
-        raise ConfigError("dimension n is required (flag --n or config file)")
-    common = {k: pick(k, v) for k, v in _COMMON_DEFAULTS.items()}
-    mu = common["mu"]
-    if mu is None:
-        mu = (int(n) - 2) / 2.0
-    options = {k: pick(k, v) for k, v in _CMD_DEFAULTS[command].items()}
-    if command in ("profile", "expansion"):
-        options["s_min"] = common["s_min"]
-        options["s_max"] = common["s_max"]
-
-    out_dir = os.environ.get("FDX_OUT") or common["out"]
-    return RunConfig(
-        command=command,
-        n=int(n),
-        m=float(common["m"]),
-        gamma=float(common["gamma"]),
-        rho1=float(common["rho1"]),
-        eta=float(common["eta"]),
-        eta_inf=float(common["eta_inf"]),
-        b1_margin=float(common["b1_margin"]),
-        tol=float(common["tol"]),
-        mu=float(mu),
-        out_dir=str(out_dir),
-        write_csv=not args.no_csv,
-        write_json=not args.no_json,
-        options=options,
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Execute one resolved command; returns the process exit code."""
-    out_dir = Path(config.out_dir)
+def _read_config(path: Optional[str]) -> dict:
+    if path is None:
+        return {}
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
     try:
-        if config.command not in _COMMANDS:
-            raise ConfigError(f"unknown command {config.command!r}")
-        artifacts = _COMMANDS[config.command](config)
+        file_cfg = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return file_cfg
+
+
+def _from_file(key: str, opt: Opt, value):
+    """A --config value checked against its option's type and coerced to it."""
+    if value is None and opt.nullable:
+        return None
+    if isinstance(opt.type, tuple):
+        if value in opt.type:
+            return value
+        expected = "one of " + ", ".join(opt.type)
+    else:
+        accepted = (int, float) if opt.type is float else opt.type
+        if isinstance(value, accepted) and not isinstance(value, bool):
+            return opt.type(value)
+        expected = _TYPE_NAMES[opt.type]
+    if opt.nullable:
+        expected += " or null"
+    raise ConfigError(f"config file: {key} must be {expected}, got {value!r}")
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Every option of the command: its flag, else its --config value, else its default."""
+    file_cfg = _read_config(args.config)
+    opts = {"n": args.n}
+    for key, opt in {**_MODEL, **_COMMANDS[args.command].options}.items():
+        if getattr(args, key) is not None:
+            opts[key] = getattr(args, key)
+        elif key in file_cfg:
+            opts[key] = _from_file(key, opt, file_cfg[key])
+        else:
+            opts[key] = opt.default
+    if opts["mu"] is None:
+        opts["mu"] = (args.n - 2) / 2.0
+    opts["out"] = os.environ.get("FDX_OUT") or opts["out"]
+    return opts
+
+
+def run(command: str, opts: dict, skip: tuple = ()) -> int:
+    """Execute one resolved command and write its artifacts, leaving out those
+    whose names end in one of the `skip` suffixes; returns the exit code."""
+    out_dir = Path(opts["out"])
+    try:
+        params = derive_params(opts["n"], opts["m"], opts["gamma"], opts["rho1"])
+        # at the library's quadrature tolerance: --tol 1e-12 would ask quad for
+        # 1e-14, which it misses for most mu once n >= 5
+        weight = build_weight(BumpSpec(mu=opts["mu"], n=opts["n"]))
+        artifacts, extra = _COMMANDS[command].compute(opts, params, weight)
+        manifest = {"command": command, "config": opts,
+                    "derived": _derived_block(opts, params, weight), **extra}
     except FastDiffError as exc:
-        code = _exit_code(exc)
         out_dir.mkdir(parents=True, exist_ok=True)
         record = {
-            "command": config.command,
+            "command": command,
             "error": type(exc).__name__,
             "message": str(exc),
-            "exit_code": code,
+            "exit_code": exc.exit_code,
         }
         (out_dir / "error.json").write_text(_json_text(record))
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return code
+        return exc.exit_code
+    artifacts[f"{command}_manifest.json"] = _json_text(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
     stale = out_dir / "error.json"
     if stale.exists():
         stale.unlink()
     for name, text in sorted(artifacts.items()):
-        (out_dir / name).write_text(text)
+        if not name.endswith(skip):
+            (out_dir / name).write_text(text)
     return 0
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _resolve(args)
+        opts = _resolve(args)
     except FastDiffError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return _exit_code(exc)
-    return run(config)
+        return exc.exit_code
+    skip = tuple(suffix for suffix, off in ((".csv", args.no_csv), ("_summary.json", args.no_json))
+                 if off)
+    return run(args.command, opts, skip)
 
 
 if __name__ == "__main__":

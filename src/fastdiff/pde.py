@@ -51,6 +51,7 @@ __all__ = [
     "power_bump_initial",
     "lambda_for_amplitude",
     "random_sandwiched_pair",
+    "sup_compact",
     "contraction_experiment",
     "convergence_experiment",
 ]
@@ -110,11 +111,8 @@ class EvolveConfig:
     dt_grow: float = 1.3
     grow_threshold: int = 3
     max_steps: int = 2_000_000
-    scheme: str = "backward-euler"
 
     def __post_init__(self):
-        if self.scheme != "backward-euler":
-            raise ConfigError(f"only the implicit one-step scheme is supported, got {self.scheme!r}")
         for name in ("dt_init", "dt_max", "dt_min", "newton_tol", "dt_shrink", "dt_grow"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
@@ -633,8 +631,8 @@ def _check_sandwich(field_u: np.ndarray, field_v: np.ndarray, grid: np.ndarray,
             )
 
 
-def _sup_compact(grid: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 window: tuple[float, float] = (0.1, 10.0)) -> float:
+def sup_compact(grid: np.ndarray, a: np.ndarray, b: np.ndarray,
+                window: tuple[float, float] = (0.1, 10.0)) -> float:
     """Relative sup distance on a compact annulus (fields span many decades,
     so the absolute sup would only ever see the innermost nodes)."""
     mask = (grid >= window[0]) & (grid <= window[1])
@@ -691,7 +689,7 @@ def contraction_experiment(u0: RadialField, v0: RadialField, weight: WeightFunct
         dist_pos.append(
             weighted_l1_distance(weight, (grid, us[0]), (grid, us[1]), mode="positive-part")
         )
-        dist_sup.append(_sup_compact(grid, us[0], us[1]))
+        dist_sup.append(sup_compact(grid, us[0], us[1]))
         if sandwich is not None:
             _check_sandwich(us[0], us[1], grid, t, sandwich)
 
@@ -830,7 +828,7 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
         snapshot = RadialField(r_grid, us[0], t, field0.bc, params=p)
         resc = rescale_field(snapshot, y_grid=y_grid)
         dist_l1.append(weighted_l1_distance(weight, (y_grid, resc.u), (y_grid, f_ref)))
-        dist_sup.append(_sup_compact(y_grid, resc.u, f_ref))
+        dist_sup.append(sup_compact(y_grid, resc.u, f_ref))
         t_samples.append(t)
 
     final = RadialField(r_grid, us[0], t, field0.bc, params=p,

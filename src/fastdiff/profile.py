@@ -178,7 +178,7 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     C1, C2, C3 = fp.C1, fp.C2, fp.C3
     b1 = fp.b1
     if s_max is None:
-        s_max = b1 + max(40.0, -math.log(tol) / C2)
+        s_max = b1 + max(40.0, 40.0 / C2, -math.log(tol) / C2)
     if s_max < b1 + 40.0 / C2:
         raise RangeError(f"s_max must be at least b1 + 40/C2 = {b1 + 40.0 / C2}")
     ds_target = 0.01 / C2

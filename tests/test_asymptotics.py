@@ -16,8 +16,6 @@ from fastdiff import (
     expansion_check,
     f_ode_residual,
     inversion_report,
-    inversion_residual,
-    origin_series_check,
     origin_series_report,
     wbar_ode_residual,
 )
@@ -93,7 +91,7 @@ class TestEquationResiduals:
         assert wbar_ode_residual(unit_eta_profile, exp_consts_ref) <= 1e-5
 
     def test_inverted_equation(self, unit_eta_profile):
-        assert inversion_residual(unit_eta_profile) <= 1e-5
+        assert inversion_report(unit_eta_profile).residual <= 1e-5
 
     def test_residuals_detect_defects(self, unit_eta_profile):
         # a one-part-in-1e3 smooth dent must push the relative defect above
@@ -147,8 +145,3 @@ class TestOriginSeries:
         sr = origin_series_report(unit_eta_profile, exp_consts_ref, rep.eta)
         assert sr.fr_K_ref == pytest.approx(FR_K_REF, rel=1e-8)
         assert sr.fr_K == pytest.approx(sr.fr_K_ref, rel=1e-3)
-
-    def test_check_returns_max_ratio(self, unit_eta_profile, exp_consts_ref):
-        rep = expansion_check(unit_eta_profile, exp_consts_ref)
-        sr = origin_series_report(unit_eta_profile, exp_consts_ref, rep.eta)
-        assert origin_series_check(unit_eta_profile, exp_consts_ref, rep.eta) == sr.max_ratio

@@ -19,13 +19,19 @@ from fastdiff.errors import (
     BlowUpError,
     BoundViolationError,
     ConfigError,
+    DegenerateError,
+    ExtrapolationError,
     FastDiffError,
     GridMismatchError,
     InternalError,
     NewtonDivergence,
+    NonContractionError,
+    PositivityError,
     QuadratureError,
     RangeError,
+    ResolutionError,
     SandwichViolationError,
+    StiffnessError,
     ToleranceError,
 )
 
@@ -87,6 +93,11 @@ class TestWeightCommand:
         assert derived["C2"] == 2.0
         assert derived["gamma_in_convergence_range"] is True
         assert derived["a4"] == pytest.approx(A4_REF, rel=1e-12)
+
+    def test_higher_dimension(self, tmp_path):
+        # the weight every command builds must exist beyond n = 3
+        assert cli.main(["weight", "--n", "5", "--out", str(tmp_path), "--nodes", "31"]) == 0
+        assert read_json(tmp_path / "weight_summary.json")["mu"] == 1.5
 
     def test_no_csv_no_json(self, tmp_path):
         rc = cli.main(["weight", "--n", "3", "--out", str(tmp_path), "--nodes", "31",
@@ -174,6 +185,16 @@ class TestEvolveCommand:
         assert summary["dist_final_l1w"] is None  # nan serializes as null
         assert summary["stats"]["ab_max"] <= 1e-6
 
+    def test_no_node_in_sup_window(self, tmp_path):
+        # the grid misses [0.1, 10], so the compact sup distance is undefined
+        rc = cli.main(["evolve", "--n", "3", "--kind", "constant", "--out", str(tmp_path),
+                       "--r-in", "20", "--r-out", "100", "--nodes", "16",
+                       "--t-end", "1.1", "--samples", "2"])
+        assert rc == 0
+        summary = read_json(tmp_path / "evolve_summary.json")
+        assert summary["dist_final_sup_compact"] is None  # nan serializes as null
+        assert summary["dist_final_l1w"] <= 1e-11
+
 
 class TestContractCommand:
     def test_distances_non_increasing(self, tmp_path):
@@ -211,17 +232,16 @@ class TestConvergeCommand:
 
 class TestExitCodes:
     def test_mapping_table(self):
-        assert cli._exit_code(ConfigError("x")) == 2
-        assert cli._exit_code(RangeError("x")) == 2
-        assert cli._exit_code(GridMismatchError("x")) == 2
-        assert cli._exit_code(QuadratureError("x")) == 3
-        assert cli._exit_code(ToleranceError("x")) == 3
-        assert cli._exit_code(NewtonDivergence("x")) == 3
-        assert cli._exit_code(BlowUpError("x")) == 3
-        assert cli._exit_code(BoundViolationError("x")) == 4
-        assert cli._exit_code(SandwichViolationError("x")) == 4
-        assert cli._exit_code(InternalError("x")) == 4
-        assert cli._exit_code(FastDiffError("x")) == 3
+        expected = {
+            ConfigError: 2, RangeError: 2, DegenerateError: 2, GridMismatchError: 2,
+            QuadratureError: 3, StiffnessError: 3, BlowUpError: 3, ToleranceError: 3,
+            ExtrapolationError: 3, ResolutionError: 3, NewtonDivergence: 3,
+            InternalError: 4, NonContractionError: 4, BoundViolationError: 4,
+            PositivityError: 4, SandwichViolationError: 4,
+            FastDiffError: 3,
+        }
+        for exc_type, code in expected.items():
+            assert exc_type("x").exit_code == code, exc_type.__name__
 
     def test_config_error_writes_record(self, tmp_path):
         rc = cli.main(["profile", "--n", "3", "--m", "0.9", "--out", str(tmp_path)])
@@ -250,6 +270,18 @@ class TestExitCodes:
         lst.write_text("[1, 2]")
         assert cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),
                          "--config", str(lst)]) == 2
+        # file values are checked against the option's type
+        for body in ({"m": "abc"}, {"nodes": "51"}, {"nodes": 51.0}, {"nodes": True},
+                     {"m": None}, {"m": True}):
+            typed = tmp_path / "typed.json"
+            typed.write_text(json.dumps(body))
+            assert cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),
+                             "--config", str(typed)]) == 2, body
+        choice = tmp_path / "choice.json"
+        choice.write_text(json.dumps({"case": "nosuch"}))
+        assert cli.main(["converge", "--n", "3", "--out", str(tmp_path / "o"),
+                         "--config", str(choice)]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_numerical_failure_is_exit_3(self, tmp_path):
         rc = cli.main(["evolve", "--n", "3", "--kind", "barenblatt", "--out", str(tmp_path),
@@ -303,6 +335,26 @@ class TestConfigResolution:
         assert manifest["config"]["mu"] == 0.7
         _, rows = csv_rows(out / "weight.csv")
         assert len(rows) == 21
+
+    def test_config_file_reaches_evolve_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt_rel_max": 2e-3, "mu": None}))
+        out = tmp_path / "o"
+        rc = cli.main(["converge", "--n", "3", "--case", "bump", "--out", str(out),
+                       "--nodes", "96", "--r-in", "0.01", "--r-out", "100",
+                       "--tau-max", "0.5", "--samples", "3", "--config", str(cfg)])
+        assert rc == 0
+        manifest = read_json(out / "converge_manifest.json")
+        assert manifest["evolve_config"]["dt_rel_max"] == 2e-3
+        assert manifest["config"]["dt_rel_max"] == 2e-3
+        assert manifest["config"]["mu"] == 0.5      # null keeps the default
+        # null lifts converge's dt_rel_max cap, as EvolveConfig allows
+        cfg.write_text(json.dumps({"dt_rel_max": None}))
+        assert cli.main(["converge", "--n", "3", "--case", "bump", "--out", str(out),
+                         "--nodes", "96", "--r-in", "0.01", "--r-out", "100",
+                         "--tau-max", "0.5", "--samples", "3", "--config", str(cfg)]) == 0
+        manifest = read_json(out / "converge_manifest.json")
+        assert manifest["evolve_config"]["dt_rel_max"] is None
 
 
 FDX_SUBCOMMANDS = {"profile", "expansion", "weight", "evolve", "contract", "converge"}

@@ -79,8 +79,6 @@ class TestEvolveConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            EvolveConfig(scheme="crank-nicolson")
-        with pytest.raises(ConfigError):
             EvolveConfig(dt_init=0.1, dt_max=0.05)
         with pytest.raises(ConfigError):
             EvolveConfig(dt_min=1e-3, dt_init=1e-4)

@@ -13,6 +13,8 @@ from fastdiff import (
     RangeError,
     ToleranceError,
     continue_left,
+    derive_fp_constants,
+    derive_params,
     picard_solve,
     profile_interpolator,
     recover_profile,
@@ -53,6 +55,16 @@ class TestPicardSolve:
             picard_solve(fp_ref, tol=0.0)
         with pytest.raises(RangeError):
             picard_solve(fp_ref, s_max=fp_ref.b1 + 1.0)
+
+    def test_default_s_max_when_c2_below_one(self):
+        # at m = 90% of (n-2)/n, C2 = 1/3: the default right end must clear
+        # the b1 + 40/C2 floor the function itself enforces
+        fp = derive_fp_constants(derive_params(3, 0.3, 3.095), eta_inf=1.0)
+        assert fp.C2 < 1.0
+        tail = picard_solve(fp)
+        assert tail.grid[-1] >= fp.b1 + 40.0 / fp.C2
+        assert tail.iterations <= 8
+        assert tail.fp_residual <= 1e-10
 
     def test_tolerance_error_when_unreachable(self, fp_ref):
         with pytest.raises(ToleranceError):
