@@ -93,39 +93,7 @@ from .pde import (
     power_bump_initial,
     random_sandwiched_pair,
     rescale_field,
+    self_similar_solution,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "FastDiffError", "ConfigError", "RangeError", "DegenerateError",
-    "GridMismatchError", "QuadratureError", "StiffnessError", "BlowUpError",
-    "ToleranceError", "ExtrapolationError", "ResolutionError",
-    "NewtonDivergence", "InternalError", "NonContractionError",
-    "BoundViolationError", "PositivityError", "SandwichViolationError",
-    # params
-    "ParamSet", "FPConstants", "ExpansionConstants", "derive_exponents",
-    "derive_params", "derive_fp_constants", "derive_expansion_constants",
-    # numerics
-    "Tolerances", "OdeTrajectory", "integrate_ode", "quad_adaptive",
-    "cumulative_integral", "integrate_table", "fd_weights", "deriv_uniform",
-    # profile
-    "TailSolution", "Profile", "picard_solve", "tail_residual",
-    "continue_left", "recover_profile", "rescale_profile", "solve_for_eta",
-    "profile_interpolator",
-    # asymptotics
-    "ExpansionReport", "InversionReport", "SeriesReport", "expansion_check",
-    "wbar_ode_residual", "f_ode_residual", "inversion_report",
-    "origin_series_report",
-    # weight
-    "BumpSpec", "WeightFunction", "build_weight", "eval_weight",
-    "weighted_l1_distance",
-    # pde
-    "EvolveConfig", "EvolveStats", "RadialField", "RescaledField",
-    "ContractionResult", "ConvergenceResult", "log_grid", "barenblatt",
-    "make_self_similar_field", "evolve", "rescale_field",
-    "power_bump_initial", "lambda_for_amplitude", "random_sandwiched_pair",
-    "contraction_experiment", "convergence_experiment",
-]

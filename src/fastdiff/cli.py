@@ -44,9 +44,10 @@ from .pde import (
     make_self_similar_field,
     power_bump_initial,
     random_sandwiched_pair,
+    self_similar_solution,
     sup_compact,
 )
-from .profile import profile_interpolator, rescale_profile, solve_for_eta
+from .profile import solve_for_eta
 from .weight import BumpSpec, WeightFunction, build_weight, eval_weight, weighted_l1_distance
 
 
@@ -241,8 +242,7 @@ def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
     if kind == "self-similar":
         prof = _build_profile(o, params)
         field = make_self_similar_field(prof, o["lam"], t0, grid)
-        itp = profile_interpolator(rescale_profile(prof, o["lam"]))
-        exact = lambda r, t: t ** (-params.alpha) * itp(t ** (-params.beta) * r)
+        exact = self_similar_solution(prof, o["lam"])
     elif kind == "barenblatt":
         B = barenblatt(o["n"], o["m"], o["bb_k"], o["bb_t"])
         if not t_end < o["bb_t"]:
@@ -491,8 +491,7 @@ def run(command: str, opts: dict, skip: tuple = ()) -> int:
     out_dir = Path(opts["out"])
     try:
         params = derive_params(opts["n"], opts["m"], opts["gamma"], opts["rho1"])
-        # at the library's quadrature tolerance: --tol 1e-12 would ask quad for
-        # 1e-14, which it misses for most mu once n >= 5
+        # at build_weight's own quadrature tolerance; --tol is the profile solvers'
         weight = build_weight(BumpSpec(mu=opts["mu"], n=opts["n"]))
         artifacts, extra = _COMMANDS[command].compute(opts, params, weight)
         manifest = {"command": command, "config": opts,

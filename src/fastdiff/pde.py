@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .params import ParamSet
 from .profile import Profile, profile_interpolator, rescale_profile
-from .weight import WeightFunction, weighted_l1_distance
+from .weight import WeightFunction, eval_weight, weighted_l1_distance
 
 __all__ = [
     "RadialField",
@@ -45,6 +46,7 @@ __all__ = [
     "ConvergenceResult",
     "log_grid",
     "barenblatt",
+    "self_similar_solution",
     "make_self_similar_field",
     "evolve",
     "rescale_field",
@@ -59,6 +61,22 @@ __all__ = [
 # Relative slack used when validating sandwich envelopes; field values span
 # many decades, so all envelope comparisons are relative.
 _SANDWICH_RTOL = 1e-8
+
+# Step-size control of the lockstep marcher: halve dt on a rejected step, grow
+# it by _DT_GROW after a step whose worst Newton count is <= _GROW_THRESHOLD.
+_MAX_BACKTRACK = 10
+_DT_SHRINK = 0.5
+_DT_GROW = 1.3
+_GROW_THRESHOLD = 3
+_MAX_STEPS = 2_000_000
+
+# log-radius window of the random interpolation field of a sandwiched pair,
+# and the number of its Fourier modes
+_THETA_SUPPORT = (-3.0, -0.5)
+_THETA_MODES = 3
+
+# annulus on which sup_compact compares fields
+_SUP_WINDOW = (0.1, 10.0)
 
 
 def log_grid(r_in: float, r_out: float, n_nodes: int) -> np.ndarray:
@@ -106,24 +124,17 @@ class EvolveConfig:
     dt_rel_max: Optional[float] = None
     newton_tol: float = 1e-11
     newton_max: int = 12
-    max_backtrack: int = 10
-    dt_shrink: float = 0.5
-    dt_grow: float = 1.3
-    grow_threshold: int = 3
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
-        for name in ("dt_init", "dt_max", "dt_min", "newton_tol", "dt_shrink", "dt_grow"):
+        for name in ("dt_init", "dt_max", "dt_min", "newton_tol"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.dt_rel_max is not None and not self.dt_rel_max > 0:
             raise ConfigError("dt_rel_max must be positive when set")
         if not self.dt_min <= self.dt_init <= self.dt_max:
             raise ConfigError("need dt_min <= dt_init <= dt_max")
-        if self.dt_shrink >= 1.0 or self.dt_grow <= 1.0:
-            raise ConfigError("need dt_shrink < 1 < dt_grow")
-        if self.newton_max < 1 or self.max_backtrack < 1 or self.max_steps < 1:
-            raise ConfigError("iteration budgets must be at least 1")
+        if self.newton_max < 1:
+            raise ConfigError("newton_max must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -231,30 +242,35 @@ def barenblatt(n: int, m: float, k: float, T: float) -> Callable:
     return B
 
 
-def make_self_similar_field(profile: Profile, lam: float, t: float,
-                            grid: np.ndarray) -> RadialField:
-    """Sample V_lam(r, t) = t^(-alpha) f_lam(t^(-beta) r) on the grid.
+def self_similar_solution(profile: Profile, lam: float) -> Callable:
+    """The self-similar solution V_lam(r, t) = t^(-alpha) f_lam(t^(-beta) r)."""
+    alpha, beta = profile.params.alpha, profile.params.beta
+    f_lam = profile_interpolator(rescale_profile(profile, lam))
 
-    The boundary traces are generated from the same formula, so evolving the
-    result reproduces an exact solution up to discretization error.
-    """
+    def V(r, t):
+        return t ** (-alpha) * f_lam(t ** (-beta) * np.asarray(r, dtype=float))
+
+    return V
+
+
+def _sample(V: Callable, t: float, grid: np.ndarray, params: ParamSet) -> RadialField:
+    """The field V(., t) on the grid, with V's own traces at both ends."""
     if not t > 0:
         raise RangeError(f"time must be positive, got {t}")
-    params = profile.params
-    prof_l = rescale_profile(profile, lam)
-    itp = profile_interpolator(prof_l)
     grid = np.asarray(grid, dtype=float)
-    alpha, beta = params.alpha, params.beta
-    u = t ** (-alpha) * itp(t ** (-beta) * grid)
     r_in, r_out = float(grid[0]), float(grid[-1])
+    return RadialField(r_grid=grid, u=V(grid, t), t=float(t),
+                       bc=(lambda tt: V(r_in, tt), lambda tt: V(r_out, tt)), params=params)
 
-    def bc_left(tt: float) -> float:
-        return tt ** (-alpha) * itp(tt ** (-beta) * r_in)
 
-    def bc_right(tt: float) -> float:
-        return tt ** (-alpha) * itp(tt ** (-beta) * r_out)
+def make_self_similar_field(profile: Profile, lam: float, t: float,
+                            grid: np.ndarray) -> RadialField:
+    """Sample V_lam(r, t) on the grid.
 
-    return RadialField(r_grid=grid, u=u, t=float(t), bc=(bc_left, bc_right), params=params)
+    The boundary traces are generated from the same solution, so evolving the
+    result reproduces an exact solution up to discretization error.
+    """
+    return _sample(self_similar_solution(profile, lam), t, grid, profile.params)
 
 
 class _StepReject(Exception):
@@ -263,31 +279,6 @@ class _StepReject(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason  # "newton" or "positivity"
-
-
-class _Acc:
-    """Mutable per-field counters, frozen into EvolveStats at the end."""
-
-    __slots__ = ("n_steps", "n_rejected", "newton_total", "min_u", "ab_max")
-
-    def __init__(self, u0: np.ndarray):
-        self.n_steps = 0
-        self.n_rejected = 0
-        self.newton_total = 0
-        self.min_u = float(np.min(u0))
-        self.ab_max = -math.inf
-
-    def freeze(self, t_start: float, t_end: float, dt_final: float) -> EvolveStats:
-        return EvolveStats(
-            t_start=t_start,
-            t_end=t_end,
-            n_steps=self.n_steps,
-            n_rejected=self.n_rejected,
-            newton_total=self.newton_total,
-            dt_final=dt_final,
-            min_u=self.min_u,
-            ab_max=self.ab_max,
-        )
 
 
 class _Stepper:
@@ -352,7 +343,7 @@ class _Stepper:
             lam = 1.0
             accepted = False
             reason = "newton"
-            for _ in range(cfg.max_backtrack + 1):
+            for _ in range(_MAX_BACKTRACK + 1):
                 trial = u[1:-1] + lam * delta
                 if np.any(trial <= 1e-8 * scale):
                     reason = "positivity"
@@ -375,104 +366,118 @@ class _Stepper:
         raise _StepReject("newton")
 
 
-def _advance_lockstep(stepper: _Stepper, us: list, bcs: list, t: float, t_target: float,
-                      cfg: EvolveConfig, accs: list, dt_state: dict, one_m: float) -> tuple[list, float]:
-    """March all fields in us with a shared adaptive dt until t_target.
+class _Lockstep:
+    """Fields marched with one shared adaptive dt.
 
     Sharing the step sequence is what makes the discrete weighted-L1
-    contraction argument apply to evolved pairs; single fields just pass a
-    one-element list.
+    contraction argument apply to evolved pairs; a single field marches alone.
+    Step counts are shared; Newton totals, min_u and ab_max are per field.
     """
-    eps_t = 1e-13 * max(1.0, abs(t_target))
-    while t < t_target - eps_t:
-        dt = min(dt_state["dt"], cfg.dt_max, t_target - t)
-        if cfg.dt_rel_max is not None:
-            dt = min(dt, cfg.dt_rel_max * t)
-        clamped = t + dt >= t_target - eps_t
-        if clamped:
-            dt = t_target - t
-        try:
-            stepped = [
-                stepper.step(u, t, dt, bc[0], bc[1]) for u, bc in zip(us, bcs)
-            ]
-        except _StepReject as rej:
-            for acc in accs:
-                acc.n_rejected += 1
-            dt_new = dt * cfg.dt_shrink
-            if dt_new < cfg.dt_min:
-                if rej.reason == "positivity":
-                    raise PositivityError(
-                        f"positivity backtracking exhausted at t={t:.6g} even at dt={dt:.3g}"
+
+    def __init__(self, fields: Sequence[RadialField], params: ParamSet, cfg: EvolveConfig):
+        self.stepper = _Stepper(fields[0].r_grid, params, cfg)
+        self.cfg = cfg
+        self.one_m = 1.0 - params.m
+        self.t_start = self.t = fields[0].t
+        self.dt = cfg.dt_init
+        self.us = [f.u.copy() for f in fields]
+        self.bcs = [f.bc for f in fields]
+        self.n_steps = self.n_rejected = 0
+        self.newton = [0] * len(fields)
+        self.min_u = [float(np.min(f.u)) for f in fields]
+        self.ab_max = [-math.inf] * len(fields)
+
+    def advance(self, t_target: float) -> None:
+        """March every field to t_target; a target not past the current time is a no-op."""
+        if not t_target > self.t:
+            return
+        cfg, t = self.cfg, self.t
+        eps_t = 1e-13 * max(1.0, abs(t_target))
+        while t < t_target - eps_t:
+            dt = min(self.dt, cfg.dt_max, t_target - t)
+            if cfg.dt_rel_max is not None:
+                dt = min(dt, cfg.dt_rel_max * t)
+            clamped = t + dt >= t_target - eps_t
+            if clamped:
+                dt = t_target - t
+            try:
+                stepped = [self.stepper.step(u, t, dt, bc[0], bc[1])
+                           for u, bc in zip(self.us, self.bcs)]
+            except _StepReject as rej:
+                self.n_rejected += 1
+                dt_new = dt * _DT_SHRINK
+                if dt_new < cfg.dt_min:
+                    if rej.reason == "positivity":
+                        raise PositivityError(
+                            f"positivity backtracking exhausted at t={t:.6g} even at dt={dt:.3g}"
+                        ) from None
+                    raise NewtonDivergence(
+                        f"Newton failed to converge at t={t:.6g} even at dt={dt:.3g}"
                     ) from None
-                raise NewtonDivergence(
-                    f"Newton failed to converge at t={t:.6g} even at dt={dt:.3g}"
-                ) from None
-            dt_state["dt"] = dt_new
-            continue
-        t_new = t_target if clamped else t + dt
-        worst_iters = 0
-        for idx, (u_new, iters) in enumerate(stepped):
-            acc = accs[idx]
-            u_old = us[idx]
-            bound = u_new[1:-1] / (one_m * t_new)
-            margin = ((u_new[1:-1] - u_old[1:-1]) / dt - bound) / bound
-            acc.ab_max = max(acc.ab_max, float(np.max(margin)))
-            acc.min_u = min(acc.min_u, float(np.min(u_new)))
-            acc.newton_total += iters
-            acc.n_steps += 1
-            worst_iters = max(worst_iters, iters)
-            us[idx] = u_new
-        if worst_iters <= cfg.grow_threshold:
-            dt_state["dt"] = min(dt * cfg.dt_grow, cfg.dt_max)
-        else:
-            dt_state["dt"] = dt
-        t = t_new
-        if accs[0].n_steps > cfg.max_steps:
-            raise ToleranceError(
-                f"step budget {cfg.max_steps} exhausted at t={t:.6g} (target {t_target:.6g})"
-            )
-    return us, t_target
+                self.dt = dt_new
+                continue
+            t_new = t_target if clamped else t + dt
+            for idx, (u_new, iters) in enumerate(stepped):
+                bound = u_new[1:-1] / (self.one_m * t_new)
+                margin = ((u_new[1:-1] - self.us[idx][1:-1]) / dt - bound) / bound
+                self.ab_max[idx] = max(self.ab_max[idx], float(np.max(margin)))
+                self.min_u[idx] = min(self.min_u[idx], float(np.min(u_new)))
+                self.newton[idx] += iters
+                self.us[idx] = u_new
+            self.n_steps += 1
+            worst_iters = max(iters for _, iters in stepped)
+            self.dt = min(dt * _DT_GROW, cfg.dt_max) if worst_iters <= _GROW_THRESHOLD else dt
+            t = t_new
+            if self.n_steps > _MAX_STEPS:
+                raise ToleranceError(
+                    f"step budget {_MAX_STEPS} exhausted at t={t:.6g} (target {t_target:.6g})"
+                )
+        self.t = t_target
+
+    def stats(self, i: int) -> EvolveStats:
+        """Counters of field i from the start to the current time."""
+        return EvolveStats(
+            t_start=self.t_start,
+            t_end=self.t,
+            n_steps=self.n_steps,
+            n_rejected=self.n_rejected,
+            newton_total=self.newton[i],
+            dt_final=self.dt,
+            min_u=self.min_u[i],
+            ab_max=self.ab_max[i],
+        )
 
 
-def _require_params(field: RadialField, params: Optional[ParamSet]) -> ParamSet:
-    p = params if params is not None else field.params
-    if p is None:
-        raise ConfigError("field carries no parameter set; pass params explicitly")
-    return p
+def _require_params(field: RadialField) -> ParamSet:
+    if field.params is None:
+        raise ConfigError("field carries no parameter set")
+    return field.params
 
 
-def evolve(field: RadialField, cfg: EvolveConfig, t_end: float,
-           params: Optional[ParamSet] = None) -> RadialField:
+def evolve(field: RadialField, cfg: EvolveConfig, t_end: float) -> RadialField:
     """Advance the field to t_end with backward-Euler steps.
 
     Positivity is preserved without clipping: the Newton update backtracks on
     any sign loss, and if backtracking at the smallest allowed dt still fails
     the run aborts with PositivityError.
     """
-    p = _require_params(field, params)
+    p = _require_params(field)
     if not t_end > field.t:
         raise RangeError(f"t_end must exceed the field time {field.t}, got {t_end}")
-    stepper = _Stepper(field.r_grid, p, cfg)
-    acc = _Acc(field.u)
-    dt_state = {"dt": cfg.dt_init}
-    us, _ = _advance_lockstep(
-        stepper, [field.u.copy()], [field.bc], field.t, t_end, cfg, [acc], dt_state,
-        one_m=1.0 - p.m,
-    )
-    stats = acc.freeze(field.t, t_end, dt_state["dt"])
-    return RadialField(r_grid=field.r_grid, u=us[0], t=t_end, bc=field.bc,
-                       params=field.params, stats=stats)
+    march = _Lockstep([field], p, cfg)
+    march.advance(t_end)
+    return RadialField(r_grid=field.r_grid, u=march.us[0], t=t_end, bc=field.bc,
+                       params=p, stats=march.stats(0))
 
 
-def rescale_field(field: RadialField, y_grid: Optional[np.ndarray] = None,
-                  params: Optional[ParamSet] = None) -> RescaledField:
+def rescale_field(field: RadialField, y_grid: Optional[np.ndarray] = None) -> RescaledField:
     """Similarity rescaling u -> t^alpha u(t^beta y, t) with tau = log t.
 
     With y_grid omitted the image grid t^(-beta) r_grid is used and the values
     are exact; an explicit y_grid triggers cubic resampling of log u and
     RangeError if any t^beta y falls outside the field's radial range.
     """
-    p = _require_params(field, params)
+    p = _require_params(field)
     t = field.t
     if not t > 0:
         raise RangeError(f"time must be positive, got {t}")
@@ -490,8 +495,6 @@ def rescale_field(field: RadialField, y_grid: Optional[np.ndarray] = None,
             f"rescaled query radii [{r_query.min():.4g}, {r_query.max():.4g}] leave the grid "
             f"[{r_lo:.4g}, {r_hi:.4g}]"
         )
-    from scipy.interpolate import CubicSpline
-
     spline = CubicSpline(np.log(field.r_grid), np.log(field.u))
     xq = np.clip(np.log(r_query), np.log(r_lo), np.log(r_hi))
     u = t**alpha * np.exp(spline(xq))
@@ -547,36 +550,33 @@ def lambda_for_amplitude(profile: Profile, a: float) -> float:
 def random_sandwiched_pair(profile: Profile, grid: np.ndarray, t0: float,
                            rng: np.random.Generator,
                            lam_pair: tuple[float, float] = (1.2, 0.8),
-                           theta_amp: float = 0.12,
-                           support: tuple[float, float] = (-3.0, -0.5),
-                           n_modes: int = 3):
+                           theta_amp: float = 0.12):
     """Random pair of fields sandwiched between two self-similar envelopes.
 
     Each field is a pointwise geometric interpolation between the envelopes,
     u = hi * (lo/hi)^theta with a smooth random theta in [0, theta_amp] that
-    vanishes outside the given log-radius window.  Both fields therefore share
-    the upper envelope's boundary traces, which is exactly the setting in
-    which the implicit scheme contracts weighted-L1 distances step by step.
+    vanishes outside the log-radius window _THETA_SUPPORT.  Both fields
+    therefore share the upper envelope's boundary traces, which is exactly the
+    setting in which the implicit scheme contracts weighted-L1 distances step
+    by step.
 
-    Returns (u0, v0, (lo_fn, hi_fn)) where the envelope callables take (r, t).
+    Returns (u0, v0, (lo_fn, hi_fn)) where the envelopes are the self-similar
+    solutions V(r, t) of the two scalings.
     """
     if not 0.0 < theta_amp <= 1.0:
         raise RangeError(f"theta_amp must lie in (0, 1], got {theta_amp}")
-    lam_a, lam_b = lam_pair
-    fa = make_self_similar_field(profile, lam_a, t0, grid)
-    fb = make_self_similar_field(profile, lam_b, t0, grid)
+    Va, Vb = (self_similar_solution(profile, lam) for lam in lam_pair)
+    fa, fb = (_sample(V, t0, grid, profile.params) for V in (Va, Vb))
     # the family is pointwise monotone in lambda, so one field dominates
     if np.all(fa.u <= fb.u):
-        low, high = fa, fb
+        low, high, lo_fn, hi_fn = fa, fb, Va, Vb
     elif np.all(fb.u <= fa.u):
-        low, high = fb, fa
+        low, high, lo_fn, hi_fn = fb, fa, Vb, Va
     else:
         raise SandwichViolationError("envelope fields are not ordered; check lam_pair")
 
     x = np.log(np.asarray(grid, dtype=float))
-    x_lo, x_hi = support
-    if not x_lo < x_hi:
-        raise RangeError("support window must be increasing")
+    x_lo, x_hi = _THETA_SUPPORT
     mid, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
     xi = (x - mid) / half
     window = np.zeros_like(x)
@@ -586,7 +586,7 @@ def random_sandwiched_pair(profile: Profile, grid: np.ndarray, t0: float,
     def random_theta() -> np.ndarray:
         phase = 2.0 * math.pi * (x - x_lo) / (x_hi - x_lo)
         raw = np.zeros_like(x)
-        for k in range(1, n_modes + 1):
+        for k in range(1, _THETA_MODES + 1):
             c, s = rng.normal(), rng.normal()
             raw += (c * np.cos(k * phase) + s * np.sin(k * phase)) / k
         lo_r, hi_r = float(raw.min()), float(raw.max())
@@ -602,17 +602,6 @@ def random_sandwiched_pair(profile: Profile, grid: np.ndarray, t0: float,
 
     u0 = build(random_theta())
     v0 = build(random_theta())
-
-    itp_low = profile_interpolator(rescale_profile(profile, lam_a if low is fa else lam_b))
-    itp_high = profile_interpolator(rescale_profile(profile, lam_a if high is fa else lam_b))
-    alpha, beta = profile.params.alpha, profile.params.beta
-
-    def lo_fn(r, t):
-        return t ** (-alpha) * itp_low(t ** (-beta) * np.asarray(r, dtype=float))
-
-    def hi_fn(r, t):
-        return t ** (-alpha) * itp_high(t ** (-beta) * np.asarray(r, dtype=float))
-
     return u0, v0, (lo_fn, hi_fn)
 
 
@@ -631,11 +620,11 @@ def _check_sandwich(field_u: np.ndarray, field_v: np.ndarray, grid: np.ndarray,
             )
 
 
-def sup_compact(grid: np.ndarray, a: np.ndarray, b: np.ndarray,
-                window: tuple[float, float] = (0.1, 10.0)) -> float:
-    """Relative sup distance on a compact annulus (fields span many decades,
-    so the absolute sup would only ever see the innermost nodes)."""
-    mask = (grid >= window[0]) & (grid <= window[1])
+def sup_compact(grid: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Relative sup distance on the annulus _SUP_WINDOW (fields span many
+    decades, so the absolute sup would only ever see the innermost nodes);
+    nan when no node lies in it."""
+    mask = (grid >= _SUP_WINDOW[0]) & (grid <= _SUP_WINDOW[1])
     if not mask.any():
         return math.nan
     denom = np.maximum(np.maximum(a[mask], b[mask]), 1e-300)
@@ -659,7 +648,7 @@ def contraction_experiment(u0: RadialField, v0: RadialField, weight: WeightFunct
         u0.r_grid, v0.r_grid, rtol=1e-12, atol=0.0
     ):
         raise GridMismatchError("pair must share a grid")
-    p = _require_params(u0, None)
+    p = _require_params(u0)
     times_arr = np.asarray(list(times), dtype=float)
     if times_arr.ndim != 1 or times_arr.size < 2:
         raise ConfigError("need at least two sample times")
@@ -672,31 +661,19 @@ def contraction_experiment(u0: RadialField, v0: RadialField, weight: WeightFunct
     if sandwich is not None:
         _check_sandwich(u0.u, v0.u, grid, u0.t, sandwich)
 
-    stepper = _Stepper(grid, p, cfg)
-    accs = [_Acc(u0.u), _Acc(v0.u)]
-    dt_state = {"dt": cfg.dt_init}
-    us = [u0.u.copy(), v0.u.copy()]
-    bcs = [u0.bc, v0.bc]
-    one_m = 1.0 - p.m
-
+    march = _Lockstep([u0, v0], p, cfg)
     dist_abs, dist_pos, dist_sup = [], [], []
-    t = u0.t
     for t_target in times_arr:
-        if t_target > t:
-            us, t = _advance_lockstep(stepper, us, bcs, t, float(t_target), cfg, accs,
-                                      dt_state, one_m)
-        dist_abs.append(weighted_l1_distance(weight, (grid, us[0]), (grid, us[1])))
-        dist_pos.append(
-            weighted_l1_distance(weight, (grid, us[0]), (grid, us[1]), mode="positive-part")
-        )
-        dist_sup.append(sup_compact(grid, us[0], us[1]))
+        march.advance(float(t_target))
+        u, v = march.us
+        dist_abs.append(weighted_l1_distance(weight, (grid, u), (grid, v)))
+        dist_pos.append(weighted_l1_distance(weight, (grid, u), (grid, v), mode="positive-part"))
+        dist_sup.append(sup_compact(grid, u, v))
         if sandwich is not None:
-            _check_sandwich(us[0], us[1], grid, t, sandwich)
+            _check_sandwich(u, v, grid, march.t, sandwich)
 
-    u_fin = RadialField(grid, us[0], t, u0.bc, params=p,
-                        stats=accs[0].freeze(u0.t, t, dt_state["dt"]))
-    v_fin = RadialField(grid, us[1], t, v0.bc, params=p,
-                        stats=accs[1].freeze(v0.t, t, dt_state["dt"]))
+    u_fin, v_fin = (RadialField(grid, march.us[i], march.t, f.bc, params=p, stats=march.stats(i))
+                    for i, f in enumerate((u0, v0)))
     return ContractionResult(
         times=times_arr,
         tau=np.log(times_arr),
@@ -720,8 +697,7 @@ def _tail_slope(grid: np.ndarray, integrand: np.ndarray) -> float:
 
 def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
                            u0_spec: Optional[Callable], tau_grid: Sequence[float],
-                           cfg: EvolveConfig, weight: Optional[WeightFunction] = None,
-                           r_grid: Optional[np.ndarray] = None,
+                           cfg: EvolveConfig, weight: WeightFunction, r_grid: np.ndarray,
                            t0: float = 1.0) -> ConvergenceResult:
     """Evolve singular power-law-type data and track the rescaled field's
     weighted-L1 and compact-sup distances to the limit profile f_lam0.
@@ -749,18 +725,13 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
     if tau_arr[0] < math.log(t0) - 1e-12:
         raise RangeError(f"tau_grid starts before log(t0) = {math.log(t0):.6g}")
 
-    if weight is None:
-        from .weight import BumpSpec, build_weight
-
-        weight = build_weight(BumpSpec(mu=(p.n - 2) / 2.0, n=p.n))
-    if r_grid is None:
-        r_grid = log_grid(1e-3, 1e3, 640)
     r_grid = np.asarray(r_grid, dtype=float)
 
     lam0 = lambda_for_amplitude(profile, a0)
     lam1 = lambda_for_amplitude(profile, a1)
     lam2 = lambda_for_amplitude(profile, a2)
-    orbit = make_self_similar_field(profile, lam0, t0, r_grid)
+    V0 = self_similar_solution(profile, lam0)
+    orbit = _sample(V0, t0, r_grid, p)
 
     gamma = p.gamma
     power = a0 * r_grid ** (-gamma)
@@ -789,8 +760,7 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
     # the defining integrability condition on u0 - a0 |x|^(-gamma): the
     # weighted integrand must decay at the outer edge, else truncation lies
     diff0 = np.abs(field0.u - power)
-    phi_vals = _weight_values(weight, r_grid)
-    integrand = r_grid ** (p.n - 1) * diff0 * phi_vals
+    integrand = r_grid ** (p.n - 1) * diff0 * eval_weight(weight, r_grid)[0]
     u0_l1_gap = weighted_l1_distance(weight, (r_grid, field0.u), (r_grid, power))
     if np.max(integrand) > 0 and np.max(integrand[-r_grid.size // 8:]) > 1e-14 * np.max(integrand):
         slope = _tail_slope(r_grid, integrand)
@@ -810,29 +780,21 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
         raise RangeError("tau horizon too long for this grid: rescaled window is empty")
     n_ref = max(int(round(r_grid.size * math.log(y_hi / y_lo) / math.log(r_grid[-1] / r_grid[0]))), 16)
     y_grid = log_grid(y_lo, y_hi, n_ref)
-    itp0 = profile_interpolator(rescale_profile(profile, lam0))
-    f_ref = itp0(y_grid)
+    f_ref = V0(y_grid, 1.0)                          # f_lam0 itself: V0 at t = 1
     norm_ref = weighted_l1_distance(weight, (y_grid, f_ref), (y_grid, np.zeros_like(f_ref)))
 
-    stepper = _Stepper(r_grid, p, cfg)
-    acc = _Acc(field0.u)
-    dt_state = {"dt": cfg.dt_init}
-    us = [field0.u.copy()]
-    t = t0
+    march = _Lockstep([field0], p, cfg)
     dist_l1, dist_sup, t_samples = [], [], []
     for tau in tau_arr:
-        t_target = math.exp(float(tau))
-        if t_target > t:
-            us, t = _advance_lockstep(stepper, us, [field0.bc], t, t_target, cfg, [acc],
-                                      dt_state, one_m=1.0 - p.m)
-        snapshot = RadialField(r_grid, us[0], t, field0.bc, params=p)
+        march.advance(math.exp(float(tau)))
+        snapshot = RadialField(r_grid, march.us[0], march.t, field0.bc, params=p)
         resc = rescale_field(snapshot, y_grid=y_grid)
         dist_l1.append(weighted_l1_distance(weight, (y_grid, resc.u), (y_grid, f_ref)))
         dist_sup.append(sup_compact(y_grid, resc.u, f_ref))
-        t_samples.append(t)
+        t_samples.append(march.t)
 
-    final = RadialField(r_grid, us[0], t, field0.bc, params=p,
-                        stats=acc.freeze(t0, t, dt_state["dt"]))
+    final = RadialField(r_grid, march.us[0], march.t, field0.bc, params=p,
+                        stats=march.stats(0))
     return ConvergenceResult(
         tau_grid=tau_arr,
         t_grid=np.asarray(t_samples),
@@ -848,9 +810,3 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
         field_final=final,
     )
 
-
-def _weight_values(weight: WeightFunction, r: np.ndarray) -> np.ndarray:
-    from .weight import eval_weight
-
-    phi, _ = eval_weight(weight, r)
-    return np.asarray(phi, dtype=float)

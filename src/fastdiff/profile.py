@@ -35,7 +35,7 @@ from .errors import (
     RangeError,
     ToleranceError,
 )
-from .numerics import Tolerances, cumulative_integral, integrate_ode
+from .numerics import _W_FIRST, _W_LAST, _W_MID, Tolerances, cumulative_integral, integrate_ode
 from .params import FPConstants, ParamSet, derive_fp_constants
 
 __all__ = [
@@ -141,7 +141,7 @@ def _phi_map(wt, h, s, ds, fp):
 
     a = np.exp(-bp * np.diff(G) - k * ds)           # carry factor across one interval
     b = np.empty(npts - 1)
-    w0, w1, w2, w3 = (-1.0 / 24, 13.0 / 24, 13.0 / 24, -1.0 / 24)
+    w0, w1, w2, w3 = _W_MID
     i = np.arange(1, npts - 2)
     b[1:-1] = ds * (
         w0 * rel(i - 1, i) * q[i - 1]
@@ -149,11 +149,9 @@ def _phi_map(wt, h, s, ds, fp):
         + w2 * rel(i + 1, i) * q[i + 1]
         + w3 * rel(i + 2, i) * q[i + 2]
     )
-    wf = (9.0 / 24, 19.0 / 24, -5.0 / 24, 1.0 / 24)
-    b[0] = ds * sum(wf[j] * rel(j, 0) * q[j] for j in range(4))
-    wl = (1.0 / 24, -5.0 / 24, 19.0 / 24, 9.0 / 24)
+    b[0] = ds * sum(_W_FIRST[j] * rel(j, 0) * q[j] for j in range(4))
     last = npts - 2
-    b[-1] = ds * sum(wl[j] * rel(npts - 4 + j, last) * q[npts - 4 + j] for j in range(4))
+    b[-1] = ds * sum(_W_LAST[j] * rel(npts - 4 + j, last) * q[npts - 4 + j] for j in range(4))
 
     h_new = np.empty(npts)
     h_new[-1] = q[-1] / (k + C2)                    # analytic tail of the outer integral

@@ -2,6 +2,7 @@
 precedence, determinism, and the exit-code contract (0 success, 2 config,
 3 numerical failure, 4 invariant violation)."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -355,6 +356,15 @@ class TestConfigResolution:
                          "--tau-max", "0.5", "--samples", "3", "--config", str(cfg)]) == 0
         manifest = read_json(out / "converge_manifest.json")
         assert manifest["evolve_config"]["dt_rel_max"] is None
+
+    @pytest.mark.parametrize("command", ["evolve", "contract", "converge"])
+    def test_every_evolve_config_field_is_a_flag(self, command, capsys):
+        # a stepping control no flag reaches accepts only its default
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        flags = set(re.findall(r"^\s+(--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE))
+        for f in dataclasses.fields(fastdiff.EvolveConfig):
+            assert "--" + f.name.replace("_", "-") in flags
 
 
 FDX_SUBCOMMANDS = {"profile", "expansion", "weight", "evolve", "contract", "converge"}

@@ -83,10 +83,6 @@ class TestEvolveConfig:
         with pytest.raises(ConfigError):
             EvolveConfig(dt_min=1e-3, dt_init=1e-4)
         with pytest.raises(ConfigError):
-            EvolveConfig(dt_shrink=1.5)
-        with pytest.raises(ConfigError):
-            EvolveConfig(dt_grow=0.9)
-        with pytest.raises(ConfigError):
             EvolveConfig(newton_max=0)
         with pytest.raises(ConfigError):
             EvolveConfig(dt_rel_max=0.0)
@@ -368,8 +364,6 @@ class TestRandomSandwichedPair:
             random_sandwiched_pair(unit_eta_profile, grid128, 1.0, rng, theta_amp=0.0)
         with pytest.raises(RangeError):
             random_sandwiched_pair(unit_eta_profile, grid128, 1.0, rng, theta_amp=1.5)
-        with pytest.raises(RangeError):
-            random_sandwiched_pair(unit_eta_profile, grid128, 1.0, rng, support=(-0.5, -3.0))
 
 
 @pytest.fixture(scope="module")
