@@ -93,6 +93,7 @@ from .pde import (
     power_bump_initial,
     random_sandwiched_pair,
     rescale_field,
+    sample_solution,
     self_similar_solution,
 )
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -98,6 +97,12 @@ def _rho_exponent(profile: Profile) -> float:
     return p.rho1 / p.beta_p            # rho = r^c = e^(c s)
 
 
+def _series_reference(exp_consts: ExpansionConstants, eta: float) -> tuple[float, float]:
+    """Closed-form (d1, d2) = (wbar_rho, wbar_rhorho) at rho = 0 for origin coefficient eta."""
+    a1, a2, a3, m = exp_consts.a1, exp_consts.a2, exp_consts.a3, exp_consts.params.m
+    return a3 / a2 * eta ** m, a3 * (m * a3 - a1) / a2 ** 2 * eta ** (2.0 * m - 1.0)
+
+
 def expansion_check(profile: Profile, exp_consts: ExpansionConstants) -> ExpansionReport:
     """Windowed quadratic fits of w-bar on [rho, 4 rho] with Richardson
     extrapolation toward rho = 0.
@@ -108,7 +113,6 @@ def expansion_check(profile: Profile, exp_consts: ExpansionConstants) -> Expansi
     O(rho), Richardson factor 2).
     """
     _check_consts(profile, exp_consts)
-    p = profile.params
     c = _rho_exponent(profile)
     s, wt = profile.s_grid, profile.wt
     rho_min_grid = math.exp(c * float(s[0]))
@@ -145,9 +149,7 @@ def expansion_check(profile: Profile, exp_consts: ExpansionConstants) -> Expansi
     if not d1 < 0:
         raise InternalError(f"extrapolated w-bar_rho(0) = {d1} is not negative")
 
-    a1, a2, a3 = exp_consts.a1, exp_consts.a2, exp_consts.a3
-    d1_ref = a3 / a2 * eta ** p.m
-    d2_ref = a3 * (p.m * a3 - a1) / a2 ** 2 * eta ** (2.0 * p.m - 1.0)
+    d1_ref, d2_ref = _series_reference(exp_consts, eta)
     return ExpansionReport(
         eta=eta, d1=d1, d2=d2, d1_ref=d1_ref, d2_ref=d2_ref,
         rel_err1=abs(d1 - d1_ref) / abs(d1_ref),
@@ -245,7 +247,7 @@ def inversion_report(profile: Profile) -> InversionReport:
     """
     p = profile.params
     n, m = p.n, p.m
-    C1 = (n - 2) / m - p.gamma
+    C1 = p.C1
     at = p.alpha - (n - 2) / m * p.beta
     bt = -p.beta
     if abs(at / bt - C1) > 1e-12 * max(1.0, abs(C1)):
@@ -318,9 +320,7 @@ def origin_series_report(profile: Profile, exp_consts: ExpansionConstants, eta: 
     s = profile.s_grid
     if math.exp(c * float(s[0])) > 1e-4:
         raise ResolutionError("profile not resolved near the origin (need rho down to 1e-4)")
-    a1, a2, a3 = exp_consts.a1, exp_consts.a2, exp_consts.a3
-    d1_ref = a3 / a2 * eta ** p.m
-    d2_ref = a3 * (p.m * a3 - a1) / a2 ** 2 * eta ** (2.0 * p.m - 1.0)
+    d1_ref, d2_ref = _series_reference(exp_consts, eta)
 
     wt_sp = _wt_spline(profile)
     rho = 1e-2 * 10.0 ** (-np.arange(5) / 4.0)          # final decade, quarter-decade steps
@@ -344,7 +344,7 @@ def origin_series_report(profile: Profile, exp_consts: ExpansionConstants, eta: 
     fr_limit_ref = -p.gamma * eta
     K_lev = np.array([(L(1e-3 / 2.0 ** k) - fr_limit) / (1e-3 / 2.0 ** k) for k in range(4)])
     fr_K = float(2.0 * K_lev[-1] - K_lev[-2])
-    fr_K_ref = -(2.0 * p.beta - p.m * p.rho1) / ((1.0 - p.m) * p.beta) * (a3 / a2) * eta ** p.m
+    fr_K_ref = -(2.0 * p.beta - p.m * p.rho1) / ((1.0 - p.m) * p.beta) * d1_ref
 
     return SeriesReport(
         rho_samples=rho, ratios=ratios, max_ratio=float(np.max(ratios)),

@@ -41,9 +41,9 @@ from .pde import (
     convergence_experiment,
     evolve,
     log_grid,
-    make_self_similar_field,
     power_bump_initial,
     random_sandwiched_pair,
+    sample_solution,
     self_similar_solution,
     sup_compact,
 )
@@ -67,7 +67,6 @@ _MODEL = {
     "gamma": Opt(float, 4.0, "singularity strength, 2/(1-m) < gamma < (n-2)/m"),
     "rho1": Opt(float, 1.0, "tail-equation rate constant (default 1)"),
     "eta": Opt(float, 1.0, "target origin coefficient lim r^gamma f"),
-    "eta_inf": Opt(float, 1.0, "far-field coefficient for derived constants"),
     "b1_margin": Opt(float, 0.05, "relative safety margin above b0"),
     "tol": Opt(float, 1e-12, "master tolerance for the solvers"),
     "mu": Opt(float, None, "weight decay exponent, 0 < mu < n-2 (default (n-2)/2)",
@@ -132,7 +131,8 @@ def _json_text(obj) -> str:
 
 
 def _derived_block(o: dict, params: ParamSet, weight: WeightFunction) -> dict:
-    fp = derive_fp_constants(params, eta_inf=o["eta_inf"], b1_margin=o["b1_margin"])
+    # the constants of the build itself: solve_for_eta builds at eta_inf = 1
+    fp = derive_fp_constants(params, eta_inf=1.0, b1_margin=o["b1_margin"])
     exp_c = derive_expansion_constants(params)
     return {
         "alpha": params.alpha,
@@ -238,66 +238,46 @@ def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
     if not t_end > t0:
         raise RangeError(f"t_end must exceed t0, got {t_end} <= {t0}")
 
-    exact = None
+    exact = None  # the solution V(r, t) the run is compared with
     if kind == "self-similar":
-        prof = _build_profile(o, params)
-        field = make_self_similar_field(prof, o["lam"], t0, grid)
-        exact = self_similar_solution(prof, o["lam"])
+        exact = self_similar_solution(_build_profile(o, params), o["lam"])
     elif kind == "barenblatt":
-        B = barenblatt(o["n"], o["m"], o["bb_k"], o["bb_t"])
+        exact = barenblatt(o["n"], o["m"], o["bb_k"], o["bb_t"])
         if not t_end < o["bb_t"]:
             raise RangeError(f"t_end must stay below the extinction time {o['bb_t']}")
-        field = RadialField(
-            grid, B(grid, t0), t0,
-            bc=(lambda t: B(float(grid[0]), t), lambda t: B(float(grid[-1]), t)),
-            params=params,
-        )
-        exact = B
     elif kind == "constant":
         c0 = o["c0"]
-        field = RadialField(
-            grid, np.full(grid.size, c0), t0,
-            bc=(lambda t: c0, lambda t: c0), params=params,
-        )
         exact = lambda r, t: np.full(np.shape(r), c0) if np.ndim(r) else c0
-    else:  # power-bump
-        u0_fn = power_bump_initial(params, o["a0"], o["amp"], o["center"], o["width"])
-        vals = u0_fn(grid)
+    if exact is not None:
+        field = sample_solution(exact, t0, grid, params)
+    else:  # power-bump: no exact solution, traces frozen at the datum
+        vals = power_bump_initial(params, o["a0"], o["amp"], o["center"], o["width"])(grid)
         left, right = float(vals[0]), float(vals[-1])
         field = RadialField(grid, vals, t0, bc=(lambda t: left, lambda t: right), params=params)
 
     times = np.exp(np.linspace(math.log(t0), math.log(t_end), o["samples"]))
+    snapshots = evolve(field, cfg, times)
     rows = []
-    current = field
-    agg = {"n_steps": 0, "n_rejected": 0, "newton_total": 0,
-           "min_u": math.inf, "ab_max": -math.inf}
-    for t_target in times:
-        if t_target > current.t:
-            current = evolve(current, cfg, float(t_target))
-            st = current.stats
-            agg["n_steps"] += st.n_steps
-            agg["n_rejected"] += st.n_rejected
-            agg["newton_total"] += st.newton_total
-            agg["min_u"] = min(agg["min_u"], st.min_u)
-            agg["ab_max"] = max(agg["ab_max"], st.ab_max)
+    for snap in snapshots:
         if exact is not None:
-            ref = np.asarray(exact(grid, float(t_target)), dtype=float)
-            d_l1 = weighted_l1_distance(weight, (grid, current.u), (grid, ref))
-            d_sup = sup_compact(grid, current.u, ref)
+            ref = np.asarray(exact(grid, snap.t), dtype=float)
+            d_l1 = weighted_l1_distance(weight, grid, snap.u, ref)
+            d_sup = sup_compact(grid, snap.u, ref)
         else:
             d_l1 = d_sup = math.nan
-        rows.append((t_target, math.log(t_target), d_l1, d_sup))
+        rows.append((snap.t, math.log(snap.t), d_l1, d_sup))
 
+    final = snapshots[-1]
     summary = {
         "kind": kind,
-        "t_end": current.t,
-        "stats": {**agg, "dt_final": current.stats.dt_final if current.stats else None},
+        "t_end": final.t,
+        "stats": asdict(final.stats),
         "dist_final_l1w": rows[-1][2],
         "dist_final_sup_compact": rows[-1][3],
     }
     return {
         "evolve.csv": _csv_text(["t", "tau", "dist_L1w", "dist_sup_compact"], rows),
-        "evolve_field.csv": _csv_text(["r", "u"], zip(grid, current.u)),
+        "evolve_field.csv": _csv_text(["r", "u"], zip(grid, final.u)),
         "evolve_summary.json": _json_text(summary),
     }, manifest
 
@@ -344,6 +324,10 @@ def _cmd_converge(o: dict, params: ParamSet, weight: WeightFunction):
         weight=weight, r_grid=grid, t0=o["t0"],
     )
     rows = zip(result.t_grid, result.tau_grid, result.dist_l1w, result.dist_sup_compact)
+    # the orbit starts on the limit: its tau=0 distance is interpolation noise
+    ratio = None
+    if o["case"] == "bump" and result.dist_l1w[0] > 0:
+        ratio = float(result.dist_l1w[-1] / result.dist_l1w[0])
     summary = {
         "case": o["case"],
         "lam0": result.lam0,
@@ -354,9 +338,7 @@ def _cmd_converge(o: dict, params: ParamSet, weight: WeightFunction):
         "dist_l1w": result.dist_l1w,
         "dist_rel_l1w": result.dist_l1w / result.norm_ref,
         "dist_sup_compact": result.dist_sup_compact,
-        "final_over_initial": float(result.dist_l1w[-1] / result.dist_l1w[0])
-        if result.dist_l1w[0] > 0
-        else None,
+        "final_over_initial": ratio,
         "stats": asdict(result.field_final.stats),
         "reference_grid": _grid_block(result.y_grid),
     }

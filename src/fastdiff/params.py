@@ -49,6 +49,11 @@ class ParamSet:
     beta_p: float
     gamma_in_convergence_range: bool
 
+    @property
+    def C1(self) -> float:
+        """(n-2)/m - gamma > 0: the far-field rate r^(-(n-2)/m) over the origin rate r^(-gamma)."""
+        return (self.n - 2) / self.m - self.gamma
+
 
 @dataclass(frozen=True)
 class FPConstants:
@@ -136,9 +141,7 @@ def derive_fp_constants(params: ParamSet, eta_inf: float, b1_margin: float = 0.0
         raise RangeError(f"eta_inf must be positive, got {eta_inf}")
     if not b1_margin > 0.0:
         raise RangeError(f"b1_margin must be positive, got {b1_margin}")
-    n, m = params.n, params.m
-    bp = params.beta_p
-    C1 = (n - 2) / m - params.gamma
+    m, bp, C1 = params.m, params.beta_p, params.C1
     C2 = params.rho1 / bp + (1.0 - m) * C1
     if not (C1 > 0.0 and C2 > 0.0):
         raise InternalError(f"C1, C2 must be positive in the admissible range, got {C1}, {C2}")

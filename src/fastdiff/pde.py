@@ -17,7 +17,7 @@ contraction properties of the continuous flow carry over to the scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
     "log_grid",
     "barenblatt",
     "self_similar_solution",
+    "sample_solution",
     "make_self_similar_field",
     "evolve",
     "rescale_field",
@@ -178,11 +179,6 @@ class RescaledField:
     t: float
     params: Optional[ParamSet] = None
 
-    @property
-    def r_grid(self) -> np.ndarray:
-        # lets weighted_l1_distance treat the rescaled field like a radial one
-        return self.y_grid
-
 
 @dataclass(frozen=True)
 class ContractionResult:
@@ -253,7 +249,7 @@ def self_similar_solution(profile: Profile, lam: float) -> Callable:
     return V
 
 
-def _sample(V: Callable, t: float, grid: np.ndarray, params: ParamSet) -> RadialField:
+def sample_solution(V: Callable, t: float, grid: np.ndarray, params: ParamSet) -> RadialField:
     """The field V(., t) on the grid, with V's own traces at both ends."""
     if not t > 0:
         raise RangeError(f"time must be positive, got {t}")
@@ -270,7 +266,7 @@ def make_self_similar_field(profile: Profile, lam: float, t: float,
     The boundary traces are generated from the same solution, so evolving the
     result reproduces an exact solution up to discretization error.
     """
-    return _sample(self_similar_solution(profile, lam), t, grid, profile.params)
+    return sample_solution(self_similar_solution(profile, lam), t, grid, profile.params)
 
 
 class _StepReject(Exception):
@@ -454,20 +450,35 @@ def _require_params(field: RadialField) -> ParamSet:
     return field.params
 
 
-def evolve(field: RadialField, cfg: EvolveConfig, t_end: float) -> RadialField:
-    """Advance the field to t_end with backward-Euler steps.
+def _sample_times(times: Sequence[float], t0: float, at_least: int = 1) -> np.ndarray:
+    """Finite, strictly increasing sample times, the first not before t0."""
+    arr = np.asarray(times, dtype=float)
+    if arr.ndim != 1 or arr.size < at_least or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"need a sequence of at least {at_least} finite sample time(s)")
+    if not np.all(np.diff(arr) > 0):
+        raise ConfigError("sample times must be strictly increasing")
+    if arr[0] < t0 * (1.0 - 1e-12):
+        raise RangeError(f"first sample time {arr[0]} precedes the field time {t0}")
+    return arr
 
-    Positivity is preserved without clipping: the Newton update backtracks on
-    any sign loss, and if backtracking at the smallest allowed dt still fails
-    the run aborts with PositivityError.
+
+def evolve(field: RadialField, cfg: EvolveConfig, times: Sequence[float]) -> list[RadialField]:
+    """March the field through the sample times with backward-Euler steps and
+    return it at each time, with the counters from field.t up to that time.
+
+    One adaptive dt runs through all the times; a first time equal to field.t
+    takes no step.  Positivity is preserved without clipping: the Newton
+    update backtracks on any sign loss, and if backtracking at the smallest
+    allowed dt still fails the run aborts with PositivityError.
     """
     p = _require_params(field)
-    if not t_end > field.t:
-        raise RangeError(f"t_end must exceed the field time {field.t}, got {t_end}")
     march = _Lockstep([field], p, cfg)
-    march.advance(t_end)
-    return RadialField(r_grid=field.r_grid, u=march.us[0], t=t_end, bc=field.bc,
-                       params=p, stats=march.stats(0))
+    out = []
+    for t_target in _sample_times(times, field.t):
+        march.advance(float(t_target))
+        out.append(RadialField(field.r_grid, march.us[0], march.t, field.bc, params=p,
+                               stats=march.stats(0)))
+    return out
 
 
 def rescale_field(field: RadialField, y_grid: Optional[np.ndarray] = None) -> RescaledField:
@@ -566,7 +577,7 @@ def random_sandwiched_pair(profile: Profile, grid: np.ndarray, t0: float,
     if not 0.0 < theta_amp <= 1.0:
         raise RangeError(f"theta_amp must lie in (0, 1], got {theta_amp}")
     Va, Vb = (self_similar_solution(profile, lam) for lam in lam_pair)
-    fa, fb = (_sample(V, t0, grid, profile.params) for V in (Va, Vb))
+    fa, fb = (sample_solution(V, t0, grid, profile.params) for V in (Va, Vb))
     # the family is pointwise monotone in lambda, so one field dominates
     if np.all(fa.u <= fb.u):
         low, high, lo_fn, hi_fn = fa, fb, Va, Vb
@@ -649,13 +660,7 @@ def contraction_experiment(u0: RadialField, v0: RadialField, weight: WeightFunct
     ):
         raise GridMismatchError("pair must share a grid")
     p = _require_params(u0)
-    times_arr = np.asarray(list(times), dtype=float)
-    if times_arr.ndim != 1 or times_arr.size < 2:
-        raise ConfigError("need at least two sample times")
-    if not np.all(np.diff(times_arr) > 0):
-        raise ConfigError("sample times must be strictly increasing")
-    if times_arr[0] < u0.t * (1.0 - 1e-12):
-        raise RangeError(f"first sample time {times_arr[0]} precedes the field time {u0.t}")
+    times_arr = _sample_times(times, u0.t, at_least=2)
 
     grid = u0.r_grid
     if sandwich is not None:
@@ -666,8 +671,8 @@ def contraction_experiment(u0: RadialField, v0: RadialField, weight: WeightFunct
     for t_target in times_arr:
         march.advance(float(t_target))
         u, v = march.us
-        dist_abs.append(weighted_l1_distance(weight, (grid, u), (grid, v)))
-        dist_pos.append(weighted_l1_distance(weight, (grid, u), (grid, v), mode="positive-part"))
+        dist_abs.append(weighted_l1_distance(weight, grid, u, v))
+        dist_pos.append(weighted_l1_distance(weight, grid, u, v, mode="positive-part"))
         dist_sup.append(sup_compact(grid, u, v))
         if sandwich is not None:
             _check_sandwich(u, v, grid, march.t, sandwich)
@@ -731,7 +736,7 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
     lam1 = lambda_for_amplitude(profile, a1)
     lam2 = lambda_for_amplitude(profile, a2)
     V0 = self_similar_solution(profile, lam0)
-    orbit = _sample(V0, t0, r_grid, p)
+    orbit = sample_solution(V0, t0, r_grid, p)
 
     gamma = p.gamma
     power = a0 * r_grid ** (-gamma)
@@ -761,7 +766,7 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
     # weighted integrand must decay at the outer edge, else truncation lies
     diff0 = np.abs(field0.u - power)
     integrand = r_grid ** (p.n - 1) * diff0 * eval_weight(weight, r_grid)[0]
-    u0_l1_gap = weighted_l1_distance(weight, (r_grid, field0.u), (r_grid, power))
+    u0_l1_gap = weighted_l1_distance(weight, r_grid, field0.u, power)
     if np.max(integrand) > 0 and np.max(integrand[-r_grid.size // 8:]) > 1e-14 * np.max(integrand):
         slope = _tail_slope(r_grid, integrand)
         if slope > -0.1:
@@ -781,25 +786,16 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
     n_ref = max(int(round(r_grid.size * math.log(y_hi / y_lo) / math.log(r_grid[-1] / r_grid[0]))), 16)
     y_grid = log_grid(y_lo, y_hi, n_ref)
     f_ref = V0(y_grid, 1.0)                          # f_lam0 itself: V0 at t = 1
-    norm_ref = weighted_l1_distance(weight, (y_grid, f_ref), (y_grid, np.zeros_like(f_ref)))
+    norm_ref = weighted_l1_distance(weight, y_grid, f_ref, np.zeros_like(f_ref))
 
-    march = _Lockstep([field0], p, cfg)
-    dist_l1, dist_sup, t_samples = [], [], []
-    for tau in tau_arr:
-        march.advance(math.exp(float(tau)))
-        snapshot = RadialField(r_grid, march.us[0], march.t, field0.bc, params=p)
-        resc = rescale_field(snapshot, y_grid=y_grid)
-        dist_l1.append(weighted_l1_distance(weight, (y_grid, resc.u), (y_grid, f_ref)))
-        dist_sup.append(sup_compact(y_grid, resc.u, f_ref))
-        t_samples.append(march.t)
-
-    final = RadialField(r_grid, march.us[0], march.t, field0.bc, params=p,
-                        stats=march.stats(0))
+    # math.exp per tau: np.exp may round a target differently, and the steps follow the targets
+    snapshots = evolve(field0, cfg, [math.exp(float(tau)) for tau in tau_arr])
+    resc = [rescale_field(snap, y_grid=y_grid).u for snap in snapshots]
     return ConvergenceResult(
         tau_grid=tau_arr,
-        t_grid=np.asarray(t_samples),
-        dist_l1w=np.asarray(dist_l1),
-        dist_sup_compact=np.asarray(dist_sup),
+        t_grid=np.asarray([snap.t for snap in snapshots]),
+        dist_l1w=np.asarray([weighted_l1_distance(weight, y_grid, u, f_ref) for u in resc]),
+        dist_sup_compact=np.asarray([sup_compact(y_grid, u, f_ref) for u in resc]),
         norm_ref=norm_ref,
         lam0=lam0,
         lam1=lam1,
@@ -807,6 +803,6 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
         y_grid=y_grid,
         f_ref=f_ref,
         u0_l1_gap=u0_l1_gap,
-        field_final=final,
+        field_final=snapshots[-1],
     )
 

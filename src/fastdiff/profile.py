@@ -266,7 +266,8 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     n, m, rho1, bp, gamma = p.n, p.m, p.rho1, p.beta_p, p.gamma
     C1 = fp.C1
     if s_min is None:
-        s_min = -40.0 * bp / rho1
+        # 40 b'/rho1, but no deeper than where f = e^(-gamma s) wt nears overflow
+        s_min = -min(40.0 * bp / rho1, 600.0 / gamma)
     b1 = float(tail.grid[0])
     if not s_min < b1:
         raise RangeError(f"s_min = {s_min} must be below b1 = {b1}")
@@ -339,7 +340,7 @@ def recover_profile(profile: Profile, tol: float = 1e-8) -> Profile:
     and the far-field gap |r^((n-2)/m) f - eta_inf| at the last node."""
     p = profile.params
     rho1, bp = p.rho1, p.beta_p
-    C1 = (p.n - 2) / p.m - p.gamma
+    C1 = p.C1
     s, wt = profile.s_grid, profile.wt
     wt_sp = CubicSpline(s, wt)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -188,37 +187,24 @@ def eval_weight(w: WeightFunction, r):
     return phi, dphi
 
 
-def _extract(field):
-    r = getattr(field, "r_grid", None)
-    u = getattr(field, "u", None)
-    if r is None or u is None:
-        try:
-            r, u = field
-        except Exception:
-            raise GridMismatchError("field must expose r_grid and u (or be an (r, u) pair)")
-    return np.asarray(r, dtype=float), np.asarray(u, dtype=float)
-
-
-def weighted_l1_distance(w: WeightFunction, field_a, field_b, mode: str = "abs") -> float:
-    """Weighted distance between two fields sharing a grid: the n-dimensional
-    radial integral of |u-v| phi_mu (or the positive part (u-v)+ phi_mu)."""
-    ra, ua = _extract(field_a)
-    rb, ub = _extract(field_b)
-    if ra.shape != rb.shape or not np.allclose(ra, rb, rtol=1e-12, atol=0.0):
-        raise GridMismatchError("fields do not share a grid")
-    if ua.shape != ra.shape or ub.shape != rb.shape:
+def weighted_l1_distance(w: WeightFunction, r, u, v, mode: str = "abs") -> float:
+    """Weighted distance between two fields u, v on the grid r: the
+    n-dimensional radial integral of |u-v| phi_mu (or the positive part
+    (u-v)+ phi_mu)."""
+    r, u, v = (np.asarray(a, dtype=float) for a in (r, u, v))
+    if u.shape != r.shape or v.shape != r.shape:
         raise GridMismatchError("values and grid have different shapes")
     if mode == "abs":
-        diff = np.abs(ua - ub)
+        diff = np.abs(u - v)
     elif mode == "positive-part":
-        diff = np.clip(ua - ub, 0.0, None)
+        diff = np.clip(u - v, 0.0, None)
     else:
         raise RangeError(f"mode must be 'abs' or 'positive-part', got {mode!r}")
 
     n = w.spec.n
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    phi, _ = eval_weight(w, ra)
-    x = np.log(ra)
+    phi, _ = eval_weight(w, r)
+    x = np.log(r)
     integrand = np.exp(n * x) * diff * phi
     dx = np.diff(x)
     if dx.size >= 3 and np.allclose(dx, dx[0], rtol=1e-8, atol=0.0):

@@ -73,7 +73,7 @@ def accuracy_block(params_ref, unit_eta_profile):
             params=params_ref,
         )
         t0 = time.perf_counter()
-        out = evolve(field, cfg, 2.0)
+        [out] = evolve(field, cfg, [2.0])
         elapsed = time.perf_counter() - t0
         if nodes == 512:
             t512 = elapsed
@@ -81,7 +81,7 @@ def accuracy_block(params_ref, unit_eta_profile):
         bb_errs.append(_annulus_rel_err(grid, out.u, bb(grid, 2.0)))
 
         orb = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid)
-        out_v = evolve(orb, cfg, 1.5)
+        [out_v] = evolve(orb, cfg, [1.5])
         stats.append(out_v.stats)
         exact = make_self_similar_field(unit_eta_profile, 1.0, 1.5, grid)
         v_errs.append(_annulus_rel_err(grid, out_v.u, exact.u))
@@ -90,7 +90,7 @@ def accuracy_block(params_ref, unit_eta_profile):
     c0 = 2.5
     const = RadialField(grid, np.full(grid.size, c0), 1.0,
                         (lambda tt: c0, lambda tt: c0), params=params_ref)
-    out_c = evolve(const, EvolveConfig(dt_init=0.004, dt_max=0.004), 2.0)
+    [out_c] = evolve(const, EvolveConfig(dt_init=0.004, dt_max=0.004), [2.0])
     stats.append(out_c.stats)
     const_dev = float(np.max(np.abs(out_c.u - c0)) / c0)
 

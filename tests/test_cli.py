@@ -5,6 +5,7 @@ precedence, determinism, and the exit-code contract (0 success, 2 config,
 import dataclasses
 import importlib
 import json
+import math
 import os
 import re
 import shutil
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fastdiff
@@ -186,6 +188,22 @@ class TestEvolveCommand:
         assert summary["dist_final_l1w"] is None  # nan serializes as null
         assert summary["stats"]["ab_max"] <= 1e-6
 
+    def test_one_march_through_the_samples(self, tmp_path):
+        # the summary's counters are those of one evolve call through the
+        # sampled times, not a sum over restarted intervals
+        args = ["--nodes", "64", "--r-in", "0.01", "--r-out", "100", "--t-end", "1.5",
+                "--samples", "4", "--c0", "2.0"]
+        assert cli.main(["evolve", "--n", "3", "--kind", "constant", "--out", str(tmp_path),
+                         *args]) == 0
+        stats = read_json(tmp_path / "evolve_summary.json")["stats"]
+        grid = fastdiff.log_grid(0.01, 100.0, 64)
+        field = fastdiff.RadialField(grid, np.full(64, 2.0), 1.0, (lambda t: 2.0, lambda t: 2.0),
+                                     params=fastdiff.derive_params(3, 0.2, 4.0))
+        times = np.exp(np.linspace(0.0, math.log(1.5), 4))
+        final = fastdiff.evolve(field, fastdiff.EvolveConfig(), times)[-1]
+        assert stats == dataclasses.asdict(final.stats)
+        assert stats["n_steps"] > 0
+
     def test_no_node_in_sup_window(self, tmp_path):
         # the grid misses [0.1, 10], so the compact sup distance is undefined
         rc = cli.main(["evolve", "--n", "3", "--kind", "constant", "--out", str(tmp_path),
@@ -230,6 +248,18 @@ class TestConvergeCommand:
         header, rows = csv_rows(tmp_path / "converge.csv")
         assert len(rows) == 3
 
+    def test_orbit_case_reports_no_ratio(self, tmp_path):
+        # the orbit starts on the limit profile, so its tau=0 distance is
+        # interpolation noise and a ratio to it means nothing
+        rc = cli.main(["converge", "--n", "3", "--case", "orbit", "--out", str(tmp_path),
+                       "--nodes", "96", "--r-in", "0.01", "--r-out", "100",
+                       "--tau-max", "0.5", "--samples", "3", "--dt-rel-max", "2e-3"])
+        assert rc == 0
+        summary = read_json(tmp_path / "converge_summary.json")
+        assert summary["case"] == "orbit"
+        assert summary["final_over_initial"] is None
+        assert max(summary["dist_rel_l1w"]) <= 5e-3
+
 
 class TestExitCodes:
     def test_mapping_table(self):
@@ -253,11 +283,23 @@ class TestExitCodes:
         assert record["command"] == "profile"
         assert not (tmp_path / "profile_summary.json").exists()
         assert not (tmp_path / "profile_manifest.json").exists()
+        # no sampled time at all: a typed error, not an IndexError traceback
+        rc = cli.main(["evolve", "--n", "3", "--kind", "constant", "--nodes", "16",
+                       "--samples", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert read_json(tmp_path / "error.json")["error"] == "ConfigError"
 
     def test_missing_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["profile"])
         assert exc.value.code == 2
+
+    def test_eta_inf_flag_removed(self, tmp_path, capsys):
+        # every profile is built at eta_inf = 1, so there is no flag for it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["profile", "--n", "3", "--eta-inf", "5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--eta-inf" in capsys.readouterr().err
 
     def test_bad_config_file(self, tmp_path):
         rc = cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),

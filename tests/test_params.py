@@ -90,6 +90,11 @@ class TestFPConstants:
         fp2 = fd.derive_fp_constants(params_ref, eta_inf=1.0, b1_margin=0.2)
         assert rel_err(fp2.b1, 1.2 * fp_ref.b0) <= REL
 
+    def test_c1_is_a_parameter_constant(self, params_ref, fp_ref):
+        assert params_ref.C1 == 1.0 == fp_ref.C1
+        p = fd.derive_params(5, 0.3, 8.0)
+        assert p.C1 == pytest.approx(3.0 / 0.3 - 8.0, rel=1e-15)
+
     def test_eta_inf_must_be_positive(self, params_ref):
         with pytest.raises(RangeError):
             fd.derive_fp_constants(params_ref, eta_inf=0.0)

@@ -153,28 +153,60 @@ class TestEvolveBasics:
         c0 = 2.5
         field = RadialField(grid128, np.full(grid128.size, c0), 1.0,
                             (lambda t: c0, lambda t: c0), params=params_ref)
-        out = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.05), 1.5)
+        [out] = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.05), [1.5])
         assert np.max(np.abs(out.u - c0)) / c0 <= 1e-11
         assert out.stats.ab_max <= 1e-6
 
     def test_time_validation(self, grid128, params_ref, bb):
         field = _bb_field(bb, grid128, 1.0, params_ref)
         with pytest.raises(RangeError):
-            evolve(field, EvolveConfig(), 1.0)
+            evolve(field, EvolveConfig(), [0.5])
         with pytest.raises(RangeError):
-            evolve(field, EvolveConfig(), 0.5)
+            evolve(field, EvolveConfig(), [0.5, 1.5])
+        for bad in ([], [1.2, 1.1], [1.1, 1.1], [1.1, math.nan], [math.inf], 1.5, [[1.1, 1.2]]):
+            with pytest.raises(ConfigError):
+                evolve(field, EvolveConfig(), bad)
+
+    def test_one_snapshot_per_time(self, grid128, params_ref, bb):
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        times = [1.0, 1.05, 1.1, 1.2]
+        snaps = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.01), times)
+        assert [s.t for s in snaps] == times
+        # the first time is the field's own: no step taken, the datum returned
+        assert snaps[0].stats.n_steps == 0 and snaps[0].stats.newton_total == 0
+        assert np.array_equal(snaps[0].u, field.u)
+        for key in ("n_steps", "n_rejected", "newton_total"):
+            counts = [getattr(s.stats, key) for s in snaps]
+            assert counts == sorted(counts)
+        assert all(s.stats.t_start == 1.0 and s.stats.t_end == s.t for s in snaps)
+        assert all(snaps[i].stats.n_steps < snaps[i + 1].stats.n_steps for i in range(3))
+        assert np.all(np.diff([s.stats.min_u for s in snaps]) <= 0)
+
+    def test_dt_carries_across_sample_times(self, grid128, params_ref, bb):
+        # one march: dt is not reset to dt_init at each sample time, so it
+        # takes fewer steps than one evolve call per interval
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        cfg = EvolveConfig()
+        times = np.exp(np.linspace(0.0, math.log(2.0), 9))
+        marched = evolve(field, cfg, times)
+        restarted, current = 0, field
+        for t in times[1:]:
+            [current] = evolve(current, cfg, [t])
+            restarted += current.stats.n_steps
+        assert marched[-1].stats.n_steps < restarted
+        assert marched[-1].t == current.t
 
     def test_params_required(self, grid128, bb):
         field = _bb_field(bb, grid128, 1.0, None)
         with pytest.raises(ConfigError):
-            evolve(field, EvolveConfig(), 1.5)
+            evolve(field, EvolveConfig(), [1.5])
 
     def test_grid_must_be_log_uniform(self, params_ref):
         r = np.linspace(0.1, 10.0, 64)
         field = RadialField(r, np.ones(64), 1.0, (lambda t: 1.0, lambda t: 1.0),
                             params=params_ref)
         with pytest.raises(GridMismatchError):
-            evolve(field, EvolveConfig(), 1.5)
+            evolve(field, EvolveConfig(), [1.5])
 
     def test_grid_spacing_cap(self, params_ref):
         # the M-matrix sign structure requires dx < 2/(n-2)
@@ -182,17 +214,17 @@ class TestEvolveBasics:
         field = RadialField(r, r**-4.0, 1.0, (lambda t: r[0] ** -4.0, lambda t: r[-1] ** -4.0),
                             params=params_ref)
         with pytest.raises(ConfigError):
-            evolve(field, EvolveConfig(), 1.5)
+            evolve(field, EvolveConfig(), [1.5])
 
     def test_newton_divergence_when_dt_cannot_shrink(self, grid128, params_ref, bb):
         field = _bb_field(bb, grid128, 1.0, params_ref)
         stiff = EvolveConfig(dt_init=0.05, dt_max=0.05, dt_min=0.05, newton_max=1)
         with pytest.raises(NewtonDivergence):
-            evolve(field, stiff, 1.5)
+            evolve(field, stiff, [1.5])
 
     def test_stats_recorded(self, grid128, params_ref, bb):
         field = _bb_field(bb, grid128, 1.0, params_ref)
-        out = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.01), 1.2)
+        [out] = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.01), [1.2])
         st = out.stats
         assert st.t_start == 1.0 and st.t_end == 1.2
         assert st.n_steps >= 20
@@ -209,7 +241,7 @@ class TestEvolveAccuracy:
         for nodes, dt in ((128, 0.004), (256, 0.001)):
             grid = log_grid(1e-2, 1e2, nodes)
             field = _bb_field(bb, grid, 1.0, params_ref)
-            out = evolve(field, EvolveConfig(dt_init=dt, dt_max=dt), 2.0)
+            [out] = evolve(field, EvolveConfig(dt_init=dt, dt_max=dt), [2.0])
             errs.append(_annulus_rel_err(grid, out.u, bb(grid, 2.0)))
             assert out.stats.ab_max <= 1e-6
         assert errs[0] <= 5e-4
@@ -218,7 +250,7 @@ class TestEvolveAccuracy:
 
     def test_self_similar_orbit_tracked(self, unit_eta_profile, grid128):
         field = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
-        out = evolve(field, EvolveConfig(dt_init=0.004, dt_max=0.004), 1.3)
+        [out] = evolve(field, EvolveConfig(dt_init=0.004, dt_max=0.004), [1.3])
         exact = make_self_similar_field(unit_eta_profile, 1.0, 1.3, grid128)
         assert _annulus_rel_err(grid128, out.u, exact.u) <= 2e-2
         assert out.stats.ab_max <= 1e-6
@@ -227,7 +259,7 @@ class TestEvolveAccuracy:
         # the orbit data is a semigroup image, so the absolute decay bound
         # u_t <= u/((1-m) t) holds from the first step with real margin
         field = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
-        out = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.01), 1.2)
+        [out] = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.01), [1.2])
         assert out.stats.ab_max <= -0.5
 
 
@@ -257,7 +289,6 @@ class TestRescaleField:
         assert resc.tau == 0.0
         assert np.array_equal(resc.y_grid, grid128)
         assert np.array_equal(resc.u, field.u)
-        assert np.array_equal(resc.r_grid, resc.y_grid)
 
     def test_exact_image_scaling(self, unit_eta_profile, grid128, params_ref):
         t = 1.7

@@ -185,11 +185,17 @@ class TestSolveForEta:
         assert unit_eta_profile.eta_origin == pytest.approx(1.0, rel=1e-10)
 
     def test_far_field_consistency(self, unit_eta_profile):
-        p = unit_eta_profile.params
-        C1 = (p.n - 2) / p.m - p.gamma
+        C1 = unit_eta_profile.params.C1
         s_last = float(unit_eta_profile.s_grid[-1])
         wt_last = float(unit_eta_profile.wt[-1])
         assert wt_last * math.exp(C1 * s_last) == pytest.approx(unit_eta_profile.eta_inf, rel=1e-8)
+
+    def test_finite_when_c2_below_one(self):
+        # at (3, 0.3, 3.095) 40 b'/rho1 = 240 and gamma * 240 overflows
+        # e^(-gamma s); the default left end stops short of that
+        prof = solve_for_eta(derive_params(3, 0.3, 3.095), 1.0)
+        assert np.all(np.isfinite(prof.f))
+        assert prof.eta_origin == pytest.approx(1.0, rel=1e-10)
 
     def test_target_validation(self, params_ref):
         with pytest.raises(RangeError):

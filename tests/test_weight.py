@@ -3,7 +3,6 @@ independent high-precision quadrature route, pointwise values at mid-bump
 radii, knot continuity, discrete superharmonicity, and weighted distances."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,25 +202,25 @@ class TestWeightedL1Distance:
         r = np.geomspace(0.01, 1.0, 161)
         u = 3.0 * r**-2
         v = 2.0 * r**-2
-        d = weighted_l1_distance(weight_ref, (r, u), (r, v))
+        d = weighted_l1_distance(weight_ref, r, u, v)
         assert d == pytest.approx(4.0 * math.pi * 0.99, rel=1e-6)
 
     def test_positive_part_mode(self, weight_ref):
         r = np.geomspace(0.01, 1.0, 161)
         u = 3.0 * r**-2
         v = 2.0 * r**-2
-        d_abs = weighted_l1_distance(weight_ref, (r, u), (r, v))
-        assert weighted_l1_distance(weight_ref, (r, u), (r, v), mode="positive-part") == d_abs
-        assert weighted_l1_distance(weight_ref, (r, v), (r, u), mode="positive-part") == 0.0
+        d_abs = weighted_l1_distance(weight_ref, r, u, v)
+        assert weighted_l1_distance(weight_ref, r, u, v, mode="positive-part") == d_abs
+        assert weighted_l1_distance(weight_ref, r, v, u, mode="positive-part") == 0.0
 
     def test_positive_parts_sum_to_abs(self, weight_ref):
         rng = np.random.default_rng(7)
         r = np.geomspace(0.1, 20.0, 301)
         u = np.exp(-np.log(r) ** 2) * (1 + 0.5 * np.sin(3 * np.log(r)))
         v = np.exp(-np.log(r) ** 2) * (1 + 0.5 * np.cos(2 * np.log(r))) + 0.01 * rng.standard_normal(r.size)
-        d_abs = weighted_l1_distance(weight_ref, (r, u), (r, v))
-        d_pos = weighted_l1_distance(weight_ref, (r, u), (r, v), mode="positive-part")
-        d_neg = weighted_l1_distance(weight_ref, (r, v), (r, u), mode="positive-part")
+        d_abs = weighted_l1_distance(weight_ref, r, u, v)
+        d_pos = weighted_l1_distance(weight_ref, r, u, v, mode="positive-part")
+        d_neg = weighted_l1_distance(weight_ref, r, v, u, mode="positive-part")
         assert d_pos + d_neg == pytest.approx(d_abs, rel=1e-13)
 
     def test_weight_actually_applied(self, weight_ref):
@@ -229,7 +228,7 @@ class TestWeightedL1Distance:
         r = np.geomspace(5.0, 50.0, 161)
         u = r**-2
         v = np.zeros_like(r)
-        d = weighted_l1_distance(weight_ref, (r, u), (r, v))
+        d = weighted_l1_distance(weight_ref, r, u, v)
         unweighted = 4.0 * math.pi * 45.0
         assert d < 0.8 * unweighted
         phi_min = float(eval_weight(weight_ref, r)[0].min())
@@ -237,31 +236,19 @@ class TestWeightedL1Distance:
 
     def test_non_uniform_grid_falls_back_to_trapezoid(self, weight_ref):
         r = np.linspace(0.1, 1.0, 801)
-        d = weighted_l1_distance(weight_ref, (r, r**-2), (r, np.zeros_like(r)))
+        d = weighted_l1_distance(weight_ref, r, r**-2, np.zeros_like(r))
         assert d == pytest.approx(4.0 * math.pi * 0.9, rel=1e-4)
-
-    def test_accepts_objects_with_r_grid_and_u(self, weight_ref):
-        r = np.geomspace(0.01, 1.0, 161)
-        a = SimpleNamespace(r_grid=r, u=3.0 * r**-2)
-        b = SimpleNamespace(r_grid=r, u=2.0 * r**-2)
-        d_obj = weighted_l1_distance(weight_ref, a, b)
-        d_pair = weighted_l1_distance(weight_ref, (r, a.u), (r, b.u))
-        assert d_obj == d_pair
 
     def test_grid_mismatch_raises(self, weight_ref):
         r1 = np.geomspace(0.01, 1.0, 161)
-        r2 = np.geomspace(0.01, 1.0, 201)
         with pytest.raises(GridMismatchError):
-            weighted_l1_distance(weight_ref, (r1, r1**-2), (r2, r2**-2))
-        r3 = r1 * 1.001
+            weighted_l1_distance(weight_ref, r1, r1[:-1] ** -2, r1**-2)
         with pytest.raises(GridMismatchError):
-            weighted_l1_distance(weight_ref, (r1, r1**-2), (r3, r3**-2))
+            weighted_l1_distance(weight_ref, r1, r1**-2, r1[:-1] ** -2)
         with pytest.raises(GridMismatchError):
-            weighted_l1_distance(weight_ref, (r1, r1[:-1] ** -2), (r1, r1**-2))
-        with pytest.raises(GridMismatchError):
-            weighted_l1_distance(weight_ref, 3.0, (r1, r1**-2))
+            weighted_l1_distance(weight_ref, r1, 3.0, r1**-2)
 
     def test_mode_validation(self, weight_ref):
         r = np.geomspace(0.01, 1.0, 161)
         with pytest.raises(RangeError):
-            weighted_l1_distance(weight_ref, (r, r), (r, r), mode="nope")
+            weighted_l1_distance(weight_ref, r, r, r, mode="nope")
