@@ -453,8 +453,12 @@ def _from_file(key: str, opt: Opt, value):
 def _resolve(args: argparse.Namespace) -> dict:
     """Every option of the command: its flag, else its --config value, else its default."""
     file_cfg = _read_config(args.config)
+    table = {**_MODEL, **_COMMANDS[args.command].options}
+    unknown = sorted(set(file_cfg) - set(table))
+    if unknown:
+        raise ConfigError(f"config file: {args.command} has no option {', '.join(unknown)}")
     opts = {"n": args.n}
-    for key, opt in {**_MODEL, **_COMMANDS[args.command].options}.items():
+    for key, opt in table.items():
         if getattr(args, key) is not None:
             opts[key] = getattr(args, key)
         elif key in file_cfg:

@@ -63,25 +63,28 @@ def integrate_ode(
     y0,
     s_span: tuple[float, float],
     tol: Tolerances = Tolerances(),
-    method: str = "rk45",
+    method: str = "dop853",
     jac: Optional[Callable] = None,
     overflow_guard: float = DEFAULT_OVERFLOW_GUARD,
 ) -> OdeTrajectory:
     """Adaptively integrate y' = rhs(s, y) over s_span with dense output.
 
-    method "rk45" is an embedded explicit 4(5) pair; "radau" is the implicit
-    alternative for ranges where the linearized rate makes explicit stepping
-    hopeless.  Raises BlowUpError when any state component crosses the
-    overflow guard (bounded-state problems make that a bug signal, not a
-    numerical event) and StiffnessError when the step size underflows or the
-    evaluation budget runs out.
+    method "dop853" is the explicit Dormand-Prince 8(5,3) pair, for smooth
+    non-stiff problems at tight tolerances; "lsoda" switches between Adams
+    and BDF steps as stiffness comes and goes, and uses the analytic
+    Jacobian jac (lsoda only) when one is given.  Raises BlowUpError when
+    any state component crosses the overflow guard (bounded-state problems
+    make that a bug signal, not a numerical event) and StiffnessError when
+    the step size underflows or the evaluation budget runs out.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
         raise RangeError("initial state must be finite")
-    scipy_method = {"rk45": "RK45", "radau": "Radau"}.get(method)
+    scipy_method = {"dop853": "DOP853", "lsoda": "LSODA"}.get(method)
     if scipy_method is None:
         raise RangeError(f"unknown method {method!r}")
+    if jac is not None and scipy_method != "LSODA":
+        raise RangeError(f"method {method!r} takes no Jacobian")
 
     budget = {"nfev": 0}
 
@@ -104,7 +107,7 @@ def integrate_ode(
         dense_output=True,
         events=[guard],
     )
-    if jac is not None and scipy_method == "Radau":
+    if jac is not None:
         kwargs["jac"] = jac
     try:
         res = _sint.solve_ivp(wrapped, s_span, y0, **kwargs)

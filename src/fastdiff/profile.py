@@ -14,13 +14,14 @@ through the equivalent ODE system and recovered as f(r) = r^(-gamma) wt(log r).
 Numerical notes kept out of the API: the continuation integrates
 z = h - C1 and W = log(wt) instead of (h, wt) because the term
 b'X(h - C1) loses every significant digit once h hugs C1 (X grows like
-exp(rho1|s|/b') there), and the system is genuinely stiff on the left, so the
-implicit path of integrate_ode is used.
+exp(rho1|s|/b') there), and the system turns stiff on the left, so it goes
+to integrate_ode's LSODA path, which switches to BDF steps where it must.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -218,12 +219,33 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     return replace(tail, fp_residual=tail_residual(tail))
 
 
+def _scalar_spline(spline: CubicSpline):
+    """Scalar evaluator of a cubic spline on a uniform grid: one Horner step
+    on the spline's own coefficients, with no scipy call per point.  The
+    interval index is clamped to the table, so both end knots and points
+    just outside evaluate the end pieces, as the spline itself does."""
+    # flat double arrays, a quarter of the memory of nested float lists;
+    # coef holds, per interval, the (s - x_i)^3, ^2, ^1, ^0 coefficients
+    x = array("d", spline.x)
+    coef = array("d", spline.c.T.ravel())
+    last = len(x) - 2
+    s0, ds = x[0], (x[-1] - x[0]) / (last + 1)
+
+    def at(sv):
+        i = min(max(int((sv - s0) / ds), 0), last)
+        t = sv - x[i]
+        k = 4 * i
+        return ((coef[k] * t + coef[k + 1]) * t + coef[k + 2]) * t + coef[k + 3]
+
+    return at
+
+
 def tail_residual(tail: TailSolution, n_samples: int = 400) -> float:
     """Weighted sup defect of the fixed point in the integral equation.
 
     Independent route: for frozen (wt, h) the map values y = Phi_2(wt,h) and
     J = int_s^inf h satisfy the linear ODEs y' = (n-2 + b'X) y - q, J' = -h;
-    integrating them backward with the adaptive RK kernel and comparing
+    integrating them backward with the adaptive DOP853 kernel and comparing
     against (h, wt) avoids every piece of the Picard quadrature path.
     """
     fp = tail.fp
@@ -233,10 +255,11 @@ def tail_residual(tail: TailSolution, n_samples: int = 400) -> float:
     s, h, wt = tail.grid, tail.h, tail.wt
     h_sp = CubicSpline(s, h)
     wt_sp = CubicSpline(s, wt)
+    h_at, wt_at = _scalar_spline(h_sp), _scalar_spline(wt_sp)
 
     def rhs(sv, y):
-        X = math.exp(-rho1 * sv / bp) * max(wt_sp(sv), 0.0) ** (1.0 - m)
-        hv = h_sp(sv)
+        X = math.exp(-rho1 * sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
+        hv = h_at(sv)
         q = bp * C1 * X + m * hv * hv
         return [(n - 2 + bp * X) * y[0] - q, -hv]
 
@@ -244,7 +267,7 @@ def tail_residual(tail: TailSolution, n_samples: int = 400) -> float:
     traj = integrate_ode(
         rhs, [y_end, h[-1] / C2], (s[-1], s[0]),
         tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12),
-        method="rk45",
+        method="dop853",
     )
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), n_samples)
     vals = traj.sol(sc)
@@ -288,10 +311,12 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
 
     z0 = float(tail.h[0]) - C1
     W0 = math.log(float(tail.wt[0]))
+    # LSODA's dense output is of lower order than its steps, so it runs 20x
+    # inside tol; the floor stays above scipy's 100 eps clamp
     traj = integrate_ode(
         rhs, [z0, W0], (b1, s_min),
-        tol=Tolerances(abs_tol=1e-14, rel_tol=max(tol, 1e-13)),
-        method="radau", jac=jac,
+        tol=Tolerances(abs_tol=1e-14, rel_tol=max(tol / 20.0, 3e-14)),
+        method="lsoda", jac=jac,
     )
 
     slack = max(1e3 * max(tol, 1e-13), 1e-9) * max(1.0, C1)

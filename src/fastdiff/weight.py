@@ -118,7 +118,7 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     traj = integrate_ode(
         rhs, [0.0, 1.0], (1.0, 2.0),
         tol=Tolerances(abs_tol=1e-15, rel_tol=1e-13),
-        method="rk45",
+        method="dop853",
     )
     table_r = np.geomspace(TABLE_RMIN, 2.0, TABLE_SIZE)
     table_phi = np.ones(TABLE_SIZE)

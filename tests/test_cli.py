@@ -301,7 +301,7 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--eta-inf" in capsys.readouterr().err
 
-    def test_bad_config_file(self, tmp_path):
+    def test_bad_config_file(self, tmp_path, capsys):
         rc = cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),
                        "--config", str(tmp_path / "missing.json")])
         assert rc == 2
@@ -324,6 +324,17 @@ class TestExitCodes:
         choice.write_text(json.dumps({"case": "nosuch"}))
         assert cli.main(["converge", "--n", "3", "--out", str(tmp_path / "o"),
                          "--config", str(choice)]) == 2
+        # a key outside the command's option table is refused by name: a
+        # misspelt option, a removed one, or one that belongs to another command
+        for body, command in (({"nodse": 3}, "weight"), ({"eta_inf": 5}, "weight"),
+                              ({"n": 3}, "weight"), ({"case": "bump"}, "weight"),
+                              ({"m": 0.2, "nodse": 3}, "converge")):
+            unknown = tmp_path / "unknown.json"
+            unknown.write_text(json.dumps(body))
+            assert cli.main([command, "--n", "3", "--out", str(tmp_path / "o"),
+                             "--config", str(unknown)]) == 2, body
+            key = next(k for k in body if k != "m")
+            assert f"has no option {key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_numerical_failure_is_exit_3(self, tmp_path):

@@ -39,19 +39,33 @@ class TestIntegrateOde:
         traj = integrate_ode(lambda s, y: [y[0]], [1.0], (1.0, 0.0))
         assert abs(traj.sol(0.0)[0] - math.exp(-1.0)) < 1e-9
 
-    def test_radau_on_stiff_problem(self):
+    def test_lsoda_with_jac_on_stiff_problem(self):
         # y' = -1e6 (y - cos s) - sin s, y(0)=1; exact solution y = cos s
         lam = 1e6
 
         def rhs(s, y):
             return [-lam * (y[0] - math.cos(s)) - math.sin(s)]
 
+        jac_calls = []
+
         def jac(s, y):
+            jac_calls.append(s)
             return [[-lam]]
 
-        traj = integrate_ode(rhs, [1.0], (0.0, 2.0), method="radau", jac=jac,
+        traj = integrate_ode(rhs, [1.0], (0.0, 2.0), method="lsoda", jac=jac,
                              tol=Tolerances(abs_tol=1e-12, rel_tol=1e-10))
+        assert jac_calls, "the analytic Jacobian never reached LSODA"
         assert abs(traj.sol(2.0)[0] - math.cos(2.0)) < 1e-7
+        ss = np.linspace(0.0, 2.0, 41)
+        assert np.max(np.abs(traj.sol(ss)[0] - np.cos(ss))) < 1e-7
+        # BDF steps ride the slow solution: an explicit pair would need
+        # on the order of lam * 2 / 3 steps to stay stable
+        assert traj.naccepted < 5000
+
+    def test_jac_refused_by_explicit_method(self):
+        with pytest.raises(RangeError):
+            integrate_ode(lambda s, y: [-y[0]], [1.0], (0.0, 1.0), method="dop853",
+                          jac=lambda s, y: [[-1.0]])
 
     def test_overflow_guard_raises(self):
         with pytest.raises(BlowUpError):
@@ -61,6 +75,8 @@ class TestIntegrateOde:
     def test_unknown_method_raises(self):
         with pytest.raises(RangeError):
             integrate_ode(lambda s, y: [0.0], [1.0], (0.0, 1.0), method="euler")
+        with pytest.raises(RangeError):
+            integrate_ode(lambda s, y: [0.0], [1.0], (0.0, 1.0), method="radau")
 
     def test_nonfinite_initial_state_raises(self):
         with pytest.raises(RangeError):

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from fastdiff import (
     ExtrapolationError,
@@ -22,7 +23,7 @@ from fastdiff import (
     solve_for_eta,
     tail_residual,
 )
-from fastdiff.profile import PROFILE_DS
+from fastdiff.profile import PROFILE_DS, _scalar_spline
 
 # Origin coefficient of the base profile (eta_inf = 1) at the reference
 # parameter point, frozen from a converged run; guards against silent drift
@@ -80,6 +81,25 @@ class TestPicardSolve:
 
     def test_residual_recomputation_is_deterministic(self, tail_ref):
         assert tail_residual(tail_ref) == tail_ref.fp_residual
+
+
+class TestScalarSpline:
+    def test_matches_cubic_spline_on_uniform_grid(self, tail_ref):
+        # the Horner path in tail_residual's right-hand side must be the
+        # spline itself: both end knots, just inside the last knot (where
+        # the clamped index picks the piece), inner knots and random
+        # interior points, on the tail grid and on a short grid
+        rng = np.random.default_rng(6)
+        short = np.linspace(-1.0, 2.0, 7)
+        for s, values in ((tail_ref.grid, tail_ref.h), (tail_ref.grid, tail_ref.wt),
+                          (short, np.sin(3.0 * short) + 2.0)):
+            spline = CubicSpline(s, values)
+            at = _scalar_spline(spline)
+            points = [*s[[0, 1, -2, -1]], np.nextafter(s[-1], -np.inf),
+                      s[-1] - 1e-3 * (s[1] - s[0]), *rng.uniform(s[0], s[-1], 200)]
+            for sv in points:
+                ref = float(spline(sv))
+                assert abs(at(float(sv)) - ref) <= 1e-14 * abs(ref), sv
 
 
 class TestContinueLeft:
@@ -194,6 +214,13 @@ class TestSolveForEta:
         # at (3, 0.3, 3.095) 40 b'/rho1 = 240 and gamma * 240 overflows
         # e^(-gamma s); the default left end stops short of that
         prof = solve_for_eta(derive_params(3, 0.3, 3.095), 1.0)
+        assert np.all(np.isfinite(prof.f))
+        assert prof.eta_origin == pytest.approx(1.0, rel=1e-10)
+
+    def test_completes_where_stiff_trial_steps_overflowed(self):
+        # an admissible point where a trial step of the left continuation
+        # that overshoots W overflows exp in X(s, W)
+        prof = solve_for_eta(derive_params(4, 0.45, 4.04), 1.0)
         assert np.all(np.isfinite(prof.f))
         assert prof.eta_origin == pytest.approx(1.0, rel=1e-10)
 
