@@ -34,7 +34,6 @@ from .params import (
     FPConstants,
     ParamSet,
     derive_expansion_constants,
-    derive_exponents,
     derive_fp_constants,
     derive_params,
 )
@@ -82,7 +81,6 @@ from .pde import (
     EvolveConfig,
     EvolveStats,
     RadialField,
-    RescaledField,
     barenblatt,
     contraction_experiment,
     convergence_experiment,

@@ -44,6 +44,10 @@ __all__ = [
     "origin_series_report",
 ]
 
+_F_WINDOW = (1e-3, 1e3)        # radii on which f_ode_residual is taken
+_SERIES_NOISE_FLOOR = 1e-11    # data noise of r^gamma f, before the rho^-2 amplification
+_SIGMA_MARGIN = 0.05           # gap between the inversion grid and the profile's ends
+
 
 @dataclass(frozen=True)
 class ExpansionReport:
@@ -184,8 +188,8 @@ def wbar_ode_residual(profile: Profile, exp_consts: ExpansionConstants) -> float
     for parity in (0, 1):
         ss, ww = s[parity::2], wt[parity::2]
         ds = float(ss[1] - ss[0])
-        d1s = deriv_uniform(ww, ds, deriv=1, npoints=5)
-        d2s = deriv_uniform(ww, ds, deriv=2, npoints=5)
+        d1s = deriv_uniform(ww, ds, deriv=1)
+        d2s = deriv_uniform(ww, ds, deriv=2)
         sel = (ss >= lo_s) & (ss <= hi_s)
         # keep clear of one-sided edge stencils
         sel &= (np.arange(ss.size) >= 3) & (np.arange(ss.size) <= ss.size - 4)
@@ -201,18 +205,18 @@ def wbar_ode_residual(profile: Profile, exp_consts: ExpansionConstants) -> float
     return worst
 
 
-def f_ode_residual(profile: Profile, r_lo: float = 1e-3, r_hi: float = 1e3) -> float:
+def f_ode_residual(profile: Profile) -> float:
     """Max relative defect of (f^m/m)_rr + (n-1)/r (f^m/m)_r + alpha f
-    + beta r f_r over r in [r_lo, r_hi], all derivatives by centered
+    + beta r f_r over r in [1e-3, 1e3], all derivatives by centered
     differences in s = log r."""
     p = profile.params
     s, f = profile.s_grid, profile.f
     ds = float(s[1] - s[0])
     F = f ** p.m / p.m
-    Fs = deriv_uniform(F, ds, deriv=1, npoints=5)
-    Fss = deriv_uniform(F, ds, deriv=2, npoints=5)
-    fs = deriv_uniform(f, ds, deriv=1, npoints=5)
-    sel = (s >= math.log(r_lo)) & (s <= math.log(r_hi))
+    Fs = deriv_uniform(F, ds, deriv=1)
+    Fss = deriv_uniform(F, ds, deriv=2)
+    fs = deriv_uniform(f, ds, deriv=1)
+    sel = (s >= math.log(_F_WINDOW[0])) & (s <= math.log(_F_WINDOW[1]))
     sel &= (np.arange(s.size) >= 3) & (np.arange(s.size) <= s.size - 4)
     e2 = np.exp(-2.0 * s[sel])
     terms = [
@@ -224,9 +228,9 @@ def f_ode_residual(profile: Profile, r_lo: float = 1e-3, r_hi: float = 1e3) -> f
     return float(np.max(_residual_over_terms(terms)))
 
 
-def _symmetric_sigma_grid(profile: Profile, margin: float = 0.05):
+def _symmetric_sigma_grid(profile: Profile):
     s = profile.s_grid
-    S = min(-float(s[0]), float(s[-1])) - margin
+    S = min(-float(s[0]), float(s[-1])) - _SIGMA_MARGIN
     if S <= 1.0:
         raise ResolutionError("profile s-range too narrow for a symmetric inversion grid")
     ds = 0.01
@@ -266,7 +270,7 @@ def inversion_report(profile: Profile) -> InversionReport:
     Gamma_sigma = -(g ** m) * h_rev
 
     Q = np.exp((n - 2) * sig) * Gamma_sigma
-    Q_sigma = deriv_uniform(Q, ds, deriv=1, npoints=5)
+    Q_sigma = deriv_uniform(Q, ds, deriv=1)
     diffusion = np.exp(-n * sig) * Q_sigma
     E = np.exp(((n - 2 - n * m) / m - 2.0) * sig)
     sel = (sig >= math.log(1e-2)) & (sig <= math.log(1e2))
@@ -305,8 +309,8 @@ def inversion_report(profile: Profile) -> InversionReport:
     )
 
 
-def origin_series_report(profile: Profile, exp_consts: ExpansionConstants, eta: float,
-                         noise_floor: float = 1e-11) -> SeriesReport:
+def origin_series_report(profile: Profile, exp_consts: ExpansionConstants,
+                         eta: float) -> SeriesReport:
     """Compare r^gamma f against the 3-term origin series over the final
     resolvable decade and extract the f_r leading/subleading behaviour.
 
@@ -327,7 +331,7 @@ def origin_series_report(profile: Profile, exp_consts: ExpansionConstants, eta: 
     wb = wt_sp(np.log(rho) / c)
     series = eta + d1_ref * rho + 0.5 * d2_ref * rho ** 2
     ratios = np.abs(wb - series) / rho ** 2
-    floors = noise_floor / rho ** 2
+    floors = _SERIES_NOISE_FLOOR / rho ** 2
     mono = bool(
         np.all(ratios[1:] <= ratios[:-1] * 1.001 + 3.0 * floors[1:])
         and ratios[-1] < ratios[0]

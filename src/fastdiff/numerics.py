@@ -8,7 +8,7 @@ difference stencils used throughout the package live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,31 +27,31 @@ __all__ = [
     "deriv_uniform",
 ]
 
-DEFAULT_OVERFLOW_GUARD = 1e12
+# every state the package integrates is bounded, so a component past the
+# guard is a bug signal; and no solve it makes comes near the rhs-call budget
+_OVERFLOW_GUARD = 1e12
+_NFEV_BUDGET = 50_000_000
+_QUAD_LIMIT = 200          # subintervals of one adaptive quadrature
 
 
 @dataclass(frozen=True)
 class Tolerances:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise RangeError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise RangeError("max_steps must be >= 1")
 
 
 @dataclass
 class OdeTrajectory:
-    """Accepted steps plus a dense-output interpolant."""
+    """States at the accepted steps plus a dense-output interpolant."""
 
-    s: np.ndarray
-    y: np.ndarray          # shape (n_states, n_points)
+    y: np.ndarray          # shape (n_states, naccepted + 1), the start included
     sol: Callable          # vectorized dense evaluation, sol(s) -> (n_states, ...)
-    nfev: int = 0
-    naccepted: int = field(default=0)
+    nfev: int
+    naccepted: int
 
 
 class _BudgetExhausted(Exception):
@@ -65,7 +65,6 @@ def integrate_ode(
     tol: Tolerances = Tolerances(),
     method: str = "dop853",
     jac: Optional[Callable] = None,
-    overflow_guard: float = DEFAULT_OVERFLOW_GUARD,
 ) -> OdeTrajectory:
     """Adaptively integrate y' = rhs(s, y) over s_span with dense output.
 
@@ -73,9 +72,10 @@ def integrate_ode(
     non-stiff problems at tight tolerances; "lsoda" switches between Adams
     and BDF steps as stiffness comes and goes, and uses the analytic
     Jacobian jac (lsoda only) when one is given.  Raises BlowUpError when
-    any state component crosses the overflow guard (bounded-state problems
-    make that a bug signal, not a numerical event) and StiffnessError when
-    the step size underflows or the evaluation budget runs out.
+    any state component crosses the overflow guard 1e12 (bounded-state
+    problems make that a bug signal, not a numerical event) and
+    StiffnessError when the step size underflows or the evaluation budget
+    runs out.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
@@ -90,12 +90,12 @@ def integrate_ode(
 
     def wrapped(s, y):
         budget["nfev"] += 1
-        if budget["nfev"] > 50 * tol.max_steps:
+        if budget["nfev"] > _NFEV_BUDGET:
             raise _BudgetExhausted
         return rhs(s, y)
 
     def guard(s, y):
-        return overflow_guard - float(np.max(np.abs(y)))
+        return _OVERFLOW_GUARD - float(np.max(np.abs(y)))
 
     guard.terminal = True
     guard.direction = -1
@@ -113,18 +113,19 @@ def integrate_ode(
         res = _sint.solve_ivp(wrapped, s_span, y0, **kwargs)
     except _BudgetExhausted:
         raise StiffnessError(
-            f"evaluation budget exhausted ({50 * tol.max_steps} rhs calls) on span {s_span}"
+            f"evaluation budget exhausted ({_NFEV_BUDGET} rhs calls) on span {s_span}"
         )
     if res.status == 1:
         raise BlowUpError(
-            f"state exceeded overflow guard {overflow_guard:g} at s={res.t_events[0][0]:.6g}"
+            f"state exceeded overflow guard {_OVERFLOW_GUARD:g} at s={res.t_events[0][0]:.6g}"
         )
     if not res.success:
         raise StiffnessError(f"integrator failed on span {s_span}: {res.message}")
-    return OdeTrajectory(s=res.t, y=res.y, sol=res.sol, nfev=budget["nfev"], naccepted=res.t.size)
+    # res.t holds the start point and then one entry per accepted step
+    return OdeTrajectory(y=res.y, sol=res.sol, nfev=budget["nfev"], naccepted=res.t.size - 1)
 
 
-def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10, limit: int = 200) -> float:
+def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod integral of f over [a, b]; b may be math.inf.
 
     Callers with semi-infinite ranges and known analytic tails are expected to
@@ -134,7 +135,7 @@ def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10, limit: in
     if not tol > 0:
         raise RangeError("tol must be positive")
     value, abserr, info, *rest = _sint.quad(
-        f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=True
+        f, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT, full_output=True
     )
     if rest:
         raise QuadratureError(f"quadrature did not converge on [{a}, {b}]: {rest[0]}")
@@ -210,23 +211,19 @@ def fd_weights(offsets, deriv: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def deriv_uniform(y, dx: float, deriv: int = 1, npoints: int = 5) -> np.ndarray:
-    """Derivative of uniformly sampled values, one-sided stencils at the edges.
-
-    npoints=5 gives 4th-order first derivatives and 3rd/4th-order second
-    derivatives; every stencil spans npoints consecutive nodes.
-    """
+def deriv_uniform(y, dx: float, deriv: int = 1) -> np.ndarray:
+    """Derivative of uniformly sampled values by five-point stencils,
+    one-sided at the edges: 4th-order first derivatives and 3rd/4th-order
+    second derivatives."""
     y = np.asarray(y, dtype=float)
     n = y.size
-    if n < npoints:
-        raise RangeError(f"need at least {npoints} nodes")
-    half = npoints // 2
+    if n < 5:
+        raise RangeError("need at least 5 nodes")
     out = np.empty(n)
-    center = fd_weights(np.arange(npoints) - half, deriv)
+    center = fd_weights(np.arange(5) - 2, deriv)
     # correlate applies the stencil in natural order: out[i] = sum_j y[i+j] w[j]
-    out[half:n - half] = np.correlate(y, center, mode="valid")
-    for i in range(half):
-        out[i] = fd_weights(np.arange(npoints) - i, deriv) @ y[:npoints]
-        j = n - 1 - i
-        out[j] = fd_weights(np.arange(npoints) - (npoints - 1 - i), deriv) @ y[-npoints:]
+    out[2:n - 2] = np.correlate(y, center, mode="valid")
+    for i in range(2):
+        out[i] = fd_weights(np.arange(5) - i, deriv) @ y[:5]
+        out[n - 1 - i] = fd_weights(np.arange(5) - (4 - i), deriv) @ y[-5:]
     return out / dx ** deriv

@@ -18,7 +18,6 @@ __all__ = [
     "ParamSet",
     "FPConstants",
     "ExpansionConstants",
-    "derive_exponents",
     "derive_params",
     "derive_fp_constants",
     "derive_expansion_constants",
@@ -81,22 +80,18 @@ class ExpansionConstants:
     a3: float
 
 
-def _validate_base(n: int, m: float, rho1: float) -> None:
+def derive_params(n: int, m: float, gamma: float, rho1: float = 1.0) -> ParamSet:
+    """Validate parameters and package them with the self-similar exponents.
+
+    beta = rho1 / (2 - gamma(1-m)) and alpha = (2 beta - rho1)/(1-m); the pair
+    satisfies alpha/beta = gamma and alpha(1-m) = 2 beta - rho1 exactly.
+    """
     if int(n) != n or n < 3:
         raise RangeError(f"dimension n must be an integer >= 3, got {n}")
     if not 0.0 < m < (n - 2) / n:
         raise RangeError(f"exponent m must satisfy 0 < m < (n-2)/n = {(n - 2) / n}, got {m}")
     if not rho1 > 0.0:
         raise RangeError(f"rho1 must be positive, got {rho1}")
-
-
-def derive_exponents(n: int, m: float, gamma: float, rho1: float = 1.0) -> tuple[float, float]:
-    """Return the self-similar exponents (alpha, beta) for the given parameters.
-
-    beta = rho1 / (2 - gamma(1-m)) and alpha = (2 beta - rho1)/(1-m); the pair
-    satisfies alpha/beta = gamma and alpha(1-m) = 2 beta - rho1 exactly.
-    """
-    _validate_base(n, m, rho1)
     denom = 2.0 - gamma * (1.0 - m)
     if abs(denom) < _POLE_TOL * max(1.0, abs(gamma)):
         raise DegenerateError(
@@ -110,12 +105,6 @@ def derive_exponents(n: int, m: float, gamma: float, rho1: float = 1.0) -> tuple
     alpha = (2.0 * beta - rho1) / (1.0 - m)
     if not (alpha < 0.0 and beta < 0.0):
         raise InternalError(f"derived exponents must be negative, got alpha={alpha}, beta={beta}")
-    return alpha, beta
-
-
-def derive_params(n: int, m: float, gamma: float, rho1: float = 1.0) -> ParamSet:
-    """Validate parameters and package them with the derived exponents."""
-    alpha, beta = derive_exponents(n, m, gamma, rho1)
     return ParamSet(
         n=int(n),
         m=float(m),

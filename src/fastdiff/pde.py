@@ -39,7 +39,6 @@ from .weight import WeightFunction, eval_weight, weighted_l1_distance
 
 __all__ = [
     "RadialField",
-    "RescaledField",
     "EvolveConfig",
     "EvolveStats",
     "ContractionResult",
@@ -151,7 +150,7 @@ class RadialField:
     u: np.ndarray
     t: float
     bc: tuple[Callable[[float], float], Callable[[float], float]]
-    params: Optional[ParamSet] = None
+    params: ParamSet
     stats: Optional[EvolveStats] = None
 
     def __post_init__(self):
@@ -167,17 +166,6 @@ class RadialField:
             raise ConfigError("field values must be strictly positive")
         if not self.t > 0:
             raise RangeError(f"time must be positive, got {self.t}")
-
-
-@dataclass(frozen=True)
-class RescaledField:
-    """Similarity-rescaled snapshot: u here is t^alpha u(t^beta y, t) on y_grid."""
-
-    y_grid: np.ndarray
-    u: np.ndarray
-    tau: float
-    t: float
-    params: Optional[ParamSet] = None
 
 
 @dataclass(frozen=True)
@@ -390,12 +378,11 @@ class _Lockstep:
         cfg, t = self.cfg, self.t
         eps_t = 1e-13 * max(1.0, abs(t_target))
         while t < t_target - eps_t:
-            dt = min(self.dt, cfg.dt_max, t_target - t)
+            dt_prop = min(self.dt, cfg.dt_max)
             if cfg.dt_rel_max is not None:
-                dt = min(dt, cfg.dt_rel_max * t)
-            clamped = t + dt >= t_target - eps_t
-            if clamped:
-                dt = t_target - t
+                dt_prop = min(dt_prop, cfg.dt_rel_max * t)
+            clamped = t + dt_prop >= t_target - eps_t
+            dt = t_target - t if clamped else dt_prop
             try:
                 stepped = [self.stepper.step(u, t, dt, bc[0], bc[1])
                            for u, bc in zip(self.us, self.bcs)]
@@ -422,7 +409,12 @@ class _Lockstep:
                 self.us[idx] = u_new
             self.n_steps += 1
             worst_iters = max(iters for _, iters in stepped)
-            self.dt = min(dt * _DT_GROW, cfg.dt_max) if worst_iters <= _GROW_THRESHOLD else dt
+            if clamped:
+                # a remainder clamped onto t_target says nothing about the
+                # step size: the next step starts from the proposal
+                self.dt = dt_prop
+            else:
+                self.dt = min(dt * _DT_GROW, cfg.dt_max) if worst_iters <= _GROW_THRESHOLD else dt
             t = t_new
             if self.n_steps > _MAX_STEPS:
                 raise ToleranceError(
@@ -442,12 +434,6 @@ class _Lockstep:
             min_u=self.min_u[i],
             ab_max=self.ab_max[i],
         )
-
-
-def _require_params(field: RadialField) -> ParamSet:
-    if field.params is None:
-        raise ConfigError("field carries no parameter set")
-    return field.params
 
 
 def _sample_times(times: Sequence[float], t0: float, at_least: int = 1) -> np.ndarray:
@@ -471,7 +457,7 @@ def evolve(field: RadialField, cfg: EvolveConfig, times: Sequence[float]) -> lis
     update backtracks on any sign loss, and if backtracking at the smallest
     allowed dt still fails the run aborts with PositivityError.
     """
-    p = _require_params(field)
+    p = field.params
     march = _Lockstep([field], p, cfg)
     out = []
     for t_target in _sample_times(times, field.t):
@@ -481,23 +467,14 @@ def evolve(field: RadialField, cfg: EvolveConfig, times: Sequence[float]) -> lis
     return out
 
 
-def rescale_field(field: RadialField, y_grid: Optional[np.ndarray] = None) -> RescaledField:
-    """Similarity rescaling u -> t^alpha u(t^beta y, t) with tau = log t.
+def rescale_field(field: RadialField, y_grid: np.ndarray) -> np.ndarray:
+    """Similarity rescaling: the values t^alpha u(t^beta y, t) on y_grid.
 
-    With y_grid omitted the image grid t^(-beta) r_grid is used and the values
-    are exact; an explicit y_grid triggers cubic resampling of log u and
-    RangeError if any t^beta y falls outside the field's radial range.
+    Resamples log u cubically in log r; RangeError if any t^beta y falls
+    outside the field's radial range.
     """
-    p = _require_params(field)
     t = field.t
-    if not t > 0:
-        raise RangeError(f"time must be positive, got {t}")
-    alpha, beta = p.alpha, p.beta
-    tau = math.log(t)
-    if y_grid is None:
-        y = t ** (-beta) * field.r_grid
-        u = t**alpha * field.u
-        return RescaledField(y_grid=y, u=u, tau=tau, t=t, params=p)
+    alpha, beta = field.params.alpha, field.params.beta
     y = np.asarray(y_grid, dtype=float)
     r_query = t**beta * y
     r_lo, r_hi = field.r_grid[0], field.r_grid[-1]
@@ -508,8 +485,15 @@ def rescale_field(field: RadialField, y_grid: Optional[np.ndarray] = None) -> Re
         )
     spline = CubicSpline(np.log(field.r_grid), np.log(field.u))
     xq = np.clip(np.log(r_query), np.log(r_lo), np.log(r_hi))
-    u = t**alpha * np.exp(spline(xq))
-    return RescaledField(y_grid=y, u=u, tau=tau, t=t, params=p)
+    return t**alpha * np.exp(spline(xq))
+
+
+def _bump(xi: np.ndarray) -> np.ndarray:
+    """The C-infinity bump exp(1 - 1/(1 - xi^2)) on |xi| < 1, 0 elsewhere."""
+    out = np.zeros_like(xi)
+    inside = np.abs(xi) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - xi[inside] ** 2))
+    return out
 
 
 def power_bump_initial(params: ParamSet, a0: float, amp: float = 0.10,
@@ -533,11 +517,7 @@ def power_bump_initial(params: ParamSet, a0: float, amp: float = 0.10,
 
     def u0(r):
         r_arr = np.asarray(r, dtype=float)
-        xi = (np.log(r_arr) - center) / width
-        bump = np.zeros_like(xi)
-        inside = np.abs(xi) < 1.0
-        bump[inside] = np.exp(1.0 - 1.0 / (1.0 - xi[inside] ** 2))
-        val = a0 * r_arr ** (-gamma) * (1.0 + amp * bump)
+        val = a0 * r_arr ** (-gamma) * (1.0 + amp * _bump((np.log(r_arr) - center) / width))
         return float(val) if np.ndim(r) == 0 else val
 
     return u0
@@ -589,10 +569,7 @@ def random_sandwiched_pair(profile: Profile, grid: np.ndarray, t0: float,
     x = np.log(np.asarray(grid, dtype=float))
     x_lo, x_hi = _THETA_SUPPORT
     mid, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
-    xi = (x - mid) / half
-    window = np.zeros_like(x)
-    inside = np.abs(xi) < 1.0
-    window[inside] = np.exp(1.0 - 1.0 / (1.0 - xi[inside] ** 2))
+    window = _bump((x - mid) / half)
 
     def random_theta() -> np.ndarray:
         phase = 2.0 * math.pi * (x - x_lo) / (x_hi - x_lo)
@@ -644,14 +621,14 @@ def sup_compact(grid: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 def contraction_experiment(u0: RadialField, v0: RadialField, weight: WeightFunction,
                            times: Sequence[float], cfg: EvolveConfig,
-                           sandwich=None) -> ContractionResult:
+                           sandwich) -> ContractionResult:
     """Evolve a pair in lockstep and record both weighted distances over time.
 
     Returns the full |u-v| and positive-part (u-v)+ weighted-L1 sequences; for
     sandwiched data with shared traces both are non-increasing up to roundoff
     because the shared-step implicit scheme inherits the contraction of the
-    continuous flow.  sandwich, when given, is a (lo_fn, hi_fn) pair of (r, t)
-    callables checked at setup and at every sampled time.
+    continuous flow.  sandwich is a (lo_fn, hi_fn) pair of (r, t) callables
+    checked at setup and at every sampled time.
     """
     if u0.t != v0.t:
         raise ConfigError(f"fields start at different times: {u0.t} vs {v0.t}")
@@ -659,12 +636,11 @@ def contraction_experiment(u0: RadialField, v0: RadialField, weight: WeightFunct
         u0.r_grid, v0.r_grid, rtol=1e-12, atol=0.0
     ):
         raise GridMismatchError("pair must share a grid")
-    p = _require_params(u0)
+    p = u0.params
     times_arr = _sample_times(times, u0.t, at_least=2)
 
     grid = u0.r_grid
-    if sandwich is not None:
-        _check_sandwich(u0.u, v0.u, grid, u0.t, sandwich)
+    _check_sandwich(u0.u, v0.u, grid, u0.t, sandwich)
 
     march = _Lockstep([u0, v0], p, cfg)
     dist_abs, dist_pos, dist_sup = [], [], []
@@ -674,8 +650,7 @@ def contraction_experiment(u0: RadialField, v0: RadialField, weight: WeightFunct
         dist_abs.append(weighted_l1_distance(weight, grid, u, v))
         dist_pos.append(weighted_l1_distance(weight, grid, u, v, mode="positive-part"))
         dist_sup.append(sup_compact(grid, u, v))
-        if sandwich is not None:
-            _check_sandwich(u, v, grid, march.t, sandwich)
+        _check_sandwich(u, v, grid, march.t, sandwich)
 
     u_fin, v_fin = (RadialField(grid, march.us[i], march.t, f.bc, params=p, stats=march.stats(i))
                     for i, f in enumerate((u0, v0)))
@@ -724,11 +699,9 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
         raise RangeError(f"need 0 < a1 <= a0 <= a2, got ({a1}, {a0}, {a2})")
     if not t0 > 0:
         raise RangeError(f"t0 must be positive, got {t0}")
-    tau_arr = np.asarray(list(tau_grid), dtype=float)
-    if tau_arr.ndim != 1 or tau_arr.size < 2 or not np.all(np.diff(tau_arr) > 0):
-        raise ConfigError("tau_grid must be an increasing sequence of at least two values")
-    if tau_arr[0] < math.log(t0) - 1e-12:
-        raise RangeError(f"tau_grid starts before log(t0) = {math.log(t0):.6g}")
+    tau_arr = np.asarray(tau_grid, dtype=float)
+    # math.exp per tau: np.exp may round a target differently, and the steps follow the targets
+    t_arr = _sample_times(np.vectorize(math.exp, otypes=[float])(tau_arr), t0, at_least=2)
 
     r_grid = np.asarray(r_grid, dtype=float)
 
@@ -777,8 +750,7 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
 
     # reference rescaled grid: stays inside the image of [r_in, r_out] for
     # every sampled time, with a 5 percent safety margin at both ends
-    tau_max = float(tau_arr[-1])
-    t_max = math.exp(tau_max)
+    t_max = float(t_arr[-1])
     y_lo = r_grid[0] * t_max ** (-p.beta) * 1.05
     y_hi = r_grid[-1] / 1.05
     if not y_lo < y_hi:
@@ -788,9 +760,8 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
     f_ref = V0(y_grid, 1.0)                          # f_lam0 itself: V0 at t = 1
     norm_ref = weighted_l1_distance(weight, y_grid, f_ref, np.zeros_like(f_ref))
 
-    # math.exp per tau: np.exp may round a target differently, and the steps follow the targets
-    snapshots = evolve(field0, cfg, [math.exp(float(tau)) for tau in tau_arr])
-    resc = [rescale_field(snap, y_grid=y_grid).u for snap in snapshots]
+    snapshots = evolve(field0, cfg, t_arr)
+    resc = [rescale_field(snap, y_grid) for snap in snapshots]
     return ConvergenceResult(
         tau_grid=tau_arr,
         t_grid=np.asarray([snap.t for snap in snapshots]),

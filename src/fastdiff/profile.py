@@ -53,6 +53,9 @@ __all__ = [
 
 PROFILE_DS = 0.01          # uniform spacing of the assembled profile grid
 _NOISE_FLOOR = 1e-14       # update norms below this are roundoff, not contraction data
+_PICARD_MAX_ITER = 200     # far above the ~8 iterations the 1/5-contraction needs
+_TAIL_SAMPLES = 400        # points on which tail_residual compares the two routes
+_RICHARDSON_TOL = 1e-8     # relative agreement of the last two origin Richardson levels
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,7 @@ def _phi_map(wt, h, s, ds, fp):
     return wt_new, h_new
 
 
-def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e-12,
-                 max_iter: int = 200) -> TailSolution:
+def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e-12) -> TailSolution:
     """Iterate (Phi_1, Phi_2) from the seed (eta_inf e^{-C1 s}, min(C3,eps1) e^{-C2 s})
     until the weighted update norm drops below tol.
 
@@ -192,7 +194,7 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
 
     norms, ratios = [], []
     stall = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _PICARD_MAX_ITER + 1):
         wt_new, h_new = _phi_map(wt, h, s, ds, fp)
         _check_membership(wt_new, h_new, s, fp, slack)
         upd = _weighted_norm(wt_new - wt, h_new - h, s, C1, C2)
@@ -210,7 +212,7 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
         if upd <= tol:
             break
     else:
-        raise ToleranceError(f"Picard iteration did not reach {tol} in {max_iter} iterations")
+        raise ToleranceError(f"Picard iteration did not reach {tol} in {_PICARD_MAX_ITER} iterations")
 
     tail = TailSolution(
         grid=s, h=h, wt=wt, fp_residual=math.nan, iterations=it, fp=fp,
@@ -240,7 +242,7 @@ def _scalar_spline(spline: CubicSpline):
     return at
 
 
-def tail_residual(tail: TailSolution, n_samples: int = 400) -> float:
+def tail_residual(tail: TailSolution) -> float:
     """Weighted sup defect of the fixed point in the integral equation.
 
     Independent route: for frozen (wt, h) the map values y = Phi_2(wt,h) and
@@ -269,7 +271,7 @@ def tail_residual(tail: TailSolution, n_samples: int = 400) -> float:
         tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12),
         method="dop853",
     )
-    sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), n_samples)
+    sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
     vals = traj.sol(sc)
     res_h = np.abs(h_sp(sc) - vals[0]) * np.exp(0.5 * C2 * sc)
     phi1 = fp.eta_inf * np.exp(-vals[1] - C1 * sc)
@@ -360,7 +362,7 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     )
 
 
-def recover_profile(profile: Profile, tol: float = 1e-8) -> Profile:
+def recover_profile(profile: Profile) -> Profile:
     """Fill in eta_origin (Richardson extrapolation of r^gamma f as r -> 0)
     and the far-field gap |r^((n-2)/m) f - eta_inf| at the last node."""
     p = profile.params
@@ -382,7 +384,7 @@ def recover_profile(profile: Profile, tol: float = 1e-8) -> Profile:
     A = 2.0 * w_levels[1:] - w_levels[:-1]
     gaps = np.abs(np.diff(A))
     eta = float(A[-1])
-    if gaps[-1] > 10.0 * tol * abs(eta):
+    if gaps[-1] > 10.0 * _RICHARDSON_TOL * abs(eta):
         raise ExtrapolationError(f"Richardson levels disagree: last gap {gaps[-1]:g}")
     deep = float(wt[0])
     if abs(deep - eta) > 1e-6 * abs(eta):

@@ -188,9 +188,9 @@ def eval_weight(w: WeightFunction, r):
 
 
 def weighted_l1_distance(w: WeightFunction, r, u, v, mode: str = "abs") -> float:
-    """Weighted distance between two fields u, v on the grid r: the
-    n-dimensional radial integral of |u-v| phi_mu (or the positive part
-    (u-v)+ phi_mu)."""
+    """Weighted distance between two fields u, v on the log-uniform grid r
+    of at least 4 nodes: the n-dimensional radial integral of |u-v| phi_mu
+    (or the positive part (u-v)+ phi_mu)."""
     r, u, v = (np.asarray(a, dtype=float) for a in (r, u, v))
     if u.shape != r.shape or v.shape != r.shape:
         raise GridMismatchError("values and grid have different shapes")
@@ -205,8 +205,7 @@ def weighted_l1_distance(w: WeightFunction, r, u, v, mode: str = "abs") -> float
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     phi, _ = eval_weight(w, r)
     x = np.log(r)
+    if x.ndim != 1 or x.size < 4 or not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-8, atol=0.0):
+        raise GridMismatchError("weighted distance needs a log-uniform grid of at least 4 nodes")
     integrand = np.exp(n * x) * diff * phi
-    dx = np.diff(x)
-    if dx.size >= 3 and np.allclose(dx, dx[0], rtol=1e-8, atol=0.0):
-        return omega * integrate_table(integrand, float(dx[0]))
-    return omega * float(np.trapezoid(integrand, x))
+    return omega * integrate_table(integrand, float(x[1] - x[0]))

@@ -68,9 +68,17 @@ class TestIntegrateOde:
                           jac=lambda s, y: [[-1.0]])
 
     def test_overflow_guard_raises(self):
-        with pytest.raises(BlowUpError):
-            integrate_ode(lambda s, y: [y[0] ** 2], [1.0], (0.0, 2.0),
-                          overflow_guard=1e6)
+        # y = e^s passes the guard 1e12 at s = log(1e12) = 27.63
+        with pytest.raises(BlowUpError, match=r"s=27\.63"):
+            integrate_ode(lambda s, y: [y[0]], [1.0], (0.0, 40.0))
+
+    @pytest.mark.parametrize("method", ["dop853", "lsoda"])
+    def test_naccepted_counts_steps_not_points(self, method):
+        # the trajectory holds the start point plus one point per step, and
+        # the dense output one interpolant per step
+        traj = integrate_ode(lambda s, y: [-y[0]], [1.0], (0.0, 3.0), method=method)
+        assert traj.naccepted == len(traj.sol.interpolants)
+        assert traj.y.shape[1] == traj.naccepted + 1
 
     def test_unknown_method_raises(self):
         with pytest.raises(RangeError):
@@ -173,8 +181,8 @@ class TestStencils:
         x = np.linspace(0.0, 3.0, 301)
         dx = float(x[1] - x[0])
         y = np.sin(x)
-        d1 = deriv_uniform(y, dx, deriv=1, npoints=5)
-        d2 = deriv_uniform(y, dx, deriv=2, npoints=5)
+        d1 = deriv_uniform(y, dx, deriv=1)
+        d2 = deriv_uniform(y, dx, deriv=2)
         assert np.max(np.abs(d1 - np.cos(x))) < 1e-8
         assert np.max(np.abs(d2 + np.sin(x))) < 1e-6
         # sign probe at an interior point where cos(x) = cos(0.5) > 0.5
@@ -185,16 +193,16 @@ class TestStencils:
         x = np.linspace(-1.0, 1.0, 41)
         dx = float(x[1] - x[0])
         y = x ** 4 - 2.0 * x ** 2 + x
-        d1 = deriv_uniform(y, dx, deriv=1, npoints=5)
+        d1 = deriv_uniform(y, dx, deriv=1)
         assert np.max(np.abs(d1 - (4.0 * x ** 3 - 4.0 * x + 1.0))) < 1e-11
 
     def test_deriv_uniform_edges(self):
         x = np.linspace(0.0, 1.0, 101)
         dx = float(x[1] - x[0])
-        d1 = deriv_uniform(np.exp(x), dx, deriv=1, npoints=5)
+        d1 = deriv_uniform(np.exp(x), dx, deriv=1)
         assert abs(d1[0] - 1.0) < 1e-7
         assert abs(d1[-1] - math.e) < 1e-7
 
     def test_needs_enough_nodes(self):
         with pytest.raises(RangeError):
-            deriv_uniform(np.ones(4), 0.1, deriv=1, npoints=5)
+            deriv_uniform(np.ones(4), 0.1, deriv=1)

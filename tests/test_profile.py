@@ -23,6 +23,7 @@ from fastdiff import (
     solve_for_eta,
     tail_residual,
 )
+import fastdiff.profile
 from fastdiff.profile import PROFILE_DS, _scalar_spline
 
 # Origin coefficient of the base profile (eta_inf = 1) at the reference
@@ -67,9 +68,10 @@ class TestPicardSolve:
         assert tail.iterations <= 8
         assert tail.fp_residual <= 1e-10
 
-    def test_tolerance_error_when_unreachable(self, fp_ref):
+    def test_tolerance_error_when_unreachable(self, fp_ref, monkeypatch):
+        monkeypatch.setattr(fastdiff.profile, "_PICARD_MAX_ITER", 4)
         with pytest.raises(ToleranceError):
-            picard_solve(fp_ref, tol=1e-30, max_iter=4)
+            picard_solve(fp_ref, tol=1e-30)
 
     def test_residual_detector_responds_to_perturbation(self, tail_ref):
         # the independent residual route must flag a profile that is off by

@@ -234,10 +234,14 @@ class TestWeightedL1Distance:
         phi_min = float(eval_weight(weight_ref, r)[0].min())
         assert d > 0.99 * phi_min * unweighted
 
-    def test_non_uniform_grid_falls_back_to_trapezoid(self, weight_ref):
+    def test_grid_must_be_log_uniform(self, weight_ref):
         r = np.linspace(0.1, 1.0, 801)
-        d = weighted_l1_distance(weight_ref, r, r**-2, np.zeros_like(r))
-        assert d == pytest.approx(4.0 * math.pi * 0.9, rel=1e-4)
+        with pytest.raises(GridMismatchError):
+            weighted_l1_distance(weight_ref, r, r**-2, np.zeros_like(r))
+        for size in (1, 3):
+            short = np.geomspace(0.1, 1.0, size)
+            with pytest.raises(GridMismatchError):
+                weighted_l1_distance(weight_ref, short, short**-2, np.zeros_like(short))
 
     def test_grid_mismatch_raises(self, weight_ref):
         r1 = np.geomspace(0.01, 1.0, 161)
