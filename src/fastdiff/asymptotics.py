@@ -286,8 +286,10 @@ def inversion_report(profile: Profile) -> InversionReport:
     if rho_g_rho_end > 1e-8 * profile.eta_inf:
         raise InternalError(f"rho g_rho does not vanish at 0: {rho_g_rho_end:g}")
 
-    # C1 g + rho g_rho > 0; strict where the signal clears integrator noise
-    comb = C1 * g + g_sigma
+    # C1 g + rho g_rho > 0; strict where the signal clears integrator noise.
+    # C1 g + g_sigma = g (C1 - h(-sigma)) = -g z(-sigma), formed from z
+    # itself: C1 - h cancels to roundoff once |z| is below an ulp of C1
+    comb = -g * CubicSpline(s_grid, profile.z)(-sig)
     min_comb = float(np.min(comb / g))
     if min_comb < -1e-12:
         raise InternalError(f"C1 g + rho g_rho dips to {min_comb:g} x g")

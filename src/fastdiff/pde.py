@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConfigError,
@@ -286,6 +286,9 @@ class _Stepper:
         self.lo = e2 * (1.0 / dx**2 - kdrift / (2.0 * dx))
         self.ce = e2 * (-2.0 / dx**2)
         self.hi = e2 * (1.0 / dx**2 + kdrift / (2.0 * dx))
+        # LAPACK's tridiagonal solver, the routine solve_banded((1, 1), ...)
+        # calls, without that wrapper's validation on every Newton iteration
+        (self.gtsv,) = get_lapack_funcs(("gtsv",), (self.ce,))
 
     def _apply(self, F: np.ndarray) -> np.ndarray:
         return self.lo * F[:-2] + self.ce * F[1:-1] + self.hi * F[2:]
@@ -298,8 +301,9 @@ class _Stepper:
              bc_left: Callable, bc_right: Callable) -> tuple[np.ndarray, int]:
         """One implicit step to t + dt; returns (u_new, newton_iterations).
 
-        Raises _StepReject when Newton stalls or positivity backtracking is
-        exhausted; the caller decides whether to shrink dt.
+        Raises _StepReject when Newton stalls, the linear solve fails or
+        positivity backtracking is exhausted; the caller decides whether to
+        shrink dt.
         """
         m, cfg = self.m, self.cfg
         t_new = t + dt
@@ -310,42 +314,42 @@ class _Stepper:
         u[0], u[-1] = left, right
         uo_int = u_old[1:-1]
         scale = uo_int  # positive by invariant; fixed per step
-        n_int = uo_int.size
-        ab = np.empty((3, n_int))
+        # Jacobian diagonals up to the factor dF = u^(m-1), fixed per step
+        dt_ce, mdt_hi, mdt_lo = dt * self.ce, -dt * self.hi[:-1], -dt * self.lo[1:]
+        G = self._residual(u, uo_int, dt)
         for it in range(cfg.newton_max):
-            G = self._residual(u, uo_int, dt)
-            if float(np.max(np.abs(G) / scale)) <= cfg.newton_tol:
+            err0 = float((np.abs(G) / scale).max())
+            if err0 <= cfg.newton_tol:
                 return u, it
             dF = u ** (m - 1.0)
-            ab[1] = 1.0 - dt * self.ce * dF[1:-1]
-            ab[0, 0] = 0.0
-            ab[0, 1:] = -dt * self.hi[:-1] * dF[2:-1]
-            ab[2, -1] = 0.0
-            ab[2, :-1] = -dt * self.lo[1:] * dF[1:-2]
-            delta = solve_banded((1, 1), ab, -G)
-            err0 = float(np.max(np.abs(G) / scale))
+            # the four inputs are temporaries, so LAPACK may overwrite them
+            _, _, _, delta, info = self.gtsv(mdt_lo * dF[1:-2], 1.0 - dt_ce * dF[1:-1],
+                                             mdt_hi * dF[2:-1], -G, True, True, True, True)
+            if info != 0 or not np.isfinite(delta).all():
+                raise _StepReject("newton")
             lam = 1.0
             accepted = False
             reason = "newton"
             for _ in range(_MAX_BACKTRACK + 1):
                 trial = u[1:-1] + lam * delta
-                if np.any(trial <= 1e-8 * scale):
+                if (trial <= 1e-8 * scale).any():
                     reason = "positivity"
                     lam *= 0.5
                     continue
                 u_try = u.copy()
                 u_try[1:-1] = trial
-                err_try = float(np.max(np.abs(self._residual(u_try, uo_int, dt)) / scale))
+                G_try = self._residual(u_try, uo_int, dt)
+                err_try = float((np.abs(G_try) / scale).max())
                 # damped Newton: allow mild non-monotonicity, veto blow-up
                 if err_try <= 2.0 * err0 or err_try <= cfg.newton_tol:
-                    u = u_try
+                    u, G = u_try, G_try
                     accepted = True
                     break
                 reason = "newton"
                 lam *= 0.5
             if not accepted:
                 raise _StepReject(reason)
-            if float(np.max(np.abs(lam * delta) / scale)) <= cfg.newton_tol:
+            if float((np.abs(lam * delta) / scale).max()) <= cfg.newton_tol:
                 return u, it + 1
         raise _StepReject("newton")
 
@@ -403,8 +407,8 @@ class _Lockstep:
             for idx, (u_new, iters) in enumerate(stepped):
                 bound = u_new[1:-1] / (self.one_m * t_new)
                 margin = ((u_new[1:-1] - self.us[idx][1:-1]) / dt - bound) / bound
-                self.ab_max[idx] = max(self.ab_max[idx], float(np.max(margin)))
-                self.min_u[idx] = min(self.min_u[idx], float(np.min(u_new)))
+                self.ab_max[idx] = max(self.ab_max[idx], float(margin.max()))
+                self.min_u[idx] = min(self.min_u[idx], float(u_new.min()))
                 self.newton[idx] += iters
                 self.us[idx] = u_new
             self.n_steps += 1

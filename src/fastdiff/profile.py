@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -447,23 +448,47 @@ def profile_interpolator(profile: Profile):
     """Callable f(r) on the profile's radial range; RangeError outside it.
 
     Interpolates log wt cubically in s = log r, so relative accuracy is
-    uniform over the full dynamic range of f.
+    uniform over the full dynamic range of f.  A float radius (the boundary
+    traces of the experiments) takes a scalar path that gives the array
+    path's bits: PPoly's interval search and power-sum order, and numpy's
+    own log and exp.
     """
     s = profile.s_grid
     spline = CubicSpline(s, np.log(profile.wt))
     gamma = profile.params.gamma
     lo, hi = float(s[0]), float(s[-1])
+    # the scalar path reads the spline's own knots and coefficients as flat
+    # doubles through memoryviews, so the table is not copied per
+    # interpolator; c[j * nseg + i] multiplies (s - x_i)^(3 - j)
+    x = memoryview(spline.x)
+    c = memoryview(spline.c.ravel())
+    nseg = len(x) - 1
+
+    def out_of_table(sq_min, sq_max):
+        return RangeError(
+            f"radius outside profile table: log r in [{sq_min:.3f}, {sq_max:.3f}], "
+            f"table spans [{lo:.3f}, {hi:.3f}]"
+        )
 
     def f_of_r(r):
+        if isinstance(r, float):
+            if not r > 0:
+                raise RangeError(f"radius must be positive, got {r}")
+            sq = float(np.log(r))
+            if sq < lo - 1e-12 or sq > hi + 1e-12:
+                raise out_of_table(sq, sq)
+            sv = min(max(sq, lo), hi)
+            i = min(bisect_right(x, sv) - 1, nseg - 1)
+            t = sv - x[i]
+            t2 = t * t
+            val = c[3 * nseg + i] + c[2 * nseg + i] * t + c[nseg + i] * t2 + c[i] * (t2 * t)
+            return float(np.exp(-gamma * sq + val))
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(r_arr <= 0):
-            raise RangeError("radius must be positive")
+        if not np.all(r_arr > 0):
+            raise RangeError("radius must be positive, got a non-positive or nan value")
         sq = np.log(r_arr)
         if float(sq.min()) < lo - 1e-12 or float(sq.max()) > hi + 1e-12:
-            raise RangeError(
-                f"radius outside profile table: log r in [{sq.min():.3f}, {sq.max():.3f}], "
-                f"table spans [{lo:.3f}, {hi:.3f}]"
-            )
+            raise out_of_table(sq.min(), sq.max())
         out = np.exp(-gamma * sq + spline(np.clip(sq, lo, hi)))
         return float(out[0]) if np.ndim(r) == 0 else out
 

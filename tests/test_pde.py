@@ -8,7 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+import fastdiff.pde
 from fastdiff import (
     ConfigError,
     EvolveConfig,
@@ -29,6 +31,7 @@ from fastdiff import (
     rescale_field,
 )
 from fastdiff.errors import NewtonDivergence
+from fastdiff.pde import _Stepper
 
 ANNULUS = (0.1, 10.0)
 
@@ -235,6 +238,87 @@ class TestEvolveBasics:
         assert st.newton_total >= st.n_steps
         assert st.min_u > 0
         assert st.dt_final > 0
+
+
+def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
+    """The backward-Euler Newton step written against solve_banded: the
+    residual recomputed at the top of every iteration and the Jacobian laid
+    out in banded storage, as the stepper did before it called LAPACK
+    directly."""
+    m, cfg, lo, ce, hi = stepper.m, stepper.cfg, stepper.lo, stepper.ce, stepper.hi
+
+    def residual(u):
+        F = u**m / m
+        return u[1:-1] - u_old[1:-1] - dt * (lo * F[:-2] + ce * F[1:-1] + hi * F[2:])
+
+    u = u_old.copy()
+    u[0], u[-1] = float(bc_left(t + dt)), float(bc_right(t + dt))
+    scale = u_old[1:-1]
+    ab = np.empty((3, scale.size))
+    for it in range(cfg.newton_max):
+        G = residual(u)
+        err0 = float(np.max(np.abs(G) / scale))
+        if err0 <= cfg.newton_tol:
+            return u, it
+        dF = u ** (m - 1.0)
+        ab[1] = 1.0 - dt * ce * dF[1:-1]
+        ab[0, 0] = 0.0
+        ab[0, 1:] = -dt * hi[:-1] * dF[2:-1]
+        ab[2, -1] = 0.0
+        ab[2, :-1] = -dt * lo[1:] * dF[1:-2]
+        delta = solve_banded((1, 1), ab, -G)
+        lam = 1.0
+        for _ in range(11):
+            trial = u[1:-1] + lam * delta
+            if np.any(trial <= 1e-8 * scale):
+                lam *= 0.5
+                continue
+            u_try = u.copy()
+            u_try[1:-1] = trial
+            err_try = float(np.max(np.abs(residual(u_try)) / scale))
+            if err_try <= 2.0 * err0 or err_try <= cfg.newton_tol:
+                u = u_try
+                break
+            lam *= 0.5
+        else:
+            raise AssertionError("reference step rejected")
+        if float(np.max(np.abs(lam * delta) / scale)) <= cfg.newton_tol:
+            return u, it + 1
+    raise AssertionError("reference step did not converge")
+
+
+class TestStepperKernel:
+    def test_step_matches_solve_banded_reference(self, grid128, params_ref, bb):
+        stepper = _Stepper(grid128, params_ref, EvolveConfig())
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        left, right = field.bc
+        for dt in (1e-3, 0.05):
+            u_new, iters = stepper.step(field.u, 1.0, dt, left, right)
+            u_ref, iters_ref = _reference_step(stepper, field.u, 1.0, dt, left, right)
+            assert iters == iters_ref >= 2
+            assert np.array_equal(u_new, u_ref)
+
+    @pytest.mark.parametrize("info, bad", [(1, 0.0), (0, math.nan)])
+    def test_failed_linear_solve_is_newton_divergence(self, grid128, params_ref, bb,
+                                                      monkeypatch, info, bad):
+        # a solve that LAPACK flags as singular (info > 0), even with a usable
+        # answer, or a non-finite update ends as the typed Newton failure,
+        # not a LinAlgError or ValueError
+        lookup = fastdiff.pde.get_lapack_funcs
+
+        def failing_lookup(names, arrays):
+            (gtsv,) = lookup(names, arrays)
+
+            def failing_gtsv(*args):
+                du2, d, du, x, _ = gtsv(*args)
+                return du2, d, du, x + bad, info
+
+            return (failing_gtsv,)
+
+        monkeypatch.setattr(fastdiff.pde, "get_lapack_funcs", failing_lookup)
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        with pytest.raises(NewtonDivergence):
+            evolve(field, EvolveConfig(dt_init=0.01, dt_max=0.01, dt_min=0.01), [1.5])
 
 
 class TestEvolveAccuracy:

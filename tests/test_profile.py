@@ -242,6 +242,14 @@ class TestEndpointInsensitivity:
         assert prof2.eta_origin == pytest.approx(base_profile.eta_origin, rel=1e-8)
 
 
+def _radius_with_log(sv):
+    """A radius within 8 ulps of e^sv whose numpy log is exactly sv."""
+    near = np.exp(sv) + np.spacing(np.exp(sv)) * np.arange(-8, 9)
+    hits = near[np.log(near) == sv]
+    assert hits.size, sv
+    return float(hits[0])
+
+
 class TestInterpolator:
     def test_matches_table_nodes(self, base_profile):
         f_of_r = profile_interpolator(base_profile)
@@ -267,3 +275,30 @@ class TestInterpolator:
             f_of_r(0.0)
         with pytest.raises(RangeError):
             f_of_r(-1.0)
+
+    def test_non_finite_radius_raises(self, base_profile):
+        f_of_r = profile_interpolator(base_profile)
+        inner = float(base_profile.r_grid[100])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(RangeError):
+                f_of_r(bad)
+            with pytest.raises(RangeError):
+                f_of_r(np.array([inner, bad]))
+            with pytest.raises(RangeError):
+                f_of_r(np.asarray(bad))
+
+    def test_scalar_path_equals_array_path(self, base_profile, unit_eta_profile):
+        # a float radius takes the scalar path, an array the PPoly path; the
+        # two must agree to the last bit, the end pieces included
+        rng = np.random.default_rng(8)
+        for prof in (base_profile, unit_eta_profile):
+            f_of_r = profile_interpolator(prof)
+            s = prof.s_grid
+            ends = [_radius_with_log(s[0]), _radius_with_log(s[-1])]
+            outside = np.exp([s[0] - 5e-13, s[-1] + 5e-13])
+            radii = np.concatenate([prof.r_grid, ends, outside,
+                                    np.exp(rng.uniform(s[0], s[-1], 10_000))])
+            batch = f_of_r(radii)
+            scalar = np.array([f_of_r(float(r)) for r in radii])
+            assert np.array_equal(scalar, batch)
+            assert all(f_of_r(float(r)) == f_of_r(np.array([r]))[0] for r in radii[-100:])
