@@ -6,8 +6,10 @@ an optional --config JSON file, which overrides built-in defaults), computes
 everything in memory, and only then writes artifacts, so a failed run leaves
 no partial outputs - just error.json with the failure record.  Each option is
 declared once, in the tables below; they generate the flags, the defaults,
-the manifest's config block and the EvolveConfig.  Exit codes come from the
-exception classes: 0 success, 2 bad input, 3 numerical failures, 4 violated
+the manifest's config block and the EvolveConfig, and a command's table
+decides what its run builds: a ParamSet if it has m, the weight phi_mu if it
+has mu.  A float option must be finite.  Exit codes come from the exception
+classes: 0 success, 2 bad input, 3 numerical failures, 4 violated
 mathematical invariants.
 """
 
@@ -62,17 +64,19 @@ class Opt(NamedTuple):
     nullable: bool = False
 
 
-_MODEL = {
+_PROFILE_MODEL = {
     "m": Opt(float, 0.2, "diffusion exponent, 0 < m < (n-2)/n"),
     "gamma": Opt(float, 4.0, "singularity strength, 2/(1-m) < gamma < (n-2)/m"),
     "rho1": Opt(float, 1.0, "tail-equation rate constant (default 1)"),
     "eta": Opt(float, 1.0, "target origin coefficient lim r^gamma f"),
     "b1_margin": Opt(float, 0.05, "relative safety margin above b0"),
     "tol": Opt(float, 1e-12, "master tolerance for the solvers"),
-    "mu": Opt(float, None, "weight decay exponent, 0 < mu < n-2 (default (n-2)/2)",
-               nullable=True),
-    "out": Opt(str, "out", "output directory (env FDX_OUT overrides)"),
 }
+_WEIGHT = {
+    "mu": Opt(float, None, "weight decay exponent, 0 < mu < n-2 (default (n-2)/2)",
+              nullable=True),
+}
+_OUT = {"out": Opt(str, "out", "output directory (env FDX_OUT overrides)")}
 _S_RANGE = {
     "s_min": Opt(float, None, "left end of the log-radius range", nullable=True),
     "s_max": Opt(float, None, "right end of the log-radius range", nullable=True),
@@ -130,31 +134,36 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _derived_block(o: dict, params: ParamSet, weight: WeightFunction) -> dict:
-    # the constants of the build itself: solve_for_eta builds at eta_inf = 1
-    fp = derive_fp_constants(params, eta_inf=1.0, b1_margin=o["b1_margin"])
-    exp_c = derive_expansion_constants(params)
-    return {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "alpha_p": params.alpha_p,
-        "beta_p": params.beta_p,
-        "gamma_in_convergence_range": params.gamma_in_convergence_range,
-        "C1": fp.C1,
-        "C2": fp.C2,
-        "C3": fp.C3,
-        "C4": fp.C4,
-        "C5": fp.C5,
-        "eps1": fp.eps1,
-        "b0": fp.b0,
-        "b1": fp.b1,
-        "a1": exp_c.a1,
-        "a2": exp_c.a2,
-        "a3": exp_c.a3,
-        "a4": weight.a4,
-        "a5": weight.a5,
-        "mu": o["mu"],
-    }
+def _derived_block(o: dict, params: Optional[ParamSet],
+                   weight: Optional[WeightFunction]) -> dict:
+    """The constants of what the run built: of the ParamSet, if derived, and
+    of the weight, if built."""
+    derived = {}
+    if params is not None:
+        # the constants of the build itself: solve_for_eta builds at eta_inf = 1
+        fp = derive_fp_constants(params, eta_inf=1.0, b1_margin=o["b1_margin"])
+        exp_c = derive_expansion_constants(params)
+        derived.update({
+            "alpha": params.alpha,
+            "beta": params.beta,
+            "alpha_p": params.alpha_p,
+            "beta_p": params.beta_p,
+            "gamma_in_convergence_range": params.gamma_in_convergence_range,
+            "C1": fp.C1,
+            "C2": fp.C2,
+            "C3": fp.C3,
+            "C4": fp.C4,
+            "C5": fp.C5,
+            "eps1": fp.eps1,
+            "b0": fp.b0,
+            "b1": fp.b1,
+            "a1": exp_c.a1,
+            "a2": exp_c.a2,
+            "a3": exp_c.a3,
+        })
+    if weight is not None:
+        derived.update({"a4": weight.a4, "a5": weight.a5, "mu": o["mu"]})
+    return derived
 
 
 def _build_profile(o: dict, params: ParamSet):
@@ -168,7 +177,7 @@ def _build_profile(o: dict, params: ParamSet):
     )
 
 
-def _cmd_profile(o: dict, params: ParamSet, weight: WeightFunction):
+def _cmd_profile(o: dict, params: ParamSet, weight: None):
     prof = _build_profile(o, params)
     rows = zip(prof.s_grid, prof.r_grid, prof.h, prof.wt, prof.f, prof.rfr_over_f)
     summary = {
@@ -186,7 +195,7 @@ def _cmd_profile(o: dict, params: ParamSet, weight: WeightFunction):
     }, {}
 
 
-def _cmd_expansion(o: dict, params: ParamSet, weight: WeightFunction):
+def _cmd_expansion(o: dict, params: ParamSet, weight: None):
     prof = _build_profile(o, params)
     exp_c = derive_expansion_constants(params)
     report = expansion_check(prof, exp_c)
@@ -205,7 +214,7 @@ def _cmd_expansion(o: dict, params: ParamSet, weight: WeightFunction):
     return {"expansion_summary.json": _json_text(summary)}, {}
 
 
-def _cmd_weight(o: dict, params: ParamSet, weight: WeightFunction):
+def _cmd_weight(o: dict, params: None, weight: WeightFunction):
     r = log_grid(o["r_lo"], o["r_hi"], o["nodes"])
     phi, dphi = eval_weight(weight, r)
     preamble = f"# a4={weight.a4:.17g} a5={weight.a5:.17g} mu={o['mu']:.17g} n={o['n']}"
@@ -349,21 +358,24 @@ def _cmd_converge(o: dict, params: ParamSet, weight: WeightFunction):
 
 
 class Command(NamedTuple):
-    compute: Callable
+    compute: Callable  # (opts, params, weight); params/weight None unless options has m/mu
     help: str
-    options: dict    # command options beyond the model group, in flag order
+    options: dict      # every option of the command except --out, in flag order
 
 
 _COMMANDS = {
-    "profile": Command(_cmd_profile, "construct the singular profile f", _S_RANGE),
-    "expansion": Command(_cmd_expansion, "origin/far-field expansion and inversion checks", _S_RANGE),
+    "profile": Command(_cmd_profile, "construct the singular profile f",
+                       {**_PROFILE_MODEL, **_S_RANGE}),
+    "expansion": Command(_cmd_expansion, "origin/far-field expansion and inversion checks",
+                         {**_PROFILE_MODEL, **_S_RANGE}),
     "weight": Command(_cmd_weight, "superharmonic weight phi_mu", {
+        **_WEIGHT,
         "r_lo": Opt(float, 0.1, "smallest tabulated radius"),
         "r_hi": Opt(float, 100.0, "largest tabulated radius"),
         "nodes": _STEPPING["nodes"]._replace(default=401),
     }),
     "evolve": Command(_cmd_evolve, "advance one radial field and compare to exact solutions", {
-        **_STEPPING,
+        **_PROFILE_MODEL, **_WEIGHT, **_STEPPING,
         "kind": Opt(("self-similar", "barenblatt", "constant", "power-bump"), "self-similar", None),
         "t_end": Opt(float, 2.0, "final time"),
         "samples": Opt(int, 9, "number of sampled times"),
@@ -374,7 +386,7 @@ _COMMANDS = {
         **_BUMP,
     }),
     "contract": Command(_cmd_contract, "weighted-L1 contraction of a sandwiched pair", {
-        **_STEPPING,
+        **_PROFILE_MODEL, **_WEIGHT, **_STEPPING,
         "t_end": Opt(float, 3.0, "final time"),
         "samples": Opt(int, 12, "number of sampled times"),
         "lam_a": Opt(float, 1.2, "first envelope scaling"),
@@ -383,7 +395,7 @@ _COMMANDS = {
         "seed": Opt(int, 0, "random seed"),
     }),
     "converge": Command(_cmd_converge, "large-time convergence of rescaled solutions", {
-        **_STEPPING,
+        **_PROFILE_MODEL, **_WEIGHT, **_STEPPING,
         "dt_rel_max": _STEPPING["dt_rel_max"]._replace(default=2.5e-4),
         "nodes": _STEPPING["nodes"]._replace(default=640),
         "case": Opt(("orbit", "bump"), "orbit", None),
@@ -407,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", type=str, help="JSON file with default values for any flag")
         p.add_argument("--n", type=int, required=True, help="space dimension (integer >= 3)")
-        for key, opt in {**_MODEL, **command.options}.items():
+        for key, opt in {**command.options, **_OUT}.items():
             choices = opt.type if isinstance(opt.type, tuple) else None
             p.add_argument("--" + key.replace("_", "-"), type=str if choices else opt.type,
                            choices=choices, help=opt.help)
@@ -453,19 +465,23 @@ def _from_file(key: str, opt: Opt, value):
 def _resolve(args: argparse.Namespace) -> dict:
     """Every option of the command: its flag, else its --config value, else its default."""
     file_cfg = _read_config(args.config)
-    table = {**_MODEL, **_COMMANDS[args.command].options}
+    table = {**_COMMANDS[args.command].options, **_OUT}
     unknown = sorted(set(file_cfg) - set(table))
     if unknown:
         raise ConfigError(f"config file: {args.command} has no option {', '.join(unknown)}")
     opts = {"n": args.n}
     for key, opt in table.items():
         if getattr(args, key) is not None:
-            opts[key] = getattr(args, key)
+            value = getattr(args, key)
         elif key in file_cfg:
-            opts[key] = _from_file(key, opt, file_cfg[key])
+            value = _from_file(key, opt, file_cfg[key])
         else:
-            opts[key] = opt.default
-    if opts["mu"] is None:
+            value = opt.default
+        # argparse and JSON both read inf and nan as floats
+        if opt.type is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value}")
+        opts[key] = value
+    if "mu" in opts and opts["mu"] is None:
         opts["mu"] = (args.n - 2) / 2.0
     opts["out"] = os.environ.get("FDX_OUT") or opts["out"]
     return opts
@@ -475,10 +491,14 @@ def run(command: str, opts: dict, skip: tuple = ()) -> int:
     """Execute one resolved command and write its artifacts, leaving out those
     whose names end in one of the `skip` suffixes; returns the exit code."""
     out_dir = Path(opts["out"])
+    table = _COMMANDS[command].options
+    params = weight = None
     try:
-        params = derive_params(opts["n"], opts["m"], opts["gamma"], opts["rho1"])
-        # at build_weight's own quadrature tolerance; --tol is the profile solvers'
-        weight = build_weight(BumpSpec(mu=opts["mu"], n=opts["n"]))
+        if "m" in table:
+            params = derive_params(opts["n"], opts["m"], opts["gamma"], opts["rho1"])
+        if "mu" in table:
+            # at build_weight's own quadrature tolerance; --tol is the profile solvers'
+            weight = build_weight(BumpSpec(mu=opts["mu"], n=opts["n"]))
         artifacts, extra = _COMMANDS[command].compute(opts, params, weight)
         manifest = {"command": command, "config": opts,
                     "derived": _derived_block(opts, params, weight), **extra}

@@ -90,8 +90,8 @@ def derive_params(n: int, m: float, gamma: float, rho1: float = 1.0) -> ParamSet
         raise RangeError(f"dimension n must be an integer >= 3, got {n}")
     if not 0.0 < m < (n - 2) / n:
         raise RangeError(f"exponent m must satisfy 0 < m < (n-2)/n = {(n - 2) / n}, got {m}")
-    if not rho1 > 0.0:
-        raise RangeError(f"rho1 must be positive, got {rho1}")
+    if not 0.0 < rho1 < math.inf:
+        raise RangeError(f"rho1 must be positive and finite, got {rho1}")
     denom = 2.0 - gamma * (1.0 - m)
     if abs(denom) < _POLE_TOL * max(1.0, abs(gamma)):
         raise DegenerateError(

@@ -81,11 +81,11 @@ _SUP_WINDOW = (0.1, 10.0)
 
 def log_grid(r_in: float, r_out: float, n_nodes: int) -> np.ndarray:
     """Log-uniform grid on [r_in, r_out], the node layout the solver requires."""
-    if not 0.0 < r_in < r_out:
-        raise RangeError(f"need 0 < r_in < r_out, got [{r_in}, {r_out}]")
-    if n_nodes < 4:
-        raise ConfigError(f"need at least 4 nodes, got {n_nodes}")
-    return np.exp(np.linspace(math.log(r_in), math.log(r_out), int(n_nodes)))
+    if not 0.0 < r_in < r_out < math.inf:
+        raise RangeError(f"need 0 < r_in < r_out < inf, got [{r_in}, {r_out}]")
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 4:
+        raise ConfigError(f"need an integer count of at least 4 nodes, got {n_nodes}")
+    return np.exp(np.linspace(math.log(r_in), math.log(r_out), n_nodes))
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,8 @@ class EvolveConfig:
             raise ConfigError("dt_rel_max must be positive when set")
         if not self.dt_min <= self.dt_init <= self.dt_max:
             raise ConfigError("need dt_min <= dt_init <= dt_max")
-        if self.newton_max < 1:
-            raise ConfigError("newton_max must be at least 1")
+        if not isinstance(self.newton_max, (int, np.integer)) or self.newton_max < 1:
+            raise ConfigError(f"newton_max must be an integer >= 1, got {self.newton_max}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,8 @@ class RadialField:
             raise ConfigError("r_grid and u must be 1-d arrays of equal length")
         if not np.all(np.diff(r) > 0) or not r[0] > 0:
             raise ConfigError("grid must be positive and strictly increasing")
-        if not np.all(u > 0):
-            raise ConfigError("field values must be strictly positive")
+        if not np.all((u > 0) & np.isfinite(u)):
+            raise ConfigError("field values must be finite and strictly positive")
         if not self.t > 0:
             raise RangeError(f"time must be positive, got {self.t}")
 

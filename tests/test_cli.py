@@ -84,12 +84,18 @@ class TestWeightCommand:
         assert m1 == m2
 
     def test_manifest_derived_block(self, tmp_path):
+        # the block holds the constants of what the command built: the weight
+        # alone here, the ParamSet and the weight for a stepping command
         assert cli.main(["weight", "--n", "3", "--out", str(tmp_path), "--nodes", "31"]) == 0
         derived = read_json(tmp_path / "weight_manifest.json")["derived"]
-        for key in ("alpha", "beta", "alpha_p", "beta_p", "gamma_in_convergence_range",
-                    "C1", "C2", "C3", "C4", "C5", "eps1", "b0", "b1",
-                    "a1", "a2", "a3", "a4", "a5", "mu"):
-            assert key in derived, key
+        assert set(derived) == {"a4", "a5", "mu"}
+        assert derived["a4"] == pytest.approx(A4_REF, rel=1e-12)
+        assert cli.main(["evolve", "--n", "3", "--kind", "constant", "--nodes", "16",
+                         "--out", str(tmp_path)]) == 0
+        derived = read_json(tmp_path / "evolve_manifest.json")["derived"]
+        assert set(derived) == {"alpha", "beta", "alpha_p", "beta_p",
+                                "gamma_in_convergence_range", "C1", "C2", "C3", "C4", "C5",
+                                "eps1", "b0", "b1", "a1", "a2", "a3", "a4", "a5", "mu"}
         assert derived["alpha"] == pytest.approx(-10.0 / 3.0, rel=1e-14)
         assert derived["beta"] == pytest.approx(-5.0 / 6.0, rel=1e-14)
         assert derived["C1"] == 1.0
@@ -98,7 +104,7 @@ class TestWeightCommand:
         assert derived["a4"] == pytest.approx(A4_REF, rel=1e-12)
 
     def test_higher_dimension(self, tmp_path):
-        # the weight every command builds must exist beyond n = 3
+        # the weight the stepping commands build must exist beyond n = 3
         assert cli.main(["weight", "--n", "5", "--out", str(tmp_path), "--nodes", "31"]) == 0
         assert read_json(tmp_path / "weight_summary.json")["mu"] == 1.5
 
@@ -313,13 +319,16 @@ class TestExitCodes:
         lst.write_text("[1, 2]")
         assert cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),
                          "--config", str(lst)]) == 2
-        # file values are checked against the option's type
-        for body in ({"m": "abc"}, {"nodes": "51"}, {"nodes": 51.0}, {"nodes": True},
-                     {"m": None}, {"m": True}):
+        # file values are checked against the option's type, by a command that has it
+        for body, command in (({"m": "abc"}, "profile"), ({"nodes": "51"}, "weight"),
+                              ({"nodes": 51.0}, "weight"), ({"nodes": True}, "weight"),
+                              ({"m": None}, "profile"), ({"m": True}, "profile"),
+                              ({"tol": math.inf}, "profile")):
             typed = tmp_path / "typed.json"
             typed.write_text(json.dumps(body))
-            assert cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),
+            assert cli.main([command, "--n", "3", "--out", str(tmp_path / "o"),
                              "--config", str(typed)]) == 2, body
+            assert "has no option" not in capsys.readouterr().err, body
         choice = tmp_path / "choice.json"
         choice.write_text(json.dumps({"case": "nosuch"}))
         assert cli.main(["converge", "--n", "3", "--out", str(tmp_path / "o"),
@@ -336,6 +345,16 @@ class TestExitCodes:
             key = next(k for k in body if k != "m")
             assert f"has no option {key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--rho1", "inf"],
+        ["profile", "--tol", "inf"],
+        ["profile", "--b1-margin", "inf"],
+        ["evolve", "--kind", "constant", "--c0", "inf"],
+    ])
+    def test_non_finite_option_is_bad_input(self, argv, tmp_path, capsys):
+        assert cli.main([*argv, "--n", "3", "--out", str(tmp_path)]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
 
     def test_numerical_failure_is_exit_3(self, tmp_path):
         rc = cli.main(["evolve", "--n", "3", "--kind", "barenblatt", "--out", str(tmp_path),
@@ -365,6 +384,46 @@ class TestExitCodes:
         assert cli.main(["weight", "--n", "3", "--out", str(tmp_path), "--nodes", "31"]) == 0
         assert not (tmp_path / "error.json").exists()
         assert (tmp_path / "weight_summary.json").exists()
+
+
+def help_flags(command, capsys):
+    """The flags that `fdx <command> --help` lists."""
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    return set(re.findall(r"^\s+(--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE))
+
+
+PROFILE_MODEL_FLAGS = {"--m", "--gamma", "--rho1", "--eta", "--b1-margin", "--tol"}
+
+
+class TestCommandScope:
+    """Each command takes only the options it reads and builds only what it uses:
+    the profile commands no weight, the weight command no ParamSet."""
+
+    def test_profile_commands_build_no_weight(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "build_weight", lambda *a, **k: pytest.fail("weight built"))
+        for command in ("profile", "expansion"):
+            assert cli.main([command, "--n", "3", "--out", str(tmp_path)]) == 0
+            manifest = read_json(tmp_path / f"{command}_manifest.json")
+            assert not {"mu", "a4", "a5"} & set(manifest["derived"])
+            assert "mu" not in manifest["config"]
+
+    def test_weight_derives_no_params(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "derive_params", lambda *a, **k: pytest.fail("params derived"))
+        assert cli.main(["weight", "--n", "3", "--out", str(tmp_path), "--nodes", "31"]) == 0
+        config = read_json(tmp_path / "weight_manifest.json")["config"]
+        assert set(config) == {"n", "mu", "r_lo", "r_hi", "nodes", "out"}
+
+    @pytest.mark.parametrize("command", ["profile", "expansion"])
+    def test_profile_commands_take_no_mu(self, command, capsys):
+        flags = help_flags(command, capsys)
+        assert "--mu" not in flags
+        assert PROFILE_MODEL_FLAGS <= flags
+
+    def test_weight_takes_no_profile_model(self, capsys):
+        flags = help_flags("weight", capsys)
+        assert not PROFILE_MODEL_FLAGS & flags
+        assert "--mu" in flags
 
 
 class TestConfigResolution:
@@ -413,9 +472,7 @@ class TestConfigResolution:
     @pytest.mark.parametrize("command", ["evolve", "contract", "converge"])
     def test_every_evolve_config_field_is_a_flag(self, command, capsys):
         # a stepping control no flag reaches accepts only its default
-        with pytest.raises(SystemExit):
-            cli.main([command, "--help"])
-        flags = set(re.findall(r"^\s+(--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE))
+        flags = help_flags(command, capsys)
         for f in dataclasses.fields(fastdiff.EvolveConfig):
             assert "--" + f.name.replace("_", "-") in flags
 

@@ -57,6 +57,11 @@ class TestExponents:
         with pytest.raises(RangeError):
             fd.derive_params(3, -0.1, 4.0)
 
+    def test_rho1_must_be_positive_and_finite(self):
+        for rho1 in (0.0, math.inf, math.nan):
+            with pytest.raises(RangeError):
+                fd.derive_params(3, 0.2, 4.0, rho1)
+
     def test_n_must_be_integer_ge_3(self):
         with pytest.raises(RangeError):
             fd.derive_params(2, 0.2, 4.0)

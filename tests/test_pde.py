@@ -74,6 +74,10 @@ class TestLogGrid:
             log_grid(2.0, 1.0, 16)
         with pytest.raises(ConfigError):
             log_grid(0.1, 1.0, 3)
+        with pytest.raises(ConfigError):
+            log_grid(0.1, 1.0, math.nan)
+        with pytest.raises(ConfigError):
+            log_grid(0.1, 1.0, 10.7)
 
 
 class TestEvolveConfig:
@@ -91,6 +95,8 @@ class TestEvolveConfig:
             EvolveConfig(dt_rel_max=0.0)
         with pytest.raises(ConfigError):
             EvolveConfig(newton_tol=0.0)
+        with pytest.raises(ConfigError):
+            EvolveConfig(newton_max=2.5)
 
 
 class TestRadialField:
@@ -99,6 +105,8 @@ class TestRadialField:
         bc = (lambda t: 1.0, lambda t: 1.0)
         with pytest.raises(ConfigError):
             RadialField(grid128, np.concatenate([ones[:-1], [-1.0]]), 1.0, bc, params_ref)
+        with pytest.raises(ConfigError):
+            RadialField(grid128, np.concatenate([ones[:-1], [np.inf]]), 1.0, bc, params_ref)
         with pytest.raises(ConfigError):
             RadialField(grid128[::-1], ones, 1.0, bc, params_ref)
         with pytest.raises(ConfigError):
