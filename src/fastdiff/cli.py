@@ -246,6 +246,9 @@ def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
     kind, t0, t_end = o["kind"], o["t0"], o["t_end"]
     if not t_end > t0:
         raise RangeError(f"t_end must exceed t0, got {t_end} <= {t0}")
+    if not o["samples"] >= 2:
+        # a single sample is t0 itself: no step would reach t_end
+        raise ConfigError("need a sequence of at least 2 finite sample time(s)")
 
     exact = None  # the solution V(r, t) the run is compared with
     if kind == "self-similar":

@@ -82,7 +82,7 @@ _SUP_WINDOW = (0.1, 10.0)
 def log_grid(r_in: float, r_out: float, n_nodes: int) -> np.ndarray:
     """Log-uniform grid on [r_in, r_out], the node layout the solver requires."""
     if not 0.0 < r_in < r_out < math.inf:
-        raise RangeError(f"need 0 < r_in < r_out < inf, got [{r_in}, {r_out}]")
+        raise RangeError(f"need 0 < inner radius < outer radius < inf, got [{r_in}, {r_out}]")
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 4:
         raise ConfigError(f"need an integer count of at least 4 nodes, got {n_nodes}")
     return np.exp(np.linspace(math.log(r_in), math.log(r_out), n_nodes))
@@ -290,12 +290,18 @@ class _Stepper:
         # calls, without that wrapper's validation on every Newton iteration
         (self.gtsv,) = get_lapack_funcs(("gtsv",), (self.ce,))
 
-    def _apply(self, F: np.ndarray) -> np.ndarray:
-        return self.lo * F[:-2] + self.ce * F[1:-1] + self.hi * F[2:]
-
     def _residual(self, u: np.ndarray, uo_int: np.ndarray, dt: float) -> np.ndarray:
-        F = u**self.m / self.m
-        return u[1:-1] - uo_int - dt * self._apply(F)
+        # u[1:-1] - uo_int - dt * (lo F[:-2] + ce F[1:-1] + hi F[2:]) with
+        # F = u^m / m, in that operation order, on as few temporaries
+        F = u**self.m
+        F /= self.m
+        LF = self.lo * F[:-2]
+        LF += self.ce * F[1:-1]
+        LF += self.hi * F[2:]
+        LF *= dt
+        G = u[1:-1] - uo_int
+        G -= LF
+        return G
 
     def step(self, u_old: np.ndarray, t: float, dt: float,
              bc_left: Callable, bc_right: Callable) -> tuple[np.ndarray, int]:
@@ -314,42 +320,51 @@ class _Stepper:
         u[0], u[-1] = left, right
         uo_int = u_old[1:-1]
         scale = uo_int  # positive by invariant; fixed per step
+        floor = 1e-8 * scale
         # Jacobian diagonals up to the factor dF = u^(m-1), fixed per step
         dt_ce, mdt_hi, mdt_lo = dt * self.ce, -dt * self.hi[:-1], -dt * self.lo[1:]
         G = self._residual(u, uo_int, dt)
+        # scaled residual norm of the current iterate, carried from the
+        # accepted trial into the next iteration
+        err0 = float((np.abs(G) / scale).max())
         for it in range(cfg.newton_max):
-            err0 = float((np.abs(G) / scale).max())
             if err0 <= cfg.newton_tol:
                 return u, it
-            dF = u ** (m - 1.0)
-            # the four inputs are temporaries, so LAPACK may overwrite them
-            _, _, _, delta, info = self.gtsv(mdt_lo * dF[1:-2], 1.0 - dt_ce * dF[1:-1],
-                                             mdt_hi * dF[2:-1], -G, True, True, True, True)
-            if info != 0 or not np.isfinite(delta).all():
+            dF = u[1:-1] ** (m - 1.0)
+            # the four inputs are temporaries (G is not read again), so LAPACK
+            # may overwrite them
+            _, _, _, delta, info = self.gtsv(mdt_lo * dF[:-1], 1.0 - dt_ce * dF,
+                                             mdt_hi * dF[1:], np.negative(G, out=G),
+                                             True, True, True, True)
+            if info != 0:
+                raise _StepReject("newton")
+            # scaled increment norm; nan or inf here is a non-finite update
+            inc = float((np.abs(delta) / scale).max())
+            if not math.isfinite(inc):
                 raise _StepReject("newton")
             lam = 1.0
-            accepted = False
             reason = "newton"
+            u_try = np.empty_like(u)
+            u_try[0], u_try[-1] = left, right
+            trial = u_try[1:-1]
             for _ in range(_MAX_BACKTRACK + 1):
-                trial = u[1:-1] + lam * delta
-                if (trial <= 1e-8 * scale).any():
+                np.add(u[1:-1], delta if lam == 1.0 else lam * delta, out=trial)
+                if np.count_nonzero(trial <= floor):
                     reason = "positivity"
                     lam *= 0.5
                     continue
-                u_try = u.copy()
-                u_try[1:-1] = trial
                 G_try = self._residual(u_try, uo_int, dt)
                 err_try = float((np.abs(G_try) / scale).max())
                 # damped Newton: allow mild non-monotonicity, veto blow-up
                 if err_try <= 2.0 * err0 or err_try <= cfg.newton_tol:
-                    u, G = u_try, G_try
-                    accepted = True
                     break
                 reason = "newton"
                 lam *= 0.5
-            if not accepted:
+            else:
                 raise _StepReject(reason)
-            if float((np.abs(lam * delta) / scale).max()) <= cfg.newton_tol:
+            u, G, err0 = u_try, G_try, err_try
+            # lam is a power of two, so lam * inc is the scaled norm of lam * delta
+            if lam * inc <= cfg.newton_tol:
                 return u, it + 1
         raise _StepReject("newton")
 
@@ -406,7 +421,11 @@ class _Lockstep:
             t_new = t_target if clamped else t + dt
             for idx, (u_new, iters) in enumerate(stepped):
                 bound = u_new[1:-1] / (self.one_m * t_new)
-                margin = ((u_new[1:-1] - self.us[idx][1:-1]) / dt - bound) / bound
+                # ((u_new - u_old)/dt - bound)/bound, in place
+                margin = u_new[1:-1] - self.us[idx][1:-1]
+                margin /= dt
+                margin -= bound
+                margin /= bound
                 self.ab_max[idx] = max(self.ab_max[idx], float(margin.max()))
                 self.min_u[idx] = min(self.min_u[idx], float(u_new.min()))
                 self.newton[idx] += iters

@@ -295,6 +295,17 @@ class TestExitCodes:
         assert rc == 2
         assert read_json(tmp_path / "error.json")["error"] == "ConfigError"
 
+    def test_single_sample_is_bad_input(self, tmp_path):
+        # one sample is t0 alone, which would ignore --t-end: refused with
+        # the message contract and converge give for too few samples
+        rc = cli.main(["evolve", "--n", "3", "--kind", "constant", "--nodes", "16",
+                       "--samples", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        record = read_json(tmp_path / "error.json")
+        assert record["error"] == "ConfigError"
+        assert record["message"] == "need a sequence of at least 2 finite sample time(s)"
+        assert not (tmp_path / "evolve_summary.json").exists()
+
     def test_missing_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["profile"])

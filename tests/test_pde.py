@@ -68,7 +68,8 @@ class TestLogGrid:
         assert np.allclose(dx, dx[0], rtol=1e-10)
 
     def test_validation(self):
-        with pytest.raises(RangeError):
+        # the message names no parameter, since callers name the radii differently
+        with pytest.raises(RangeError, match=r"inner radius < outer radius < inf, got \[0.0, 1.0\]"):
             log_grid(0.0, 1.0, 16)
         with pytest.raises(RangeError):
             log_grid(2.0, 1.0, 16)
@@ -252,7 +253,8 @@ def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
     """The backward-Euler Newton step written against solve_banded: the
     residual recomputed at the top of every iteration and the Jacobian laid
     out in banded storage, as the stepper did before it called LAPACK
-    directly."""
+    directly.  Returns (u_new, newton_iterations, damped), where damped says
+    whether an accepted Newton update was scaled by lam < 1."""
     m, cfg, lo, ce, hi = stepper.m, stepper.cfg, stepper.lo, stepper.ce, stepper.hi
 
     def residual(u):
@@ -263,11 +265,12 @@ def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
     u[0], u[-1] = float(bc_left(t + dt)), float(bc_right(t + dt))
     scale = u_old[1:-1]
     ab = np.empty((3, scale.size))
+    damped = False
     for it in range(cfg.newton_max):
         G = residual(u)
         err0 = float(np.max(np.abs(G) / scale))
         if err0 <= cfg.newton_tol:
-            return u, it
+            return u, it, damped
         dF = u ** (m - 1.0)
         ab[1] = 1.0 - dt * ce * dF[1:-1]
         ab[0, 0] = 0.0
@@ -290,8 +293,9 @@ def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
             lam *= 0.5
         else:
             raise AssertionError("reference step rejected")
+        damped |= lam < 1.0
         if float(np.max(np.abs(lam * delta) / scale)) <= cfg.newton_tol:
-            return u, it + 1
+            return u, it + 1, damped
     raise AssertionError("reference step did not converge")
 
 
@@ -302,11 +306,28 @@ class TestStepperKernel:
         left, right = field.bc
         for dt in (1e-3, 0.05):
             u_new, iters = stepper.step(field.u, 1.0, dt, left, right)
-            u_ref, iters_ref = _reference_step(stepper, field.u, 1.0, dt, left, right)
+            u_ref, iters_ref, _ = _reference_step(stepper, field.u, 1.0, dt, left, right)
             assert iters == iters_ref >= 2
             assert np.array_equal(u_new, u_ref)
 
-    @pytest.mark.parametrize("info, bad", [(1, 0.0), (0, math.nan)])
+    @pytest.mark.parametrize("newton_tol, iters_expected", [(1e-11, 6), (0.5, 1)])
+    def test_damped_step_matches_solve_banded_reference(self, grid128, params_ref,
+                                                        newton_tol, iters_expected):
+        # a rough datum at a large dt: the first Newton update overshoots and
+        # is accepted at lam = 1/2.  At the default tolerance the step then
+        # converges on full updates; at newton_tol = 0.5 the damped increment
+        # (0.42 in the scaled norm, 0.84 undamped) ends the step, so the lam
+        # factor of the increment test decides the count
+        stepper = _Stepper(grid128, params_ref, EvolveConfig(newton_tol=newton_tol))
+        u0 = power_bump_initial(params_ref, 1.0, amp=3.0)(grid128)
+        left, right = (lambda t: float(u0[0])), (lambda t: float(u0[-1]))
+        u_new, iters = stepper.step(u0, 1.0, 0.2, left, right)
+        u_ref, iters_ref, damped = _reference_step(stepper, u0, 1.0, 0.2, left, right)
+        assert damped
+        assert iters == iters_ref == iters_expected
+        assert np.array_equal(u_new, u_ref)
+
+    @pytest.mark.parametrize("info, bad", [(1, 0.0), (0, math.nan), (0, math.inf)])
     def test_failed_linear_solve_is_newton_divergence(self, grid128, params_ref, bb,
                                                       monkeypatch, info, bad):
         # a solve that LAPACK flags as singular (info > 0), even with a usable
