@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Adaptive ODE integration and adaptive quadrature are thin contracts over
-scipy (solve_ivp, quad); the uniform-grid composite rules and finite
-difference stencils used throughout the package live here as well.
+Adaptive ODE integration drives scipy's DOP853/LSODA solver classes step by
+step; adaptive quadrature is a thin contract over scipy's quad.  The
+uniform-grid composite rules and finite difference stencils used throughout
+the package live here as well.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate as _sint
+from scipy.optimize import brentq
 
 from .errors import BlowUpError, QuadratureError, RangeError, StiffnessError
 
@@ -58,6 +60,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
+_SOLVERS = {"dop853": _sint.DOP853, "lsoda": _sint.LSODA}
+_EVENT_TOL = 4.0 * np.finfo(float).eps    # brentq tolerance of solve_ivp's event search
+
+
 def integrate_ode(
     rhs: Callable,
     y0,
@@ -71,58 +77,63 @@ def integrate_ode(
     method "dop853" is the explicit Dormand-Prince 8(5,3) pair, for smooth
     non-stiff problems at tight tolerances; "lsoda" switches between Adams
     and BDF steps as stiffness comes and goes, and uses the analytic
-    Jacobian jac (lsoda only) when one is given.  Raises BlowUpError when
-    any state component crosses the overflow guard 1e12 (bounded-state
-    problems make that a bug signal, not a numerical event) and
-    StiffnessError when the step size underflows or the evaluation budget
-    runs out.
+    Jacobian jac (lsoda only) when one is given.  Each accepted step adds
+    its dense output (a zero-length step adds none), as solve_ivp with
+    dense_output=True does.  Raises BlowUpError when max|y| goes from at or
+    below the overflow guard 1e12 to at or above it over an accepted step
+    (bounded-state problems make that a bug signal, not a numerical event),
+    at the crossing located on that step's dense output; StiffnessError
+    when the step size underflows or the evaluation budget runs out.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
         raise RangeError("initial state must be finite")
-    scipy_method = {"dop853": "DOP853", "lsoda": "LSODA"}.get(method)
-    if scipy_method is None:
+    solver_cls = _SOLVERS.get(method)
+    if solver_cls is None:
         raise RangeError(f"unknown method {method!r}")
-    if jac is not None and scipy_method != "LSODA":
+    if jac is not None and solver_cls is not _sint.LSODA:
         raise RangeError(f"method {method!r} takes no Jacobian")
 
-    budget = {"nfev": 0}
+    nfev = 0
 
     def wrapped(s, y):
-        budget["nfev"] += 1
-        if budget["nfev"] > _NFEV_BUDGET:
+        nonlocal nfev
+        nfev += 1
+        if nfev > _NFEV_BUDGET:
             raise _BudgetExhausted
         return rhs(s, y)
 
-    def guard(s, y):
-        return _OVERFLOW_GUARD - float(np.max(np.abs(y)))
+    def guard(y):
+        return _OVERFLOW_GUARD - float(np.abs(y).max())
 
-    guard.terminal = True
-    guard.direction = -1
-
-    kwargs = dict(
-        method=scipy_method,
-        rtol=tol.rel_tol,
-        atol=tol.abs_tol,
-        dense_output=True,
-        events=[guard],
-    )
-    if jac is not None:
-        kwargs["jac"] = jac
+    s0, s1 = map(float, s_span)
+    options = {} if jac is None else {"jac": jac}
     try:
-        res = _sint.solve_ivp(wrapped, s_span, y0, **kwargs)
+        solver = solver_cls(wrapped, s0, y0, s1, rtol=tol.rel_tol, atol=tol.abs_tol, **options)
+        ts, ys, pieces = [s0], [y0], []
+        g = guard(y0)
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise StiffnessError(f"integrator failed on span {s_span}: {message}")
+            piece = solver.dense_output()
+            g_new = guard(solver.y)
+            if g >= 0.0 >= g_new:
+                s_hit = brentq(lambda sv: guard(piece(sv)), solver.t_old, solver.t,
+                               xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+                raise BlowUpError(f"state exceeded overflow guard {_OVERFLOW_GUARD:g} at s={s_hit:.6g}")
+            g = g_new
+            if len(ts) == 1 or ts[-1] != solver.t:
+                ts.append(solver.t)
+                ys.append(solver.y)
+                pieces.append(piece)
     except _BudgetExhausted:
         raise StiffnessError(
             f"evaluation budget exhausted ({_NFEV_BUDGET} rhs calls) on span {s_span}"
         )
-    if res.status == 1:
-        raise BlowUpError(
-            f"state exceeded overflow guard {_OVERFLOW_GUARD:g} at s={res.t_events[0][0]:.6g}"
-        )
-    if not res.success:
-        raise StiffnessError(f"integrator failed on span {s_span}: {res.message}")
-    # res.t holds the start point and then one entry per accepted step
-    return OdeTrajectory(y=res.y, sol=res.sol, nfev=budget["nfev"], naccepted=res.t.size - 1)
+    sol = _sint.OdeSolution(np.array(ts), pieces, alt_segment=solver_cls is _sint.LSODA)
+    # ts holds the start point and then one entry per accepted step
+    return OdeTrajectory(y=np.vstack(ys).T, sol=sol, nfev=nfev, naccepted=len(ts) - 1)
 
 
 def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:

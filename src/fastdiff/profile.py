@@ -35,6 +35,7 @@ from .errors import (
     InternalError,
     NonContractionError,
     RangeError,
+    ResolutionError,
     ToleranceError,
 )
 from .numerics import _W_FIRST, _W_LAST, _W_MID, Tolerances, cumulative_integral, integrate_ode
@@ -94,23 +95,22 @@ class Profile:
         return self.z - self.params.gamma
 
 
-def _weighted_norm(dwt, dh, s, C1, C2):
-    a = float(np.max(np.abs(dwt) * np.exp(C1 * s))) if dwt is not None else 0.0
-    b = float(np.max(np.abs(dh) * np.exp(0.5 * C2 * s))) if dh is not None else 0.0
-    return max(a, b)
+def _weighted_norm(dwt, dh, weights):
+    e1, _, e2_half = weights
+    return max(float(np.max(np.abs(dwt) * e1)), float(np.max(np.abs(dh) * e2_half)))
 
 
-def _check_membership(wt, h, s, fp, slack):
+def _check_membership(wt, h, s, fp, slack, weights):
     """All D_b1 constraints: distance to the anchor <= eps1 in the weighted
     norm, wt e^{C1 s} <= eta_inf, and 0 <= h e^{C2 s} <= C3."""
-    C1, C2 = fp.C1, fp.C2
-    anchor_gap = _weighted_norm(wt - fp.eta_inf * np.exp(-C1 * s), h, s, C1, C2)
+    e1, e2, _ = weights
+    anchor_gap = _weighted_norm(wt - fp.eta_inf * np.exp(-fp.C1 * s), h, weights)
     if anchor_gap > fp.eps1 + slack:
         raise InternalError(f"iterate left D_b1: anchor distance {anchor_gap} > eps1 = {fp.eps1}")
-    top = float(np.max(wt * np.exp(C1 * s)))
+    top = float(np.max(wt * e1))
     if top > fp.eta_inf + slack:
         raise InternalError(f"iterate left D_b1: wt e^(C1 s) reached {top} > eta_inf")
-    hw = h * np.exp(C2 * s)
+    hw = h * e2
     if float(np.min(hw)) < -slack or float(np.max(hw)) > fp.C3 + slack:
         raise InternalError(
             f"iterate left D_b1: h e^(C2 s) range [{hw.min()}, {hw.max()}] outside [0, C3]"
@@ -158,13 +158,20 @@ def _phi_map(wt, h, s, ds, fp):
     last = npts - 2
     b[-1] = ds * sum(_W_LAST[j] * rel(npts - 4 + j, last) * q[npts - 4 + j] for j in range(4))
 
-    h_new = np.empty(npts)
-    h_new[-1] = q[-1] / (k + C2)                    # analytic tail of the outer integral
-    acc = h_new[-1]
-    for idx in range(npts - 2, -1, -1):
+    # the last node takes the analytic tail of the outer integral
+    return wt_new, _backward_recurrence(a, b, q[-1] / (k + C2))
+
+
+def _backward_recurrence(a, b, last):
+    """R_i = a_i R_{i+1} + b_i from R_n = last, right to left, on Python floats
+    through memoryviews: numpy-scalar arithmetic without a numpy call per node."""
+    out = np.empty(len(a) + 1)
+    out[-1] = acc = float(last)
+    r, a, b = memoryview(out), memoryview(a), memoryview(b)
+    for idx in range(len(a) - 1, -1, -1):
         acc = a[idx] * acc + b[idx]
-        h_new[idx] = acc
-    return wt_new, h_new
+        r[idx] = acc
+    return out
 
 
 def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e-12) -> TailSolution:
@@ -189,16 +196,23 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     s = b1 + ds * np.arange(nseg + 1)
 
     slack = 1e-12 * (1.0 + fp.eta_inf)
+    # D_b1's weights e^{C1 s}, e^{C2 s}, e^{C2 s / 2}; one past the double
+    # range would make h e^{C2 s} = 0 * inf = nan, which passes every bound test
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (np.exp(C1 * s), np.exp(C2 * s), np.exp(0.5 * C2 * s))
+    if not all(np.isfinite(w).all() for w in weights):
+        raise ResolutionError(f"D_b1 weights e^(C1 s), e^(C2 s) overflow on the tail grid "
+                              f"[{b1:.6g}, {s[-1]:.6g}] (C1 = {C1:.6g}, C2 = {C2:.6g})")
     wt = fp.eta_inf * np.exp(-C1 * s)
     h = min(C3, fp.eps1) * np.exp(-C2 * s)
-    _check_membership(wt, h, s, fp, slack)
+    _check_membership(wt, h, s, fp, slack, weights)
 
     norms, ratios = [], []
     stall = 0
     for it in range(1, _PICARD_MAX_ITER + 1):
         wt_new, h_new = _phi_map(wt, h, s, ds, fp)
-        _check_membership(wt_new, h_new, s, fp, slack)
-        upd = _weighted_norm(wt_new - wt, h_new - h, s, C1, C2)
+        _check_membership(wt_new, h_new, s, fp, slack, weights)
+        upd = _weighted_norm(wt_new - wt, h_new - h, weights)
         floor = _NOISE_FLOOR * (1.0 + fp.eta_inf)
         if norms and norms[-1] > floor and upd > floor:
             ratio = upd / norms[-1]
@@ -227,10 +241,10 @@ def _scalar_spline(spline: CubicSpline):
     on the spline's own coefficients, with no scipy call per point.  The
     interval index is clamped to the table, so both end knots and points
     just outside evaluate the end pieces, as the spline itself does."""
-    # flat double arrays, a quarter of the memory of nested float lists;
-    # coef holds, per interval, the (s - x_i)^3, ^2, ^1, ^0 coefficients
-    x = array("d", spline.x)
-    coef = array("d", spline.c.T.ravel())
+    # flat doubles copied from the spline's bytes, a quarter of the memory of
+    # float lists; coef holds, per interval, the (s - x_i)^3, ^2, ^1, ^0 coefficients
+    x = array("d", spline.x.tobytes())
+    coef = array("d", spline.c.T.tobytes())
     last = len(x) - 2
     s0, ds = x[0], (x[-1] - x[0]) / (last + 1)
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from fastdiff.errors import BlowUpError, QuadratureError, RangeError
 from fastdiff.numerics import (
@@ -89,6 +90,85 @@ class TestIntegrateOde:
     def test_nonfinite_initial_state_raises(self):
         with pytest.raises(RangeError):
             integrate_ode(lambda s, y: [0.0], [math.nan], (0.0, 1.0))
+
+
+def _solve_ivp_reference(rhs, y0, span, tol, method, jac=None):
+    """scipy's solve_ivp with the overflow guard as a terminal event, which
+    integrate_ode must reproduce bit for bit."""
+    nfev = [0]
+
+    def counted(s, y):
+        nfev[0] += 1
+        return rhs(s, y)
+
+    def guard(s, y):
+        return 1e12 - float(np.max(np.abs(y)))
+
+    guard.terminal = True
+    guard.direction = -1
+    options = {} if jac is None else {"jac": jac}
+    res = solve_ivp(counted, span, np.asarray(y0, dtype=float), method=method,
+                    rtol=tol.rel_tol, atol=tol.abs_tol, dense_output=True,
+                    events=[guard], **options)
+    return res, nfev[0]
+
+
+def _pendulum(s, y):
+    return [y[1], -math.sin(y[0])]
+
+
+def _stiff(s, y):
+    return [-1e6 * (y[0] - math.cos(s)) - math.sin(s)]
+
+
+def _van_der_pol(s, y):
+    return [y[1], 50.0 * (1.0 - y[0] ** 2) * y[1] - y[0]]
+
+
+def _van_der_pol_jac(s, y):
+    return [[0.0, 1.0], [-100.0 * y[0] * y[1] - 1.0, 50.0 * (1.0 - y[0] ** 2)]]
+
+
+class TestIntegrateOdeMatchesSolveIvp:
+    @pytest.mark.parametrize("rhs, y0, span, method, jac", [
+        (_pendulum, [1.0, 0.0], (0.0, 10.0), "dop853", None),
+        (_pendulum, [0.3, 1.2], (5.0, -3.0), "dop853", None),
+        (_stiff, [1.0], (0.0, 2.0), "lsoda", lambda s, y: [[-1e6]]),
+        (_van_der_pol, [2.0, 0.0], (0.0, 60.0), "lsoda", _van_der_pol_jac),
+        # starts past the guard: the event fires only on a crossing from at
+        # or below it, so this run goes through
+        (lambda s, y: [y[0]], [2e12], (0.0, 1.0), "dop853", None),
+    ], ids=["dop853-forward", "dop853-backward", "lsoda-stiff-jac", "lsoda-vdp-jac",
+            "dop853-above-guard"])
+    def test_bit_identical_trajectory(self, rhs, y0, span, method, jac):
+        tol = Tolerances(abs_tol=1e-12, rel_tol=1e-10)
+        traj = integrate_ode(rhs, y0, span, tol=tol, method=method, jac=jac)
+        res, nfev = _solve_ivp_reference(rhs, y0, span, tol, method.upper(), jac)
+        assert res.status == 0
+        assert traj.naccepted == res.t.size - 1
+        assert traj.nfev == nfev
+        assert np.array_equal(traj.y, res.y)
+        ss = np.linspace(span[0], span[1], 200)
+        assert np.array_equal(traj.sol(ss), res.sol(ss))
+        # at a step point two pieces meet: LSODA's solution takes the one
+        # that starts there, DOP853's the one that ends there
+        assert np.array_equal(traj.sol(res.t), res.sol(res.t))
+
+    @pytest.mark.parametrize("method, span, sign", [
+        ("dop853", (0.0, 40.0), 1.0),
+        ("dop853", (0.0, -40.0), -1.0),
+        ("lsoda", (0.0, 40.0), 1.0),
+    ], ids=["dop853-forward", "dop853-backward", "lsoda-forward"])
+    def test_blow_up_reports_the_event_crossing(self, method, span, sign):
+        # the guard is crossed inside one accepted step; the reported s is
+        # the event root solve_ivp finds on that step's dense output
+        rhs = lambda s, y: [sign * y[0]]
+        tol = Tolerances()
+        res, _ = _solve_ivp_reference(rhs, [1.0], span, tol, method.upper())
+        assert res.status == 1
+        with pytest.raises(BlowUpError) as exc:
+            integrate_ode(rhs, [1.0], span, tol=tol, method=method)
+        assert f"at s={res.t_events[0][0]:.6g}" in str(exc.value)
 
 
 class TestQuadAdaptive:

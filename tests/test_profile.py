@@ -24,7 +24,7 @@ from fastdiff import (
     tail_residual,
 )
 import fastdiff.profile
-from fastdiff.profile import PROFILE_DS, _scalar_spline
+from fastdiff.profile import PROFILE_DS, _backward_recurrence, _scalar_spline
 
 # Origin coefficient of the base profile (eta_inf = 1) at the reference
 # parameter point, frozen from a converged run; guards against silent drift
@@ -102,6 +102,47 @@ class TestScalarSpline:
             for sv in points:
                 ref = float(spline(sv))
                 assert abs(at(float(sv)) - ref) <= 1e-14 * abs(ref), sv
+
+    def test_bit_identical_to_horner_on_coefficients(self, tail_ref):
+        # the evaluator's table is the spline's own coefficients to the last
+        # bit: at every knot and at seeded points it gives the nested Horner
+        # form on spline.c, in that order of operations
+        rng = np.random.default_rng(11)
+        for values in (tail_ref.h, tail_ref.wt):
+            spline = CubicSpline(tail_ref.grid, values)
+            at = _scalar_spline(spline)
+            x, c = spline.x, spline.c
+            last = x.size - 2
+            ds = (x[-1] - x[0]) / (last + 1)
+            points = np.concatenate([x, rng.uniform(x[0], x[-1], 1000)])
+            ref = np.empty(points.size)
+            for j, sv in enumerate(points):
+                i = min(max(int((sv - x[0]) / ds), 0), last)
+                t = sv - x[i]
+                ref[j] = ((c[0, i] * t + c[1, i]) * t + c[2, i]) * t + c[3, i]
+            got = np.array([at(float(sv)) for sv in points])
+            assert np.array_equal(got, ref)
+
+
+class TestBackwardRecurrence:
+    def test_matches_numpy_scalar_loop(self, tail_ref):
+        # Phi_2's outer integral R_i = a_i R_{i+1} + b_i, run on Python
+        # floats, gives the bits of the same loop on numpy scalars; carry
+        # factors and increments are seeded at the scales of the tail grid
+        rng = np.random.default_rng(12)
+        n = tail_ref.grid.size - 1
+        a = np.exp(-rng.uniform(0.0, 0.05, n))
+        b = rng.uniform(0.0, 1e-3, n) * np.exp(-0.01 * np.arange(n))
+        last = np.float64(2.5e-7)
+        ref = np.empty(n + 1)
+        ref[-1] = last
+        acc = ref[-1]
+        for i in range(n - 1, -1, -1):
+            acc = a[i] * acc + b[i]
+            ref[i] = acc
+        got = _backward_recurrence(a, b, last)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ref)
 
 
 class TestContinueLeft:
