@@ -29,7 +29,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, InternalError, ResolutionError
-from .numerics import deriv_uniform
+from .numerics import _richardson, deriv_uniform
 from .params import ExpansionConstants
 from .profile import Profile
 
@@ -142,10 +142,10 @@ def expansion_check(profile: Profile, exp_consts: ExpansionConstants) -> Expansi
     d1_w = np.array([f[1] for f in fits])
     d2_w = np.array([f[2] for f in fits])
 
-    d1_levels = (4.0 * d1_w[1:] - d1_w[:-1]) / 3.0
-    eta_levels = (8.0 * eta_w[1:] - eta_w[:-1]) / 7.0
+    d1_levels = _richardson(d1_w, 2)
+    eta_levels = _richardson(eta_w, 3)
     n_d2 = int(np.sum(rho_tops >= 3e-4))         # windows where curvature beats noise
-    d2_levels = 2.0 * d2_w[1:n_d2] - d2_w[:n_d2 - 1]
+    d2_levels = _richardson(d2_w[:n_d2], 1)
 
     eta = float(eta_levels[-1])
     d1 = float(d1_levels[-1])
@@ -162,6 +162,12 @@ def expansion_check(profile: Profile, exp_consts: ExpansionConstants) -> Expansi
         level_gap2=abs(d2_levels[-1] - d2_levels[-2]) / abs(d2),
         d1_levels=d1_levels, d2_levels=d2_levels,
     )
+
+
+def _off_edges(size: int) -> np.ndarray:
+    """Mask of the nodes clear of deriv_uniform's one-sided edge stencils."""
+    idx = np.arange(size)
+    return (idx >= 3) & (idx <= size - 4)
 
 
 def _residual_over_terms(terms):
@@ -191,8 +197,7 @@ def wbar_ode_residual(profile: Profile, exp_consts: ExpansionConstants) -> float
         d1s = deriv_uniform(ww, ds, deriv=1)
         d2s = deriv_uniform(ww, ds, deriv=2)
         sel = (ss >= lo_s) & (ss <= hi_s)
-        # keep clear of one-sided edge stencils
-        sel &= (np.arange(ss.size) >= 3) & (np.arange(ss.size) <= ss.size - 4)
+        sel &= _off_edges(ss.size)
         rho = np.exp(c * ss[sel])
         w, ws, wss = ww[sel], d1s[sel], d2s[sel]
         U = ws / (c * w)                        # rho wb_rho / wb
@@ -217,7 +222,7 @@ def f_ode_residual(profile: Profile) -> float:
     Fss = deriv_uniform(F, ds, deriv=2)
     fs = deriv_uniform(f, ds, deriv=1)
     sel = (s >= math.log(_F_WINDOW[0])) & (s <= math.log(_F_WINDOW[1]))
-    sel &= (np.arange(s.size) >= 3) & (np.arange(s.size) <= s.size - 4)
+    sel &= _off_edges(s.size)
     e2 = np.exp(-2.0 * s[sel])
     terms = [
         e2 * Fss[sel],
@@ -274,7 +279,7 @@ def inversion_report(profile: Profile) -> InversionReport:
     diffusion = np.exp(-n * sig) * Q_sigma
     E = np.exp(((n - 2 - n * m) / m - 2.0) * sig)
     sel = (sig >= math.log(1e-2)) & (sig <= math.log(1e2))
-    sel &= (np.arange(sig.size) >= 3) & (np.arange(sig.size) <= sig.size - 4)
+    sel &= _off_edges(sig.size)
     res = _residual_over_terms([diffusion[sel], E[sel] * at * g[sel], E[sel] * bt * g_sigma[sel]])
     residual = float(np.max(res))
 
@@ -345,11 +350,11 @@ def origin_series_report(profile: Profile, exp_consts: ExpansionConstants,
     def L(rho_v):
         sv = math.log(rho_v) / c
         return float(wt_sp(sv) * (z_sp(sv) - p.gamma))
-    lev = np.array([L(1e-3 / 2.0 ** k) for k in range(6)])
-    fr_limit = float(2.0 * lev[-1] - lev[-2])
+    rho_lev = 1e-3 / 2.0 ** np.arange(6)
+    lev = np.array([L(r) for r in rho_lev])
+    fr_limit = float(_richardson(lev, 1)[-1])
     fr_limit_ref = -p.gamma * eta
-    K_lev = np.array([(L(1e-3 / 2.0 ** k) - fr_limit) / (1e-3 / 2.0 ** k) for k in range(4)])
-    fr_K = float(2.0 * K_lev[-1] - K_lev[-2])
+    fr_K = float(_richardson((lev[:4] - fr_limit) / rho_lev[:4], 1)[-1])
     fr_K_ref = -(2.0 * p.beta - p.m * p.rho1) / ((1.0 - p.m) * p.beta) * d1_ref
 
     return SeriesReport(

@@ -34,7 +34,7 @@ from .errors import (
     ToleranceError,
 )
 from .params import ParamSet
-from .profile import Profile, profile_interpolator, rescale_profile
+from .profile import Profile, _lambda_for_eta, profile_interpolator, rescale_profile
 from .weight import WeightFunction, eval_weight, weighted_l1_distance
 
 __all__ = [
@@ -547,18 +547,13 @@ def power_bump_initial(params: ParamSet, a0: float, amp: float = 0.10,
 
 
 def lambda_for_amplitude(profile: Profile, a: float) -> float:
-    """Scaling factor lam with origin coefficient eta(f_lam) = a.
-
-    Uses eta ~ lam^(2/(1-m) - gamma); the exponent equals rho1/((1-m) beta),
-    so for a profile normalized to eta = 1 this reduces to a^((1-m) beta/rho1).
-    """
+    """Scaling factor lam with origin coefficient eta(f_lam) = a, by the
+    scaling law eta ~ lam^(2/(1-m) - gamma) that solve_for_eta uses."""
     if not a > 0:
         raise RangeError(f"amplitude must be positive, got {a}")
     if profile.eta_origin is None:
         raise ConfigError("profile must carry eta_origin (run recover_profile first)")
-    p = profile.params
-    expo = (1.0 - p.m) * p.beta / p.rho1
-    return float((a / profile.eta_origin) ** expo)
+    return float(_lambda_for_eta(profile.params, profile.eta_origin, a))
 
 
 def random_sandwiched_pair(profile: Profile, grid: np.ndarray, t0: float,
@@ -616,15 +611,19 @@ def random_sandwiched_pair(profile: Profile, grid: np.ndarray, t0: float,
     return u0, v0, (lo_fn, hi_fn)
 
 
+def _first_outside(vals, lo, hi, rtol):
+    """Index of the first node where vals leaves [lo (1 - rtol), hi (1 + rtol)], else None."""
+    bad = (vals < lo * (1.0 - rtol)) | (vals > hi * (1.0 + rtol))
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def _check_sandwich(field_u: np.ndarray, field_v: np.ndarray, grid: np.ndarray,
                     t: float, sandwich) -> None:
     lo = np.asarray(sandwich[0](grid, t), dtype=float)
     hi = np.asarray(sandwich[1](grid, t), dtype=float)
     for name, vals in (("u", field_u), ("v", field_v)):
-        below = vals < lo * (1.0 - _SANDWICH_RTOL)
-        above = vals > hi * (1.0 + _SANDWICH_RTOL)
-        if below.any() or above.any():
-            idx = int(np.argmax(below | above))
+        idx = _first_outside(vals, lo, hi, _SANDWICH_RTOL)
+        if idx is not None:
             raise SandwichViolationError(
                 f"field {name} leaves the envelope at t={t:.6g}, r={grid[idx]:.6g}: "
                 f"value {vals[idx]:.6g} not in [{lo[idx]:.6g}, {hi[idx]:.6g}]"
@@ -742,9 +741,8 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
         u0_vals = np.asarray(u0_spec(r_grid), dtype=float)
         lo_env = a1 * r_grid ** (-gamma)
         hi_env = a2 * r_grid ** (-gamma)
-        bad = (u0_vals < lo_env * (1.0 - 1e-12)) | (u0_vals > hi_env * (1.0 + 1e-12))
-        if bad.any():
-            idx = int(np.argmax(bad))
+        idx = _first_outside(u0_vals, lo_env, hi_env, 1e-12)
+        if idx is not None:
             raise SandwichViolationError(
                 f"initial datum leaves the power-law envelope at r={r_grid[idx]:.6g}: "
                 f"{u0_vals[idx]:.6g} not in [{lo_env[idx]:.6g}, {hi_env[idx]:.6g}]"

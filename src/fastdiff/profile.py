@@ -21,8 +21,6 @@ to integrate_ode's LSODA path, which switches to BDF steps where it must.
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -38,7 +36,8 @@ from .errors import (
     ResolutionError,
     ToleranceError,
 )
-from .numerics import _W_FIRST, _W_LAST, _W_MID, Tolerances, cumulative_integral, integrate_ode
+from .numerics import (_W_FIRST, _W_LAST, _W_MID, Tolerances, _richardson,
+                       cumulative_integral, integrate_ode)
 from .params import FPConstants, ParamSet, derive_fp_constants
 
 __all__ = [
@@ -236,23 +235,26 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     return replace(tail, fp_residual=tail_residual(tail))
 
 
-def _scalar_spline(spline: CubicSpline):
-    """Scalar evaluator of a cubic spline on a uniform grid: one Horner step
-    on the spline's own coefficients, with no scipy call per point.  The
-    interval index is clamped to the table, so both end knots and points
-    just outside evaluate the end pieces, as the spline itself does."""
-    # flat doubles copied from the spline's bytes, a quarter of the memory of
-    # float lists; coef holds, per interval, the (s - x_i)^3, ^2, ^1, ^0 coefficients
-    x = array("d", spline.x.tobytes())
-    coef = array("d", spline.c.T.tobytes())
-    last = len(x) - 2
-    s0, ds = x[0], (x[-1] - x[0]) / (last + 1)
+def _spline_at(spline: CubicSpline):
+    """Float evaluator with the bits of spline(s): PPoly's interval (the
+    rightmost knot <= s, clamped to the end pieces), guessed from the mean
+    spacing and corrected, and PPoly's power-sum order on the spline's own
+    arrays; c[j * nseg + i] multiplies (s - x_i)^(3 - j)."""
+    x = memoryview(spline.x)
+    c = memoryview(spline.c.ravel())
+    nseg = len(x) - 1
+    last, c1, c2, c3 = nseg - 1, nseg, 2 * nseg, 3 * nseg
+    x0, per_ds = x[0], nseg / (x[nseg] - x[0])
 
     def at(sv):
-        i = min(max(int((sv - s0) / ds), 0), last)
+        i = min(int((sv - x0) * per_ds), last) if sv > x0 else 0
+        while sv < x[i] and i > 0:
+            i -= 1
+        while i < last and sv >= x[i + 1]:
+            i += 1
         t = sv - x[i]
-        k = 4 * i
-        return ((coef[k] * t + coef[k + 1]) * t + coef[k + 2]) * t + coef[k + 3]
+        t2 = t * t
+        return c[c3 + i] + c[c2 + i] * t + c[c1 + i] * t2 + c[i] * (t2 * t)
 
     return at
 
@@ -272,7 +274,7 @@ def tail_residual(tail: TailSolution) -> float:
     s, h, wt = tail.grid, tail.h, tail.wt
     h_sp = CubicSpline(s, h)
     wt_sp = CubicSpline(s, wt)
-    h_at, wt_at = _scalar_spline(h_sp), _scalar_spline(wt_sp)
+    h_at, wt_at = _spline_at(h_sp), _spline_at(wt_sp)
 
     def rhs(sv, y):
         X = math.exp(-rho1 * sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
@@ -396,7 +398,7 @@ def recover_profile(profile: Profile) -> Profile:
     rho_levels = rho0 / 2.0 ** np.arange(n_levels)
     w_levels = wt_sp([s_of_rho(r) for r in rho_levels])
     # first-order Richardson in rho (wbar = eta + c1 rho + O(rho^2))
-    A = 2.0 * w_levels[1:] - w_levels[:-1]
+    A = _richardson(w_levels, 1)
     gaps = np.abs(np.diff(A))
     eta = float(A[-1])
     if gaps[-1] > 10.0 * _RICHARDSON_TOL * abs(eta):
@@ -453,9 +455,13 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
     fp = derive_fp_constants(params, eta_inf=1.0, b1_margin=b1_margin)
     tail = picard_solve(fp, s_max=s_max, tol=tol)
     prof = recover_profile(continue_left(tail, s_min=s_min, tol=tol))
+    return rescale_profile(prof, _lambda_for_eta(params, prof.eta_origin, target_eta))
+
+
+def _lambda_for_eta(params: ParamSet, eta_origin: float, target_eta: float) -> float:
+    """lam with origin coefficient target_eta, as eta_origin ~ lam^(2/(1-m) - gamma)."""
     expo = 2.0 / (1.0 - params.m) - params.gamma     # negative in the admissible range
-    lam = (target_eta / prof.eta_origin) ** (1.0 / expo)
-    return rescale_profile(prof, lam)
+    return (target_eta / eta_origin) ** (1.0 / expo)
 
 
 def profile_interpolator(profile: Profile):
@@ -464,19 +470,13 @@ def profile_interpolator(profile: Profile):
     Interpolates log wt cubically in s = log r, so relative accuracy is
     uniform over the full dynamic range of f.  A float radius (the boundary
     traces of the experiments) takes a scalar path that gives the array
-    path's bits: PPoly's interval search and power-sum order, and numpy's
-    own log and exp.
+    path's bits: _spline_at and numpy's own log and exp.
     """
     s = profile.s_grid
     spline = CubicSpline(s, np.log(profile.wt))
+    log_wt_at = _spline_at(spline)
     gamma = profile.params.gamma
     lo, hi = float(s[0]), float(s[-1])
-    # the scalar path reads the spline's own knots and coefficients as flat
-    # doubles through memoryviews, so the table is not copied per
-    # interpolator; c[j * nseg + i] multiplies (s - x_i)^(3 - j)
-    x = memoryview(spline.x)
-    c = memoryview(spline.c.ravel())
-    nseg = len(x) - 1
 
     def out_of_table(sq_min, sq_max):
         return RangeError(
@@ -491,12 +491,7 @@ def profile_interpolator(profile: Profile):
             sq = float(np.log(r))
             if sq < lo - 1e-12 or sq > hi + 1e-12:
                 raise out_of_table(sq, sq)
-            sv = min(max(sq, lo), hi)
-            i = min(bisect_right(x, sv) - 1, nseg - 1)
-            t = sv - x[i]
-            t2 = t * t
-            val = c[3 * nseg + i] + c[2 * nseg + i] * t + c[nseg + i] * t2 + c[i] * (t2 * t)
-            return float(np.exp(-gamma * sq + val))
+            return float(np.exp(-gamma * sq + log_wt_at(min(max(sq, lo), hi))))
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.all(r_arr > 0):
             raise RangeError("radius must be positive, got a non-positive or nan value")

@@ -24,15 +24,6 @@ TABLE_SIZE = 4096
 TABLE_RMIN = 1e-3
 
 
-def _ramp(x):
-    """C-infinity monotone ramp: 0 for x<=0, 1 for x>=1, smooth in between."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        lo = np.where(x > 0.0, np.exp(-1.0 / np.clip(x, 1e-300, None)), 0.0)
-        hi = np.where(x < 1.0, np.exp(-1.0 / np.clip(1.0 - x, 1e-300, None)), 0.0)
-    return lo / (lo + hi)
-
-
 @dataclass(frozen=True)
 class BumpSpec:
     """Bump exponent and dimension; the transition ramp is fixed by the module."""
@@ -47,11 +38,18 @@ class BumpSpec:
             raise RangeError(f"mu must lie in (0, n-2) = (0, {self.n - 2}), got {self.mu}")
 
     def eta1(self, r):
-        """Smooth non-negative bump: 0 on [0,1], mu(n-2-mu) r^(-mu-2) beyond 2."""
-        r = np.asarray(r, dtype=float)
-        # clip below at 1 so the masked-out branch never overflows the power
-        tail = self.mu * (self.n - 2 - self.mu) * np.clip(r, 1.0, None) ** (-self.mu - 2.0)
-        return np.where(r <= 1.0, 0.0, tail * _ramp(r - 1.0))
+        """Smooth non-negative bump: 0 on [0,1], mu(n-2-mu) r^(-mu-2) beyond 2,
+        that power times the ramp e^(-1/x) / (e^(-1/x) + e^(-1/(1-x))), x = r - 1,
+        in between.  Defined on a float (numpy's exp, so tables reproduce bit
+        for bit); an array maps through it elementwise."""
+        if not isinstance(r, float):
+            return np.vectorize(self.eta1, otypes=[float])(np.asarray(r, dtype=float))
+        if r <= 1.0:
+            return 0.0
+        x = r - 1.0
+        lo = np.exp(-1.0 / x)
+        hi = np.exp(-1.0 / (1.0 - x)) if x < 1.0 else 0.0
+        return float(self.mu * (self.n - 2 - self.mu) * r ** (-self.mu - 2.0) * (lo / (lo + hi)))
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,13 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     # inner target stays two digits inside quad_tol down to that floor
     inner_tol = max(min(quad_tol, 1e-10) * 1e-2, 1e-13)
 
-    a5 = quad_adaptive(lambda rho: rho ** (n - 1) * float(spec.eta1(rho)), 1.0, 2.0, tol=inner_tol)
+    a5 = quad_adaptive(lambda rho: rho ** (n - 1) * spec.eta1(rho), 1.0, 2.0, tol=inner_tol)
     k0 = (2.0 ** (2 - n) * a5 + (n - 2 - mu) * 2.0 ** (-mu)) / (n - 2)
 
     # 1/a4 = int_1^2 s^(1-n) (int_1^s rho^(n-1) eta1 drho) ds + k0.  Fubini on
     # the triangle collapses the double integral to a single one.
     def fubini_integrand(rho):
-        return float(spec.eta1(rho)) * rho ** (n - 1) * (rho ** (2.0 - n) - 2.0 ** (2.0 - n)) / (n - 2)
+        return spec.eta1(rho) * rho ** (n - 1) * (rho ** (2.0 - n) - 2.0 ** (2.0 - n)) / (n - 2)
 
     inv_a4 = quad_adaptive(fubini_integrand, 1.0, 2.0, tol=inner_tol) + k0
     if not inv_a4 > 0:
@@ -112,8 +110,7 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     # Dense table via the equivalent ODE system on [1,2]:
     #   I' = r^(n-1) eta1,  phi' = -a4 r^(1-n) I,  I(1)=0, phi(1)=1.
     def rhs(r, y):
-        e = float(spec.eta1(r))
-        return [r ** (n - 1) * e, -a4 * r ** (1.0 - n) * y[0]]
+        return [r ** (n - 1) * spec.eta1(r), -a4 * r ** (1.0 - n) * y[0]]
 
     traj = integrate_ode(
         rhs, [0.0, 1.0], (1.0, 2.0),
@@ -128,15 +125,6 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     table_phi[mask] = dense[1]
     table_dphi[mask] = -a4 * table_r[mask] ** (1.0 - n) * dense[0]
 
-    # cross-check the two routes where they meet: table end vs analytic branch
-    I2, phi2 = traj.sol(2.0)
-    tail_at_2 = a4 * ((a5 - mu * 2.0 ** (n - 2 - mu)) / (n - 2) * 2.0 ** (2.0 - n) + 2.0 ** (-mu))
-    if abs(phi2 - tail_at_2) > 50.0 * max(quad_tol, 1e-12):
-        raise QuadratureError(
-            f"table/closed-form mismatch at r=2: {phi2} vs {tail_at_2} "
-            f"(diff {abs(phi2 - tail_at_2):.3e})"
-        )
-
     # interpolation over (1, 2]; below 1 the weight is exactly (1, 0)
     sub = table_r >= 0.5
     phi_spline = CubicSpline(table_r[sub], table_phi[sub])
@@ -147,6 +135,13 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
         table_r=table_r, table_phi=table_phi, table_dphi=table_dphi,
         _phi_spline=phi_spline, _dphi_spline=dphi_spline,
     )
+    # cross-check the two routes where they meet: table end vs analytic branch
+    phi2, tail_at_2 = traj.sol(2.0)[1], w.phi_tail(2.0)
+    if abs(phi2 - tail_at_2) > 50.0 * max(quad_tol, 1e-12):
+        raise QuadratureError(
+            f"table/closed-form mismatch at r=2: {phi2} vs {tail_at_2} "
+            f"(diff {abs(phi2 - tail_at_2):.3e})"
+        )
     object.__setattr__(w, "R0", _find_r0(w))
     return w
 

@@ -24,7 +24,7 @@ from fastdiff import (
     tail_residual,
 )
 import fastdiff.profile
-from fastdiff.profile import PROFILE_DS, _backward_recurrence, _scalar_spline
+from fastdiff.profile import PROFILE_DS, _backward_recurrence, _spline_at
 
 # Origin coefficient of the base profile (eta_inf = 1) at the reference
 # parameter point, frozen from a converged run; guards against silent drift
@@ -87,7 +87,7 @@ class TestPicardSolve:
 
 class TestScalarSpline:
     def test_matches_cubic_spline_on_uniform_grid(self, tail_ref):
-        # the Horner path in tail_residual's right-hand side must be the
+        # the float evaluator in tail_residual's right-hand side must be the
         # spline itself: both end knots, just inside the last knot (where
         # the clamped index picks the piece), inner knots and random
         # interior points, on the tail grid and on a short grid
@@ -96,32 +96,33 @@ class TestScalarSpline:
         for s, values in ((tail_ref.grid, tail_ref.h), (tail_ref.grid, tail_ref.wt),
                           (short, np.sin(3.0 * short) + 2.0)):
             spline = CubicSpline(s, values)
-            at = _scalar_spline(spline)
+            at = _spline_at(spline)
             points = [*s[[0, 1, -2, -1]], np.nextafter(s[-1], -np.inf),
                       s[-1] - 1e-3 * (s[1] - s[0]), *rng.uniform(s[0], s[-1], 200)]
             for sv in points:
                 ref = float(spline(sv))
                 assert abs(at(float(sv)) - ref) <= 1e-14 * abs(ref), sv
 
-    def test_bit_identical_to_horner_on_coefficients(self, tail_ref):
-        # the evaluator's table is the spline's own coefficients to the last
-        # bit: at every knot and at seeded points it gives the nested Horner
-        # form on spline.c, in that order of operations
-        rng = np.random.default_rng(11)
-        for values in (tail_ref.h, tail_ref.wt):
-            spline = CubicSpline(tail_ref.grid, values)
-            at = _scalar_spline(spline)
-            x, c = spline.x, spline.c
-            last = x.size - 2
-            ds = (x[-1] - x[0]) / (last + 1)
-            points = np.concatenate([x, rng.uniform(x[0], x[-1], 1000)])
-            ref = np.empty(points.size)
-            for j, sv in enumerate(points):
-                i = min(max(int((sv - x[0]) / ds), 0), last)
-                t = sv - x[i]
-                ref[j] = ((c[0, i] * t + c[1, i]) * t + c[2, i]) * t + c[3, i]
+    def test_bit_identical_to_cubic_spline(self, tail_ref, base_profile, unit_eta_profile):
+        # one evaluator serves tail_residual's right-hand side and the
+        # interpolator's float path, so it must give spline(s)'s bits: on the
+        # tail's tables, on both profiles' log wt tables and on a short
+        # non-uniform grid; at every knot and the floats beside it, at both
+        # ends, 1e-9 outside them and at seeded interior points
+        rng = np.random.default_rng(12)
+        short = np.array([-1.0, -0.7, -0.1, 0.3, 0.35, 1.2, 2.0])
+        tables = [(tail_ref.grid, tail_ref.h), (tail_ref.grid, tail_ref.wt),
+                  (base_profile.s_grid, np.log(base_profile.wt)),
+                  (unit_eta_profile.s_grid, np.log(unit_eta_profile.wt)),
+                  (short, np.sin(3.0 * short) + 2.0)]
+        for s, values in tables:
+            spline = CubicSpline(s, values)
+            at = _spline_at(spline)
+            points = np.concatenate([s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf),
+                                     [s[0] - 1e-9, s[-1] + 1e-9],
+                                     rng.uniform(s[0], s[-1], 2000)])
             got = np.array([at(float(sv)) for sv in points])
-            assert np.array_equal(got, ref)
+            assert np.array_equal(got, spline(points))
 
 
 class TestBackwardRecurrence:

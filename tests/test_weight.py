@@ -63,6 +63,19 @@ class TestBumpSpec:
         # the ramp is flat to all orders at r = 1
         assert float(spec.eta1(1.001)) < 1e-300
 
+    def test_eta1_float_equals_array(self):
+        # eta1 is defined once, on a float, and an array maps through that
+        # definition: the same bits either way, and a float gives a float
+        rng = np.random.default_rng(13)
+        for spec in (BumpSpec(mu=0.5, n=3), BumpSpec(mu=1.3, n=5)):
+            r = np.concatenate([[0.7, 1.0, 1.001, 1.5, 2.0, 2.5],
+                                np.nextafter([1.0, 1.0, 2.0, 2.0], [0.0, 2.0, 0.0, 3.0]),
+                                rng.uniform(0.5, 3.0, 2000)])
+            scalar = [spec.eta1(float(v)) for v in r]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(np.array(scalar), spec.eta1(r))
+            assert spec.eta1(r.reshape(2, -1)).shape == (2, r.size // 2)
+
 
 class TestNormalizationOracle:
     def test_a4_a5_k0_match_independent_route(self, weight_ref):
