@@ -31,7 +31,7 @@ from fastdiff import (
     rescale_field,
 )
 from fastdiff.errors import NewtonDivergence
-from fastdiff.pde import _Stepper
+from fastdiff.pde import _predict, _Stepper, _StepReject
 
 ANNULUS = (0.1, 10.0)
 
@@ -98,6 +98,11 @@ class TestEvolveConfig:
             EvolveConfig(newton_tol=0.0)
         with pytest.raises(ConfigError):
             EvolveConfig(newton_max=2.5)
+        # an infinite newton_tol would accept the datum as every step's answer
+        for name in ("dt_init", "dt_max", "dt_min", "dt_rel_max", "newton_tol"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ConfigError, match=name):
+                    EvolveConfig(**{name: bad})
 
 
 class TestRadialField:
@@ -348,6 +353,81 @@ class TestStepperKernel:
         field = _bb_field(bb, grid128, 1.0, params_ref)
         with pytest.raises(NewtonDivergence):
             evolve(field, EvolveConfig(dt_init=0.01, dt_max=0.01, dt_min=0.01), [1.5])
+
+
+    @pytest.mark.parametrize("dt_prev, dt", [(1e-3, 1e-3), (0.02, 0.05)])
+    def test_predicted_start_matches_reference(self, grid128, params_ref, bb, dt_prev, dt):
+        # the second of two steps starts from the log-linear extrapolation of
+        # the first: it lands on the step's solution in fewer linear solves
+        # than the reference, which starts from u_old
+        stepper = _Stepper(grid128, params_ref, EvolveConfig())
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        left, right = field.bc
+        u_old, _ = stepper.step(field.u, 1.0, dt_prev, left, right)
+        t = 1.0 + dt_prev
+        start = _predict(u_old, field.u, dt / dt_prev)
+        u_new, iters = stepper.step(u_old, t, dt, left, right, start)
+        u_ref, iters_ref, _ = _reference_step(stepper, u_old, t, dt, left, right)
+        assert iters < iters_ref
+        assert np.max(np.abs(u_new - u_ref) / u_ref) <= 1e-10
+
+    def test_unusable_start_is_rejected(self, grid128, params_ref, bb):
+        # a start with a zero, a nan or an overflow ends as a rejected step;
+        # 2^2000 overflows inside _predict without a RuntimeWarning, which
+        # tier-1 would turn into an error
+        stepper = _Stepper(grid128, params_ref, EvolveConfig())
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        overflowed = _predict(field.u, 0.5 * field.u, 2000.0)
+        assert np.isinf(overflowed[1:-1]).all()
+        starts = [overflowed]
+        for bad in (0.0, math.nan):
+            starts.append(field.u.copy())
+            starts[-1][5] = bad
+        for start in starts:
+            with pytest.raises(_StepReject):
+                stepper.step(field.u, 1.0, 1e-3, field.bc[0], field.bc[1], start)
+
+
+def _record_steps(monkeypatch):
+    """Wrap _Stepper.step; each call appends (t, dt, start given, iterations)."""
+    calls = []
+    step = _Stepper.step
+
+    def recording(self, u_old, t, dt, bc_left, bc_right, *start):
+        u_new, iters = step(self, u_old, t, dt, bc_left, bc_right, *start)
+        calls.append((t, dt, bool(start) and start[0] is not None, iters))
+        return u_new, iters
+
+    monkeypatch.setattr(_Stepper, "step", recording)
+    return calls
+
+
+class TestNewtonPredictor:
+    def test_capped_steps_take_two_solves(self, unit_eta_profile, monkeypatch):
+        # the self-similar orbit on fdx converge's grid and dt_rel_max: once
+        # dt_rel_max * t sizes the steps, each starts from the extrapolation
+        # and ends on the increment test after two solves (three from u_old)
+        field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
+        cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
+        calls = _record_steps(monkeypatch)
+        [out] = evolve(field, cfg, [2.04])
+        capped = [i for i, (t, dt, _, _) in enumerate(calls) if dt == cfg.dt_rel_max * t]
+        past_ramp = calls[capped[0]:-1]
+        assert len(capped) == len(past_ramp) >= 70
+        assert max(iters for *_, iters in past_ramp) <= 2
+        assert all(predicted for _, _, predicted, _ in past_ramp)
+        assert out.stats.n_steps == len(calls)
+
+    def test_growth_sized_steps_start_from_u_old(self, grid128, params_ref, bb, monkeypatch):
+        # no cap binds: dt grows from dt_init and stays below dt_max, so the
+        # Newton count chooses every step and none is predicted
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        cfg = EvolveConfig(dt_init=1e-3, dt_max=0.05)
+        calls = _record_steps(monkeypatch)
+        evolve(field, cfg, [1.05, 1.1])
+        assert len(calls) >= 10
+        assert max(dt for _, dt, _, _ in calls) < cfg.dt_max
+        assert not any(predicted for _, _, predicted, _ in calls)
 
 
 class TestEvolveAccuracy:
