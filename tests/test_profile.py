@@ -86,6 +86,23 @@ class TestPicardSolve:
 
 
 class TestScalarSpline:
+    def test_matches_cubic_spline_on_uniform_grid(self, tail_ref):
+        # the float evaluator in tail_residual's right-hand side must be the
+        # spline itself: both end knots, just inside the last knot (where
+        # the clamped index picks the piece), inner knots and random
+        # interior points, on the tail grid and on a short grid
+        rng = np.random.default_rng(6)
+        short = np.linspace(-1.0, 2.0, 7)
+        for s, values in ((tail_ref.grid, tail_ref.h), (tail_ref.grid, tail_ref.wt),
+                          (short, np.sin(3.0 * short) + 2.0)):
+            spline = CubicSpline(s, values)
+            at = _spline_at(spline)
+            points = [*s[[0, 1, -2, -1]], np.nextafter(s[-1], -np.inf),
+                      s[-1] - 1e-3 * (s[1] - s[0]), *rng.uniform(s[0], s[-1], 200)]
+            for sv in points:
+                ref = float(spline(sv))
+                assert abs(at(float(sv)) - ref) <= 1e-14 * abs(ref), sv
+
     def test_bit_identical_to_cubic_spline(self, tail_ref, base_profile, unit_eta_profile):
         # one evaluator serves tail_residual's right-hand side and the
         # interpolator's float path, so it must give spline(s)'s bits: on the
