@@ -29,6 +29,7 @@ from fastdiff import (
     power_bump_initial,
     random_sandwiched_pair,
     rescale_field,
+    self_similar_solution,
 )
 from fastdiff.errors import NewtonDivergence
 from fastdiff.pde import _predict, _Stepper, _StepReject
@@ -406,7 +407,8 @@ class TestNewtonPredictor:
     def test_capped_steps_take_two_solves(self, unit_eta_profile, monkeypatch):
         # the self-similar orbit on fdx converge's grid and dt_rel_max: once
         # dt_rel_max * t sizes the steps, each starts from the extrapolation
-        # and ends on the increment test after two solves (three from u_old)
+        # and ends on the increment test after two solves (three from u_old);
+        # no residual follows the converged second increment
         field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
         cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
         calls = _record_steps(monkeypatch)
@@ -417,6 +419,47 @@ class TestNewtonPredictor:
         assert max(iters for *_, iters in past_ramp) <= 2
         assert all(predicted for _, _, predicted, _ in past_ramp)
         assert out.stats.n_steps == len(calls)
+
+    def test_converged_increment_skips_the_residual(self, unit_eta_profile, monkeypatch):
+        # a predicted two-solve step evaluates the residual at its start and
+        # after its first update, and none after the converged second one
+        field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
+        cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
+        n_residuals = [0]
+        residual = _Stepper._residual
+
+        def counting(self, *args):
+            n_residuals[0] += 1
+            return residual(self, *args)
+
+        per_step = []
+        step = _Stepper.step
+
+        def counted(self, u_old, t, dt, bc_left, bc_right, start=None):
+            before = n_residuals[0]
+            u_new, iters = step(self, u_old, t, dt, bc_left, bc_right, start)
+            per_step.append((start is not None, iters, n_residuals[0] - before))
+            return u_new, iters
+
+        monkeypatch.setattr(_Stepper, "_residual", counting)
+        monkeypatch.setattr(_Stepper, "step", counted)
+        evolve(field, cfg, [2.04])
+        two_solve = [n for predicted, iters, n in per_step if predicted and iters == 2]
+        assert len(two_solve) >= 70
+        assert set(two_solve) == {2}
+
+    def test_step_after_a_sample_time_is_predicted(self, unit_eta_profile, monkeypatch):
+        # a step clamped onto a sample time keeps dt, so the cap still sizes
+        # the next step, which starts from the extrapolation
+        field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
+        cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
+        calls = _record_steps(monkeypatch)
+        evolve(field, cfg, [2.02, 2.04])
+        [after] = [call for call in calls if call[0] == 2.02]
+        _, dt, predicted, iters = after
+        assert predicted
+        assert iters <= 2
+        assert dt == cfg.dt_rel_max * 2.02
 
     def test_growth_sized_steps_start_from_u_old(self, grid128, params_ref, bb, monkeypatch):
         # no cap binds: dt grows from dt_init and stays below dt_max, so the
@@ -452,6 +495,32 @@ class TestEvolveAccuracy:
         assert _annulus_rel_err(grid128, out.u, exact.u) <= 2e-2
         assert out.stats.ab_max <= 1e-6
 
+    def test_decay_bound_margin_matches_definition(self, grid128, params_ref, bb, monkeypatch):
+        # ab_max, evaluated as (1-m) t_new/dt max((u_new - u_old)/u_new) - 1,
+        # against ((u_new - u_old)/dt - bound)/bound with bound =
+        # u_new/((1-m) t_new) on every recorded step
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        steps = []
+        step = _Stepper.step
+
+        def recording(self, u_old, t, dt, *rest):
+            u_new, iters = step(self, u_old, t, dt, *rest)
+            steps.append((u_old.copy(), u_new.copy(), t, dt))
+            return u_new, iters
+
+        monkeypatch.setattr(_Stepper, "step", recording)
+        [_, out] = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.01), [1.1, 1.2])
+        # each step ends where the next starts; the last at the final time
+        t_news = [t for _, _, t, _ in steps[1:]] + [out.t]
+        one_m = 1.0 - params_ref.m
+        margins = []
+        for (u_old, u_new, _, dt), t_new in zip(steps, t_news):
+            bound = u_new[1:-1] / (one_m * t_new)
+            margins.append(np.max(((u_new[1:-1] - u_old[1:-1]) / dt - bound) / bound))
+        ref = max(margins)
+        assert out.stats.n_steps == len(steps) >= 20
+        assert abs(out.stats.ab_max - ref) <= 4 * np.spacing(abs(ref))
+
     def test_decay_bound_reported_for_orbit(self, unit_eta_profile, grid128):
         # the orbit data is a semigroup image, so the absolute decay bound
         # u_t <= u/((1-m) t) holds from the first step with real margin
@@ -473,6 +542,20 @@ class TestSelfSimilarField:
         field = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
         assert field.bc[0](1.0) == pytest.approx(float(field.u[0]), rel=1e-12)
         assert field.bc[1](1.0) == pytest.approx(float(field.u[-1]), rel=1e-12)
+
+    def test_float_radius_equals_array_path(self, unit_eta_profile):
+        # the boundary traces pass a float radius, which skips np.asarray;
+        # it must give the array path's bits, here on fdx converge's annulus
+        r_in, r_out = 1e-3, 1e3
+        rng = np.random.default_rng(7)
+        radii = [r_in, r_out] + list(np.exp(rng.uniform(math.log(r_in), math.log(r_out), 1000)))
+        for lam in (0.8, 1.0, 1.2):
+            V = self_similar_solution(unit_eta_profile, lam)
+            for t in (1.0, 1.5, math.exp(3.0)):
+                for r in radii:
+                    value = V(float(r), t)
+                    assert type(value) is float
+                    assert value == V(np.array([r]), t)[0]
 
     def test_time_validation(self, unit_eta_profile, grid128):
         with pytest.raises(RangeError):
