@@ -17,6 +17,7 @@ contraction properties of the continuous flow carry over to the scheme.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -70,6 +71,11 @@ _DT_GROW = 1.3
 _GROW_THRESHOLD = 3
 _MAX_STEPS = 2_000_000
 
+# Degree of the polynomial in log u, through the last accepted states, from
+# which Newton starts on a cap-sized step; exp overflows above _LOG_FLOAT_MAX.
+_PREDICT_DEGREE = 3
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 # log-radius window of the random interpolation field of a sandwiched pair,
 # and the number of its Fourier modes
 _THETA_SUPPORT = (-3.0, -0.5)
@@ -119,9 +125,10 @@ class EvolveConfig:
     a roundoff floor above the default tolerance (7.7e-10 to 7.3e-7 over the
     steps of fdx converge's orbit run, 640 nodes on [1e-3, 1e3]), so there
     the increment test ends each step, one linear solve after the iterate
-    has converged: three solves from u_old, two from a predicted start.  No
-    residual follows a converged full increment: the step returns u + delta
-    once it clears the positivity floor, without the damping veto.
+    has converged: three solves from u_old, one from a settled predicted
+    start that is already within newton_tol.  No residual follows a
+    converged full increment: the step returns u + delta once it clears the
+    positivity floor, without the damping veto.
     dt_rel_max, when set, caps the step at dt_rel_max * t, which is the
     natural accuracy knob for runs spanning decades of time.
     """
@@ -323,7 +330,8 @@ class _Stepper:
         may overwrite, whose interior is the first iterate (its traces are
         set here).  A full increment whose scaled norm is within newton_tol
         ends the step once u + delta clears the positivity floor; no residual
-        is evaluated after it.  Raises _StepReject when the start is not
+        is evaluated after it, so a start that close to the solution costs
+        one residual and one solve.  Raises _StepReject when the start is not
         positive and finite, Newton stalls, the linear solve fails or
         positivity backtracking is exhausted; the caller decides whether to
         shrink dt.
@@ -392,16 +400,49 @@ class _Stepper:
         raise _StepReject("newton")
 
 
-def _predict(u_old: np.ndarray, u_prev: np.ndarray, q: float) -> np.ndarray:
-    """Log-linear extrapolation u_old (u_old/u_prev)^q on the interior, with
-    q = dt/dt_prev; the traces are left unset.  An overflow shows up as inf
-    in the result, which the step rejects."""
-    start = np.empty_like(u_old)
+def _push_state(dd: list[np.ndarray], u: np.ndarray,
+                hs: Sequence[float]) -> list[np.ndarray]:
+    """Newton divided differences of log u with a new newest state u.
+
+    dd holds those of the earlier states on the interior, newest first ([L0],
+    [L0, L1], [L0, L1, L2], ...), and hs the step sizes newest first, hs[0]
+    the step that reached u.  At most _PREDICT_DEGREE + 1 differences are
+    kept."""
+    new = [np.log(u[1:-1])]
+    span = 0.0
+    for d, h in zip(dd[:_PREDICT_DEGREE], hs):
+        span += h
+        diff = new[-1] - d
+        diff /= span
+        new.append(diff)
+    return new
+
+
+def _log_differences(states: Sequence[np.ndarray], hs: Sequence[float]) -> list[np.ndarray]:
+    """Divided differences of log u through accepted states, newest first;
+    hs[j] is the step from states[j + 1] to states[j]."""
+    dd: list[np.ndarray] = []
+    for j in range(len(states) - 1, -1, -1):
+        dd = _push_state(dd, states[j], hs[j:])
+    return dd
+
+
+def _predict(dd: Sequence[np.ndarray], hs: Sequence[float], dt: float) -> np.ndarray:
+    """Newton's start for a step of size dt: the polynomial in log u with
+    divided differences dd (from _log_differences or _push_state), evaluated
+    dt past the newest state and exponentiated on the interior; the traces
+    are left unset.  An extrapolation whose exponential would overflow (or is
+    nan) raises _StepReject instead."""
+    start = np.empty(dd[0].size + 2)
     inner = start[1:-1]
-    with np.errstate(over="ignore"):
-        np.divide(u_old[1:-1], u_prev[1:-1], out=inner)
-        inner **= q
-        inner *= u_old[1:-1]
+    # Horner's rule in Newton form; the nodes sit at 0, -hs[0], -(hs[0] + hs[1]), ...
+    np.copyto(inner, dd[-1])
+    for k in range(len(dd) - 2, -1, -1):
+        inner *= dt + sum(hs[:k])
+        inner += dd[k]
+    if not float(inner.max()) < _LOG_FLOAT_MAX:
+        raise _StepReject("newton")
+    np.exp(inner, out=inner)
     return start
 
 
@@ -414,10 +455,15 @@ class _Lockstep:
 
     On a step whose size a cap sets (dt_max or dt_rel_max * t, not the
     Newton-count growth rule), each field's Newton iteration starts from the
-    log-linear extrapolation of its last two accepted states (Hairer &
-    Wanner, Solving ODEs II, IV.8).  A step the growth rule sizes starts from
-    u_old: there the Newton count picks the next dt, and a cheaper start would
-    let dt grow further.
+    polynomial in log u of degree _PREDICT_DEGREE through its last accepted
+    states, at their own step sizes (fewer states, lower degree; Hairer &
+    Wanner, Solving ODEs II, IV.8).  Once it has settled, that start is within
+    newton_tol of the step's solution, so the step takes one linear solve.
+    A step the growth rule sizes starts from u_old: there the Newton count
+    picks the next dt, and a cheaper start would let dt grow further.  Such
+    steps only keep references to the accepted states; the logs and divided
+    differences are formed when a cap sizes a step, and carried forward one
+    state at a time while the cap keeps sizing them.
     """
 
     def __init__(self, fields: Sequence[RadialField], params: ParamSet, cfg: EvolveConfig):
@@ -427,9 +473,12 @@ class _Lockstep:
         self.t_start = self.t = fields[0].t
         self.dt = cfg.dt_init
         self.us = [f.u.copy() for f in fields]
-        # the states before the last accepted step, and that step's dt
-        self.us_prev: Optional[list[np.ndarray]] = None
-        self.dt_prev = math.nan
+        # the accepted states, newest first (self.us leads), the step sizes
+        # between them, newest first, and each field's divided differences of
+        # log u through them while steps are predicted (None when stale)
+        self.past = [self.us]
+        self.hs: list[float] = []
+        self.dd: Optional[list[list[np.ndarray]]] = None
         self.bcs = [f.bc for f in fields]
         self.n_steps = self.n_rejected = 0
         self.newton = [0] * len(fields)
@@ -447,12 +496,14 @@ class _Lockstep:
             dt_prop = min(self.dt, cap)
             clamped = t + dt_prop >= t_target - eps_t
             dt = t_target - t if clamped else dt_prop
-            if cap <= self.dt and self.us_prev is not None:
-                starts = [_predict(u, u_prev, dt / self.dt_prev)
-                          for u, u_prev in zip(self.us, self.us_prev)]
-            else:
-                starts = [None] * len(self.us)
+            predicted = cap <= self.dt and bool(self.hs)
             try:
+                if predicted:
+                    if self.dd is None:
+                        self.dd = [_log_differences(states, self.hs) for states in zip(*self.past)]
+                    starts = [_predict(dd, self.hs, dt) for dd in self.dd]
+                else:
+                    starts = [None] * len(self.us)
                 stepped = [self.stepper.step(u, t, dt, bc[0], bc[1], start)
                            for u, bc, start in zip(self.us, self.bcs, starts)]
             except _StepReject as rej:
@@ -469,7 +520,6 @@ class _Lockstep:
                 self.dt = dt_new
                 continue
             t_new = t_target if clamped else t + dt
-            self.us_prev, self.dt_prev = self.us[:], dt
             gain = self.one_m * t_new / dt
             for idx, (u_new, iters) in enumerate(stepped):
                 # ((u_new - u_old)/dt - bound)/bound with bound = u_new/((1-m) t_new),
@@ -479,7 +529,11 @@ class _Lockstep:
                 self.ab_max[idx] = max(self.ab_max[idx], gain * float(rel.max()) - 1.0)
                 self.min_u[idx] = min(self.min_u[idx], float(u_new.min()))
                 self.newton[idx] += iters
-                self.us[idx] = u_new
+            self.us = [u_new for u_new, _ in stepped]
+            self.past = [self.us] + self.past[:_PREDICT_DEGREE]
+            self.hs = [dt] + self.hs[:_PREDICT_DEGREE - 1]
+            self.dd = ([_push_state(dd, u, self.hs) for dd, u in zip(self.dd, self.us)]
+                       if predicted else None)
             self.n_steps += 1
             # a remainder clamped onto t_target says nothing about the step
             # size: dt stays, so a cap that sized the steps before still does

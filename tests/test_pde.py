@@ -32,7 +32,7 @@ from fastdiff import (
     self_similar_solution,
 )
 from fastdiff.errors import NewtonDivergence
-from fastdiff.pde import _predict, _Stepper, _StepReject
+from fastdiff.pde import _log_differences, _predict, _Stepper, _StepReject
 
 ANNULUS = (0.1, 10.0)
 
@@ -259,8 +259,10 @@ def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
     """The backward-Euler Newton step written against solve_banded: the
     residual recomputed at the top of every iteration and the Jacobian laid
     out in banded storage, as the stepper did before it called LAPACK
-    directly.  Returns (u_new, newton_iterations, damped), where damped says
-    whether an accepted Newton update was scaled by lam < 1."""
+    directly.  A full increment within newton_tol that clears the positivity
+    floor ends the step with no residual after it, so no damping veto.
+    Returns (u_new, newton_iterations, damped), where damped says whether an
+    accepted Newton update was scaled by lam < 1."""
     m, cfg, lo, ce, hi = stepper.m, stepper.cfg, stepper.lo, stepper.ce, stepper.hi
 
     def residual(u):
@@ -292,6 +294,8 @@ def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
                 continue
             u_try = u.copy()
             u_try[1:-1] = trial
+            if lam == 1.0 and float(np.max(np.abs(delta) / scale)) <= cfg.newton_tol:
+                return u_try, it + 1, damped
             err_try = float(np.max(np.abs(residual(u_try)) / scale))
             if err_try <= 2.0 * err0 or err_try <= cfg.newton_tol:
                 u = u_try
@@ -306,7 +310,11 @@ def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
 
 
 class TestStepperKernel:
-    def test_step_matches_solve_banded_reference(self, grid128, params_ref, bb):
+    def test_step_matches_solve_banded_reference(self, grid128, params_ref, bb,
+                                                 unit_eta_profile):
+        # Barenblatt at t = 1 for two dt, and 400 steps of the self-similar
+        # orbit on fdx converge's grid at dt = 2.5e-4 t, where the converged
+        # last increment of some steps lands on the residual's roundoff floor
         stepper = _Stepper(grid128, params_ref, EvolveConfig())
         field = _bb_field(bb, grid128, 1.0, params_ref)
         left, right = field.bc
@@ -315,6 +323,17 @@ class TestStepperKernel:
             u_ref, iters_ref, _ = _reference_step(stepper, field.u, 1.0, dt, left, right)
             assert iters == iters_ref >= 2
             assert np.array_equal(u_new, u_ref)
+        orbit = make_self_similar_field(unit_eta_profile, 1.0, 1.0, log_grid(1e-3, 1e3, 640))
+        stepper = _Stepper(orbit.r_grid, params_ref, EvolveConfig())
+        left, right = orbit.bc
+        u, t = orbit.u, 1.0
+        for _ in range(400):
+            dt = 2.5e-4 * t
+            u_new, iters = stepper.step(u, t, dt, left, right)
+            u_ref, iters_ref, _ = _reference_step(stepper, u, t, dt, left, right)
+            assert iters == iters_ref >= 2
+            assert np.array_equal(u_new, u_ref)
+            u, t = u_new, t + dt
 
     @pytest.mark.parametrize("newton_tol, iters_expected", [(1e-11, 6), (0.5, 1)])
     def test_damped_step_matches_solve_banded_reference(self, grid128, params_ref,
@@ -358,33 +377,52 @@ class TestStepperKernel:
 
     @pytest.mark.parametrize("dt_prev, dt", [(1e-3, 1e-3), (0.02, 0.05)])
     def test_predicted_start_matches_reference(self, grid128, params_ref, bb, dt_prev, dt):
-        # the second of two steps starts from the log-linear extrapolation of
-        # the first: it lands on the step's solution in fewer linear solves
-        # than the reference, which starts from u_old
+        # three steps of dt_prev, then one of dt that starts from the cubic in
+        # log u through the four states: it lands on the step's solution in
+        # fewer linear solves than the reference, which starts from u_old
         stepper = _Stepper(grid128, params_ref, EvolveConfig())
         field = _bb_field(bb, grid128, 1.0, params_ref)
         left, right = field.bc
-        u_old, _ = stepper.step(field.u, 1.0, dt_prev, left, right)
-        t = 1.0 + dt_prev
-        start = _predict(u_old, field.u, dt / dt_prev)
-        u_new, iters = stepper.step(u_old, t, dt, left, right, start)
-        u_ref, iters_ref, _ = _reference_step(stepper, u_old, t, dt, left, right)
+        states, t = [field.u], 1.0
+        for _ in range(3):
+            u, _ = stepper.step(states[0], t, dt_prev, left, right)
+            states.insert(0, u)
+            t += dt_prev
+        hs = [dt_prev] * 3
+        start = _predict(_log_differences(states, hs), hs, dt)
+        u_new, iters = stepper.step(states[0], t, dt, left, right, start)
+        u_ref, iters_ref, _ = _reference_step(stepper, states[0], t, dt, left, right)
         assert iters < iters_ref
         assert np.max(np.abs(u_new - u_ref) / u_ref) <= 1e-10
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_predictor_is_exact_on_polynomial_log_u(self, degree):
+        # through degree + 1 states at unequal steps, the start reproduces a
+        # log u that is a polynomial of that degree in t
+        coef = np.random.default_rng(degree).uniform(-1.0, 1.0, (degree + 1, 12))
+
+        def state(t):
+            return np.exp(sum(c * t**j for j, c in enumerate(coef)))
+
+        times = [2.0, 1.97, 1.92, 1.91][:degree + 1]
+        hs = [a - b for a, b in zip(times, times[1:])]
+        start = _predict(_log_differences([state(t) for t in times], hs), hs, 0.04)
+        assert np.allclose(start[1:-1], state(2.04)[1:-1], rtol=1e-13, atol=0.0)
+
     def test_unusable_start_is_rejected(self, grid128, params_ref, bb):
-        # a start with a zero, a nan or an overflow ends as a rejected step;
-        # 2^2000 overflows inside _predict without a RuntimeWarning, which
-        # tier-1 would turn into an error
+        # an extrapolation past the largest float rejects the step inside
+        # _predict without a RuntimeWarning, which the test configuration
+        # would turn into an error; a start with a zero or a nan is rejected
+        # by the step
         stepper = _Stepper(grid128, params_ref, EvolveConfig())
         field = _bb_field(bb, grid128, 1.0, params_ref)
-        overflowed = _predict(field.u, 0.5 * field.u, 2000.0)
-        assert np.isinf(overflowed[1:-1]).all()
-        starts = [overflowed]
+        # log u grows by log 2 per 1e-3, so 2 ahead it is 2^2000 times larger
+        dd = _log_differences([field.u, 0.5 * field.u], [1e-3])
+        with pytest.raises(_StepReject):
+            _predict(dd, [1e-3], 2.0)
         for bad in (0.0, math.nan):
-            starts.append(field.u.copy())
-            starts[-1][5] = bad
-        for start in starts:
+            start = field.u.copy()
+            start[5] = bad
             with pytest.raises(_StepReject):
                 stepper.step(field.u, 1.0, 1e-3, field.bc[0], field.bc[1], start)
 
@@ -406,9 +444,9 @@ def _record_steps(monkeypatch):
 class TestNewtonPredictor:
     def test_capped_steps_take_two_solves(self, unit_eta_profile, monkeypatch):
         # the self-similar orbit on fdx converge's grid and dt_rel_max: once
-        # dt_rel_max * t sizes the steps, each starts from the extrapolation
-        # and ends on the increment test after two solves (three from u_old);
-        # no residual follows the converged second increment
+        # dt_rel_max * t sizes the steps, each starts from the extrapolation.
+        # The first one extrapolates through the dt_init ramp and takes three
+        # solves, as from u_old; the cubic then takes two while it settles
         field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
         cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
         calls = _record_steps(monkeypatch)
@@ -416,13 +454,16 @@ class TestNewtonPredictor:
         capped = [i for i, (t, dt, _, _) in enumerate(calls) if dt == cfg.dt_rel_max * t]
         past_ramp = calls[capped[0]:-1]
         assert len(capped) == len(past_ramp) >= 70
-        assert max(iters for *_, iters in past_ramp) <= 2
+        assert past_ramp[0][-1] <= 3
+        assert max(iters for *_, iters in past_ramp[1:]) <= 2
         assert all(predicted for _, _, predicted, _ in past_ramp)
         assert out.stats.n_steps == len(calls)
 
     def test_converged_increment_skips_the_residual(self, unit_eta_profile, monkeypatch):
-        # a predicted two-solve step evaluates the residual at its start and
-        # after its first update, and none after the converged second one
+        # a predicted step evaluates the residual at its start and after each
+        # update but the converged last one.  Past t = 2.25 the cubic has
+        # settled within newton_tol of each step's solution, so nearly every
+        # cap-sized step takes one solve and one residual
         field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
         cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
         n_residuals = [0]
@@ -438,15 +479,19 @@ class TestNewtonPredictor:
         def counted(self, u_old, t, dt, bc_left, bc_right, start=None):
             before = n_residuals[0]
             u_new, iters = step(self, u_old, t, dt, bc_left, bc_right, start)
-            per_step.append((start is not None, iters, n_residuals[0] - before))
+            per_step.append((t, dt, start is not None, iters, n_residuals[0] - before))
             return u_new, iters
 
         monkeypatch.setattr(_Stepper, "_residual", counting)
         monkeypatch.setattr(_Stepper, "step", counted)
-        evolve(field, cfg, [2.04])
-        two_solve = [n for predicted, iters, n in per_step if predicted and iters == 2]
-        assert len(two_solve) >= 70
-        assert set(two_solve) == {2}
+        evolve(field, cfg, [2.25, 2.5])
+        predicted = [(iters, n) for _, _, given, iters, n in per_step if given]
+        assert len(predicted) >= 800
+        assert all(n == iters for iters, n in predicted)
+        settled = [(iters, n) for t, dt, _, iters, n in per_step
+                   if t >= 2.25 and dt == cfg.dt_rel_max * t]
+        assert len(settled) >= 400
+        assert settled.count((1, 1)) >= 0.9 * len(settled)
 
     def test_step_after_a_sample_time_is_predicted(self, unit_eta_profile, monkeypatch):
         # a step clamped onto a sample time keeps dt, so the cap still sizes
@@ -463,14 +508,20 @@ class TestNewtonPredictor:
 
     def test_growth_sized_steps_start_from_u_old(self, grid128, params_ref, bb, monkeypatch):
         # no cap binds: dt grows from dt_init and stays below dt_max, so the
-        # Newton count chooses every step and none is predicted
+        # Newton count chooses every step, none is predicted, and no log u
+        # or divided difference is formed
         field = _bb_field(bb, grid128, 1.0, params_ref)
         cfg = EvolveConfig(dt_init=1e-3, dt_max=0.05)
         calls = _record_steps(monkeypatch)
+        predictor_calls = []
+        for name in ("_predict", "_log_differences", "_push_state"):
+            monkeypatch.setattr(fastdiff.pde, name,
+                                lambda *args, name=name: predictor_calls.append(name))
         evolve(field, cfg, [1.05, 1.1])
         assert len(calls) >= 10
         assert max(dt for _, dt, _, _ in calls) < cfg.dt_max
         assert not any(predicted for _, _, predicted, _ in calls)
+        assert predictor_calls == []
 
 
 class TestEvolveAccuracy:
