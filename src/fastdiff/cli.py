@@ -241,14 +241,21 @@ def _stepping(o: dict):
     return cfg, grid, {"evolve_config": asdict(cfg), "grid": _grid_block(grid)}
 
 
-def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
-    cfg, grid, manifest = _stepping(o)
-    kind, t0, t_end = o["kind"], o["t0"], o["t_end"]
+def _log_spaced_times(o: dict) -> np.ndarray:
+    """Sample times of evolve and contract: `samples` log-spaced ones from t0 to t_end."""
+    t0, t_end = o["t0"], o["t_end"]
     if not t_end > t0:
         raise RangeError(f"t_end must exceed t0, got {t_end} <= {t0}")
     if not o["samples"] >= 2:
         # a single sample is t0 itself: no step would reach t_end
         raise ConfigError("need a sequence of at least 2 finite sample time(s)")
+    return np.exp(np.linspace(math.log(t0), math.log(t_end), o["samples"]))
+
+
+def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
+    cfg, grid, manifest = _stepping(o)
+    kind, t0, t_end = o["kind"], o["t0"], o["t_end"]
+    times = _log_spaced_times(o)
 
     exact = None  # the solution V(r, t) the run is compared with
     if kind == "self-similar":
@@ -267,7 +274,6 @@ def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
         left, right = float(vals[0]), float(vals[-1])
         field = RadialField(grid, vals, t0, bc=(lambda t: left, lambda t: right), params=params)
 
-    times = np.exp(np.linspace(math.log(t0), math.log(t_end), o["samples"]))
     snapshots = evolve(field, cfg, times)
     rows = []
     for snap in snapshots:
@@ -296,6 +302,7 @@ def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
 
 def _cmd_contract(o: dict, params: ParamSet, weight: WeightFunction):
     cfg, grid, manifest = _stepping(o)
+    times = _log_spaced_times(o)
     prof = _build_profile(o, params)
     rng = np.random.default_rng(o["seed"])
     u0, v0, sandwich = random_sandwiched_pair(
@@ -303,7 +310,6 @@ def _cmd_contract(o: dict, params: ParamSet, weight: WeightFunction):
         lam_pair=(o["lam_a"], o["lam_b"]),
         theta_amp=o["theta_amp"],
     )
-    times = np.exp(np.linspace(math.log(o["t0"]), math.log(o["t_end"]), o["samples"]))
     result = contraction_experiment(u0, v0, weight, times, cfg, sandwich=sandwich)
 
     slack = 1e-6 * (1.0 + result.dist_abs[0])
@@ -326,6 +332,8 @@ def _cmd_contract(o: dict, params: ParamSet, weight: WeightFunction):
 
 def _cmd_converge(o: dict, params: ParamSet, weight: WeightFunction):
     cfg, grid, manifest = _stepping(o)
+    if not o["tau_max"] > 0:
+        raise RangeError(f"tau_max must be positive, got {o['tau_max']}")
     prof = _build_profile(o, params)
     u0_spec = None
     if o["case"] == "bump":

@@ -17,7 +17,6 @@ contraction properties of the continuous flow carry over to the scheme.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -71,10 +70,9 @@ _DT_GROW = 1.3
 _GROW_THRESHOLD = 3
 _MAX_STEPS = 2_000_000
 
-# Degree of the polynomial in log u, through the last accepted states, from
-# which Newton starts on a cap-sized step; exp overflows above _LOG_FLOAT_MAX.
+# Degree of the polynomial in u, through the last accepted states, from
+# which Newton starts on a cap-sized step.
 _PREDICT_DEGREE = 3
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # log-radius window of the random interpolation field of a sandwiched pair,
 # and the number of its Fourier modes
@@ -125,10 +123,10 @@ class EvolveConfig:
     a roundoff floor above the default tolerance (7.7e-10 to 7.3e-7 over the
     steps of fdx converge's orbit run, 640 nodes on [1e-3, 1e3]), so there
     the increment test ends each step, one linear solve after the iterate
-    has converged: three solves from u_old, one from a settled predicted
-    start that is already within newton_tol.  No residual follows a
-    converged full increment: the step returns u + delta once it clears the
-    positivity floor, without the damping veto.
+    has converged: three solves from u_old, one from a settled start that
+    _Lockstep predicts in u and that is already within newton_tol.  No
+    residual follows a converged full increment: the step returns u + delta
+    once it clears the positivity floor, without the damping veto.
     dt_rel_max, when set, caps the step at dt_rel_max * t, which is the
     natural accuracy knob for runs spanning decades of time.
     """
@@ -400,49 +398,28 @@ class _Stepper:
         raise _StepReject("newton")
 
 
-def _push_state(dd: list[np.ndarray], u: np.ndarray,
-                hs: Sequence[float]) -> list[np.ndarray]:
-    """Newton divided differences of log u with a new newest state u.
-
-    dd holds those of the earlier states on the interior, newest first ([L0],
-    [L0, L1], [L0, L1, L2], ...), and hs the step sizes newest first, hs[0]
-    the step that reached u.  At most _PREDICT_DEGREE + 1 differences are
-    kept."""
-    new = [np.log(u[1:-1])]
-    span = 0.0
-    for d, h in zip(dd[:_PREDICT_DEGREE], hs):
-        span += h
-        diff = new[-1] - d
-        diff /= span
-        new.append(diff)
-    return new
-
-
-def _log_differences(states: Sequence[np.ndarray], hs: Sequence[float]) -> list[np.ndarray]:
-    """Divided differences of log u through accepted states, newest first;
-    hs[j] is the step from states[j + 1] to states[j]."""
-    dd: list[np.ndarray] = []
-    for j in range(len(states) - 1, -1, -1):
-        dd = _push_state(dd, states[j], hs[j:])
-    return dd
-
-
-def _predict(dd: Sequence[np.ndarray], hs: Sequence[float], dt: float) -> np.ndarray:
-    """Newton's start for a step of size dt: the polynomial in log u with
-    divided differences dd (from _log_differences or _push_state), evaluated
-    dt past the newest state and exponentiated on the interior; the traces
-    are left unset.  An extrapolation whose exponential would overflow (or is
-    nan) raises _StepReject instead."""
-    start = np.empty(dd[0].size + 2)
+def _predict(states: Sequence[np.ndarray], hs: Sequence[float], dt: float) -> np.ndarray:
+    """Newton's start for a step of size dt: the polynomial in u through the
+    accepted states (newest first; hs[j] is the step from states[j + 1] to
+    states[j]), dt past the newest, as a Lagrange-weighted sum on the
+    interior with weights summing to 1; the traces are left unset.  A start
+    that is not positive, or would overflow, raises _StepReject."""
+    nodes = [0.0]
+    for h in hs:
+        nodes.append(nodes[-1] - h)
+    w = [math.prod([(dt - xk) / (xj - xk) for xk in nodes if xk != xj]) for xj in nodes]
+    w[0] = 1.0 - sum(w[1:])
+    # the weights are divided by their absolute sum, so no partial sum can
+    # overflow, and whether the start would is a float comparison
+    total = sum(map(abs, w))
+    start = np.empty(states[0].size)
     inner = start[1:-1]
-    # Horner's rule in Newton form; the nodes sit at 0, -hs[0], -(hs[0] + hs[1]), ...
-    np.copyto(inner, dd[-1])
-    for k in range(len(dd) - 2, -1, -1):
-        inner *= dt + sum(hs[:k])
-        inner += dd[k]
-    if not float(inner.max()) < _LOG_FLOAT_MAX:
+    np.multiply(states[0][1:-1], w[0] / total, out=inner)
+    for wj, u in zip(w[1:], states[1:]):
+        inner += (wj / total) * u[1:-1]
+    if not (float(inner.min()) > 0.0 and float(inner.max()) * total < math.inf):
         raise _StepReject("newton")
-    np.exp(inner, out=inner)
+    inner *= total
     return start
 
 
@@ -455,15 +432,13 @@ class _Lockstep:
 
     On a step whose size a cap sets (dt_max or dt_rel_max * t, not the
     Newton-count growth rule), each field's Newton iteration starts from the
-    polynomial in log u of degree _PREDICT_DEGREE through its last accepted
+    polynomial in u of degree _PREDICT_DEGREE through its last accepted
     states, at their own step sizes (fewer states, lower degree; Hairer &
     Wanner, Solving ODEs II, IV.8).  Once it has settled, that start is within
     newton_tol of the step's solution, so the step takes one linear solve.
     A step the growth rule sizes starts from u_old: there the Newton count
     picks the next dt, and a cheaper start would let dt grow further.  Such
-    steps only keep references to the accepted states; the logs and divided
-    differences are formed when a cap sizes a step, and carried forward one
-    state at a time while the cap keeps sizing them.
+    steps only keep references to the accepted states.
     """
 
     def __init__(self, fields: Sequence[RadialField], params: ParamSet, cfg: EvolveConfig):
@@ -473,12 +448,10 @@ class _Lockstep:
         self.t_start = self.t = fields[0].t
         self.dt = cfg.dt_init
         self.us = [f.u.copy() for f in fields]
-        # the accepted states, newest first (self.us leads), the step sizes
-        # between them, newest first, and each field's divided differences of
-        # log u through them while steps are predicted (None when stale)
+        # the accepted states, newest first (self.us leads), and the step
+        # sizes between them, newest first
         self.past = [self.us]
         self.hs: list[float] = []
-        self.dd: Optional[list[list[np.ndarray]]] = None
         self.bcs = [f.bc for f in fields]
         self.n_steps = self.n_rejected = 0
         self.newton = [0] * len(fields)
@@ -498,12 +471,8 @@ class _Lockstep:
             dt = t_target - t if clamped else dt_prop
             predicted = cap <= self.dt and bool(self.hs)
             try:
-                if predicted:
-                    if self.dd is None:
-                        self.dd = [_log_differences(states, self.hs) for states in zip(*self.past)]
-                    starts = [_predict(dd, self.hs, dt) for dd in self.dd]
-                else:
-                    starts = [None] * len(self.us)
+                starts = ([_predict(states, self.hs, dt) for states in zip(*self.past)]
+                          if predicted else [None] * len(self.us))
                 stepped = [self.stepper.step(u, t, dt, bc[0], bc[1], start)
                            for u, bc, start in zip(self.us, self.bcs, starts)]
             except _StepReject as rej:
@@ -532,8 +501,6 @@ class _Lockstep:
             self.us = [u_new for u_new, _ in stepped]
             self.past = [self.us] + self.past[:_PREDICT_DEGREE]
             self.hs = [dt] + self.hs[:_PREDICT_DEGREE - 1]
-            self.dd = ([_push_state(dd, u, self.hs) for dd, u in zip(self.dd, self.us)]
-                       if predicted else None)
             self.n_steps += 1
             # a remainder clamped onto t_target says nothing about the step
             # size: dt stays, so a cap that sized the steps before still does
@@ -871,11 +838,10 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
                 f"slope {slope:.3f} >= -0.1"
             )
 
-    # reference rescaled grid: stays inside the image of [r_in, r_out] for
-    # every sampled time, with a 5 percent safety margin at both ends
-    t_max = float(t_arr[-1])
-    y_lo = r_grid[0] * t_max ** (-p.beta) * 1.05
-    y_hi = r_grid[-1] / 1.05
+    # reference rescaled grid: inside the image t^-beta [r_in, r_out] at every
+    # sampled time (beta < 0), with a 5 percent safety margin at both ends
+    y_lo = r_grid[0] * float(t_arr[-1]) ** (-p.beta) * 1.05
+    y_hi = r_grid[-1] * float(t_arr[0]) ** (-p.beta) / 1.05
     if not y_lo < y_hi:
         raise RangeError("tau horizon too long for this grid: rescaled window is empty")
     n_ref = max(int(round(r_grid.size * math.log(y_hi / y_lo) / math.log(r_grid[-1] / r_grid[0]))), 16)

@@ -306,6 +306,31 @@ class TestExitCodes:
         assert record["message"] == "need a sequence of at least 2 finite sample time(s)"
         assert not (tmp_path / "evolve_summary.json").exists()
 
+    @pytest.mark.parametrize("argv, error, message", [
+        (["evolve", "--kind", "constant", "--t-end", "1.0"],
+         "RangeError", "t_end must exceed t0, got 1.0 <= 1.0"),
+        (["contract", "--t-end", "1.0"], "RangeError", "t_end must exceed t0, got 1.0 <= 1.0"),
+        (["contract", "--t-end", "0.5"], "RangeError", "t_end must exceed t0, got 0.5 <= 1.0"),
+        (["contract", "--samples", "1"],
+         "ConfigError", "need a sequence of at least 2 finite sample time(s)"),
+        (["converge", "--tau-max", "0"], "RangeError", "tau_max must be positive, got 0.0"),
+        (["converge", "--tau-max", "-1"], "RangeError", "tau_max must be positive, got -1.0"),
+    ])
+    def test_empty_time_range_is_bad_input(self, argv, error, message, tmp_path):
+        # evolve and contract share one rule for their sample times, and
+        # converge refuses an empty log-time horizon, each before any build
+        assert cli.main([*argv, "--n", "3", "--nodes", "16", "--out", str(tmp_path)]) == 2
+        record = read_json(tmp_path / "error.json")
+        assert (record["error"], record["message"]) == (error, message)
+
+    def test_converge_from_before_t1(self, tmp_path):
+        # the reference window ends inside the grid's image at t0 < 1
+        rc = cli.main(["converge", "--n", "3", "--t0", "0.5", "--tau-max", "0.1",
+                       "--samples", "2", "--nodes", "64", "--out", str(tmp_path)])
+        assert rc == 0
+        summary = read_json(tmp_path / "converge_summary.json")
+        assert summary["reference_grid"]["r_out"] < 1e3 / 1.05
+
     def test_missing_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["profile"])

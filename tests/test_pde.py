@@ -32,7 +32,7 @@ from fastdiff import (
     self_similar_solution,
 )
 from fastdiff.errors import NewtonDivergence
-from fastdiff.pde import _log_differences, _predict, _Stepper, _StepReject
+from fastdiff.pde import _predict, _Stepper, _StepReject
 
 ANNULUS = (0.1, 10.0)
 
@@ -378,8 +378,8 @@ class TestStepperKernel:
     @pytest.mark.parametrize("dt_prev, dt", [(1e-3, 1e-3), (0.02, 0.05)])
     def test_predicted_start_matches_reference(self, grid128, params_ref, bb, dt_prev, dt):
         # three steps of dt_prev, then one of dt that starts from the cubic in
-        # log u through the four states: it lands on the step's solution in
-        # fewer linear solves than the reference, which starts from u_old
+        # u through the four states: it lands on the step's solution in fewer
+        # linear solves than the reference, which starts from u_old
         stepper = _Stepper(grid128, params_ref, EvolveConfig())
         field = _bb_field(bb, grid128, 1.0, params_ref)
         left, right = field.bc
@@ -389,37 +389,44 @@ class TestStepperKernel:
             states.insert(0, u)
             t += dt_prev
         hs = [dt_prev] * 3
-        start = _predict(_log_differences(states, hs), hs, dt)
+        start = _predict(states, hs, dt)
         u_new, iters = stepper.step(states[0], t, dt, left, right, start)
         u_ref, iters_ref, _ = _reference_step(stepper, states[0], t, dt, left, right)
         assert iters < iters_ref
         assert np.max(np.abs(u_new - u_ref) / u_ref) <= 1e-10
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    def test_predictor_is_exact_on_polynomial_log_u(self, degree):
+    def test_predictor_is_exact_on_polynomial_u(self, degree):
         # through degree + 1 states at unequal steps, the start reproduces a
-        # log u that is a polynomial of that degree in t
-        coef = np.random.default_rng(degree).uniform(-1.0, 1.0, (degree + 1, 12))
+        # u that is a polynomial of that degree in t.  u stays within
+        # [1.2, 2.8], away from 0, so a relative tolerance measures the error
+        coef = np.random.default_rng(degree).uniform(-0.3, 0.3, (degree, 12))
 
         def state(t):
-            return np.exp(sum(c * t**j for j, c in enumerate(coef)))
+            return 2.0 + sum(c * (10.0 * (t - 2.0)) ** j for j, c in enumerate(coef, 1))
 
         times = [2.0, 1.97, 1.92, 1.91][:degree + 1]
         hs = [a - b for a, b in zip(times, times[1:])]
-        start = _predict(_log_differences([state(t) for t in times], hs), hs, 0.04)
+        start = _predict([state(t) for t in times], hs, 0.04)
         assert np.allclose(start[1:-1], state(2.04)[1:-1], rtol=1e-13, atol=0.0)
 
     def test_unusable_start_is_rejected(self, grid128, params_ref, bb):
-        # an extrapolation past the largest float rejects the step inside
-        # _predict without a RuntimeWarning, which the test configuration
-        # would turn into an error; a start with a zero or a nan is rejected
-        # by the step
+        # a negative extrapolation, or a start with a zero or a nan, ends in
+        # _StepReject.  _predict raises no RuntimeWarning, which the test
+        # configuration would turn into an error, even where its sum would
+        # pass the largest float
         stepper = _Stepper(grid128, params_ref, EvolveConfig())
         field = _bb_field(bb, grid128, 1.0, params_ref)
-        # log u grows by log 2 per 1e-3, so 2 ahead it is 2^2000 times larger
-        dd = _log_differences([field.u, 0.5 * field.u], [1e-3])
+        left, right = field.bc
         with pytest.raises(_StepReject):
-            _predict(dd, [1e-3], 2.0)
+            # u halves per 1e-3, so 2 ahead the line through both states is negative
+            start = _predict([field.u, 2.0 * field.u], [1e-3], 2.0)
+            stepper.step(field.u, 1.0, 2.0, left, right, start)
+        big = 1e300 * field.u / field.u.max()
+        start = _predict([big, 0.5 * big], [1e-3], 2.0)
+        assert np.allclose(start[1:-1], 1001.0 * big[1:-1], rtol=1e-12, atol=0.0)
+        with pytest.raises(_StepReject):
+            _predict([big, 0.5 * big], [1e-3], 1e6)
         for bad in (0.0, math.nan):
             start = field.u.copy()
             start[5] = bad
@@ -506,17 +513,45 @@ class TestNewtonPredictor:
         assert iters <= 2
         assert dt == cfg.dt_rel_max * 2.02
 
+    def test_rejected_start_retries_from_u_old(self, unit_eta_profile, monkeypatch):
+        # a start with a negative node rejects the first predicted step; the
+        # halved dt is below the cap, so the retry starts from u_old, and
+        # prediction resumes once the cap sizes the steps again
+        field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
+        cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
+        attempts = []
+        step = _Stepper.step
+
+        def recording(self, u_old, t, dt, bc_left, bc_right, start=None):
+            attempts.append((t, dt, start is not None))
+            return step(self, u_old, t, dt, bc_left, bc_right, start)
+
+        predict = fastdiff.pde._predict
+
+        def first_start_bad(states, hs, dt):
+            start = predict(states, hs, dt)
+            if not any(given for *_, given in attempts):
+                start[5] = -start[5]
+            return start
+
+        monkeypatch.setattr(_Stepper, "step", recording)
+        monkeypatch.setattr(fastdiff.pde, "_predict", first_start_bad)
+        [out] = evolve(field, cfg, [2.02])
+        k = next(i for i, (*_, given) in enumerate(attempts) if given)
+        t, dt, _ = attempts[k]
+        assert attempts[k + 1] == (t, 0.5 * dt, False)
+        assert any(given for *_, given in attempts[k + 2:])
+        assert out.stats.n_rejected == 1
+        assert out.stats.n_steps == len(attempts) - 1
+
     def test_growth_sized_steps_start_from_u_old(self, grid128, params_ref, bb, monkeypatch):
         # no cap binds: dt grows from dt_init and stays below dt_max, so the
-        # Newton count chooses every step, none is predicted, and no log u
-        # or divided difference is formed
+        # Newton count chooses every step and none is predicted
         field = _bb_field(bb, grid128, 1.0, params_ref)
         cfg = EvolveConfig(dt_init=1e-3, dt_max=0.05)
         calls = _record_steps(monkeypatch)
         predictor_calls = []
-        for name in ("_predict", "_log_differences", "_push_state"):
-            monkeypatch.setattr(fastdiff.pde, name,
-                                lambda *args, name=name: predictor_calls.append(name))
+        monkeypatch.setattr(fastdiff.pde, "_predict", lambda *args: predictor_calls.append(args))
         evolve(field, cfg, [1.05, 1.1])
         assert len(calls) >= 10
         assert max(dt for _, dt, _, _ in calls) < cfg.dt_max
@@ -797,6 +832,19 @@ class TestConvergenceExperiment:
         # profile itself, nonzero even on the orbit
         assert np.isfinite(res.u0_l1_gap) and res.u0_l1_gap >= 0.0
         assert res.lam0 == 1.0
+
+    def test_start_before_t1_keeps_the_window_on_the_grid(self, unit_eta_profile, weight_ref,
+                                                          grid192, cfg):
+        # beta < 0, so at t0 = 0.5 the grid's image t0^-beta [r_in, r_out]
+        # ends below r_out: the reference window ends inside it, and the
+        # rescaled field is sampled at every time
+        tau = math.log(0.5) + np.linspace(0.0, 0.1, 2)
+        res = convergence_experiment(unit_eta_profile, 1.0, 1.0, 1.2, None, tau, cfg,
+                                     weight=weight_ref, r_grid=grid192, t0=0.5)
+        beta = unit_eta_profile.params.beta
+        assert res.y_grid[-1] == pytest.approx(grid192[-1] * 0.5 ** -beta / 1.05, rel=1e-12)
+        assert res.y_grid[-1] < grid192[-1] / 1.05
+        assert np.max(res.dist_l1w) / res.norm_ref <= 1e-3
 
     def test_bump_distance_decays(self, unit_eta_profile, params_ref, weight_ref, grid192, cfg):
         tau = np.linspace(0.0, 0.8, 5)
