@@ -17,6 +17,7 @@ contraction properties of the continuous flow carry over to the scheme.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -70,6 +71,9 @@ _DT_GROW = 1.3
 _GROW_THRESHOLD = 3
 _MAX_STEPS = 2_000_000
 
+# log of the largest float, which the stencil's coefficients must stay below
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 # Degree of the polynomial in u, through the last accepted states, from
 # which Newton starts on a cap-sized step.
 _PREDICT_DEGREE = 3
@@ -102,12 +106,18 @@ class EvolveStats:
     accepted steps, so any value <= 0 means the bound held strictly.  Each
     step evaluates it as (1-m) t_new/dt * max((u_new - u_old)/u_new) - 1,
     the same quantity in three array passes.
+
+    n_rejected counts every rejected step; n_rejected_positivity the part of
+    them whose Newton update could not be backtracked above the positivity
+    floor.  The rest are Newton failures: a stall, a failed or non-finite
+    solve, or an unusable start.
     """
 
     t_start: float
     t_end: float
     n_steps: int
     n_rejected: int
+    n_rejected_positivity: int
     newton_total: int
     dt_final: float
     min_u: float
@@ -119,14 +129,18 @@ class EvolveConfig:
     """Controls for the implicit one-step scheme (theta = 1, backward Euler).
 
     newton_tol is relative: the inner iteration stops once either the scaled
-    residual or the scaled increment drops below it.  The scaled residual has
-    a roundoff floor above the default tolerance (7.7e-10 to 7.3e-7 over the
-    steps of fdx converge's orbit run, 640 nodes on [1e-3, 1e3]), so there
-    the increment test ends each step, one linear solve after the iterate
-    has converged: three solves from u_old, one from a settled start that
-    _Lockstep predicts in u and that is already within newton_tol.  No
-    residual follows a converged full increment: the step returns u + delta
-    once it clears the positivity floor, without the damping veto.
+    residual of an updated iterate or the scaled increment drops below it;
+    the start's residual is not tested, so every step takes at least one
+    linear solve.  The scaled residual has a roundoff floor above the
+    default tolerance (7.7e-10 to 7.3e-7 over the steps of fdx converge's
+    orbit run, 640 nodes on [1e-3, 1e3]), so there the increment test ends
+    each step, one linear solve after the iterate has converged: three
+    solves from u_old, one from a settled start that _Lockstep predicts in u
+    and that is already within newton_tol.  No residual follows a converged
+    full increment: the step returns u + delta once it clears the
+    positivity floor, without the damping veto.  Each Newton iteration
+    takes one power, u^m: the residual's u^m/m and the Jacobian's u^(m-1)
+    = u^m/u both come from it.
     dt_rel_max, when set, caps the step at dt_rel_max * t, which is the
     natural accuracy knob for runs spanning decades of time.
     """
@@ -296,28 +310,40 @@ class _Stepper:
             raise ConfigError(
                 f"log spacing {dx:.4g} too coarse for a monotone stencil: need dx < 2/(n-2) = {2.0 / kdrift:.4g}"
             )
+        # e^(-2x) and the coefficients peak at x[1], at e^(-2 x[1]) times
+        # max(1, 2/dx^2) (that is |ce| there); tested on the log, so no exp
+        # overflows
+        if -2.0 * x[1] + max(0.0, math.log(2.0 / dx**2)) >= _LOG_FLOAT_MAX:
+            raise RangeError(
+                f"inner radius {r[0]:.4g} too small: the stencil's e^(-2 log r) 2/dx^2 overflows a float"
+            )
         self.m = params.m
         self.cfg = cfg
         e2 = np.exp(-2.0 * x[1:-1])
         self.lo = e2 * (1.0 / dx**2 - kdrift / (2.0 * dx))
         self.ce = e2 * (-2.0 / dx**2)
         self.hi = e2 * (1.0 / dx**2 + kdrift / (2.0 * dx))
+        # the negated couplings of the Jacobian's rows scaled by 1/dt: row i
+        # is nlo dF[i-1], nce dF[i] + 1/dt, nhi dF[i+1], with dF = u^(m-1)
+        self.nlo, self.nce, self.nhi = -self.lo[1:], -self.ce, -self.hi[:-1]
         # LAPACK's tridiagonal solver, the routine solve_banded((1, 1), ...)
         # calls, without that wrapper's validation on every Newton iteration
         (self.gtsv,) = get_lapack_funcs(("gtsv",), (self.ce,))
 
-    def _residual(self, u: np.ndarray, uo_int: np.ndarray, dt: float) -> np.ndarray:
-        # u[1:-1] - uo_int - dt * (lo F[:-2] + ce F[1:-1] + hi F[2:]) with
-        # F = u^m / m, in that operation order, on as few temporaries
-        F = u**self.m
-        F /= self.m
+    def _residual(self, u: np.ndarray, uo_int: np.ndarray,
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+        # G = u[1:-1] - uo_int - dt * (lo F[:-2] + ce F[1:-1] + hi F[2:]) with
+        # F = u^m / m, in that operation order, on as few temporaries; returns
+        # (G, P) with P = u^m, from which the Jacobian takes u^(m-1) = P/u
+        P = u**self.m
+        F = P / self.m
         LF = self.lo * F[:-2]
         LF += self.ce * F[1:-1]
         LF += self.hi * F[2:]
         LF *= dt
         G = u[1:-1] - uo_int
         G -= LF
-        return G
+        return G, P
 
     def step(self, u_old: np.ndarray, t: float, dt: float,
              bc_left: Callable, bc_right: Callable,
@@ -326,15 +352,19 @@ class _Stepper:
 
         Newton starts from u_old, or from start when given: an array the step
         may overwrite, whose interior is the first iterate (its traces are
-        set here).  A full increment whose scaled norm is within newton_tol
-        ends the step once u + delta clears the positivity floor; no residual
-        is evaluated after it, so a start that close to the solution costs
-        one residual and one solve.  Raises _StepReject when the start is not
-        positive and finite, Newton stalls, the linear solve fails or
-        positivity backtracking is exhausted; the caller decides whether to
-        shrink dt.
+        set here).  Each iteration solves the tridiagonal system with its
+        rows scaled by 1/dt, J/dt delta = -G/dt, so the stored couplings
+        carry no dt and u^(m-1) comes from the residual's u^m.  A full
+        increment whose scaled norm is within newton_tol ends the step once
+        u + delta clears the positivity floor; no residual is evaluated after
+        it, so a start that close to the solution costs one residual and one
+        solve.  The start's scaled residual norm is formed only when the
+        damping veto reads it, that is, when the first increment is not such
+        a converged one.  Raises _StepReject when the start is not positive
+        and finite, Newton stalls, the linear solve fails or positivity
+        backtracking is exhausted; the caller decides whether to shrink dt.
         """
-        m, cfg = self.m, self.cfg
+        cfg = self.cfg
         t_new = t + dt
         left, right = float(bc_left(t_new)), float(bc_right(t_new))
         if not (left > 0.0 and right > 0.0 and math.isfinite(left) and math.isfinite(right)):
@@ -346,20 +376,19 @@ class _Stepper:
         uo_int = u_old[1:-1]
         scale = uo_int  # positive by invariant; fixed per step
         floor = 1e-8 * scale
-        # Jacobian diagonals up to the factor dF = u^(m-1), fixed per step
-        dt_ce, mdt_hi, mdt_lo = dt * self.ce, -dt * self.hi[:-1], -dt * self.lo[1:]
-        G = self._residual(u, uo_int, dt)
-        # scaled residual norm of the current iterate, carried from the
-        # accepted trial into the next iteration
-        err0 = float((np.abs(G) / scale).max())
+        rdt, mrdt = 1.0 / dt, -1.0 / dt
+        G, P = self._residual(u, uo_int, dt)
+        # scaled residual norm of the current iterate: the start's is formed
+        # only when the damping veto reads it, later ones come from the trial
+        err0 = None
         for it in range(cfg.newton_max):
-            if err0 <= cfg.newton_tol:
+            if it and err0 <= cfg.newton_tol:
                 return u, it
-            dF = u[1:-1] ** (m - 1.0)
-            # the four inputs are temporaries (G is not read again), so LAPACK
+            dF = P[1:-1] / u[1:-1]  # u^(m-1)
+            # rows scaled by 1/dt; the four inputs are new arrays, so LAPACK
             # may overwrite them
-            _, _, _, delta, info = self.gtsv(mdt_lo * dF[:-1], 1.0 - dt_ce * dF,
-                                             mdt_hi * dF[1:], np.negative(G, out=G),
+            _, _, _, delta, info = self.gtsv(self.nlo * dF[:-1], self.nce * dF + rdt,
+                                             self.nhi * dF[1:], G * mrdt,
                                              True, True, True, True)
             if info != 0:
                 raise _StepReject("newton")
@@ -382,7 +411,9 @@ class _Stepper:
                     # a converged full increment ends the step: no trial
                     # residual, so no damping veto on a roundoff-sized update
                     return u_try, it + 1
-                G_try = self._residual(u_try, uo_int, dt)
+                if err0 is None:
+                    err0 = float((np.abs(G) / scale).max())
+                G_try, P_try = self._residual(u_try, uo_int, dt)
                 err_try = float((np.abs(G_try) / scale).max())
                 # damped Newton: allow mild non-monotonicity, veto blow-up
                 if err_try <= 2.0 * err0 or err_try <= cfg.newton_tol:
@@ -391,7 +422,7 @@ class _Stepper:
                 lam *= 0.5
             else:
                 raise _StepReject(reason)
-            u, G, err0 = u_try, G_try, err_try
+            u, G, P, err0 = u_try, G_try, P_try, err_try
             # lam is a power of two, so lam * inc is the scaled norm of lam * delta
             if lam * inc <= cfg.newton_tol:
                 return u, it + 1
@@ -401,9 +432,10 @@ class _Stepper:
 def _predict(states: Sequence[np.ndarray], hs: Sequence[float], dt: float) -> np.ndarray:
     """Newton's start for a step of size dt: the polynomial in u through the
     accepted states (newest first; hs[j] is the step from states[j + 1] to
-    states[j]), dt past the newest, as a Lagrange-weighted sum on the
-    interior with weights summing to 1; the traces are left unset.  A start
-    that is not positive, or would overflow, raises _StepReject."""
+    states[j]), dt past the newest, as a Lagrange-weighted sum with weights
+    summing to 1, formed in one np.dot of the weights with the states; only
+    the interior is meaningful, the step sets the traces.  A start that is
+    not positive, or would overflow, raises _StepReject."""
     nodes = [0.0]
     for h in hs:
         nodes.append(nodes[-1] - h)
@@ -412,11 +444,8 @@ def _predict(states: Sequence[np.ndarray], hs: Sequence[float], dt: float) -> np
     # the weights are divided by their absolute sum, so no partial sum can
     # overflow, and whether the start would is a float comparison
     total = sum(map(abs, w))
-    start = np.empty(states[0].size)
+    start = np.dot([wj / total for wj in w], states)
     inner = start[1:-1]
-    np.multiply(states[0][1:-1], w[0] / total, out=inner)
-    for wj, u in zip(w[1:], states[1:]):
-        inner += (wj / total) * u[1:-1]
     if not (float(inner.min()) > 0.0 and float(inner.max()) * total < math.inf):
         raise _StepReject("newton")
     inner *= total
@@ -453,7 +482,7 @@ class _Lockstep:
         self.past = [self.us]
         self.hs: list[float] = []
         self.bcs = [f.bc for f in fields]
-        self.n_steps = self.n_rejected = 0
+        self.n_steps = self.n_rejected = self.n_rejected_positivity = 0
         self.newton = [0] * len(fields)
         self.min_u = [float(np.min(f.u)) for f in fields]
         self.ab_max = [-math.inf] * len(fields)
@@ -477,6 +506,7 @@ class _Lockstep:
                            for u, bc, start in zip(self.us, self.bcs, starts)]
             except _StepReject as rej:
                 self.n_rejected += 1
+                self.n_rejected_positivity += rej.reason == "positivity"
                 dt_new = dt * _DT_SHRINK
                 if dt_new < cfg.dt_min:
                     if rej.reason == "positivity":
@@ -521,6 +551,7 @@ class _Lockstep:
             t_end=self.t,
             n_steps=self.n_steps,
             n_rejected=self.n_rejected,
+            n_rejected_positivity=self.n_rejected_positivity,
             newton_total=self.newton[i],
             dt_final=self.dt,
             min_u=self.min_u[i],

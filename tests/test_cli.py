@@ -267,6 +267,34 @@ class TestConvergeCommand:
         assert max(summary["dist_rel_l1w"]) <= 5e-3
 
 
+@pytest.mark.parametrize("argv, summary, blocks", [
+    (["evolve", "--kind", "constant", "--t-end", "1.2"], "evolve_summary.json", ["stats"]),
+    (["contract", "--t-end", "1.2", "--seed", "0"], "contract_summary.json",
+     ["stats_u", "stats_v"]),
+    (["converge", "--tau-max", "0.2"], "converge_summary.json", ["stats"]),
+])
+def test_rejections_split_by_reason_in_every_summary(argv, summary, blocks, tmp_path,
+                                                     monkeypatch):
+    # one step fails on positivity once: every stats block counts it in the
+    # total and in n_rejected_positivity
+    step = fastdiff.pde._Stepper.step
+    raised = []
+
+    def positivity_once(self, *args):
+        if not raised:
+            raised.append(True)
+            raise fastdiff.pde._StepReject("positivity")
+        return step(self, *args)
+
+    monkeypatch.setattr(fastdiff.pde._Stepper, "step", positivity_once)
+    rc = cli.main([*argv, "--n", "3", "--nodes", "64", "--r-in", "0.01", "--r-out", "100",
+                   "--samples", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    record = read_json(tmp_path / summary)
+    for block in blocks:
+        assert record[block]["n_rejected"] == record[block]["n_rejected_positivity"] == 1
+
+
 class TestExitCodes:
     def test_mapping_table(self):
         expected = {
@@ -322,6 +350,16 @@ class TestExitCodes:
         assert cli.main([*argv, "--n", "3", "--nodes", "16", "--out", str(tmp_path)]) == 2
         record = read_json(tmp_path / "error.json")
         assert (record["error"], record["message"]) == (error, message)
+
+    def test_overflowing_stencil_is_bad_input(self, tmp_path):
+        # e^(-2 log r) at r_in = 1e-155 overflows: refused when the stepper
+        # is built, not after dt has halved on a nan Newton iteration
+        rc = cli.main(["evolve", "--n", "3", "--kind", "constant", "--r-in", "1e-155",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        record = read_json(tmp_path / "error.json")
+        assert record["error"] == "RangeError"
+        assert record["message"].startswith("inner radius 1e-155 too small")
 
     def test_converge_from_before_t1(self, tmp_path):
         # the reference window ends inside the grid's image at t0 < 1

@@ -223,6 +223,19 @@ class TestEvolveBasics:
         extra = evolve(field, EvolveConfig(), [2.0, 2.0 + 1e-6, 3.0])[-1].stats.n_steps
         assert extra <= plain + 1
 
+    def test_inner_radius_that_overflows_the_stencil(self, params_ref):
+        # at r_in = 1e-155 e^(-2 log r) alone passes the largest float: a
+        # typed RangeError at construction, decided without the overflowing
+        # exp (the test configuration turns its RuntimeWarning into an error)
+        r = log_grid(1e-155, 1e3, 400)
+        field = RadialField(r, np.ones(400), 1.0, (lambda t: 1.0, lambda t: 1.0),
+                            params=params_ref)
+        with pytest.raises(RangeError, match="inner radius"):
+            evolve(field, EvolveConfig(), [1.5])
+        # at 1e-150 the largest coefficient, about 2.4e300, is finite
+        stepper = _Stepper(log_grid(1e-150, 1e3, 400), params_ref, EvolveConfig())
+        assert np.all(np.isfinite(stepper.ce))
+
     def test_grid_must_be_log_uniform(self, params_ref):
         r = np.linspace(0.1, 10.0, 64)
         field = RadialField(r, np.ones(64), 1.0, (lambda t: 1.0, lambda t: 1.0),
@@ -258,11 +271,12 @@ class TestEvolveBasics:
 def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
     """The backward-Euler Newton step written against solve_banded: the
     residual recomputed at the top of every iteration and the Jacobian laid
-    out in banded storage, as the stepper did before it called LAPACK
-    directly.  A full increment within newton_tol that clears the positivity
-    floor ends the step with no residual after it, so no damping veto.
-    Returns (u_new, newton_iterations, damped), where damped says whether an
-    accepted Newton update was scaled by lam < 1."""
+    out in banded storage, with its rows scaled by 1/dt, dF = u^m / u and the
+    right-hand side -G times 1/dt.  The start's residual is not tested: the
+    first iteration always solves.  A full increment within newton_tol that
+    clears the positivity floor ends the step with no residual after it, so
+    no damping veto.  Returns (u_new, newton_iterations, damped), where
+    damped says whether an accepted Newton update was scaled by lam < 1."""
     m, cfg, lo, ce, hi = stepper.m, stepper.cfg, stepper.lo, stepper.ce, stepper.hi
 
     def residual(u):
@@ -277,15 +291,15 @@ def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
     for it in range(cfg.newton_max):
         G = residual(u)
         err0 = float(np.max(np.abs(G) / scale))
-        if err0 <= cfg.newton_tol:
+        if it and err0 <= cfg.newton_tol:
             return u, it, damped
-        dF = u ** (m - 1.0)
-        ab[1] = 1.0 - dt * ce * dF[1:-1]
+        dF = u**m / u
+        ab[1] = 1.0 / dt - ce * dF[1:-1]
         ab[0, 0] = 0.0
-        ab[0, 1:] = -dt * hi[:-1] * dF[2:-1]
+        ab[0, 1:] = -hi[:-1] * dF[2:-1]
         ab[2, -1] = 0.0
-        ab[2, :-1] = -dt * lo[1:] * dF[1:-2]
-        delta = solve_banded((1, 1), ab, -G)
+        ab[2, :-1] = -lo[1:] * dF[1:-2]
+        delta = solve_banded((1, 1), ab, -G * (1.0 / dt))
         lam = 1.0
         for _ in range(11):
             trial = u[1:-1] + lam * delta
@@ -312,9 +326,10 @@ def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
 class TestStepperKernel:
     def test_step_matches_solve_banded_reference(self, grid128, params_ref, bb,
                                                  unit_eta_profile):
-        # Barenblatt at t = 1 for two dt, and 400 steps of the self-similar
-        # orbit on fdx converge's grid at dt = 2.5e-4 t, where the converged
-        # last increment of some steps lands on the residual's roundoff floor
+        # Barenblatt at t = 1 for two dt, a constant state, and 400 steps of
+        # the self-similar orbit on fdx converge's grid at dt = 2.5e-4 t,
+        # where the converged last increment of some steps lands on the
+        # residual's roundoff floor
         stepper = _Stepper(grid128, params_ref, EvolveConfig())
         field = _bb_field(bb, grid128, 1.0, params_ref)
         left, right = field.bc
@@ -323,6 +338,14 @@ class TestStepperKernel:
             u_ref, iters_ref, _ = _reference_step(stepper, field.u, 1.0, dt, left, right)
             assert iters == iters_ref >= 2
             assert np.array_equal(u_new, u_ref)
+        # a constant state starts within newton_tol; its residual is not
+        # tested, so the step still takes one solve
+        const = np.full(grid128.size, 2.5)
+        u_new, iters = stepper.step(const, 1.0, 1e-3, lambda t: 2.5, lambda t: 2.5)
+        u_ref, iters_ref, _ = _reference_step(stepper, const, 1.0, 1e-3,
+                                              lambda t: 2.5, lambda t: 2.5)
+        assert iters == iters_ref == 1
+        assert np.array_equal(u_new, u_ref)
         orbit = make_self_similar_field(unit_eta_profile, 1.0, 1.0, log_grid(1e-3, 1e3, 640))
         stepper = _Stepper(orbit.r_grid, params_ref, EvolveConfig())
         left, right = orbit.bc
@@ -409,6 +432,28 @@ class TestStepperKernel:
         hs = [a - b for a, b in zip(times, times[1:])]
         start = _predict([state(t) for t in times], hs, 0.04)
         assert np.allclose(start[1:-1], state(2.04)[1:-1], rtol=1e-13, atol=0.0)
+
+    def test_predictor_matches_a_loop_over_the_states(self):
+        # the np.dot start against the Lagrange sum written out node by node
+        # and state by state, at unequal steps.  The bound is fixed by the
+        # dtype before the run: a few roundings of the largest sum of
+        # |w_j u_j| a node can have
+        rng = np.random.default_rng(5)
+        base = rng.uniform(1.0, 2.0, 40)
+        states = [base + rng.uniform(-0.02, 0.02, 40) for _ in range(4)]
+        hs, dt = [1e-3, 1.4e-3, 0.7e-3], 1.2e-3
+        nodes = [0.0, -hs[0], -(hs[0] + hs[1]), -sum(hs)]
+        w = [math.prod((dt - xk) / (xj - xk) for xk in nodes if xk != xj) for xj in nodes]
+        tol = (8 * np.finfo(float).eps * sum(map(abs, w))
+               * max(float(np.max(np.abs(u))) for u in states))
+        ref = np.empty(38)
+        for i in range(38):
+            acc = 0.0
+            for wj, u in zip(w, states):
+                acc += wj * u[i + 1]
+            ref[i] = acc
+        start = _predict(states, hs, dt)
+        assert np.max(np.abs(start[1:-1] - ref)) <= tol
 
     def test_unusable_start_is_rejected(self, grid128, params_ref, bb):
         # a negative extrapolation, or a start with a zero or a nan, ends in
@@ -542,6 +587,7 @@ class TestNewtonPredictor:
         assert attempts[k + 1] == (t, 0.5 * dt, False)
         assert any(given for *_, given in attempts[k + 2:])
         assert out.stats.n_rejected == 1
+        assert out.stats.n_rejected_positivity == 0
         assert out.stats.n_steps == len(attempts) - 1
 
     def test_growth_sized_steps_start_from_u_old(self, grid128, params_ref, bb, monkeypatch):
