@@ -29,14 +29,7 @@ from .errors import (
     StiffnessError,
     ToleranceError,
 )
-from .params import (
-    ExpansionConstants,
-    FPConstants,
-    ParamSet,
-    derive_expansion_constants,
-    derive_fp_constants,
-    derive_params,
-)
+from .params import FPConstants, ParamSet, derive_fp_constants, derive_params
 from .numerics import (
     OdeTrajectory,
     Tolerances,

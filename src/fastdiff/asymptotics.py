@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigError, InternalError, ResolutionError
+from .errors import InternalError, ResolutionError
 from .numerics import _richardson, deriv_uniform
-from .params import ExpansionConstants
 from .profile import Profile
 
 __all__ = [
@@ -87,11 +86,6 @@ class SeriesReport:
     fr_K_ref: float
 
 
-def _check_consts(profile: Profile, exp_consts: ExpansionConstants):
-    if exp_consts.params != profile.params:
-        raise ConfigError("exp_consts derived for different parameters than the profile")
-
-
 def _wt_spline(profile: Profile) -> CubicSpline:
     return CubicSpline(profile.s_grid, profile.wt)
 
@@ -101,13 +95,14 @@ def _rho_exponent(profile: Profile) -> float:
     return p.rho1 / p.beta_p            # rho = r^c = e^(c s)
 
 
-def _series_reference(exp_consts: ExpansionConstants, eta: float) -> tuple[float, float]:
+def _series_reference(profile: Profile, eta: float) -> tuple[float, float]:
     """Closed-form (d1, d2) = (wbar_rho, wbar_rhorho) at rho = 0 for origin coefficient eta."""
-    a1, a2, a3, m = exp_consts.a1, exp_consts.a2, exp_consts.a3, exp_consts.params.m
+    p = profile.params
+    a1, a2, a3, m = p.a1, p.a2, p.a3, p.m
     return a3 / a2 * eta ** m, a3 * (m * a3 - a1) / a2 ** 2 * eta ** (2.0 * m - 1.0)
 
 
-def expansion_check(profile: Profile, exp_consts: ExpansionConstants) -> ExpansionReport:
+def expansion_check(profile: Profile) -> ExpansionReport:
     """Windowed quadratic fits of w-bar on [rho, 4 rho] with Richardson
     extrapolation toward rho = 0.
 
@@ -116,7 +111,6 @@ def expansion_check(profile: Profile, exp_consts: ExpansionConstants) -> Expansi
     rho ~ 3e-4 where the curvature signal still clears data noise (bias
     O(rho), Richardson factor 2).
     """
-    _check_consts(profile, exp_consts)
     c = _rho_exponent(profile)
     s, wt = profile.s_grid, profile.wt
     rho_min_grid = math.exp(c * float(s[0]))
@@ -153,7 +147,7 @@ def expansion_check(profile: Profile, exp_consts: ExpansionConstants) -> Expansi
     if not d1 < 0:
         raise InternalError(f"extrapolated w-bar_rho(0) = {d1} is not negative")
 
-    d1_ref, d2_ref = _series_reference(exp_consts, eta)
+    d1_ref, d2_ref = _series_reference(profile, eta)
     return ExpansionReport(
         eta=eta, d1=d1, d2=d2, d1_ref=d1_ref, d2_ref=d2_ref,
         rel_err1=abs(d1 - d1_ref) / abs(d1_ref),
@@ -177,16 +171,15 @@ def _residual_over_terms(terms):
     return total / scale
 
 
-def wbar_ode_residual(profile: Profile, exp_consts: ExpansionConstants) -> float:
+def wbar_ode_residual(profile: Profile) -> float:
     """Max relative defect of the w-bar equation over rho in [1e-4, 1].
 
     Stencils run at stride 2 on the s-grid (evaluated on both parities) so
     integrator jitter stays well under the defect scale while single-node
     perturbations remain visible.
     """
-    _check_consts(profile, exp_consts)
     p = profile.params
-    a1, a2, a3 = exp_consts.a1, exp_consts.a2, exp_consts.a3
+    a1, a2, a3 = p.a1, p.a2, p.a3
     c = _rho_exponent(profile)
     s, wt = profile.s_grid, profile.wt
     lo_s, hi_s = math.log(1e-4) / c, 0.0
@@ -316,8 +309,7 @@ def inversion_report(profile: Profile) -> InversionReport:
     )
 
 
-def origin_series_report(profile: Profile, exp_consts: ExpansionConstants,
-                         eta: float) -> SeriesReport:
+def origin_series_report(profile: Profile, eta: float) -> SeriesReport:
     """Compare r^gamma f against the 3-term origin series over the final
     resolvable decade and extract the f_r leading/subleading behaviour.
 
@@ -325,13 +317,12 @@ def origin_series_report(profile: Profile, exp_consts: ExpansionConstants,
     monotonicity is checked with a small multiplicative slack plus the
     rho^-2-amplified data noise floor.
     """
-    _check_consts(profile, exp_consts)
     p = profile.params
     c = _rho_exponent(profile)
     s = profile.s_grid
     if math.exp(c * float(s[0])) > 1e-4:
         raise ResolutionError("profile not resolved near the origin (need rho down to 1e-4)")
-    d1_ref, d2_ref = _series_reference(exp_consts, eta)
+    d1_ref, d2_ref = _series_reference(profile, eta)
 
     wt_sp = _wt_spline(profile)
     rho = 1e-2 * 10.0 ** (-np.arange(5) / 4.0)          # final decade, quarter-decade steps

@@ -34,7 +34,7 @@ from .asymptotics import (
     wbar_ode_residual,
 )
 from .errors import ConfigError, FastDiffError, RangeError
-from .params import ParamSet, derive_expansion_constants, derive_fp_constants, derive_params
+from .params import ParamSet, derive_fp_constants, derive_params
 from .pde import (
     EvolveConfig,
     RadialField,
@@ -67,11 +67,13 @@ class Opt(NamedTuple):
 _PROFILE_MODEL = {
     "m": Opt(float, 0.2, "diffusion exponent, 0 < m < (n-2)/n"),
     "gamma": Opt(float, 4.0, "singularity strength, 2/(1-m) < gamma < (n-2)/m"),
-    "rho1": Opt(float, 1.0, "tail-equation rate constant (default 1)"),
     "eta": Opt(float, 1.0, "target origin coefficient lim r^gamma f"),
     "b1_margin": Opt(float, 0.05, "relative safety margin above b0"),
     "tol": Opt(float, 1e-12, "master tolerance for the solvers"),
 }
+# only the profile commands take rho1: the stepping commands compare with V_lam,
+# a solution of u_t = Laplacian(u^m/m) only at rho1 = 1, derive_params' default
+_RHO1 = {"rho1": Opt(float, 1.0, "tail-equation rate constant (default 1)")}
 _WEIGHT = {
     "mu": Opt(float, None, "weight decay exponent, 0 < mu < n-2 (default (n-2)/2)",
               nullable=True),
@@ -141,15 +143,14 @@ def _derived_block(o: dict, params: Optional[ParamSet],
     derived = {}
     if params is not None:
         # the constants of the build itself: solve_for_eta builds at eta_inf = 1
-        fp = derive_fp_constants(params, eta_inf=1.0, b1_margin=o["b1_margin"])
-        exp_c = derive_expansion_constants(params)
+        fp = derive_fp_constants(params, b1_margin=o["b1_margin"])
         derived.update({
             "alpha": params.alpha,
             "beta": params.beta,
             "alpha_p": params.alpha_p,
             "beta_p": params.beta_p,
             "gamma_in_convergence_range": params.gamma_in_convergence_range,
-            "C1": fp.C1,
+            "C1": params.C1,
             "C2": fp.C2,
             "C3": fp.C3,
             "C4": fp.C4,
@@ -157,9 +158,9 @@ def _derived_block(o: dict, params: Optional[ParamSet],
             "eps1": fp.eps1,
             "b0": fp.b0,
             "b1": fp.b1,
-            "a1": exp_c.a1,
-            "a2": exp_c.a2,
-            "a3": exp_c.a3,
+            "a1": params.a1,
+            "a2": params.a2,
+            "a3": params.a3,
         })
     if weight is not None:
         derived.update({"a4": weight.a4, "a5": weight.a5, "mu": o["mu"]})
@@ -197,9 +198,8 @@ def _cmd_profile(o: dict, params: ParamSet, weight: None):
 
 def _cmd_expansion(o: dict, params: ParamSet, weight: None):
     prof = _build_profile(o, params)
-    exp_c = derive_expansion_constants(params)
-    report = expansion_check(prof, exp_c)
-    series = origin_series_report(prof, exp_c, eta=prof.eta_origin)
+    report = expansion_check(prof)
+    series = origin_series_report(prof, eta=prof.eta_origin)
     inv = inversion_report(prof)
     summary = {
         "expansion": asdict(report),
@@ -207,7 +207,7 @@ def _cmd_expansion(o: dict, params: ParamSet, weight: None):
         "inversion": asdict(inv),
         "residual_max": {
             "f_equation": f_ode_residual(prof),
-            "wbar_equation": wbar_ode_residual(prof, exp_c),
+            "wbar_equation": wbar_ode_residual(prof),
             "inversion_equation": inv.residual,
         },
     }
@@ -376,9 +376,9 @@ class Command(NamedTuple):
 
 _COMMANDS = {
     "profile": Command(_cmd_profile, "construct the singular profile f",
-                       {**_PROFILE_MODEL, **_S_RANGE}),
+                       {**_PROFILE_MODEL, **_RHO1, **_S_RANGE}),
     "expansion": Command(_cmd_expansion, "origin/far-field expansion and inversion checks",
-                         {**_PROFILE_MODEL, **_S_RANGE}),
+                         {**_PROFILE_MODEL, **_RHO1, **_S_RANGE}),
     "weight": Command(_cmd_weight, "superharmonic weight phi_mu", {
         **_WEIGHT,
         "r_lo": Opt(float, 0.1, "smallest tabulated radius"),
@@ -506,7 +506,7 @@ def run(command: str, opts: dict, skip: tuple = ()) -> int:
     params = weight = None
     try:
         if "m" in table:
-            params = derive_params(opts["n"], opts["m"], opts["gamma"], opts["rho1"])
+            params = derive_params(*(opts[k] for k in ("n", "m", "gamma", "rho1") if k in opts))
         if "mu" in table:
             # at build_weight's own quadrature tolerance; --tol is the profile solvers'
             weight = build_weight(BumpSpec(mu=opts["mu"], n=opts["n"]))

@@ -3,8 +3,8 @@
 The profile family is indexed by the dimension n >= 3, the exponent
 0 < m < (n-2)/n, the origin decay rate gamma with
 2/(1-m) < gamma < (n-2)/m, and a time normalization rho1 > 0.  Everything
-else (the self-similar exponents, the fixed-point constants, the origin
-expansion coefficients) is derived algebra and lives here.
+else (the self-similar exponents, the origin expansion coefficients, the
+fixed-point constants of the tail) is derived algebra and lives here.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from .errors import DegenerateError, InternalError, RangeError
 __all__ = [
     "ParamSet",
     "FPConstants",
-    "ExpansionConstants",
     "derive_params",
     "derive_fp_constants",
-    "derive_expansion_constants",
 ]
 
 # Pole detection for 2 - gamma(1-m); admissible gamma sits strictly above the
@@ -31,11 +29,17 @@ _POLE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Validated parameters plus the derived self-similar exponents.
+    """Validated parameters plus the derived self-similar exponents and the
+    coefficients of the origin expansion equation.
 
     alpha and beta are both negative; alpha_p, beta_p are their positive
-    mirrors.  gamma_in_convergence_range flags n <= gamma < (n-2)/m, the
-    regime in which rescaled solutions converge to the profile.
+    mirrors.  In the variable rho = r^(rho1/beta') the function
+    wbar(rho) = r^gamma f(r) satisfies
+        (wbar'/wbar)' + m (wbar'/wbar)^2 + (a1/rho)(wbar'/wbar)
+            + (a2/rho^2)(wbar'/wbar^m) = a3/rho^2,
+    with a2 < 0 < a3 throughout the admissible range.
+    gamma_in_convergence_range flags n <= gamma < (n-2)/m, the regime in
+    which rescaled solutions converge to the profile.
     """
 
     n: int
@@ -46,6 +50,9 @@ class ParamSet:
     beta: float
     alpha_p: float
     beta_p: float
+    a1: float
+    a2: float
+    a3: float
     gamma_in_convergence_range: bool
 
     @property
@@ -56,11 +63,10 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class FPConstants:
-    """Constants that drive the tail fixed-point construction."""
+    """Constants that drive the tail fixed-point construction at eta_inf = 1
+    (C1 is params.C1)."""
 
     params: ParamSet
-    eta_inf: float
-    C1: float
     C2: float
     C3: float
     C4: float
@@ -70,18 +76,9 @@ class FPConstants:
     b1: float
 
 
-@dataclass(frozen=True)
-class ExpansionConstants:
-    """Coefficients of the origin expansion equation in the variable rho = r^(rho1/beta')."""
-
-    params: ParamSet
-    a1: float
-    a2: float
-    a3: float
-
-
 def derive_params(n: int, m: float, gamma: float, rho1: float = 1.0) -> ParamSet:
-    """Validate parameters and package them with the self-similar exponents.
+    """Validate parameters and package them with the self-similar exponents
+    and the origin expansion coefficients.
 
     beta = rho1 / (2 - gamma(1-m)) and alpha = (2 beta - rho1)/(1-m); the pair
     satisfies alpha/beta = gamma and alpha(1-m) = 2 beta - rho1 exactly.
@@ -105,6 +102,13 @@ def derive_params(n: int, m: float, gamma: float, rho1: float = 1.0) -> ParamSet
     alpha = (2.0 * beta - rho1) / (1.0 - m)
     if not (alpha < 0.0 and beta < 0.0):
         raise InternalError(f"derived exponents must be negative, got alpha={alpha}, beta={beta}")
+    a1 = (2.0 * m * alpha - (n - 2) * beta + rho1) / rho1
+    a2 = -(beta * beta) / rho1
+    a3 = (alpha * beta * (n - 2) - m * alpha * alpha) / rho1 ** 2
+    if not a2 < 0.0:
+        raise InternalError(f"a2 must be negative, got {a2}")
+    if not a3 > 0.0:
+        raise InternalError(f"a3 must be positive in the admissible range, got {a3}")
     return ParamSet(
         n=int(n),
         m=float(m),
@@ -114,46 +118,45 @@ def derive_params(n: int, m: float, gamma: float, rho1: float = 1.0) -> ParamSet
         beta=beta,
         alpha_p=-alpha,
         beta_p=-beta,
+        a1=a1,
+        a2=a2,
+        a3=a3,
         gamma_in_convergence_range=bool(n <= gamma < (n - 2) / m),
     )
 
 
-def derive_fp_constants(params: ParamSet, eta_inf: float, b1_margin: float = 0.05) -> FPConstants:
-    """Derive the contraction constants C1..C5, eps1 and the tail anchors b0, b1.
+def derive_fp_constants(params: ParamSet, b1_margin: float = 0.05) -> FPConstants:
+    """Derive the contraction constants C2..C5, eps1 and the tail anchors b0, b1
+    at the far-field coefficient eta_inf = lim r^((n-2)/m) f(r) = 1.
 
-    eta_inf is the prescribed far-field coefficient lim r^((n-2)/m) f(r).
-    b0 is the abscissa beyond which the tail map is a 1/5-contraction on its
-    invariant set; b1 = b0 * (1 + b1_margin) is where the construction
-    actually starts.
+    The profile is built there and rescaled to its origin coefficient (see
+    solve_for_eta).  b0 is the abscissa beyond which the tail map is a
+    1/5-contraction on its invariant set; b1 = b0 * (1 + b1_margin) is where
+    the construction actually starts.
     """
-    if not eta_inf > 0.0:
-        raise RangeError(f"eta_inf must be positive, got {eta_inf}")
     if not b1_margin > 0.0:
         raise RangeError(f"b1_margin must be positive, got {b1_margin}")
     m, bp, C1 = params.m, params.beta_p, params.C1
     C2 = params.rho1 / bp + (1.0 - m) * C1
     if not (C1 > 0.0 and C2 > 0.0):
         raise InternalError(f"C1, C2 must be positive in the admissible range, got {C1}, {C2}")
-    e1m = eta_inf ** (1.0 - m)
-    C3 = (bp * C1 * e1m + m) / C2
+    C3 = (bp * C1 + m) / C2
     C4 = max(
         2.0 * C3 / C2,
-        (2.0 ** m) * bp * C1 / (eta_inf ** m * C2),
-        (2.0 ** m) * bp / (eta_inf ** m * C2 ** 2) * (bp * C1 * e1m + C3 ** 2),
+        (2.0 ** m) * bp * C1 / C2,
+        (2.0 ** m) * bp / C2 ** 2 * (bp * C1 + C3 ** 2),
     )
-    eps1 = 0.5 * min(1.0, eta_inf)
+    eps1 = 0.5
     # smallest constant with 1 - exp(-(C3/C2) x) <= C5 x for x >= 0
     C5 = C3 / C2
     b0 = (4.0 / C2) * max(
         1.0,
         math.log(15.0 * C4),
-        math.log((10.0 * eta_inf + C3 + bp * e1m) / C2),
-        math.log((C3 + C5 * eta_inf) / eps1),
+        math.log((10.0 + C3 + bp) / C2),
+        math.log((C3 + C5) / eps1),
     )
     return FPConstants(
         params=params,
-        eta_inf=float(eta_inf),
-        C1=C1,
         C2=C2,
         C3=C3,
         C4=C4,
@@ -162,24 +165,3 @@ def derive_fp_constants(params: ParamSet, eta_inf: float, b1_margin: float = 0.0
         b0=b0,
         b1=b0 * (1.0 + b1_margin),
     )
-
-
-def derive_expansion_constants(params: ParamSet) -> ExpansionConstants:
-    """Coefficients a1, a2, a3 of the origin expansion equation.
-
-    In the variable rho = r^(rho1/beta') the function wbar(rho) = r^gamma f(r)
-    satisfies
-        (wbar'/wbar)' + m (wbar'/wbar)^2 + (a1/rho)(wbar'/wbar)
-            + (a2/rho^2)(wbar'/wbar^m) = a3/rho^2,
-    and a2 < 0 < a3 throughout the admissible range.
-    """
-    a, b = params.alpha, params.beta
-    n, m, rho1 = params.n, params.m, params.rho1
-    a1 = (2.0 * m * a - (n - 2) * b + rho1) / rho1
-    a2 = -(b * b) / rho1
-    a3 = (a * b * (n - 2) - m * a * a) / rho1 ** 2
-    if not a2 < 0.0:
-        raise InternalError(f"a2 must be negative, got {a2}")
-    if not a3 > 0.0:
-        raise InternalError(f"a3 must be positive in the admissible range, got {a3}")
-    return ExpansionConstants(params=params, a1=a1, a2=a2, a3=a3)

@@ -254,8 +254,14 @@ def barenblatt(n: int, m: float, k: float, T: float) -> Callable:
 
 
 def self_similar_solution(profile: Profile, lam: float) -> Callable:
-    """The self-similar solution V_lam(r, t) = t^(-alpha) f_lam(t^(-beta) r)."""
-    alpha, beta = profile.params.alpha, profile.params.beta
+    """The self-similar solution V_lam(r, t) = t^(-alpha) f_lam(t^(-beta) r).
+
+    V_lam solves u_t = Laplacian(u^m/m) only where alpha(1-m) = 2 beta - 1,
+    that is at rho1 = 1: RangeError for a profile built at another rho1."""
+    p = profile.params
+    if p.rho1 != 1.0:
+        raise RangeError(f"V_lam solves u_t = Laplacian(u^m/m) only at rho1 = 1, got {p.rho1}")
+    alpha, beta = p.alpha, p.beta
     f_lam = profile_interpolator(rescale_profile(profile, lam))
 
     def V(r, t):
@@ -313,7 +319,8 @@ class _Stepper:
         # e^(-2x) and the coefficients peak at x[1], at e^(-2 x[1]) times
         # max(1, 2/dx^2) (that is |ce| there); tested on the log, so no exp
         # overflows
-        if -2.0 * x[1] + max(0.0, math.log(2.0 / dx**2)) >= _LOG_FLOAT_MAX:
+        self.log_ce_max = -2.0 * x[1] + math.log(2.0 / dx**2)
+        if max(-2.0 * x[1], self.log_ce_max) >= _LOG_FLOAT_MAX:
             raise RangeError(
                 f"inner radius {r[0]:.4g} too small: the stencil's e^(-2 log r) 2/dx^2 overflows a float"
             )
@@ -472,6 +479,17 @@ class _Lockstep:
 
     def __init__(self, fields: Sequence[RadialField], params: ParamSet, cfg: EvolveConfig):
         self.stepper = _Stepper(fields[0].r_grid, params, cfg)
+        # each product of the residual's stencil term and its partial sums
+        # (|ce| u^m/m), and of the Jacobian (|ce| u^(m-1)), is at most max|ce|
+        # times the largest such factor of the data; tested on the log
+        m = params.m
+        log_u = np.log(np.concatenate([f.u for f in fields]))
+        log_factor = max(m * float(log_u.max()) - math.log(m), (m - 1.0) * float(log_u.min()))
+        if self.stepper.log_ce_max + log_factor >= _LOG_FLOAT_MAX:
+            raise RangeError(
+                f"inner radius {fields[0].r_grid[0]:.4g} too small: the stencil applied to "
+                f"the data overflows a float"
+            )
         self.cfg = cfg
         self.one_m = 1.0 - params.m
         self.t_start = self.t = fields[0].t

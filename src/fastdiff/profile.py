@@ -2,12 +2,14 @@
 
 The far-field tail of the profile is the unique fixed point of the map
 
-    Phi_1(wt, h)(s) = eta_inf * exp(-int_s^inf h) * exp(-C1 s)
+    Phi_1(wt, h)(s) = exp(-int_s^inf h) * exp(-C1 s)
     Phi_2(wt, h)(s) = int_s^inf exp(-b' int_s^rho X - (n-2)(rho-s))
                       * (b' C1 X(rho) + m h(rho)^2) drho,
     X(rho) = exp(-rho1 rho / b') * wt(rho)^(1-m),
 
-a 1/5-contraction on the set D_b1 for s >= b1.  Picard iteration on a uniform
+a 1/5-contraction on the set D_b1 for s >= b1.  Phi_1 is written at the
+far-field coefficient eta_inf = lim r^((n-2)/m) f(r) = 1, the one the profile
+is built at before rescaling.  Picard iteration on a uniform
 s-grid gives (wt, h) on [b1, s_max]; the profile is then continued to the left
 through the equivalent ODE system and recovered as f(r) = r^(-gamma) wt(log r).
 
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 PROFILE_DS = 0.01          # uniform spacing of the assembled profile grid
-_NOISE_FLOOR = 1e-14       # update norms below this are roundoff, not contraction data
+_NOISE_FLOOR = 2e-14       # update norms below this are roundoff, not contraction data
 _PICARD_MAX_ITER = 200     # far above the ~8 iterations the 1/5-contraction needs
 _TAIL_SAMPLES = 400        # points on which tail_residual compares the two routes
 _RICHARDSON_TOL = 1e-8     # relative agreement of the last two origin Richardson levels
@@ -101,14 +103,14 @@ def _weighted_norm(dwt, dh, weights):
 
 def _check_membership(wt, h, s, fp, slack, weights):
     """All D_b1 constraints: distance to the anchor <= eps1 in the weighted
-    norm, wt e^{C1 s} <= eta_inf, and 0 <= h e^{C2 s} <= C3."""
+    norm, wt e^{C1 s} <= eta_inf = 1, and 0 <= h e^{C2 s} <= C3."""
     e1, e2, _ = weights
-    anchor_gap = _weighted_norm(wt - fp.eta_inf * np.exp(-fp.C1 * s), h, weights)
+    anchor_gap = _weighted_norm(wt - np.exp(-fp.params.C1 * s), h, weights)
     if anchor_gap > fp.eps1 + slack:
         raise InternalError(f"iterate left D_b1: anchor distance {anchor_gap} > eps1 = {fp.eps1}")
     top = float(np.max(wt * e1))
-    if top > fp.eta_inf + slack:
-        raise InternalError(f"iterate left D_b1: wt e^(C1 s) reached {top} > eta_inf")
+    if top > 1.0 + slack:
+        raise InternalError(f"iterate left D_b1: wt e^(C1 s) reached {top} > eta_inf = 1")
     hw = h * e2
     if float(np.min(hw)) < -slack or float(np.max(hw)) > fp.C3 + slack:
         raise InternalError(
@@ -124,13 +126,12 @@ def _phi_map(wt, h, s, ds, fp):
     nothing ever overflows or cancels regardless of the span.
     """
     p = fp.params
-    n, m, rho1, bp = p.n, p.m, p.rho1, p.beta_p
-    C1, C2, C3 = fp.C1, fp.C2, fp.C3
+    n, m, rho1, bp, C1, C2 = p.n, p.m, p.rho1, p.beta_p, p.C1, fp.C2
 
     # Phi_1
     int_h = cumulative_integral(h, ds, "backward")
     int_h = int_h + h[-1] / C2                      # analytic tail bound as correction
-    wt_new = fp.eta_inf * np.exp(-int_h - C1 * s)
+    wt_new = np.exp(-int_h - C1 * s)
 
     # Phi_2
     X = np.exp(-rho1 * s / bp) * wt ** (1.0 - m)
@@ -174,7 +175,7 @@ def _backward_recurrence(a, b, last):
 
 
 def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e-12) -> TailSolution:
-    """Iterate (Phi_1, Phi_2) from the seed (eta_inf e^{-C1 s}, min(C3,eps1) e^{-C2 s})
+    """Iterate (Phi_1, Phi_2) from the seed (e^{-C1 s}, min(C3,eps1) e^{-C2 s})
     until the weighted update norm drops below tol.
 
     Membership in D_b1 is asserted for every iterate; the returned
@@ -183,8 +184,7 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     """
     if not tol > 0:
         raise RangeError("tol must be positive")
-    C1, C2, C3 = fp.C1, fp.C2, fp.C3
-    b1 = fp.b1
+    C1, C2, b1 = fp.params.C1, fp.C2, fp.b1
     if s_max is None:
         s_max = b1 + max(40.0, 40.0 / C2, -math.log(tol) / C2)
     if s_max < b1 + 40.0 / C2:
@@ -194,7 +194,7 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     ds = (s_max - b1) / nseg
     s = b1 + ds * np.arange(nseg + 1)
 
-    slack = 1e-12 * (1.0 + fp.eta_inf)
+    slack = 2e-12
     # D_b1's weights e^{C1 s}, e^{C2 s}, e^{C2 s / 2}; one past the double
     # range would make h e^{C2 s} = 0 * inf = nan, which passes every bound test
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,8 +202,8 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     if not all(np.isfinite(w).all() for w in weights):
         raise ResolutionError(f"D_b1 weights e^(C1 s), e^(C2 s) overflow on the tail grid "
                               f"[{b1:.6g}, {s[-1]:.6g}] (C1 = {C1:.6g}, C2 = {C2:.6g})")
-    wt = fp.eta_inf * np.exp(-C1 * s)
-    h = min(C3, fp.eps1) * np.exp(-C2 * s)
+    wt = np.exp(-C1 * s)
+    h = min(fp.C3, fp.eps1) * np.exp(-C2 * s)
     _check_membership(wt, h, s, fp, slack, weights)
 
     norms, ratios = [], []
@@ -212,8 +212,7 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
         wt_new, h_new = _phi_map(wt, h, s, ds, fp)
         _check_membership(wt_new, h_new, s, fp, slack, weights)
         upd = _weighted_norm(wt_new - wt, h_new - h, weights)
-        floor = _NOISE_FLOOR * (1.0 + fp.eta_inf)
-        if norms and norms[-1] > floor and upd > floor:
+        if norms and norms[-1] > _NOISE_FLOOR and upd > _NOISE_FLOOR:
             ratio = upd / norms[-1]
             ratios.append(ratio)
             stall = stall + 1 if ratio > 0.99 else 0
@@ -269,8 +268,7 @@ def tail_residual(tail: TailSolution) -> float:
     """
     fp = tail.fp
     p = fp.params
-    n, m, rho1, bp = p.n, p.m, p.rho1, p.beta_p
-    C1, C2 = fp.C1, fp.C2
+    n, m, rho1, bp, C1, C2 = p.n, p.m, p.rho1, p.beta_p, p.C1, fp.C2
     s, h, wt = tail.grid, tail.h, tail.wt
     h_sp = CubicSpline(s, h)
     wt_sp = CubicSpline(s, wt)
@@ -291,7 +289,7 @@ def tail_residual(tail: TailSolution) -> float:
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
     vals = traj.sol(sc)
     res_h = np.abs(h_sp(sc) - vals[0]) * np.exp(0.5 * C2 * sc)
-    phi1 = fp.eta_inf * np.exp(-vals[1] - C1 * sc)
+    phi1 = np.exp(-vals[1] - C1 * sc)
     res_wt = np.abs(wt_sp(sc) - phi1) * np.exp(C1 * sc)
     return float(max(res_h.max(), res_wt.max()))
 
@@ -303,10 +301,8 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     X = exp(-rho1 s/b' + (1-m) W); the solution keeps -C1 < z < 0, which is
     asserted within integrator slack (BoundViolationError otherwise).
     """
-    fp = tail.fp
-    p = fp.params
-    n, m, rho1, bp, gamma = p.n, p.m, p.rho1, p.beta_p, p.gamma
-    C1 = fp.C1
+    p = tail.fp.params
+    n, m, rho1, bp, gamma, C1 = p.n, p.m, p.rho1, p.beta_p, p.gamma, p.C1
     if s_min is None:
         # 40 b'/rho1, but no deeper than where f = e^(-gamma s) wt nears overflow
         s_min = -min(40.0 * bp / rho1, 600.0 / gamma)
@@ -373,7 +369,7 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     wt = np.exp(W)
     f = np.exp(-gamma * s_grid + W)
     return Profile(
-        params=p, eta_inf=fp.eta_inf, s_grid=s_grid, z=z, h=h, wt=wt,
+        params=p, eta_inf=1.0, s_grid=s_grid, z=z, h=h, wt=wt,
         r_grid=np.exp(s_grid), f=f,
         fp_residual=tail.fp_residual, picard_iterations=tail.iterations,
     )
@@ -452,7 +448,7 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
     lambda uniquely."""
     if not target_eta > 0:
         raise RangeError(f"target_eta must be positive, got {target_eta}")
-    fp = derive_fp_constants(params, eta_inf=1.0, b1_margin=b1_margin)
+    fp = derive_fp_constants(params, b1_margin=b1_margin)
     tail = picard_solve(fp, s_max=s_max, tol=tol)
     prof = recover_profile(continue_left(tail, s_min=s_min, tol=tol))
     return rescale_profile(prof, _lambda_for_eta(params, prof.eta_origin, target_eta))

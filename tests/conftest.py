@@ -18,12 +18,7 @@ def params_ref():
 
 @pytest.fixture(scope="session")
 def fp_ref(params_ref):
-    return fd.derive_fp_constants(params_ref, eta_inf=1.0)
-
-
-@pytest.fixture(scope="session")
-def exp_consts_ref(params_ref):
-    return fd.derive_expansion_constants(params_ref)
+    return fd.derive_fp_constants(params_ref)
 
 
 @pytest.fixture(scope="session")

@@ -151,16 +151,16 @@ def convergence_block(unit_eta_profile, params_ref, weight_ref):
 # criteria
 # ----------------------------------------------------------------------
 
-def test_criterion_01_derived_constants(params_ref, fp_ref, exp_consts_ref, capsys):
+def test_criterion_01_derived_constants(params_ref, fp_ref, capsys):
     refs = [
         ("alpha", params_ref.alpha, Fraction(-10, 3)),
         ("beta", params_ref.beta, Fraction(-5, 6)),
-        ("C1", fp_ref.C1, Fraction(1)),
+        ("C1", params_ref.C1, Fraction(1)),
         ("C2", fp_ref.C2, Fraction(2)),
         ("C3", fp_ref.C3, Fraction(31, 60)),
-        ("a1", exp_consts_ref.a1, Fraction(1, 2)),
-        ("a2", exp_consts_ref.a2, Fraction(-25, 36)),
-        ("a3", exp_consts_ref.a3, Fraction(5, 9)),
+        ("a1", params_ref.a1, Fraction(1, 2)),
+        ("a2", params_ref.a2, Fraction(-25, 36)),
+        ("a3", params_ref.a3, Fraction(5, 9)),
     ]
     worst = max(abs(v - float(ref)) / abs(float(ref)) for _, v, ref in refs)
     ok = worst <= 1e-14
@@ -207,8 +207,8 @@ def test_criterion_04_origin_and_far_field(base_profile, fp_ref, capsys):
     assert ok
 
 
-def test_criterion_05_expansion_derivatives(unit_eta_profile, exp_consts_ref, capsys):
-    rep = expansion_check(unit_eta_profile, exp_consts_ref)
+def test_criterion_05_expansion_derivatives(unit_eta_profile, capsys):
+    rep = expansion_check(unit_eta_profile)
     d1_ref, d2_ref = -0.8, -0.448
     e1 = abs(rep.d1 - d1_ref) / abs(d1_ref)
     e2 = abs(rep.d2 - d2_ref) / abs(d2_ref)
@@ -219,9 +219,9 @@ def test_criterion_05_expansion_derivatives(unit_eta_profile, exp_consts_ref, ca
     assert ok
 
 
-def test_criterion_06_equation_residuals(unit_eta_profile, exp_consts_ref, capsys):
+def test_criterion_06_equation_residuals(unit_eta_profile, capsys):
     r_f = f_ode_residual(unit_eta_profile)
-    r_w = wbar_ode_residual(unit_eta_profile, exp_consts_ref)
+    r_w = wbar_ode_residual(unit_eta_profile)
     inv = inversion_report(unit_eta_profile)
     ok = r_f <= 1e-5 and r_w <= 1e-5 and inv.residual <= 1e-5 \
         and inv.double_inversion_err <= 1e-8

@@ -9,10 +9,7 @@ import numpy as np
 import pytest
 
 from fastdiff import (
-    ConfigError,
     ResolutionError,
-    derive_expansion_constants,
-    derive_params,
     expansion_check,
     f_ode_residual,
     inversion_report,
@@ -30,43 +27,37 @@ FR_K_REF = float(Fraction(56, 25))
 
 
 class TestExpansionCheck:
-    def test_first_derivative_within_one_percent(self, unit_eta_profile, exp_consts_ref):
-        rep = expansion_check(unit_eta_profile, exp_consts_ref)
+    def test_first_derivative_within_one_percent(self, unit_eta_profile):
+        rep = expansion_check(unit_eta_profile)
         assert rep.d1 == pytest.approx(D1_REF, rel=0.01)
         assert rep.rel_err1 <= 0.01
 
-    def test_second_derivative_within_two_percent(self, unit_eta_profile, exp_consts_ref):
-        rep = expansion_check(unit_eta_profile, exp_consts_ref)
+    def test_second_derivative_within_two_percent(self, unit_eta_profile):
+        rep = expansion_check(unit_eta_profile)
         assert rep.d2 == pytest.approx(D2_REF, rel=0.02)
         assert rep.rel_err2 <= 0.02
 
-    def test_fit_is_much_tighter_than_the_gate(self, unit_eta_profile, exp_consts_ref):
+    def test_fit_is_much_tighter_than_the_gate(self, unit_eta_profile):
         # the fits carry orders of magnitude of headroom; a regression that
         # eats the margin silently would otherwise go unnoticed
-        rep = expansion_check(unit_eta_profile, exp_consts_ref)
+        rep = expansion_check(unit_eta_profile)
         assert rep.rel_err1 <= 1e-6
         assert rep.rel_err2 <= 1e-3
         assert rep.level_gap1 <= 1e-6
         assert rep.level_gap2 <= 1e-3
 
-    def test_eta_recovered(self, unit_eta_profile, exp_consts_ref):
-        rep = expansion_check(unit_eta_profile, exp_consts_ref)
+    def test_eta_recovered(self, unit_eta_profile):
+        rep = expansion_check(unit_eta_profile)
         assert rep.eta == pytest.approx(1.0, rel=1e-8)
 
-    def test_reference_formulas(self, unit_eta_profile, exp_consts_ref):
+    def test_reference_formulas(self, unit_eta_profile):
         p = unit_eta_profile.params
-        ec = exp_consts_ref
-        rep = expansion_check(unit_eta_profile, exp_consts_ref)
-        assert rep.d1_ref == pytest.approx(ec.a3 / ec.a2 * rep.eta**p.m, rel=1e-14)
+        rep = expansion_check(unit_eta_profile)
+        assert rep.d1_ref == pytest.approx(p.a3 / p.a2 * rep.eta**p.m, rel=1e-14)
         assert rep.d2_ref == pytest.approx(
-            ec.a3 * (p.m * ec.a3 - ec.a1) / ec.a2**2 * rep.eta ** (2 * p.m - 1), rel=1e-14)
+            p.a3 * (p.m * p.a3 - p.a1) / p.a2**2 * rep.eta ** (2 * p.m - 1), rel=1e-14)
 
-    def test_mismatched_constants_rejected(self, unit_eta_profile):
-        other = derive_expansion_constants(derive_params(3, 0.2, 4.2, 1.0))
-        with pytest.raises(ConfigError):
-            expansion_check(unit_eta_profile, other)
-
-    def test_unresolved_profile_rejected(self, unit_eta_profile, exp_consts_ref):
+    def test_unresolved_profile_rejected(self, unit_eta_profile):
         sel = unit_eta_profile.s_grid >= -2.0
         stub = replace(
             unit_eta_profile,
@@ -78,17 +69,17 @@ class TestExpansionCheck:
             f=unit_eta_profile.f[sel],
         )
         with pytest.raises(ResolutionError):
-            expansion_check(stub, exp_consts_ref)
+            expansion_check(stub)
         with pytest.raises(ResolutionError):
-            origin_series_report(stub, exp_consts_ref, 1.0)
+            origin_series_report(stub, 1.0)
 
 
 class TestEquationResiduals:
     def test_f_equation(self, unit_eta_profile):
         assert f_ode_residual(unit_eta_profile) <= 1e-5
 
-    def test_wbar_equation(self, unit_eta_profile, exp_consts_ref):
-        assert wbar_ode_residual(unit_eta_profile, exp_consts_ref) <= 1e-5
+    def test_wbar_equation(self, unit_eta_profile):
+        assert wbar_ode_residual(unit_eta_profile) <= 1e-5
 
     def test_inverted_equation(self, unit_eta_profile):
         assert inversion_report(unit_eta_profile).residual <= 1e-5
@@ -128,20 +119,20 @@ class TestInversion:
 
 
 class TestOriginSeries:
-    def test_remainder_ratio_small_and_monotone(self, unit_eta_profile, exp_consts_ref):
-        rep = expansion_check(unit_eta_profile, exp_consts_ref)
-        sr = origin_series_report(unit_eta_profile, exp_consts_ref, rep.eta)
+    def test_remainder_ratio_small_and_monotone(self, unit_eta_profile):
+        rep = expansion_check(unit_eta_profile)
+        sr = origin_series_report(unit_eta_profile, rep.eta)
         assert sr.max_ratio < 1.0
         assert sr.monotone
 
-    def test_fr_leading_limit(self, unit_eta_profile, exp_consts_ref):
-        rep = expansion_check(unit_eta_profile, exp_consts_ref)
-        sr = origin_series_report(unit_eta_profile, exp_consts_ref, rep.eta)
+    def test_fr_leading_limit(self, unit_eta_profile):
+        rep = expansion_check(unit_eta_profile)
+        sr = origin_series_report(unit_eta_profile, rep.eta)
         assert sr.fr_limit_ref == pytest.approx(-unit_eta_profile.params.gamma * rep.eta, rel=1e-14)
         assert sr.fr_limit == pytest.approx(sr.fr_limit_ref, rel=1e-7)
 
-    def test_fr_subleading_coefficient(self, unit_eta_profile, exp_consts_ref):
-        rep = expansion_check(unit_eta_profile, exp_consts_ref)
-        sr = origin_series_report(unit_eta_profile, exp_consts_ref, rep.eta)
+    def test_fr_subleading_coefficient(self, unit_eta_profile):
+        rep = expansion_check(unit_eta_profile)
+        sr = origin_series_report(unit_eta_profile, rep.eta)
         assert sr.fr_K_ref == pytest.approx(FR_K_REF, rel=1e-8)
         assert sr.fr_K == pytest.approx(sr.fr_K_ref, rel=1e-3)

@@ -343,23 +343,28 @@ class TestExitCodes:
          "ConfigError", "need a sequence of at least 2 finite sample time(s)"),
         (["converge", "--tau-max", "0"], "RangeError", "tau_max must be positive, got 0.0"),
         (["converge", "--tau-max", "-1"], "RangeError", "tau_max must be positive, got -1.0"),
+        (["evolve", "--kind", "barenblatt", "--t-end", "8"],
+         "RangeError", "t_end must stay below the extinction time 8.0"),
     ])
     def test_empty_time_range_is_bad_input(self, argv, error, message, tmp_path):
-        # evolve and contract share one rule for their sample times, and
-        # converge refuses an empty log-time horizon, each before any build
+        # evolve and contract share one rule for their sample times, converge
+        # refuses an empty log-time horizon, and a Barenblatt run must end
+        # before its extinction time, each before any step
         assert cli.main([*argv, "--n", "3", "--nodes", "16", "--out", str(tmp_path)]) == 2
         record = read_json(tmp_path / "error.json")
         assert (record["error"], record["message"]) == (error, message)
 
     def test_overflowing_stencil_is_bad_input(self, tmp_path):
-        # e^(-2 log r) at r_in = 1e-155 overflows: refused when the stepper
-        # is built, not after dt has halved on a nan Newton iteration
-        rc = cli.main(["evolve", "--n", "3", "--kind", "constant", "--r-in", "1e-155",
-                       "--out", str(tmp_path)])
-        assert rc == 2
-        record = read_json(tmp_path / "error.json")
-        assert record["error"] == "RangeError"
-        assert record["message"].startswith("inner radius 1e-155 too small")
+        # e^(-2 log r) at r_in = 1e-155 overflows, and at 1e-154 the stencil
+        # applied to u^m/m on u = 1 does: refused before the first step, not
+        # after dt has halved to dt_min on a nan Newton iteration
+        for r_in in ("1e-155", "1e-154"):
+            rc = cli.main(["evolve", "--n", "3", "--kind", "constant", "--r-in", r_in,
+                           "--out", str(tmp_path)])
+            assert rc == 2
+            record = read_json(tmp_path / "error.json")
+            assert record["error"] == "RangeError"
+            assert record["message"].startswith(f"inner radius {r_in} too small")
 
     def test_converge_from_before_t1(self, tmp_path):
         # the reference window ends inside the grid's image at t0 < 1
@@ -506,6 +511,21 @@ class TestCommandScope:
         flags = help_flags(command, capsys)
         assert "--mu" not in flags
         assert PROFILE_MODEL_FLAGS <= flags
+
+    @pytest.mark.parametrize("command", ["evolve", "contract", "converge"])
+    def test_stepping_commands_take_no_rho1(self, command, tmp_path, capsys):
+        # they compare with V_lam, which solves the equation only at rho1 = 1
+        flags = help_flags(command, capsys)
+        assert PROFILE_MODEL_FLAGS - {"--rho1"} <= flags
+        assert "--rho1" not in flags
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--n", "3", "--rho1", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho1": 2.0}))
+        assert cli.main([command, "--n", "3", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 2
+        assert f"config file: {command} has no option rho1" in capsys.readouterr().err
 
     def test_weight_takes_no_profile_model(self, capsys):
         flags = help_flags("weight", capsys)

@@ -80,7 +80,6 @@ class TestExponents:
 
 class TestFPConstants:
     def test_reference_point_exact(self, fp_ref):
-        assert rel_err(fp_ref.C1, 1.0) <= REL
         assert rel_err(fp_ref.C2, 2.0) <= REL
         assert rel_err(fp_ref.C3, 31.0 / 60.0) <= REL
         assert rel_err(fp_ref.C4, 31.0 / 60.0) <= REL
@@ -92,33 +91,29 @@ class TestFPConstants:
 
     def test_b1_margin(self, params_ref, fp_ref):
         assert rel_err(fp_ref.b1, 1.05 * fp_ref.b0) <= REL
-        fp2 = fd.derive_fp_constants(params_ref, eta_inf=1.0, b1_margin=0.2)
+        fp2 = fd.derive_fp_constants(params_ref, b1_margin=0.2)
         assert rel_err(fp2.b1, 1.2 * fp_ref.b0) <= REL
 
-    def test_c1_is_a_parameter_constant(self, params_ref, fp_ref):
-        assert params_ref.C1 == 1.0 == fp_ref.C1
+    def test_c1_is_a_parameter_constant(self, params_ref):
+        assert params_ref.C1 == 1.0
         p = fd.derive_params(5, 0.3, 8.0)
         assert p.C1 == pytest.approx(3.0 / 0.3 - 8.0, rel=1e-15)
-
-    def test_eta_inf_must_be_positive(self, params_ref):
-        with pytest.raises(RangeError):
-            fd.derive_fp_constants(params_ref, eta_inf=0.0)
 
     def test_c5_is_c3_over_c2(self):
         for n, m, gamma in [(3, 0.2, 4.0), (4, 0.25, 5.5), (5, 0.1, 8.0)]:
             p = fd.derive_params(n, m, gamma)
-            fp = fd.derive_fp_constants(p, eta_inf=1.3)
+            fp = fd.derive_fp_constants(p)
             assert rel_err(fp.C5, fp.C3 / fp.C2) <= 1e-13
 
 
 class TestExpansionConstants:
-    def test_reference_point_exact(self, exp_consts_ref):
-        assert rel_err(exp_consts_ref.a1, 0.5) <= REL
-        assert rel_err(exp_consts_ref.a2, -25.0 / 36.0) <= REL
-        assert rel_err(exp_consts_ref.a3, 5.0 / 9.0) <= REL
+    def test_reference_point_exact(self, params_ref):
+        assert rel_err(params_ref.a1, 0.5) <= REL
+        assert rel_err(params_ref.a2, -25.0 / 36.0) <= REL
+        assert rel_err(params_ref.a3, 5.0 / 9.0) <= REL
 
-    def test_reference_d_values(self, exp_consts_ref):
+    def test_reference_d_values(self, params_ref):
         # stationary-expansion references at eta = 1
-        a1, a2, a3 = exp_consts_ref.a1, exp_consts_ref.a2, exp_consts_ref.a3
+        a1, a2, a3 = params_ref.a1, params_ref.a2, params_ref.a3
         assert rel_err(a3 / a2, -0.8) <= 1e-13
         assert rel_err(a3 * (0.2 * a3 - a1) / a2 ** 2, -0.448) <= 1e-13

@@ -30,8 +30,9 @@ from fastdiff import (
     random_sandwiched_pair,
     rescale_field,
     self_similar_solution,
+    solve_for_eta,
 )
-from fastdiff.errors import NewtonDivergence
+from fastdiff.errors import NewtonDivergence, PositivityError
 from fastdiff.pde import _predict, _Stepper, _StepReject
 
 ANNULUS = (0.1, 10.0)
@@ -235,6 +236,15 @@ class TestEvolveBasics:
         # at 1e-150 the largest coefficient, about 2.4e300, is finite
         stepper = _Stepper(log_grid(1e-150, 1e3, 400), params_ref, EvolveConfig())
         assert np.all(np.isfinite(stepper.ce))
+        # at 1e-154 on 512 nodes it is finite too, about 9.7e307, but the
+        # residual's product |ce| u^m/m on u = 1 is not: refused before the
+        # first step, not by a nan Newton that halves dt down to dt_min
+        r = log_grid(1e-154, 1e3, 512)
+        assert np.all(np.isfinite(_Stepper(r, params_ref, EvolveConfig()).ce))
+        field = RadialField(r, np.ones(512), 1.0, (lambda t: 1.0, lambda t: 1.0),
+                            params=params_ref)
+        with pytest.raises(RangeError, match="inner radius 1e-154 too small"):
+            evolve(field, EvolveConfig(), [1.5])
 
     def test_grid_must_be_log_uniform(self, params_ref):
         r = np.linspace(0.1, 10.0, 64)
@@ -266,6 +276,25 @@ class TestEvolveBasics:
         assert st.newton_total >= st.n_steps
         assert st.min_u > 0
         assert st.dt_final > 0
+
+
+def _patch_gtsv(monkeypatch, increment):
+    """Route the steppers' gtsv through increment(call, delta), whose value
+    replaces the solve's delta; call counts the solves from 1."""
+    lookup = fastdiff.pde.get_lapack_funcs
+    calls = []
+
+    def patched_lookup(names, arrays):
+        (gtsv,) = lookup(names, arrays)
+
+        def patched(*args):
+            du2, d, du, x, info = gtsv(*args)
+            calls.append(None)
+            return du2, d, du, increment(len(calls), x), info
+
+        return (patched,)
+
+    monkeypatch.setattr(fastdiff.pde, "get_lapack_funcs", patched_lookup)
 
 
 def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
@@ -397,6 +426,32 @@ class TestStepperKernel:
         with pytest.raises(NewtonDivergence):
             evolve(field, EvolveConfig(dt_init=0.01, dt_max=0.01, dt_min=0.01), [1.5])
 
+
+    def test_positivity_backtracking_recovers(self, grid128, params_ref, bb, monkeypatch):
+        # a first increment of -2 u puts u + lam delta at -u and then 0: the
+        # step halves lam past the positivity floor and on through the
+        # damping veto, and Newton then converges to the unpatched answer
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        cfg = EvolveConfig(dt_init=0.01, dt_max=0.01, dt_min=0.01)
+        plain = evolve(field, cfg, [1.01])[-1]
+        u_int = field.u[1:-1]
+        _patch_gtsv(monkeypatch, lambda call, delta: -2.0 * u_int if call == 1 else delta)
+        out = evolve(field, cfg, [1.01])[-1]
+        assert out.stats.n_rejected == 0
+        assert out.stats.newton_total > plain.stats.newton_total
+        assert np.max(np.abs(out.u - plain.u) / plain.u) <= 1e-9
+
+    def test_exhausted_backtracking_is_positivity_error(self, grid128, params_ref, bb,
+                                                        monkeypatch):
+        # an increment of -(1 + 2^11) u keeps u + lam delta negative for every
+        # lam = 1, 1/2, ..., 2^-10: backtracking is exhausted on positivity,
+        # and at dt_min the step ends as the typed positivity failure (exit 4)
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        u_int = field.u[1:-1]
+        _patch_gtsv(monkeypatch, lambda call, delta: -(1.0 + 2.0**11) * u_int)
+        with pytest.raises(PositivityError, match="positivity backtracking exhausted") as exc:
+            evolve(field, EvolveConfig(dt_init=0.01, dt_max=0.01, dt_min=0.01), [1.5])
+        assert exc.value.exit_code == 4
 
     @pytest.mark.parametrize("dt_prev, dt", [(1e-3, 1e-3), (0.02, 0.05)])
     def test_predicted_start_matches_reference(self, grid128, params_ref, bb, dt_prev, dt):
@@ -693,6 +748,19 @@ class TestSelfSimilarField:
         with pytest.raises(RangeError):
             make_self_similar_field(unit_eta_profile, 1.0, 0.0, grid128)
 
+    def test_only_at_rho1_one(self, grid128, weight_ref):
+        # V_lam solves u_t = Laplacian(u^m/m) only where alpha(1-m) = 2 beta - 1,
+        # that is at rho1 = 1: a rho1 = 2 profile builds, but the solution,
+        # and so the contraction and convergence experiments, refuse it
+        prof = solve_for_eta(derive_params(3, 0.2, 4.0, 2.0), 1.0)
+        with pytest.raises(RangeError, match="only at rho1 = 1"):
+            self_similar_solution(prof, 1.0)
+        with pytest.raises(RangeError, match="only at rho1 = 1"):
+            random_sandwiched_pair(prof, grid128, 1.0, np.random.default_rng(0))
+        with pytest.raises(RangeError, match="only at rho1 = 1"):
+            convergence_experiment(prof, 1.0, 1.0, 1.2, None, [0.0, 0.1], EvolveConfig(),
+                                   weight=weight_ref, r_grid=grid128)
+
 
 class TestRescaleField:
     def test_identity_at_t_equal_one(self, unit_eta_profile, grid128):
@@ -791,6 +859,18 @@ class TestRandomSandwichedPair:
         b = random_sandwiched_pair(unit_eta_profile, grid128, 1.0, np.random.default_rng(11))
         assert np.array_equal(a[0].u, b[0].u)
         assert np.array_equal(a[1].u, b[1].u)
+
+    def test_envelope_order_does_not_matter(self, unit_eta_profile, grid128):
+        # the family is monotone in lambda, so lam_pair (0.8, 1.2) picks the
+        # same lower and upper envelopes, and the same pair, as (1.2, 0.8)
+        swapped = random_sandwiched_pair(unit_eta_profile, grid128, 1.0,
+                                         np.random.default_rng(11), lam_pair=(0.8, 1.2))
+        default = random_sandwiched_pair(unit_eta_profile, grid128, 1.0,
+                                         np.random.default_rng(11))
+        for a, b in zip(swapped[:2], default[:2]):
+            assert np.array_equal(a.u, b.u)
+        for a, b in zip(swapped[2], default[2]):
+            assert np.array_equal(a(grid128, 1.3), b(grid128, 1.3))
 
     def test_validation(self, unit_eta_profile, grid128):
         rng = np.random.default_rng(0)

@@ -61,7 +61,7 @@ class TestPicardSolve:
     def test_default_s_max_when_c2_below_one(self):
         # at m = 90% of (n-2)/n, C2 = 1/3: the default right end must clear
         # the b1 + 40/C2 floor the function itself enforces
-        fp = derive_fp_constants(derive_params(3, 0.3, 3.095), eta_inf=1.0)
+        fp = derive_fp_constants(derive_params(3, 0.3, 3.095))
         assert fp.C2 < 1.0
         tail = picard_solve(fp)
         assert tail.grid[-1] >= fp.b1 + 40.0 / fp.C2
