@@ -36,7 +36,7 @@ from .errors import (
 )
 from .params import ParamSet
 from .profile import Profile, _lambda_for_eta, profile_interpolator, rescale_profile
-from .weight import WeightFunction, eval_weight, weighted_l1_distance
+from .weight import WeightFunction, weighted_grid
 
 __all__ = [
     "RadialField",
@@ -134,13 +134,15 @@ class EvolveConfig:
     linear solve.  The scaled residual has a roundoff floor above the
     default tolerance (7.7e-10 to 7.3e-7 over the steps of fdx converge's
     orbit run, 640 nodes on [1e-3, 1e3]), so there the increment test ends
-    each step, one linear solve after the iterate has converged: three
-    solves from u_old, one from a settled start that _Lockstep predicts in u
-    and that is already within newton_tol.  No residual follows a converged
-    full increment: the step returns u + delta once it clears the
-    positivity floor, without the damping veto.  Each Newton iteration
-    takes one power, u^m: the residual's u^m/m and the Jacobian's u^(m-1)
-    = u^m/u both come from it.
+    each step, one linear solve after the iterate has converged.  From u_old
+    that takes three or four solves: on fdx contract's 20 pair seeds (512
+    nodes) 7,404 of the 8,528 field-steps take four and 1,124 take three.  A
+    settled start that _Lockstep predicts in u is already within newton_tol
+    and takes one: 11,851 of the orbit run's 12,012 predicted steps.  No
+    residual follows a converged full increment: the step returns u + delta
+    once it clears the positivity floor, without the damping veto.  Each
+    Newton iteration takes one power, u^m: the residual's u^m/m and the
+    Jacobian's u^(m-1) = u^m/u both come from it.
     dt_rel_max, when set, caps the step at dt_rel_max * t, which is the
     natural accuracy knob for runs spanning decades of time.
     """
@@ -302,9 +304,28 @@ class _StepReject(Exception):
 
 
 class _Stepper:
-    """Backward-Euler step on one log-uniform grid; shared by lockstep runs."""
+    """Backward-Euler step of k fields on one log-uniform grid, solved as one
+    flat system.
 
-    def __init__(self, r_grid: np.ndarray, params: ParamSet, cfg: EvolveConfig):
+    The fields lie end to end in one flat array of k N nodes, field b on
+    [b N, (b + 1) N).  Newton solves for the k N - 2 nodes between the outer
+    two: each field's interior rows are its own tridiagonal rows, and the
+    2 (k - 1) trace nodes between the fields are identity rows (diagonal
+    1/dt, no couplings, zero residual).  The matrix is block diagonal with
+    zero seams, so one dgtsv call gives every block the bits of a solve of
+    its own, and the residual, the Jacobian's diagonals and the norms each
+    run once over contiguous memory.  Each field keeps its own Newton
+    iteration: its convergence tests, its positivity backtracking and its
+    damping veto read its own maxima of the flat arrays: one
+    np.maximum.reduceat per quantity, or with one field a plain max.
+    A field that converges is frozen: it keeps its result and its count, and
+    its residual rows are zeroed, so its increment is zero while the others
+    iterate.  So every field's iterates and count are those of a step of its
+    own, and k = 1 is the single-field step.
+    """
+
+    def __init__(self, r_grid: np.ndarray, params: ParamSet, cfg: EvolveConfig,
+                 bcs: Sequence[tuple[Callable, Callable]]):
         r = np.asarray(r_grid, dtype=float)
         x = np.log(r)
         dxs = np.diff(x)
@@ -326,13 +347,37 @@ class _Stepper:
             )
         self.m = params.m
         self.cfg = cfg
+        self.k = k = len(bcs)
+        n = r.size
+        # the traces: one field's two callables are called directly; with
+        # several fields each distinct callable runs once per step (a
+        # sandwiched pair shares its upper envelope's), and trace_of names
+        # the one each trace node takes, in the order left 0, right 0, ...
+        self.bcs = bcs
+        self.trace_fns = list(dict.fromkeys(fn for bc in bcs for fn in bc))
+        self.trace_of = [self.trace_fns.index(fn) for bc in bcs for fn in bc]
+        self.field_ids = list(range(k))
+        self.trace_nodes = np.arange(k).repeat(2) * n + np.tile([0, n - 1], k)
+        # field b's interior rows of the flat system, and where its rows start
+        self.rows = [slice(b * n, b * n + n - 2) for b in range(k)]
+        self.starts = np.arange(k) * n
+
+        def flat(per_node):
+            # a per-node coefficient of one field, zero on the trace nodes,
+            # laid end to end for k fields; entry i belongs to flat node i + 1
+            return np.tile(per_node, k)[1:-1]
+
         e2 = np.exp(-2.0 * x[1:-1])
-        self.lo = e2 * (1.0 / dx**2 - kdrift / (2.0 * dx))
-        self.ce = e2 * (-2.0 / dx**2)
-        self.hi = e2 * (1.0 / dx**2 + kdrift / (2.0 * dx))
+        zero = np.zeros(1)
+        lo, ce, hi = (np.concatenate([zero, e2 * c, zero]) for c in (
+            1.0 / dx**2 - kdrift / (2.0 * dx), -2.0 / dx**2, 1.0 / dx**2 + kdrift / (2.0 * dx)))
+        self.lo, self.ce, self.hi = flat(lo), flat(ce), flat(hi)
         # the negated couplings of the Jacobian's rows scaled by 1/dt: row i
-        # is nlo dF[i-1], nce dF[i] + 1/dt, nhi dF[i+1], with dF = u^(m-1)
-        self.nlo, self.nce, self.nhi = -self.lo[1:], -self.ce, -self.hi[:-1]
+        # is nlo dF[i-1], nce dF[i] + 1/dt, nhi dF[i+1], with dF = u^(m-1);
+        # a trace node neither couples nor is coupled to
+        self.nce = -self.ce
+        self.nlo = -np.tile(np.concatenate([zero, zero, lo[2:-1], zero]), k)[2:-1]
+        self.nhi = -np.tile(np.concatenate([zero, hi[1:-2], zero, zero]), k)[1:-2]
         # LAPACK's tridiagonal solver, the routine solve_banded((1, 1), ...)
         # calls, without that wrapper's validation on every Newton iteration
         (self.gtsv,) = get_lapack_funcs(("gtsv",), (self.ce,))
@@ -352,97 +397,219 @@ class _Stepper:
         G -= LF
         return G, P
 
-    def step(self, u_old: np.ndarray, t: float, dt: float,
-             bc_left: Callable, bc_right: Callable,
-             start: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
-        """One implicit step to t + dt; returns (u_new, newton_iterations).
+    def _maxima(self, q: np.ndarray) -> list:
+        # the maximum of q over each field's rows, a nan propagating; the
+        # trace rows between the fields hold 0 or False
+        return np.maximum.reduceat(q, self.starts).tolist()
 
-        Newton starts from u_old, or from start when given: an array the step
-        may overwrite, whose interior is the first iterate (its traces are
-        set here).  Each iteration solves the tridiagonal system with its
-        rows scaled by 1/dt, J/dt delta = -G/dt, so the stored couplings
-        carry no dt and u^(m-1) comes from the residual's u^m.  A full
-        increment whose scaled norm is within newton_tol ends the step once
-        u + delta clears the positivity floor; no residual is evaluated after
-        it, so a start that close to the solution costs one residual and one
-        solve.  The start's scaled residual norm is formed only when the
-        damping veto reads it, that is, when the first increment is not such
-        a converged one.  Raises _StepReject when the start is not positive
-        and finite, Newton stalls, the linear solve fails or positivity
-        backtracking is exhausted; the caller decides whether to shrink dt.
+    def _idle(self, a: np.ndarray, active: list) -> None:
+        # zero a's rows of the fields not active: with zero residual rows a
+        # field's increment is zero
+        for b in range(self.k):
+            if b not in active:
+                a[self.rows[b]] = 0.0
+
+    def step(self, u_old: np.ndarray, t: float, dt: float,
+             start: Optional[np.ndarray] = None) -> tuple[np.ndarray, list[int]]:
+        """One implicit step of every field to t + dt; returns the flat state
+        and each field's Newton iteration count.
+
+        Newton starts from u_old, or from start when given: a flat array the
+        step may overwrite, whose interior is the first iterate (its traces
+        are set here).  Each iteration solves the flat system with its rows
+        scaled by 1/dt, J/dt delta = -G/dt, so the stored couplings carry no
+        dt and u^(m-1) comes from the residual's u^m.  A field whose full
+        increment is within newton_tol in its scaled norm converges once
+        u + delta clears the positivity floor, with no residual after it, so
+        a start that close to the solution costs one residual and one solve.
+        The start's scaled residual norms are formed only when a damping veto
+        reads them.  Backtracking halves one lam for the fields whose update
+        is not yet accepted; an accepted update is kept.  With one field the
+        norms are floats, with several lists over the fields.
+
+        A field fails when its update is not finite, its Newton stalls or its
+        positivity backtracking is exhausted.  The step then raises
+        _StepReject with the reason of the lowest failed field, as stepping
+        the fields one after another would: a failure drops every later
+        field, and the earlier ones iterate on.  A start that is not
+        positive and finite, or a failed linear solve, is a Newton failure
+        of the step.  The caller decides whether to shrink dt.
         """
-        cfg = self.cfg
+        cfg, k, rows = self.cfg, self.k, self.rows
+        tol = cfg.newton_tol
         t_new = t + dt
-        left, right = float(bc_left(t_new)), float(bc_right(t_new))
-        if not (left > 0.0 and right > 0.0 and math.isfinite(left) and math.isfinite(right)):
-            raise PositivityError(f"boundary trace not positive at t={t_new}")
         u = u_old.copy() if start is None else start
-        u[0], u[-1] = left, right
+        if k == 1:
+            bc_left, bc_right = self.bcs[0]
+            traces = [float(bc_left(t_new)), float(bc_right(t_new))]
+            u[0], u[-1] = traces
+            uo = u_old
+        else:
+            values = [float(fn(t_new)) for fn in self.trace_fns]
+            traces = [values[i] for i in self.trace_of]
+            u[self.trace_nodes] = traces
+            # u_old with the new traces, so the trace rows' u - u_old is 0
+            uo = u_old.copy()
+            uo[self.trace_nodes] = traces
+        # a nan or an inf makes the sum non-finite
+        if not (min(traces) > 0.0 and math.isfinite(sum(traces))):
+            raise PositivityError(f"boundary trace not positive at t={t_new}")
         if start is not None and not 0.0 < float(u.min()) <= float(u.max()) < math.inf:
             raise _StepReject("newton")
-        uo_int = u_old[1:-1]
+        uo_int = uo[1:-1]
         scale = uo_int  # positive by invariant; fixed per step
         floor = 1e-8 * scale
         rdt, mrdt = 1.0 / dt, -1.0 / dt
         G, P = self._residual(u, uo_int, dt)
-        # scaled residual norm of the current iterate: the start's is formed
-        # only when the damping veto reads it, later ones come from the trial
+        iters = [0] * k  # a field's count, set when it converges
+        active = self.field_ids  # the fields still iterating, in order
+        failed = None  # the reason of the lowest failed field
+        # scaled residual norms of the current iterate: the start's are formed
+        # only when a damping veto reads them, later ones come from the trial
         err0 = None
         for it in range(cfg.newton_max):
-            if it and err0 <= cfg.newton_tol:
-                return u, it
+            if it:
+                if k == 1:
+                    if err0 <= tol:
+                        iters[0] = it
+                        break
+                elif min(err0[b] for b in active) <= tol:
+                    for b in active:
+                        if err0[b] <= tol:
+                            iters[b] = it
+                    active = [b for b in active if not iters[b]]
+                    if not active:
+                        break
+                    self._idle(G, active)
             dF = P[1:-1] / u[1:-1]  # u^(m-1)
             # rows scaled by 1/dt; the four inputs are new arrays, so LAPACK
             # may overwrite them
             _, _, _, delta, info = self.gtsv(self.nlo * dF[:-1], self.nce * dF + rdt,
-                                             self.nhi * dF[1:], G * mrdt,
-                                             True, True, True, True)
+                                             self.nhi * dF[1:], G * mrdt, True, True, True, True)
             if info != 0:
                 raise _StepReject("newton")
-            # scaled increment norm; nan or inf here is a non-finite update
-            inc = float((np.abs(delta) / scale).max())
-            if not math.isfinite(inc):
-                raise _StepReject("newton")
+            # scaled increment norms; nan or inf here is a non-finite update
+            q = np.abs(delta) / scale
+            u_int = u[1:-1]
+            if k == 1:
+                inc = float(q.max())
+                if not math.isfinite(inc):
+                    failed = "newton"
+                    break
+            else:
+                inc = self._maxima(q)
+                if not math.isfinite(sum(inc)):
+                    # the first such field fails and so do the later ones;
+                    # each rests at u_old with no increment
+                    failed = "newton"
+                    i = next(i for i, b in enumerate(active) if not math.isfinite(inc[b]))
+                    for b in active[i:]:
+                        delta[rows[b]] = G[rows[b]] = 0.0
+                        u_int[rows[b]] = uo_int[rows[b]]
+                    active = active[:i]
+                    if not active:
+                        break
             lam = 1.0
             reason = "newton"
+            pending = active  # the fields whose update is not yet settled
             u_try = np.empty_like(u)
-            u_try[0], u_try[-1] = left, right
+            u_try[0], u_try[-1] = u[0], u[-1]
             trial = u_try[1:-1]
             for _ in range(_MAX_BACKTRACK + 1):
-                np.add(u[1:-1], delta if lam == 1.0 else lam * delta, out=trial)
-                if np.count_nonzero(trial <= floor):
-                    reason = "positivity"
+                np.add(u_int, delta if lam == 1.0 else lam * delta, out=trial)
+                below = trial <= floor
+                if k == 1:
+                    if np.count_nonzero(below):
+                        reason = "positivity"
+                        lam *= 0.5
+                        continue
+                    if lam == 1.0 and inc <= tol:
+                        # a converged full increment ends the step: no trial
+                        # residual, so no damping veto on a roundoff-sized update
+                        iters[0] = it + 1
+                        break
+                    if err0 is None:
+                        err0 = float((np.abs(G) / scale).max())
+                    G_try, P_try = self._residual(u_try, uo_int, dt)
+                    err_try = float((np.abs(G_try) / scale).max())
+                    # damped Newton: allow mild non-monotonicity, veto blow-up
+                    if err_try <= 2.0 * err0 or err_try <= tol:
+                        # lam is a power of two, so lam * inc is the scaled
+                        # norm of lam * delta
+                        if lam * inc <= tol:
+                            iters[0] = it + 1
+                        break
+                    reason = "newton"
                     lam *= 0.5
                     continue
-                if lam == 1.0 and inc <= cfg.newton_tol:
-                    # a converged full increment ends the step: no trial
-                    # residual, so no damping veto on a roundoff-sized update
-                    return u_try, it + 1
-                if err0 is None:
-                    err0 = float((np.abs(G) / scale).max())
-                G_try, P_try = self._residual(u_try, uo_int, dt)
-                err_try = float((np.abs(G_try) / scale).max())
-                # damped Newton: allow mild non-monotonicity, veto blow-up
-                if err_try <= 2.0 * err0 or err_try <= cfg.newton_tol:
+                # several fields: the same rules field by field
+                low = self._maxima(below) if np.count_nonzero(below) else None
+                vetted = []
+                for b in pending:
+                    if low and low[b]:
+                        # keeps the trial residual finite on these rows
+                        trial[rows[b]] = u_int[rows[b]]
+                    elif lam == 1.0 and inc[b] <= tol:
+                        iters[b] = it + 1
+                    else:
+                        vetted.append(b)
+                kept = []
+                if vetted:
+                    if err0 is None:
+                        err0 = self._maxima(np.abs(G) / scale)
+                    G_try, P_try = self._residual(u_try, uo_int, dt)
+                    err_try = self._maxima(np.abs(G_try) / scale)
+                    for b in vetted:
+                        if err_try[b] <= 2.0 * err0[b] or err_try[b] <= tol:
+                            if lam * inc[b] <= tol:
+                                iters[b] = it + 1
+                            else:
+                                kept.append(b)
+                rest = [b for b in pending if not iters[b] and b not in kept]
+                if not rest:
                     break
-                reason = "newton"
+                reason = "positivity" if low and low[rest[0]] else "newton"
+                # a settled field keeps this trial, the rest halve lam
+                for b in pending:
+                    if b not in rest:
+                        u_int[rows[b]] = trial[rows[b]]
+                        delta[rows[b]] = 0.0
+                pending = rest
                 lam *= 0.5
             else:
-                raise _StepReject(reason)
-            u, G, P, err0 = u_try, G_try, P_try, err_try
-            # lam is a power of two, so lam * inc is the scaled norm of lam * delta
-            if lam * inc <= cfg.newton_tol:
-                return u, it + 1
-        raise _StepReject("newton")
+                # backtracking exhausted: the field fails and so do the later
+                # ones; each rests at u_old
+                failed = reason
+                i = active.index(pending[0])
+                for b in active[i:]:
+                    trial[rows[b]] = uo_int[rows[b]]
+                active = active[:i]
+            u = u_try
+            if k == 1:
+                if not active or iters[0]:
+                    break
+            else:
+                active = [b for b in active if not iters[b]]
+                if not active:
+                    break
+                self._idle(G_try, active)
+            G, P, err0 = G_try, P_try, err_try
+        else:
+            raise _StepReject("newton")
+        if failed is not None:
+            raise _StepReject(failed)
+        return u, iters
 
 
-def _predict(states: Sequence[np.ndarray], hs: Sequence[float], dt: float) -> np.ndarray:
+def _predict(states: Sequence[np.ndarray], hs: Sequence[float], dt: float,
+             n_fields: int) -> np.ndarray:
     """Newton's start for a step of size dt: the polynomial in u through the
-    accepted states (newest first; hs[j] is the step from states[j + 1] to
-    states[j]), dt past the newest, as a Lagrange-weighted sum with weights
-    summing to 1, formed in one np.dot of the weights with the states; only
-    the interior is meaningful, the step sets the traces.  A start that is
-    not positive, or would overflow, raises _StepReject."""
+    accepted flat states of n_fields fields (newest first; hs[j] is the step
+    from states[j + 1] to states[j]), dt past the newest, as a Lagrange-weighted
+    sum with weights summing to 1, formed in one np.dot of the weights with
+    each field's states; only each field's interior is meaningful, the step
+    sets the traces.  A start that is not positive, or would overflow, raises
+    _StepReject."""
     nodes = [0.0]
     for h in hs:
         nodes.append(nodes[-1] - h)
@@ -451,8 +618,16 @@ def _predict(states: Sequence[np.ndarray], hs: Sequence[float], dt: float) -> np
     # the weights are divided by their absolute sum, so no partial sum can
     # overflow, and whether the start would is a float comparison
     total = sum(map(abs, w))
-    start = np.dot([wj / total for wj in w], states)
-    inner = start[1:-1]
+    w = [wj / total for wj in w]
+    if n_fields == 1:
+        start = np.dot(w, states)
+        inner = start[1:-1]
+    else:
+        # np.dot's bits at a node can depend on its place in BLAS's vector
+        # blocks, so each field takes its own product, as it would alone
+        start = np.concatenate([np.dot(w, rows) for rows in zip(*(s.reshape(n_fields, -1)
+                                                                  for s in states))])
+        inner = start.reshape(n_fields, -1)[:, 1:-1]
     if not (float(inner.min()) > 0.0 and float(inner.max()) * total < math.inf):
         raise _StepReject("newton")
     inner *= total
@@ -464,7 +639,11 @@ class _Lockstep:
 
     Sharing the step sequence is what makes the discrete weighted-L1
     contraction argument apply to evolved pairs; a single field marches alone.
-    Step counts are shared; Newton totals, min_u and ab_max are per field.
+    The fields are held end to end in one flat state, u, which one _Stepper
+    advances as one system; each accepted step makes a new array, so a state
+    is never written after it is accepted.  Step counts are shared; Newton
+    totals, min_u and ab_max are per field.  A rejection in any field rejects
+    the step for all of them.
 
     On a step whose size a cap sets (dt_max or dt_rel_max * t, not the
     Newton-count growth rule), each field's Newton iteration starts from the
@@ -472,18 +651,20 @@ class _Lockstep:
     states, at their own step sizes (fewer states, lower degree; Hairer &
     Wanner, Solving ODEs II, IV.8).  Once it has settled, that start is within
     newton_tol of the step's solution, so the step takes one linear solve.
-    A step the growth rule sizes starts from u_old: there the Newton count
-    picks the next dt, and a cheaper start would let dt grow further.  Such
-    steps only keep references to the accepted states.
+    A step the growth rule sizes starts from u_old: there the worst Newton
+    count over the fields picks the next dt, and a cheaper start would let dt
+    grow further.  Such steps only keep references to the accepted states.
     """
 
     def __init__(self, fields: Sequence[RadialField], params: ParamSet, cfg: EvolveConfig):
-        self.stepper = _Stepper(fields[0].r_grid, params, cfg)
+        self.stepper = _Stepper(fields[0].r_grid, params, cfg, [f.bc for f in fields])
+        self.k = len(fields)
+        self.u = np.concatenate([f.u for f in fields])
         # each product of the residual's stencil term and its partial sums
         # (|ce| u^m/m), and of the Jacobian (|ce| u^(m-1)), is at most max|ce|
         # times the largest such factor of the data; tested on the log
         m = params.m
-        log_u = np.log(np.concatenate([f.u for f in fields]))
+        log_u = np.log(self.u)
         log_factor = max(m * float(log_u.max()) - math.log(m), (m - 1.0) * float(log_u.min()))
         if self.stepper.log_ce_max + log_factor >= _LOG_FLOAT_MAX:
             raise RangeError(
@@ -494,22 +675,24 @@ class _Lockstep:
         self.one_m = 1.0 - params.m
         self.t_start = self.t = fields[0].t
         self.dt = cfg.dt_init
-        self.us = [f.u.copy() for f in fields]
-        # the accepted states, newest first (self.us leads), and the step
+        # the accepted states, newest first (self.u leads), and the step
         # sizes between them, newest first
-        self.past = [self.us]
+        self.past = [self.u]
         self.hs: list[float] = []
-        self.bcs = [f.bc for f in fields]
         self.n_steps = self.n_rejected = self.n_rejected_positivity = 0
-        self.newton = [0] * len(fields)
+        self.newton = [0] * self.k
         self.min_u = [float(np.min(f.u)) for f in fields]
-        self.ab_max = [-math.inf] * len(fields)
+        self.ab_max = [-math.inf] * self.k
+
+    def fields(self) -> np.ndarray:
+        """The current state, one row per field (a view)."""
+        return self.u.reshape(self.k, -1)
 
     def advance(self, t_target: float) -> None:
         """March every field to t_target; a target not past the current time is a no-op."""
         if not t_target > self.t:
             return
-        cfg, t = self.cfg, self.t
+        cfg, t, k = self.cfg, self.t, self.k
         eps_t = 1e-13 * max(1.0, abs(t_target))
         while t < t_target - eps_t:
             cap = cfg.dt_max if cfg.dt_rel_max is None else min(cfg.dt_max, cfg.dt_rel_max * t)
@@ -518,10 +701,8 @@ class _Lockstep:
             dt = t_target - t if clamped else dt_prop
             predicted = cap <= self.dt and bool(self.hs)
             try:
-                starts = ([_predict(states, self.hs, dt) for states in zip(*self.past)]
-                          if predicted else [None] * len(self.us))
-                stepped = [self.stepper.step(u, t, dt, bc[0], bc[1], start)
-                           for u, bc, start in zip(self.us, self.bcs, starts)]
+                start = _predict(self.past, self.hs, dt, k) if predicted else None
+                u_new, iters = self.stepper.step(self.u, t, dt, start)
             except _StepReject as rej:
                 self.n_rejected += 1
                 self.n_rejected_positivity += rej.reason == "positivity"
@@ -538,23 +719,28 @@ class _Lockstep:
                 continue
             t_new = t_target if clamped else t + dt
             gain = self.one_m * t_new / dt
-            for idx, (u_new, iters) in enumerate(stepped):
-                # ((u_new - u_old)/dt - bound)/bound with bound = u_new/((1-m) t_new),
-                # as gain max((u_new - u_old)/u_new) - 1: gain > 0 commutes with max
-                rel = u_new[1:-1] - self.us[idx][1:-1]
-                rel /= u_new[1:-1]
-                self.ab_max[idx] = max(self.ab_max[idx], gain * float(rel.max()) - 1.0)
-                self.min_u[idx] = min(self.min_u[idx], float(u_new.min()))
-                self.newton[idx] += iters
-            self.us = [u_new for u_new, _ in stepped]
-            self.past = [self.us] + self.past[:_PREDICT_DEGREE]
+            # ((u_new - u_old)/dt - bound)/bound with bound = u_new/((1-m) t_new),
+            # as gain max((u_new - u_old)/u_new) - 1 over each field's interior:
+            # gain > 0 commutes with max
+            rel = u_new - self.u
+            rel /= u_new
+            if k == 1:
+                rel_max, u_min = [float(rel[1:-1].max())], [float(u_new.min())]
+            else:
+                rel_max = rel.reshape(k, -1)[:, 1:-1].max(axis=1).tolist()
+                u_min = u_new.reshape(k, -1).min(axis=1).tolist()
+            for i in range(k):
+                self.ab_max[i] = max(self.ab_max[i], gain * rel_max[i] - 1.0)
+                self.min_u[i] = min(self.min_u[i], u_min[i])
+                self.newton[i] += iters[i]
+            self.u = u_new
+            self.past = [u_new] + self.past[:_PREDICT_DEGREE]
             self.hs = [dt] + self.hs[:_PREDICT_DEGREE - 1]
             self.n_steps += 1
             # a remainder clamped onto t_target says nothing about the step
             # size: dt stays, so a cap that sized the steps before still does
             if not clamped:
-                worst_iters = max(iters for _, iters in stepped)
-                self.dt = min(dt * _DT_GROW, cfg.dt_max) if worst_iters <= _GROW_THRESHOLD else dt
+                self.dt = min(dt * _DT_GROW, cfg.dt_max) if max(iters) <= _GROW_THRESHOLD else dt
             t = t_new
             if self.n_steps > _MAX_STEPS:
                 raise ToleranceError(
@@ -603,7 +789,7 @@ def evolve(field: RadialField, cfg: EvolveConfig, times: Sequence[float]) -> lis
     out = []
     for t_target in _sample_times(times, field.t):
         march.advance(float(t_target))
-        out.append(RadialField(field.r_grid, march.us[0], march.t, field.bc, params=p,
+        out.append(RadialField(field.r_grid, march.u.copy(), march.t, field.bc, params=p,
                                stats=march.stats(0)))
     return out
 
@@ -783,17 +969,18 @@ def contraction_experiment(u0: RadialField, v0: RadialField, weight: WeightFunct
     _check_sandwich(u0.u, v0.u, grid, u0.t, sandwich)
 
     march = _Lockstep([u0, v0], p, cfg)
+    wgrid = weighted_grid(weight, grid)
     dist_abs, dist_pos, dist_sup = [], [], []
     for t_target in times_arr:
         march.advance(float(t_target))
-        u, v = march.us
-        dist_abs.append(weighted_l1_distance(weight, grid, u, v))
-        dist_pos.append(weighted_l1_distance(weight, grid, u, v, mode="positive-part"))
+        u, v = march.fields()
+        dist_abs.append(wgrid.distance(u, v))
+        dist_pos.append(wgrid.distance(u, v, mode="positive-part"))
         dist_sup.append(sup_compact(grid, u, v))
         _check_sandwich(u, v, grid, march.t, sandwich)
 
-    u_fin, v_fin = (RadialField(grid, march.us[i], march.t, f.bc, params=p, stats=march.stats(i))
-                    for i, f in enumerate((u0, v0)))
+    u_fin, v_fin = (RadialField(grid, u.copy(), march.t, f.bc, params=p, stats=march.stats(i))
+                    for i, (u, f) in enumerate(zip(march.fields(), (u0, v0))))
     return ContractionResult(
         times=times_arr,
         tau=np.log(times_arr),
@@ -876,9 +1063,10 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
 
     # the defining integrability condition on u0 - a0 |x|^(-gamma): the
     # weighted integrand must decay at the outer edge, else truncation lies
+    wgrid = weighted_grid(weight, r_grid)
     diff0 = np.abs(field0.u - power)
-    integrand = r_grid ** (p.n - 1) * diff0 * eval_weight(weight, r_grid)[0]
-    u0_l1_gap = weighted_l1_distance(weight, r_grid, field0.u, power)
+    integrand = r_grid ** (p.n - 1) * diff0 * wgrid.phi
+    u0_l1_gap = wgrid.distance(field0.u, power)
     if np.max(integrand) > 0 and np.max(integrand[-r_grid.size // 8:]) > 1e-14 * np.max(integrand):
         slope = _tail_slope(r_grid, integrand)
         if slope > -0.1:
@@ -896,14 +1084,15 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
     n_ref = max(int(round(r_grid.size * math.log(y_hi / y_lo) / math.log(r_grid[-1] / r_grid[0]))), 16)
     y_grid = log_grid(y_lo, y_hi, n_ref)
     f_ref = V0(y_grid, 1.0)                          # f_lam0 itself: V0 at t = 1
-    norm_ref = weighted_l1_distance(weight, y_grid, f_ref, np.zeros_like(f_ref))
+    y_wgrid = weighted_grid(weight, y_grid)
+    norm_ref = y_wgrid.distance(f_ref, np.zeros_like(f_ref))
 
     snapshots = evolve(field0, cfg, t_arr)
     resc = [rescale_field(snap, y_grid) for snap in snapshots]
     return ConvergenceResult(
         tau_grid=tau_arr,
         t_grid=np.asarray([snap.t for snap in snapshots]),
-        dist_l1w=np.asarray([weighted_l1_distance(weight, y_grid, u, f_ref) for u in resc]),
+        dist_l1w=np.asarray([y_wgrid.distance(u, f_ref) for u in resc]),
         dist_sup_compact=np.asarray([sup_compact(y_grid, u, f_ref) for u in resc]),
         norm_ref=norm_ref,
         lam0=lam0,

@@ -18,7 +18,8 @@ from scipy.interpolate import CubicSpline
 from .errors import GridMismatchError, QuadratureError, RangeError
 from .numerics import Tolerances, integrate_ode, integrate_table, quad_adaptive
 
-__all__ = ["BumpSpec", "WeightFunction", "build_weight", "eval_weight", "weighted_l1_distance"]
+__all__ = ["BumpSpec", "WeightFunction", "WeightedGrid", "build_weight", "eval_weight", "weighted_grid",
+           "weighted_l1_distance"]
 
 TABLE_SIZE = 4096
 TABLE_RMIN = 1e-3
@@ -182,25 +183,47 @@ def eval_weight(w: WeightFunction, r):
     return phi, dphi
 
 
-def weighted_l1_distance(w: WeightFunction, r, u, v, mode: str = "abs") -> float:
-    """Weighted distance between two fields u, v on the log-uniform grid r
-    of at least 4 nodes: the n-dimensional radial integral of |u-v| phi_mu
-    (or the positive part (u-v)+ phi_mu)."""
-    r, u, v = (np.asarray(a, dtype=float) for a in (r, u, v))
-    if u.shape != r.shape or v.shape != r.shape:
-        raise GridMismatchError("values and grid have different shapes")
-    if mode == "abs":
-        diff = np.abs(u - v)
-    elif mode == "positive-part":
-        diff = np.clip(u - v, 0.0, None)
-    else:
-        raise RangeError(f"mode must be 'abs' or 'positive-part', got {mode!r}")
+@dataclass(frozen=True)
+class WeightedGrid:
+    """The per-grid part of the weighted distance on one log-uniform grid of
+    at least 4 nodes: e^(n x) = r^n, phi_mu at the nodes, the spacing dx in
+    x = log r and the sphere area omega_n.  Build it once with weighted_grid
+    and take any number of distances on that grid."""
 
-    n = w.spec.n
-    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    phi, _ = eval_weight(w, r)
+    exp_nx: np.ndarray
+    phi: np.ndarray
+    dx: float
+    omega: float
+
+    def distance(self, u, v, mode: str = "abs") -> float:
+        """The n-dimensional radial integral of |u-v| phi_mu (or of the
+        positive part (u-v)+ phi_mu)."""
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        if u.shape != self.phi.shape or v.shape != self.phi.shape:
+            raise GridMismatchError("values and grid have different shapes")
+        if mode == "abs":
+            diff = np.abs(u - v)
+        elif mode == "positive-part":
+            diff = np.clip(u - v, 0.0, None)
+        else:
+            raise RangeError(f"mode must be 'abs' or 'positive-part', got {mode!r}")
+        return self.omega * integrate_table(self.exp_nx * diff * self.phi, self.dx)
+
+
+def weighted_grid(w: WeightFunction, r) -> WeightedGrid:
+    """The per-grid part of weighted_l1_distance on the grid r."""
+    r = np.asarray(r, dtype=float)
     x = np.log(r)
     if x.ndim != 1 or x.size < 4 or not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-8, atol=0.0):
         raise GridMismatchError("weighted distance needs a log-uniform grid of at least 4 nodes")
-    integrand = np.exp(n * x) * diff * phi
-    return omega * integrate_table(integrand, float(x[1] - x[0]))
+    n = w.spec.n
+    return WeightedGrid(exp_nx=np.exp(n * x), phi=eval_weight(w, r)[0], dx=float(x[1] - x[0]),
+                        omega=2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0))
+
+
+def weighted_l1_distance(w: WeightFunction, r, u, v, mode: str = "abs") -> float:
+    """Weighted distance between two fields u, v on the log-uniform grid r
+    of at least 4 nodes: the n-dimensional radial integral of |u-v| phi_mu
+    (or the positive part (u-v)+ phi_mu).  For many distances on one grid,
+    weighted_grid(w, r).distance(u, v, mode) does the per-grid work once."""
+    return weighted_grid(w, r).distance(u, v, mode)

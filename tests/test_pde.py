@@ -33,7 +33,7 @@ from fastdiff import (
     solve_for_eta,
 )
 from fastdiff.errors import NewtonDivergence, PositivityError
-from fastdiff.pde import _predict, _Stepper, _StepReject
+from fastdiff.pde import _Lockstep, _predict, _Stepper, _StepReject
 
 ANNULUS = (0.1, 10.0)
 
@@ -234,13 +234,13 @@ class TestEvolveBasics:
         with pytest.raises(RangeError, match="inner radius"):
             evolve(field, EvolveConfig(), [1.5])
         # at 1e-150 the largest coefficient, about 2.4e300, is finite
-        stepper = _Stepper(log_grid(1e-150, 1e3, 400), params_ref, EvolveConfig())
+        stepper = _Stepper(log_grid(1e-150, 1e3, 400), params_ref, EvolveConfig(), [field.bc])
         assert np.all(np.isfinite(stepper.ce))
         # at 1e-154 on 512 nodes it is finite too, about 9.7e307, but the
         # residual's product |ce| u^m/m on u = 1 is not: refused before the
         # first step, not by a nan Newton that halves dt down to dt_min
         r = log_grid(1e-154, 1e3, 512)
-        assert np.all(np.isfinite(_Stepper(r, params_ref, EvolveConfig()).ce))
+        assert np.all(np.isfinite(_Stepper(r, params_ref, EvolveConfig(), [field.bc]).ce))
         field = RadialField(r, np.ones(512), 1.0, (lambda t: 1.0, lambda t: 1.0),
                             params=params_ref)
         with pytest.raises(RangeError, match="inner radius 1e-154 too small"):
@@ -359,29 +359,30 @@ class TestStepperKernel:
         # the self-similar orbit on fdx converge's grid at dt = 2.5e-4 t,
         # where the converged last increment of some steps lands on the
         # residual's roundoff floor
-        stepper = _Stepper(grid128, params_ref, EvolveConfig())
         field = _bb_field(bb, grid128, 1.0, params_ref)
+        stepper = _Stepper(grid128, params_ref, EvolveConfig(), [field.bc])
         left, right = field.bc
         for dt in (1e-3, 0.05):
-            u_new, iters = stepper.step(field.u, 1.0, dt, left, right)
+            u_new, [iters] = stepper.step(field.u, 1.0, dt)
             u_ref, iters_ref, _ = _reference_step(stepper, field.u, 1.0, dt, left, right)
             assert iters == iters_ref >= 2
             assert np.array_equal(u_new, u_ref)
         # a constant state starts within newton_tol; its residual is not
         # tested, so the step still takes one solve
         const = np.full(grid128.size, 2.5)
-        u_new, iters = stepper.step(const, 1.0, 1e-3, lambda t: 2.5, lambda t: 2.5)
+        stepper = _Stepper(grid128, params_ref, EvolveConfig(), [(lambda t: 2.5, lambda t: 2.5)])
+        u_new, [iters] = stepper.step(const, 1.0, 1e-3)
         u_ref, iters_ref, _ = _reference_step(stepper, const, 1.0, 1e-3,
                                               lambda t: 2.5, lambda t: 2.5)
         assert iters == iters_ref == 1
         assert np.array_equal(u_new, u_ref)
         orbit = make_self_similar_field(unit_eta_profile, 1.0, 1.0, log_grid(1e-3, 1e3, 640))
-        stepper = _Stepper(orbit.r_grid, params_ref, EvolveConfig())
+        stepper = _Stepper(orbit.r_grid, params_ref, EvolveConfig(), [orbit.bc])
         left, right = orbit.bc
         u, t = orbit.u, 1.0
         for _ in range(400):
             dt = 2.5e-4 * t
-            u_new, iters = stepper.step(u, t, dt, left, right)
+            u_new, [iters] = stepper.step(u, t, dt)
             u_ref, iters_ref, _ = _reference_step(stepper, u, t, dt, left, right)
             assert iters == iters_ref >= 2
             assert np.array_equal(u_new, u_ref)
@@ -395,10 +396,10 @@ class TestStepperKernel:
         # converges on full updates; at newton_tol = 0.5 the damped increment
         # (0.42 in the scaled norm, 0.84 undamped) ends the step, so the lam
         # factor of the increment test decides the count
-        stepper = _Stepper(grid128, params_ref, EvolveConfig(newton_tol=newton_tol))
         u0 = power_bump_initial(params_ref, 1.0, amp=3.0)(grid128)
         left, right = (lambda t: float(u0[0])), (lambda t: float(u0[-1]))
-        u_new, iters = stepper.step(u0, 1.0, 0.2, left, right)
+        stepper = _Stepper(grid128, params_ref, EvolveConfig(newton_tol=newton_tol), [(left, right)])
+        u_new, [iters] = stepper.step(u0, 1.0, 0.2)
         u_ref, iters_ref, damped = _reference_step(stepper, u0, 1.0, 0.2, left, right)
         assert damped
         assert iters == iters_ref == iters_expected
@@ -458,17 +459,17 @@ class TestStepperKernel:
         # three steps of dt_prev, then one of dt that starts from the cubic in
         # u through the four states: it lands on the step's solution in fewer
         # linear solves than the reference, which starts from u_old
-        stepper = _Stepper(grid128, params_ref, EvolveConfig())
         field = _bb_field(bb, grid128, 1.0, params_ref)
+        stepper = _Stepper(grid128, params_ref, EvolveConfig(), [field.bc])
         left, right = field.bc
         states, t = [field.u], 1.0
         for _ in range(3):
-            u, _ = stepper.step(states[0], t, dt_prev, left, right)
+            u, _ = stepper.step(states[0], t, dt_prev)
             states.insert(0, u)
             t += dt_prev
         hs = [dt_prev] * 3
-        start = _predict(states, hs, dt)
-        u_new, iters = stepper.step(states[0], t, dt, left, right, start)
+        start = _predict(states, hs, dt, 1)
+        u_new, [iters] = stepper.step(states[0], t, dt, start)
         u_ref, iters_ref, _ = _reference_step(stepper, states[0], t, dt, left, right)
         assert iters < iters_ref
         assert np.max(np.abs(u_new - u_ref) / u_ref) <= 1e-10
@@ -485,7 +486,7 @@ class TestStepperKernel:
 
         times = [2.0, 1.97, 1.92, 1.91][:degree + 1]
         hs = [a - b for a, b in zip(times, times[1:])]
-        start = _predict([state(t) for t in times], hs, 0.04)
+        start = _predict([state(t) for t in times], hs, 0.04, 1)
         assert np.allclose(start[1:-1], state(2.04)[1:-1], rtol=1e-13, atol=0.0)
 
     def test_predictor_matches_a_loop_over_the_states(self):
@@ -507,7 +508,7 @@ class TestStepperKernel:
             for wj, u in zip(w, states):
                 acc += wj * u[i + 1]
             ref[i] = acc
-        start = _predict(states, hs, dt)
+        start = _predict(states, hs, dt, 1)
         assert np.max(np.abs(start[1:-1] - ref)) <= tol
 
     def test_unusable_start_is_rejected(self, grid128, params_ref, bb):
@@ -515,33 +516,33 @@ class TestStepperKernel:
         # _StepReject.  _predict raises no RuntimeWarning, which the test
         # configuration would turn into an error, even where its sum would
         # pass the largest float
-        stepper = _Stepper(grid128, params_ref, EvolveConfig())
         field = _bb_field(bb, grid128, 1.0, params_ref)
-        left, right = field.bc
+        stepper = _Stepper(grid128, params_ref, EvolveConfig(), [field.bc])
         with pytest.raises(_StepReject):
             # u halves per 1e-3, so 2 ahead the line through both states is negative
-            start = _predict([field.u, 2.0 * field.u], [1e-3], 2.0)
-            stepper.step(field.u, 1.0, 2.0, left, right, start)
+            start = _predict([field.u, 2.0 * field.u], [1e-3], 2.0, 1)
+            stepper.step(field.u, 1.0, 2.0, start)
         big = 1e300 * field.u / field.u.max()
-        start = _predict([big, 0.5 * big], [1e-3], 2.0)
+        start = _predict([big, 0.5 * big], [1e-3], 2.0, 1)
         assert np.allclose(start[1:-1], 1001.0 * big[1:-1], rtol=1e-12, atol=0.0)
         with pytest.raises(_StepReject):
-            _predict([big, 0.5 * big], [1e-3], 1e6)
+            _predict([big, 0.5 * big], [1e-3], 1e6, 1)
         for bad in (0.0, math.nan):
             start = field.u.copy()
             start[5] = bad
             with pytest.raises(_StepReject):
-                stepper.step(field.u, 1.0, 1e-3, field.bc[0], field.bc[1], start)
+                stepper.step(field.u, 1.0, 1e-3, start)
 
 
 def _record_steps(monkeypatch):
-    """Wrap _Stepper.step; each call appends (t, dt, start given, iterations)."""
+    """Wrap _Stepper.step; each call appends (t, dt, start given, worst
+    iteration count over the fields)."""
     calls = []
     step = _Stepper.step
 
-    def recording(self, u_old, t, dt, bc_left, bc_right, *start):
-        u_new, iters = step(self, u_old, t, dt, bc_left, bc_right, *start)
-        calls.append((t, dt, bool(start) and start[0] is not None, iters))
+    def recording(self, u_old, t, dt, *start):
+        u_new, iters = step(self, u_old, t, dt, *start)
+        calls.append((t, dt, bool(start) and start[0] is not None, max(iters)))
         return u_new, iters
 
     monkeypatch.setattr(_Stepper, "step", recording)
@@ -583,10 +584,10 @@ class TestNewtonPredictor:
         per_step = []
         step = _Stepper.step
 
-        def counted(self, u_old, t, dt, bc_left, bc_right, start=None):
+        def counted(self, u_old, t, dt, start=None):
             before = n_residuals[0]
-            u_new, iters = step(self, u_old, t, dt, bc_left, bc_right, start)
-            per_step.append((t, dt, start is not None, iters, n_residuals[0] - before))
+            u_new, iters = step(self, u_old, t, dt, start)
+            per_step.append((t, dt, start is not None, *iters, n_residuals[0] - before))
             return u_new, iters
 
         monkeypatch.setattr(_Stepper, "_residual", counting)
@@ -622,14 +623,14 @@ class TestNewtonPredictor:
         attempts = []
         step = _Stepper.step
 
-        def recording(self, u_old, t, dt, bc_left, bc_right, start=None):
+        def recording(self, u_old, t, dt, start=None):
             attempts.append((t, dt, start is not None))
-            return step(self, u_old, t, dt, bc_left, bc_right, start)
+            return step(self, u_old, t, dt, start)
 
         predict = fastdiff.pde._predict
 
-        def first_start_bad(states, hs, dt):
-            start = predict(states, hs, dt)
+        def first_start_bad(states, hs, dt, n_fields):
+            start = predict(states, hs, dt, n_fields)
             if not any(given for *_, given in attempts):
                 start[5] = -start[5]
             return start
@@ -658,6 +659,205 @@ class TestNewtonPredictor:
         assert max(dt for _, dt, _, _ in calls) < cfg.dt_max
         assert not any(predicted for _, _, predicted, _ in calls)
         assert predictor_calls == []
+
+
+def _sandwich_fields(profile, grid, seed):
+    """The sandwiched pair of fdx contract at t = 1 and its two envelopes,
+    each with its own traces except the pair, which share the upper one's."""
+    u0, v0, (lo_fn, hi_fn) = random_sandwiched_pair(profile, grid, 1.0,
+                                                    np.random.default_rng(seed))
+    lo, hi = (fastdiff.pde.sample_solution(V, 1.0, grid, profile.params) for V in (lo_fn, hi_fn))
+    return [u0, v0, lo, hi]
+
+
+def _flat_and_single_steps(fields, params, cfg, dts, predict):
+    """Step the fields as one flat system and each alone through the same
+    step sizes; with predict, every step after the first starts from the
+    cubic through the accepted states.  Returns per step (flat u, flat
+    counts, [single u], [single counts])."""
+    k, n = len(fields), fields[0].u.size
+    flat = _Stepper(fields[0].r_grid, params, cfg, [f.bc for f in fields])
+    singles = [_Stepper(f.r_grid, params, cfg, [f.bc]) for f in fields]
+    past = [np.concatenate([f.u for f in fields])]
+    pasts = [[f.u] for f in fields]
+    hs, t, out = [], fields[0].t, []
+    for dt in dts:
+        start = _predict(past, hs, dt, k) if predict and hs else None
+        starts = [_predict(p, hs, dt, 1) if start is not None else None for p in pasts]
+        if start is not None:
+            for b in range(k):
+                assert np.array_equal(start.reshape(k, n)[b, 1:-1], starts[b][1:-1])
+        u, iters = flat.step(past[0], t, dt, start)
+        stepped = [s.step(p[0], t, dt, st) for s, p, st in zip(singles, pasts, starts)]
+        out.append((u, iters, [v for v, _ in stepped], [c for _, [c] in stepped]))
+        past = [u] + past[:3]
+        pasts = [[v] + p[:3] for (v, _), p in zip(stepped, pasts)]
+        hs = [dt] + hs[:2]
+        t += dt
+    return out
+
+
+class TestFlatLockstep:
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("nodes", [128, 131])
+    def test_flat_step_is_k_single_steps(self, unit_eta_profile, params_ref, k, nodes):
+        # the pair (k = 2) and the pair with its envelopes (k = 4) on a node
+        # count that is and one that is not a multiple of 8: growing steps
+        # from u_old, then steps of about 2.5e-4 t (as dt_rel_max = 2.5e-4
+        # sizes them) from the predictor.  Every field's state and count
+        # equal its own step's bit for bit
+        grid = log_grid(1e-2, 1e2, nodes)
+        fields = _sandwich_fields(unit_eta_profile, grid, 1)[:k]
+        cfg = EvolveConfig()
+        grown = _flat_and_single_steps(fields, params_ref, cfg,
+                                       [1e-3 * 1.3**j for j in range(14)], predict=False)
+        t1 = 1.0 + sum(1e-3 * 1.3**j for j in range(14))
+        later = [RadialField(grid, u, t1, f.bc, params_ref)
+                 for u, f in zip(grown[-1][0].reshape(k, -1), fields)]
+        capped = _flat_and_single_steps(later, params_ref, cfg,
+                                        [2.5e-4 * t1 * 1.0001**j for j in range(12)], predict=True)
+        for u, iters, us, counts in grown + capped:
+            assert iters == counts
+            assert np.array_equal(u, np.concatenate(us))
+        assert max(max(iters) for _, iters, _, _ in capped[4:]) <= 2
+
+    def test_fields_converge_at_different_counts(self, unit_eta_profile, params_ref):
+        # a constant state converges on its first solve while the sandwiched
+        # field takes three or four: the constant keeps its state and count
+        # while the other iterates on, and each equals its own step
+        grid = log_grid(1e-2, 1e2, 128)
+        const = RadialField(grid, np.full(128, 2.5), 1.0, (lambda t: 2.5, lambda t: 2.5),
+                            params_ref)
+        for fields in ([const, _sandwich_fields(unit_eta_profile, grid, 1)[0]],
+                       _sandwich_fields(unit_eta_profile, grid, 1)[:2] + [const]):
+            steps = _flat_and_single_steps(fields, params_ref, EvolveConfig(),
+                                           [1e-3 * 1.3**j for j in range(10)], predict=False)
+            for u, iters, us, counts in steps:
+                assert iters == counts
+                assert iters[next(i for i, f in enumerate(fields) if f is const)] == 1 < max(iters)
+                assert np.array_equal(u, np.concatenate(us))
+
+    @pytest.mark.parametrize("newton_tol, iters_expected", [(1e-11, 6), (0.5, 1)])
+    def test_damping_veto_in_one_field(self, grid128, params_ref, bb, newton_tol, iters_expected):
+        # a rough datum at dt = 0.2, whose first update the damping veto
+        # halves, next to the smooth Barenblatt field: each keeps the bits
+        # and the count of its own step.  At newton_tol = 0.5 the damped
+        # increment ends the rough field's step, so the lam factor of the
+        # increment test decides its count
+        rough = power_bump_initial(params_ref, 1.0, amp=3.0)(grid128)
+        fields = [RadialField(grid128, rough, 1.0, (lambda t: float(rough[0]),
+                                                   lambda t: float(rough[-1])), params_ref),
+                  _bb_field(bb, grid128, 1.0, params_ref)]
+        for order in (fields, fields[::-1]):
+            [(u, iters, us, counts)] = _flat_and_single_steps(
+                order, params_ref, EvolveConfig(newton_tol=newton_tol), [0.2], predict=False)
+            assert iters == counts
+            assert iters[0 if order is fields else 1] == iters_expected
+            assert np.array_equal(u, np.concatenate(us))
+
+    def test_positivity_backtrack_in_one_field(self, grid128, params_ref, bb, unit_eta_profile,
+                                               monkeypatch):
+        # a first increment of -2 u on one field's rows: that field halves
+        # lam past the positivity floor and on through the damping veto, as
+        # its own step does under the same increment; the other field keeps
+        # the bits and the count of its unpatched step
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        other = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
+        n, cfg = grid128.size, EvolveConfig()
+        base = _Stepper(grid128, params_ref, cfg, [field.bc]).step(field.u, 1.0, 0.01)
+        plain = _Stepper(grid128, params_ref, cfg, [other.bc]).step(other.u, 1.0, 0.01)
+        seen = set()
+
+        def corrupt(call, delta):
+            # the first solve of each step: the single one, then the flat one
+            if delta.size not in seen:
+                seen.add(delta.size)
+                delta[:n - 2] = -2.0 * field.u[1:-1]
+            return delta
+
+        _patch_gtsv(monkeypatch, corrupt)
+        single = _Stepper(grid128, params_ref, cfg, [field.bc])
+        flat = _Stepper(grid128, params_ref, cfg, [field.bc, other.bc])
+        u_one, [it_one] = single.step(field.u, 1.0, 0.01)
+        u, iters = flat.step(np.concatenate([field.u, other.u]), 1.0, 0.01)
+        assert it_one > base[1][0]
+        assert iters == [it_one, plain[1][0]]
+        assert np.array_equal(u, np.concatenate([u_one, plain[0]]))
+
+    @pytest.mark.parametrize("bad, expected", [
+        ((None, "positivity"), (1, 1)),
+        (("positivity", None), (1, 1)),
+        (("newton", "positivity"), (1, 0)),
+        (("positivity", "newton"), (1, 1)),
+        (("positivity", "positivity"), (1, 1)),
+        (("positivity", "veto"), (1, 1)),
+        (("veto", "positivity"), (1, 0)),
+    ])
+    def test_rejection_in_any_field(self, grid128, params_ref, bb, monkeypatch, bad, expected):
+        # the first solve fails one or both fields: a non-finite update
+        # ("newton"), one that no lam lifts over the positivity floor, or
+        # one whose residual the damping veto refuses at every lam.
+        # The step is rejected for both, with the reason of the lower failed
+        # field, and retried at dt/2 from u_old
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        n = grid128.size
+        kills = {"newton": lambda d, u: d * math.nan,
+                 "positivity": lambda d, u: -(1.0 + 2.0**11) * u,
+                 "veto": lambda d, u: 2.0**20 * u}
+
+        def corrupt(call, delta):
+            if call == 1:
+                for b, how in enumerate(bad):
+                    if how:
+                        rows = slice(b * n, b * n + n - 2)
+                        delta[rows] = kills[how](delta[rows], field.u[1:-1])
+            return delta
+
+        _patch_gtsv(monkeypatch, corrupt)
+        attempts = []
+        step = _Stepper.step
+
+        def recording(self, u_old, t, dt, start=None):
+            attempts.append((t, dt))
+            return step(self, u_old, t, dt, start)
+
+        monkeypatch.setattr(_Stepper, "step", recording)
+        march = _Lockstep([field, field], params_ref, EvolveConfig(dt_init=0.01, dt_max=0.01))
+        march.advance(1.02)
+        assert attempts[:2] == [(1.0, 0.01), (1.0, 0.005)]
+        stats = [march.stats(i) for i in range(2)]
+        assert all((st.n_rejected, st.n_rejected_positivity) == expected for st in stats)
+        assert np.array_equal(march.fields()[0], march.fields()[1])
+
+
+    def test_shared_traces_evaluated_once_per_step(self, grid128, params_ref, bb):
+        # a sandwiched pair shares its upper envelope's traces: each distinct
+        # trace callable runs once per step attempt, not once per field
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        calls = []
+
+        def counted(fn):
+            return lambda t: calls.append(fn) or fn(t)
+
+        bc = tuple(counted(fn) for fn in field.bc)
+        pair = [RadialField(grid128, field.u, 1.0, bc, params_ref) for _ in range(2)]
+        march = _Lockstep(pair, params_ref, EvolveConfig(dt_init=1e-3, dt_max=0.01))
+        march.advance(1.05)
+        assert march.n_rejected == 0
+        assert len(calls) == 2 * march.n_steps
+
+
+class TestOwnedSnapshots:
+    def test_evolve_snapshots_keep_their_values(self, grid128, params_ref, bb):
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        cfg = EvolveConfig(dt_init=1e-3, dt_max=0.01)
+        [early] = evolve(field, cfg, [1.1])
+        snaps = evolve(field, cfg, [1.1, 1.2, 1.3])
+        assert np.array_equal(snaps[0].u, early.u)
+        assert all(s.u.flags.owndata for s in snaps)
+
+    def test_contraction_fields_own_their_arrays(self, result):
+        assert result.u_final.u.flags.owndata and result.v_final.u.flags.owndata
 
 
 class TestEvolveAccuracy:
