@@ -16,6 +16,7 @@ mathematical invariants.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -419,7 +420,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fdx parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="fdx",
         description="Singular self-similar profiles of the fast diffusion equation and "

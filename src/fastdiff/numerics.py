@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
-Adaptive ODE integration drives scipy's DOP853/LSODA solver classes step by
-step; adaptive quadrature is a thin contract over scipy's quad.  The
+Adaptive ODE integration runs scipy's DOP853 on Python floats (on two-state
+systems numpy's per-call cost dominates) and steps scipy's LSODA class;
+adaptive quadrature is a thin contract over scipy's quad.  The
 uniform-grid composite rules and finite difference stencils used throughout
 the package live here as well.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,8 +62,98 @@ class _BudgetExhausted(Exception):
     pass
 
 
-_SOLVERS = {"dop853": _sint.DOP853, "lsoda": _sint.LSODA}
 _EVENT_TOL = 4.0 * np.finfo(float).eps    # brentq tolerance of solve_ivp's event search
+
+# scipy's DOP853 tableau on Python floats: stage j = 1..11 combines the stages
+# before it with A[j][:j] at s + C[j] h; the dense output adds stages 13..15
+_DOP = _sint.DOP853
+_STAGES = [(a[:j], c) for j, (a, c) in enumerate(zip(_DOP.A.tolist(), _DOP.C.tolist())) if j]
+_EXTRA = [(a[:j], c) for j, (a, c) in enumerate(zip(_DOP.A_EXTRA.tolist(), _DOP.C_EXTRA.tolist()), 13)]
+_B, _E3, _E5, _D = _DOP.B.tolist(), _DOP.E3.tolist(), _DOP.E5.tolist(), _DOP.D.tolist()
+
+
+def _add_stages(fun, t, y, K, h, table) -> None:
+    for a, c in table:
+        for Ki, v in zip(K, fun(t + c * h, [yi + sum(map(mul, a, Ki)) * h for yi, Ki in zip(y, K)])):
+            Ki.append(v)
+
+
+def _blow_up(sol, a: float, b: float) -> BlowUpError:
+    s_hit = brentq(lambda sv: _OVERFLOW_GUARD - float(np.abs(sol(sv)).max()), a, b,
+                   xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+    return BlowUpError(f"state exceeded overflow guard {_OVERFLOW_GUARD:g} at s={s_hit:.6g}")
+
+
+class _Dop853:
+    """scipy's DOP853 on Python floats: its initial-step rule, stages and step
+    control (safety 0.9, factors 0.2 to 10, exponent -1/8).  K[i][j] is stage j
+    of component i.  The run is its own dense output: a point takes the piece
+    of the step ending there, as in scipy's OdeSolution; a piece (F[i][0..6]
+    for component i) is formed on first use with three calls of rhs (fun, rhs
+    counted against the budget, serves the stepping only)."""
+
+    def __init__(self, fun, rhs, y: list, s0: float, s1: float, tol: Tolerances, span):
+        rtol, atol, d, length = tol.rel_tol, tol.abs_tol, math.copysign(1.0, s1 - s0), abs(s1 - s0)
+        f, scale = fun(s0, y), [atol + abs(v) * rtol for v in y]
+        def rms(v):
+            return math.sqrt(sum((a / b) ** 2 for a, b in zip(v, scale))) / len(y) ** 0.5
+        d0, d1 = rms(y), rms(f)
+        if not math.isfinite(d1):
+            raise StiffnessError(f"integrator failed on span {span}: rhs not finite at the start")
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+        d2 = rms(map(sub, fun(s0 + h0 * d, [v + h0 * d * fv for v, fv in zip(y, f)]), f)) / h0
+        h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+        h_abs, t, g = min(100 * h0, h1, length), s0, _OVERFLOW_GUARD - max(map(abs, y))
+        self._rhs, self._t, self._y, self._k, self._F = rhs, [s0], [y], [], {}
+        while d * (t - s1) < 0:
+            min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+            h_abs, rejected = max(h_abs, min_step), False
+            while True:
+                if h_abs < min_step:
+                    raise StiffnessError(f"integrator failed on span {span}: step size underflow at s={t:.6g}")
+                t_new = s1 if d * (t + h_abs * d - s1) > 0 else t + h_abs * d
+                h, h_abs, K = t_new - t, abs(t_new - t), [[v] for v in f]
+                _add_stages(fun, t, y, K, h, _STAGES)
+                y_new = [yi + h * sum(map(mul, _B, Ki)) for yi, Ki in zip(y, K)]
+                for Ki, v in zip(K, f_new := fun(t + h, y_new)):
+                    Ki.append(v)
+                sc = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+                e5, e3 = (sum((sum(map(mul, E, Ki)) / c) ** 2 for Ki, c in zip(K, sc)) for E in (_E5, _E3))
+                err = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+                if err < 1:
+                    factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs, rejected = h_abs * max(0.2, 0.9 * err ** -0.125), True
+            self._t.append(t_new)
+            self._y.append(y_new)
+            self._k.append(K)
+            g_new = _OVERFLOW_GUARD - max(map(abs, y_new))
+            if g >= 0.0 >= g_new:
+                raise _blow_up(self, t, t_new)
+            t, y, f, g = t_new, y_new, f_new, g_new
+        self.ts = np.array(self._t)
+
+    def _piece(self, k: int) -> list:
+        if k not in self._F:
+            t, h, y, K = self._t[k], self._t[k + 1] - self._t[k], self._y[k], self._k[k]
+            _add_stages(self._rhs, t, y, K, h, _EXTRA)
+            self._F[k] = [[dy, h * Ki[0] - dy, 2 * dy - h * (Ki[12] + Ki[0]),
+                           *(h * sum(map(mul, row, Ki)) for row in _D)]
+                          for Ki, dy in zip(K, map(sub, self._y[k + 1], y))]
+        return self._F[k]
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        sv, ts, d = s.reshape(-1), np.array(self._t), math.copysign(1.0, self._t[-1] - self._t[0])
+        seg = np.clip(np.searchsorted(d * ts, d * sv) - 1, 0, ts.size - 2)
+        F = np.array([self._piece(k) for k in seg.tolist()])
+        x = ((sv - ts[seg]) / (ts[seg + 1] - ts[seg]))[:, None]
+        y = F[:, :, 6] * x
+        for j in range(5, -1, -1):    # scipy's nested form
+            y = (y + F[:, :, j]) * (x if j % 2 == 0 else 1.0 - x)
+        y += np.array(self._y)[seg]
+        return y.T if s.ndim else y[0]
 
 
 def integrate_ode(
@@ -75,24 +167,28 @@ def integrate_ode(
     """Adaptively integrate y' = rhs(s, y) over s_span with dense output.
 
     method "dop853" is the explicit Dormand-Prince 8(5,3) pair, for smooth
-    non-stiff problems at tight tolerances; "lsoda" switches between Adams
-    and BDF steps as stiffness comes and goes, and uses the analytic
-    Jacobian jac (lsoda only) when one is given.  Each accepted step adds
-    its dense output (a zero-length step adds none), as solve_ivp with
-    dense_output=True does.  Raises BlowUpError when max|y| goes from at or
-    below the overflow guard 1e12 to at or above it over an accepted step
-    (bounded-state problems make that a bug signal, not a numerical event),
-    at the crossing located on that step's dense output; StiffnessError
-    when the step size underflows or the evaluation budget runs out.
+    non-stiff problems at tight tolerances: scipy's tableau and step control
+    on Python floats (rhs gets y as a list and returns floats), with a step's
+    dense output formed when sol first needs it.  "lsoda" steps scipy's LSODA,
+    which switches between Adams and BDF steps as stiffness comes and goes,
+    and uses the analytic Jacobian jac when one is given.  nfev counts the
+    rhs calls made before the return.  Raises BlowUpError when max|y| goes
+    from at or below the overflow guard 1e12 to at or above it over an
+    accepted step (bounded-state problems make that a bug signal), at the
+    crossing on that step's dense output; StiffnessError when the step size
+    underflows or the evaluation budget runs out; RangeError on a bad
+    method, a non-finite start or an empty span.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
         raise RangeError("initial state must be finite")
-    solver_cls = _SOLVERS.get(method)
-    if solver_cls is None:
+    if method not in ("dop853", "lsoda"):
         raise RangeError(f"unknown method {method!r}")
-    if jac is not None and solver_cls is not _sint.LSODA:
+    if jac is not None and method == "dop853":
         raise RangeError(f"method {method!r} takes no Jacobian")
+    s0, s1 = map(float, s_span)
+    if s0 == s1:
+        raise RangeError(f"empty span {s_span}")
 
     nfev = 0
 
@@ -103,25 +199,22 @@ def integrate_ode(
             raise _BudgetExhausted
         return rhs(s, y)
 
-    def guard(y):
-        return _OVERFLOW_GUARD - float(np.abs(y).max())
-
-    s0, s1 = map(float, s_span)
-    options = {} if jac is None else {"jac": jac}
     try:
-        solver = solver_cls(wrapped, s0, y0, s1, rtol=tol.rel_tol, atol=tol.abs_tol, **options)
+        if method == "dop853":
+            sol = _Dop853(wrapped, rhs, y0.tolist(), s0, s1, tol, s_span)
+            return OdeTrajectory(y=np.array(sol._y).T, sol=sol, nfev=nfev, naccepted=len(sol.ts) - 1)
+        solver = _sint.LSODA(wrapped, s0, y0, s1, rtol=tol.rel_tol, atol=tol.abs_tol,
+                             **({} if jac is None else {"jac": jac}))
         ts, ys, pieces = [s0], [y0], []
-        g = guard(y0)
+        g = _OVERFLOW_GUARD - float(np.abs(y0).max())
         while solver.status == "running":
             message = solver.step()
             if solver.status == "failed":
                 raise StiffnessError(f"integrator failed on span {s_span}: {message}")
             piece = solver.dense_output()
-            g_new = guard(solver.y)
+            g_new = _OVERFLOW_GUARD - float(np.abs(solver.y).max())
             if g >= 0.0 >= g_new:
-                s_hit = brentq(lambda sv: guard(piece(sv)), solver.t_old, solver.t,
-                               xtol=_EVENT_TOL, rtol=_EVENT_TOL)
-                raise BlowUpError(f"state exceeded overflow guard {_OVERFLOW_GUARD:g} at s={s_hit:.6g}")
+                raise _blow_up(piece, solver.t_old, solver.t)
             g = g_new
             if len(ts) == 1 or ts[-1] != solver.t:
                 ts.append(solver.t)
@@ -131,7 +224,7 @@ def integrate_ode(
         raise StiffnessError(
             f"evaluation budget exhausted ({_NFEV_BUDGET} rhs calls) on span {s_span}"
         )
-    sol = _sint.OdeSolution(np.array(ts), pieces, alt_segment=solver_cls is _sint.LSODA)
+    sol = _sint.OdeSolution(np.array(ts), pieces, alt_segment=True)
     # ts holds the start point and then one entry per accepted step
     return OdeTrajectory(y=np.vstack(ys).T, sol=sol, nfev=nfev, naccepted=len(ts) - 1)
 
@@ -180,8 +273,7 @@ def _interval_increments(y: np.ndarray, dx: float) -> np.ndarray:
     inc = np.empty(n - 1)
     inc[0] = _W_FIRST @ y[:4]
     inc[-1] = _W_LAST @ y[-4:]
-    if n > 2:
-        inc[1:-1] = _W_MID[0] * y[:-3] + _W_MID[1] * y[1:-2] + _W_MID[2] * y[2:-1] + _W_MID[3] * y[3:]
+    inc[1:-1] = _W_MID[0] * y[:-3] + _W_MID[1] * y[1:-2] + _W_MID[2] * y[2:-1] + _W_MID[3] * y[3:]
     return inc * dx
 
 

@@ -263,8 +263,9 @@ def tail_residual(tail: TailSolution) -> float:
 
     Independent route: for frozen (wt, h) the map values y = Phi_2(wt,h) and
     J = int_s^inf h satisfy the linear ODEs y' = (n-2 + b'X) y - q, J' = -h;
-    integrating them backward with the adaptive DOP853 kernel and comparing
-    against (h, wt) avoids every piece of the Picard quadrature path.
+    integrating them backward with integrate_ode's DOP853 and comparing
+    against (h, wt) at _TAIL_SAMPLES points (only the steps holding one form
+    dense output) avoids every piece of the Picard quadrature path.
     """
     fp = tail.fp
     p = fp.params
@@ -281,11 +282,8 @@ def tail_residual(tail: TailSolution) -> float:
         return [(n - 2 + bp * X) * y[0] - q, -hv]
 
     y_end = (bp * C1 * math.exp(-rho1 * s[-1] / bp) * wt[-1] ** (1.0 - m) + m * h[-1] ** 2) / (n - 2 + C2)
-    traj = integrate_ode(
-        rhs, [y_end, h[-1] / C2], (s[-1], s[0]),
-        tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12),
-        method="dop853",
-    )
+    traj = integrate_ode(rhs, [y_end, h[-1] / C2], (s[-1], s[0]),
+                         tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12))
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
     vals = traj.sol(sc)
     res_h = np.abs(h_sp(sc) - vals[0]) * np.exp(0.5 * C2 * sc)

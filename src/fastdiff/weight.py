@@ -113,11 +113,7 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     def rhs(r, y):
         return [r ** (n - 1) * spec.eta1(r), -a4 * r ** (1.0 - n) * y[0]]
 
-    traj = integrate_ode(
-        rhs, [0.0, 1.0], (1.0, 2.0),
-        tol=Tolerances(abs_tol=1e-15, rel_tol=1e-13),
-        method="dop853",
-    )
+    traj = integrate_ode(rhs, [0.0, 1.0], (1.0, 2.0), tol=Tolerances(abs_tol=1e-15, rel_tol=1e-13))
     table_r = np.geomspace(TABLE_RMIN, 2.0, TABLE_SIZE)
     table_phi = np.ones(TABLE_SIZE)
     table_dphi = np.zeros(TABLE_SIZE)

@@ -627,3 +627,36 @@ class TestEntryPoint:
     @pytest.mark.skipif(shutil.which("fdx") is None, reason="fdx console script not on PATH")
     def test_fdx_on_path_runs_help(self):
         assert_fdx_help([shutil.which("fdx")])
+
+
+class TestParserReuse:
+    # main parses with one parser per process: a run must not inherit the
+    # flags, choices or store_true switches of the run before it
+    RUNS = [
+        ["weight", "--n", "3", "--nodes", "31", "--mu", "0.7", "--r-lo", "0.2"],
+        ["weight", "--n", "3", "--nodes", "21"],
+        ["evolve", "--n", "3", "--kind", "barenblatt", "--nodes", "16", "--no-csv"],
+        ["evolve", "--n", "3", "--kind", "constant", "--nodes", "16", "--samples", "3"],
+        ["weight", "--n", "5", "--nodes", "31", "--no-json"],
+    ]
+
+    @staticmethod
+    def artifacts(out):
+        files = {}
+        for path in sorted(out.iterdir()):
+            if path.name.endswith("_manifest.json"):
+                manifest = read_json(path)
+                manifest["config"].pop("out")
+                files[path.name] = manifest
+            else:
+                files[path.name] = path.read_bytes()
+        return files
+
+    def test_consecutive_calls_match_separate_calls(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        for i, argv in enumerate(self.RUNS):
+            assert cli.main([*argv, "--out", str(tmp_path / f"seq{i}")]) == 0
+        for i, argv in enumerate(self.RUNS):
+            cli.build_parser.cache_clear()
+            assert cli.main([*argv, "--out", str(tmp_path / f"own{i}")]) == 0
+            assert self.artifacts(tmp_path / f"seq{i}") == self.artifacts(tmp_path / f"own{i}")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fastdiff.errors import BlowUpError, QuadratureError, RangeError
+import fastdiff.profile
+from fastdiff.errors import BlowUpError, QuadratureError, RangeError, StiffnessError
 from fastdiff.numerics import (
     Tolerances,
     cumulative_integral,
@@ -16,6 +17,7 @@ from fastdiff.numerics import (
     integrate_table,
     quad_adaptive,
 )
+from fastdiff.profile import tail_residual
 
 
 class TestIntegrateOde:
@@ -76,9 +78,10 @@ class TestIntegrateOde:
     @pytest.mark.parametrize("method", ["dop853", "lsoda"])
     def test_naccepted_counts_steps_not_points(self, method):
         # the trajectory holds the start point plus one point per step, and
-        # the dense output one interpolant per step
+        # the dense output one piece between consecutive step points
         traj = integrate_ode(lambda s, y: [-y[0]], [1.0], (0.0, 3.0), method=method)
-        assert traj.naccepted == len(traj.sol.interpolants)
+        assert traj.sol.ts.size == traj.naccepted + 1
+        assert np.all(np.diff(traj.sol.ts) > 0)
         assert traj.y.shape[1] == traj.naccepted + 1
 
     def test_unknown_method_raises(self):
@@ -90,6 +93,15 @@ class TestIntegrateOde:
     def test_nonfinite_initial_state_raises(self):
         with pytest.raises(RangeError):
             integrate_ode(lambda s, y: [0.0], [math.nan], (0.0, 1.0))
+
+    @pytest.mark.parametrize("method", ["dop853", "lsoda"])
+    def test_empty_span_raises(self, method):
+        with pytest.raises(RangeError, match="empty span"):
+            integrate_ode(lambda s, y: [0.0], [1.0], (1.0, 1.0), method=method)
+
+    def test_nonfinite_start_slope_raises(self):
+        with pytest.raises(StiffnessError, match="not finite at the start"):
+            integrate_ode(lambda s, y: [math.inf], [1.0], (0.0, 1.0))
 
 
 def _solve_ivp_reference(rhs, y0, span, tol, method, jac=None):
@@ -130,20 +142,14 @@ def _van_der_pol_jac(s, y):
 
 
 class TestIntegrateOdeMatchesSolveIvp:
-    @pytest.mark.parametrize("rhs, y0, span, method, jac", [
-        (_pendulum, [1.0, 0.0], (0.0, 10.0), "dop853", None),
-        (_pendulum, [0.3, 1.2], (5.0, -3.0), "dop853", None),
-        (_stiff, [1.0], (0.0, 2.0), "lsoda", lambda s, y: [[-1e6]]),
-        (_van_der_pol, [2.0, 0.0], (0.0, 60.0), "lsoda", _van_der_pol_jac),
-        # starts past the guard: the event fires only on a crossing from at
-        # or below it, so this run goes through
-        (lambda s, y: [y[0]], [2e12], (0.0, 1.0), "dop853", None),
-    ], ids=["dop853-forward", "dop853-backward", "lsoda-stiff-jac", "lsoda-vdp-jac",
-            "dop853-above-guard"])
-    def test_bit_identical_trajectory(self, rhs, y0, span, method, jac):
+    @pytest.mark.parametrize("rhs, y0, span, jac", [
+        (_stiff, [1.0], (0.0, 2.0), lambda s, y: [[-1e6]]),
+        (_van_der_pol, [2.0, 0.0], (0.0, 60.0), _van_der_pol_jac),
+    ], ids=["lsoda-stiff-jac", "lsoda-vdp-jac"])
+    def test_bit_identical_trajectory(self, rhs, y0, span, jac):
         tol = Tolerances(abs_tol=1e-12, rel_tol=1e-10)
-        traj = integrate_ode(rhs, y0, span, tol=tol, method=method, jac=jac)
-        res, nfev = _solve_ivp_reference(rhs, y0, span, tol, method.upper(), jac)
+        traj = integrate_ode(rhs, y0, span, tol=tol, method="lsoda", jac=jac)
+        res, nfev = _solve_ivp_reference(rhs, y0, span, tol, "LSODA", jac)
         assert res.status == 0
         assert traj.naccepted == res.t.size - 1
         assert traj.nfev == nfev
@@ -151,8 +157,69 @@ class TestIntegrateOdeMatchesSolveIvp:
         ss = np.linspace(span[0], span[1], 200)
         assert np.array_equal(traj.sol(ss), res.sol(ss))
         # at a step point two pieces meet: LSODA's solution takes the one
-        # that starts there, DOP853's the one that ends there
+        # that starts there
         assert np.array_equal(traj.sol(res.t), res.sol(res.t))
+
+    @pytest.mark.parametrize("rhs, y0, span", [
+        (_pendulum, [1.0, 0.0], (0.0, 10.0)),
+        (_pendulum, [0.3, 1.2], (5.0, -3.0)),
+        # starts past the guard: the event fires only on a crossing from at
+        # or below it, so this run goes through
+        (lambda s, y: [y[0]], [2e12], (0.0, 1.0)),
+    ], ids=["forward", "backward", "above-guard"])
+    def test_dop853_matches_solve_ivp(self, rhs, y0, span):
+        # integrate_ode runs scipy's DOP853 on Python floats, whose sums round
+        # differently; the error estimate cancels, so the step points move
+        # (by up to 2e-5 on the backward pendulum), but the steps taken are
+        # solve_ivp's.  Measured against max|y|: the states differ from
+        # solve_ivp's dense output at the same points by at most 2.7e-15,
+        # and the two dense outputs by at most 5.9e-14
+        tol = Tolerances(abs_tol=1e-12, rel_tol=1e-10)
+        calls = [0]
+
+        def counted(s, y):
+            calls[0] += 1
+            return rhs(s, y)
+
+        traj = integrate_ode(counted, y0, span, tol=tol)
+        res, nfev = _solve_ivp_reference(rhs, y0, span, tol, "DOP853")
+        assert res.status == 0
+        assert traj.naccepted == res.t.size - 1
+        # nfev counts the stepping; a step's three dense-output stages run
+        # when sol first evaluates on it
+        assert traj.nfev == calls[0] == nfev - 3 * traj.naccepted
+        scale = np.abs(res.y).max()
+        ts = traj.sol.ts
+        assert np.abs(traj.y - res.sol(ts)).max() <= 1e-14 * scale
+        assert np.abs(traj.sol(ts) - res.sol(ts)).max() <= 1e-14 * scale
+        assert calls[0] == nfev
+        ss = np.linspace(span[0], span[1], 200)
+        assert np.abs(traj.sol(ss) - res.sol(ss)).max() <= 1e-13 * scale
+        assert calls[0] == nfev    # each piece is formed once
+
+    def test_tail_residual_problem_matches_solve_ivp(self, tail_ref, monkeypatch):
+        # tail_residual's own backward run, compared at its sample points.
+        # Both runs carry its rel_tol 1e-12, and they differ by at most
+        # 7.1e-13 of each component's largest value (measured)
+        runs = []
+
+        def recording(rhs, y0, span, **options):
+            traj = integrate_ode(rhs, y0, span, **options)
+            runs.append((rhs, y0, span, options["tol"], traj))
+            return traj
+
+        monkeypatch.setattr(fastdiff.profile, "integrate_ode", recording)
+        assert tail_residual(tail_ref) == tail_ref.fp_residual
+        (rhs, y0, span, tol, traj), = runs
+        res, nfev = _solve_ivp_reference(rhs, y0, span, tol, "DOP853")
+        assert res.status == 0
+        assert traj.naccepted == res.t.size - 1
+        assert traj.nfev == nfev - 3 * traj.naccepted
+        s = tail_ref.grid
+        sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), fastdiff.profile._TAIL_SAMPLES)
+        ref = res.sol(sc)
+        gap = np.abs(traj.sol(sc) - ref).max(axis=1)
+        assert np.all(gap <= 1e-12 * np.abs(ref).max(axis=1))
 
     @pytest.mark.parametrize("method, span, sign", [
         ("dop853", (0.0, 40.0), 1.0),
