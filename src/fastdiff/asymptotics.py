@@ -4,7 +4,7 @@ Everything here treats a Profile as immutable data and quantifies how well it
 satisfies equivalent differential/series representations:
 
   * expansion_check: the C^2 extension of w-bar(rho) = r^gamma f(r),
-    rho = r^(rho1/beta'), has closed-form first and second derivatives at 0;
+    rho = r^(1/beta'), has closed-form first and second derivatives at 0;
     we recover them by windowed quadratic fits plus Richardson extrapolation.
   * wbar_ode_residual: defect of the rho-form ODE
     (wb_rho/wb)_rho + m (wb_rho/wb)^2 + a1/rho (wb_rho/wb)
@@ -90,11 +90,6 @@ def _wt_spline(profile: Profile) -> CubicSpline:
     return CubicSpline(profile.s_grid, profile.wt)
 
 
-def _rho_exponent(profile: Profile) -> float:
-    p = profile.params
-    return p.rho1 / p.beta_p            # rho = r^c = e^(c s)
-
-
 def _series_reference(profile: Profile, eta: float) -> tuple[float, float]:
     """Closed-form (d1, d2) = (wbar_rho, wbar_rhorho) at rho = 0 for origin coefficient eta."""
     p = profile.params
@@ -111,7 +106,7 @@ def expansion_check(profile: Profile) -> ExpansionReport:
     rho ~ 3e-4 where the curvature signal still clears data noise (bias
     O(rho), Richardson factor 2).
     """
-    c = _rho_exponent(profile)
+    c = 1.0 / profile.params.beta_p             # rho = r^c = e^(c s)
     s, wt = profile.s_grid, profile.wt
     rho_min_grid = math.exp(c * float(s[0]))
     if rho_min_grid > 1e-5:
@@ -180,7 +175,7 @@ def wbar_ode_residual(profile: Profile) -> float:
     """
     p = profile.params
     a1, a2, a3 = p.a1, p.a2, p.a3
-    c = _rho_exponent(profile)
+    c = 1.0 / p.beta_p
     s, wt = profile.s_grid, profile.wt
     lo_s, hi_s = math.log(1e-4) / c, 0.0
     worst = 0.0
@@ -318,7 +313,7 @@ def origin_series_report(profile: Profile, eta: float) -> SeriesReport:
     rho^-2-amplified data noise floor.
     """
     p = profile.params
-    c = _rho_exponent(profile)
+    c = 1.0 / p.beta_p
     s = profile.s_grid
     if math.exp(c * float(s[0])) > 1e-4:
         raise ResolutionError("profile not resolved near the origin (need rho down to 1e-4)")
@@ -346,7 +341,7 @@ def origin_series_report(profile: Profile, eta: float) -> SeriesReport:
     fr_limit = float(_richardson(lev, 1)[-1])
     fr_limit_ref = -p.gamma * eta
     fr_K = float(_richardson((lev[:4] - fr_limit) / rho_lev[:4], 1)[-1])
-    fr_K_ref = -(2.0 * p.beta - p.m * p.rho1) / ((1.0 - p.m) * p.beta) * d1_ref
+    fr_K_ref = -(2.0 * p.beta - p.m) / ((1.0 - p.m) * p.beta) * d1_ref
 
     return SeriesReport(
         rho_samples=rho, ratios=ratios, max_ratio=float(np.max(ratios)),

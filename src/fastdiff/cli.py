@@ -72,9 +72,6 @@ _PROFILE_MODEL = {
     "b1_margin": Opt(float, 0.05, "relative safety margin above b0"),
     "tol": Opt(float, 1e-12, "master tolerance for the solvers"),
 }
-# only the profile commands take rho1: the stepping commands compare with V_lam,
-# a solution of u_t = Laplacian(u^m/m) only at rho1 = 1, derive_params' default
-_RHO1 = {"rho1": Opt(float, 1.0, "tail-equation rate constant (default 1)")}
 _WEIGHT = {
     "mu": Opt(float, None, "weight decay exponent, 0 < mu < n-2 (default (n-2)/2)",
               nullable=True),
@@ -377,9 +374,9 @@ class Command(NamedTuple):
 
 _COMMANDS = {
     "profile": Command(_cmd_profile, "construct the singular profile f",
-                       {**_PROFILE_MODEL, **_RHO1, **_S_RANGE}),
+                       {**_PROFILE_MODEL, **_S_RANGE}),
     "expansion": Command(_cmd_expansion, "origin/far-field expansion and inversion checks",
-                         {**_PROFILE_MODEL, **_RHO1, **_S_RANGE}),
+                         {**_PROFILE_MODEL, **_S_RANGE}),
     "weight": Command(_cmd_weight, "superharmonic weight phi_mu", {
         **_WEIGHT,
         "r_lo": Opt(float, 0.1, "smallest tabulated radius"),
@@ -509,7 +506,7 @@ def run(command: str, opts: dict, skip: tuple = ()) -> int:
     params = weight = None
     try:
         if "m" in table:
-            params = derive_params(*(opts[k] for k in ("n", "m", "gamma", "rho1") if k in opts))
+            params = derive_params(opts["n"], opts["m"], opts["gamma"])
         if "mu" in table:
             # at build_weight's own quadrature tolerance; --tol is the profile solvers'
             weight = build_weight(BumpSpec(mu=opts["mu"], n=opts["n"]))

@@ -1,10 +1,16 @@
 """Parameter derivations for singular self-similar profiles.
 
 The profile family is indexed by the dimension n >= 3, the exponent
-0 < m < (n-2)/n, the origin decay rate gamma with
-2/(1-m) < gamma < (n-2)/m, and a time normalization rho1 > 0.  Everything
-else (the self-similar exponents, the origin expansion coefficients, the
-fixed-point constants of the tail) is derived algebra and lives here.
+0 < m < (n-2)/n and the origin decay rate gamma with
+2/(1-m) < gamma < (n-2)/m.  Everything else (the self-similar exponents, the
+origin expansion coefficients, the fixed-point constants of the tail) is
+derived algebra and lives here.
+
+There is no time normalization alpha(1-m) = 2 beta - rho1: f -> k f maps
+(alpha, beta, rho1) to k^(m-1) (alpha, beta, rho1), so the rho1 profile at
+origin coefficient eta is k f_1 at eta/k, k = rho1^(1/(m-1)).  The origin
+coefficient spans that family, and only at rho1 = 1 does
+V = t^(-alpha) f(t^(-beta) x) solve u_t = Laplacian(u^m/m).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class ParamSet:
     coefficients of the origin expansion equation.
 
     alpha and beta are both negative; alpha_p, beta_p are their positive
-    mirrors.  In the variable rho = r^(rho1/beta') the function
+    mirrors.  In the variable rho = r^(1/beta') the function
     wbar(rho) = r^gamma f(r) satisfies
         (wbar'/wbar)' + m (wbar'/wbar)^2 + (a1/rho)(wbar'/wbar)
             + (a2/rho^2)(wbar'/wbar^m) = a3/rho^2,
@@ -45,7 +51,6 @@ class ParamSet:
     n: int
     m: float
     gamma: float
-    rho1: float
     alpha: float
     beta: float
     alpha_p: float
@@ -80,15 +85,19 @@ def derive_params(n: int, m: float, gamma: float, rho1: float = 1.0) -> ParamSet
     """Validate parameters and package them with the self-similar exponents
     and the origin expansion coefficients.
 
-    beta = rho1 / (2 - gamma(1-m)) and alpha = (2 beta - rho1)/(1-m); the pair
-    satisfies alpha/beta = gamma and alpha(1-m) = 2 beta - rho1 exactly.
+    beta = 1 / (2 - gamma(1-m)) and alpha = (2 beta - 1)/(1-m); the pair
+    satisfies alpha/beta = gamma and alpha(1-m) = 2 beta - 1 exactly.
+
+    rho1 must be 1 (see the module docstring): it stays only because
+    perfbench/workloads.py passes it, and goes once that call drops it.
     """
-    if int(n) != n or n < 3:
+    if not (math.isfinite(n) and int(n) == n and n >= 3):
         raise RangeError(f"dimension n must be an integer >= 3, got {n}")
     if not 0.0 < m < (n - 2) / n:
         raise RangeError(f"exponent m must satisfy 0 < m < (n-2)/n = {(n - 2) / n}, got {m}")
-    if not 0.0 < rho1 < math.inf:
-        raise RangeError(f"rho1 must be positive and finite, got {rho1}")
+    if rho1 != 1.0:
+        raise RangeError(f"rho1 must be 1, got {rho1}: the rho1 profile at origin coefficient "
+                         f"eta is k f_1 at eta/k, k = rho1^(1/(m-1)), f_1 the rho1 = 1 profile")
     denom = 2.0 - gamma * (1.0 - m)
     if abs(denom) < _POLE_TOL * max(1.0, abs(gamma)):
         raise DegenerateError(
@@ -98,13 +107,13 @@ def derive_params(n: int, m: float, gamma: float, rho1: float = 1.0) -> ParamSet
         raise RangeError(
             f"gamma must satisfy 2/(1-m) = {2.0 / (1.0 - m)} < gamma < (n-2)/m = {(n - 2) / m}, got {gamma}"
         )
-    beta = rho1 / denom
-    alpha = (2.0 * beta - rho1) / (1.0 - m)
+    beta = 1.0 / denom
+    alpha = (2.0 * beta - 1.0) / (1.0 - m)
     if not (alpha < 0.0 and beta < 0.0):
         raise InternalError(f"derived exponents must be negative, got alpha={alpha}, beta={beta}")
-    a1 = (2.0 * m * alpha - (n - 2) * beta + rho1) / rho1
-    a2 = -(beta * beta) / rho1
-    a3 = (alpha * beta * (n - 2) - m * alpha * alpha) / rho1 ** 2
+    a1 = 2.0 * m * alpha - (n - 2) * beta + 1.0
+    a2 = -(beta * beta)
+    a3 = alpha * beta * (n - 2) - m * alpha * alpha
     if not a2 < 0.0:
         raise InternalError(f"a2 must be negative, got {a2}")
     if not a3 > 0.0:
@@ -113,7 +122,6 @@ def derive_params(n: int, m: float, gamma: float, rho1: float = 1.0) -> ParamSet
         n=int(n),
         m=float(m),
         gamma=float(gamma),
-        rho1=float(rho1),
         alpha=alpha,
         beta=beta,
         alpha_p=-alpha,
@@ -134,10 +142,10 @@ def derive_fp_constants(params: ParamSet, b1_margin: float = 0.05) -> FPConstant
     1/5-contraction on its invariant set; b1 = b0 * (1 + b1_margin) is where
     the construction actually starts.
     """
-    if not b1_margin > 0.0:
-        raise RangeError(f"b1_margin must be positive, got {b1_margin}")
+    if not 0.0 < b1_margin < math.inf:
+        raise RangeError(f"b1_margin must be positive and finite, got {b1_margin}")
     m, bp, C1 = params.m, params.beta_p, params.C1
-    C2 = params.rho1 / bp + (1.0 - m) * C1
+    C2 = 1.0 / bp + (1.0 - m) * C1
     if not (C1 > 0.0 and C2 > 0.0):
         raise InternalError(f"C1, C2 must be positive in the admissible range, got {C1}, {C2}")
     C3 = (bp * C1 + m) / C2

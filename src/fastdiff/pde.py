@@ -256,14 +256,8 @@ def barenblatt(n: int, m: float, k: float, T: float) -> Callable:
 
 
 def self_similar_solution(profile: Profile, lam: float) -> Callable:
-    """The self-similar solution V_lam(r, t) = t^(-alpha) f_lam(t^(-beta) r).
-
-    V_lam solves u_t = Laplacian(u^m/m) only where alpha(1-m) = 2 beta - 1,
-    that is at rho1 = 1: RangeError for a profile built at another rho1."""
-    p = profile.params
-    if p.rho1 != 1.0:
-        raise RangeError(f"V_lam solves u_t = Laplacian(u^m/m) only at rho1 = 1, got {p.rho1}")
-    alpha, beta = p.alpha, p.beta
+    """The self-similar solution V_lam(r, t) = t^(-alpha) f_lam(t^(-beta) r)."""
+    alpha, beta = profile.params.alpha, profile.params.beta
     f_lam = profile_interpolator(rescale_profile(profile, lam))
 
     def V(r, t):
@@ -1013,9 +1007,13 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
     whose t -> 0 trace is exactly a0 |x|^(-gamma)); a callable u0_spec(r) is
     checked against the power-law envelopes a1 r^(-gamma) <= u0 <= a2 r^(-gamma).
     Boundary traces: the inner trace follows the orbit V_lam0 (the inner
-    region locks onto the power law), the outer trace is frozen at the initial
-    datum for perturbed data, matching the persistence of the far-field power
-    law over finite horizons.
+    region locks onto the power law).  For perturbed data the outer trace is
+    frozen at the initial datum, which is not the far-field solution: outside
+    the bump the datum is a0 |x|^(-gamma), whose solution V_lam0(x, t - t0)
+    falls below it at once, so the frozen trace lies above even the upper
+    envelope V_lam2(r_out, t - t0): 6.3x at t = 1.001 and 291x at t = 1.1
+    for r_out = 1e3 at the reference point.  ROADMAP direction 10 traces
+    V_lam0(r_out, t - t0) instead.
     """
     p = profile.params
     if not p.gamma_in_convergence_range:

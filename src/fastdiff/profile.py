@@ -5,7 +5,7 @@ The far-field tail of the profile is the unique fixed point of the map
     Phi_1(wt, h)(s) = exp(-int_s^inf h) * exp(-C1 s)
     Phi_2(wt, h)(s) = int_s^inf exp(-b' int_s^rho X - (n-2)(rho-s))
                       * (b' C1 X(rho) + m h(rho)^2) drho,
-    X(rho) = exp(-rho1 rho / b') * wt(rho)^(1-m),
+    X(rho) = exp(-rho / b') * wt(rho)^(1-m),
 
 a 1/5-contraction on the set D_b1 for s >= b1.  Phi_1 is written at the
 far-field coefficient eta_inf = lim r^((n-2)/m) f(r) = 1, the one the profile
@@ -16,7 +16,7 @@ through the equivalent ODE system and recovered as f(r) = r^(-gamma) wt(log r).
 Numerical notes kept out of the API: the continuation integrates
 z = h - C1 and W = log(wt) instead of (h, wt) because the term
 b'X(h - C1) loses every significant digit once h hugs C1 (X grows like
-exp(rho1|s|/b') there), and the system turns stiff on the left, so it goes
+exp(|s|/b') there), and the system turns stiff on the left, so it goes
 to integrate_ode's LSODA path, which switches to BDF steps where it must.
 """
 
@@ -84,6 +84,8 @@ class Profile:
     r_grid: np.ndarray
     f: np.ndarray
     eta_origin: Optional[float] = None
+    # |r^((n-2)/m) f - eta_inf| at the last node, where the first correction
+    # is below e^(-40): it reads roundoff, not the far-field expansion
     far_field_gap: Optional[float] = None
     origin_levels: Optional[np.ndarray] = None
     origin_fit_K: Optional[float] = None
@@ -126,7 +128,7 @@ def _phi_map(wt, h, s, ds, fp):
     nothing ever overflows or cancels regardless of the span.
     """
     p = fp.params
-    n, m, rho1, bp, C1, C2 = p.n, p.m, p.rho1, p.beta_p, p.C1, fp.C2
+    n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, fp.C2
 
     # Phi_1
     int_h = cumulative_integral(h, ds, "backward")
@@ -134,7 +136,7 @@ def _phi_map(wt, h, s, ds, fp):
     wt_new = np.exp(-int_h - C1 * s)
 
     # Phi_2
-    X = np.exp(-rho1 * s / bp) * wt ** (1.0 - m)
+    X = np.exp(-s / bp) * wt ** (1.0 - m)
     G = cumulative_integral(X, ds, "forward")
     q = bp * C1 * X + m * h * h
 
@@ -182,13 +184,14 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     fp_residual substitutes the fixed point back into the integral equation
     through an independent adaptive integration (see tail_residual).
     """
-    if not tol > 0:
-        raise RangeError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise RangeError(f"tol must be positive and finite, got {tol}")
     C1, C2, b1 = fp.params.C1, fp.C2, fp.b1
     if s_max is None:
         s_max = b1 + max(40.0, 40.0 / C2, -math.log(tol) / C2)
-    if s_max < b1 + 40.0 / C2:
-        raise RangeError(f"s_max must be at least b1 + 40/C2 = {b1 + 40.0 / C2}")
+    if not b1 + 40.0 / C2 <= s_max < math.inf:
+        raise RangeError(f"s_max must be finite and at least b1 + 40/C2 = {b1 + 40.0 / C2}, "
+                         f"got {s_max}")
     ds_target = 0.01 / C2
     nseg = int(math.ceil((s_max - b1) / ds_target))
     ds = (s_max - b1) / nseg
@@ -269,19 +272,19 @@ def tail_residual(tail: TailSolution) -> float:
     """
     fp = tail.fp
     p = fp.params
-    n, m, rho1, bp, C1, C2 = p.n, p.m, p.rho1, p.beta_p, p.C1, fp.C2
+    n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, fp.C2
     s, h, wt = tail.grid, tail.h, tail.wt
     h_sp = CubicSpline(s, h)
     wt_sp = CubicSpline(s, wt)
     h_at, wt_at = _spline_at(h_sp), _spline_at(wt_sp)
 
     def rhs(sv, y):
-        X = math.exp(-rho1 * sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
+        X = math.exp(-sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
         hv = h_at(sv)
         q = bp * C1 * X + m * hv * hv
         return [(n - 2 + bp * X) * y[0] - q, -hv]
 
-    y_end = (bp * C1 * math.exp(-rho1 * s[-1] / bp) * wt[-1] ** (1.0 - m) + m * h[-1] ** 2) / (n - 2 + C2)
+    y_end = (bp * C1 * math.exp(-s[-1] / bp) * wt[-1] ** (1.0 - m) + m * h[-1] ** 2) / (n - 2 + C2)
     traj = integrate_ode(rhs, [y_end, h[-1] / C2], (s[-1], s[0]),
                          tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12))
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
@@ -296,20 +299,22 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     """Continue (h, wt) from b1 down to s_min and assemble f(r) = r^(-gamma) wt.
 
     Integrates z' = (n-2)(z+C1) + b' X z - m (z+C1)^2, W' = z with
-    X = exp(-rho1 s/b' + (1-m) W); the solution keeps -C1 < z < 0, which is
+    X = exp(-s/b' + (1-m) W); the solution keeps -C1 < z < 0, which is
     asserted within integrator slack (BoundViolationError otherwise).
     """
+    if not 0.0 < tol < math.inf:
+        raise RangeError(f"tol must be positive and finite, got {tol}")
     p = tail.fp.params
-    n, m, rho1, bp, gamma, C1 = p.n, p.m, p.rho1, p.beta_p, p.gamma, p.C1
+    n, m, bp, gamma, C1 = p.n, p.m, p.beta_p, p.gamma, p.C1
     if s_min is None:
-        # 40 b'/rho1, but no deeper than where f = e^(-gamma s) wt nears overflow
-        s_min = -min(40.0 * bp / rho1, 600.0 / gamma)
+        # 40 b', but no deeper than where f = e^(-gamma s) wt nears overflow
+        s_min = -min(40.0 * bp, 600.0 / gamma)
     b1 = float(tail.grid[0])
-    if not s_min < b1:
-        raise RangeError(f"s_min = {s_min} must be below b1 = {b1}")
+    if not -math.inf < s_min < b1:
+        raise RangeError(f"s_min = {s_min} must be finite and below b1 = {b1}")
 
     def X_of(sv, W):
-        return np.exp(-rho1 * sv / bp + (1.0 - m) * W)
+        return np.exp(-sv / bp + (1.0 - m) * W)
 
     def rhs(sv, y):
         z, W = y
@@ -375,16 +380,17 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
 
 def recover_profile(profile: Profile) -> Profile:
     """Fill in eta_origin (Richardson extrapolation of r^gamma f as r -> 0)
-    and the far-field gap |r^((n-2)/m) f - eta_inf| at the last node."""
+    and the far-field gap |r^((n-2)/m) f - eta_inf| at the last node.  The
+    gap checks nothing: the first correction there is below e^(-40), so it
+    reads roundoff (ROADMAP direction 11 replaces it)."""
     p = profile.params
-    rho1, bp = p.rho1, p.beta_p
-    C1 = p.C1
+    bp, C1 = p.beta_p, p.C1
     s, wt = profile.s_grid, profile.wt
     wt_sp = CubicSpline(s, wt)
 
     rho0 = 1e-3
     n_levels = 9
-    s_of_rho = lambda rho: (bp / rho1) * math.log(rho)
+    s_of_rho = lambda rho: bp * math.log(rho)
     if s_of_rho(rho0 / 2 ** (n_levels - 1)) < s[0]:
         raise ExtrapolationError(
             f"profile does not reach rho = {rho0 / 2 ** (n_levels - 1):g}; extend s_min"
@@ -444,8 +450,8 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
     Builds the base profile at eta_inf = 1, reads off its origin coefficient,
     and rescales: the scaling law eta_origin ~ lam^(2/(1-m) - gamma) pins
     lambda uniquely."""
-    if not target_eta > 0:
-        raise RangeError(f"target_eta must be positive, got {target_eta}")
+    if not 0.0 < target_eta < math.inf:
+        raise RangeError(f"target_eta must be positive and finite, got {target_eta}")
     fp = derive_fp_constants(params, b1_margin=b1_margin)
     tail = picard_solve(fp, s_max=s_max, tol=tol)
     prof = recover_profile(continue_left(tail, s_min=s_min, tol=tol))

@@ -6,14 +6,14 @@ import pytest
 
 import fastdiff as fd
 
-# Reference point used throughout: n=3, m=1/5, gamma=4, rho1=1.  Exponents and
+# Reference point used throughout: n=3, m=1/5, gamma=4.  Exponents and
 # constants there are exact rationals, so tests can pin them to 1e-14.
-N, M, GAMMA, RHO1 = 3, 0.2, 4.0, 1.0
+N, M, GAMMA = 3, 0.2, 4.0
 
 
 @pytest.fixture(scope="session")
 def params_ref():
-    return fd.derive_params(N, M, GAMMA, RHO1)
+    return fd.derive_params(N, M, GAMMA)
 
 
 @pytest.fixture(scope="session")

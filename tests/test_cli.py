@@ -426,7 +426,7 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["profile", "--rho1", "inf"],
+        ["expansion", "--eta", "inf"],
         ["profile", "--tol", "inf"],
         ["profile", "--b1-margin", "inf"],
         ["evolve", "--kind", "constant", "--c0", "inf"],
@@ -485,7 +485,7 @@ def help_flags(command, capsys):
     return set(re.findall(r"^\s+(--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE))
 
 
-PROFILE_MODEL_FLAGS = {"--m", "--gamma", "--rho1", "--eta", "--b1-margin", "--tol"}
+PROFILE_MODEL_FLAGS = {"--m", "--gamma", "--eta", "--b1-margin", "--tol"}
 
 
 class TestCommandScope:
@@ -512,12 +512,11 @@ class TestCommandScope:
         assert "--mu" not in flags
         assert PROFILE_MODEL_FLAGS <= flags
 
-    @pytest.mark.parametrize("command", ["evolve", "contract", "converge"])
-    def test_stepping_commands_take_no_rho1(self, command, tmp_path, capsys):
-        # they compare with V_lam, which solves the equation only at rho1 = 1
-        flags = help_flags(command, capsys)
-        assert PROFILE_MODEL_FLAGS - {"--rho1"} <= flags
-        assert "--rho1" not in flags
+    @pytest.mark.parametrize("command", ["profile", "expansion", "weight", "evolve", "contract",
+                                         "converge"])
+    def test_no_command_takes_rho1(self, command, tmp_path, capsys):
+        # every rho1 profile is a rescaled rho1 = 1 profile, which --eta spans
+        assert "--rho1" not in help_flags(command, capsys)
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--n", "3", "--rho1", "2", "--out", str(tmp_path)])
         assert exc.value.code == 2

@@ -1,7 +1,7 @@
 """Parameter derivation against hand-evaluated oracles.
 
-At (n=3, m=1/5, gamma=4, rho1=1) everything is rational:
-beta = rho1/(2-(1-m)gamma) = 1/(2-16/5) = -5/6, alpha = (2 beta - rho1)/(1-m)
+At (n=3, m=1/5, gamma=4) everything is rational:
+beta = 1/(2-(1-m)gamma) = 1/(2-16/5) = -5/6, alpha = (2 beta - 1)/(1-m)
 = (-5/3-1)/(4/5) = -10/3, and the fixed-point constants reduce to
 C1 = (n-2)/m - gamma = 1, C2 = 2, C3 = C4 = 31/60, C5 = 31/120, eps1 = 1/2,
 b0 = 2 log(31/4).  The expansion constants are a1 = m gamma - (n-2)/... all
@@ -33,10 +33,10 @@ class TestExponents:
         assert rel_err(params_ref.beta_p, 5.0 / 6.0) <= REL
 
     def test_alpha_beta_identity(self):
-        # alpha(1-m) = 2 beta - rho1 across a sweep of admissible points
+        # alpha(1-m) = 2 beta - 1 across a sweep of admissible points
         for n, m, gamma in [(3, 0.2, 4.0), (4, 0.25, 5.5), (5, 0.1, 8.0), (3, 0.3, 3.1)]:
             p = fd.derive_params(n, m, gamma)
-            assert rel_err(p.alpha * (1 - m), 2 * p.beta - p.rho1) <= 1e-13
+            assert rel_err(p.alpha * (1 - m), 2 * p.beta - 1) <= 1e-13
 
     def test_beta_magnitude_decreases_in_gamma(self):
         gammas = np.linspace(3.0, 4.8, 12)
@@ -57,9 +57,12 @@ class TestExponents:
         with pytest.raises(RangeError):
             fd.derive_params(3, -0.1, 4.0)
 
-    def test_rho1_must_be_positive_and_finite(self):
-        for rho1 in (0.0, math.inf, math.nan):
-            with pytest.raises(RangeError):
+    def test_fourth_argument_must_be_one(self):
+        # any other rho1 is a rescaled copy of the rho1 = 1 family: the
+        # refusal names the scaling instead of building it
+        assert fd.derive_params(3, 0.2, 4.0, 1.0) == fd.derive_params(3, 0.2, 4.0)
+        for rho1 in (2.0, 0.5, 0.0, math.inf, math.nan):
+            with pytest.raises(RangeError, match=r"k = rho1\^\(1/\(m-1\)\)"):
                 fd.derive_params(3, 0.2, 4.0, rho1)
 
     def test_n_must_be_integer_ge_3(self):

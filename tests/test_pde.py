@@ -30,7 +30,6 @@ from fastdiff import (
     random_sandwiched_pair,
     rescale_field,
     self_similar_solution,
-    solve_for_eta,
 )
 from fastdiff.errors import NewtonDivergence, PositivityError
 from fastdiff.pde import _Lockstep, _predict, _Stepper, _StepReject
@@ -948,19 +947,6 @@ class TestSelfSimilarField:
         with pytest.raises(RangeError):
             make_self_similar_field(unit_eta_profile, 1.0, 0.0, grid128)
 
-    def test_only_at_rho1_one(self, grid128, weight_ref):
-        # V_lam solves u_t = Laplacian(u^m/m) only where alpha(1-m) = 2 beta - 1,
-        # that is at rho1 = 1: a rho1 = 2 profile builds, but the solution,
-        # and so the contraction and convergence experiments, refuse it
-        prof = solve_for_eta(derive_params(3, 0.2, 4.0, 2.0), 1.0)
-        with pytest.raises(RangeError, match="only at rho1 = 1"):
-            self_similar_solution(prof, 1.0)
-        with pytest.raises(RangeError, match="only at rho1 = 1"):
-            random_sandwiched_pair(prof, grid128, 1.0, np.random.default_rng(0))
-        with pytest.raises(RangeError, match="only at rho1 = 1"):
-            convergence_experiment(prof, 1.0, 1.0, 1.2, None, [0.0, 0.1], EvolveConfig(),
-                                   weight=weight_ref, r_grid=grid128)
-
 
 class TestRescaleField:
     def test_identity_at_t_equal_one(self, unit_eta_profile, grid128):
@@ -1030,7 +1016,7 @@ class TestLambdaForAmplitude:
             assert scaled.eta_origin == pytest.approx(a, rel=1e-12)
 
     def test_closed_form_at_unit_eta(self, unit_eta_profile, params_ref):
-        # for eta = 1 the law reduces to a^((1-m) beta / rho1) = a^(-2/3)
+        # for eta = 1 the law reduces to a^((1-m) beta) = a^(-2/3)
         lam = lambda_for_amplitude(unit_eta_profile, 4.0)
         assert lam == pytest.approx(4.0 ** (-2.0 / 3.0), rel=1e-10)
 
@@ -1207,7 +1193,7 @@ class TestConvergenceExperiment:
                                                       grid192, cfg):
         # gamma = 2.95 is admissible but below n = 3, so the attractor
         # statement does not apply and the driver must refuse
-        off = derive_params(3, 0.2, 2.95, 1.0)
+        off = derive_params(3, 0.2, 2.95)
         fake = replace(unit_eta_profile, params=off)
         with pytest.raises(RangeError):
             convergence_experiment(fake, 1.0, 1.0, 1.2, None, [0.0, 0.5],

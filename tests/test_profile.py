@@ -242,7 +242,7 @@ class TestSolveForEta:
         assert wt_last * math.exp(C1 * s_last) == pytest.approx(unit_eta_profile.eta_inf, rel=1e-8)
 
     def test_finite_when_c2_below_one(self):
-        # at (3, 0.3, 3.095) 40 b'/rho1 = 240 and gamma * 240 overflows
+        # at (3, 0.3, 3.095) 40 b' = 240 and gamma * 240 overflows
         # e^(-gamma s); the default left end stops short of that
         prof = solve_for_eta(derive_params(3, 0.3, 3.095), 1.0)
         assert np.all(np.isfinite(prof.f))
@@ -260,6 +260,23 @@ class TestSolveForEta:
             solve_for_eta(params_ref, 0.0)
         with pytest.raises(RangeError):
             solve_for_eta(params_ref, -1.0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda p: derive_params(math.nan, 0.2, 4.0), "dimension n"),
+    (lambda p: derive_params(math.inf, 0.2, 4.0), "dimension n"),
+    (lambda p: solve_for_eta(p, 1.0, b1_margin=math.inf), "b1_margin"),
+    (lambda p: solve_for_eta(p, 1.0, tol=math.inf), "tol"),
+    (lambda p: continue_left(picard_solve(derive_fp_constants(p)), tol=math.inf), "tol"),
+    (lambda p: solve_for_eta(p, 1.0, s_max=math.inf), "s_max"),
+    (lambda p: solve_for_eta(p, 1.0, s_min=-math.inf), "s_min"),
+    (lambda p: solve_for_eta(p, math.inf), "target_eta"),
+], ids=["n-nan", "n-inf", "b1_margin", "tol", "continue_left-tol", "s_max", "s_min",
+        "target_eta"])
+def test_non_finite_input_is_range_error(build, name, params_ref):
+    # refused where the value enters, by name, before it reaches int() or a solver
+    with pytest.raises(RangeError, match=name):
+        build(params_ref)
 
 
 class TestEndpointInsensitivity:
