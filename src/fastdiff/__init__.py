@@ -38,6 +38,7 @@ from .numerics import (
     fd_weights,
     integrate_ode,
     integrate_table,
+    lsoda_at,
     quad_adaptive,
 )
 from .profile import (

@@ -30,7 +30,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import InternalError, ResolutionError
 from .numerics import _richardson, deriv_uniform
-from .profile import Profile
+from .profile import LEFT_ABS_TOL, Profile
 
 __all__ = [
     "ExpansionReport",
@@ -46,6 +46,7 @@ __all__ = [
 _F_WINDOW = (1e-3, 1e3)        # radii on which f_ode_residual is taken
 _SERIES_NOISE_FLOOR = 1e-11    # data noise of r^gamma f, before the rho^-2 amplification
 _SIGMA_MARGIN = 0.05           # gap between the inversion grid and the profile's ends
+_Z_FLOOR = 10.0 * LEFT_ABS_TOL  # |z| at or below this is continuation noise, sign unresolved
 
 
 @dataclass(frozen=True)
@@ -279,15 +280,18 @@ def inversion_report(profile: Profile) -> InversionReport:
     if rho_g_rho_end > 1e-8 * profile.eta_inf:
         raise InternalError(f"rho g_rho does not vanish at 0: {rho_g_rho_end:g}")
 
-    # C1 g + rho g_rho > 0; strict where the signal clears integrator noise.
+    # C1 g + rho g_rho > 0; strict on |sigma| <= 20 where |z| clears ten
+    # times continue_left's absolute tolerance: below it the sign of z is
+    # LSODA's noise, which continue_left floors to -1e-250.
     # C1 g + g_sigma = g (C1 - h(-sigma)) = -g z(-sigma), formed from z
     # itself: C1 - h cancels to roundoff once |z| is below an ulp of C1
-    comb = -g * CubicSpline(s_grid, profile.z)(-sig)
+    z_rev = CubicSpline(s_grid, profile.z)(-sig)
+    comb = -g * z_rev
     min_comb = float(np.min(comb / g))
     if min_comb < -1e-12:
         raise InternalError(f"C1 g + rho g_rho dips to {min_comb:g} x g")
-    strict = np.abs(sig) <= 20.0
-    if float(np.min(comb[strict])) <= 0.0:
+    strict = (np.abs(sig) <= 20.0) & (np.abs(z_rev) > _Z_FLOOR)
+    if float(np.min(comb[strict], initial=math.inf)) <= 0.0:
         raise InternalError("C1 g + rho g_rho not strictly positive on the resolvable range")
 
     # involution: applying the transform twice returns f

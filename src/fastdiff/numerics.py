@@ -1,18 +1,19 @@
 """Shared numerical kernels.
 
 Adaptive ODE integration runs scipy's DOP853 on Python floats (on two-state
-systems numpy's per-call cost dominates) and steps scipy's LSODA class;
-adaptive quadrature is a thin contract over scipy's quad.  The
-uniform-grid composite rules and finite difference stencils used throughout
-the package live here as well.
+systems numpy's per-call cost dominates), or, for stiff problems wanted at
+given points, ODEPACK's LSODA in one odeint call; adaptive quadrature is a
+thin contract over scipy's quad.  The uniform-grid composite rules and
+finite difference stencils used throughout the package live here as well.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from operator import mul, sub
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate as _sint
@@ -24,6 +25,7 @@ __all__ = [
     "Tolerances",
     "OdeTrajectory",
     "integrate_ode",
+    "lsoda_at",
     "quad_adaptive",
     "cumulative_integral",
     "integrate_table",
@@ -44,8 +46,8 @@ class Tolerances:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise RangeError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise RangeError(f"tolerances must be positive and finite, got {self}")
 
 
 @dataclass
@@ -56,10 +58,6 @@ class OdeTrajectory:
     sol: Callable          # vectorized dense evaluation, sol(s) -> (n_states, ...)
     nfev: int
     naccepted: int
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 _EVENT_TOL = 4.0 * np.finfo(float).eps    # brentq tolerance of solve_ivp's event search
@@ -156,77 +154,80 @@ class _Dop853:
         return y.T if s.ndim else y[0]
 
 
-def integrate_ode(
-    rhs: Callable,
-    y0,
-    s_span: tuple[float, float],
-    tol: Tolerances = Tolerances(),
-    method: str = "dop853",
-    jac: Optional[Callable] = None,
-) -> OdeTrajectory:
-    """Adaptively integrate y' = rhs(s, y) over s_span with dense output.
-
-    method "dop853" is the explicit Dormand-Prince 8(5,3) pair, for smooth
-    non-stiff problems at tight tolerances: scipy's tableau and step control
-    on Python floats (rhs gets y as a list and returns floats), with a step's
-    dense output formed when sol first needs it.  "lsoda" steps scipy's LSODA,
-    which switches between Adams and BDF steps as stiffness comes and goes,
-    and uses the analytic Jacobian jac when one is given.  nfev counts the
-    rhs calls made before the return.  Raises BlowUpError when max|y| goes
-    from at or below the overflow guard 1e12 to at or above it over an
-    accepted step (bounded-state problems make that a bug signal), at the
-    crossing on that step's dense output; StiffnessError when the step size
-    underflows or the evaluation budget runs out; RangeError on a bad
-    method, a non-finite start or an empty span.
-    """
+def _start(rhs: Callable, y0, span: tuple[float, float]):
+    """The start as a float array and rhs counted against the evaluation
+    budget (StiffnessError once it runs out), with a reader of the count;
+    RangeError on a non-finite start or an empty span."""
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
         raise RangeError("initial state must be finite")
-    if method not in ("dop853", "lsoda"):
-        raise RangeError(f"unknown method {method!r}")
-    if jac is not None and method == "dop853":
-        raise RangeError(f"method {method!r} takes no Jacobian")
-    s0, s1 = map(float, s_span)
-    if s0 == s1:
-        raise RangeError(f"empty span {s_span}")
-
+    if span[0] == span[1]:
+        raise RangeError(f"empty span {span}")
     nfev = 0
 
     def wrapped(s, y):
         nonlocal nfev
         nfev += 1
         if nfev > _NFEV_BUDGET:
-            raise _BudgetExhausted
+            raise StiffnessError(f"evaluation budget exhausted ({_NFEV_BUDGET} rhs calls) on span {span}")
         return rhs(s, y)
 
-    try:
-        if method == "dop853":
-            sol = _Dop853(wrapped, rhs, y0.tolist(), s0, s1, tol, s_span)
-            return OdeTrajectory(y=np.array(sol._y).T, sol=sol, nfev=nfev, naccepted=len(sol.ts) - 1)
-        solver = _sint.LSODA(wrapped, s0, y0, s1, rtol=tol.rel_tol, atol=tol.abs_tol,
-                             **({} if jac is None else {"jac": jac}))
-        ts, ys, pieces = [s0], [y0], []
-        g = _OVERFLOW_GUARD - float(np.abs(y0).max())
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise StiffnessError(f"integrator failed on span {s_span}: {message}")
-            piece = solver.dense_output()
-            g_new = _OVERFLOW_GUARD - float(np.abs(solver.y).max())
-            if g >= 0.0 >= g_new:
-                raise _blow_up(piece, solver.t_old, solver.t)
-            g = g_new
-            if len(ts) == 1 or ts[-1] != solver.t:
-                ts.append(solver.t)
-                ys.append(solver.y)
-                pieces.append(piece)
-    except _BudgetExhausted:
-        raise StiffnessError(
-            f"evaluation budget exhausted ({_NFEV_BUDGET} rhs calls) on span {s_span}"
-        )
-    sol = _sint.OdeSolution(np.array(ts), pieces, alt_segment=True)
-    # ts holds the start point and then one entry per accepted step
-    return OdeTrajectory(y=np.vstack(ys).T, sol=sol, nfev=nfev, naccepted=len(ts) - 1)
+    return y0, wrapped, lambda: nfev
+
+
+def integrate_ode(
+    rhs: Callable,
+    y0,
+    s_span: tuple[float, float],
+    tol: Tolerances = Tolerances(),
+) -> OdeTrajectory:
+    """Adaptively integrate y' = rhs(s, y) over s_span with dense output by
+    the explicit Dormand-Prince 8(5,3) pair, for smooth non-stiff problems at
+    tight tolerances: scipy's tableau and step control on Python floats (rhs
+    gets y as a list and returns floats), with a step's dense output formed
+    when sol first needs it.  nfev counts the rhs calls made before the
+    return.  Raises BlowUpError when max|y| goes from at or below the
+    overflow guard 1e12 to at or above it over an accepted step
+    (bounded-state problems make that a bug signal), at the crossing on that
+    step's dense output; StiffnessError when the step size underflows or the
+    evaluation budget runs out; RangeError on a non-finite start or an empty
+    span.
+    """
+    span = tuple(map(float, s_span))
+    y0, wrapped, nfev = _start(rhs, y0, span)
+    sol = _Dop853(wrapped, rhs, y0.tolist(), *span, tol, span)
+    return OdeTrajectory(y=np.array(sol._y).T, sol=sol, nfev=nfev(), naccepted=len(sol.ts) - 1)
+
+
+def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, tol: Tolerances = Tolerances()):
+    """States of y' = rhs(s, y) at the monotone points s_out from y(s_out[0])
+    = y0, by one LSODA run through scipy's odeint: Adams or BDF steps as
+    stiffness comes and goes, the analytic Jacobian jac(s, y)[i][j] =
+    df_i/dy_j, no step past s_out[-1], and LSODA's own interpolation at each
+    point.  Returns (y, steps) with y[:, k] the state at s_out[k].  Raises
+    StiffnessError when LSODA fails, a state is not finite or the budget
+    runs out; BlowUpError when max|y| goes from at or below the overflow
+    guard to at or above it between two points; RangeError as integrate_ode.
+    """
+    s_out = np.asarray(s_out, dtype=float)
+    span = (float(s_out[0]), float(s_out[-1]))
+    y0, wrapped, _ = _start(rhs, y0, span)
+    with warnings.catch_warnings():
+        # a failed run is read from the message below, not from odeint's warning
+        warnings.simplefilter("ignore", _sint.ODEintWarning)
+        y, info = _sint.odeint(wrapped, y0, s_out, Dfun=jac, tfirst=True, full_output=True,
+                               rtol=tol.rel_tol, atol=tol.abs_tol, tcrit=[span[1]],
+                               mxstep=_NFEV_BUDGET)
+    if info["message"] != "Integration successful.":
+        raise StiffnessError(f"integrator failed on span {span}: {info['message']}")
+    g = _OVERFLOW_GUARD - np.abs(y).max(axis=1)
+    if not np.isfinite(g).all():
+        raise StiffnessError(f"integrator failed on span {span}: state not finite")
+    crossed = np.flatnonzero((g[:-1] >= 0.0) & (g[1:] <= 0.0))
+    if crossed.size:
+        raise BlowUpError(f"state exceeded overflow guard {_OVERFLOW_GUARD:g} "
+                          f"by s={s_out[crossed[0] + 1]:.6g}")
+    return y.T, int(info["nst"][-1])
 
 
 def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:

@@ -847,8 +847,8 @@ def power_bump_initial(params: ParamSet, a0: float, amp: float = 0.10,
 def lambda_for_amplitude(profile: Profile, a: float) -> float:
     """Scaling factor lam with origin coefficient eta(f_lam) = a, by the
     scaling law eta ~ lam^(2/(1-m) - gamma) that solve_for_eta uses."""
-    if not a > 0:
-        raise RangeError(f"amplitude must be positive, got {a}")
+    if not 0.0 < a < math.inf:
+        raise RangeError(f"amplitude must be positive and finite, got {a}")
     if profile.eta_origin is None:
         raise ConfigError("profile must carry eta_origin (run recover_profile first)")
     return float(_lambda_for_eta(profile.params, profile.eta_origin, a))

@@ -16,8 +16,9 @@ through the equivalent ODE system and recovered as f(r) = r^(-gamma) wt(log r).
 Numerical notes kept out of the API: the continuation integrates
 z = h - C1 and W = log(wt) instead of (h, wt) because the term
 b'X(h - C1) loses every significant digit once h hugs C1 (X grows like
-exp(|s|/b') there), and the system turns stiff on the left, so it goes
-to integrate_ode's LSODA path, which switches to BDF steps where it must.
+exp(|s|/b') there), and the system turns stiff on the left, so it runs
+as one LSODA call (numerics.lsoda_at) that switches to BDF steps where it
+must and interpolates each grid node from its own steps.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     ToleranceError,
 )
 from .numerics import (_W_FIRST, _W_LAST, _W_MID, Tolerances, _richardson,
-                       cumulative_integral, integrate_ode)
+                       cumulative_integral, integrate_ode, lsoda_at)
 from .params import FPConstants, ParamSet, derive_fp_constants
 
 __all__ = [
@@ -59,6 +60,7 @@ _NOISE_FLOOR = 2e-14       # update norms below this are roundoff, not contracti
 _PICARD_MAX_ITER = 200     # far above the ~8 iterations the 1/5-contraction needs
 _TAIL_SAMPLES = 400        # points on which tail_residual compares the two routes
 _RICHARDSON_TOL = 1e-8     # relative agreement of the last two origin Richardson levels
+LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on z and W
 
 
 @dataclass(frozen=True)
@@ -299,8 +301,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     """Continue (h, wt) from b1 down to s_min and assemble f(r) = r^(-gamma) wt.
 
     Integrates z' = (n-2)(z+C1) + b' X z - m (z+C1)^2, W' = z with
-    X = exp(-s/b' + (1-m) W); the solution keeps -C1 < z < 0, which is
-    asserted within integrator slack (BoundViolationError otherwise).
+    X = exp(-s/b' + (1-m) W) by one LSODA run that outputs the grid nodes
+    below b1; the solution keeps -C1 < z < 0, which is asserted at every
+    node within integrator slack (BoundViolationError otherwise).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -327,40 +330,29 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
         X = X_of(sv, W)
         return [[(n - 2) + bp * X - 2.0 * m * (z + C1), bp * X * (1.0 - m) * z], [1.0, 0.0]]
 
-    z0 = float(tail.h[0]) - C1
-    W0 = math.log(float(tail.wt[0]))
-    # LSODA's dense output is of lower order than its steps, so it runs 20x
-    # inside tol; the floor stays above scipy's 100 eps clamp
-    traj = integrate_ode(
-        rhs, [z0, W0], (b1, s_min),
-        tol=Tolerances(abs_tol=1e-14, rel_tol=max(tol / 20.0, 3e-14)),
-        method="lsoda", jac=jac,
-    )
-
-    slack = max(1e3 * max(tol, 1e-13), 1e-9) * max(1.0, C1)
-    z_steps = traj.y[0]
-    if float(np.max(z_steps)) > slack or float(np.min(z_steps)) < -C1 - slack:
-        raise BoundViolationError(
-            f"h left (0, C1) during continuation: z range [{z_steps.min()}, {z_steps.max()}]"
-        )
-
-    # one uniform grid across continuation + tail, with b1 exactly on it
+    # one uniform grid across continuation + tail; node n_left is b1 up to
+    # roundoff and takes b1's state (LSODA refuses an output a few ulp away)
     n_left = int(math.ceil((b1 - s_min) / PROFILE_DS))
     s_min_adj = b1 - n_left * PROFILE_DS
     n_right = int(math.floor((tail.grid[-1] - b1) / PROFILE_DS))
     s_grid = s_min_adj + PROFILE_DS * np.arange(n_left + n_right + 1)
 
-    left = s_grid <= b1
-    zl, Wl = traj.sol(s_grid[left])
+    # LSODA controls each step's local error only, so the run is held 20x
+    # inside tol; the floor keeps rel_tol 135 ulp clear of roundoff
+    y, _ = lsoda_at(rhs, jac, [float(tail.h[0]) - C1, math.log(float(tail.wt[0]))],
+                    np.concatenate([[b1], s_grid[n_left - 1::-1]]),
+                    tol=Tolerances(abs_tol=LEFT_ABS_TOL, rel_tol=max(tol / 20.0, 3e-14)))
+    zl, Wl = y[:, ::-1]
     h_tail_sp = CubicSpline(tail.grid, tail.h)
     logwt_tail_sp = CubicSpline(tail.grid, np.log(tail.wt))
-    sr = s_grid[~left]
+    sr = s_grid[n_left + 1:]
     h_tail = h_tail_sp(sr)
     z = np.concatenate([zl, h_tail - C1])
     W = np.concatenate([Wl, logwt_tail_sp(sr)])
 
+    slack = max(1e3 * max(tol, 1e-13), 1e-9) * max(1.0, C1)
     if float(np.max(z)) > slack or float(np.min(z)) < -C1 - slack:
-        raise BoundViolationError("resampled z left (-C1, 0) beyond integrator slack")
+        raise BoundViolationError(f"h left (0, C1) beyond integrator slack: z range [{z.min()}, {z.max()}]")
     # z and h each decay below double resolution of C1 at opposite ends, so
     # the open-interval facts z < 0 and h > 0 live in different arrays: z is
     # floored strictly negative (the integrator cannot resolve signs below its
@@ -420,8 +412,8 @@ def recover_profile(profile: Profile) -> Profile:
 
 def rescale_profile(profile: Profile, lam: float) -> Profile:
     """The scaling family f_lam(r) = lam^(2/(1-m)) f(lam r) applied to the table."""
-    if not lam > 0:
-        raise RangeError(f"lambda must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise RangeError(f"lambda must be positive and finite, got {lam}")
     p = profile.params
     two1m = 2.0 / (1.0 - p.m)
     kappa = lam ** (two1m - p.gamma)                 # wt and eta_origin scale

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from fastdiff import (
+    InternalError,
     ResolutionError,
+    derive_params,
     expansion_check,
     f_ode_residual,
     inversion_report,
     origin_series_report,
+    solve_for_eta,
     wbar_ode_residual,
 )
 
@@ -115,6 +118,29 @@ class TestInversion:
 
     def test_monotone_combination_nonnegative(self, unit_eta_profile):
         rep = inversion_report(unit_eta_profile)
+        assert rep.min_c1g_plus_rho_g_rho >= -1e-12
+
+    @pytest.mark.parametrize("push, trips", [(5e-13, True), (5e-14, False)],
+                             ids=["above-floor", "below-floor"])
+    def test_strict_positivity_skips_only_unresolved_z(self, unit_eta_profile, push, trips):
+        # z scaled by 1e-3 and lifted by push turns positive, by at most push,
+        # near the origin end of the |sigma| <= 20 window: inside the
+        # non-strict -1e-12 either way.  Above the 1e-13 floor the strict test
+        # must trip; below it the sign is continuation noise and is skipped
+        bad = replace(unit_eta_profile, z=1e-3 * unit_eta_profile.z + push)
+        if trips:
+            with pytest.raises(InternalError, match="not strictly positive"):
+                inversion_report(bad)
+        else:
+            assert inversion_report(bad).min_c1g_plus_rho_g_rho == pytest.approx(-push, rel=1e-6)
+
+    @pytest.mark.parametrize("point", [(3, 1 / 6, 5.82), (4, 0.25, 16 / 3), (5, 0.3, 9.642857142857142)])
+    def test_completes_where_z_is_floored_inside_the_window(self, point):
+        # admissible points where z falls below the continuation's absolute
+        # tolerance inside |sigma| <= 20 and is floored to -1e-250; the
+        # spline through those nodes turned C1 g + rho g_rho positive or
+        # negative by up to 4e-17 with the step sequence
+        rep = inversion_report(solve_for_eta(derive_params(*point), 1.0))
         assert rep.min_c1g_plus_rho_g_rho >= -1e-12
 
 

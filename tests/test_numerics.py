@@ -1,11 +1,13 @@
 """Numerical kernels against closed-form oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import fastdiff.numerics
 import fastdiff.profile
 from fastdiff.errors import BlowUpError, QuadratureError, RangeError, StiffnessError
 from fastdiff.numerics import (
@@ -15,6 +17,7 @@ from fastdiff.numerics import (
     fd_weights,
     integrate_ode,
     integrate_table,
+    lsoda_at,
     quad_adaptive,
 )
 from fastdiff.profile import tail_residual
@@ -42,71 +45,44 @@ class TestIntegrateOde:
         traj = integrate_ode(lambda s, y: [y[0]], [1.0], (1.0, 0.0))
         assert abs(traj.sol(0.0)[0] - math.exp(-1.0)) < 1e-9
 
-    def test_lsoda_with_jac_on_stiff_problem(self):
-        # y' = -1e6 (y - cos s) - sin s, y(0)=1; exact solution y = cos s
-        lam = 1e6
-
-        def rhs(s, y):
-            return [-lam * (y[0] - math.cos(s)) - math.sin(s)]
-
-        jac_calls = []
-
-        def jac(s, y):
-            jac_calls.append(s)
-            return [[-lam]]
-
-        traj = integrate_ode(rhs, [1.0], (0.0, 2.0), method="lsoda", jac=jac,
-                             tol=Tolerances(abs_tol=1e-12, rel_tol=1e-10))
-        assert jac_calls, "the analytic Jacobian never reached LSODA"
-        assert abs(traj.sol(2.0)[0] - math.cos(2.0)) < 1e-7
-        ss = np.linspace(0.0, 2.0, 41)
-        assert np.max(np.abs(traj.sol(ss)[0] - np.cos(ss))) < 1e-7
-        # BDF steps ride the slow solution: an explicit pair would need
-        # on the order of lam * 2 / 3 steps to stay stable
-        assert traj.naccepted < 5000
-
-    def test_jac_refused_by_explicit_method(self):
-        with pytest.raises(RangeError):
-            integrate_ode(lambda s, y: [-y[0]], [1.0], (0.0, 1.0), method="dop853",
-                          jac=lambda s, y: [[-1.0]])
-
     def test_overflow_guard_raises(self):
         # y = e^s passes the guard 1e12 at s = log(1e12) = 27.63
         with pytest.raises(BlowUpError, match=r"s=27\.63"):
             integrate_ode(lambda s, y: [y[0]], [1.0], (0.0, 40.0))
 
-    @pytest.mark.parametrize("method", ["dop853", "lsoda"])
-    def test_naccepted_counts_steps_not_points(self, method):
+    def test_naccepted_counts_steps_not_points(self):
         # the trajectory holds the start point plus one point per step, and
         # the dense output one piece between consecutive step points
-        traj = integrate_ode(lambda s, y: [-y[0]], [1.0], (0.0, 3.0), method=method)
+        traj = integrate_ode(lambda s, y: [-y[0]], [1.0], (0.0, 3.0))
         assert traj.sol.ts.size == traj.naccepted + 1
         assert np.all(np.diff(traj.sol.ts) > 0)
         assert traj.y.shape[1] == traj.naccepted + 1
 
-    def test_unknown_method_raises(self):
-        with pytest.raises(RangeError):
-            integrate_ode(lambda s, y: [0.0], [1.0], (0.0, 1.0), method="euler")
-        with pytest.raises(RangeError):
-            integrate_ode(lambda s, y: [0.0], [1.0], (0.0, 1.0), method="radau")
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    def test_tolerances_must_be_finite(self, field):
+        with pytest.raises(RangeError, match="positive and finite"):
+            Tolerances(**{field: math.inf})
 
     def test_nonfinite_initial_state_raises(self):
         with pytest.raises(RangeError):
             integrate_ode(lambda s, y: [0.0], [math.nan], (0.0, 1.0))
 
-    @pytest.mark.parametrize("method", ["dop853", "lsoda"])
-    def test_empty_span_raises(self, method):
+    @pytest.mark.parametrize("solve", [
+        lambda rhs: integrate_ode(rhs, [1.0], (1.0, 1.0)),
+        lambda rhs: lsoda_at(rhs, lambda s, y: [[0.0]], [1.0], [1.0, 1.0]),
+    ], ids=["dop853", "lsoda"])
+    def test_empty_span_raises(self, solve):
         with pytest.raises(RangeError, match="empty span"):
-            integrate_ode(lambda s, y: [0.0], [1.0], (1.0, 1.0), method=method)
+            solve(lambda s, y: [0.0])
 
     def test_nonfinite_start_slope_raises(self):
         with pytest.raises(StiffnessError, match="not finite at the start"):
             integrate_ode(lambda s, y: [math.inf], [1.0], (0.0, 1.0))
 
 
-def _solve_ivp_reference(rhs, y0, span, tol, method, jac=None):
+def _solve_ivp_reference(rhs, y0, span, tol, method):
     """scipy's solve_ivp with the overflow guard as a terminal event, which
-    integrate_ode must reproduce bit for bit."""
+    integrate_ode must reproduce."""
     nfev = [0]
 
     def counted(s, y):
@@ -118,10 +94,8 @@ def _solve_ivp_reference(rhs, y0, span, tol, method, jac=None):
 
     guard.terminal = True
     guard.direction = -1
-    options = {} if jac is None else {"jac": jac}
     res = solve_ivp(counted, span, np.asarray(y0, dtype=float), method=method,
-                    rtol=tol.rel_tol, atol=tol.abs_tol, dense_output=True,
-                    events=[guard], **options)
+                    rtol=tol.rel_tol, atol=tol.abs_tol, dense_output=True, events=[guard])
     return res, nfev[0]
 
 
@@ -129,37 +103,7 @@ def _pendulum(s, y):
     return [y[1], -math.sin(y[0])]
 
 
-def _stiff(s, y):
-    return [-1e6 * (y[0] - math.cos(s)) - math.sin(s)]
-
-
-def _van_der_pol(s, y):
-    return [y[1], 50.0 * (1.0 - y[0] ** 2) * y[1] - y[0]]
-
-
-def _van_der_pol_jac(s, y):
-    return [[0.0, 1.0], [-100.0 * y[0] * y[1] - 1.0, 50.0 * (1.0 - y[0] ** 2)]]
-
-
 class TestIntegrateOdeMatchesSolveIvp:
-    @pytest.mark.parametrize("rhs, y0, span, jac", [
-        (_stiff, [1.0], (0.0, 2.0), lambda s, y: [[-1e6]]),
-        (_van_der_pol, [2.0, 0.0], (0.0, 60.0), _van_der_pol_jac),
-    ], ids=["lsoda-stiff-jac", "lsoda-vdp-jac"])
-    def test_bit_identical_trajectory(self, rhs, y0, span, jac):
-        tol = Tolerances(abs_tol=1e-12, rel_tol=1e-10)
-        traj = integrate_ode(rhs, y0, span, tol=tol, method="lsoda", jac=jac)
-        res, nfev = _solve_ivp_reference(rhs, y0, span, tol, "LSODA", jac)
-        assert res.status == 0
-        assert traj.naccepted == res.t.size - 1
-        assert traj.nfev == nfev
-        assert np.array_equal(traj.y, res.y)
-        ss = np.linspace(span[0], span[1], 200)
-        assert np.array_equal(traj.sol(ss), res.sol(ss))
-        # at a step point two pieces meet: LSODA's solution takes the one
-        # that starts there
-        assert np.array_equal(traj.sol(res.t), res.sol(res.t))
-
     @pytest.mark.parametrize("rhs, y0, span", [
         (_pendulum, [1.0, 0.0], (0.0, 10.0)),
         (_pendulum, [0.3, 1.2], (5.0, -3.0)),
@@ -221,21 +165,70 @@ class TestIntegrateOdeMatchesSolveIvp:
         gap = np.abs(traj.sol(sc) - ref).max(axis=1)
         assert np.all(gap <= 1e-12 * np.abs(ref).max(axis=1))
 
-    @pytest.mark.parametrize("method, span, sign", [
-        ("dop853", (0.0, 40.0), 1.0),
-        ("dop853", (0.0, -40.0), -1.0),
-        ("lsoda", (0.0, 40.0), 1.0),
-    ], ids=["dop853-forward", "dop853-backward", "lsoda-forward"])
-    def test_blow_up_reports_the_event_crossing(self, method, span, sign):
+    @pytest.mark.parametrize("span, sign", [
+        ((0.0, 40.0), 1.0),
+        ((0.0, -40.0), -1.0),
+    ], ids=["dop853-forward", "dop853-backward"])
+    def test_blow_up_reports_the_event_crossing(self, span, sign):
         # the guard is crossed inside one accepted step; the reported s is
         # the event root solve_ivp finds on that step's dense output
         rhs = lambda s, y: [sign * y[0]]
         tol = Tolerances()
-        res, _ = _solve_ivp_reference(rhs, [1.0], span, tol, method.upper())
+        res, _ = _solve_ivp_reference(rhs, [1.0], span, tol, "DOP853")
         assert res.status == 1
         with pytest.raises(BlowUpError) as exc:
-            integrate_ode(rhs, [1.0], span, tol=tol, method=method)
+            integrate_ode(rhs, [1.0], span, tol=tol)
         assert f"at s={res.t_events[0][0]:.6g}" in str(exc.value)
+
+
+class TestLsodaAt:
+    def test_stiff_problem_with_jac(self):
+        # y' = -1e6 (y - cos s) - sin s, y(0)=1; exact solution y = cos s
+        lam = 1e6
+
+        def rhs(s, y):
+            return [-lam * (y[0] - math.cos(s)) - math.sin(s)]
+
+        jac_calls = []
+
+        def jac(s, y):
+            jac_calls.append(s)
+            return [[-lam]]
+
+        ss = np.linspace(0.0, 2.0, 41)
+        y, steps = lsoda_at(rhs, jac, [1.0], ss, tol=Tolerances(abs_tol=1e-12, rel_tol=1e-10))
+        assert jac_calls, "the analytic Jacobian never reached LSODA"
+        assert y.shape == (1, ss.size)
+        assert np.max(np.abs(y[0] - np.cos(ss))) < 1e-7
+        # BDF steps ride the slow solution: an explicit pair would need
+        # on the order of lam * 2 / 3 steps to stay stable
+        assert steps < 5000
+
+    def test_backward_outputs_match_the_exact_solution(self):
+        # y' = y from 1 at s = 1 down to 0, the way continue_left runs
+        ss = np.linspace(1.0, 0.0, 11)
+        y, _ = lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], ss,
+                        tol=Tolerances(abs_tol=1e-14, rel_tol=1e-12))
+        assert y[0, 0] == 1.0
+        assert np.max(np.abs(y[0] - np.exp(ss - 1.0))) < 1e-11
+
+    @pytest.mark.parametrize("rhs, tol, budget, match", [
+        (lambda s, y: [-y[0]], Tolerances(abs_tol=1e-300, rel_tol=1e-300), 10 ** 6,
+         "integrator failed on span .*: Illegal input"),
+        (lambda s, y: [math.nan if s > 0.5 else -y[0]], Tolerances(), 10 ** 6, "state not finite"),
+        (lambda s, y: [-y[0]], Tolerances(), 5, "budget exhausted"),
+    ], ids=["refused-tolerance", "nan", "budget"])
+    def test_failed_run_is_stiffness_error_without_warning(self, rhs, tol, budget, match, monkeypatch):
+        monkeypatch.setattr(fastdiff.numerics, "_NFEV_BUDGET", budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StiffnessError, match=match):
+                lsoda_at(rhs, lambda s, y: [[-1.0]], [1.0], np.linspace(0.0, 1.0, 11), tol=tol)
+
+    def test_overflow_guard_on_the_outputs(self):
+        # y = e^s passes the guard 1e12 at s = 27.63, between outputs 24 and 28
+        with pytest.raises(BlowUpError, match=r"s=28\b"):
+            lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], np.linspace(0.0, 40.0, 11))
 
 
 class TestQuadAdaptive:

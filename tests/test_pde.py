@@ -29,6 +29,7 @@ from fastdiff import (
     power_bump_initial,
     random_sandwiched_pair,
     rescale_field,
+    rescale_profile,
     self_similar_solution,
 )
 from fastdiff.errors import NewtonDivergence, PositivityError
@@ -1026,6 +1027,14 @@ class TestLambdaForAmplitude:
         bare = replace(unit_eta_profile, eta_origin=None)
         with pytest.raises(ConfigError):
             lambda_for_amplitude(bare, 1.0)
+
+
+@pytest.mark.parametrize("call", [rescale_profile, self_similar_solution, lambda_for_amplitude])
+def test_infinite_scale_is_range_error(call, unit_eta_profile):
+    # lam = inf made the rescaled wt 0 (a RuntimeWarning in its log), and
+    # amplitude inf gave lam = 0.0 without a word
+    with pytest.raises(RangeError, match="positive and finite"):
+        call(unit_eta_profile, math.inf)
 
 
 class TestRandomSandwichedPair:

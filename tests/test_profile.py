@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from fastdiff import (
@@ -168,6 +169,35 @@ class TestContinueLeft:
         wt_check = base_profile.f * base_profile.r_grid**p.gamma
         assert np.allclose(wt_check, base_profile.wt, rtol=1e-10)
         assert np.all(base_profile.f > 0.0)
+
+    @pytest.mark.parametrize("point", [(3, 0.2, 4.0), (4, 0.45, 4.04)], ids=["reference", "4-0.45-4.04"])
+    def test_left_part_matches_solve_ivp_lsoda(self, point):
+        # the same system, start and tolerances through solve_ivp's LSODA and
+        # its dense output at the nodes below b1; the step sequences differ
+        # (odeint picks its first step from the first output), and the two
+        # agree to 3.2e-13 in W and 1.5e-14 in z at the reference point,
+        # 1.3e-12 and 6.6e-14 at (4, 0.45, 4.04) (measured)
+        p = derive_params(*point)
+        tail = picard_solve(derive_fp_constants(p))
+        prof = continue_left(tail)
+        n, m, bp, C1 = p.n, p.m, p.beta_p, p.C1
+
+        def rhs(s, y):
+            X = math.exp(-s / bp + (1.0 - m) * y[1])
+            return [(n - 2) * (y[0] + C1) + bp * X * y[0] - m * (y[0] + C1) ** 2, y[0]]
+
+        def jac(s, y):
+            X = math.exp(-s / bp + (1.0 - m) * y[1])
+            return [[(n - 2) + bp * X - 2.0 * m * (y[0] + C1), bp * X * (1.0 - m) * y[0]], [1.0, 0.0]]
+
+        b1 = float(tail.grid[0])
+        left = prof.s_grid < b1 - 1e-9
+        res = solve_ivp(rhs, (b1, prof.s_grid[0]), [tail.h[0] - C1, math.log(tail.wt[0])],
+                        method="LSODA", jac=jac, rtol=5e-14, atol=1e-14, dense_output=True)
+        assert res.status == 0
+        z_ref, W_ref = res.sol(prof.s_grid[left])
+        assert np.abs(np.log(prof.wt[left]) - W_ref).max() <= 5e-12
+        assert np.abs(prof.z[left] - np.minimum(z_ref, -1e-250)).max() <= 5e-13
 
     def test_smin_validation(self, tail_ref, fp_ref):
         with pytest.raises(RangeError):
