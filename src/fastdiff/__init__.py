@@ -31,12 +31,10 @@ from .errors import (
 )
 from .params import FPConstants, ParamSet, derive_fp_constants, derive_params
 from .numerics import (
-    OdeTrajectory,
     Tolerances,
     cumulative_integral,
     deriv_uniform,
     fd_weights,
-    integrate_ode,
     integrate_table,
     lsoda_at,
     quad_adaptive,

@@ -40,7 +40,7 @@ from .errors import (
     ToleranceError,
 )
 from .numerics import (_W_FIRST, _W_LAST, _W_MID, Tolerances, _richardson,
-                       cumulative_integral, integrate_ode, lsoda_at)
+                       cumulative_integral, lsoda_at)
 from .params import FPConstants, ParamSet, derive_fp_constants
 
 __all__ = [
@@ -268,9 +268,9 @@ def tail_residual(tail: TailSolution) -> float:
 
     Independent route: for frozen (wt, h) the map values y = Phi_2(wt,h) and
     J = int_s^inf h satisfy the linear ODEs y' = (n-2 + b'X) y - q, J' = -h;
-    integrating them backward with integrate_ode's DOP853 and comparing
-    against (h, wt) at _TAIL_SAMPLES points (only the steps holding one form
-    dense output) avoids every piece of the Picard quadrature path.
+    integrating them backward from s_max in one LSODA run (numerics.lsoda_at)
+    that outputs the _TAIL_SAMPLES comparison points and comparing against
+    (h, wt) there avoids every piece of the Picard quadrature path.
     """
     fp = tail.fp
     p = fp.params
@@ -280,17 +280,24 @@ def tail_residual(tail: TailSolution) -> float:
     wt_sp = CubicSpline(s, wt)
     h_at, wt_at = _spline_at(h_sp), _spline_at(wt_sp)
 
+    def X_of(sv):
+        return math.exp(-sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
+
     def rhs(sv, y):
-        X = math.exp(-sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
+        X = X_of(sv)
         hv = h_at(sv)
         q = bp * C1 * X + m * hv * hv
         return [(n - 2 + bp * X) * y[0] - q, -hv]
 
+    def jac(sv, y):
+        return [[n - 2 + bp * X_of(sv), 0.0], [0.0, 0.0]]
+
     y_end = (bp * C1 * math.exp(-s[-1] / bp) * wt[-1] ** (1.0 - m) + m * h[-1] ** 2) / (n - 2 + C2)
-    traj = integrate_ode(rhs, [y_end, h[-1] / C2], (s[-1], s[0]),
-                         tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12))
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
-    vals = traj.sol(sc)
+    # when the window is the whole grid its last sample repeats s_max
+    y, _ = lsoda_at(rhs, jac, [y_end, h[-1] / C2], np.concatenate([[s[-1]], sc[::-1]]),
+                    tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12))
+    vals = y[:, :0:-1]
     res_h = np.abs(h_sp(sc) - vals[0]) * np.exp(0.5 * C2 * sc)
     phi1 = np.exp(-vals[1] - C1 * sc)
     res_wt = np.abs(wt_sp(sc) - phi1) * np.exp(C1 * sc)

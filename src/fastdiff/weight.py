@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatchError, QuadratureError, RangeError
-from .numerics import Tolerances, integrate_ode, integrate_table, quad_adaptive
+from .numerics import Tolerances, integrate_table, lsoda_at, quad_adaptive
 
 __all__ = ["BumpSpec", "WeightFunction", "WeightedGrid", "build_weight", "eval_weight", "weighted_grid",
            "weighted_l1_distance"]
@@ -113,14 +113,19 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     def rhs(r, y):
         return [r ** (n - 1) * spec.eta1(r), -a4 * r ** (1.0 - n) * y[0]]
 
-    traj = integrate_ode(rhs, [0.0, 1.0], (1.0, 2.0), tol=Tolerances(abs_tol=1e-15, rel_tol=1e-13))
+    def jac(r, y):
+        return [[0.0, 0.0], [-a4 * r ** (1.0 - n), 0.0]]
+
     table_r = np.geomspace(TABLE_RMIN, 2.0, TABLE_SIZE)
     table_phi = np.ones(TABLE_SIZE)
     table_dphi = np.zeros(TABLE_SIZE)
     mask = table_r > 1.0
-    dense = traj.sol(table_r[mask])
-    table_phi[mask] = dense[1]
-    table_dphi[mask] = -a4 * table_r[mask] ** (1.0 - n) * dense[0]
+    # I rises from 0 through about 1e-7 at the bump's onset (r = 1.1), so its
+    # absolute tolerance sits far below that
+    (I, phi), _ = lsoda_at(rhs, jac, [0.0, 1.0], np.concatenate([[1.0], table_r[mask]]),
+                           tol=Tolerances(abs_tol=1e-18, rel_tol=1e-13))
+    table_phi[mask] = phi[1:]
+    table_dphi[mask] = -a4 * table_r[mask] ** (1.0 - n) * I[1:]
 
     # interpolation over (1, 2]; below 1 the weight is exactly (1, 0)
     sub = table_r >= 0.5
@@ -133,7 +138,7 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
         _phi_spline=phi_spline, _dphi_spline=dphi_spline,
     )
     # cross-check the two routes where they meet: table end vs analytic branch
-    phi2, tail_at_2 = traj.sol(2.0)[1], w.phi_tail(2.0)
+    phi2, tail_at_2 = phi[-1], w.phi_tail(2.0)
     if abs(phi2 - tail_at_2) > 50.0 * max(quad_tol, 1e-12):
         raise QuadratureError(
             f"table/closed-form mismatch at r=2: {phi2} vs {tail_at_2} "

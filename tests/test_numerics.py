@@ -15,48 +15,16 @@ from fastdiff.numerics import (
     cumulative_integral,
     deriv_uniform,
     fd_weights,
-    integrate_ode,
     integrate_table,
     lsoda_at,
     quad_adaptive,
 )
 from fastdiff.profile import tail_residual
+from fastdiff.weight import BumpSpec, build_weight
 
 
 class TestIntegrateOde:
-    def test_linear_decay_exact(self):
-        # y' = -2y, y(0)=3  ->  y(s) = 3 e^{-2s}
-        traj = integrate_ode(lambda s, y: [-2.0 * y[0]], [3.0], (0.0, 2.0),
-                             tol=Tolerances(abs_tol=1e-13, rel_tol=1e-12))
-        got = traj.sol(2.0)[0]
-        assert abs(got - 3.0 * math.exp(-4.0)) < 1e-10
-
-    def test_harmonic_oscillator_dense_output(self):
-        # y'' = -y as a system; energy conserved, dense output matches cos/sin
-        traj = integrate_ode(lambda s, y: [y[1], -y[0]], [1.0, 0.0], (0.0, 10.0),
-                             tol=Tolerances(abs_tol=1e-12, rel_tol=1e-11))
-        ss = np.linspace(0.0, 10.0, 37)
-        vals = traj.sol(ss)
-        assert np.max(np.abs(vals[0] - np.cos(ss))) < 1e-8
-        assert np.max(np.abs(vals[1] + np.sin(ss))) < 1e-8
-
-    def test_backward_integration(self):
-        # integrating y' = y from 1 down to 0 must reproduce e^{s-1}
-        traj = integrate_ode(lambda s, y: [y[0]], [1.0], (1.0, 0.0))
-        assert abs(traj.sol(0.0)[0] - math.exp(-1.0)) < 1e-9
-
-    def test_overflow_guard_raises(self):
-        # y = e^s passes the guard 1e12 at s = log(1e12) = 27.63
-        with pytest.raises(BlowUpError, match=r"s=27\.63"):
-            integrate_ode(lambda s, y: [y[0]], [1.0], (0.0, 40.0))
-
-    def test_naccepted_counts_steps_not_points(self):
-        # the trajectory holds the start point plus one point per step, and
-        # the dense output one piece between consecutive step points
-        traj = integrate_ode(lambda s, y: [-y[0]], [1.0], (0.0, 3.0))
-        assert traj.sol.ts.size == traj.naccepted + 1
-        assert np.all(np.diff(traj.sol.ts) > 0)
-        assert traj.y.shape[1] == traj.naccepted + 1
+    """Refusals every ODE run of the package shares, through lsoda_at."""
 
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     def test_tolerances_must_be_finite(self, field):
@@ -64,121 +32,65 @@ class TestIntegrateOde:
             Tolerances(**{field: math.inf})
 
     def test_nonfinite_initial_state_raises(self):
-        with pytest.raises(RangeError):
-            integrate_ode(lambda s, y: [0.0], [math.nan], (0.0, 1.0))
+        with pytest.raises(RangeError, match="initial state must be finite"):
+            lsoda_at(lambda s, y: [0.0], lambda s, y: [[0.0]], [math.nan], [0.0, 1.0])
 
     @pytest.mark.parametrize("solve", [
-        lambda rhs: integrate_ode(rhs, [1.0], (1.0, 1.0)),
         lambda rhs: lsoda_at(rhs, lambda s, y: [[0.0]], [1.0], [1.0, 1.0]),
-    ], ids=["dop853", "lsoda"])
+    ], ids=["lsoda"])
     def test_empty_span_raises(self, solve):
         with pytest.raises(RangeError, match="empty span"):
             solve(lambda s, y: [0.0])
 
-    def test_nonfinite_start_slope_raises(self):
-        with pytest.raises(StiffnessError, match="not finite at the start"):
-            integrate_ode(lambda s, y: [math.inf], [1.0], (0.0, 1.0))
-
-
-def _solve_ivp_reference(rhs, y0, span, tol, method):
-    """scipy's solve_ivp with the overflow guard as a terminal event, which
-    integrate_ode must reproduce."""
-    nfev = [0]
-
-    def counted(s, y):
-        nfev[0] += 1
-        return rhs(s, y)
-
-    def guard(s, y):
-        return 1e12 - float(np.max(np.abs(y)))
-
-    guard.terminal = True
-    guard.direction = -1
-    res = solve_ivp(counted, span, np.asarray(y0, dtype=float), method=method,
-                    rtol=tol.rel_tol, atol=tol.abs_tol, dense_output=True, events=[guard])
-    return res, nfev[0]
-
-
-def _pendulum(s, y):
-    return [y[1], -math.sin(y[0])]
-
 
 class TestIntegrateOdeMatchesSolveIvp:
-    @pytest.mark.parametrize("rhs, y0, span", [
-        (_pendulum, [1.0, 0.0], (0.0, 10.0)),
-        (_pendulum, [0.3, 1.2], (5.0, -3.0)),
-        # starts past the guard: the event fires only on a crossing from at
-        # or below it, so this run goes through
-        (lambda s, y: [y[0]], [2e12], (0.0, 1.0)),
-    ], ids=["forward", "backward", "above-guard"])
-    def test_dop853_matches_solve_ivp(self, rhs, y0, span):
-        # integrate_ode runs scipy's DOP853 on Python floats, whose sums round
-        # differently; the error estimate cancels, so the step points move
-        # (by up to 2e-5 on the backward pendulum), but the steps taken are
-        # solve_ivp's.  Measured against max|y|: the states differ from
-        # solve_ivp's dense output at the same points by at most 2.7e-15,
-        # and the two dense outputs by at most 5.9e-14
-        tol = Tolerances(abs_tol=1e-12, rel_tol=1e-10)
-        calls = [0]
-
-        def counted(s, y):
-            calls[0] += 1
-            return rhs(s, y)
-
-        traj = integrate_ode(counted, y0, span, tol=tol)
-        res, nfev = _solve_ivp_reference(rhs, y0, span, tol, "DOP853")
-        assert res.status == 0
-        assert traj.naccepted == res.t.size - 1
-        # nfev counts the stepping; a step's three dense-output stages run
-        # when sol first evaluates on it
-        assert traj.nfev == calls[0] == nfev - 3 * traj.naccepted
-        scale = np.abs(res.y).max()
-        ts = traj.sol.ts
-        assert np.abs(traj.y - res.sol(ts)).max() <= 1e-14 * scale
-        assert np.abs(traj.sol(ts) - res.sol(ts)).max() <= 1e-14 * scale
-        assert calls[0] == nfev
-        ss = np.linspace(span[0], span[1], 200)
-        assert np.abs(traj.sol(ss) - res.sol(ss)).max() <= 1e-13 * scale
-        assert calls[0] == nfev    # each piece is formed once
-
     def test_tail_residual_problem_matches_solve_ivp(self, tail_ref, monkeypatch):
-        # tail_residual's own backward run, compared at its sample points.
-        # Both runs carry its rel_tol 1e-12, and they differ by at most
-        # 7.1e-13 of each component's largest value (measured)
+        # tail_residual's one backward run, compared at its output points
+        # with solve_ivp's DOP853 at the same rel_tol 1e-12.  Measured gaps,
+        # relative to each component's largest value: 2.5e-12 in y and
+        # 2.1e-11 in J at the reference point, 4.6e-12 and 1.1e-11 at
+        # (4, 0.45, 4.04).  Against DOP853 at rel_tol 2.3e-14 both runs are
+        # off in J by about as much (1.4e-11 and 2.4e-11 at the reference point)
         runs = []
 
-        def recording(rhs, y0, span, **options):
-            traj = integrate_ode(rhs, y0, span, **options)
-            runs.append((rhs, y0, span, options["tol"], traj))
-            return traj
+        def recording(rhs, jac, y0, s_out, **options):
+            y, steps = lsoda_at(rhs, jac, y0, s_out, **options)
+            runs.append((rhs, y0, s_out, options["tol"], y))
+            return y, steps
 
-        monkeypatch.setattr(fastdiff.profile, "integrate_ode", recording)
-        assert tail_residual(tail_ref) == tail_ref.fp_residual
-        (rhs, y0, span, tol, traj), = runs
-        res, nfev = _solve_ivp_reference(rhs, y0, span, tol, "DOP853")
+        monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
+        other = fastdiff.picard_solve(fastdiff.derive_fp_constants(fastdiff.derive_params(4, 0.45, 4.04)))
+        for tail in (tail_ref, other):
+            runs.clear()
+            assert tail_residual(tail) == tail.fp_residual
+            (rhs, y0, s_out, tol, y), = runs
+            res = solve_ivp(rhs, (s_out[0], s_out[-1]), y0, method="DOP853",
+                            rtol=tol.rel_tol, atol=tol.abs_tol, dense_output=True)
+            assert res.status == 0
+            ref = res.sol(s_out)
+            gap = np.abs(y - ref).max(axis=1) / np.abs(ref).max(axis=1)
+            assert np.all(gap <= [1e-11, 5e-11])
+
+    @pytest.mark.parametrize("mu, n", [(0.5, 3), (1.5, 5)])
+    def test_build_weight_table_matches_solve_ivp(self, mu, n):
+        # the table's ODE I' = r^(n-1) eta1, phi' = -a4 r^(1-n) I through
+        # solve_ivp's DOP853 at the same tolerances.  Measured gaps,
+        # relative to each column's largest value: up to 6.6e-13 in phi'
+        # and 2.9e-14 in phi
+        spec = BumpSpec(mu=mu, n=n)
+        w = build_weight(spec)
+        mask = w.table_r > 1.0
+        r = w.table_r[mask]
+
+        def rhs(s, y):
+            return [s ** (n - 1) * spec.eta1(s), -w.a4 * s ** (1.0 - n) * y[0]]
+
+        res = solve_ivp(rhs, (1.0, 2.0), [0.0, 1.0], method="DOP853",
+                        rtol=1e-13, atol=1e-18, t_eval=r)
         assert res.status == 0
-        assert traj.naccepted == res.t.size - 1
-        assert traj.nfev == nfev - 3 * traj.naccepted
-        s = tail_ref.grid
-        sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), fastdiff.profile._TAIL_SAMPLES)
-        ref = res.sol(sc)
-        gap = np.abs(traj.sol(sc) - ref).max(axis=1)
-        assert np.all(gap <= 1e-12 * np.abs(ref).max(axis=1))
-
-    @pytest.mark.parametrize("span, sign", [
-        ((0.0, 40.0), 1.0),
-        ((0.0, -40.0), -1.0),
-    ], ids=["dop853-forward", "dop853-backward"])
-    def test_blow_up_reports_the_event_crossing(self, span, sign):
-        # the guard is crossed inside one accepted step; the reported s is
-        # the event root solve_ivp finds on that step's dense output
-        rhs = lambda s, y: [sign * y[0]]
-        tol = Tolerances()
-        res, _ = _solve_ivp_reference(rhs, [1.0], span, tol, "DOP853")
-        assert res.status == 1
-        with pytest.raises(BlowUpError) as exc:
-            integrate_ode(rhs, [1.0], span, tol=tol)
-        assert f"at s={res.t_events[0][0]:.6g}" in str(exc.value)
+        phi, dphi = res.y[1], -w.a4 * r ** (1.0 - n) * res.y[0]
+        assert np.abs(w.table_phi[mask] - phi).max() <= 1e-13 * np.abs(phi).max()
+        assert np.abs(w.table_dphi[mask] - dphi).max() <= 2e-12 * np.abs(dphi).max()
 
 
 class TestLsodaAt:
@@ -224,6 +136,17 @@ class TestLsodaAt:
             warnings.simplefilter("error")
             with pytest.raises(StiffnessError, match=match):
                 lsoda_at(rhs, lambda s, y: [[-1.0]], [1.0], np.linspace(0.0, 1.0, 11), tol=tol)
+
+    @pytest.mark.parametrize("s_out", [[0.0, 0.5, 0.3, 1.0], [0.0, math.nan, 1.0]],
+                             ids=["not-monotone", "nan"])
+    def test_bad_output_points_raise(self, s_out):
+        with pytest.raises(RangeError, match="finite and monotone"):
+            lsoda_at(lambda s, y: [-y[0]], lambda s, y: [[-1.0]], [1.0], s_out)
+
+    def test_repeated_points_take_the_same_state(self):
+        y, _ = lsoda_at(lambda s, y: [-y[0]], lambda s, y: [[-1.0]], [1.0], [0.0, 0.5, 0.5, 1.0, 1.0])
+        assert y[0, 1] == y[0, 2] and y[0, 3] == y[0, 4]
+        assert np.max(np.abs(y[0] - np.exp(-np.array([0.0, 0.5, 0.5, 1.0, 1.0])))) < 1e-9
 
     def test_overflow_guard_on_the_outputs(self):
         # y = e^s passes the guard 1e12 at s = 27.63, between outputs 24 and 28
