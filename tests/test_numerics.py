@@ -24,7 +24,46 @@ from fastdiff.weight import BumpSpec, build_weight
 
 
 class TestIntegrateOde:
-    """Refusals every ODE run of the package shares, through lsoda_at."""
+    """Closed-form solutions and the refusals every ODE run of the package
+    shares, through lsoda_at."""
+
+    def test_linear_decay_exact(self):
+        # y' = -2y, y(0)=3  ->  y(s) = 3 e^{-2s}
+        y, _ = lsoda_at(lambda s, y: [-2.0 * y[0]], lambda s, y: [[-2.0]], [3.0], [0.0, 2.0],
+                        tol=Tolerances(abs_tol=1e-13, rel_tol=1e-12))
+        assert abs(y[0, -1] - 3.0 * math.exp(-4.0)) < 1e-10
+
+    def test_harmonic_oscillator_dense_output(self):
+        # y'' = -y as a system; LSODA's interpolation at points between its
+        # steps matches cos/sin
+        ss = np.linspace(0.0, 10.0, 37)
+        y, _ = lsoda_at(lambda s, y: [y[1], -y[0]], lambda s, y: [[0.0, 1.0], [-1.0, 0.0]],
+                        [1.0, 0.0], ss, tol=Tolerances(abs_tol=1e-12, rel_tol=1e-11))
+        assert np.max(np.abs(y[0] - np.cos(ss))) < 1e-8
+        assert np.max(np.abs(y[1] + np.sin(ss))) < 1e-8
+
+    def test_backward_integration(self):
+        # integrating y' = y from 1 down to 0 must reproduce e^{s-1}
+        y, _ = lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], [1.0, 0.0])
+        assert abs(y[0, -1] - math.exp(-1.0)) < 1e-9
+
+    def test_overflow_guard_raises(self):
+        # y = e^s passes the guard 1e12 at s = log(1e12) = 27.631; the first
+        # output point past it, on a 0.005 grid, is 27.635
+        with pytest.raises(BlowUpError, match=r"s=27\.63"):
+            lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], np.linspace(0.0, 40.0, 8001))
+
+    def test_naccepted_counts_steps_not_points(self):
+        # the step count is LSODA's own: more output points on the same span
+        # interpolate within the same steps
+        rhs, jac = lambda s, y: [-y[0]], lambda s, y: [[-1.0]]
+        _, steps = lsoda_at(rhs, jac, [1.0], [0.0, 3.0])
+        _, steps_dense = lsoda_at(rhs, jac, [1.0], np.linspace(0.0, 3.0, 301))
+        assert steps_dense == steps < 301
+
+    def test_nonfinite_start_slope_raises(self):
+        with pytest.raises(StiffnessError, match="state not finite"):
+            lsoda_at(lambda s, y: [math.inf], lambda s, y: [[0.0]], [1.0], [0.0, 1.0])
 
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     def test_tolerances_must_be_finite(self, field):
