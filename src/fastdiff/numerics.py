@@ -51,7 +51,9 @@ def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, tol: Tolerances = Toleranc
     = y0, by one LSODA run through scipy's odeint: Adams or BDF steps as
     stiffness comes and goes, the analytic Jacobian jac(s, y)[i][j] =
     df_i/dy_j, no step past s_out[-1], and LSODA's own interpolation at each
-    point (a repeated point takes the same state).  Returns (y, steps) with
+    point (a repeated point takes the same state).  rhs and jac get s and y
+    as Python floats (y a list), so a callback computes without numpy
+    scalars and with the same IEEE bits.  Returns (y, steps) with
     y[:, k] the state at s_out[k].  Raises StiffnessError when LSODA fails, a
     state is not finite or the evaluation budget runs out; BlowUpError when
     max|y| goes from at or below the overflow guard to at or above it between
@@ -75,14 +77,14 @@ def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, tol: Tolerances = Toleranc
         nfev += 1
         if nfev > _NFEV_BUDGET:
             raise StiffnessError(f"evaluation budget exhausted ({_NFEV_BUDGET} rhs calls) on span {span}")
-        return rhs(s, y)
+        return rhs(s, y.tolist())
 
     with warnings.catch_warnings():
         # a failed run is read from the message below, not from odeint's warning
         warnings.simplefilter("ignore", _sint.ODEintWarning)
-        y, info = _sint.odeint(wrapped, y0, s_out, Dfun=jac, tfirst=True, full_output=True,
-                               rtol=tol.rel_tol, atol=tol.abs_tol, tcrit=[span[1]],
-                               mxstep=_NFEV_BUDGET)
+        y, info = _sint.odeint(wrapped, y0, s_out, Dfun=lambda s, y: jac(s, y.tolist()),
+                               tfirst=True, full_output=True, rtol=tol.rel_tol,
+                               atol=tol.abs_tol, tcrit=[span[1]], mxstep=_NFEV_BUDGET)
     if info["message"] != "Integration successful.":
         raise StiffnessError(f"integrator failed on span {span}: {info['message']}")
     g = _OVERFLOW_GUARD - np.abs(y).max(axis=1)

@@ -184,7 +184,7 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
 
     Membership in D_b1 is asserted for every iterate; the returned
     fp_residual substitutes the fixed point back into the integral equation
-    through an independent adaptive integration (see tail_residual).
+    along a route independent of the Picard quadrature (see tail_residual).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -263,14 +263,28 @@ def _spline_at(spline: CubicSpline):
     return at
 
 
+def _integral_to_end(spline: CubicSpline, s_eval: np.ndarray) -> np.ndarray:
+    """int_{s_eval}^{x[-1]} spline for points s_eval in [x[0], x[-1]], exact
+    from the pieces: each piece's polynomial integral over its interval,
+    summed right to left, less the part of the piece below each point."""
+    x, (c0, c1, c2, c3) = spline.x, spline.c
+    d = np.diff(x)
+    right = np.cumsum(((((c0 * d / 4 + c1 / 3) * d + c2 / 2) * d + c3) * d)[::-1])[::-1]
+    i = np.minimum(np.searchsorted(x, s_eval, side="right") - 1, d.size - 1)
+    t = s_eval - x[i]
+    return right[i] - (((c0[i] * t / 4 + c1[i] / 3) * t + c2[i] / 2) * t + c3[i]) * t
+
+
 def tail_residual(tail: TailSolution) -> float:
     """Weighted sup defect of the fixed point in the integral equation.
 
-    Independent route: for frozen (wt, h) the map values y = Phi_2(wt,h) and
-    J = int_s^inf h satisfy the linear ODEs y' = (n-2 + b'X) y - q, J' = -h;
-    integrating them backward from s_max in one LSODA run (numerics.lsoda_at)
-    that outputs the _TAIL_SAMPLES comparison points and comparing against
-    (h, wt) there avoids every piece of the Picard quadrature path.
+    Independent route: for frozen (wt, h) the map value y = Phi_2(wt,h)
+    satisfies the linear ODE y' = (n-2 + b'X) y - q, integrated backward from
+    s_max in one LSODA run (numerics.lsoda_at) that outputs the
+    _TAIL_SAMPLES comparison points; J = int_s^inf h in Phi_1 is the exact
+    integral of h's cubic spline plus the analytic tail h(s_max)/C2.
+    Comparing against (h, wt) there avoids every piece of the Picard
+    quadrature path.
     """
     fp = tail.fp
     p = fp.params
@@ -287,19 +301,18 @@ def tail_residual(tail: TailSolution) -> float:
         X = X_of(sv)
         hv = h_at(sv)
         q = bp * C1 * X + m * hv * hv
-        return [(n - 2 + bp * X) * y[0] - q, -hv]
+        return [(n - 2 + bp * X) * y[0] - q]
 
     def jac(sv, y):
-        return [[n - 2 + bp * X_of(sv), 0.0], [0.0, 0.0]]
+        return [[n - 2 + bp * X_of(sv)]]
 
     y_end = (bp * C1 * math.exp(-s[-1] / bp) * wt[-1] ** (1.0 - m) + m * h[-1] ** 2) / (n - 2 + C2)
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
     # when the window is the whole grid its last sample repeats s_max
-    y, _ = lsoda_at(rhs, jac, [y_end, h[-1] / C2], np.concatenate([[s[-1]], sc[::-1]]),
+    y, _ = lsoda_at(rhs, jac, [y_end], np.concatenate([[s[-1]], sc[::-1]]),
                     tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12))
-    vals = y[:, :0:-1]
-    res_h = np.abs(h_sp(sc) - vals[0]) * np.exp(0.5 * C2 * sc)
-    phi1 = np.exp(-vals[1] - C1 * sc)
+    res_h = np.abs(h_sp(sc) - y[0, :0:-1]) * np.exp(0.5 * C2 * sc)
+    phi1 = np.exp(-(_integral_to_end(h_sp, sc) + h[-1] / C2) - C1 * sc)
     res_wt = np.abs(wt_sp(sc) - phi1) * np.exp(C1 * sc)
     return float(max(res_h.max(), res_wt.max()))
 
@@ -324,7 +337,7 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
         raise RangeError(f"s_min = {s_min} must be finite and below b1 = {b1}")
 
     def X_of(sv, W):
-        return np.exp(-sv / bp + (1.0 - m) * W)
+        return float(np.exp(-sv / bp + (1.0 - m) * W))
 
     def rhs(sv, y):
         z, W = y

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 import fastdiff.numerics
 import fastdiff.profile
+import fastdiff.weight
 from fastdiff.errors import BlowUpError, QuadratureError, RangeError, StiffnessError
 from fastdiff.numerics import (
     Tolerances,
@@ -82,14 +84,17 @@ class TestIntegrateOde:
             solve(lambda s, y: [0.0])
 
 
+@pytest.fixture(scope="module")
+def other_tail():
+    return fastdiff.picard_solve(fastdiff.derive_fp_constants(fastdiff.derive_params(4, 0.45, 4.04)))
+
+
 class TestIntegrateOdeMatchesSolveIvp:
-    def test_tail_residual_problem_matches_solve_ivp(self, tail_ref, monkeypatch):
-        # tail_residual's one backward run, compared at its output points
-        # with solve_ivp's DOP853 at the same rel_tol 1e-12.  Measured gaps,
-        # relative to each component's largest value: 2.5e-12 in y and
-        # 2.1e-11 in J at the reference point, 4.6e-12 and 1.1e-11 at
-        # (4, 0.45, 4.04).  Against DOP853 at rel_tol 2.3e-14 both runs are
-        # off in J by about as much (1.4e-11 and 2.4e-11 at the reference point)
+    def test_tail_residual_problem_matches_solve_ivp(self, tail_ref, other_tail, monkeypatch):
+        # tail_residual's one backward run integrates y = Phi_2 alone (one
+        # state), compared at its output points with solve_ivp's DOP853 at
+        # the same rel_tol 1e-12.  Measured gaps, relative to y's largest
+        # value: 2.5e-12 at the reference point, 4.6e-12 at (4, 0.45, 4.04)
         runs = []
 
         def recording(rhs, jac, y0, s_out, **options):
@@ -98,17 +103,30 @@ class TestIntegrateOdeMatchesSolveIvp:
             return y, steps
 
         monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
-        other = fastdiff.picard_solve(fastdiff.derive_fp_constants(fastdiff.derive_params(4, 0.45, 4.04)))
-        for tail in (tail_ref, other):
+        for tail in (tail_ref, other_tail):
             runs.clear()
             assert tail_residual(tail) == tail.fp_residual
             (rhs, y0, s_out, tol, y), = runs
+            assert len(y0) == 1 and y.shape == (1, len(s_out))
             res = solve_ivp(rhs, (s_out[0], s_out[-1]), y0, method="DOP853",
                             rtol=tol.rel_tol, atol=tol.abs_tol, dense_output=True)
             assert res.status == 0
-            ref = res.sol(s_out)
-            gap = np.abs(y - ref).max(axis=1) / np.abs(ref).max(axis=1)
-            assert np.all(gap <= [1e-11, 5e-11])
+            ref = res.sol(s_out)[0]
+            assert np.abs(y[0] - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    def test_tail_integral_matches_ppoly_integrate(self, tail_ref, other_tail):
+        # J = int_s^{s_max} h from the spline's pieces against PPoly.integrate
+        # at 20 points of tail_residual's window, at knots and between them.
+        # Measured gaps, relative to J's largest value: 4.1e-15 at the
+        # reference point, 1.0e-14 at (4, 0.45, 4.04)
+        for tail in (tail_ref, other_tail):
+            s = tail.grid
+            h_sp = CubicSpline(s, tail.h)
+            sk = np.concatenate([np.linspace(s[0], s[0] + 20.0, 18), s[[1, -1]]])
+            ref = np.array([h_sp.integrate(a, s[-1]) for a in sk])
+            got = fastdiff.profile._integral_to_end(h_sp, sk)
+            assert got[-1] == 0.0
+            assert np.abs(got - ref).max() <= 5e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("mu, n", [(0.5, 3), (1.5, 5)])
     def test_build_weight_table_matches_solve_ivp(self, mu, n):
@@ -154,6 +172,43 @@ class TestLsodaAt:
         # BDF steps ride the slow solution: an explicit pair would need
         # on the order of lam * 2 / 3 steps to stay stable
         assert steps < 5000
+
+    def test_callbacks_get_python_floats(self):
+        # rhs and jac compute on Python floats: s a float, y a list of floats
+        seen = set()
+
+        def rhs(s, y):
+            seen.add(("rhs", type(s), type(y), *map(type, y)))
+            return [-1e6 * (y[0] - math.cos(s)) - math.sin(s), y[0] - y[1]]
+
+        def jac(s, y):
+            seen.add(("jac", type(s), type(y), *map(type, y)))
+            return [[-1e6, 0.0], [1.0, -1.0]]
+
+        lsoda_at(rhs, jac, [1.0, 0.0], np.linspace(0.0, 2.0, 5))
+        assert seen == {(name, float, list, float, float) for name in ("rhs", "jac")}
+
+    def test_float_callbacks_keep_the_bits(self, tail_ref, monkeypatch):
+        # continue_left's (z, W) and build_weight's table are bit for bit the
+        # runs whose callbacks get y as a numpy array: IEEE float and numpy
+        # float64 arithmetic round alike
+        def numpy_callbacks(rhs, jac, y0, s_out, **options):
+            return lsoda_at(lambda s, y: rhs(s, np.array(y)), lambda s, y: jac(s, np.array(y)),
+                            y0, s_out, **options)
+
+        left, tables = [], []
+        for driver in (lsoda_at, numpy_callbacks):
+            def recording(*args, driver=driver, **options):
+                left.append(driver(*args, **options)[0])
+                return left[-1], 0
+
+            monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
+            monkeypatch.setattr(fastdiff.weight, "lsoda_at", driver)
+            fastdiff.continue_left(tail_ref)
+            w = build_weight(BumpSpec(mu=0.5, n=3))
+            tables.append(np.stack([w.table_phi, w.table_dphi]))
+        assert np.array_equal(*left)
+        assert np.array_equal(*tables)
 
     def test_backward_outputs_match_the_exact_solution(self):
         # y' = y from 1 at s = 1 down to 0, the way continue_left runs

@@ -76,11 +76,14 @@ class TestPicardSolve:
 
     def test_residual_detector_responds_to_perturbation(self, tail_ref):
         # the independent residual route must flag a profile that is off by
-        # one part in 1e6, otherwise the cross-check is vacuous
-        perturbed = replace(tail_ref, wt=tail_ref.wt * (1.0 + 1e-6))
-        res = tail_residual(perturbed)
-        assert res >= 1e-8
-        assert res <= 1e-4
+        # one part in 1e6, otherwise the cross-check is vacuous; measured
+        # 1.0e-6 for wt and 3.77e-9 for h (whose J part reads 2.6e-11,
+        # 1e-6 of J(b1), against 1.6e-12 unperturbed)
+        for field, floor in (("wt", 1e-8), ("h", 1e-9)):
+            perturbed = replace(tail_ref, **{field: getattr(tail_ref, field) * (1.0 + 1e-6)})
+            res = tail_residual(perturbed)
+            assert res >= floor
+            assert res <= 1e-4
 
     def test_residual_recomputation_is_deterministic(self, tail_ref):
         assert tail_residual(tail_ref) == tail_ref.fp_residual
