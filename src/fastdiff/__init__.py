@@ -65,7 +65,7 @@ from .weight import (
     WeightFunction,
     build_weight,
     eval_weight,
-    weighted_l1_distance,
+    weighted_grid,
 )
 from .pde import (
     ContractionResult,

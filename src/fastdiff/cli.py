@@ -51,7 +51,7 @@ from .pde import (
     sup_compact,
 )
 from .profile import solve_for_eta
-from .weight import BumpSpec, WeightFunction, build_weight, eval_weight, weighted_l1_distance
+from .weight import BumpSpec, WeightFunction, build_weight, eval_weight, weighted_grid
 
 
 class Opt(NamedTuple):
@@ -273,11 +273,12 @@ def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
         field = RadialField(grid, vals, t0, bc=(lambda t: left, lambda t: right), params=params)
 
     snapshots = evolve(field, cfg, times)
+    wgrid = None if exact is None else weighted_grid(weight, grid)
     rows = []
     for snap in snapshots:
         if exact is not None:
             ref = np.asarray(exact(grid, snap.t), dtype=float)
-            d_l1 = weighted_l1_distance(weight, grid, snap.u, ref)
+            d_l1 = wgrid.distance(snap.u, ref)
             d_sup = sup_compact(grid, snap.u, ref)
         else:
             d_l1 = d_sup = math.nan

@@ -396,13 +396,6 @@ class _Stepper:
         # trace rows between the fields hold 0 or False
         return np.maximum.reduceat(q, self.starts).tolist()
 
-    def _idle(self, a: np.ndarray, active: list) -> None:
-        # zero a's rows of the fields not active: with zero residual rows a
-        # field's increment is zero
-        for b in range(self.k):
-            if b not in active:
-                a[self.rows[b]] = 0.0
-
     def step(self, u_old: np.ndarray, t: float, dt: float,
              start: Optional[np.ndarray] = None) -> tuple[np.ndarray, list[int]]:
         """One implicit step of every field to t + dt; returns the flat state
@@ -416,18 +409,20 @@ class _Stepper:
         increment is within newton_tol in its scaled norm converges once
         u + delta clears the positivity floor, with no residual after it, so
         a start that close to the solution costs one residual and one solve.
-        The start's scaled residual norms are formed only when a damping veto
+        Otherwise the damping veto decides on the trial's scaled residual
+        norm, and a trial it accepts ends the field's iteration when its
+        increment lam delta or that residual norm is within newton_tol.  The
+        start's scaled residual norms are formed only when a damping veto
         reads them.  Backtracking halves one lam for the fields whose update
         is not yet accepted; an accepted update is kept.  With one field the
         norms are floats, with several lists over the fields.
 
-        A field fails when its update is not finite, its Newton stalls or its
-        positivity backtracking is exhausted.  The step then raises
-        _StepReject with the reason of the lowest failed field, as stepping
-        the fields one after another would: a failure drops every later
-        field, and the earlier ones iterate on.  A start that is not
-        positive and finite, or a failed linear solve, is a Newton failure
-        of the step.  The caller decides whether to shrink dt.
+        The first failure of any field raises _StepReject: "newton" for an
+        update that is not finite, a failed linear solve, a start that is not
+        positive and finite, or newton_max iterations without convergence; on
+        exhausted backtracking, the reason of the lowest field still
+        unsettled, "positivity" if its trial is below the floor, "newton" if
+        the damping veto refused it.  The caller decides whether to shrink dt.
         """
         cfg, k, rows = self.cfg, self.k, self.rows
         tol = cfg.newton_tol
@@ -457,24 +452,10 @@ class _Stepper:
         G, P = self._residual(u, uo_int, dt)
         iters = [0] * k  # a field's count, set when it converges
         active = self.field_ids  # the fields still iterating, in order
-        failed = None  # the reason of the lowest failed field
         # scaled residual norms of the current iterate: the start's are formed
         # only when a damping veto reads them, later ones come from the trial
         err0 = None
         for it in range(cfg.newton_max):
-            if it:
-                if k == 1:
-                    if err0 <= tol:
-                        iters[0] = it
-                        break
-                elif min(err0[b] for b in active) <= tol:
-                    for b in active:
-                        if err0[b] <= tol:
-                            iters[b] = it
-                    active = [b for b in active if not iters[b]]
-                    if not active:
-                        break
-                    self._idle(G, active)
             dF = P[1:-1] / u[1:-1]  # u^(m-1)
             # rows scaled by 1/dt; the four inputs are new arrays, so LAPACK
             # may overwrite them
@@ -485,26 +466,10 @@ class _Stepper:
             # scaled increment norms; nan or inf here is a non-finite update
             q = np.abs(delta) / scale
             u_int = u[1:-1]
-            if k == 1:
-                inc = float(q.max())
-                if not math.isfinite(inc):
-                    failed = "newton"
-                    break
-            else:
-                inc = self._maxima(q)
-                if not math.isfinite(sum(inc)):
-                    # the first such field fails and so do the later ones;
-                    # each rests at u_old with no increment
-                    failed = "newton"
-                    i = next(i for i, b in enumerate(active) if not math.isfinite(inc[b]))
-                    for b in active[i:]:
-                        delta[rows[b]] = G[rows[b]] = 0.0
-                        u_int[rows[b]] = uo_int[rows[b]]
-                    active = active[:i]
-                    if not active:
-                        break
+            inc = float(q.max()) if k == 1 else self._maxima(q)
+            if not math.isfinite(inc if k == 1 else sum(inc)):
+                raise _StepReject("newton")
             lam = 1.0
-            reason = "newton"
             pending = active  # the fields whose update is not yet settled
             u_try = np.empty_like(u)
             u_try[0], u_try[-1] = u[0], u[-1]
@@ -530,7 +495,7 @@ class _Stepper:
                     if err_try <= 2.0 * err0 or err_try <= tol:
                         # lam is a power of two, so lam * inc is the scaled
                         # norm of lam * delta
-                        if lam * inc <= tol:
+                        if lam * inc <= tol or err_try <= tol:
                             iters[0] = it + 1
                         break
                     reason = "newton"
@@ -555,7 +520,7 @@ class _Stepper:
                     err_try = self._maxima(np.abs(G_try) / scale)
                     for b in vetted:
                         if err_try[b] <= 2.0 * err0[b] or err_try[b] <= tol:
-                            if lam * inc[b] <= tol:
+                            if lam * inc[b] <= tol or err_try[b] <= tol:
                                 iters[b] = it + 1
                             else:
                                 kept.append(b)
@@ -571,28 +536,18 @@ class _Stepper:
                 pending = rest
                 lam *= 0.5
             else:
-                # backtracking exhausted: the field fails and so do the later
-                # ones; each rests at u_old
-                failed = reason
-                i = active.index(pending[0])
-                for b in active[i:]:
-                    trial[rows[b]] = uo_int[rows[b]]
-                active = active[:i]
+                raise _StepReject(reason)
             u = u_try
-            if k == 1:
-                if not active or iters[0]:
-                    break
-            else:
-                active = [b for b in active if not iters[b]]
-                if not active:
-                    break
-                self._idle(G_try, active)
+            if all(iters):
+                return u, iters
+            active = [b for b in active if not iters[b]]
+            # a converged field's residual rows are zeroed, so its increment
+            # is zero while the others iterate
+            for b in self.field_ids:
+                if iters[b]:
+                    G_try[rows[b]] = 0.0
             G, P, err0 = G_try, P_try, err_try
-        else:
-            raise _StepReject("newton")
-        if failed is not None:
-            raise _StepReject(failed)
-        return u, iters
+        raise _StepReject("newton")
 
 
 def _predict(states: Sequence[np.ndarray], hs: Sequence[float], dt: float,
@@ -1025,6 +980,9 @@ def convergence_experiment(profile: Profile, a0: float, a1: float, a2: float,
     if not t0 > 0:
         raise RangeError(f"t0 must be positive, got {t0}")
     tau_arr = np.asarray(tau_grid, dtype=float)
+    if np.any(tau_arr > _LOG_FLOAT_MAX):
+        raise RangeError(f"tau_grid passes log(float max) = {_LOG_FLOAT_MAX:.6g}: "
+                         f"t = e^tau overflows a float")
     # math.exp per tau: np.exp may round a target differently, and the steps follow the targets
     t_arr = _sample_times(np.vectorize(math.exp, otypes=[float])(tau_arr), t0, at_least=2)
 

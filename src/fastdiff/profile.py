@@ -90,7 +90,6 @@ class Profile:
     # is below e^(-40): it reads roundoff, not the far-field expansion
     far_field_gap: Optional[float] = None
     origin_levels: Optional[np.ndarray] = None
-    origin_fit_K: Optional[float] = None
     fp_residual: Optional[float] = None
     picard_iterations: Optional[int] = None
 
@@ -422,12 +421,7 @@ def recover_profile(profile: Profile) -> Profile:
         )
 
     far_gap = abs(float(wt[-1]) * math.exp(C1 * float(s[-1])) - profile.eta_inf)
-    # leading-correction fit |wbar - eta| <= K rho on a mid window
-    rho_fit = np.geomspace(1e-4, 1e-2, 25)
-    w_fit = wt_sp([s_of_rho(r) for r in rho_fit])
-    K = float(np.max(np.abs(w_fit - eta) / rho_fit))
-    return replace(profile, eta_origin=eta, far_field_gap=far_gap,
-                   origin_levels=A, origin_fit_K=K)
+    return replace(profile, eta_origin=eta, far_field_gap=far_gap, origin_levels=A)
 
 
 def rescale_profile(profile: Profile, lam: float) -> Profile:
@@ -450,7 +444,6 @@ def rescale_profile(profile: Profile, lam: float) -> Profile:
         eta_origin=None if profile.eta_origin is None else profile.eta_origin * kappa,
         far_field_gap=None if profile.far_field_gap is None else profile.far_field_gap * abs(kappa_inf),
         origin_levels=None if profile.origin_levels is None else profile.origin_levels * kappa,
-        origin_fit_K=None,
     )
 
 

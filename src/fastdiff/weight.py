@@ -18,8 +18,7 @@ from scipy.interpolate import CubicSpline
 from .errors import GridMismatchError, QuadratureError, RangeError
 from .numerics import Tolerances, integrate_table, lsoda_at, quad_adaptive
 
-__all__ = ["BumpSpec", "WeightFunction", "WeightedGrid", "build_weight", "eval_weight", "weighted_grid",
-           "weighted_l1_distance"]
+__all__ = ["BumpSpec", "WeightFunction", "WeightedGrid", "build_weight", "eval_weight", "weighted_grid"]
 
 TABLE_SIZE = 4096
 TABLE_RMIN = 1e-3
@@ -212,7 +211,9 @@ class WeightedGrid:
 
 
 def weighted_grid(w: WeightFunction, r) -> WeightedGrid:
-    """The per-grid part of weighted_l1_distance on the grid r."""
+    """The weighted distance's per-grid part on the grid r: a log-uniform
+    grid of at least 4 nodes (log_grid makes one), GridMismatchError
+    otherwise."""
     r = np.asarray(r, dtype=float)
     x = np.log(r)
     if x.ndim != 1 or x.size < 4 or not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-8, atol=0.0):
@@ -221,10 +222,3 @@ def weighted_grid(w: WeightFunction, r) -> WeightedGrid:
     return WeightedGrid(exp_nx=np.exp(n * x), phi=eval_weight(w, r)[0], dx=float(x[1] - x[0]),
                         omega=2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0))
 
-
-def weighted_l1_distance(w: WeightFunction, r, u, v, mode: str = "abs") -> float:
-    """Weighted distance between two fields u, v on the log-uniform grid r
-    of at least 4 nodes: the n-dimensional radial integral of |u-v| phi_mu
-    (or the positive part (u-v)+ phi_mu).  For many distances on one grid,
-    weighted_grid(w, r).distance(u, v, mode) does the per-grid work once."""
-    return weighted_grid(w, r).distance(u, v, mode)

@@ -345,11 +345,14 @@ class TestExitCodes:
         (["converge", "--tau-max", "-1"], "RangeError", "tau_max must be positive, got -1.0"),
         (["evolve", "--kind", "barenblatt", "--t-end", "8"],
          "RangeError", "t_end must stay below the extinction time 8.0"),
+        (["converge", "--tau-max", "1000"], "RangeError",
+         "tau_grid passes log(float max) = 709.783: t = e^tau overflows a float"),
     ])
     def test_empty_time_range_is_bad_input(self, argv, error, message, tmp_path):
         # evolve and contract share one rule for their sample times, converge
-        # refuses an empty log-time horizon, and a Barenblatt run must end
-        # before its extinction time, each before any step
+        # refuses an empty log-time horizon and one whose e^tau overflows,
+        # and a Barenblatt run must end before its extinction time, each
+        # before any step
         assert cli.main([*argv, "--n", "3", "--nodes", "16", "--out", str(tmp_path)]) == 2
         record = read_json(tmp_path / "error.json")
         assert (record["error"], record["message"]) == (error, message)

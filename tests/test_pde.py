@@ -405,6 +405,22 @@ class TestStepperKernel:
         assert iters == iters_ref == iters_expected
         assert np.array_equal(u_new, u_ref)
 
+    def test_last_permitted_iterate_converges_on_its_residual(self, grid128, params_ref, bb):
+        # at dt = 0.01 the first iterate's scaled residual (4.2e-6) is within
+        # newton_tol = 1e-4 and its increment (4.8e-3) is not.  With
+        # newton_max = 1 that iterate is the step's result: the reference,
+        # which tests the residual at the top of the next iteration, returns
+        # it with the same count when it may iterate on
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        left, right = field.bc
+        cfg = EvolveConfig(dt_init=0.01, dt_max=0.01, dt_min=0.01, newton_tol=1e-4, newton_max=1)
+        [out] = evolve(field, cfg, [1.01])
+        stepper = _Stepper(grid128, params_ref, EvolveConfig(newton_tol=1e-4), [field.bc])
+        u_ref, iters_ref, _ = _reference_step(stepper, field.u, 1.0, 1.01 - 1.0, left, right)
+        assert (out.stats.n_steps, out.stats.n_rejected) == (1, 0)
+        assert out.stats.newton_total == iters_ref == 1
+        assert np.array_equal(out.u, u_ref)
+
     @pytest.mark.parametrize("info, bad", [(1, 0.0), (0, math.nan), (0, math.inf)])
     def test_failed_linear_solve_is_newton_divergence(self, grid128, params_ref, bb,
                                                       monkeypatch, info, bad):
@@ -788,7 +804,9 @@ class TestFlatLockstep:
         ((None, "positivity"), (1, 1)),
         (("positivity", None), (1, 1)),
         (("newton", "positivity"), (1, 0)),
-        (("positivity", "newton"), (1, 1)),
+        # field 1's non-finite update rejects the step before field 0's
+        # backtracking is exhausted on positivity
+        (("positivity", "newton"), (1, 0)),
         (("positivity", "positivity"), (1, 1)),
         (("positivity", "veto"), (1, 1)),
         (("veto", "positivity"), (1, 0)),
@@ -797,8 +815,9 @@ class TestFlatLockstep:
         # the first solve fails one or both fields: a non-finite update
         # ("newton"), one that no lam lifts over the positivity floor, or
         # one whose residual the damping veto refuses at every lam.
-        # The step is rejected for both, with the reason of the lower failed
-        # field, and retried at dt/2 from u_old
+        # The step is rejected for both at the first failure, with the
+        # reason of the lowest field still unsettled when backtracking is
+        # exhausted, and retried at dt/2 from u_old
         field = _bb_field(bb, grid128, 1.0, params_ref)
         n = grid128.size
         kills = {"newton": lambda d, u: d * math.nan,
@@ -829,6 +848,26 @@ class TestFlatLockstep:
         assert all((st.n_rejected, st.n_rejected_positivity) == expected for st in stats)
         assert np.array_equal(march.fields()[0], march.fields()[1])
 
+    def test_first_failure_ends_the_step(self, grid128, params_ref, bb, monkeypatch):
+        # field 1's first update is not finite: the step is rejected after
+        # that one solve, while field 0, whose own step converges, is
+        # solved no further
+        field = _bb_field(bb, grid128, 1.0, params_ref)
+        n = grid128.size
+        calls = []
+
+        def corrupt(call, delta):
+            calls.append(call)
+            if call == 1:
+                delta[n:2 * n - 2] = math.nan
+            return delta
+
+        _patch_gtsv(monkeypatch, corrupt)
+        flat = _Stepper(grid128, params_ref, EvolveConfig(), [field.bc, field.bc])
+        with pytest.raises(_StepReject) as exc:
+            flat.step(np.concatenate([field.u, field.u]), 1.0, 0.01)
+        assert exc.value.reason == "newton"
+        assert calls == [1]
 
     def test_shared_traces_evaluated_once_per_step(self, grid128, params_ref, bb):
         # a sandwiched pair shares its upper envelope's traces: each distinct
@@ -1211,4 +1250,11 @@ class TestConvergenceExperiment:
     def test_horizon_too_long_for_grid(self, unit_eta_profile, weight_ref, grid192, cfg):
         with pytest.raises(RangeError):
             convergence_experiment(unit_eta_profile, 1.0, 1.0, 1.2, None, [0.0, 50.0],
+                                   cfg, weight=weight_ref, r_grid=grid192)
+
+    def test_tau_past_float_range_rejected(self, unit_eta_profile, weight_ref, grid192, cfg):
+        # e^tau overflows a float past tau = 709.78: refused before any step,
+        # where math.exp would raise a bare OverflowError
+        with pytest.raises(RangeError, match="overflows a float"):
+            convergence_experiment(unit_eta_profile, 1.0, 1.0, 1.2, None, [0.0, 1000.0],
                                    cfg, weight=weight_ref, r_grid=grid192)

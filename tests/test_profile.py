@@ -222,10 +222,6 @@ class TestRecoverProfile:
         assert base_profile.far_field_gap <= bound
         assert base_profile.far_field_gap <= 1e-10
 
-    def test_origin_fit_constant(self, base_profile):
-        assert np.isfinite(base_profile.origin_fit_K)
-        assert 0.0 < base_profile.origin_fit_K < 100.0
-
     def test_shallow_profile_rejected(self, tail_ref, fp_ref):
         shallow = continue_left(tail_ref, s_min=fp_ref.b1 - 10.0)
         with pytest.raises(ExtrapolationError):

@@ -13,7 +13,7 @@ from fastdiff import (
     RangeError,
     build_weight,
     eval_weight,
-    weighted_l1_distance,
+    weighted_grid,
 )
 
 # Reference values computed with mpmath at 30 significant digits via nested
@@ -215,25 +215,27 @@ class TestWeightedL1Distance:
         r = np.geomspace(0.01, 1.0, 161)
         u = 3.0 * r**-2
         v = 2.0 * r**-2
-        d = weighted_l1_distance(weight_ref, r, u, v)
+        d = weighted_grid(weight_ref, r).distance(u, v)
         assert d == pytest.approx(4.0 * math.pi * 0.99, rel=1e-6)
 
     def test_positive_part_mode(self, weight_ref):
         r = np.geomspace(0.01, 1.0, 161)
         u = 3.0 * r**-2
         v = 2.0 * r**-2
-        d_abs = weighted_l1_distance(weight_ref, r, u, v)
-        assert weighted_l1_distance(weight_ref, r, u, v, mode="positive-part") == d_abs
-        assert weighted_l1_distance(weight_ref, r, v, u, mode="positive-part") == 0.0
+        wgrid = weighted_grid(weight_ref, r)
+        d_abs = wgrid.distance(u, v)
+        assert wgrid.distance(u, v, mode="positive-part") == d_abs
+        assert wgrid.distance(v, u, mode="positive-part") == 0.0
 
     def test_positive_parts_sum_to_abs(self, weight_ref):
         rng = np.random.default_rng(7)
         r = np.geomspace(0.1, 20.0, 301)
         u = np.exp(-np.log(r) ** 2) * (1 + 0.5 * np.sin(3 * np.log(r)))
         v = np.exp(-np.log(r) ** 2) * (1 + 0.5 * np.cos(2 * np.log(r))) + 0.01 * rng.standard_normal(r.size)
-        d_abs = weighted_l1_distance(weight_ref, r, u, v)
-        d_pos = weighted_l1_distance(weight_ref, r, u, v, mode="positive-part")
-        d_neg = weighted_l1_distance(weight_ref, r, v, u, mode="positive-part")
+        wgrid = weighted_grid(weight_ref, r)
+        d_abs = wgrid.distance(u, v)
+        d_pos = wgrid.distance(u, v, mode="positive-part")
+        d_neg = wgrid.distance(v, u, mode="positive-part")
         assert d_pos + d_neg == pytest.approx(d_abs, rel=1e-13)
 
     def test_weight_actually_applied(self, weight_ref):
@@ -241,7 +243,7 @@ class TestWeightedL1Distance:
         r = np.geomspace(5.0, 50.0, 161)
         u = r**-2
         v = np.zeros_like(r)
-        d = weighted_l1_distance(weight_ref, r, u, v)
+        d = weighted_grid(weight_ref, r).distance(u, v)
         unweighted = 4.0 * math.pi * 45.0
         assert d < 0.8 * unweighted
         phi_min = float(eval_weight(weight_ref, r)[0].min())
@@ -250,22 +252,22 @@ class TestWeightedL1Distance:
     def test_grid_must_be_log_uniform(self, weight_ref):
         r = np.linspace(0.1, 1.0, 801)
         with pytest.raises(GridMismatchError):
-            weighted_l1_distance(weight_ref, r, r**-2, np.zeros_like(r))
+            weighted_grid(weight_ref, r).distance(r**-2, np.zeros_like(r))
         for size in (1, 3):
             short = np.geomspace(0.1, 1.0, size)
             with pytest.raises(GridMismatchError):
-                weighted_l1_distance(weight_ref, short, short**-2, np.zeros_like(short))
+                weighted_grid(weight_ref, short).distance(short**-2, np.zeros_like(short))
 
     def test_grid_mismatch_raises(self, weight_ref):
         r1 = np.geomspace(0.01, 1.0, 161)
         with pytest.raises(GridMismatchError):
-            weighted_l1_distance(weight_ref, r1, r1[:-1] ** -2, r1**-2)
+            weighted_grid(weight_ref, r1).distance(r1[:-1] ** -2, r1**-2)
         with pytest.raises(GridMismatchError):
-            weighted_l1_distance(weight_ref, r1, r1**-2, r1[:-1] ** -2)
+            weighted_grid(weight_ref, r1).distance(r1**-2, r1[:-1] ** -2)
         with pytest.raises(GridMismatchError):
-            weighted_l1_distance(weight_ref, r1, 3.0, r1**-2)
+            weighted_grid(weight_ref, r1).distance(3.0, r1**-2)
 
     def test_mode_validation(self, weight_ref):
         r = np.geomspace(0.01, 1.0, 161)
         with pytest.raises(RangeError):
-            weighted_l1_distance(weight_ref, r, r, r, mode="nope")
+            weighted_grid(weight_ref, r).distance(r, r, mode="nope")
