@@ -142,24 +142,10 @@ def _derived_block(o: dict, params: Optional[ParamSet],
     if params is not None:
         # the constants of the build itself: solve_for_eta builds at eta_inf = 1
         fp = derive_fp_constants(params, b1_margin=o["b1_margin"])
-        derived.update({
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "alpha_p": params.alpha_p,
-            "beta_p": params.beta_p,
-            "gamma_in_convergence_range": params.gamma_in_convergence_range,
-            "C1": params.C1,
-            "C2": fp.C2,
-            "C3": fp.C3,
-            "C4": fp.C4,
-            "C5": fp.C5,
-            "eps1": fp.eps1,
-            "b0": fp.b0,
-            "b1": fp.b1,
-            "a1": params.a1,
-            "a2": params.a2,
-            "a3": params.a3,
-        })
+        derived.update({f.name: getattr(params, f.name) for f in fields(params)
+                        if f.name not in ("n", "m", "gamma")})
+        derived["C1"] = params.C1
+        derived.update({f.name: getattr(fp, f.name) for f in fields(fp) if f.name != "params"})
     if weight is not None:
         derived.update({"a4": weight.a4, "a5": weight.a5, "mu": o["mu"]})
     return derived

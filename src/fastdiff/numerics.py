@@ -104,8 +104,8 @@ def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     split at a finite point and add the closed-form tail; the infinite-range
     path here is for integrands that decay fast enough on their own.
     """
-    if not tol > 0:
-        raise RangeError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise RangeError("tol must be positive and finite")
     value, abserr, info, *rest = _sint.quad(
         f, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT, full_output=True
     )

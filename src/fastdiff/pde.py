@@ -64,7 +64,7 @@ __all__ = [
 _SANDWICH_RTOL = 1e-8
 
 # Step-size control of the lockstep marcher: halve dt on a rejected step, grow
-# it by _DT_GROW after a step whose worst Newton count is <= _GROW_THRESHOLD.
+# it by _DT_GROW after a step whose Newton count is <= _GROW_THRESHOLD.
 _MAX_BACKTRACK = 10
 _DT_SHRINK = 0.5
 _DT_GROW = 1.3
@@ -130,19 +130,21 @@ class EvolveConfig:
 
     newton_tol is relative: the inner iteration stops once either the scaled
     residual of an updated iterate or the scaled increment drops below it;
-    the start's residual is not tested, so every step takes at least one
-    linear solve.  The scaled residual has a roundoff floor above the
-    default tolerance (7.7e-10 to 7.3e-7 over the steps of fdx converge's
-    orbit run, 640 nodes on [1e-3, 1e3]), so there the increment test ends
-    each step, one linear solve after the iterate has converged.  From u_old
-    that takes three or four solves: on fdx contract's 20 pair seeds (512
-    nodes) 7,404 of the 8,528 field-steps take four and 1,124 take three.  A
-    settled start that _Lockstep predicts in u is already within newton_tol
-    and takes one: 11,851 of the orbit run's 12,012 predicted steps.  No
-    residual follows a converged full increment: the step returns u + delta
-    once it clears the positivity floor, without the damping veto.  Each
-    Newton iteration takes one power, u^m: the residual's u^m/m and the
-    Jacobian's u^(m-1) = u^m/u both come from it.
+    both are maxima over every node of every field marched together, so
+    the fields of one step share one iteration count.  The start's residual
+    is not tested, so every step takes at least one linear solve.  The
+    scaled residual has a roundoff floor above the default tolerance
+    (7.7e-10 to 7.3e-7 over the steps of fdx converge's orbit run, 640 nodes
+    on [1e-3, 1e3]), so there the increment test ends each step, one linear
+    solve after the iterate has converged.  From u_old that takes three or
+    four solves: on fdx contract's 20 pair seeds (512 nodes) 3,706 of the
+    4,264 steps take four and 558 take three.  A settled start that
+    _Lockstep predicts in u is already within newton_tol and takes one:
+    11,851 of the orbit run's 12,012 predicted steps.  No residual follows a
+    converged full increment: the step returns u + delta once it clears the
+    positivity floor, without the damping veto.  Each Newton iteration takes
+    one power, u^m: the residual's u^m/m and the Jacobian's u^(m-1) = u^m/u
+    both come from it.
     dt_rel_max, when set, caps the step at dt_rel_max * t, which is the
     natural accuracy knob for runs spanning decades of time.
     """
@@ -238,8 +240,8 @@ def barenblatt(n: int, m: float, k: float, T: float) -> Callable:
         raise RangeError(f"dimension must be >= 3, got {n}")
     if not 0.0 < m < (n - 2) / n:
         raise RangeError(f"extinction regime requires 0 < m < (n-2)/n, got m={m}")
-    if not (k > 0 and T > 0):
-        raise RangeError("need k > 0 and T > 0")
+    if not (0 < k < math.inf and 0 < T < math.inf):
+        raise RangeError(f"k and T must be positive and finite, got k={k}, T={T}")
     c_star = 2.0 * (n - 2.0 - n * m) / (1.0 - m)
     beta1 = 1.0 / (n - 2.0 - n * m)
     alpha1 = (2.0 * beta1 + 1.0) / (1.0 - m)
@@ -308,14 +310,18 @@ class _Stepper:
     1/dt, no couplings, zero residual).  The matrix is block diagonal with
     zero seams, so one dgtsv call gives every block the bits of a solve of
     its own, and the residual, the Jacobian's diagonals and the norms each
-    run once over contiguous memory.  Each field keeps its own Newton
-    iteration: its convergence tests, its positivity backtracking and its
-    damping veto read its own maxima of the flat arrays: one
-    np.maximum.reduceat per quantity, or with one field a plain max.
-    A field that converges is frozen: it keeps its result and its count, and
-    its residual rows are zeroed, so its increment is zero while the others
-    iterate.  So every field's iterates and count are those of a step of its
-    own, and k = 1 is the single-field step.
+    run once over contiguous memory.  One Newton iteration solves the whole
+    system: its convergence tests, its positivity backtracking and its
+    damping veto read maxima over all rows, so the fields share one lam and
+    one iteration count, and k = 1 is the single-field step.  A field whose
+    own iteration would have stopped takes roundoff-sized increments until
+    the slowest field converges, which moves it by far less than newton_tol
+    (at most 5.8e-14 relative for a constant state stepped next to a
+    sandwiched field, against the default 1e-11).  Newton converges on the
+    backward-Euler solution of every field, and the weighted-L1 contraction
+    of sandwiched pairs is a property of that solution (the discrete
+    comparison principle of the M-matrix step), not of the path Newton
+    takes to it.
     """
 
     def __init__(self, r_grid: np.ndarray, params: ParamSet, cfg: EvolveConfig,
@@ -350,11 +356,7 @@ class _Stepper:
         self.bcs = bcs
         self.trace_fns = list(dict.fromkeys(fn for bc in bcs for fn in bc))
         self.trace_of = [self.trace_fns.index(fn) for bc in bcs for fn in bc]
-        self.field_ids = list(range(k))
         self.trace_nodes = np.arange(k).repeat(2) * n + np.tile([0, n - 1], k)
-        # field b's interior rows of the flat system, and where its rows start
-        self.rows = [slice(b * n, b * n + n - 2) for b in range(k)]
-        self.starts = np.arange(k) * n
 
         def flat(per_node):
             # a per-node coefficient of one field, zero on the trace nodes,
@@ -391,44 +393,38 @@ class _Stepper:
         G -= LF
         return G, P
 
-    def _maxima(self, q: np.ndarray) -> list:
-        # the maximum of q over each field's rows, a nan propagating; the
-        # trace rows between the fields hold 0 or False
-        return np.maximum.reduceat(q, self.starts).tolist()
-
     def step(self, u_old: np.ndarray, t: float, dt: float,
-             start: Optional[np.ndarray] = None) -> tuple[np.ndarray, list[int]]:
+             start: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
         """One implicit step of every field to t + dt; returns the flat state
-        and each field's Newton iteration count.
+        and the Newton iteration count, which all fields share.
 
         Newton starts from u_old, or from start when given: a flat array the
         step may overwrite, whose interior is the first iterate (its traces
         are set here).  Each iteration solves the flat system with its rows
         scaled by 1/dt, J/dt delta = -G/dt, so the stored couplings carry no
-        dt and u^(m-1) comes from the residual's u^m.  A field whose full
-        increment is within newton_tol in its scaled norm converges once
-        u + delta clears the positivity floor, with no residual after it, so
-        a start that close to the solution costs one residual and one solve.
-        Otherwise the damping veto decides on the trial's scaled residual
-        norm, and a trial it accepts ends the field's iteration when its
-        increment lam delta or that residual norm is within newton_tol.  The
-        start's scaled residual norms are formed only when a damping veto
-        reads them.  Backtracking halves one lam for the fields whose update
-        is not yet accepted; an accepted update is kept.  With one field the
-        norms are floats, with several lists over the fields.
+        dt and u^(m-1) comes from the residual's u^m.  Every rule reads one
+        maximum over all rows of the flat system.  A full increment within
+        newton_tol in the scaled norm ends the step once u + delta clears the
+        positivity floor, with no residual after it, so a start that close to
+        the solution costs one residual and one solve.  Otherwise the damping
+        veto decides on the trial's scaled residual norm, and a trial it
+        accepts ends the step when its increment lam delta or that residual
+        norm is within newton_tol.  The start's scaled residual norm is formed
+        only when a damping veto reads it.  Backtracking halves one lam for
+        all fields.
 
-        The first failure of any field raises _StepReject: "newton" for an
-        update that is not finite, a failed linear solve, a start that is not
-        positive and finite, or newton_max iterations without convergence; on
-        exhausted backtracking, the reason of the lowest field still
-        unsettled, "positivity" if its trial is below the floor, "newton" if
-        the damping veto refused it.  The caller decides whether to shrink dt.
+        The first failure raises _StepReject: "newton" for an update that is
+        not finite, a failed linear solve, a start that is not positive and
+        finite, or newton_max iterations without convergence; on exhausted
+        backtracking, "positivity" if the last trial is below the floor,
+        "newton" if the damping veto refused it.  The caller decides whether
+        to shrink dt.
         """
-        cfg, k, rows = self.cfg, self.k, self.rows
+        cfg = self.cfg
         tol = cfg.newton_tol
         t_new = t + dt
         u = u_old.copy() if start is None else start
-        if k == 1:
+        if self.k == 1:
             bc_left, bc_right = self.bcs[0]
             traces = [float(bc_left(t_new)), float(bc_right(t_new))]
             u[0], u[-1] = traces
@@ -450,10 +446,8 @@ class _Stepper:
         floor = 1e-8 * scale
         rdt, mrdt = 1.0 / dt, -1.0 / dt
         G, P = self._residual(u, uo_int, dt)
-        iters = [0] * k  # a field's count, set when it converges
-        active = self.field_ids  # the fields still iterating, in order
-        # scaled residual norms of the current iterate: the start's are formed
-        # only when a damping veto reads them, later ones come from the trial
+        # scaled residual norm of the current iterate: the start's is formed
+        # only when a damping veto reads it, later ones come from the trial
         err0 = None
         for it in range(cfg.newton_max):
             dF = P[1:-1] / u[1:-1]  # u^(m-1)
@@ -463,90 +457,41 @@ class _Stepper:
                                              self.nhi * dF[1:], G * mrdt, True, True, True, True)
             if info != 0:
                 raise _StepReject("newton")
-            # scaled increment norms; nan or inf here is a non-finite update
-            q = np.abs(delta) / scale
-            u_int = u[1:-1]
-            inc = float(q.max()) if k == 1 else self._maxima(q)
-            if not math.isfinite(inc if k == 1 else sum(inc)):
+            # scaled increment norm; nan or inf here is a non-finite update
+            inc = float((np.abs(delta) / scale).max())
+            if not math.isfinite(inc):
                 raise _StepReject("newton")
+            u_int = u[1:-1]
             lam = 1.0
-            pending = active  # the fields whose update is not yet settled
             u_try = np.empty_like(u)
             u_try[0], u_try[-1] = u[0], u[-1]
             trial = u_try[1:-1]
             for _ in range(_MAX_BACKTRACK + 1):
                 np.add(u_int, delta if lam == 1.0 else lam * delta, out=trial)
-                below = trial <= floor
-                if k == 1:
-                    if np.count_nonzero(below):
-                        reason = "positivity"
-                        lam *= 0.5
-                        continue
-                    if lam == 1.0 and inc <= tol:
-                        # a converged full increment ends the step: no trial
-                        # residual, so no damping veto on a roundoff-sized update
-                        iters[0] = it + 1
-                        break
-                    if err0 is None:
-                        err0 = float((np.abs(G) / scale).max())
-                    G_try, P_try = self._residual(u_try, uo_int, dt)
-                    err_try = float((np.abs(G_try) / scale).max())
-                    # damped Newton: allow mild non-monotonicity, veto blow-up
-                    if err_try <= 2.0 * err0 or err_try <= tol:
-                        # lam is a power of two, so lam * inc is the scaled
-                        # norm of lam * delta
-                        if lam * inc <= tol or err_try <= tol:
-                            iters[0] = it + 1
-                        break
-                    reason = "newton"
+                if np.count_nonzero(trial <= floor):
+                    reason = "positivity"
                     lam *= 0.5
                     continue
-                # several fields: the same rules field by field
-                low = self._maxima(below) if np.count_nonzero(below) else None
-                vetted = []
-                for b in pending:
-                    if low and low[b]:
-                        # keeps the trial residual finite on these rows
-                        trial[rows[b]] = u_int[rows[b]]
-                    elif lam == 1.0 and inc[b] <= tol:
-                        iters[b] = it + 1
-                    else:
-                        vetted.append(b)
-                kept = []
-                if vetted:
-                    if err0 is None:
-                        err0 = self._maxima(np.abs(G) / scale)
-                    G_try, P_try = self._residual(u_try, uo_int, dt)
-                    err_try = self._maxima(np.abs(G_try) / scale)
-                    for b in vetted:
-                        if err_try[b] <= 2.0 * err0[b] or err_try[b] <= tol:
-                            if lam * inc[b] <= tol or err_try[b] <= tol:
-                                iters[b] = it + 1
-                            else:
-                                kept.append(b)
-                rest = [b for b in pending if not iters[b] and b not in kept]
-                if not rest:
+                if lam == 1.0 and inc <= tol:
+                    # a converged full increment ends the step: no trial
+                    # residual, so no damping veto on a roundoff-sized update
+                    return u_try, it + 1
+                if err0 is None:
+                    err0 = float((np.abs(G) / scale).max())
+                G, P = self._residual(u_try, uo_int, dt)
+                err_try = float((np.abs(G) / scale).max())
+                # damped Newton: allow mild non-monotonicity, veto blow-up
+                if err_try <= 2.0 * err0 or err_try <= tol:
+                    # lam is a power of two, so lam * inc is the scaled norm
+                    # of lam * delta
+                    if lam * inc <= tol or err_try <= tol:
+                        return u_try, it + 1
                     break
-                reason = "positivity" if low and low[rest[0]] else "newton"
-                # a settled field keeps this trial, the rest halve lam
-                for b in pending:
-                    if b not in rest:
-                        u_int[rows[b]] = trial[rows[b]]
-                        delta[rows[b]] = 0.0
-                pending = rest
+                reason = "newton"
                 lam *= 0.5
             else:
                 raise _StepReject(reason)
-            u = u_try
-            if all(iters):
-                return u, iters
-            active = [b for b in active if not iters[b]]
-            # a converged field's residual rows are zeroed, so its increment
-            # is zero while the others iterate
-            for b in self.field_ids:
-                if iters[b]:
-                    G_try[rows[b]] = 0.0
-            G, P, err0 = G_try, P_try, err_try
+            u, err0 = u_try, err_try
         raise _StepReject("newton")
 
 
@@ -590,19 +535,19 @@ class _Lockstep:
     contraction argument apply to evolved pairs; a single field marches alone.
     The fields are held end to end in one flat state, u, which one _Stepper
     advances as one system; each accepted step makes a new array, so a state
-    is never written after it is accepted.  Step counts are shared; Newton
-    totals, min_u and ab_max are per field.  A rejection in any field rejects
-    the step for all of them.
+    is never written after it is accepted.  Step and Newton counts are
+    shared, so every field's newton_total is the same; min_u and ab_max are
+    per field.  A rejection anywhere rejects the step for all fields.
 
     On a step whose size a cap sets (dt_max or dt_rel_max * t, not the
-    Newton-count growth rule), each field's Newton iteration starts from the
-    polynomial in u of degree _PREDICT_DEGREE through its last accepted
-    states, at their own step sizes (fewer states, lower degree; Hairer &
-    Wanner, Solving ODEs II, IV.8).  Once it has settled, that start is within
+    Newton-count growth rule), Newton starts from the polynomial in u of
+    degree _PREDICT_DEGREE through each field's last accepted states, at
+    their own step sizes (fewer states, lower degree; Hairer & Wanner,
+    Solving ODEs II, IV.8).  Once it has settled, that start is within
     newton_tol of the step's solution, so the step takes one linear solve.
-    A step the growth rule sizes starts from u_old: there the worst Newton
-    count over the fields picks the next dt, and a cheaper start would let dt
-    grow further.  Such steps only keep references to the accepted states.
+    A step the growth rule sizes starts from u_old: there the step's Newton
+    count picks the next dt, and a cheaper start would let dt grow further.
+    Such steps only keep references to the accepted states.
     """
 
     def __init__(self, fields: Sequence[RadialField], params: ParamSet, cfg: EvolveConfig):
@@ -629,7 +574,7 @@ class _Lockstep:
         self.past = [self.u]
         self.hs: list[float] = []
         self.n_steps = self.n_rejected = self.n_rejected_positivity = 0
-        self.newton = [0] * self.k
+        self.newton_total = 0
         self.min_u = [float(np.min(f.u)) for f in fields]
         self.ab_max = [-math.inf] * self.k
 
@@ -681,7 +626,7 @@ class _Lockstep:
             for i in range(k):
                 self.ab_max[i] = max(self.ab_max[i], gain * rel_max[i] - 1.0)
                 self.min_u[i] = min(self.min_u[i], u_min[i])
-                self.newton[i] += iters[i]
+            self.newton_total += iters
             self.u = u_new
             self.past = [u_new] + self.past[:_PREDICT_DEGREE]
             self.hs = [dt] + self.hs[:_PREDICT_DEGREE - 1]
@@ -689,7 +634,7 @@ class _Lockstep:
             # a remainder clamped onto t_target says nothing about the step
             # size: dt stays, so a cap that sized the steps before still does
             if not clamped:
-                self.dt = min(dt * _DT_GROW, cfg.dt_max) if max(iters) <= _GROW_THRESHOLD else dt
+                self.dt = min(dt * _DT_GROW, cfg.dt_max) if iters <= _GROW_THRESHOLD else dt
             t = t_new
             if self.n_steps > _MAX_STEPS:
                 raise ToleranceError(
@@ -705,7 +650,7 @@ class _Lockstep:
             n_steps=self.n_steps,
             n_rejected=self.n_rejected,
             n_rejected_positivity=self.n_rejected_positivity,
-            newton_total=self.newton[i],
+            newton_total=self.newton_total,
             dt_final=self.dt,
             min_u=self.min_u[i],
             ab_max=self.ab_max[i],
@@ -783,12 +728,14 @@ def power_bump_initial(params: ParamSet, a0: float, amp: float = 0.10,
     start; steeper bumps can push the outer inflection of u^m above that
     threshold.
     """
-    if not a0 > 0:
-        raise RangeError(f"a0 must be positive, got {a0}")
-    if not amp > -1.0:
-        raise RangeError(f"amp must exceed -1 for positivity, got {amp}")
-    if not width > 0:
-        raise RangeError(f"width must be positive, got {width}")
+    if not 0 < a0 < math.inf:
+        raise RangeError(f"a0 must be positive and finite, got {a0}")
+    if not -1.0 < amp < math.inf:
+        raise RangeError(f"amp must be finite and exceed -1 for positivity, got {amp}")
+    if not math.isfinite(center):
+        raise RangeError(f"center must be finite, got {center}")
+    if not 0 < width < math.inf:
+        raise RangeError(f"width must be positive and finite, got {width}")
     gamma = params.gamma
 
     def u0(r):

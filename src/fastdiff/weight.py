@@ -87,8 +87,8 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     """Construct phi_mu: a4/a5 by adaptive quadrature, dense table on [1e-3, 2],
     analytic branch beyond 2, and the computed radius R0 past which the
     two-sided power-law bounds on (phi, phi') hold."""
-    if not quad_tol > 0:
-        raise RangeError("quad_tol must be positive")
+    if not 0 < quad_tol < math.inf:
+        raise RangeError("quad_tol must be positive and finite")
     n, mu = spec.n, spec.mu
     # quad misses 1e-14 from n = 5 on but meets 1e-13 up to n = 16, so the
     # inner target stays two digits inside quad_tol down to that floor

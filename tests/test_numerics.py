@@ -262,8 +262,9 @@ class TestQuadAdaptive:
         assert abs(got) < 1e-10
 
     def test_bad_tol_raises(self):
-        with pytest.raises(RangeError):
-            quad_adaptive(lambda x: x, 0.0, 1.0, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(RangeError):
+                quad_adaptive(lambda x: x, 0.0, 1.0, tol=tol)
 
 
 class TestCompositeRules:

@@ -133,6 +133,11 @@ class TestBarenblatt:
             barenblatt(3, 0.2, 0.0, 8.0)
         with pytest.raises(RangeError):
             barenblatt(3, 0.2, 1.0, -1.0)
+        # an infinite k gives a field that is identically 0, an infinite T
+        # one that evaluates to nan
+        for k, T in ((math.inf, 8.0), (1.0, math.inf), (math.nan, 8.0), (1.0, math.nan)):
+            with pytest.raises(RangeError):
+                barenblatt(3, 0.2, k, T)
 
     def test_time_domain(self, bb):
         with pytest.raises(RangeError):
@@ -363,7 +368,7 @@ class TestStepperKernel:
         stepper = _Stepper(grid128, params_ref, EvolveConfig(), [field.bc])
         left, right = field.bc
         for dt in (1e-3, 0.05):
-            u_new, [iters] = stepper.step(field.u, 1.0, dt)
+            u_new, iters = stepper.step(field.u, 1.0, dt)
             u_ref, iters_ref, _ = _reference_step(stepper, field.u, 1.0, dt, left, right)
             assert iters == iters_ref >= 2
             assert np.array_equal(u_new, u_ref)
@@ -371,7 +376,7 @@ class TestStepperKernel:
         # tested, so the step still takes one solve
         const = np.full(grid128.size, 2.5)
         stepper = _Stepper(grid128, params_ref, EvolveConfig(), [(lambda t: 2.5, lambda t: 2.5)])
-        u_new, [iters] = stepper.step(const, 1.0, 1e-3)
+        u_new, iters = stepper.step(const, 1.0, 1e-3)
         u_ref, iters_ref, _ = _reference_step(stepper, const, 1.0, 1e-3,
                                               lambda t: 2.5, lambda t: 2.5)
         assert iters == iters_ref == 1
@@ -382,7 +387,7 @@ class TestStepperKernel:
         u, t = orbit.u, 1.0
         for _ in range(400):
             dt = 2.5e-4 * t
-            u_new, [iters] = stepper.step(u, t, dt)
+            u_new, iters = stepper.step(u, t, dt)
             u_ref, iters_ref, _ = _reference_step(stepper, u, t, dt, left, right)
             assert iters == iters_ref >= 2
             assert np.array_equal(u_new, u_ref)
@@ -399,7 +404,7 @@ class TestStepperKernel:
         u0 = power_bump_initial(params_ref, 1.0, amp=3.0)(grid128)
         left, right = (lambda t: float(u0[0])), (lambda t: float(u0[-1]))
         stepper = _Stepper(grid128, params_ref, EvolveConfig(newton_tol=newton_tol), [(left, right)])
-        u_new, [iters] = stepper.step(u0, 1.0, 0.2)
+        u_new, iters = stepper.step(u0, 1.0, 0.2)
         u_ref, iters_ref, damped = _reference_step(stepper, u0, 1.0, 0.2, left, right)
         assert damped
         assert iters == iters_ref == iters_expected
@@ -485,7 +490,7 @@ class TestStepperKernel:
             t += dt_prev
         hs = [dt_prev] * 3
         start = _predict(states, hs, dt, 1)
-        u_new, [iters] = stepper.step(states[0], t, dt, start)
+        u_new, iters = stepper.step(states[0], t, dt, start)
         u_ref, iters_ref, _ = _reference_step(stepper, states[0], t, dt, left, right)
         assert iters < iters_ref
         assert np.max(np.abs(u_new - u_ref) / u_ref) <= 1e-10
@@ -551,14 +556,14 @@ class TestStepperKernel:
 
 
 def _record_steps(monkeypatch):
-    """Wrap _Stepper.step; each call appends (t, dt, start given, worst
-    iteration count over the fields)."""
+    """Wrap _Stepper.step; each call appends (t, dt, start given, Newton
+    iteration count)."""
     calls = []
     step = _Stepper.step
 
     def recording(self, u_old, t, dt, *start):
         u_new, iters = step(self, u_old, t, dt, *start)
-        calls.append((t, dt, bool(start) and start[0] is not None, max(iters)))
+        calls.append((t, dt, bool(start) and start[0] is not None, iters))
         return u_new, iters
 
     monkeypatch.setattr(_Stepper, "step", recording)
@@ -603,7 +608,7 @@ class TestNewtonPredictor:
         def counted(self, u_old, t, dt, start=None):
             before = n_residuals[0]
             u_new, iters = step(self, u_old, t, dt, start)
-            per_step.append((t, dt, start is not None, *iters, n_residuals[0] - before))
+            per_step.append((t, dt, start is not None, iters, n_residuals[0] - before))
             return u_new, iters
 
         monkeypatch.setattr(_Stepper, "_residual", counting)
@@ -689,8 +694,9 @@ def _sandwich_fields(profile, grid, seed):
 def _flat_and_single_steps(fields, params, cfg, dts, predict):
     """Step the fields as one flat system and each alone through the same
     step sizes; with predict, every step after the first starts from the
-    cubic through the accepted states.  Returns per step (flat u, flat
-    counts, [single u], [single counts])."""
+    cubic through the accepted states.  Returns per step (flat u, [the flat
+    step's count] * k, which is what each field's newton_total takes,
+    [single u], [single counts])."""
     k, n = len(fields), fields[0].u.size
     flat = _Stepper(fields[0].r_grid, params, cfg, [f.bc for f in fields])
     singles = [_Stepper(f.r_grid, params, cfg, [f.bc]) for f in fields]
@@ -705,7 +711,7 @@ def _flat_and_single_steps(fields, params, cfg, dts, predict):
                 assert np.array_equal(start.reshape(k, n)[b, 1:-1], starts[b][1:-1])
         u, iters = flat.step(past[0], t, dt, start)
         stepped = [s.step(p[0], t, dt, st) for s, p, st in zip(singles, pasts, starts)]
-        out.append((u, iters, [v for v, _ in stepped], [c for _, [c] in stepped]))
+        out.append((u, [iters] * k, [v for v, _ in stepped], [c for _, c in stepped]))
         past = [u] + past[:3]
         pasts = [[v] + p[:3] for (v, _), p in zip(stepped, pasts)]
         hs = [dt] + hs[:2]
@@ -738,45 +744,67 @@ class TestFlatLockstep:
         assert max(max(iters) for _, iters, _, _ in capped[4:]) <= 2
 
     def test_fields_converge_at_different_counts(self, unit_eta_profile, params_ref):
-        # a constant state converges on its first solve while the sandwiched
-        # field takes three or four: the constant keeps its state and count
-        # while the other iterates on, and each equals its own step
+        # a constant state converges on its first solve when stepped alone,
+        # while a sandwiched field takes three or four.  The flat step takes
+        # the larger count: the constant field iterates on with roundoff-sized
+        # increments and stays within newton_tol of its own step (5.8e-14 at
+        # most), while the other fields equal their own steps bit for bit
         grid = log_grid(1e-2, 1e2, 128)
         const = RadialField(grid, np.full(128, 2.5), 1.0, (lambda t: 2.5, lambda t: 2.5),
                             params_ref)
         for fields in ([const, _sandwich_fields(unit_eta_profile, grid, 1)[0]],
                        _sandwich_fields(unit_eta_profile, grid, 1)[:2] + [const]):
+            c = next(i for i, f in enumerate(fields) if f is const)
             steps = _flat_and_single_steps(fields, params_ref, EvolveConfig(),
                                            [1e-3 * 1.3**j for j in range(10)], predict=False)
             for u, iters, us, counts in steps:
-                assert iters == counts
-                assert iters[next(i for i, f in enumerate(fields) if f is const)] == 1 < max(iters)
-                assert np.array_equal(u, np.concatenate(us))
+                assert counts[c] == 1 < max(counts)
+                assert iters == [max(counts)] * len(fields)
+                for b, (part, own) in enumerate(zip(u.reshape(len(fields), -1), us)):
+                    if b == c:
+                        assert np.max(np.abs(part - own) / own) <= 1e-11
+                    else:
+                        assert np.array_equal(part, own)
 
     @pytest.mark.parametrize("newton_tol, iters_expected", [(1e-11, 6), (0.5, 1)])
     def test_damping_veto_in_one_field(self, grid128, params_ref, bb, newton_tol, iters_expected):
         # a rough datum at dt = 0.2, whose first update the damping veto
-        # halves, next to the smooth Barenblatt field: each keeps the bits
-        # and the count of its own step.  At newton_tol = 0.5 the damped
-        # increment ends the rough field's step, so the lam factor of the
-        # increment test decides its count
+        # halves, next to the smooth Barenblatt field: the veto reads the
+        # residual over both fields, so both take the halved update, and the
+        # step takes the rough field's count.  The rough field keeps the bits
+        # of its own step.  At newton_tol = 1e-11 the full updates that follow
+        # bring the smooth field within newton_tol of its own step (4.7e-15).
+        # At newton_tol = 0.5 the damped increment ends the step, so the
+        # smooth field keeps half of its first update, 5.5e-2 from its own
+        # step, which takes the full one
         rough = power_bump_initial(params_ref, 1.0, amp=3.0)(grid128)
         fields = [RadialField(grid128, rough, 1.0, (lambda t: float(rough[0]),
                                                    lambda t: float(rough[-1])), params_ref),
                   _bb_field(bb, grid128, 1.0, params_ref)]
         for order in (fields, fields[::-1]):
+            r = 0 if order is fields else 1
             [(u, iters, us, counts)] = _flat_and_single_steps(
                 order, params_ref, EvolveConfig(newton_tol=newton_tol), [0.2], predict=False)
-            assert iters == counts
-            assert iters[0 if order is fields else 1] == iters_expected
-            assert np.array_equal(u, np.concatenate(us))
+            assert iters == [counts[r]] * 2 == [iters_expected] * 2
+            parts = u.reshape(2, -1)
+            assert np.array_equal(parts[r], us[r])
+            smooth, smooth0 = parts[1 - r], order[1 - r].u
+            if newton_tol < 0.5:
+                assert np.max(np.abs(smooth - us[1 - r]) / us[1 - r]) <= 1e-11
+            else:
+                assert counts[1 - r] == 1
+                half = 0.5 * (us[1 - r] - smooth0)[1:-1]
+                assert np.allclose((smooth - smooth0)[1:-1], half, rtol=1e-12, atol=0.0)
+                assert np.max(np.abs(smooth - us[1 - r]) / us[1 - r]) > 1e-2
 
     def test_positivity_backtrack_in_one_field(self, grid128, params_ref, bb, unit_eta_profile,
                                                monkeypatch):
-        # a first increment of -2 u on one field's rows: that field halves
-        # lam past the positivity floor and on through the damping veto, as
-        # its own step does under the same increment; the other field keeps
-        # the bits and the count of its unpatched step
+        # a first increment of -2 u on one field's rows: the step halves the
+        # one lam past the positivity floor and on through the damping veto,
+        # so the other field takes the same damped first update.  Both fields
+        # then take the step's six solves, more than either's own step (3 for
+        # the patched field alone, 4 for the other), and each ends within
+        # newton_tol of its own step
         field = _bb_field(bb, grid128, 1.0, params_ref)
         other = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
         n, cfg = grid128.size, EvolveConfig()
@@ -794,11 +822,12 @@ class TestFlatLockstep:
         _patch_gtsv(monkeypatch, corrupt)
         single = _Stepper(grid128, params_ref, cfg, [field.bc])
         flat = _Stepper(grid128, params_ref, cfg, [field.bc, other.bc])
-        u_one, [it_one] = single.step(field.u, 1.0, 0.01)
+        u_one, it_one = single.step(field.u, 1.0, 0.01)
         u, iters = flat.step(np.concatenate([field.u, other.u]), 1.0, 0.01)
-        assert it_one > base[1][0]
-        assert iters == [it_one, plain[1][0]]
-        assert np.array_equal(u, np.concatenate([u_one, plain[0]]))
+        assert it_one > base[1]
+        assert iters == 6 > max(it_one, plain[1])
+        assert np.max(np.abs(u[:n] - u_one) / u_one) <= 1e-11
+        assert np.max(np.abs(u[n:] - plain[0]) / plain[0]) <= 1e-11
 
     @pytest.mark.parametrize("bad, expected", [
         ((None, "positivity"), (1, 1)),
@@ -809,15 +838,16 @@ class TestFlatLockstep:
         (("positivity", "newton"), (1, 0)),
         (("positivity", "positivity"), (1, 1)),
         (("positivity", "veto"), (1, 1)),
-        (("veto", "positivity"), (1, 0)),
+        (("veto", "positivity"), (1, 1)),
     ])
     def test_rejection_in_any_field(self, grid128, params_ref, bb, monkeypatch, bad, expected):
         # the first solve fails one or both fields: a non-finite update
         # ("newton"), one that no lam lifts over the positivity floor, or
         # one whose residual the damping veto refuses at every lam.
-        # The step is rejected for both at the first failure, with the
-        # reason of the lowest field still unsettled when backtracking is
-        # exhausted, and retried at dt/2 from u_old
+        # The step is rejected for both at the first failure and retried at
+        # dt/2 from u_old.  Exhausted backtracking is a positivity rejection
+        # when a trial of either field is below the floor, since that test
+        # comes before the damping veto
         field = _bb_field(bb, grid128, 1.0, params_ref)
         n = grid128.size
         kills = {"newton": lambda d, u: d * math.nan,
@@ -1029,6 +1059,11 @@ class TestPowerBump:
             power_bump_initial(params_ref, 1.0, amp=-1.0)
         with pytest.raises(RangeError):
             power_bump_initial(params_ref, 1.0, width=0.0)
+        for bad in ({"a0": math.inf}, {"amp": math.inf}, {"center": math.inf},
+                    {"center": -math.inf}, {"width": math.inf}, {"a0": math.nan},
+                    {"amp": math.nan}, {"center": math.nan}, {"width": math.nan}):
+            with pytest.raises(RangeError):
+                power_bump_initial(params_ref, **{"a0": 1.0, **bad})
 
     def test_support_and_amplitude(self, params_ref):
         amp, center, width = 0.10, -1.2, 2.0

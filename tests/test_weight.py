@@ -105,6 +105,10 @@ class TestNormalizationOracle:
             build_weight(BumpSpec(mu=0.5, n=3), quad_tol=0.0)
         with pytest.raises(RangeError):
             build_weight(BumpSpec(mu=0.5, n=3), quad_tol=-1e-10)
+        # an infinite tolerance would leave the table/closed-form seam check
+        # (50 max(quad_tol, 1e-12)) nothing to reject
+        with pytest.raises(RangeError):
+            build_weight(BumpSpec(mu=0.5, n=3), quad_tol=math.inf)
 
 
 class TestEvalWeight:
