@@ -255,11 +255,10 @@ def inversion_report(profile: Profile) -> InversionReport:
     ds = float(sig[1] - sig[0])
     s_grid = profile.s_grid
     logwt_sp = CubicSpline(s_grid, np.log(profile.wt))
-    h_sp = CubicSpline(s_grid, profile.h)
 
     log_g = -C1 * sig + logwt_sp(-sig)
     g = np.exp(log_g)
-    h_rev = h_sp(-sig)
+    h_rev = CubicSpline(s_grid, profile.h)(-sig)   # spline not kept: peak memory
     g_sigma = -g * h_rev
     Gamma_sigma = -(g ** m) * h_rev
 
@@ -285,7 +284,7 @@ def inversion_report(profile: Profile) -> InversionReport:
     # LSODA's noise, which continue_left floors to -1e-250.
     # C1 g + g_sigma = g (C1 - h(-sigma)) = -g z(-sigma), formed from z
     # itself: C1 - h cancels to roundoff once |z| is below an ulp of C1
-    z_rev = CubicSpline(s_grid, profile.z)(-sig)
+    z_rev = profile.z_spline(-sig)
     comb = -g * z_rev
     min_comb = float(np.min(comb / g))
     if min_comb < -1e-12:
@@ -336,10 +335,9 @@ def origin_series_report(profile: Profile, eta: float) -> SeriesReport:
 
     # r^(gamma+1) f_r = wt (z - gamma); extrapolate its rho -> 0 limit and
     # the coefficient of the next term
-    z_sp = CubicSpline(s, profile.z)
     def L(rho_v):
         sv = math.log(rho_v) / c
-        return float(wt_sp(sv) * (z_sp(sv) - p.gamma))
+        return float(wt_sp(sv) * (profile.z_spline(sv) - p.gamma))
     rho_lev = 1e-3 / 2.0 ** np.arange(6)
     lev = np.array([L(r) for r in rho_lev])
     fr_limit = float(_richardson(lev, 1)[-1])

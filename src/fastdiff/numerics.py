@@ -9,6 +9,7 @@ live here as well.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -99,6 +100,7 @@ def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, tol: Tolerances = Toleranc
 
 def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod integral of f over [a, b]; b may be math.inf.
+    RangeError unless -inf < a < b <= inf and tol is positive and finite.
 
     Callers with semi-infinite ranges and known analytic tails are expected to
     split at a finite point and add the closed-form tail; the infinite-range
@@ -106,6 +108,8 @@ def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     """
     if not 0 < tol < math.inf:
         raise RangeError("tol must be positive and finite")
+    if not -math.inf < a < b <= math.inf:
+        raise RangeError(f"need -inf < a < b <= inf, got [{a}, {b}]")
     value, abserr, info, *rest = _sint.quad(
         f, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT, full_output=True
     )
@@ -188,6 +192,15 @@ def fd_weights(offsets, deriv: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
+@functools.cache
+def _five_point_stencils(deriv: int) -> np.ndarray:
+    """Read-only fd_weights at offsets arange(5) - j in row j: row 2 is the
+    centred stencil, rows 0-1 and 3-4 the one-sided ones of the edge nodes."""
+    rows = np.array([fd_weights(np.arange(5) - j, deriv) for j in range(5)])
+    rows.flags.writeable = False
+    return rows
+
+
 def deriv_uniform(y, dx: float, deriv: int = 1) -> np.ndarray:
     """Derivative of uniformly sampled values by five-point stencils,
     one-sided at the edges: 4th-order first derivatives and 3rd/4th-order
@@ -196,11 +209,11 @@ def deriv_uniform(y, dx: float, deriv: int = 1) -> np.ndarray:
     n = y.size
     if n < 5:
         raise RangeError("need at least 5 nodes")
+    w = _five_point_stencils(deriv)
     out = np.empty(n)
-    center = fd_weights(np.arange(5) - 2, deriv)
     # correlate applies the stencil in natural order: out[i] = sum_j y[i+j] w[j]
-    out[2:n - 2] = np.correlate(y, center, mode="valid")
+    out[2:n - 2] = np.correlate(y, w[2], mode="valid")
     for i in range(2):
-        out[i] = fd_weights(np.arange(5) - i, deriv) @ y[:5]
-        out[n - 1 - i] = fd_weights(np.arange(5) - (4 - i), deriv) @ y[-5:]
+        out[i] = w[i] @ y[:5]
+        out[n - 1 - i] = w[4 - i] @ y[-5:]
     return out / dx ** deriv

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import get_blas_funcs
 
 from .errors import (
     BoundViolationError,
@@ -61,10 +63,17 @@ _PICARD_MAX_ITER = 200     # far above the ~8 iterations the 1/5-contraction nee
 _TAIL_SAMPLES = 400        # points on which tail_residual compares the two routes
 _RICHARDSON_TOL = 1e-8     # relative agreement of the last two origin Richardson levels
 LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on z and W
+# BLAS's banded triangular solve, which _backward_recurrence runs on the tail
+(_TBSV,) = get_blas_funcs(("tbsv",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class TailSolution:
+    """The Picard fixed point (wt, h) on the uniform tail grid [b1, s_max].
+
+    h_spline, the cubic spline of h on the grid, is built on first use and
+    kept by the instance: tail_residual and continue_left both read it.
+    """
     grid: np.ndarray
     h: np.ndarray
     wt: np.ndarray
@@ -74,9 +83,19 @@ class TailSolution:
     update_norms: np.ndarray
     update_ratios: np.ndarray
 
+    @cached_property
+    def h_spline(self) -> CubicSpline:
+        return CubicSpline(self.grid, self.h)
+
 
 @dataclass(frozen=True)
 class Profile:
+    """The profile table on the uniform s-grid, s = log r.
+
+    z_spline, the cubic spline of z on s_grid, is built on first use and
+    kept by the instance: inversion_report and origin_series_report both
+    read it.
+    """
     params: ParamSet
     eta_inf: float
     s_grid: np.ndarray
@@ -97,6 +116,10 @@ class Profile:
     def rfr_over_f(self) -> np.ndarray:
         """r f_r / f = (r w_r / w) - gamma at every node."""
         return self.z - self.params.gamma
+
+    @cached_property
+    def z_spline(self) -> CubicSpline:
+        return CubicSpline(self.s_grid, self.z)
 
 
 def _weighted_norm(dwt, dh, weights):
@@ -151,10 +174,11 @@ def _phi_map(wt, h, s, ds, fp):
     b = np.empty(npts - 1)
     w0, w1, w2, w3 = _W_MID
     i = np.arange(1, npts - 2)
+    # rel(i + 1, i) is a[i] to the bit
     b[1:-1] = ds * (
         w0 * rel(i - 1, i) * q[i - 1]
         + w1 * q[i]
-        + w2 * rel(i + 1, i) * q[i + 1]
+        + w2 * a[1:-1] * q[i + 1]
         + w3 * rel(i + 2, i) * q[i + 2]
     )
     b[0] = ds * sum(_W_FIRST[j] * rel(j, 0) * q[j] for j in range(4))
@@ -166,15 +190,15 @@ def _phi_map(wt, h, s, ds, fp):
 
 
 def _backward_recurrence(a, b, last):
-    """R_i = a_i R_{i+1} + b_i from R_n = last, right to left, on Python floats
-    through memoryviews: numpy-scalar arithmetic without a numpy call per node."""
-    out = np.empty(len(a) + 1)
-    out[-1] = acc = float(last)
-    r, a, b = memoryview(out), memoryview(a), memoryview(b)
-    for idx in range(len(a) - 1, -1, -1):
-        acc = a[idx] * acc + b[idx]
-        r[idx] = acc
-    return out
+    """R_i = a_i R_{i+1} + b_i from R_n = last, right to left: the unit upper
+    bidiagonal system R_i - a_i R_{i+1} = b_i, R_n = last, solved by one BLAS
+    tbsv call.  Its band storage holds -a on the superdiagonal (row 0, from
+    column 1) over the unit diagonal, which diag=1 leaves unread; the
+    kernel may fuse each multiply-add, so a node can differ from the same
+    loop on floats by a rounding or two."""
+    band = np.ones((2, len(a) + 1), order="F")
+    band[0, 1:] = -a
+    return _TBSV(1, band, np.append(b, last), diag=1, overwrite_x=1)
 
 
 def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e-12) -> TailSolution:
@@ -235,7 +259,9 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
         grid=s, h=h, wt=wt, fp_residual=math.nan, iterations=it, fp=fp,
         update_norms=np.asarray(norms), update_ratios=np.asarray(ratios),
     )
-    return replace(tail, fp_residual=tail_residual(tail))
+    # set in place, so the tail keeps the h spline tail_residual built
+    object.__setattr__(tail, "fp_residual", tail_residual(tail))
+    return tail
 
 
 def _spline_at(spline: CubicSpline):
@@ -289,7 +315,7 @@ def tail_residual(tail: TailSolution) -> float:
     p = fp.params
     n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, fp.C2
     s, h, wt = tail.grid, tail.h, tail.wt
-    h_sp = CubicSpline(s, h)
+    h_sp = tail.h_spline
     wt_sp = CubicSpline(s, wt)
     h_at, wt_at = _spline_at(h_sp), _spline_at(wt_sp)
 
@@ -362,10 +388,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                     np.concatenate([[b1], s_grid[n_left - 1::-1]]),
                     tol=Tolerances(abs_tol=LEFT_ABS_TOL, rel_tol=max(tol / 20.0, 3e-14)))
     zl, Wl = y[:, ::-1]
-    h_tail_sp = CubicSpline(tail.grid, tail.h)
     logwt_tail_sp = CubicSpline(tail.grid, np.log(tail.wt))
     sr = s_grid[n_left + 1:]
-    h_tail = h_tail_sp(sr)
+    h_tail = tail.h_spline(sr)
     z = np.concatenate([zl, h_tail - C1])
     W = np.concatenate([Wl, logwt_tail_sp(sr)])
 
@@ -458,8 +483,9 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
     if not 0.0 < target_eta < math.inf:
         raise RangeError(f"target_eta must be positive and finite, got {target_eta}")
     fp = derive_fp_constants(params, b1_margin=b1_margin)
-    tail = picard_solve(fp, s_max=s_max, tol=tol)
-    prof = recover_profile(continue_left(tail, s_min=s_min, tol=tol))
+    # no name holds the tail, so it and its h spline die after continue_left
+    prof = recover_profile(continue_left(picard_solve(fp, s_max=s_max, tol=tol),
+                                         s_min=s_min, tol=tol))
     return rescale_profile(prof, _lambda_for_eta(params, prof.eta_origin, target_eta))
 
 

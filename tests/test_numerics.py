@@ -14,6 +14,7 @@ import fastdiff.weight
 from fastdiff.errors import BlowUpError, QuadratureError, RangeError, StiffnessError
 from fastdiff.numerics import (
     Tolerances,
+    _five_point_stencils,
     cumulative_integral,
     deriv_uniform,
     fd_weights,
@@ -266,6 +267,13 @@ class TestQuadAdaptive:
             with pytest.raises(RangeError):
                 quad_adaptive(lambda x: x, 0.0, 1.0, tol=tol)
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 1.0), (2.0, 1.0)])
+    def test_bad_bounds_raise(self, a, b):
+        # a nan upper bound integrated to 0.0 without a word, and a nan
+        # lower bound ended in a QuadratureError that blamed roundoff
+        with pytest.raises(RangeError):
+            quad_adaptive(lambda x: x, a, b)
+
 
 class TestCompositeRules:
     def test_cubic_exact(self):
@@ -360,6 +368,20 @@ class TestStencils:
         d1 = deriv_uniform(np.exp(x), dx, deriv=1)
         assert abs(d1[0] - 1.0) < 1e-7
         assert abs(d1[-1] - math.e) < 1e-7
+
+    @pytest.mark.parametrize("deriv", [1, 2])
+    def test_deriv_uniform_stored_stencils(self, deriv):
+        # the stencils are built once per order; the output keeps the bits
+        # of fd_weights solved on every call
+        y = np.exp(np.sin(np.linspace(0.0, 3.0, 57)))
+        dx = 3.0 / 56
+        ref = np.empty(y.size)
+        ref[2:-2] = np.correlate(y, fd_weights(np.arange(5) - 2, deriv), mode="valid")
+        for i in range(2):
+            ref[i] = fd_weights(np.arange(5) - i, deriv) @ y[:5]
+            ref[-1 - i] = fd_weights(np.arange(5) - (4 - i), deriv) @ y[-5:]
+        assert np.array_equal(deriv_uniform(y, dx, deriv=deriv), ref / dx ** deriv)
+        assert not _five_point_stencils(deriv).flags.writeable
 
     def test_needs_enough_nodes(self):
         with pytest.raises(RangeError):

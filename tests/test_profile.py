@@ -4,6 +4,7 @@ extrapolation, the rescaling family, and the solve-for-eta wrapper."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,24 +118,30 @@ class TestScalarSpline:
 
 
 class TestBackwardRecurrence:
-    def test_matches_numpy_scalar_loop(self, tail_ref):
-        # Phi_2's outer integral R_i = a_i R_{i+1} + b_i, run on Python
-        # floats, gives the bits of the same loop on numpy scalars; carry
-        # factors and increments are seeded at the scales of the tail grid
+    def test_matches_numpy_scalar_loop(self):
+        # Phi_2's outer integral R_i = a_i R_{i+1} + b_i against its exact
+        # value in rationals, rounded once to float; carry factors and
+        # increments are seeded at the scales of the tail grid.  Both the
+        # BLAS solve and the plain float loop stay within 2e-15 relative at
+        # every node: measured 6.2e-16 and 7.1e-16 on these 1,000 nodes
         rng = np.random.default_rng(12)
-        n = tail_ref.grid.size - 1
+        n = 1000
         a = np.exp(-rng.uniform(0.0, 0.05, n))
         b = rng.uniform(0.0, 1e-3, n) * np.exp(-0.01 * np.arange(n))
-        last = np.float64(2.5e-7)
-        ref = np.empty(n + 1)
-        ref[-1] = last
-        acc = ref[-1]
+        last = 2.5e-7
+        exact = [Fraction(last)]
+        for ai, bi in zip(a[::-1].tolist(), b[::-1].tolist()):
+            exact.append(Fraction(ai) * exact[-1] + Fraction(bi))
+        ref = np.array([float(x) for x in exact[::-1]])
+        loop = np.empty(n + 1)
+        loop[-1] = acc = last
         for i in range(n - 1, -1, -1):
-            acc = a[i] * acc + b[i]
-            ref[i] = acc
+            acc = float(a[i]) * acc + float(b[i])
+            loop[i] = acc
         got = _backward_recurrence(a, b, last)
         assert got.dtype == np.float64
-        assert np.array_equal(got, ref)
+        assert np.max(np.abs(got - ref) / ref) <= 2e-15
+        assert np.max(np.abs(loop - ref) / ref) <= 2e-15
 
 
 class TestContinueLeft:
@@ -252,6 +259,14 @@ class TestRescaleProfile:
         back = rescale_profile(rescale_profile(base_profile, 2.0), 0.5)
         assert back.eta_origin == pytest.approx(base_profile.eta_origin, rel=1e-12)
         assert np.allclose(back.wt, base_profile.wt, rtol=1e-12)
+
+    def test_z_spline_is_its_own(self, base_profile):
+        # a rescaled profile is a new instance: its z spline is fitted on its
+        # own s_grid, not the one the source profile already cached
+        base_profile.z_spline
+        scaled = rescale_profile(base_profile, 2.0)
+        assert np.array_equal(scaled.z_spline.x, scaled.s_grid)
+        assert not np.array_equal(scaled.z_spline.x, base_profile.s_grid)
 
     def test_validation(self, base_profile):
         with pytest.raises(RangeError):
