@@ -53,11 +53,9 @@ from .profile import (
 from .asymptotics import (
     ExpansionReport,
     InversionReport,
-    SeriesReport,
     expansion_check,
     f_ode_residual,
     inversion_report,
-    origin_series_report,
     wbar_ode_residual,
 )
 from .weight import (

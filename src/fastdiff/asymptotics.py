@@ -5,7 +5,9 @@ satisfies equivalent differential/series representations:
 
   * expansion_check: the C^2 extension of w-bar(rho) = r^gamma f(r),
     rho = r^(1/beta'), has closed-form first and second derivatives at 0;
-    we recover them by windowed quadratic fits plus Richardson extrapolation.
+    we read them off q = w-bar_rho / w-bar = beta' z / rho, the continuation
+    state z over rho, by windowed quadratic fits plus Richardson
+    extrapolation.
   * wbar_ode_residual: defect of the rho-form ODE
     (wb_rho/wb)_rho + m (wb_rho/wb)^2 + a1/rho (wb_rho/wb)
       + a2/rho^2 (wb_rho/wb^m) = a3/rho^2.
@@ -13,8 +15,6 @@ satisfies equivalent differential/series representations:
       + beta r f_r = 0, all derivatives by centered differences.
   * inversion_report: defect of the Kelvin-inverted equation for
     g(y) = y^(-(n-2)/m) f(1/y), plus the involution and limit checks.
-  * origin_series_report: the 3-term origin series
-    r^gamma f = eta + d1 rho + (d2/2) rho^2 + o(rho^2) and the f_r companion.
 
 All residuals are normalized by the largest term magnitude at each node
 (the equations carry 1/rho^2 scalings that make absolute defects meaningless).
@@ -28,23 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import InternalError, ResolutionError
+from .errors import ConfigError, InternalError, ResolutionError
 from .numerics import _richardson, deriv_uniform
 from .profile import LEFT_ABS_TOL, Profile
 
 __all__ = [
     "ExpansionReport",
     "InversionReport",
-    "SeriesReport",
     "expansion_check",
     "wbar_ode_residual",
     "f_ode_residual",
     "inversion_report",
-    "origin_series_report",
 ]
 
 _F_WINDOW = (1e-3, 1e3)        # radii on which f_ode_residual is taken
-_SERIES_NOISE_FLOOR = 1e-11    # data noise of r^gamma f, before the rho^-2 amplification
 _SIGMA_MARGIN = 0.05           # gap between the inversion grid and the profile's ends
 _Z_FLOOR = 10.0 * LEFT_ABS_TOL  # |z| at or below this is continuation noise, sign unresolved
 
@@ -58,8 +55,8 @@ class ExpansionReport:
     d2_ref: float
     rel_err1: float            # |d1 - d1_ref| / |d1_ref|
     rel_err2: float            # |d2 - d2_ref| / |d2_ref|
-    level_gap1: float          # final Richardson-level discrepancy for d1 (relative)
-    level_gap2: float
+    level_gap1: float          # relative gap between the Richardson levels at the stop, d1
+    level_gap2: float          # the same for d2
     d1_levels: np.ndarray
     d2_levels: np.ndarray
 
@@ -75,22 +72,6 @@ class InversionReport:
     beta_tilde: float
 
 
-@dataclass(frozen=True)
-class SeriesReport:
-    rho_samples: np.ndarray
-    ratios: np.ndarray         # |wbar - series| / rho^2 over the final decade
-    max_ratio: float
-    monotone: bool
-    fr_limit: float            # extrapolated lim r^(gamma+1) f_r
-    fr_limit_ref: float        # -gamma * eta
-    fr_K: float                # fitted subleading coefficient of r^(gamma+1) f_r
-    fr_K_ref: float
-
-
-def _wt_spline(profile: Profile) -> CubicSpline:
-    return CubicSpline(profile.s_grid, profile.wt)
-
-
 def _series_reference(profile: Profile, eta: float) -> tuple[float, float]:
     """Closed-form (d1, d2) = (wbar_rho, wbar_rhorho) at rho = 0 for origin coefficient eta."""
     p = profile.params
@@ -98,48 +79,53 @@ def _series_reference(profile: Profile, eta: float) -> tuple[float, float]:
     return a3 / a2 * eta ** m, a3 * (m * a3 - a1) / a2 ** 2 * eta ** (2.0 * m - 1.0)
 
 
+def _stop(levels: np.ndarray) -> tuple[float, float]:
+    """The Richardson level just after the smallest gap between successive
+    levels, and that gap: shallow levels carry the series' bias, deep ones
+    the data noise amplified by 1/rho."""
+    gaps = np.abs(np.diff(levels))
+    i = int(np.argmin(gaps))
+    return float(levels[i + 1]), float(gaps[i])
+
+
 def expansion_check(profile: Profile) -> ExpansionReport:
-    """Windowed quadratic fits of w-bar on [rho, 4 rho] with Richardson
-    extrapolation toward rho = 0.
+    """(d1, d2) = (wbar_rho, wbar_rhorho) at rho = 0 from q = wbar_rho / wbar.
 
-    First-derivative windows shrink to rho ~ 3e-6 (bias O(rho^2), one
-    Richardson stage with factor 4); second-derivative windows stop at
-    rho ~ 3e-4 where the curvature signal still clears data noise (bias
-    O(rho), Richardson factor 2).
+    q = beta' z / rho is read off the continuation state z, so d1 = eta q(0)
+    and d2 = eta (q'(0) + q(0)^2) with eta = profile.eta_origin.  Quadratics
+    in rho / rho_lo are fitted to q on the nodes of [rho_lo, 4 rho_lo],
+    rho_lo = 1e-2 / 2^k down to the grid's smallest rho; q(0) takes one
+    Richardson stage of order 3 and q'(0) one of order 2, and each stops
+    after the smallest gap between successive levels.
     """
-    c = 1.0 / profile.params.beta_p             # rho = r^c = e^(c s)
-    s, wt = profile.s_grid, profile.wt
-    rho_min_grid = math.exp(c * float(s[0]))
-    if rho_min_grid > 1e-5:
+    if profile.eta_origin is None:
+        raise ConfigError("profile must carry eta_origin (run recover_profile first)")
+    eta = profile.eta_origin
+    bp = profile.params.beta_p                   # rho = r^(1/b') = e^(s/b')
+    s = profile.s_grid
+    rho_min = math.exp(float(s[0]) / bp)
+    if rho_min > 1e-5:
         raise ResolutionError(
-            f"rho range spans only down to {rho_min_grid:g}; need >= 3 decades below 1e-2"
+            f"rho range spans only down to {rho_min:g}; need >= 3 decades below 1e-2"
         )
+    near = s <= bp * math.log(4e-2)              # the windows' nodes
+    rho = np.exp(s[near] / bp)
+    q = bp * profile.z[near] / rho
 
-    def window_fit(rho_lo):
-        lo_s, hi_s = math.log(rho_lo) / c, math.log(4.0 * rho_lo) / c
-        sel = (s >= lo_s) & (s <= hi_s)
-        x = np.exp(c * s[sel]) / rho_lo          # in [1, 4]
-        y = wt[sel]
-        if float(np.max(np.diff(y))) >= 0.0:
-            raise InternalError("w-bar not strictly decreasing inside a fit window")
-        coef = np.polynomial.polynomial.polyfit(x, y, 2)
-        c0, c1x, c2x = coef
-        return c0, c1x / rho_lo, 2.0 * c2x / rho_lo ** 2   # eta, wb_rho, wb_rhorho
+    rho_lo = 1e-2 / 2.0 ** np.arange(16)
+    fits = []
+    for lo in rho_lo[rho_lo > rho_min]:
+        sel = (rho >= lo) & (rho <= 4.0 * lo)
+        c0, c1, _ = np.polynomial.polynomial.polyfit(rho[sel] / lo, q[sel], 2)
+        fits.append((c0, c1 / lo))               # q(0), q'(0) of the window
+    q0_w, q1_w = np.array(fits).T
 
-    rho_tops = 1e-2 / 2.0 ** np.arange(12)       # smallest ~ 4.9e-6
-    fits = [window_fit(r) for r in rho_tops]
-    eta_w = np.array([f[0] for f in fits])
-    d1_w = np.array([f[1] for f in fits])
-    d2_w = np.array([f[2] for f in fits])
-
-    d1_levels = _richardson(d1_w, 2)
-    eta_levels = _richardson(eta_w, 3)
-    n_d2 = int(np.sum(rho_tops >= 3e-4))         # windows where curvature beats noise
-    d2_levels = _richardson(d2_w[:n_d2], 1)
-
-    eta = float(eta_levels[-1])
-    d1 = float(d1_levels[-1])
-    d2 = float(d2_levels[-1])
+    q0_levels = _richardson(q0_w, 3)
+    q0, gap0 = _stop(q0_levels)
+    q1_levels = _richardson(q1_w, 2)
+    q1, gap1 = _stop(q1_levels)
+    d1 = eta * q0
+    d2 = eta * (q1 + q0 * q0)
     if not d1 < 0:
         raise InternalError(f"extrapolated w-bar_rho(0) = {d1} is not negative")
 
@@ -148,9 +134,9 @@ def expansion_check(profile: Profile) -> ExpansionReport:
         eta=eta, d1=d1, d2=d2, d1_ref=d1_ref, d2_ref=d2_ref,
         rel_err1=abs(d1 - d1_ref) / abs(d1_ref),
         rel_err2=abs(d2 - d2_ref) / abs(d2_ref),
-        level_gap1=abs(d1_levels[-1] - d1_levels[-2]) / abs(d1),
-        level_gap2=abs(d2_levels[-1] - d2_levels[-2]) / abs(d2),
-        d1_levels=d1_levels, d2_levels=d2_levels,
+        level_gap1=eta * gap0 / abs(d1),
+        level_gap2=eta * gap1 / abs(d2),
+        d1_levels=eta * q0_levels, d2_levels=eta * (q1_levels + q0 * q0),
     )
 
 
@@ -304,49 +290,4 @@ def inversion_report(profile: Profile) -> InversionReport:
         residual=residual, double_inversion_err=double_err,
         g_origin_gap=g_origin_gap, rho_g_rho_end=rho_g_rho_end,
         min_c1g_plus_rho_g_rho=min_comb, alpha_tilde=at, beta_tilde=bt,
-    )
-
-
-def origin_series_report(profile: Profile, eta: float) -> SeriesReport:
-    """Compare r^gamma f against the 3-term origin series over the final
-    resolvable decade and extract the f_r leading/subleading behaviour.
-
-    The o(rho^2) remainder makes |wbar - series|/rho^2 decrease toward 0;
-    monotonicity is checked with a small multiplicative slack plus the
-    rho^-2-amplified data noise floor.
-    """
-    p = profile.params
-    c = 1.0 / p.beta_p
-    s = profile.s_grid
-    if math.exp(c * float(s[0])) > 1e-4:
-        raise ResolutionError("profile not resolved near the origin (need rho down to 1e-4)")
-    d1_ref, d2_ref = _series_reference(profile, eta)
-
-    wt_sp = _wt_spline(profile)
-    rho = 1e-2 * 10.0 ** (-np.arange(5) / 4.0)          # final decade, quarter-decade steps
-    wb = wt_sp(np.log(rho) / c)
-    series = eta + d1_ref * rho + 0.5 * d2_ref * rho ** 2
-    ratios = np.abs(wb - series) / rho ** 2
-    floors = _SERIES_NOISE_FLOOR / rho ** 2
-    mono = bool(
-        np.all(ratios[1:] <= ratios[:-1] * 1.001 + 3.0 * floors[1:])
-        and ratios[-1] < ratios[0]
-    )
-
-    # r^(gamma+1) f_r = wt (z - gamma); extrapolate its rho -> 0 limit and
-    # the coefficient of the next term
-    def L(rho_v):
-        sv = math.log(rho_v) / c
-        return float(wt_sp(sv) * (profile.z_spline(sv) - p.gamma))
-    rho_lev = 1e-3 / 2.0 ** np.arange(6)
-    lev = np.array([L(r) for r in rho_lev])
-    fr_limit = float(_richardson(lev, 1)[-1])
-    fr_limit_ref = -p.gamma * eta
-    fr_K = float(_richardson((lev[:4] - fr_limit) / rho_lev[:4], 1)[-1])
-    fr_K_ref = -(2.0 * p.beta - p.m) / ((1.0 - p.m) * p.beta) * d1_ref
-
-    return SeriesReport(
-        rho_samples=rho, ratios=ratios, max_ratio=float(np.max(ratios)),
-        monotone=mono, fr_limit=fr_limit, fr_limit_ref=fr_limit_ref,
-        fr_K=fr_K, fr_K_ref=fr_K_ref,
     )

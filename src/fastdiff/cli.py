@@ -31,7 +31,6 @@ from .asymptotics import (
     expansion_check,
     f_ode_residual,
     inversion_report,
-    origin_series_report,
     wbar_ode_residual,
 )
 from .errors import ConfigError, FastDiffError, RangeError
@@ -183,11 +182,9 @@ def _cmd_profile(o: dict, params: ParamSet, weight: None):
 def _cmd_expansion(o: dict, params: ParamSet, weight: None):
     prof = _build_profile(o, params)
     report = expansion_check(prof)
-    series = origin_series_report(prof, eta=prof.eta_origin)
     inv = inversion_report(prof)
     summary = {
         "expansion": asdict(report),
-        "series": asdict(series),
         "inversion": asdict(inv),
         "residual_max": {
             "f_equation": f_ode_residual(prof),

@@ -176,16 +176,26 @@ def integrate_table(y, dx: float) -> float:
 # --- finite-difference stencils ----------------------------------------------
 
 
+def _check_deriv(deriv, k: int) -> None:
+    """RangeError unless deriv is an int (not a bool) in [0, k)."""
+    if isinstance(deriv, bool) or not isinstance(deriv, (int, np.integer)):
+        raise RangeError(f"derivative order must be an int, got {deriv!r}")
+    if not 0 <= deriv < k:
+        raise RangeError(f"derivative order must lie in [0, {k}) for {k} stencil points, got {deriv}")
+
+
 def fd_weights(offsets, deriv: int) -> np.ndarray:
     """Stencil weights for d^deriv/dx^deriv at 0 from nodes at the given offsets.
 
     Solves the Vandermonde moment system; exact for polynomials up to
-    degree len(offsets)-1.  Weights are in units of dx^-deriv.
+    degree len(offsets)-1.  Weights are in units of dx^-deriv.  RangeError
+    unless 0 <= deriv < len(offsets) is an int and the offsets are distinct.
     """
     offsets = np.asarray(offsets, dtype=float)
     k = offsets.size
-    if deriv >= k:
-        raise RangeError("need more stencil points than the derivative order")
+    _check_deriv(deriv, k)
+    if np.unique(offsets).size != k:
+        raise RangeError(f"stencil offsets must be distinct, got {offsets}")
     A = np.vander(offsets, k, increasing=True).T
     b = np.zeros(k)
     b[deriv] = math.factorial(deriv)
@@ -204,11 +214,12 @@ def _five_point_stencils(deriv: int) -> np.ndarray:
 def deriv_uniform(y, dx: float, deriv: int = 1) -> np.ndarray:
     """Derivative of uniformly sampled values by five-point stencils,
     one-sided at the edges: 4th-order first derivatives and 3rd/4th-order
-    second derivatives."""
+    second derivatives.  RangeError unless 0 <= deriv < 5 is an int."""
     y = np.asarray(y, dtype=float)
     n = y.size
     if n < 5:
         raise RangeError("need at least 5 nodes")
+    _check_deriv(deriv, 5)        # before the cache, which takes True for 1
     w = _five_point_stencils(deriv)
     out = np.empty(n)
     # correlate applies the stencil in natural order: out[i] = sum_j y[i+j] w[j]

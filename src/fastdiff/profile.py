@@ -93,8 +93,7 @@ class Profile:
     """The profile table on the uniform s-grid, s = log r.
 
     z_spline, the cubic spline of z on s_grid, is built on first use and
-    kept by the instance: inversion_report and origin_series_report both
-    read it.
+    kept by the instance; inversion_report reads it.
     """
     params: ParamSet
     eta_inf: float

@@ -32,7 +32,7 @@ class BumpSpec:
     n: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
+        if not (math.isfinite(self.n) and int(self.n) == self.n and self.n >= 3):
             raise RangeError(f"dimension n must be an integer >= 3, got {self.n}")
         if not 0.0 < self.mu < self.n - 2:
             raise RangeError(f"mu must lie in (0, n-2) = (0, {self.n - 2}), got {self.mu}")
@@ -213,8 +213,10 @@ class WeightedGrid:
 def weighted_grid(w: WeightFunction, r) -> WeightedGrid:
     """The weighted distance's per-grid part on the grid r: a log-uniform
     grid of at least 4 nodes (log_grid makes one), GridMismatchError
-    otherwise."""
+    otherwise; RangeError unless every radius is finite and positive."""
     r = np.asarray(r, dtype=float)
+    if not np.all((r > 0.0) & (r < math.inf)):
+        raise RangeError("weighted distance needs finite positive radii")
     x = np.log(r)
     if x.ndim != 1 or x.size < 4 or not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-8, atol=0.0):
         raise GridMismatchError("weighted distance needs a log-uniform grid of at least 4 nodes")

@@ -341,6 +341,23 @@ class TestStencils:
         with pytest.raises(RangeError):
             fd_weights([0, 1], 2)
 
+    @pytest.mark.parametrize("deriv", [-1, 1.5, True, 5])
+    def test_bad_deriv_order_raises(self, deriv):
+        # -1 once failed in math.factorial, 1.5 as an index, and True would
+        # take the cached first-derivative stencils
+        with pytest.raises(RangeError, match="derivative order"):
+            fd_weights([-2, -1, 0, 1, 2], deriv)
+        with pytest.raises(RangeError, match="derivative order"):
+            deriv_uniform(np.ones(9), 1.0, deriv=deriv)
+
+    def test_repeated_offsets_raise(self):
+        # a repeated node makes the moment system singular
+        with pytest.raises(RangeError, match="distinct"):
+            fd_weights([0, 0, 1], 1)
+
+    def test_numpy_int_deriv_accepted(self):
+        assert np.array_equal(fd_weights([-1, 0, 1], np.int64(2)), fd_weights([-1, 0, 1], 2))
+
     def test_deriv_uniform_sign_and_accuracy(self):
         # regression: the interior correlation must apply stencil weights in
         # natural order; a reversed kernel silently negates odd derivatives

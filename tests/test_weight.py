@@ -43,6 +43,9 @@ class TestBumpSpec:
             BumpSpec(mu=0.5, n=2)
         with pytest.raises(RangeError):
             BumpSpec(mu=0.5, n=3.5)
+        for n in (math.inf, math.nan):  # int(n) raised OverflowError / ValueError
+            with pytest.raises(RangeError):
+                BumpSpec(mu=0.5, n=n)
 
     def test_eta1_support_and_tail(self):
         spec = BumpSpec(mu=0.5, n=3)
@@ -261,6 +264,14 @@ class TestWeightedL1Distance:
             short = np.geomspace(0.1, 1.0, size)
             with pytest.raises(GridMismatchError):
                 weighted_grid(weight_ref, short).distance(short**-2, np.zeros_like(short))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_grid_radii_must_be_finite_and_positive(self, weight_ref, bad):
+        # the log of the radii came first and warned instead of refusing
+        r = np.geomspace(0.01, 1.0, 161)
+        r[0] = bad
+        with pytest.raises(RangeError, match="finite positive radii"):
+            weighted_grid(weight_ref, r)
 
     def test_grid_mismatch_raises(self, weight_ref):
         r1 = np.geomspace(0.01, 1.0, 161)
