@@ -43,9 +43,9 @@ from .profile import (
     Profile,
     TailSolution,
     continue_left,
+    lambda_for_amplitude,
     picard_solve,
     profile_interpolator,
-    recover_profile,
     rescale_profile,
     solve_for_eta,
     tail_residual,
@@ -75,7 +75,6 @@ from .pde import (
     contraction_experiment,
     convergence_experiment,
     evolve,
-    lambda_for_amplitude,
     log_grid,
     make_self_similar_field,
     power_bump_initial,

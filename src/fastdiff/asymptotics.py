@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigError, InternalError, ResolutionError
+from .errors import InternalError, ResolutionError
 from .numerics import _richardson, deriv_uniform
 from .profile import LEFT_ABS_TOL, Profile
 
@@ -98,8 +98,6 @@ def expansion_check(profile: Profile) -> ExpansionReport:
     Richardson stage of order 3 and q'(0) one of order 2, and each stops
     after the smallest gap between successive levels.
     """
-    if profile.eta_origin is None:
-        raise ConfigError("profile must carry eta_origin (run recover_profile first)")
     eta = profile.eta_origin
     bp = profile.params.beta_p                   # rho = r^(1/b') = e^(s/b')
     s = profile.s_grid
@@ -279,10 +277,11 @@ def inversion_report(profile: Profile) -> InversionReport:
     if float(np.min(comb[strict], initial=math.inf)) <= 0.0:
         raise InternalError("C1 g + rho g_rho not strictly positive on the resolvable range")
 
-    # involution: applying the transform twice returns f
-    logg_sp = CubicSpline(sig, log_g)
-    inner = sig[(sig >= sig[0] + 0.1) & (sig <= sig[-1] - 0.1)]
-    log_f2 = -(n - 2) / m * inner + logg_sp(-inner)
+    # involution: applying the transform twice returns f; sig is symmetric,
+    # so log g at -inner is log_g reversed at the kept nodes
+    keep = (sig >= sig[0] + 0.1) & (sig <= sig[-1] - 0.1)
+    inner = sig[keep]
+    log_f2 = -(n - 2) / m * inner + log_g[::-1][keep]
     log_f = -p.gamma * inner + logwt_sp(inner)
     double_err = float(np.max(np.abs(np.expm1(log_f2 - log_f))))
 

@@ -137,8 +137,18 @@ _W_MID = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
 _W_LAST = _W_FIRST[::-1]
 
 
-def _interval_increments(y: np.ndarray, dx: float) -> np.ndarray:
+def _uniform_table(y, dx: float) -> np.ndarray:
+    """y as a float array; RangeError unless it is 1-d and dx > 0 is finite."""
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise RangeError(f"need a 1-d table of values, got shape {y.shape}")
+    if not 0.0 < dx < math.inf:
+        raise RangeError(f"spacing dx must be positive and finite, got {dx}")
+    return y
+
+
+def _interval_increments(y: np.ndarray, dx: float) -> np.ndarray:
+    y = _uniform_table(y, dx)
     n = y.shape[0]
     if n < 4:
         raise RangeError("composite rule needs at least 4 nodes")
@@ -150,7 +160,8 @@ def _interval_increments(y: np.ndarray, dx: float) -> np.ndarray:
 
 
 def cumulative_integral(y, dx: float, direction: str = "forward") -> np.ndarray:
-    """Fourth-order cumulative integral of uniformly sampled values.
+    """Fourth-order cumulative integral of uniformly sampled values; RangeError
+    unless y is 1-d and dx is positive and finite.
 
     forward:  out[i] = integral from x_0 to x_i   (out[0] = 0)
     backward: out[i] = integral from x_i to x_end (out[-1] = 0)
@@ -189,11 +200,14 @@ def fd_weights(offsets, deriv: int) -> np.ndarray:
 
     Solves the Vandermonde moment system; exact for polynomials up to
     degree len(offsets)-1.  Weights are in units of dx^-deriv.  RangeError
-    unless 0 <= deriv < len(offsets) is an int and the offsets are distinct.
+    unless 0 <= deriv < len(offsets) is an int and the offsets are finite
+    and distinct.
     """
     offsets = np.asarray(offsets, dtype=float)
     k = offsets.size
     _check_deriv(deriv, k)
+    if not np.isfinite(offsets).all():
+        raise RangeError(f"stencil offsets must be finite, got {offsets}")
     if np.unique(offsets).size != k:
         raise RangeError(f"stencil offsets must be distinct, got {offsets}")
     A = np.vander(offsets, k, increasing=True).T
@@ -214,8 +228,9 @@ def _five_point_stencils(deriv: int) -> np.ndarray:
 def deriv_uniform(y, dx: float, deriv: int = 1) -> np.ndarray:
     """Derivative of uniformly sampled values by five-point stencils,
     one-sided at the edges: 4th-order first derivatives and 3rd/4th-order
-    second derivatives.  RangeError unless 0 <= deriv < 5 is an int."""
-    y = np.asarray(y, dtype=float)
+    second derivatives.  RangeError unless 0 <= deriv < 5 is an int, y is
+    1-d and dx is positive and finite."""
+    y = _uniform_table(y, dx)
     n = y.size
     if n < 5:
         raise RangeError("need at least 5 nodes")

@@ -35,7 +35,7 @@ from .errors import (
     ToleranceError,
 )
 from .params import ParamSet
-from .profile import Profile, _lambda_for_eta, profile_interpolator, rescale_profile
+from .profile import Profile, lambda_for_amplitude, profile_interpolator, rescale_profile
 from .weight import WeightFunction, weighted_grid
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "evolve",
     "rescale_field",
     "power_bump_initial",
-    "lambda_for_amplitude",
     "random_sandwiched_pair",
     "sup_compact",
     "contraction_experiment",
@@ -164,7 +163,8 @@ class EvolveConfig:
             raise ConfigError("dt_rel_max must be positive and finite when set")
         if not self.dt_min <= self.dt_init <= self.dt_max:
             raise ConfigError("need dt_min <= dt_init <= dt_max")
-        if not isinstance(self.newton_max, (int, np.integer)) or self.newton_max < 1:
+        if (isinstance(self.newton_max, bool) or not isinstance(self.newton_max, (int, np.integer))
+                or self.newton_max < 1):
             raise ConfigError(f"newton_max must be an integer >= 1, got {self.newton_max}")
 
 
@@ -258,15 +258,14 @@ def barenblatt(n: int, m: float, k: float, T: float) -> Callable:
 
 
 def self_similar_solution(profile: Profile, lam: float) -> Callable:
-    """The self-similar solution V_lam(r, t) = t^(-alpha) f_lam(t^(-beta) r)."""
+    """The self-similar solution V_lam(r, t) = t^(-alpha) f_lam(t^(-beta) r),
+    r a float or a numpy array."""
     alpha, beta = profile.params.alpha, profile.params.beta
     f_lam = profile_interpolator(rescale_profile(profile, lam))
 
     def V(r, t):
-        if isinstance(r, float):
-            # a boundary trace: straight to the interpolator's scalar path
-            return t ** (-alpha) * f_lam(t ** (-beta) * r)
-        return t ** (-alpha) * f_lam(t ** (-beta) * np.asarray(r, dtype=float))
+        # a float r (a boundary trace) takes the interpolator's scalar path
+        return t ** (-alpha) * f_lam(t ** (-beta) * r)
 
     return V
 
@@ -691,12 +690,14 @@ def evolve(field: RadialField, cfg: EvolveConfig, times: Sequence[float]) -> lis
 def rescale_field(field: RadialField, y_grid: np.ndarray) -> np.ndarray:
     """Similarity rescaling: the values t^alpha u(t^beta y, t) on y_grid.
 
-    Resamples log u cubically in log r; RangeError if any t^beta y falls
-    outside the field's radial range.
+    Resamples log u cubically in log r; RangeError unless every y is finite
+    and positive and every t^beta y lies in the field's radial range.
     """
     t = field.t
     alpha, beta = field.params.alpha, field.params.beta
     y = np.asarray(y_grid, dtype=float)
+    if not np.all((y > 0) & np.isfinite(y)):
+        raise RangeError("y_grid must hold finite positive values")
     r_query = t**beta * y
     r_lo, r_hi = field.r_grid[0], field.r_grid[-1]
     if r_query.min() < r_lo * (1.0 - 1e-12) or r_query.max() > r_hi * (1.0 + 1e-12):
@@ -744,16 +745,6 @@ def power_bump_initial(params: ParamSet, a0: float, amp: float = 0.10,
         return float(val) if np.ndim(r) == 0 else val
 
     return u0
-
-
-def lambda_for_amplitude(profile: Profile, a: float) -> float:
-    """Scaling factor lam with origin coefficient eta(f_lam) = a, by the
-    scaling law eta ~ lam^(2/(1-m) - gamma) that solve_for_eta uses."""
-    if not 0.0 < a < math.inf:
-        raise RangeError(f"amplitude must be positive and finite, got {a}")
-    if profile.eta_origin is None:
-        raise ConfigError("profile must carry eta_origin (run recover_profile first)")
-    return float(_lambda_for_eta(profile.params, profile.eta_origin, a))
 
 
 def random_sandwiched_pair(profile: Profile, grid: np.ndarray, t0: float,

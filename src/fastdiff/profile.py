@@ -10,8 +10,9 @@ The far-field tail of the profile is the unique fixed point of the map
 a 1/5-contraction on the set D_b1 for s >= b1.  Phi_1 is written at the
 far-field coefficient eta_inf = lim r^((n-2)/m) f(r) = 1, the one the profile
 is built at before rescaling.  Picard iteration on a uniform
-s-grid gives (wt, h) on [b1, s_max]; the profile is then continued to the left
-through the equivalent ODE system and recovered as f(r) = r^(-gamma) wt(log r).
+s-grid gives (wt, h) on [b1, s_max]; continue_left builds the whole Profile
+from it in one call: the tail continued to the left through the equivalent
+ODE system, f(r) = r^(-gamma) wt(log r), and eta_origin = lim r^gamma f.
 
 Numerical notes kept out of the API: the continuation integrates
 z = h - C1 and W = log(wt) instead of (h, wt) because the term
@@ -51,9 +52,9 @@ __all__ = [
     "picard_solve",
     "tail_residual",
     "continue_left",
-    "recover_profile",
     "rescale_profile",
     "solve_for_eta",
+    "lambda_for_amplitude",
     "profile_interpolator",
 ]
 
@@ -90,7 +91,8 @@ class TailSolution:
 
 @dataclass(frozen=True)
 class Profile:
-    """The profile table on the uniform s-grid, s = log r.
+    """The profile table on the uniform s-grid, s = log r, with its origin
+    coefficient and the tail's Picard data, all built by continue_left.
 
     z_spline, the cubic spline of z on s_grid, is built on first use and
     kept by the instance; inversion_report reads it.
@@ -103,13 +105,13 @@ class Profile:
     wt: np.ndarray             # wt(s) = r^gamma f(r), r = e^s
     r_grid: np.ndarray
     f: np.ndarray
-    eta_origin: Optional[float] = None
+    eta_origin: float
     # |r^((n-2)/m) f - eta_inf| at the last node, where the first correction
     # is below e^(-40): it reads roundoff, not the far-field expansion
-    far_field_gap: Optional[float] = None
-    origin_levels: Optional[np.ndarray] = None
-    fp_residual: Optional[float] = None
-    picard_iterations: Optional[int] = None
+    far_field_gap: float
+    origin_levels: np.ndarray
+    fp_residual: float
+    picard_iterations: int
 
     @property
     def rfr_over_f(self) -> np.ndarray:
@@ -287,18 +289,6 @@ def _spline_at(spline: CubicSpline):
     return at
 
 
-def _integral_to_end(spline: CubicSpline, s_eval: np.ndarray) -> np.ndarray:
-    """int_{s_eval}^{x[-1]} spline for points s_eval in [x[0], x[-1]], exact
-    from the pieces: each piece's polynomial integral over its interval,
-    summed right to left, less the part of the piece below each point."""
-    x, (c0, c1, c2, c3) = spline.x, spline.c
-    d = np.diff(x)
-    right = np.cumsum(((((c0 * d / 4 + c1 / 3) * d + c2 / 2) * d + c3) * d)[::-1])[::-1]
-    i = np.minimum(np.searchsorted(x, s_eval, side="right") - 1, d.size - 1)
-    t = s_eval - x[i]
-    return right[i] - (((c0[i] * t / 4 + c1[i] / 3) * t + c2[i] / 2) * t + c3[i]) * t
-
-
 def tail_residual(tail: TailSolution) -> float:
     """Weighted sup defect of the fixed point in the integral equation.
 
@@ -306,9 +296,9 @@ def tail_residual(tail: TailSolution) -> float:
     satisfies the linear ODE y' = (n-2 + b'X) y - q, integrated backward from
     s_max in one LSODA run (numerics.lsoda_at) that outputs the
     _TAIL_SAMPLES comparison points; J = int_s^inf h in Phi_1 is the exact
-    integral of h's cubic spline plus the analytic tail h(s_max)/C2.
-    Comparing against (h, wt) there avoids every piece of the Picard
-    quadrature path.
+    integral F(s_max) - F(s) of h's cubic spline, F its antiderivative, plus
+    the analytic tail h(s_max)/C2.  Comparing against (h, wt) there avoids
+    every piece of the Picard quadrature path.
     """
     fp = tail.fp
     p = fp.params
@@ -336,18 +326,21 @@ def tail_residual(tail: TailSolution) -> float:
     y, _ = lsoda_at(rhs, jac, [y_end], np.concatenate([[s[-1]], sc[::-1]]),
                     tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12))
     res_h = np.abs(h_sp(sc) - y[0, :0:-1]) * np.exp(0.5 * C2 * sc)
-    phi1 = np.exp(-(_integral_to_end(h_sp, sc) + h[-1] / C2) - C1 * sc)
+    F = h_sp.antiderivative()
+    phi1 = np.exp(-(F(s[-1]) - F(sc) + h[-1] / C2) - C1 * sc)
     res_wt = np.abs(wt_sp(sc) - phi1) * np.exp(C1 * sc)
     return float(max(res_h.max(), res_wt.max()))
 
 
 def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float = 1e-12) -> Profile:
-    """Continue (h, wt) from b1 down to s_min and assemble f(r) = r^(-gamma) wt.
+    """The whole Profile at eta_inf = 1: (h, wt) continued from b1 down to
+    s_min, f(r) = r^(-gamma) wt, and the origin coefficient eta_origin.
 
     Integrates z' = (n-2)(z+C1) + b' X z - m (z+C1)^2, W' = z with
     X = exp(-s/b' + (1-m) W) by one LSODA run that outputs the grid nodes
     below b1; the solution keeps -C1 < z < 0, which is asserted at every
     node within integrator slack (BoundViolationError otherwise).
+    eta_origin and its levels come from _eta_origin (ExtrapolationError).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -387,11 +380,11 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                     np.concatenate([[b1], s_grid[n_left - 1::-1]]),
                     tol=Tolerances(abs_tol=LEFT_ABS_TOL, rel_tol=max(tol / 20.0, 3e-14)))
     zl, Wl = y[:, ::-1]
-    logwt_tail_sp = CubicSpline(tail.grid, np.log(tail.wt))
     sr = s_grid[n_left + 1:]
     h_tail = tail.h_spline(sr)
     z = np.concatenate([zl, h_tail - C1])
-    W = np.concatenate([Wl, logwt_tail_sp(sr)])
+    # log wt's tail spline is not kept: the eta step's spline comes later
+    W = np.concatenate([Wl, CubicSpline(tail.grid, np.log(tail.wt))(sr)])
 
     slack = max(1e3 * max(tol, 1e-13), 1e-9) * max(1.0, C1)
     if float(np.max(z)) > slack or float(np.min(z)) < -C1 - slack:
@@ -406,21 +399,19 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     h = np.concatenate([C1 + zl, h_tail])
     wt = np.exp(W)
     f = np.exp(-gamma * s_grid + W)
+    eta, levels = _eta_origin(s_grid, wt, bp)
     return Profile(
         params=p, eta_inf=1.0, s_grid=s_grid, z=z, h=h, wt=wt,
-        r_grid=np.exp(s_grid), f=f,
+        r_grid=np.exp(s_grid), f=f, eta_origin=eta,
+        far_field_gap=abs(float(wt[-1]) * math.exp(C1 * float(s_grid[-1])) - 1.0),
+        origin_levels=levels,
         fp_residual=tail.fp_residual, picard_iterations=tail.iterations,
     )
 
 
-def recover_profile(profile: Profile) -> Profile:
-    """Fill in eta_origin (Richardson extrapolation of r^gamma f as r -> 0)
-    and the far-field gap |r^((n-2)/m) f - eta_inf| at the last node.  The
-    gap checks nothing: the first correction there is below e^(-40), so it
-    reads roundoff (ROADMAP direction 11 replaces it)."""
-    p = profile.params
-    bp, C1 = p.beta_p, p.C1
-    s, wt = profile.s_grid, profile.wt
+def _eta_origin(s: np.ndarray, wt: np.ndarray, bp: float) -> tuple[float, np.ndarray]:
+    """(eta_origin, levels): Richardson extrapolation of wt = r^gamma f as
+    r -> 0, cross-checked against the deepest node (ExtrapolationError)."""
     wt_sp = CubicSpline(s, wt)
 
     rho0 = 1e-3
@@ -443,9 +434,7 @@ def recover_profile(profile: Profile) -> Profile:
         raise ExtrapolationError(
             f"extrapolated eta {eta} inconsistent with deep value {deep} at s_min"
         )
-
-    far_gap = abs(float(wt[-1]) * math.exp(C1 * float(s[-1])) - profile.eta_inf)
-    return replace(profile, eta_origin=eta, far_field_gap=far_gap, origin_levels=A)
+    return eta, A
 
 
 def rescale_profile(profile: Profile, lam: float) -> Profile:
@@ -465,9 +454,9 @@ def rescale_profile(profile: Profile, lam: float) -> Profile:
         wt=wt_new,
         r_grid=np.exp(s_new),
         f=np.exp(-p.gamma * s_new + np.log(wt_new)),
-        eta_origin=None if profile.eta_origin is None else profile.eta_origin * kappa,
-        far_field_gap=None if profile.far_field_gap is None else profile.far_field_gap * abs(kappa_inf),
-        origin_levels=None if profile.origin_levels is None else profile.origin_levels * kappa,
+        eta_origin=profile.eta_origin * kappa,
+        far_field_gap=profile.far_field_gap * abs(kappa_inf),
+        origin_levels=profile.origin_levels * kappa,
     )
 
 
@@ -483,15 +472,17 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
         raise RangeError(f"target_eta must be positive and finite, got {target_eta}")
     fp = derive_fp_constants(params, b1_margin=b1_margin)
     # no name holds the tail, so it and its h spline die after continue_left
-    prof = recover_profile(continue_left(picard_solve(fp, s_max=s_max, tol=tol),
-                                         s_min=s_min, tol=tol))
-    return rescale_profile(prof, _lambda_for_eta(params, prof.eta_origin, target_eta))
+    prof = continue_left(picard_solve(fp, s_max=s_max, tol=tol), s_min=s_min, tol=tol)
+    return rescale_profile(prof, lambda_for_amplitude(prof, target_eta))
 
 
-def _lambda_for_eta(params: ParamSet, eta_origin: float, target_eta: float) -> float:
-    """lam with origin coefficient target_eta, as eta_origin ~ lam^(2/(1-m) - gamma)."""
-    expo = 2.0 / (1.0 - params.m) - params.gamma     # negative in the admissible range
-    return (target_eta / eta_origin) ** (1.0 / expo)
+def lambda_for_amplitude(profile: Profile, a: float) -> float:
+    """Scaling factor lam with origin coefficient eta(f_lam) = a, by the
+    scaling law eta_origin ~ lam^(2/(1-m) - gamma)."""
+    if not 0.0 < a < math.inf:
+        raise RangeError(f"amplitude must be positive and finite, got {a}")
+    p = profile.params
+    return float((a / profile.eta_origin) ** (1.0 / (2.0 / (1.0 - p.m) - p.gamma)))
 
 
 def profile_interpolator(profile: Profile):

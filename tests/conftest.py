@@ -29,7 +29,7 @@ def tail_ref(fp_ref):
 @pytest.fixture(scope="session")
 def base_profile(tail_ref):
     """Profile at eta_inf = 1 over the default s-range."""
-    return fd.recover_profile(fd.continue_left(tail_ref))
+    return fd.continue_left(tail_ref)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from fastdiff import (
-    ConfigError,
     InternalError,
     ResolutionError,
     derive_params,
@@ -87,12 +86,6 @@ class TestExpansionCheck:
         with pytest.raises(ResolutionError):
             expansion_check(stub)
 
-    def test_needs_origin_coefficient(self, base_profile):
-        # d1 and d2 scale q(0) and q'(0) by eta_origin; continue_left's raw
-        # profile has none
-        with pytest.raises(ConfigError, match="eta_origin"):
-            expansion_check(replace(base_profile, eta_origin=None))
-
     def test_reads_the_continuation_state(self, unit_eta_profile):
         # d1 = eta beta' z/rho at 0: z scaled by 1 + 1e-3 must move d1 by 1e-3
         bad = replace(unit_eta_profile, z=unit_eta_profile.z * (1.0 + 1e-3))
@@ -102,7 +95,7 @@ class TestExpansionCheck:
     def test_sweep_within_bounds(self, point):
         # the reference point and the 20 sweep points that build: n in {3, 4,
         # 5, 8}, m at 50/90% of (n-2)/n, gamma at 5/50/95% of its window
-        # except 5% at m = 90%, where recover_profile raises ExtrapolationError
+        # except 5% at m = 90%, where continue_left raises ExtrapolationError
         rep = expansion_check(solve_for_eta(derive_params(*point), 1.0))
         assert rep.rel_err1 <= 1e-2 and rep.rel_err2 <= 2e-2          # ACCEPTANCE 05
         # headroom: measured worst on these points 3.6e-10 and 1.5e-6

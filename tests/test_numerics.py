@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 import fastdiff.numerics
 import fastdiff.profile
@@ -116,16 +115,17 @@ class TestIntegrateOdeMatchesSolveIvp:
             assert np.abs(y[0] - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_tail_integral_matches_ppoly_integrate(self, tail_ref, other_tail):
-        # J = int_s^{s_max} h from the spline's pieces against PPoly.integrate
-        # at 20 points of tail_residual's window, at knots and between them.
-        # Measured gaps, relative to J's largest value: 4.1e-15 at the
-        # reference point, 1.0e-14 at (4, 0.45, 4.04)
+        # tail_residual's J = int_s^{s_max} h = F(s_max) - F(s), F the
+        # antiderivative of h's spline, against PPoly.integrate at 20 points
+        # of its window, at knots and between them.  Measured gaps, relative
+        # to J's largest value: 6.3e-15 at the reference point, 1.2e-14 at
+        # (4, 0.45, 4.04)
         for tail in (tail_ref, other_tail):
             s = tail.grid
-            h_sp = CubicSpline(s, tail.h)
+            F = tail.h_spline.antiderivative()
             sk = np.concatenate([np.linspace(s[0], s[0] + 20.0, 18), s[[1, -1]]])
-            ref = np.array([h_sp.integrate(a, s[-1]) for a in sk])
-            got = fastdiff.profile._integral_to_end(h_sp, sk)
+            ref = np.array([tail.h_spline.integrate(a, s[-1]) for a in sk])
+            got = F(s[-1]) - F(sk)
             assert got[-1] == 0.0
             assert np.abs(got - ref).max() <= 5e-14 * np.abs(ref).max()
 
@@ -319,6 +319,18 @@ class TestCompositeRules:
         with pytest.raises(RangeError):
             integrate_table(np.ones(3), 0.1)
 
+    @pytest.mark.parametrize("dx", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_spacing_raises(self, dx):
+        # a nan or zero dx once came back as a nan or zero integral
+        with pytest.raises(RangeError, match="spacing"):
+            integrate_table(np.ones(8), dx)
+        with pytest.raises(RangeError, match="spacing"):
+            cumulative_integral(np.ones(8), dx)
+
+    def test_two_dimensional_table_raises(self):
+        with pytest.raises(RangeError, match="1-d"):
+            integrate_table(np.ones((8, 2)), 0.1)
+
     def test_unknown_direction_raises(self):
         with pytest.raises(RangeError):
             cumulative_integral(np.ones(8), 0.1, "sideways")
@@ -354,6 +366,23 @@ class TestStencils:
         # a repeated node makes the moment system singular
         with pytest.raises(RangeError, match="distinct"):
             fd_weights([0, 0, 1], 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_offsets_raise(self, bad):
+        # nan gave nan weights, inf gave zeros
+        with pytest.raises(RangeError, match="finite"):
+            fd_weights([0, bad, 1], 1)
+
+    @pytest.mark.parametrize("dx", [0.0, -1.0, math.nan, math.inf])
+    def test_deriv_uniform_bad_spacing_raises(self, dx):
+        # dx = 0 divided by zero with a RuntimeWarning, nan returned nan
+        with pytest.raises(RangeError, match="spacing"):
+            deriv_uniform(np.ones(9), dx)
+
+    def test_deriv_uniform_two_dimensional_raises(self):
+        # numpy's correlate refused it with its own ValueError
+        with pytest.raises(RangeError, match="1-d"):
+            deriv_uniform(np.ones((9, 2)), 0.1)
 
     def test_numpy_int_deriv_accepted(self):
         assert np.array_equal(fd_weights([-1, 0, 1], np.int64(2)), fd_weights([-1, 0, 1], 2))

@@ -20,13 +20,12 @@ from fastdiff import (
     derive_params,
     picard_solve,
     profile_interpolator,
-    recover_profile,
     rescale_profile,
     solve_for_eta,
     tail_residual,
 )
 import fastdiff.profile
-from fastdiff.profile import PROFILE_DS, _backward_recurrence, _spline_at
+from fastdiff.profile import PROFILE_DS, _backward_recurrence, _eta_origin, _spline_at
 
 # Origin coefficient of the base profile (eta_inf = 1) at the reference
 # parameter point, frozen from a converged run; guards against silent drift
@@ -215,6 +214,27 @@ class TestContinueLeft:
 
 
 class TestRecoverProfile:
+    """The origin coefficient continue_left reads off its own table."""
+
+    def test_carries_origin_coefficient_and_far_field_gap(self, tail_ref):
+        # one call builds the whole profile, and rescale_profile scales what
+        # it carries: eta_origin and its levels by lam^(2/(1-m) - gamma),
+        # the far-field gap by lam^(2/(1-m) - (n-2)/m)
+        prof = continue_left(tail_ref)
+        p = prof.params
+        eta, levels = _eta_origin(prof.s_grid, prof.wt, p.beta_p)
+        assert prof.eta_origin == eta
+        assert np.array_equal(prof.origin_levels, levels)
+        assert prof.far_field_gap == abs(float(prof.wt[-1]) * math.exp(p.C1 * float(prof.s_grid[-1])) - 1.0)
+        assert (prof.fp_residual, prof.picard_iterations) == (tail_ref.fp_residual, tail_ref.iterations)
+        lam = 1.7
+        two1m = 2.0 / (1.0 - p.m)
+        scaled = rescale_profile(prof, lam)
+        kappa = lam ** (two1m - p.gamma)
+        assert scaled.eta_origin == eta * kappa
+        assert np.array_equal(scaled.origin_levels, levels * kappa)
+        assert scaled.far_field_gap == prof.far_field_gap * lam ** (two1m - (p.n - 2) / p.m)
+
     def test_richardson_levels_agree(self, base_profile):
         eta = base_profile.eta_origin
         gaps = np.abs(np.diff(base_profile.origin_levels))
@@ -230,15 +250,15 @@ class TestRecoverProfile:
         assert base_profile.far_field_gap <= 1e-10
 
     def test_shallow_profile_rejected(self, tail_ref, fp_ref):
-        shallow = continue_left(tail_ref, s_min=fp_ref.b1 - 10.0)
-        with pytest.raises(ExtrapolationError):
-            recover_profile(shallow)
+        with pytest.raises(ExtrapolationError, match="does not reach"):
+            continue_left(tail_ref, s_min=fp_ref.b1 - 10.0)
 
     def test_detects_corrupted_origin_region(self, base_profile):
+        # the deep-value cross-check: wt raised by 1e-3 on the deepest nodes
         wt_bad = base_profile.wt.copy()
         wt_bad[:50] *= 1.001
         with pytest.raises(ExtrapolationError):
-            recover_profile(replace(base_profile, wt=wt_bad))
+            _eta_origin(base_profile.s_grid, wt_bad, base_profile.params.beta_p)
 
 
 class TestRescaleProfile:
@@ -328,7 +348,7 @@ class TestEndpointInsensitivity:
         # moving both integration endpoints must not move the origin
         # coefficient: the profile the pipeline selects is unique
         tail2 = picard_solve(fp_ref, s_max=fp_ref.b1 + 48.0)
-        prof2 = recover_profile(continue_left(tail2, s_min=base_profile.s_grid[0] - 2.0))
+        prof2 = continue_left(tail2, s_min=base_profile.s_grid[0] - 2.0)
         assert prof2.eta_origin == pytest.approx(base_profile.eta_origin, rel=1e-8)
 
 
