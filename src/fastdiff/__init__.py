@@ -76,7 +76,6 @@ from .pde import (
     convergence_experiment,
     evolve,
     log_grid,
-    make_self_similar_field,
     power_bump_initial,
     random_sandwiched_pair,
     rescale_field,

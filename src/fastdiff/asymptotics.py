@@ -268,7 +268,7 @@ def inversion_report(profile: Profile) -> InversionReport:
     # LSODA's noise, which continue_left floors to -1e-250.
     # C1 g + g_sigma = g (C1 - h(-sigma)) = -g z(-sigma), formed from z
     # itself: C1 - h cancels to roundoff once |z| is below an ulp of C1
-    z_rev = profile.z_spline(-sig)
+    z_rev = CubicSpline(s_grid, profile.z)(-sig)   # spline not kept: peak memory
     comb = -g * z_rev
     min_comb = float(np.min(comb / g))
     if min_comb < -1e-12:

@@ -247,7 +247,7 @@ def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
             raise RangeError(f"t_end must stay below the extinction time {o['bb_t']}")
     elif kind == "constant":
         c0 = o["c0"]
-        exact = lambda r, t: np.full(np.shape(r), c0) if np.ndim(r) else c0
+        exact = lambda r, t: np.full(np.shape(r), c0)
     if exact is not None:
         field = sample_solution(exact, t0, grid, params)
     else:  # power-bump: no exact solution, traces frozen at the datum
@@ -283,6 +283,8 @@ def _cmd_evolve(o: dict, params: ParamSet, weight: WeightFunction):
 
 
 def _cmd_contract(o: dict, params: ParamSet, weight: WeightFunction):
+    if o["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {o['seed']}")
     cfg, grid, manifest = _stepping(o)
     times = _log_spaced_times(o)
     prof = _build_profile(o, params)

@@ -48,7 +48,6 @@ __all__ = [
     "barenblatt",
     "self_similar_solution",
     "sample_solution",
-    "make_self_similar_field",
     "evolve",
     "rescale_field",
     "power_bump_initial",
@@ -251,8 +250,7 @@ def barenblatt(n: int, m: float, k: float, T: float) -> Callable:
             raise RangeError(f"Barenblatt field is defined for 0 < t < {T}, got t={t}")
         r_arr = np.asarray(r, dtype=float)
         s = T - t
-        val = s**alpha1 * (c_star / (k**2 + (s**beta1 * r_arr) ** 2)) ** (1.0 / (1.0 - m))
-        return float(val) if np.ndim(r) == 0 else val
+        return s**alpha1 * (c_star / (k**2 + (s**beta1 * r_arr) ** 2)) ** (1.0 / (1.0 - m))
 
     return B
 
@@ -278,16 +276,6 @@ def sample_solution(V: Callable, t: float, grid: np.ndarray, params: ParamSet) -
     r_in, r_out = float(grid[0]), float(grid[-1])
     return RadialField(r_grid=grid, u=V(grid, t), t=float(t),
                        bc=(lambda tt: V(r_in, tt), lambda tt: V(r_out, tt)), params=params)
-
-
-def make_self_similar_field(profile: Profile, lam: float, t: float,
-                            grid: np.ndarray) -> RadialField:
-    """Sample V_lam(r, t) on the grid.
-
-    The boundary traces are generated from the same solution, so evolving the
-    result reproduces an exact solution up to discretization error.
-    """
-    return sample_solution(self_similar_solution(profile, lam), t, grid, profile.params)
 
 
 class _StepReject(Exception):
@@ -741,8 +729,7 @@ def power_bump_initial(params: ParamSet, a0: float, amp: float = 0.10,
 
     def u0(r):
         r_arr = np.asarray(r, dtype=float)
-        val = a0 * r_arr ** (-gamma) * (1.0 + amp * _bump((np.log(r_arr) - center) / width))
-        return float(val) if np.ndim(r) == 0 else val
+        return a0 * r_arr ** (-gamma) * (1.0 + amp * _bump((np.log(r_arr) - center) / width))
 
     return u0
 

@@ -64,6 +64,8 @@ _PICARD_MAX_ITER = 200     # far above the ~8 iterations the 1/5-contraction nee
 _TAIL_SAMPLES = 400        # points on which tail_residual compares the two routes
 _RICHARDSON_TOL = 1e-8     # relative agreement of the last two origin Richardson levels
 LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on z and W
+_RHO0 = 1e-3               # largest radius of eta_origin's Richardson levels
+_RHO_LEVELS = 9            # levels rho0, rho0/2, ..., rho0/2^8; the grid must reach the last
 # BLAS's banded triangular solve, which _backward_recurrence runs on the tail
 (_TBSV,) = get_blas_funcs(("tbsv",), dtype=np.float64)
 
@@ -92,11 +94,7 @@ class TailSolution:
 @dataclass(frozen=True)
 class Profile:
     """The profile table on the uniform s-grid, s = log r, with its origin
-    coefficient and the tail's Picard data, all built by continue_left.
-
-    z_spline, the cubic spline of z on s_grid, is built on first use and
-    kept by the instance; inversion_report reads it.
-    """
+    coefficient and the tail's Picard data, all built by continue_left."""
     params: ParamSet
     eta_inf: float
     s_grid: np.ndarray
@@ -117,10 +115,6 @@ class Profile:
     def rfr_over_f(self) -> np.ndarray:
         """r f_r / f = (r w_r / w) - gamma at every node."""
         return self.z - self.params.gamma
-
-    @cached_property
-    def z_spline(self) -> CubicSpline:
-        return CubicSpline(self.s_grid, self.z)
 
 
 def _weighted_norm(dwt, dh, weights):
@@ -340,7 +334,8 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     X = exp(-s/b' + (1-m) W) by one LSODA run that outputs the grid nodes
     below b1; the solution keeps -C1 < z < 0, which is asserted at every
     node within integrator slack (BoundViolationError otherwise).
-    eta_origin and its levels come from _eta_origin (ExtrapolationError).
+    eta_origin and its levels come from _eta_origin (ExtrapolationError);
+    a grid too shallow for their last level is refused before the run.
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -373,6 +368,10 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     s_min_adj = b1 - n_left * PROFILE_DS
     n_right = int(math.floor((tail.grid[-1] - b1) / PROFILE_DS))
     s_grid = s_min_adj + PROFILE_DS * np.arange(n_left + n_right + 1)
+    # refused before the continuation runs: _eta_origin reads wt down to here
+    rho_last = _RHO0 / 2 ** (_RHO_LEVELS - 1)
+    if bp * math.log(rho_last) < s_grid[0]:
+        raise ExtrapolationError(f"profile does not reach rho = {rho_last:g}; extend s_min")
 
     # LSODA controls each step's local error only, so the run is held 20x
     # inside tol; the floor keeps rel_tol 135 ulp clear of roundoff
@@ -411,18 +410,11 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
 
 def _eta_origin(s: np.ndarray, wt: np.ndarray, bp: float) -> tuple[float, np.ndarray]:
     """(eta_origin, levels): Richardson extrapolation of wt = r^gamma f as
-    r -> 0, cross-checked against the deepest node (ExtrapolationError)."""
+    r -> 0, cross-checked against the deepest node (ExtrapolationError).
+    s must reach rho0/2^8, which continue_left checks before it runs."""
     wt_sp = CubicSpline(s, wt)
-
-    rho0 = 1e-3
-    n_levels = 9
-    s_of_rho = lambda rho: bp * math.log(rho)
-    if s_of_rho(rho0 / 2 ** (n_levels - 1)) < s[0]:
-        raise ExtrapolationError(
-            f"profile does not reach rho = {rho0 / 2 ** (n_levels - 1):g}; extend s_min"
-        )
-    rho_levels = rho0 / 2.0 ** np.arange(n_levels)
-    w_levels = wt_sp([s_of_rho(r) for r in rho_levels])
+    rho_levels = _RHO0 / 2.0 ** np.arange(_RHO_LEVELS)
+    w_levels = wt_sp([bp * math.log(r) for r in rho_levels])
     # first-order Richardson in rho (wbar = eta + c1 rho + O(rho^2))
     A = _richardson(w_levels, 1)
     gaps = np.abs(np.diff(A))
@@ -513,13 +505,12 @@ def profile_interpolator(profile: Profile):
             if sq < lo - 1e-12 or sq > hi + 1e-12:
                 raise out_of_table(sq, sq)
             return float(np.exp(-gamma * sq + log_wt_at(min(max(sq, lo), hi))))
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        r_arr = np.asarray(r, dtype=float)
         if not np.all(r_arr > 0):
             raise RangeError("radius must be positive, got a non-positive or nan value")
         sq = np.log(r_arr)
         if float(sq.min()) < lo - 1e-12 or float(sq.max()) > hi + 1e-12:
             raise out_of_table(sq.min(), sq.max())
-        out = np.exp(-gamma * sq + spline(np.clip(sq, lo, hi)))
-        return float(out[0]) if np.ndim(r) == 0 else out
+        return np.exp(-gamma * sq + spline(np.clip(sq, lo, hi)))
 
     return f_of_r

@@ -29,9 +29,10 @@ from fastdiff import (
     f_ode_residual,
     inversion_report,
     log_grid,
-    make_self_similar_field,
     power_bump_initial,
     random_sandwiched_pair,
+    sample_solution,
+    self_similar_solution,
     wbar_ode_residual,
 )
 
@@ -80,10 +81,12 @@ def accuracy_block(params_ref, unit_eta_profile):
         stats.append(out.stats)
         bb_errs.append(_annulus_rel_err(grid, out.u, bb(grid, 2.0)))
 
-        orb = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid)
+        orb = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.0,
+                              grid, unit_eta_profile.params)
         [out_v] = evolve(orb, cfg, [1.5])
         stats.append(out_v.stats)
-        exact = make_self_similar_field(unit_eta_profile, 1.0, 1.5, grid)
+        exact = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.5,
+                                grid, unit_eta_profile.params)
         v_errs.append(_annulus_rel_err(grid, out_v.u, exact.u))
 
     grid = log_grid(1e-2, 1e2, 512)
@@ -170,6 +173,10 @@ def test_criterion_01_derived_constants(params_ref, fp_ref, capsys):
 
 
 def test_criterion_02_picard_contraction(tail_ref, capsys):
+    """The residual gate 1e-10 was tuned at the reference point, where the
+    residual reads 2.80e-12.  Two completing points of the 36-point
+    admissible sweep read above it: 1.46e-10 at (n, m, gamma) =
+    (8, 0.675, 7.521) and 1.39e-10 at (8, 0.375, 3.84)."""
     max_ratio = float(np.max(tail_ref.update_ratios))
     res = tail_ref.fp_residual
     ok = max_ratio <= 0.25 and res <= 1e-10

@@ -473,6 +473,20 @@ class TestExitCodes:
         assert record["error"] == "SandwichViolationError"
         assert record["exit_code"] == 4
 
+    def test_negative_seed_is_bad_input(self, tmp_path, monkeypatch):
+        # numpy refuses a negative seed with a ValueError traceback; fdx
+        # refuses it before the profile is built and writes only error.json
+        def no_profile(*args, **kwargs):
+            raise AssertionError("profile built for a refused seed")
+
+        monkeypatch.setattr(cli, "solve_for_eta", no_profile)
+        rc = cli.main(["contract", "--n", "3", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        record = read_json(tmp_path / "error.json")
+        assert (record["error"], record["exit_code"]) == ("ConfigError", 2)
+        assert record["message"] == "seed must be a non-negative integer, got -1"
+        assert [p.name for p in tmp_path.iterdir()] == ["error.json"]
+
     def test_stale_error_record_removed_on_success(self, tmp_path):
         assert cli.main(["profile", "--n", "3", "--m", "0.9", "--out", str(tmp_path)]) == 2
         assert (tmp_path / "error.json").exists()

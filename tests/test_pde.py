@@ -25,11 +25,11 @@ from fastdiff import (
     evolve,
     lambda_for_amplitude,
     log_grid,
-    make_self_similar_field,
     power_bump_initial,
     random_sandwiched_pair,
     rescale_field,
     rescale_profile,
+    sample_solution,
     self_similar_solution,
 )
 from fastdiff.errors import NewtonDivergence, PositivityError
@@ -384,7 +384,8 @@ class TestStepperKernel:
                                               lambda t: 2.5, lambda t: 2.5)
         assert iters == iters_ref == 1
         assert np.array_equal(u_new, u_ref)
-        orbit = make_self_similar_field(unit_eta_profile, 1.0, 1.0, log_grid(1e-3, 1e3, 640))
+        orbit = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.0,
+                                log_grid(1e-3, 1e3, 640), unit_eta_profile.params)
         stepper = _Stepper(orbit.r_grid, params_ref, EvolveConfig(), [orbit.bc])
         left, right = orbit.bc
         u, t = orbit.u, 1.0
@@ -579,7 +580,8 @@ class TestNewtonPredictor:
         # dt_rel_max * t sizes the steps, each starts from the extrapolation.
         # The first one extrapolates through the dt_init ramp and takes three
         # solves, as from u_old; the cubic then takes two while it settles
-        field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 2.0,
+                                log_grid(1e-3, 1e3, 640), unit_eta_profile.params)
         cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
         calls = _record_steps(monkeypatch)
         [out] = evolve(field, cfg, [2.04])
@@ -596,7 +598,8 @@ class TestNewtonPredictor:
         # update but the converged last one.  Past t = 2.25 the cubic has
         # settled within newton_tol of each step's solution, so nearly every
         # cap-sized step takes one solve and one residual
-        field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 2.0,
+                                log_grid(1e-3, 1e3, 640), unit_eta_profile.params)
         cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
         n_residuals = [0]
         residual = _Stepper._residual
@@ -628,7 +631,8 @@ class TestNewtonPredictor:
     def test_step_after_a_sample_time_is_predicted(self, unit_eta_profile, monkeypatch):
         # a step clamped onto a sample time keeps dt, so the cap still sizes
         # the next step, which starts from the extrapolation
-        field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 2.0,
+                                log_grid(1e-3, 1e3, 640), unit_eta_profile.params)
         cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
         calls = _record_steps(monkeypatch)
         evolve(field, cfg, [2.02, 2.04])
@@ -642,7 +646,8 @@ class TestNewtonPredictor:
         # a start with a negative node rejects the first predicted step; the
         # halved dt is below the cap, so the retry starts from u_old, and
         # prediction resumes once the cap sizes the steps again
-        field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, log_grid(1e-3, 1e3, 640))
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 2.0,
+                                log_grid(1e-3, 1e3, 640), unit_eta_profile.params)
         cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
         attempts = []
         step = _Stepper.step
@@ -809,7 +814,8 @@ class TestFlatLockstep:
         # the patched field alone, 4 for the other), and each ends within
         # newton_tol of its own step
         field = _bb_field(bb, grid128, 1.0, params_ref)
-        other = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
+        other = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.0,
+                                grid128, unit_eta_profile.params)
         n, cfg = grid128.size, EvolveConfig()
         base = _Stepper(grid128, params_ref, cfg, [field.bc]).step(field.u, 1.0, 0.01)
         plain = _Stepper(grid128, params_ref, cfg, [other.bc]).step(other.u, 1.0, 0.01)
@@ -948,9 +954,11 @@ class TestEvolveAccuracy:
         assert 1.5 <= order <= 2.5
 
     def test_self_similar_orbit_tracked(self, unit_eta_profile, grid128):
-        field = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.0,
+                                grid128, unit_eta_profile.params)
         [out] = evolve(field, EvolveConfig(dt_init=0.004, dt_max=0.004), [1.3])
-        exact = make_self_similar_field(unit_eta_profile, 1.0, 1.3, grid128)
+        exact = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.3,
+                                grid128, unit_eta_profile.params)
         assert _annulus_rel_err(grid128, out.u, exact.u) <= 2e-2
         assert out.stats.ab_max <= 1e-6
 
@@ -983,7 +991,8 @@ class TestEvolveAccuracy:
     def test_decay_bound_reported_for_orbit(self, unit_eta_profile, grid128):
         # the orbit data is a semigroup image, so the absolute decay bound
         # u_t <= u/((1-m) t) holds from the first step with real margin
-        field = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.0,
+                                grid128, unit_eta_profile.params)
         [out] = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.01), [1.2])
         assert out.stats.ab_max <= -0.5
 
@@ -993,44 +1002,54 @@ class TestSelfSimilarField:
         from fastdiff import profile_interpolator, rescale_profile
 
         lam = 1.3
-        field = make_self_similar_field(unit_eta_profile, lam, 1.0, grid128)
+        field = sample_solution(self_similar_solution(unit_eta_profile, lam), 1.0,
+                                grid128, unit_eta_profile.params)
         itp = profile_interpolator(rescale_profile(unit_eta_profile, lam))
         assert np.allclose(field.u, itp(grid128), rtol=1e-12)
 
     def test_boundary_traces_consistent(self, unit_eta_profile, grid128):
-        field = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.0,
+                                grid128, unit_eta_profile.params)
         assert field.bc[0](1.0) == pytest.approx(float(field.u[0]), rel=1e-12)
         assert field.bc[1](1.0) == pytest.approx(float(field.u[-1]), rel=1e-12)
 
-    def test_float_radius_equals_array_path(self, unit_eta_profile):
-        # the boundary traces pass a float radius, which skips np.asarray;
-        # it must give the array path's bits, here on fdx converge's annulus
+    def test_float_radius_equals_array_path(self, unit_eta_profile, params_ref, bb):
+        # the boundary traces pass a float radius, which skips np.asarray in
+        # V; every trace source must give the array path's value, here on fdx
+        # converge's annulus.  Barenblatt's float path squares by numpy's
+        # scalar power and its array path by the ufunc loop: up to 2 ulp apart
         r_in, r_out = 1e-3, 1e3
         rng = np.random.default_rng(7)
         radii = [r_in, r_out] + list(np.exp(rng.uniform(math.log(r_in), math.log(r_out), 1000)))
-        for lam in (0.8, 1.0, 1.2):
-            V = self_similar_solution(unit_eta_profile, lam)
-            for t in (1.0, 1.5, math.exp(3.0)):
+        orbits = [self_similar_solution(unit_eta_profile, lam) for lam in (0.8, 1.0, 1.2)]
+        assert all(type(V(r_in, 1.0)) is float for V in orbits)
+        bump = power_bump_initial(params_ref, 1.0)
+        sources = [(V, (1.0, 1.5, math.exp(3.0)), 0) for V in orbits]
+        sources += [(lambda r, t: bump(r), (1.0,), 0), (bb, (1.0, 1.5, 7.9), 2)]
+        for V, times, ulps in sources:
+            for t in times:
                 for r in radii:
-                    value = V(float(r), t)
-                    assert type(value) is float
-                    assert value == V(np.array([r]), t)[0]
+                    value = V(np.array([r]), t)[0]
+                    assert abs(float(V(float(r), t)) - value) <= ulps * np.spacing(value)
 
     def test_time_validation(self, unit_eta_profile, grid128):
         with pytest.raises(RangeError):
-            make_self_similar_field(unit_eta_profile, 1.0, 0.0, grid128)
+            sample_solution(self_similar_solution(unit_eta_profile, 1.0), 0.0,
+                            grid128, unit_eta_profile.params)
 
 
 class TestRescaleField:
     def test_identity_at_t_equal_one(self, unit_eta_profile, grid128):
-        field = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.0,
+                                grid128, unit_eta_profile.params)
         u = rescale_field(field, grid128)
         assert np.allclose(u, field.u, rtol=1e-13, atol=0.0)
 
     def test_exact_image_scaling(self, unit_eta_profile, grid128, params_ref):
         # on the image grid t^(-beta) r the resampling lands on the nodes
         t = 1.7
-        field = make_self_similar_field(unit_eta_profile, 1.0, t, grid128)
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), t,
+                                grid128, unit_eta_profile.params)
         u = rescale_field(field, t ** (-params_ref.beta) * grid128)
         assert np.allclose(u, t**params_ref.alpha * field.u, rtol=1e-13, atol=0.0)
 
@@ -1038,7 +1057,8 @@ class TestRescaleField:
         # V(r, t) = t^-alpha f(t^-beta r) rescales exactly onto f for all t
         grid = log_grid(1e-2, 1e2, 200)
         t = 2.3
-        field = make_self_similar_field(unit_eta_profile, 1.0, t, grid)
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), t,
+                                grid, unit_eta_profile.params)
         y = log_grid(0.05, 20.0, 80)
         u = rescale_field(field, y)
         from fastdiff import profile_interpolator
@@ -1048,7 +1068,8 @@ class TestRescaleField:
         assert np.max(np.abs(u - f_ref) / f_ref) <= 1e-7
 
     def test_resample_out_of_range(self, unit_eta_profile, grid128):
-        field = make_self_similar_field(unit_eta_profile, 1.0, 2.0, grid128)
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 2.0,
+                                grid128, unit_eta_profile.params)
         y_bad = log_grid(1e-2, 1e2, 32)  # t^beta y dips below r_in for t>1, beta<0
         with pytest.raises(RangeError):
             rescale_field(field, y_bad)
@@ -1057,7 +1078,8 @@ class TestRescaleField:
     def test_non_finite_or_non_positive_y_raises(self, unit_eta_profile, grid128, y_bad):
         # every range comparison with nan is False, so nan once passed the
         # range check and came back as a nan value
-        field = make_self_similar_field(unit_eta_profile, 1.0, 1.0, grid128)
+        field = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.0,
+                                grid128, unit_eta_profile.params)
         with pytest.raises(RangeError, match="finite positive"):
             rescale_field(field, y_bad)
 
@@ -1203,7 +1225,8 @@ class TestContractionExperiment:
         with pytest.raises(ConfigError):
             contraction_experiment(shifted, v0, weight_ref, [2.0, 2.5], cfg, sandwich)
         other_grid = log_grid(1e-2, 1e2, 161)
-        w0 = make_self_similar_field(unit_eta_profile, 1.0, 1.0, other_grid)
+        w0 = sample_solution(self_similar_solution(unit_eta_profile, 1.0), 1.0,
+                             other_grid, unit_eta_profile.params)
         with pytest.raises(GridMismatchError):
             contraction_experiment(u0, w0, weight_ref, [1.0, 1.5], cfg, sandwich)
 
