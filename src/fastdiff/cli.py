@@ -480,8 +480,28 @@ def _resolve(args: argparse.Namespace) -> dict:
         opts[key] = value
     if "mu" in opts and opts["mu"] is None:
         opts["mu"] = (args.n - 2) / 2.0
-    opts["out"] = os.environ.get("FDX_OUT") or opts["out"]
+    opts["out"] = _out_dir(opts["out"])
     return opts
+
+
+def _out_dir(out: str) -> str:
+    """The output directory: FDX_OUT when set, else out."""
+    return os.environ.get("FDX_OUT") or out
+
+
+def _fail(command: str, out: str, exc: FastDiffError) -> int:
+    """Write the failure record error.json into out; returns the exit code."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    record = {
+        "command": command,
+        "error": type(exc).__name__,
+        "message": str(exc),
+        "exit_code": exc.exit_code,
+    }
+    (out_dir / "error.json").write_text(_json_text(record))
+    print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+    return exc.exit_code
 
 
 def run(command: str, opts: dict, skip: tuple = ()) -> int:
@@ -500,16 +520,7 @@ def run(command: str, opts: dict, skip: tuple = ()) -> int:
         manifest = {"command": command, "config": opts,
                     "derived": _derived_block(opts, params, weight), **extra}
     except FastDiffError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        record = {
-            "command": command,
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": exc.exit_code,
-        }
-        (out_dir / "error.json").write_text(_json_text(record))
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return _fail(command, opts["out"], exc)
     artifacts[f"{command}_manifest.json"] = _json_text(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
     stale = out_dir / "error.json"
@@ -526,8 +537,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         opts = _resolve(args)
     except FastDiffError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return exc.exit_code
+        # the config file's out may be what failed, so the record goes to the flag's
+        return _fail(args.command, _out_dir(args.out or _OUT["out"].default), exc)
     skip = tuple(suffix for suffix, off in ((".csv", args.no_csv), ("_summary.json", args.no_json))
                  if off)
     return run(args.command, opts, skip)

@@ -322,6 +322,12 @@ class TestExitCodes:
                        "--samples", "0", "--out", str(tmp_path)])
         assert rc == 2
         assert read_json(tmp_path / "error.json")["error"] == "ConfigError"
+        # an option refused while it is resolved leaves the same record
+        rc = cli.main(["profile", "--n", "3", "--m", "nan", "--out", str(tmp_path / "nf")])
+        assert rc == 2
+        record = read_json(tmp_path / "nf" / "error.json")
+        assert (record["command"], record["error"], record["exit_code"]) == ("profile", "ConfigError", 2)
+        assert record["message"] == "m must be a finite number, got nan"
 
     def test_single_sample_is_bad_input(self, tmp_path):
         # one sample is t0 alone, which would ignore --t-end: refused with
@@ -393,6 +399,9 @@ class TestExitCodes:
         rc = cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),
                        "--config", str(tmp_path / "missing.json")])
         assert rc == 2
+        record = read_json(tmp_path / "o" / "error.json")
+        assert (record["command"], record["error"]) == ("weight", "ConfigError")
+        assert record["message"].startswith("config file not found")
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
         assert cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),
@@ -415,6 +424,8 @@ class TestExitCodes:
         choice.write_text(json.dumps({"case": "nosuch"}))
         assert cli.main(["converge", "--n", "3", "--out", str(tmp_path / "o"),
                          "--config", str(choice)]) == 2
+        record = read_json(tmp_path / "o" / "error.json")
+        assert (record["command"], record["error"]) == ("converge", "ConfigError")
         # a key outside the command's option table is refused by name: a
         # misspelt option, a removed one, or one that belongs to another command
         for body, command in (({"nodse": 3}, "weight"), ({"eta_inf": 5}, "weight"),
@@ -426,7 +437,9 @@ class TestExitCodes:
                              "--config", str(unknown)]) == 2, body
             key = next(k for k in body if k != "m")
             assert f"has no option {key}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+            assert read_json(tmp_path / "o" / "error.json")["command"] == command
+        # only the failure record: no run got as far as an artifact
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["error.json"]
 
     @pytest.mark.parametrize("argv", [
         ["expansion", "--eta", "inf"],
