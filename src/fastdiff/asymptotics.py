@@ -3,11 +3,11 @@
 Everything here treats a Profile as immutable data and quantifies how well it
 satisfies equivalent differential/series representations:
 
-  * expansion_check: the C^2 extension of w-bar(rho) = r^gamma f(r),
-    rho = r^(1/beta'), has closed-form first and second derivatives at 0;
-    we read them off q = w-bar_rho / w-bar = beta' z / rho, the continuation
-    state z over rho, by windowed quadratic fits plus Richardson
-    extrapolation.
+  * expansion_check: w-bar(rho) = r^gamma f(r), rho = r^(1/beta'), has the
+    origin series q = w-bar_rho / w-bar = sum q_k rho^k, fixed by eta_origin;
+    w-bar's first two derivatives at 0 are measured off rho q = beta' z on
+    the origin match's window and compared with the series, whose defect
+    against the continuation is reported there.
   * wbar_ode_residual: defect of the rho-form ODE
     (wb_rho/wb)_rho + m (wb_rho/wb)^2 + a1/rho (wb_rho/wb)
       + a2/rho^2 (wb_rho/wb^m) = a3/rho^2.
@@ -26,11 +26,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
 
 from .errors import InternalError, ResolutionError
-from .numerics import _richardson, deriv_uniform
-from .profile import LEFT_ABS_TOL, Profile
+from .numerics import deriv_uniform
+from .profile import LEFT_ABS_TOL, Profile, _origin_node, _origin_series
 
 __all__ = [
     "ExpansionReport",
@@ -55,10 +56,10 @@ class ExpansionReport:
     d2_ref: float
     rel_err1: float            # |d1 - d1_ref| / |d1_ref|
     rel_err2: float            # |d2 - d2_ref| / |d2_ref|
-    level_gap1: float          # relative gap between the Richardson levels at the stop, d1
-    level_gap2: float          # the same for d2
-    d1_levels: np.ndarray
-    d2_levels: np.ndarray
+    # sup over the origin match's window [rho_min, rho*] of |beta' z - rho
+    # q_series|, rho q = d log wbar / d log rho, and of |log wt - log wbar_series|
+    q_defect: float
+    logw_defect: float
 
 
 @dataclass(frozen=True)
@@ -72,69 +73,39 @@ class InversionReport:
     beta_tilde: float
 
 
-def _series_reference(profile: Profile, eta: float) -> tuple[float, float]:
-    """Closed-form (d1, d2) = (wbar_rho, wbar_rhorho) at rho = 0 for origin coefficient eta."""
-    p = profile.params
-    a1, a2, a3, m = p.a1, p.a2, p.a3, p.m
-    return a3 / a2 * eta ** m, a3 * (m * a3 - a1) / a2 ** 2 * eta ** (2.0 * m - 1.0)
-
-
-def _stop(levels: np.ndarray) -> tuple[float, float]:
-    """The Richardson level just after the smallest gap between successive
-    levels, and that gap: shallow levels carry the series' bias, deep ones
-    the data noise amplified by 1/rho."""
-    gaps = np.abs(np.diff(levels))
-    i = int(np.argmin(gaps))
-    return float(levels[i + 1]), float(gaps[i])
-
-
 def expansion_check(profile: Profile) -> ExpansionReport:
-    """(d1, d2) = (wbar_rho, wbar_rhorho) at rho = 0 from q = wbar_rho / wbar.
+    """(d1, d2) = (wbar_rho, wbar_rhorho) at rho = 0, measured on the
+    continuation and compared with the origin series (d1_ref, d2_ref).
 
-    q = beta' z / rho is read off the continuation state z, so d1 = eta q(0)
-    and d2 = eta (q'(0) + q(0)^2) with eta = profile.eta_origin.  Quadratics
-    in rho / rho_lo are fitted to q on the nodes of [rho_lo, 4 rho_lo],
-    rho_lo = 1e-2 / 2^k down to the grid's smallest rho; q(0) takes one
-    Richardson stage of order 3 and q'(0) one of order 2, and each stops
-    after the smallest gap between successive levels.
+    On the window [rho_min, rho*] of the origin match (profile._origin_node),
+    one least-squares fit of rho q = beta' z minus the series' terms of order
+    >= 2 to q0 rho + q1 rho^2 gives d1 = eta q0 and d2 = eta (q1 + q0^2),
+    eta = profile.eta_origin.  In rho q every node carries z's absolute
+    error, so the nodes near rho* decide the fit, not the deep ones where q
+    is noise over rho.  ResolutionError if the grid does not reach rho*/2.
     """
-    eta = profile.eta_origin
-    bp = profile.params.beta_p                   # rho = r^(1/b') = e^(s/b')
-    s = profile.s_grid
-    rho_min = math.exp(float(s[0]) / bp)
-    if rho_min > 1e-5:
-        raise ResolutionError(
-            f"rho range spans only down to {rho_min:g}; need >= 3 decades below 1e-2"
-        )
-    near = s <= bp * math.log(4e-2)              # the windows' nodes
-    rho = np.exp(s[near] / bp)
-    q = bp * profile.z[near] / rho
-
-    rho_lo = 1e-2 / 2.0 ** np.arange(16)
-    fits = []
-    for lo in rho_lo[rho_lo > rho_min]:
-        sel = (rho >= lo) & (rho <= 4.0 * lo)
-        c0, c1, _ = np.polynomial.polynomial.polyfit(rho[sel] / lo, q[sel], 2)
-        fits.append((c0, c1 / lo))               # q(0), q'(0) of the window
-    q0_w, q1_w = np.array(fits).T
-
-    q0_levels = _richardson(q0_w, 3)
-    q0, gap0 = _stop(q0_levels)
-    q1_levels = _richardson(q1_w, 2)
-    q1, gap1 = _stop(q1_levels)
-    d1 = eta * q0
-    d2 = eta * (q1 + q0 * q0)
+    p = profile.params
+    eta, bp = profile.eta_origin, p.beta_p
+    Q = _origin_series(p)
+    i = _origin_node(profile.s_grid, eta, p)
+    lam = eta ** (p.m - 1.0)                     # q(rho) = lam Q(lam rho)
+    t = lam * np.exp(profile.s_grid[:i + 1] / bp)
+    rq = bp * profile.z[:i + 1]
+    u = t / t[-1]
+    (c1, c2), *_ = np.linalg.lstsq(np.column_stack([u, u * u]),
+                                   rq - t ** 3 * polyval(t, Q[2:]), rcond=None)
+    q0, q1 = c1 / t[-1], c2 / t[-1] ** 2         # Q_0 and Q_1 as measured
+    d1, d2 = eta * lam * q0, eta * lam ** 2 * (q1 + q0 * q0)
     if not d1 < 0:
-        raise InternalError(f"extrapolated w-bar_rho(0) = {d1} is not negative")
-
-    d1_ref, d2_ref = _series_reference(profile, eta)
+        raise InternalError(f"measured w-bar_rho(0) = {d1} is not negative")
+    d1_ref, d2_ref = eta * lam * Q[0], eta * lam ** 2 * (Q[1] + Q[0] ** 2)
+    log_wbar = math.log(eta) + t * polyval(t, Q / np.arange(1, Q.size + 1))
     return ExpansionReport(
         eta=eta, d1=d1, d2=d2, d1_ref=d1_ref, d2_ref=d2_ref,
         rel_err1=abs(d1 - d1_ref) / abs(d1_ref),
         rel_err2=abs(d2 - d2_ref) / abs(d2_ref),
-        level_gap1=eta * gap0 / abs(d1),
-        level_gap2=eta * gap1 / abs(d2),
-        d1_levels=eta * q0_levels, d2_levels=eta * (q1_levels + q0 * q0),
+        q_defect=float(np.max(np.abs(rq - t * polyval(t, Q)))),
+        logw_defect=float(np.max(np.abs(np.log(profile.wt[:i + 1]) - log_wbar))),
     )
 
 
@@ -248,11 +219,12 @@ def inversion_report(profile: Profile) -> InversionReport:
 
     Q = np.exp((n - 2) * sig) * Gamma_sigma
     Q_sigma = deriv_uniform(Q, ds, deriv=1)
-    diffusion = np.exp(-n * sig) * Q_sigma
-    E = np.exp(((n - 2 - n * m) / m - 2.0) * sig)
     sel = (sig >= math.log(1e-2)) & (sig <= math.log(1e2))
     sel &= _off_edges(sig.size)
-    res = _residual_over_terms([diffusion[sel], E[sel] * at * g[sel], E[sel] * bt * g_sigma[sel]])
+    # formed on the window only: e^(-n sigma) overflows at the grid's ends
+    diffusion = np.exp(-n * sig[sel]) * Q_sigma[sel]
+    E = np.exp(((n - 2 - n * m) / m - 2.0) * sig[sel])
+    res = _residual_over_terms([diffusion, E * at * g[sel], E * bt * g_sigma[sel]])
     residual = float(np.max(res))
 
     # limit checks at the small-argument end of g

@@ -485,32 +485,21 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _out_dir(out: str) -> str:
-    """The output directory: FDX_OUT when set, else out."""
     return os.environ.get("FDX_OUT") or out
 
 
-def _fail(command: str, out: str, exc: FastDiffError) -> int:
-    """Write the failure record error.json into out; returns the exit code."""
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record = {
-        "command": command,
-        "error": type(exc).__name__,
-        "message": str(exc),
-        "exit_code": exc.exit_code,
-    }
-    (out_dir / "error.json").write_text(_json_text(record))
-    print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-    return exc.exit_code
-
-
-def run(command: str, opts: dict, skip: tuple = ()) -> int:
-    """Execute one resolved command and write its artifacts, leaving out those
-    whose names end in one of the `skip` suffixes; returns the exit code."""
-    out_dir = Path(opts["out"])
-    table = _COMMANDS[command].options
+def run(args: argparse.Namespace) -> int:
+    """Resolve and execute one parsed command and write its artifacts, less
+    those --no-csv and --no-json leave out; returns the exit code.  A failure
+    writes only error.json: into the resolved output directory, or, when
+    resolving fails, the flag's or the default (the config file's out may be
+    what failed)."""
+    command, table = args.command, _COMMANDS[args.command].options
+    out_dir = Path(_out_dir(args.out or _OUT["out"].default))
     params = weight = None
     try:
+        opts = _resolve(args)
+        out_dir = Path(opts["out"])
         if "m" in table:
             params = derive_params(opts["n"], opts["m"], opts["gamma"])
         if "mu" in table:
@@ -520,12 +509,23 @@ def run(command: str, opts: dict, skip: tuple = ()) -> int:
         manifest = {"command": command, "config": opts,
                     "derived": _derived_block(opts, params, weight), **extra}
     except FastDiffError as exc:
-        return _fail(command, opts["out"], exc)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        record = {
+            "command": command,
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "exit_code": exc.exit_code,
+        }
+        (out_dir / "error.json").write_text(_json_text(record))
+        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return exc.exit_code
     artifacts[f"{command}_manifest.json"] = _json_text(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
     stale = out_dir / "error.json"
     if stale.exists():
         stale.unlink()
+    skip = tuple(suffix for suffix, off in ((".csv", args.no_csv), ("_summary.json", args.no_json))
+                 if off)
     for name, text in sorted(artifacts.items()):
         if not name.endswith(skip):
             (out_dir / name).write_text(text)
@@ -533,15 +533,7 @@ def run(command: str, opts: dict, skip: tuple = ()) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        opts = _resolve(args)
-    except FastDiffError as exc:
-        # the config file's out may be what failed, so the record goes to the flag's
-        return _fail(args.command, _out_dir(args.out or _OUT["out"].default), exc)
-    skip = tuple(suffix for suffix, off in ((".csv", args.no_csv), ("_summary.json", args.no_json))
-                 if off)
-    return run(args.command, opts, skip)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ class ToleranceError(NumericalError):
 
 
 class ExtrapolationError(NumericalError):
-    """Richardson levels disagree; no trustworthy limit."""
+    """A limit read off computed data fails its own check; no trustworthy value."""
 
 
 class ResolutionError(NumericalError):

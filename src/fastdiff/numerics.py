@@ -122,12 +122,6 @@ def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
     return value
 
 
-def _richardson(levels: np.ndarray, order: int) -> np.ndarray:
-    """One Richardson stage over levels at successively halved steps whose
-    error is O(step^order): (2^order x[1:] - x[:-1]) / (2^order - 1)."""
-    return (2.0 ** order * levels[1:] - levels[:-1]) / (2.0 ** order - 1.0)
-
-
 # --- uniform-grid composite rules -------------------------------------------
 
 # Interval weights exact for cubics: interior interval [x_i, x_{i+1}] uses the

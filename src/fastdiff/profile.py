@@ -12,7 +12,8 @@ far-field coefficient eta_inf = lim r^((n-2)/m) f(r) = 1, the one the profile
 is built at before rescaling.  Picard iteration on a uniform
 s-grid gives (wt, h) on [b1, s_max]; continue_left builds the whole Profile
 from it in one call: the tail continued to the left through the equivalent
-ODE system, f(r) = r^(-gamma) wt(log r), and eta_origin = lim r^gamma f.
+ODE system, f(r) = r^(-gamma) wt(log r), and eta_origin = lim r^gamma f
+from the origin series matched to the continuation (_origin_match).
 
 Numerical notes kept out of the API: the continuation integrates
 z = h - C1 and W = log(wt) instead of (h, wt) because the term
@@ -24,12 +25,15 @@ must and interpolates each grid node from its own steps.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
 from scipy.linalg import get_blas_funcs
 
@@ -42,8 +46,7 @@ from .errors import (
     ResolutionError,
     ToleranceError,
 )
-from .numerics import (_W_FIRST, _W_LAST, _W_MID, Tolerances, _richardson,
-                       cumulative_integral, lsoda_at)
+from .numerics import _W_FIRST, _W_LAST, _W_MID, Tolerances, cumulative_integral, lsoda_at
 from .params import FPConstants, ParamSet, derive_fp_constants
 
 __all__ = [
@@ -62,10 +65,9 @@ PROFILE_DS = 0.01          # uniform spacing of the assembled profile grid
 _NOISE_FLOOR = 2e-14       # update norms below this are roundoff, not contraction data
 _PICARD_MAX_ITER = 200     # far above the ~8 iterations the 1/5-contraction needs
 _TAIL_SAMPLES = 400        # points on which tail_residual compares the two routes
-_RICHARDSON_TOL = 1e-8     # relative agreement of the last two origin Richardson levels
 LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on z and W
-_RHO0 = 1e-3               # largest radius of eta_origin's Richardson levels
-_RHO_LEVELS = 9            # levels rho0, rho0/2, ..., rho0/2^8; the grid must reach the last
+_ORIGIN_TERMS = 40         # origin series terms: rho* <= c/40 cuts it before its smallest
+_ORIGIN_Q_TOL = 1e-10      # relative q defect of the origin match (sweep's worst 2.9e-12)
 # BLAS's banded triangular solve, which _backward_recurrence runs on the tail
 (_TBSV,) = get_blas_funcs(("tbsv",), dtype=np.float64)
 
@@ -107,7 +109,7 @@ class Profile:
     # |r^((n-2)/m) f - eta_inf| at the last node, where the first correction
     # is below e^(-40): it reads roundoff, not the far-field expansion
     far_field_gap: float
-    origin_levels: np.ndarray
+    origin_q_defect: float     # relative, so rescaling leaves it as it is; see _origin_match
     fp_residual: float
     picard_iterations: int
 
@@ -334,8 +336,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     X = exp(-s/b' + (1-m) W) by one LSODA run that outputs the grid nodes
     below b1; the solution keeps -C1 < z < 0, which is asserted at every
     node within integrator slack (BoundViolationError otherwise).
-    eta_origin and its levels come from _eta_origin (ExtrapolationError);
-    a grid too shallow for their last level is refused before the run.
+    eta_origin and origin_q_defect come from _origin_match, which refuses a
+    grid too shallow for the origin series (ResolutionError) or a series
+    that misses z (ExtrapolationError).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -368,10 +371,6 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     s_min_adj = b1 - n_left * PROFILE_DS
     n_right = int(math.floor((tail.grid[-1] - b1) / PROFILE_DS))
     s_grid = s_min_adj + PROFILE_DS * np.arange(n_left + n_right + 1)
-    # refused before the continuation runs: _eta_origin reads wt down to here
-    rho_last = _RHO0 / 2 ** (_RHO_LEVELS - 1)
-    if bp * math.log(rho_last) < s_grid[0]:
-        raise ExtrapolationError(f"profile does not reach rho = {rho_last:g}; extend s_min")
 
     # LSODA controls each step's local error only, so the run is held 20x
     # inside tol; the floor keeps rel_tol 135 ulp clear of roundoff
@@ -382,7 +381,7 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     sr = s_grid[n_left + 1:]
     h_tail = tail.h_spline(sr)
     z = np.concatenate([zl, h_tail - C1])
-    # log wt's tail spline is not kept: the eta step's spline comes later
+    # log wt's tail spline is not kept
     W = np.concatenate([Wl, CubicSpline(tail.grid, np.log(tail.wt))(sr)])
 
     slack = max(1e3 * max(tol, 1e-13), 1e-9) * max(1.0, C1)
@@ -398,35 +397,81 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     h = np.concatenate([C1 + zl, h_tail])
     wt = np.exp(W)
     f = np.exp(-gamma * s_grid + W)
-    eta, levels = _eta_origin(s_grid, wt, bp)
+    eta, q_defect = _origin_match(s_grid, z, W, p)
     return Profile(
         params=p, eta_inf=1.0, s_grid=s_grid, z=z, h=h, wt=wt,
         r_grid=np.exp(s_grid), f=f, eta_origin=eta,
         far_field_gap=abs(float(wt[-1]) * math.exp(C1 * float(s_grid[-1])) - 1.0),
-        origin_levels=levels,
+        origin_q_defect=q_defect,
         fp_residual=tail.fp_residual, picard_iterations=tail.iterations,
     )
 
 
-def _eta_origin(s: np.ndarray, wt: np.ndarray, bp: float) -> tuple[float, np.ndarray]:
-    """(eta_origin, levels): Richardson extrapolation of wt = r^gamma f as
-    r -> 0, cross-checked against the deepest node (ExtrapolationError).
-    s must reach rho0/2^8, which continue_left checks before it runs."""
-    wt_sp = CubicSpline(s, wt)
-    rho_levels = _RHO0 / 2.0 ** np.arange(_RHO_LEVELS)
-    w_levels = wt_sp([bp * math.log(r) for r in rho_levels])
-    # first-order Richardson in rho (wbar = eta + c1 rho + O(rho^2))
-    A = _richardson(w_levels, 1)
-    gaps = np.abs(np.diff(A))
-    eta = float(A[-1])
-    if gaps[-1] > 10.0 * _RICHARDSON_TOL * abs(eta):
-        raise ExtrapolationError(f"Richardson levels disagree: last gap {gaps[-1]:g}")
-    deep = float(wt[0])
-    if abs(deep - eta) > 1e-6 * abs(eta):
-        raise ExtrapolationError(
-            f"extrapolated eta {eta} inconsistent with deep value {deep} at s_min"
-        )
-    return eta, A
+@functools.cache
+def _origin_series(params: ParamSet) -> np.ndarray:
+    """Q_k, k < _ORIGIN_TERMS, read-only: q = wbar_rho / wbar = sum Q_k rho^k
+    at eta_origin = 1, and q(rho) = lam Q(lam rho), lam = eta^(m-1), at eta.
+    With P = wbar^(1-m), the w-bar equation times rho^2 is rho^2 q' + m rho^2
+    q^2 + a1 rho q + a2 q P = a3, and P' = (1-m) q P; from P_0 = 1 its powers
+    of rho give the recursion below.  rho = 0 is an irregular singular point
+    (other solutions differ by exp(-c/rho), c = |a2| eta^(1-m)), so the
+    series is asymptotic: cut before its smallest term it errs by about
+    exp(-c/rho) (Bender & Orszag, Advanced Mathematical Methods..., ch. 3)."""
+    m, a1, a2 = params.m, params.a1, params.a2
+    Q, P = np.empty(_ORIGIN_TERMS), np.empty(_ORIGIN_TERMS)
+    Q[0], P[0] = params.a3 / a2, 1.0
+    for k in range(1, _ORIGIN_TERMS):
+        # P_k = ((1-m)/k) sum_{j<k} Q_j P_{k-1-j}; a2 Q_k = -[a2 sum_{0<i<=k}
+        # Q_{k-i} P_i + (k-1+a1) Q_{k-1} + m sum_{i<=k-2} Q_i Q_{k-2-i}]
+        P[k] = (1.0 - m) / k * (Q[:k] @ P[k - 1::-1])
+        Q[k] = -(Q[:k] @ P[k:0:-1]) - ((k - 1 + a1) * Q[k - 1]
+                                        + m * (Q[:k - 1] @ Q[:k - 1][::-1])) / a2
+    Q.flags.writeable = False
+    return Q
+
+
+def _origin_node(s_grid: np.ndarray, eta: float, params: ParamSet) -> int:
+    """Index of the match node rho*, the last at or below min(c/40, max(1e-2,
+    2 rho_min)), rho = e^(s/b'): at rho <= c/40 the series' smallest term
+    lies past its _ORIGIN_TERMS.  A grid whose first node rho_min lies above
+    rho*/2 leaves no window [rho_min, rho*] to fit: ResolutionError."""
+    bp = params.beta_p
+    rho_min = math.exp(float(s_grid[0]) / bp)
+    rho_star = min(-params.a2 * eta ** (1.0 - params.m) / 40.0, max(1e-2, 2.0 * rho_min))
+    if 2.0 * rho_min > rho_star:
+        raise ResolutionError(f"profile reaches only rho = {rho_min:.3g} > rho*/2 = "
+                              f"{rho_star / 2:.3g} of the origin series; extend s_min")
+    return int(np.searchsorted(s_grid, bp * math.log(rho_star), side="right")) - 1
+
+
+def _origin_match(s_grid: np.ndarray, z: np.ndarray, W: np.ndarray,
+                  params: ParamSet) -> tuple[float, float]:
+    """(eta_origin, q defect): the origin series matched to the continuation
+    (z, W = log wt) at the node rho* of _origin_node, c taken at W[0].
+    log eta solves log eta = W(rho*) - int_0^rho* q_series(eta), no spline,
+    by Newton: its derivative 1 + (1-m)|rho q| > 1 keeps it safe where the
+    plain iteration would not contract.  The q defect |rho q_series - b' z| /
+    |rho q_series| at rho* checks the series against the state the match
+    does not read: the series errs there by about exp(-40), z by
+    LEFT_ABS_TOL; the sweep's worst is 2.9e-12, and a defect above
+    _ORIGIN_Q_TOL = 1e-10 raises ExtrapolationError."""
+    Q = _origin_series(params)
+    i = _origin_node(s_grid, math.exp(float(W[0])), params)
+    rho, log_eta = math.exp(float(s_grid[i]) / params.beta_p), float(W[0])
+    for _ in range(50):
+        t = math.exp((params.m - 1.0) * log_eta) * rho          # lam rho
+        rq = t * polyval(t, Q)                                  # rho q_series(rho)
+        step = (float(W[i]) - log_eta - t * polyval(t, Q / np.arange(1, Q.size + 1))) \
+            / (1.0 + (params.m - 1.0) * rq)
+        log_eta += step
+        if abs(step) <= 1e-15:
+            break
+    else:
+        raise ExtrapolationError(f"origin match did not settle: last step {step:g} in log eta")
+    defect = abs(rq - params.beta_p * float(z[i])) / abs(rq)
+    if not defect <= _ORIGIN_Q_TOL:
+        raise ExtrapolationError(f"origin series misses z at rho* = {rho:.3g}: q defect {defect:.3g}")
+    return math.exp(log_eta), defect
 
 
 def rescale_profile(profile: Profile, lam: float) -> Profile:
@@ -439,16 +484,19 @@ def rescale_profile(profile: Profile, lam: float) -> Profile:
     kappa_inf = lam ** (two1m - (p.n - 2) / p.m)     # eta_inf scale
     s_new = profile.s_grid - math.log(lam)
     wt_new = kappa * profile.wt
+    log_f = -p.gamma * s_new + np.log(wt_new)
+    if log_f[0] > math.log(sys.float_info.max):      # f decreases from the first node
+        raise ResolutionError(f"f = e^{log_f[0]:.0f} overflows at the first node once rescaled "
+                              f"by lambda = {lam:.3g}; choose a shallower s_min")
     return replace(
         profile,
         eta_inf=profile.eta_inf * kappa_inf,
         s_grid=s_new,
         wt=wt_new,
         r_grid=np.exp(s_new),
-        f=np.exp(-p.gamma * s_new + np.log(wt_new)),
+        f=np.exp(log_f),
         eta_origin=profile.eta_origin * kappa,
         far_field_gap=profile.far_field_gap * abs(kappa_inf),
-        origin_levels=profile.origin_levels * kappa,
     )
 
 

@@ -35,6 +35,7 @@ from fastdiff import (
     self_similar_solution,
     wbar_ode_residual,
 )
+from fastdiff.profile import _ORIGIN_Q_TOL
 
 ANNULUS = (0.1, 10.0)
 
@@ -203,13 +204,12 @@ def test_criterion_03_pointwise_bounds(unit_eta_profile, capsys):
 
 
 def test_criterion_04_origin_and_far_field(base_profile, fp_ref, capsys):
-    eta = base_profile.eta_origin
-    gap_levels = float(np.max(np.abs(np.diff(base_profile.origin_levels)))) / abs(eta)
+    q_defect = base_profile.origin_q_defect
     s_max = float(base_profile.s_grid[-1])
     bound = math.exp(-fp_ref.C2 * (s_max - fp_ref.b1)) + 1e-8
-    ok = gap_levels <= 1e-4 and base_profile.far_field_gap <= bound
+    ok = q_defect <= _ORIGIN_Q_TOL and base_profile.far_field_gap <= bound
     _emit(capsys, 4, "origin coefficient and far-field coefficient recovered", ok,
-          f"Richardson gap {gap_levels:.2e} <= 1e-4, far-field gap "
+          f"origin series q defect {q_defect:.2e} <= {_ORIGIN_Q_TOL:g}, far-field gap "
           f"{base_profile.far_field_gap:.2e} <= {bound:.2e}")
     assert ok
 

@@ -1,5 +1,5 @@
-"""Tests for the origin/far-field verification layer: fitted expansion
-derivatives against closed-form references, equation residuals in the three
+"""Tests for the origin/far-field verification layer: measured expansion
+derivatives against the origin series, equation residuals in the three
 formulations, and the inversion involution."""
 
 from dataclasses import replace
@@ -27,18 +27,26 @@ D1_REF = float(Fraction(-4, 5))
 D2_REF = float(Fraction(-28, 625) * 10)
 
 
-def _sweep_completing():
+def _sweep_points():
     points = [(3, 0.2, 4.0)]
     for n in (3, 4, 5, 8):
         for fm in (0.5, 0.9):
             m = fm * (n - 2) / n
             lo, hi = 2 / (1 - m), (n - 2) / m
-            points += [(n, m, lo + fg * (hi - lo)) for fg in (0.05, 0.5, 0.95)
-                       if (fm, fg) != (0.9, 0.05)]
+            points += [(n, m, lo + fg * (hi - lo)) for fg in (0.05, 0.5, 0.95)]
     return points
 
 
-SWEEP_COMPLETING = _sweep_completing()
+def _point_id(point):
+    return "n%d-m%.4g-g%.4g" % point
+
+
+# the reference point and the 24 sweep points with m at 50/90% of (n-2)/n,
+# but for one whose profile builds and is refused when rescaled: at (8,
+# 0.675, 6.291) lambda = 6.5e12 takes f past the double range at the
+# default table's first node
+SWEEP_REFUSED = [p for p in _sweep_points() if _point_id(p) == "n8-m0.675-g6.291"]
+SWEEP_COMPLETING = [p for p in _sweep_points() if p not in SWEEP_REFUSED]
 
 
 class TestExpansionCheck:
@@ -58,8 +66,10 @@ class TestExpansionCheck:
         rep = expansion_check(unit_eta_profile)
         assert rep.rel_err1 <= 1e-6
         assert rep.rel_err2 <= 1e-3
-        assert rep.level_gap1 <= 1e-6
-        assert rep.level_gap2 <= 1e-3
+        # the series against the continuation on the window: measured 9.2e-15
+        # for rho q = beta' z and 7.5e-13 for log wbar
+        assert rep.q_defect <= 1e-12
+        assert rep.logw_defect <= 1e-11
 
     def test_eta_recovered(self, unit_eta_profile):
         rep = expansion_check(unit_eta_profile)
@@ -91,16 +101,18 @@ class TestExpansionCheck:
         bad = replace(unit_eta_profile, z=unit_eta_profile.z * (1.0 + 1e-3))
         assert expansion_check(bad).rel_err1 == pytest.approx(1e-3, rel=0.01)
 
-    @pytest.mark.parametrize("point", SWEEP_COMPLETING, ids=lambda p: "n%d-m%.4g-g%.4g" % p)
+    @pytest.mark.parametrize("point", SWEEP_COMPLETING, ids=_point_id)
     def test_sweep_within_bounds(self, point):
-        # the reference point and the 20 sweep points that build: n in {3, 4,
-        # 5, 8}, m at 50/90% of (n-2)/n, gamma at 5/50/95% of its window
-        # except 5% at m = 90%, where continue_left raises ExtrapolationError
         rep = expansion_check(solve_for_eta(derive_params(*point), 1.0))
         assert rep.rel_err1 <= 1e-2 and rep.rel_err2 <= 2e-2          # ACCEPTANCE 05
-        # headroom: measured worst on these points 3.6e-10 and 1.5e-6
+        # headroom: measured worst on these points 1.2e-11 and 6.6e-9
         assert rep.rel_err1 <= 1e-8
         assert rep.rel_err2 <= 1e-4
+
+    @pytest.mark.parametrize("point", SWEEP_REFUSED, ids=_point_id)
+    def test_sweep_refusal_is_typed(self, point):
+        with pytest.raises(ResolutionError, match="overflows at the first node once rescaled"):
+            solve_for_eta(derive_params(*point), 1.0)
 
 
 class TestEquationResiduals:

@@ -1,6 +1,6 @@
 """Tests for the profile construction pipeline: contraction of the tail
-iteration, strict pointwise bounds after leftward continuation, origin
-extrapolation, the rescaling family, and the solve-for-eta wrapper."""
+iteration, strict pointwise bounds after leftward continuation, the
+origin series match, the rescaling family, and the solve-for-eta wrapper."""
 
 import math
 from dataclasses import replace
@@ -14,6 +14,7 @@ from scipy.interpolate import CubicSpline
 from fastdiff import (
     ExtrapolationError,
     RangeError,
+    ResolutionError,
     ToleranceError,
     continue_left,
     derive_fp_constants,
@@ -25,7 +26,8 @@ from fastdiff import (
     tail_residual,
 )
 import fastdiff.profile
-from fastdiff.profile import PROFILE_DS, _backward_recurrence, _eta_origin, _spline_at
+from fastdiff.profile import (PROFILE_DS, _ORIGIN_Q_TOL, _backward_recurrence, _origin_match,
+                              _origin_node, _origin_series, _spline_at)
 
 # Origin coefficient of the base profile (eta_inf = 1) at the reference
 # parameter point, frozen from a converged run; guards against silent drift
@@ -218,27 +220,44 @@ class TestRecoverProfile:
 
     def test_carries_origin_coefficient_and_far_field_gap(self, tail_ref):
         # one call builds the whole profile, and rescale_profile scales what
-        # it carries: eta_origin and its levels by lam^(2/(1-m) - gamma),
-        # the far-field gap by lam^(2/(1-m) - (n-2)/m)
+        # it carries: eta_origin by lam^(2/(1-m) - gamma), the far-field gap
+        # by lam^(2/(1-m) - (n-2)/m), and keeps the relative q defect
         prof = continue_left(tail_ref)
         p = prof.params
-        eta, levels = _eta_origin(prof.s_grid, prof.wt, p.beta_p)
-        assert prof.eta_origin == eta
-        assert np.array_equal(prof.origin_levels, levels)
+        eta, q_defect = _origin_match(prof.s_grid, prof.z, np.log(prof.wt), p)
+        assert prof.eta_origin == pytest.approx(eta, rel=1e-15)
+        assert prof.origin_q_defect == pytest.approx(q_defect, rel=1e-6, abs=1e-15)
         assert prof.far_field_gap == abs(float(prof.wt[-1]) * math.exp(p.C1 * float(prof.s_grid[-1])) - 1.0)
         assert (prof.fp_residual, prof.picard_iterations) == (tail_ref.fp_residual, tail_ref.iterations)
         lam = 1.7
         two1m = 2.0 / (1.0 - p.m)
         scaled = rescale_profile(prof, lam)
         kappa = lam ** (two1m - p.gamma)
-        assert scaled.eta_origin == eta * kappa
-        assert np.array_equal(scaled.origin_levels, levels * kappa)
+        assert scaled.eta_origin == prof.eta_origin * kappa
+        assert scaled.origin_q_defect == prof.origin_q_defect
         assert scaled.far_field_gap == prof.far_field_gap * lam ** (two1m - (p.n - 2) / p.m)
 
-    def test_richardson_levels_agree(self, base_profile):
-        eta = base_profile.eta_origin
-        gaps = np.abs(np.diff(base_profile.origin_levels))
-        assert np.max(gaps) <= 1e-4 * abs(eta)
+    def test_origin_match_meets_z(self, base_profile):
+        # the series' q at rho* against b' z / rho there, which the match
+        # does not read: measured 3.5e-13, gate 1e-10
+        assert base_profile.origin_q_defect <= _ORIGIN_Q_TOL
+        assert base_profile.origin_q_defect <= 1e-11
+
+    def test_series_recursion(self, params_ref):
+        # the first two coefficients give the closed forms wbar_rho(0) = a3/a2
+        # and wbar_rhorho(0) = a3 (m a3 - a1) / a2^2 at eta = 1
+        Q = _origin_series(params_ref)
+        p = params_ref
+        assert Q[0] == pytest.approx(-0.8, rel=1e-14)
+        assert Q[1] + Q[0] ** 2 == pytest.approx(p.a3 * (p.m * p.a3 - p.a1) / p.a2 ** 2, rel=1e-14)
+        assert not Q.flags.writeable
+        # q = wbar_rho / wbar solves rho^2 q' + m rho^2 q^2 + a1 rho q + a2 q wbar^(1-m) = a3
+        rho = np.linspace(1e-3, 1e-2, 5)
+        q = np.polynomial.polynomial.polyval(rho, Q)
+        dq = np.polynomial.polynomial.polyval(rho, Q[1:] * np.arange(1, Q.size))
+        wbar = np.exp(rho * np.polynomial.polynomial.polyval(rho, Q / np.arange(1, Q.size + 1)))
+        lhs = rho**2 * dq + p.m * rho**2 * q**2 + p.a1 * rho * q + p.a2 * q * wbar ** (1 - p.m)
+        assert np.abs(lhs - p.a3).max() <= 1e-14
 
     def test_eta_origin_regression(self, base_profile):
         assert base_profile.eta_origin == pytest.approx(ETA_ORIGIN_BASE, rel=1e-9)
@@ -249,23 +268,24 @@ class TestRecoverProfile:
         assert base_profile.far_field_gap <= bound
         assert base_profile.far_field_gap <= 1e-10
 
-    def test_shallow_profile_rejected(self, tail_ref, fp_ref, monkeypatch):
-        # the grid's left end is known before the LSODA run, so a grid that
-        # cannot reach the last Richardson level is refused without it
-        def no_run(*args, **kwargs):
-            raise AssertionError("continuation ran for a refused grid")
-
-        monkeypatch.setattr(fastdiff.profile, "lsoda_at", no_run)
-        with pytest.raises(ExtrapolationError,
-                           match=r"^profile does not reach rho = 3\.90625e-06; extend s_min$"):
-            continue_left(tail_ref, s_min=fp_ref.b1 - 10.0)
+    def test_shallow_profile_rejected(self, tail_ref):
+        # rho_min = e^(-3/b') = 0.027 is above rho*/2: the window below the
+        # match node would not span a factor 2
+        with pytest.raises(ResolutionError,
+                           match=r"^profile reaches only rho = 0\.02\d+ > rho\*/2 = 0\.01\d+ of the "
+                                 r"origin series; extend s_min$"):
+            continue_left(tail_ref, s_min=-3.0)
 
     def test_detects_corrupted_origin_region(self, base_profile):
-        # the deep-value cross-check: wt raised by 1e-3 on the deepest nodes
-        wt_bad = base_profile.wt.copy()
-        wt_bad[:50] *= 1.001
-        with pytest.raises(ExtrapolationError):
-            _eta_origin(base_profile.s_grid, wt_bad, base_profile.params.beta_p)
+        # z raised by 1e-3 on the window below rho*: the q check trips
+        p = base_profile.params
+        W = np.log(base_profile.wt)
+        i = _origin_node(base_profile.s_grid, base_profile.eta_origin, p)
+        z_bad = base_profile.z.copy()
+        z_bad[:i + 1] *= 1.0 + 1e-3
+        with pytest.raises(ExtrapolationError, match="q defect 0.001"):
+            _origin_match(base_profile.s_grid, z_bad, W, p)
+        _origin_match(base_profile.s_grid, base_profile.z, W, p)
 
 
 class TestRescaleProfile:
