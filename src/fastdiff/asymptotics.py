@@ -12,9 +12,14 @@ satisfies equivalent differential/series representations:
     (wb_rho/wb)_rho + m (wb_rho/wb)^2 + a1/rho (wb_rho/wb)
       + a2/rho^2 (wb_rho/wb^m) = a3/rho^2.
   * f_ode_residual: defect of (f^m/m)'' + (n-1)/r (f^m/m)' + alpha f
-      + beta r f_r = 0, all derivatives by centered differences.
+      + beta r f_r = 0.
   * inversion_report: defect of the Kelvin-inverted equation for
-    g(y) = y^(-(n-2)/m) f(1/y), plus the involution and limit checks.
+    g(y) = y^(-(n-2)/m) f(1/y), plus the involution and limit checks, on
+    the table's nodes mirrored (sigma = log y = -s).
+
+No check fits a spline: each reads the profile table row by row, and the
+residuals take their derivatives by five-point differences at the table's
+own step.
 
 All residuals are normalized by the largest term magnitude at each node
 (the equations carry 1/rho^2 scalings that make absolute defects meaningless).
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.interpolate import CubicSpline
 
 from .errors import InternalError, ResolutionError
 from .numerics import deriv_uniform
@@ -43,7 +47,6 @@ __all__ = [
 ]
 
 _F_WINDOW = (1e-3, 1e3)        # radii on which f_ode_residual is taken
-_SIGMA_MARGIN = 0.05           # gap between the inversion grid and the profile's ends
 _Z_FLOOR = 10.0 * LEFT_ABS_TOL  # |z| at or below this is continuation noise, sign unresolved
 
 
@@ -123,35 +126,26 @@ def _residual_over_terms(terms):
 
 
 def wbar_ode_residual(profile: Profile) -> float:
-    """Max relative defect of the w-bar equation over rho in [1e-4, 1].
-
-    Stencils run at stride 2 on the s-grid (evaluated on both parities) so
-    integrator jitter stays well under the defect scale while single-node
-    perturbations remain visible.
-    """
+    """Max relative defect of the w-bar equation over rho in [1e-4, 1],
+    all derivatives by centered differences in s at the table's own step."""
     p = profile.params
-    a1, a2, a3 = p.a1, p.a2, p.a3
     c = 1.0 / p.beta_p
     s, wt = profile.s_grid, profile.wt
-    lo_s, hi_s = math.log(1e-4) / c, 0.0
-    worst = 0.0
-    for parity in (0, 1):
-        ss, ww = s[parity::2], wt[parity::2]
-        ds = float(ss[1] - ss[0])
-        d1s = deriv_uniform(ww, ds, deriv=1)
-        d2s = deriv_uniform(ww, ds, deriv=2)
-        sel = (ss >= lo_s) & (ss <= hi_s)
-        sel &= _off_edges(ss.size)
-        rho = np.exp(c * ss[sel])
-        w, ws, wss = ww[sel], d1s[sel], d2s[sel]
-        U = ws / (c * w)                        # rho wb_rho / wb
-        t1 = (wss - c * ws) / (c * c * w) - U * U     # rho^2 (wb_rho/wb)_rho
-        t2 = p.m * U * U
-        t3 = a1 * U
-        t4 = a2 * ws / (c * rho * w ** p.m)     # rho^2 * a2/rho^2 * wb_rho/wb^m
-        t5 = np.full_like(U, -a3)
-        worst = max(worst, float(np.max(_residual_over_terms([t1, t2, t3, t4, t5]))))
-    return worst
+    ds = float(s[1] - s[0])
+    d1s = deriv_uniform(wt, ds, deriv=1)
+    d2s = deriv_uniform(wt, ds, deriv=2)
+    sel = (s >= math.log(1e-4) / c) & (s <= 0.0) & _off_edges(s.size)
+    rho = np.exp(c * s[sel])
+    w, ws, wss = wt[sel], d1s[sel], d2s[sel]
+    U = ws / (c * w)                            # rho wb_rho / wb
+    terms = [
+        (wss - c * ws) / (c * c * w) - U * U,   # rho^2 (wb_rho/wb)_rho
+        p.m * U * U,
+        p.a1 * U,
+        p.a2 * ws / (c * rho * w ** p.m),       # rho^2 * a2/rho^2 * wb_rho/wb^m
+        np.full_like(U, -p.a3),
+    ]
+    return float(np.max(_residual_over_terms(terms)))
 
 
 def f_ode_residual(profile: Profile) -> float:
@@ -177,23 +171,15 @@ def f_ode_residual(profile: Profile) -> float:
     return float(np.max(_residual_over_terms(terms)))
 
 
-def _symmetric_sigma_grid(profile: Profile):
-    s = profile.s_grid
-    S = min(-float(s[0]), float(s[-1])) - _SIGMA_MARGIN
-    if S <= 1.0:
-        raise ResolutionError("profile s-range too narrow for a symmetric inversion grid")
-    ds = 0.01
-    k = int(math.floor(S / ds))
-    return ds * np.arange(-k, k + 1)
-
-
 def inversion_report(profile: Profile) -> InversionReport:
     """Defect of the inverted equation satisfied by g(y) = y^(-(n-2)/m) f(1/y).
 
     In sigma = log y the equation reads, with Gamma = g^m/m and
     E = e^((( n-2-nm)/m - 2) sigma):
         e^(-2 sigma)(Gamma_ss + (n-2) Gamma_s) + E (at g + bt g_sigma) = 0.
-    Gamma_sigma = -g^m h(-sigma) follows from the profile's stored
+    g is read on the table's own nodes mirrored, sigma = -s for every row
+    with |s| <= min(-s_0, s_end), so each value of g comes from one row's
+    wt, h and z.  Gamma_sigma = -g^m h(-sigma) follows from the stored
     logarithmic derivative; the remaining outer derivative is taken
     numerically through Q = e^((n-2) sigma) Gamma_sigma, which keeps the
     exponentially flat end (g -> eta_inf) numerically meaningful.
@@ -206,14 +192,18 @@ def inversion_report(profile: Profile) -> InversionReport:
     if abs(at / bt - C1) > 1e-12 * max(1.0, abs(C1)):
         raise InternalError("alpha-tilde / beta-tilde != C1; derived constants inconsistent")
 
-    sig = _symmetric_sigma_grid(profile)
+    s = profile.s_grid
+    S = min(-float(s[0]), float(s[-1]))
+    if S <= 1.0:
+        raise ResolutionError("profile s-range too narrow to mirror for the inversion check")
+    # the rows with |s| <= S, reversed so that sigma = -s ascends
+    rows = np.flatnonzero(np.abs(s) <= S)[::-1]
+    sig, h_rev, z_rev = -s[rows], profile.h[rows], profile.z[rows]
+    log_wt = np.log(profile.wt[rows])
     ds = float(sig[1] - sig[0])
-    s_grid = profile.s_grid
-    logwt_sp = CubicSpline(s_grid, np.log(profile.wt))
 
-    log_g = -C1 * sig + logwt_sp(-sig)
+    log_g = -C1 * sig + log_wt
     g = np.exp(log_g)
-    h_rev = CubicSpline(s_grid, profile.h)(-sig)   # spline not kept: peak memory
     g_sigma = -g * h_rev
     Gamma_sigma = -(g ** m) * h_rev
 
@@ -238,23 +228,19 @@ def inversion_report(profile: Profile) -> InversionReport:
     # C1 g + rho g_rho > 0; strict on |sigma| <= 20 where |z| clears ten
     # times continue_left's absolute tolerance: below it the sign of z is
     # LSODA's noise, which continue_left floors to -1e-250.
-    # C1 g + g_sigma = g (C1 - h(-sigma)) = -g z(-sigma), formed from z
-    # itself: C1 - h cancels to roundoff once |z| is below an ulp of C1
-    z_rev = CubicSpline(s_grid, profile.z)(-sig)   # spline not kept: peak memory
-    comb = -g * z_rev
-    min_comb = float(np.min(comb / g))
+    # C1 g + g_sigma = g (C1 - h(-sigma)) = -g z(-sigma), so its ratio to g
+    # is -z itself: C1 - h cancels to roundoff once |z| is below an ulp of C1
+    min_comb = float(np.min(-z_rev))
     if min_comb < -1e-12:
         raise InternalError(f"C1 g + rho g_rho dips to {min_comb:g} x g")
     strict = (np.abs(sig) <= 20.0) & (np.abs(z_rev) > _Z_FLOOR)
-    if float(np.min(comb[strict], initial=math.inf)) <= 0.0:
+    if float(np.min(-z_rev[strict], initial=math.inf)) <= 0.0:
         raise InternalError("C1 g + rho g_rho not strictly positive on the resolvable range")
 
-    # involution: applying the transform twice returns f; sig is symmetric,
-    # so log g at -inner is log_g reversed at the kept nodes
-    keep = (sig >= sig[0] + 0.1) & (sig <= sig[-1] - 0.1)
-    inner = sig[keep]
-    log_f2 = -(n - 2) / m * inner + log_g[::-1][keep]
-    log_f = -p.gamma * inner + logwt_sp(inner)
+    # involution: applying the transform twice returns f, row by row: the
+    # second transform reads g at sigma = -s, which is this row's value
+    log_f2 = (n - 2) / m * sig + log_g
+    log_f = p.gamma * sig + log_wt
     double_err = float(np.max(np.abs(np.expm1(log_f2 - log_f))))
 
     return InversionReport(

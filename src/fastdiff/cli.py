@@ -430,10 +430,12 @@ def _read_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        file_cfg = json.loads(path.read_text())
+        file_cfg = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(file_cfg, dict):

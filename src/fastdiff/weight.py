@@ -40,10 +40,8 @@ class BumpSpec:
     def eta1(self, r):
         """Smooth non-negative bump: 0 on [0,1], mu(n-2-mu) r^(-mu-2) beyond 2,
         that power times the ramp e^(-1/x) / (e^(-1/x) + e^(-1/(1-x))), x = r - 1,
-        in between.  Defined on a float (numpy's exp, so tables reproduce bit
-        for bit); an array maps through it elementwise."""
-        if not isinstance(r, float):
-            return np.vectorize(self.eta1, otypes=[float])(np.asarray(r, dtype=float))
+        in between, at a float r (numpy's exp, so tables reproduce bit for
+        bit)."""
         if r <= 1.0:
             return 0.0
         x = r - 1.0
@@ -163,9 +161,9 @@ def _find_r0(w: WeightFunction) -> float:
 
 
 def eval_weight(w: WeightFunction, r):
-    """Evaluate (phi, phi') at r >= 0: exact 1 below the bump, cubic
-    interpolation on the bump interval, closed form beyond 2."""
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    """Arrays (phi, phi') of r's shape at the radii r >= 0: exact 1 below
+    the bump, cubic interpolation on the bump interval, closed form beyond 2."""
+    r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0) or not np.all(np.isfinite(r_arr)):
         raise RangeError("radius must be finite and non-negative")
     phi = np.ones_like(r_arr)
@@ -178,8 +176,6 @@ def eval_weight(w: WeightFunction, r):
     if far.any():
         phi[far] = w.phi_tail(r_arr[far])
         dphi[far] = w.dphi_tail(r_arr[far])
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(phi[0]), float(dphi[0])
     return phi, dphi
 
 

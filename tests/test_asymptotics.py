@@ -127,14 +127,23 @@ class TestEquationResiduals:
 
     def test_residuals_detect_defects(self, unit_eta_profile):
         # a one-part-in-1e3 smooth dent must push the relative defect above
-        # the acceptance gate, otherwise the residual checks prove nothing
-        p = unit_eta_profile.params
-        s = unit_eta_profile.s_grid
-        wt_bad = unit_eta_profile.wt * (1.0 + 1e-3 * np.exp(-((s - 5.0) ** 2)))
-        bad = replace(unit_eta_profile, wt=wt_bad, f=np.exp(-p.gamma * s) * wt_bad)
-        clean = f_ode_residual(unit_eta_profile)
-        assert f_ode_residual(bad) > 1e-5
-        assert f_ode_residual(bad) > 100.0 * clean
+        # the acceptance gate, otherwise the residual checks prove nothing:
+        # in f at s = 5, in wt at s = -3 (rho = 0.027) for the w-bar check
+        # and in h at s = -3 (sigma = 3) for the inverted check
+        prof = unit_eta_profile
+        p, s = prof.params, prof.s_grid
+
+        def dent(at):
+            return 1.0 + 1e-3 * np.exp(-((s - at) ** 2))
+
+        wt_f = prof.wt * dent(5.0)
+        for check, bad in (
+                (f_ode_residual, replace(prof, wt=wt_f, f=np.exp(-p.gamma * s) * wt_f)),
+                (wbar_ode_residual, replace(prof, wt=prof.wt * dent(-3.0))),
+                (lambda q: inversion_report(q).residual, replace(prof, h=prof.h * dent(-3.0)))):
+            dented, clean = check(bad), check(prof)
+            assert dented > 1e-5
+            assert dented > 100.0 * clean
 
 
 class TestInversion:
@@ -174,9 +183,9 @@ class TestInversion:
 
     @pytest.mark.parametrize("point", [(3, 1 / 6, 5.82), (4, 0.25, 16 / 3), (5, 0.3, 9.642857142857142)])
     def test_completes_where_z_is_floored_inside_the_window(self, point):
-        # admissible points where z falls below the continuation's absolute
-        # tolerance inside |sigma| <= 20 and is floored to -1e-250; the
-        # spline through those nodes turned C1 g + rho g_rho positive or
-        # negative by up to 4e-17 with the step sequence
+        # admissible points where |z| falls below the continuation's absolute
+        # tolerance inside |sigma| <= 20, and at the first two is floored to
+        # -1e-250: the strict test skips those rows, and the non-strict one
+        # reads -z itself there, 1e-250 where floored
         rep = inversion_report(solve_for_eta(derive_params(*point), 1.0))
         assert rep.min_c1g_plus_rho_g_rho >= -1e-12

@@ -410,6 +410,16 @@ class TestExitCodes:
         lst.write_text("[1, 2]")
         assert cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),
                          "--config", str(lst)]) == 2
+        # a directory and a file that is not UTF-8 are refused, not a traceback
+        latin = tmp_path / "latin.json"
+        latin.write_bytes('{"mu": 0.5, "note": "é"}'.encode("latin-1"))
+        for unreadable in (tmp_path, latin):
+            (tmp_path / "o" / "error.json").unlink()
+            assert cli.main(["weight", "--n", "3", "--out", str(tmp_path / "o"),
+                             "--config", str(unreadable)]) == 2
+            record = read_json(tmp_path / "o" / "error.json")
+            assert record["error"] == "ConfigError"
+            assert record["message"].startswith("config file cannot be read")
         # file values are checked against the option's type, by a command that has it
         for body, command in (({"m": "abc"}, "profile"), ({"nodes": "51"}, "weight"),
                               ({"nodes": 51.0}, "weight"), ({"nodes": True}, "weight"),

@@ -60,24 +60,11 @@ class TestBumpSpec:
     def test_eta1_nonnegative_and_smooth_onset(self):
         spec = BumpSpec(mu=0.5, n=3)
         r = np.linspace(0.0, 5.0, 2001)
-        vals = spec.eta1(r)
+        vals = np.vectorize(spec.eta1, otypes=[float])(r)
         assert np.all(vals >= 0.0)
         assert np.all(np.isfinite(vals))
         # the ramp is flat to all orders at r = 1
         assert float(spec.eta1(1.001)) < 1e-300
-
-    def test_eta1_float_equals_array(self):
-        # eta1 is defined once, on a float, and an array maps through that
-        # definition: the same bits either way, and a float gives a float
-        rng = np.random.default_rng(13)
-        for spec in (BumpSpec(mu=0.5, n=3), BumpSpec(mu=1.3, n=5)):
-            r = np.concatenate([[0.7, 1.0, 1.001, 1.5, 2.0, 2.5],
-                                np.nextafter([1.0, 1.0, 2.0, 2.0], [0.0, 2.0, 0.0, 3.0]),
-                                rng.uniform(0.5, 3.0, 2000)])
-            scalar = [spec.eta1(float(v)) for v in r]
-            assert all(type(v) is float for v in scalar)
-            assert np.array_equal(np.array(scalar), spec.eta1(r))
-            assert spec.eta1(r.reshape(2, -1)).shape == (2, r.size // 2)
 
 
 class TestNormalizationOracle:
@@ -116,24 +103,22 @@ class TestNormalizationOracle:
 
 class TestEvalWeight:
     def test_exact_below_bump(self, weight_ref):
-        for r in (0.0, 0.3, 1.0):
-            phi, dphi = eval_weight(weight_ref, r)
-            assert phi == 1.0
-            assert dphi == 0.0
+        phi, dphi = eval_weight(weight_ref, np.array([0.0, 0.3, 1.0]))
+        assert np.all(phi == 1.0)
+        assert np.all(dphi == 0.0)
 
     def test_midbump_against_oracle(self, weight_ref):
-        for r, (phi_ref, dphi_ref) in MIDBUMP_REF.items():
-            phi, dphi = eval_weight(weight_ref, r)
-            assert phi == pytest.approx(phi_ref, rel=1e-12)
-            assert dphi == pytest.approx(dphi_ref, rel=1e-8)
+        phi, dphi = eval_weight(weight_ref, np.array(list(MIDBUMP_REF)))
+        phi_ref, dphi_ref = np.array(list(MIDBUMP_REF.values())).T
+        assert phi == pytest.approx(phi_ref, rel=1e-12)
+        assert dphi == pytest.approx(dphi_ref, rel=1e-8)
 
     def test_continuity_at_knots(self, weight_ref):
         # value and slope are continuous where the three branches meet
-        phi_lo, dphi_lo = eval_weight(weight_ref, 1.0 + 1e-12)
+        (phi_lo, phi_in, phi_out), (dphi_lo, dphi_in, dphi_out) = eval_weight(
+            weight_ref, np.array([1.0 + 1e-12, 2.0, 2.0 + 1e-13]))
         assert abs(phi_lo - 1.0) <= 1e-12
         assert abs(dphi_lo) <= 1e-12
-        phi_in, dphi_in = eval_weight(weight_ref, 2.0)
-        phi_out, dphi_out = eval_weight(weight_ref, 2.0 + 1e-13)
         assert abs(phi_in - phi_out) <= 1e-12
         assert abs(dphi_in - dphi_out) <= 1e-12
 
@@ -155,20 +140,18 @@ class TestEvalWeight:
         assert np.all(dphi <= 1e-15)
         assert np.all(np.diff(phi) <= 1e-15)
 
-    def test_scalar_and_array_semantics(self, weight_ref):
-        out = eval_weight(weight_ref, 1.5)
-        assert isinstance(out[0], float) and isinstance(out[1], float)
+    def test_array_semantics(self, weight_ref):
         arr = np.array([0.5, 1.5, 3.0])
         phi, dphi = eval_weight(weight_ref, arr)
         assert phi.shape == arr.shape and dphi.shape == arr.shape
 
     def test_invalid_radius(self, weight_ref):
         with pytest.raises(RangeError):
-            eval_weight(weight_ref, -1.0)
+            eval_weight(weight_ref, np.array([-1.0]))
         with pytest.raises(RangeError):
             eval_weight(weight_ref, np.array([1.0, np.nan]))
         with pytest.raises(RangeError):
-            eval_weight(weight_ref, np.inf)
+            eval_weight(weight_ref, np.array([np.inf]))
 
 
 class TestSuperharmonicity:
@@ -192,8 +175,9 @@ class TestSuperharmonicity:
         # Delta phi = -a4 eta1; the centered stencil converges at order 2
         r_c, lap_c = self._discrete_laplacian(weight_ref, 1001)
         r_f, lap_f = self._discrete_laplacian(weight_ref, 4001)
-        err_c = np.max(np.abs(lap_c + weight_ref.a4 * weight_ref.spec.eta1(r_c)))
-        err_f = np.max(np.abs(lap_f + weight_ref.a4 * weight_ref.spec.eta1(r_f)))
+        eta1 = np.vectorize(weight_ref.spec.eta1, otypes=[float])
+        err_c = np.max(np.abs(lap_c + weight_ref.a4 * eta1(r_c)))
+        err_f = np.max(np.abs(lap_f + weight_ref.a4 * eta1(r_f)))
         assert err_f <= 3e-6
         assert 10.0 <= err_c / err_f <= 30.0
 
@@ -202,15 +186,15 @@ class TestR0:
     def test_two_sided_bounds_hold_at_r0(self, weight_ref):
         mu, a4, r0 = weight_ref.spec.mu, weight_ref.a4, weight_ref.R0
         assert r0 > 2.0
-        for r in (r0, 2 * r0, 100 * r0):
-            phi, dphi = eval_weight(weight_ref, r)
-            assert a4 / 2 < phi * r**mu < 2 * a4
-            assert mu * a4 / 2 < -dphi * r ** (mu + 1) < 2 * mu * a4
+        r = np.array([r0, 2 * r0, 100 * r0])
+        phi, dphi = eval_weight(weight_ref, r)
+        assert np.all((a4 / 2 < phi * r**mu) & (phi * r**mu < 2 * a4))
+        assert np.all((mu * a4 / 2 < -dphi * r ** (mu + 1)) & (-dphi * r ** (mu + 1) < 2 * mu * a4))
 
     def test_bounds_fail_just_inside_r0(self, weight_ref):
         mu, a4 = weight_ref.spec.mu, weight_ref.a4
         r = 0.995 * weight_ref.R0
-        phi, dphi = eval_weight(weight_ref, r)
+        (phi,), (dphi,) = eval_weight(weight_ref, np.array([r]))
         ok_phi = a4 / 2 < phi * r**mu < 2 * a4
         ok_dphi = mu * a4 / 2 < -dphi * r ** (mu + 1) < 2 * mu * a4
         assert not (ok_phi and ok_dphi)
