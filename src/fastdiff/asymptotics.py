@@ -67,6 +67,14 @@ class ExpansionReport:
 
 @dataclass(frozen=True)
 class InversionReport:
+    """Which fields see a defect in the table's wt or h: residual (every
+    mirrored row), g_origin_gap and rho_g_rho_end (one row, the largest
+    mirrored s).  double_inversion_err reads one row's log wt on both sides,
+    so it is the roundoff of ((n-2)/m - C1 - gamma) sigma: 2.84e-14 at the
+    reference point, with or without a 1e-3 dent in wt.
+    min_c1g_plus_rho_g_rho is the least -z, at least 1e-250: continue_left
+    caps z at -1e-250."""
+
     residual: float
     double_inversion_err: float
     g_origin_gap: float        # |g - eta_inf| at the smallest sampled argument of g
@@ -183,6 +191,8 @@ def inversion_report(profile: Profile) -> InversionReport:
     logarithmic derivative; the remaining outer derivative is taken
     numerically through Q = e^((n-2) sigma) Gamma_sigma, which keeps the
     exponentially flat end (g -> eta_inf) numerically meaningful.
+    Of its fields only residual, g_origin_gap and rho_g_rho_end can see a
+    defect in wt or h (see InversionReport).
     """
     p = profile.params
     n, m = p.n, p.m

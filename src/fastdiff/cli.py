@@ -217,6 +217,8 @@ def _grid_block(grid: np.ndarray) -> dict:
 
 def _stepping(o: dict):
     """EvolveConfig and grid of a stepping command, and their manifest block."""
+    if not o["t0"] > 0:  # the sample times are read off log(t0)
+        raise RangeError(f"t0 must be positive, got {o['t0']}")
     cfg = EvolveConfig(**{k: v for k, v in o.items() if k in _EVOLVE_FIELDS})
     grid = log_grid(o["r_in"], o["r_out"], o["nodes"])
     return cfg, grid, {"evolve_config": asdict(cfg), "grid": _grid_block(grid)}

@@ -4,6 +4,7 @@ precedence, determinism, and the exit-code contract (0 success, 2 config,
 
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -254,6 +255,17 @@ class TestConvergeCommand:
         header, rows = csv_rows(tmp_path / "converge.csv")
         assert len(rows) == 3
 
+    def test_bump_near_the_outer_edge_runs(self, tmp_path):
+        # a bump inside [a1, a2] that ends short of r_out: the datum is
+        # inside the envelopes, so the hypothesis holds and the run goes on
+        rc = cli.main(["converge", "--n", "3", "--case", "bump", "--amp", "0.15",
+                       "--center", "6.5", "--width", "0.3", "--tau-max", "0.05",
+                       "--samples", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        summary = read_json(tmp_path / "converge_summary.json")
+        assert summary["case"] == "bump"
+        assert 0 < summary["u0_l1_gap"] < math.inf
+
     def test_orbit_case_reports_no_ratio(self, tmp_path):
         # the orbit starts on the limit profile, so its tau=0 distance is
         # interpolation noise and a ratio to it means nothing
@@ -353,12 +365,16 @@ class TestExitCodes:
          "RangeError", "t_end must stay below the extinction time 8.0"),
         (["converge", "--tau-max", "1000"], "RangeError",
          "tau_grid passes log(float max) = 709.783: t = e^tau overflows a float"),
+        (["converge", "--t0", "0"], "RangeError", "t0 must be positive, got 0.0"),
+        (["evolve", "--t0", "-1"], "RangeError", "t0 must be positive, got -1.0"),
+        (["contract", "--t0", "-1"], "RangeError", "t0 must be positive, got -1.0"),
     ])
     def test_empty_time_range_is_bad_input(self, argv, error, message, tmp_path):
         # evolve and contract share one rule for their sample times, converge
         # refuses an empty log-time horizon and one whose e^tau overflows,
-        # and a Barenblatt run must end before its extinction time, each
-        # before any step
+        # a Barenblatt run must end before its extinction time, and every
+        # stepping command takes log(t0) only of a positive t0, each before
+        # any step
         assert cli.main([*argv, "--n", "3", "--nodes", "16", "--out", str(tmp_path)]) == 2
         record = read_json(tmp_path / "error.json")
         assert (record["error"], record["message"]) == (error, message)
@@ -621,6 +637,31 @@ class TestConfigResolution:
         flags = help_flags(command, capsys)
         for f in dataclasses.fields(fastdiff.EvolveConfig):
             assert "--" + f.name.replace("_", "-") in flags
+
+    def test_option_defaults_are_the_library_defaults(self):
+        # one place for each default: an option's default is the default of
+        # the library parameter it feeds, in every command that takes it
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        lam_pair = default(fastdiff.random_sandwiched_pair, "lam_pair")
+        library = {
+            "amp": default(fastdiff.power_bump_initial, "amp"),
+            "center": default(fastdiff.power_bump_initial, "center"),
+            "width": default(fastdiff.power_bump_initial, "width"),
+            "lam_a": lam_pair[0],
+            "lam_b": lam_pair[1],
+            "theta_amp": default(fastdiff.random_sandwiched_pair, "theta_amp"),
+            "tol": default(fastdiff.solve_for_eta, "tol"),
+            "b1_margin": default(fastdiff.solve_for_eta, "b1_margin"),
+            "t0": default(fastdiff.convergence_experiment, "t0"),
+        }
+        seen = set()
+        for name, command in cli._COMMANDS.items():
+            for key in library.keys() & command.options.keys():
+                assert command.options[key].default == library[key], (name, key)
+                seen.add(key)
+        assert seen == set(library)
 
 
 FDX_SUBCOMMANDS = {"profile", "expansion", "weight", "evolve", "contract", "converge"}

@@ -1283,6 +1283,17 @@ class TestConvergenceExperiment:
         assert res.dist_l1w[-1] < 0.5 * res.dist_l1w[0]
         assert res.field_final.stats.ab_max <= 1e-6
 
+    def test_bump_near_the_outer_edge_accepted(self, unit_eta_profile, params_ref, weight_ref,
+                                               grid192, cfg):
+        # the bump on [e^4.2, e^4.6] ends short of r_out = 100 and stays
+        # inside [a1, a2]: the envelopes are the whole hypothesis, and past R0
+        # the gap's integrand is bounded by a decaying power of r
+        bump = power_bump_initial(params_ref, 1.0, amp=0.15, center=4.4, width=0.2)
+        res = convergence_experiment(unit_eta_profile, 1.0, 1.0, 1.2, bump, [0.0, 0.05], cfg,
+                                     weight=weight_ref, r_grid=grid192)
+        assert 0.0 < res.u0_l1_gap < math.inf
+        assert np.all(np.isfinite(res.dist_l1w))
+
     def test_envelope_violation_rejected(self, unit_eta_profile, params_ref, weight_ref,
                                          grid192, cfg):
         too_big = power_bump_initial(params_ref, 1.0, amp=0.5)  # exceeds a2 = 1.2
