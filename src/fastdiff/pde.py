@@ -17,7 +17,6 @@ contraction properties of the continuous flow carry over to the scheme.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -35,7 +34,7 @@ from .errors import (
     ToleranceError,
 )
 from .params import ParamSet
-from .profile import Profile, lambda_for_amplitude, profile_interpolator, rescale_profile
+from .profile import _LOG_FLOAT_MAX, Profile, lambda_for_amplitude, profile_interpolator, rescale_profile
 from .weight import WeightFunction, weighted_grid
 
 __all__ = [
@@ -68,9 +67,6 @@ _DT_SHRINK = 0.5
 _DT_GROW = 1.3
 _GROW_THRESHOLD = 3
 _MAX_STEPS = 2_000_000
-
-# log of the largest float, which the stencil's coefficients must stay below
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # Degree of the polynomial in u, through the last accepted states, from
 # which Newton starts on a cap-sized step.
@@ -263,7 +259,10 @@ def self_similar_solution(profile: Profile, lam: float) -> Callable:
 
     def V(r, t):
         # a float r (a boundary trace) takes the interpolator's scalar path
-        return t ** (-alpha) * f_lam(t ** (-beta) * r)
+        try:
+            return t ** (-alpha) * f_lam(t ** (-beta) * r)
+        except OverflowError:
+            raise RangeError(f"t = {t:.3g} takes t^(-alpha) or t^(-beta) past the float range") from None
 
     return V
 

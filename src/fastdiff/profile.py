@@ -20,7 +20,11 @@ z = h - C1 and W = log(wt) instead of (h, wt) because the term
 b'X(h - C1) loses every significant digit once h hugs C1 (X grows like
 exp(|s|/b') there), and the system turns stiff on the left, so it runs
 as one LSODA call (numerics.lsoda_at) that switches to BDF steps where it
-must and interpolates each grid node from its own steps.
+must and interpolates each grid node from its own steps.  tail_residual
+integrates Y = e^(C2 s) Phi_2 instead of Phi_2, which decays like
+e^(-C2 s): LSODA's error control then follows an O(1) state, not the
+exponential.  Its forcing e^(C2 s) q stays O(1) because C2 = 1/b' +
+(1-m) C1 gives e^(C2 s) X = (wt e^(C1 s))^(1-m) <= 1 on D_b1.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ _TAIL_SAMPLES = 400        # points on which tail_residual compares the two rout
 LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on z and W
 _ORIGIN_TERMS = 40         # origin series terms: rho* <= c/40 cuts it before its smallest
 _ORIGIN_Q_TOL = 1e-10      # relative q defect of the origin match (sweep's worst 2.9e-12)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)   # log of the largest float
 # BLAS's banded triangular solve, which _backward_recurrence runs on the tail
 (_TBSV,) = get_blas_funcs(("tbsv",), dtype=np.float64)
 
@@ -289,9 +294,14 @@ def tail_residual(tail: TailSolution) -> float:
     """Weighted sup defect of the fixed point in the integral equation.
 
     Independent route: for frozen (wt, h) the map value y = Phi_2(wt,h)
-    satisfies the linear ODE y' = (n-2 + b'X) y - q, integrated backward from
-    s_max in one LSODA run (numerics.lsoda_at) that outputs the
-    _TAIL_SAMPLES comparison points; J = int_s^inf h in Phi_1 is the exact
+    satisfies the linear ODE y' = (n-2 + b'X) y - q.  Its scaled state
+    Y = e^(C2 s) y solves Y' = (n-2 + C2 + b'X) Y - e^(C2 s) q, whose forcing
+    is O(1) since e^(C2 s) X = (wt e^(C1 s))^(1-m) <= 1 on D_b1; Y is
+    integrated backward from Y(s_max) = e^(C2 s_max) y(s_max) in one LSODA
+    run (numerics.lsoda_at) that outputs the _TAIL_SAMPLES comparison
+    points, where h is compared with Y e^(-C2 s).  On y the error control
+    would follow its e^(-C2 s) decay step by step: 760 steps where Y takes
+    137 at the reference point.  J = int_s^inf h in Phi_1 is the exact
     integral F(s_max) - F(s) of h's cubic spline, F its antiderivative, plus
     the analytic tail h(s_max)/C2.  Comparing against (h, wt) there avoids
     every piece of the Picard quadrature path.
@@ -307,21 +317,21 @@ def tail_residual(tail: TailSolution) -> float:
     def X_of(sv):
         return math.exp(-sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
 
-    def rhs(sv, y):
+    def rhs(sv, Y):
         X = X_of(sv)
         hv = h_at(sv)
         q = bp * C1 * X + m * hv * hv
-        return [(n - 2 + bp * X) * y[0] - q]
+        return [(n - 2 + C2 + bp * X) * Y[0] - math.exp(C2 * sv) * q]
 
-    def jac(sv, y):
-        return [[n - 2 + bp * X_of(sv)]]
+    def jac(sv, Y):
+        return [[n - 2 + C2 + bp * X_of(sv)]]
 
     y_end = (bp * C1 * math.exp(-s[-1] / bp) * wt[-1] ** (1.0 - m) + m * h[-1] ** 2) / (n - 2 + C2)
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
     # when the window is the whole grid its last sample repeats s_max
-    y, _ = lsoda_at(rhs, jac, [y_end], np.concatenate([[s[-1]], sc[::-1]]),
+    Y, _ = lsoda_at(rhs, jac, [math.exp(C2 * s[-1]) * y_end], np.concatenate([[s[-1]], sc[::-1]]),
                     tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12))
-    res_h = np.abs(h_sp(sc) - y[0, :0:-1]) * np.exp(0.5 * C2 * sc)
+    res_h = np.abs(h_sp(sc) - Y[0, :0:-1] * np.exp(-C2 * sc)) * np.exp(0.5 * C2 * sc)
     F = h_sp.antiderivative()
     phi1 = np.exp(-(F(s[-1]) - F(sc) + h[-1] / C2) - C1 * sc)
     res_wt = np.abs(wt_sp(sc) - phi1) * np.exp(C1 * sc)
@@ -371,6 +381,13 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     s_min_adj = b1 - n_left * PROFILE_DS
     n_right = int(math.floor((tail.grid[-1] - b1) / PROFILE_DS))
     s_grid = s_min_adj + PROFILE_DS * np.arange(n_left + n_right + 1)
+    # f = e^(-gamma s + W) peaks at the first node, where W' = z < 0 keeps W
+    # at or above W(b1): f must overflow there if even W(b1) takes it past
+    # the float range, so that grid is refused before the run
+    log_f0 = -gamma * float(s_grid[0]) + math.log(float(tail.wt[0]))
+    if log_f0 >= _LOG_FLOAT_MAX:
+        raise ResolutionError(f"f >= e^{log_f0:.0f} overflows at the first node s = {s_grid[0]:.6g}; "
+                              f"choose a shallower s_min")
 
     # LSODA controls each step's local error only, so the run is held 20x
     # inside tol; the floor keeps rel_tol 135 ulp clear of roundoff
@@ -378,6 +395,10 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                     np.concatenate([[b1], s_grid[n_left - 1::-1]]),
                     tol=Tolerances(abs_tol=LEFT_ABS_TOL, rel_tol=max(tol / 20.0, 3e-14)))
     zl, Wl = y[:, ::-1]
+    log_f0 = -gamma * float(s_grid[0]) + float(Wl[0])
+    if log_f0 >= _LOG_FLOAT_MAX:
+        raise ResolutionError(f"f = e^{log_f0:.0f} overflows at the first node s = {s_grid[0]:.6g}; "
+                              f"choose a shallower s_min")
     sr = s_grid[n_left + 1:]
     h_tail = tail.h_spline(sr)
     z = np.concatenate([zl, h_tail - C1])
@@ -480,12 +501,15 @@ def rescale_profile(profile: Profile, lam: float) -> Profile:
         raise RangeError(f"lambda must be positive and finite, got {lam}")
     p = profile.params
     two1m = 2.0 / (1.0 - p.m)
-    kappa = lam ** (two1m - p.gamma)                 # wt and eta_origin scale
-    kappa_inf = lam ** (two1m - (p.n - 2) / p.m)     # eta_inf scale
+    try:
+        kappa = lam ** (two1m - p.gamma)                 # wt and eta_origin scale
+        kappa_inf = lam ** (two1m - (p.n - 2) / p.m)     # eta_inf scale
+    except OverflowError:
+        raise RangeError(f"lambda = {lam:.3g} takes the scale factors past the float range") from None
     s_new = profile.s_grid - math.log(lam)
     wt_new = kappa * profile.wt
     log_f = -p.gamma * s_new + np.log(wt_new)
-    if log_f[0] > math.log(sys.float_info.max):      # f decreases from the first node
+    if log_f[0] > _LOG_FLOAT_MAX:                    # f decreases from the first node
         raise ResolutionError(f"f = e^{log_f[0]:.0f} overflows at the first node once rescaled "
                               f"by lambda = {lam:.3g}; choose a shallower s_min")
     return replace(
@@ -522,7 +546,10 @@ def lambda_for_amplitude(profile: Profile, a: float) -> float:
     if not 0.0 < a < math.inf:
         raise RangeError(f"amplitude must be positive and finite, got {a}")
     p = profile.params
-    return float((a / profile.eta_origin) ** (1.0 / (2.0 / (1.0 - p.m) - p.gamma)))
+    try:
+        return float((a / profile.eta_origin) ** (1.0 / (2.0 / (1.0 - p.m) - p.gamma)))
+    except OverflowError:
+        raise RangeError(f"amplitude {a:.3g} needs a lambda past the float range") from None
 
 
 def profile_interpolator(profile: Profile):

@@ -175,7 +175,7 @@ def test_criterion_01_derived_constants(params_ref, fp_ref, capsys):
 
 def test_criterion_02_picard_contraction(tail_ref, capsys):
     """The residual gate 1e-10 was tuned at the reference point, where the
-    residual reads 2.80e-12.  Two completing points of the 36-point
+    residual reads 2.79e-12.  Two completing points of the 36-point
     admissible sweep read above it: 1.46e-10 at (n, m, gamma) =
     (8, 0.675, 7.521) and 1.39e-10 at (8, 0.375, 3.84)."""
     max_ratio = float(np.max(tail_ref.update_ratios))

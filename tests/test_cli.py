@@ -391,6 +391,44 @@ class TestExitCodes:
             assert record["error"] == "RangeError"
             assert record["message"].startswith(f"inner radius {r_in} too small")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["profile", "--eta", "1e300"],
+         "lambda = 1.48e-200 takes the scale factors past the float range"),
+        (["converge", "--a0", "1e300", "--a2", "1e300"],
+         "lambda = 1e-200 takes the scale factors past the float range"),
+        (["evolve", "--t0", "1e100", "--t-end", "2e100"],
+         "t = 1e+100 takes t^(-alpha) or t^(-beta) past the float range"),
+        (["profile", "--gamma", "2.6", "--eta", "1e-100"],
+         "amplitude 1e-100 needs a lambda past the float range"),
+    ], ids=["profile-eta", "converge-a0-a2", "evolve-t0", "profile-small-eta"])
+    def test_power_past_float_range_is_bad_input(self, argv, message, tmp_path):
+        # a float power past the double range raises a bare OverflowError:
+        # refused where the scale factors, lambda or t^(-alpha) are formed
+        assert cli.main([*argv, "--n", "3", "--out", str(tmp_path)]) == 2
+        record = read_json(tmp_path / "error.json")
+        assert (record["error"], record["message"]) == ("RangeError", message)
+
+    @pytest.mark.parametrize("s_min, message", [
+        ("-200", "f >= e^796 overflows at the first node s = -200.01"),
+        ("-1000", "f >= e^3996 overflows at the first node s = -1000.01"),
+        ("-178", "f = e^713 overflows at the first node s = -178.01"),
+    ], ids=["-200", "-1000", "-178"])
+    def test_deep_s_min_is_exit_3(self, s_min, message, tmp_path):
+        # f = e^(-gamma s + W) past the double range at the table's first
+        # node: -200 and -1000 are refused before the continuation runs, since
+        # W there is at least W(b1); -178 passes that test, and its W read
+        # after the run takes f past the range
+        rc = cli.main(["profile", "--n", "3", f"--s-min={s_min}", "--out", str(tmp_path)])
+        assert rc == 3
+        record = read_json(tmp_path / "error.json")
+        assert record["error"] == "ResolutionError"
+        assert record["message"] == f"{message}; choose a shallower s_min"
+
+    def test_deep_s_min_within_float_range_runs(self, tmp_path):
+        rc = cli.main(["profile", "--n", "3", "--s-min=-150", "--out", str(tmp_path)])
+        assert rc == 0
+        assert read_json(tmp_path / "profile_summary.json")["s_range"][0] < -150.0
+
     def test_converge_from_before_t1(self, tmp_path):
         # the reference window ends inside the grid's image at t0 < 1
         rc = cli.main(["converge", "--n", "3", "--t0", "0.5", "--tau-max", "0.1",

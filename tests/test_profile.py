@@ -26,6 +26,7 @@ from fastdiff import (
     tail_residual,
 )
 import fastdiff.profile
+from fastdiff.numerics import lsoda_at
 from fastdiff.profile import (PROFILE_DS, _ORIGIN_Q_TOL, _backward_recurrence, _origin_match,
                               _origin_node, _origin_series, _spline_at)
 
@@ -89,6 +90,21 @@ class TestPicardSolve:
 
     def test_residual_recomputation_is_deterministic(self, tail_ref):
         assert tail_residual(tail_ref) == tail_ref.fp_residual
+
+    def test_residual_run_step_count(self, tail_ref, monkeypatch):
+        # the scaled state Y = e^(C2 s) Phi_2 is O(1) over the tail, so LSODA
+        # need not follow Phi_2's e^(-C2 s) decay: measured 137 steps at the
+        # reference point, where integrating Phi_2 itself took 760
+        steps = []
+
+        def recording(*args, **options):
+            y, n = lsoda_at(*args, **options)
+            steps.append(n)
+            return y, n
+
+        monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
+        tail_residual(tail_ref)
+        assert len(steps) == 1 and steps[0] <= 200
 
 
 class TestScalarSpline:
