@@ -51,15 +51,16 @@ def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, tol: Tolerances = Toleranc
     """States of y' = rhs(s, y) at the monotone points s_out from y(s_out[0])
     = y0, by one LSODA run through scipy's odeint: Adams or BDF steps as
     stiffness comes and goes, the analytic Jacobian jac(s, y)[i][j] =
-    df_i/dy_j, no step past s_out[-1], and LSODA's own interpolation at each
-    point (a repeated point takes the same state).  rhs and jac get s and y
-    as Python floats (y a list), so a callback computes without numpy
-    scalars and with the same IEEE bits.  Returns (y, steps) with
-    y[:, k] the state at s_out[k].  Raises StiffnessError when LSODA fails, a
-    state is not finite or the evaluation budget runs out; BlowUpError when
-    max|y| goes from at or below the overflow guard to at or above it between
-    two points; RangeError on a non-finite start, non-finite or non-monotone
-    points, or an empty span.
+    df_i/dy_j, no step or rhs call past s_out[-1] whether s_out increases or
+    decreases, and LSODA's own interpolation at each point (a repeated point
+    takes the same state).  rhs and jac get s and y as Python floats (y a
+    list), so a callback computes without numpy scalars and with the same
+    IEEE bits.  Returns (y, steps) with y[:, k] the state at s_out[k].
+    Raises StiffnessError when LSODA fails, a state is not finite or the
+    evaluation budget runs out; BlowUpError when max|y| goes from at or
+    below the overflow guard to at or above it between two points;
+    RangeError on a non-finite start, non-finite or non-monotone points, or
+    an empty span.
     """
     s_out = np.asarray(s_out, dtype=float)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -72,20 +73,29 @@ def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, tol: Tolerances = Toleranc
     if span[0] == span[1]:
         raise RangeError(f"empty span {span}")
     nfev = 0
+    # odeint honours tcrit only on increasing times, so a decreasing span
+    # runs as the increasing one in t = -s: negated rhs, jac and times give
+    # the same steps and bits, and the last step stops on s_out[-1]
+    sign = 1.0 if span[1] > span[0] else -1.0
 
-    def wrapped(s, y):
+    def wrapped(t, y):
         nonlocal nfev
         nfev += 1
         if nfev > _NFEV_BUDGET:
             raise StiffnessError(f"evaluation budget exhausted ({_NFEV_BUDGET} rhs calls) on span {span}")
-        return rhs(s, y.tolist())
+        if sign > 0.0:
+            return rhs(t, y.tolist())
+        return [-v for v in rhs(-t, y.tolist())]
+
+    def dfun(t, y):
+        return [[sign * v for v in row] for row in jac(sign * t, y.tolist())]
 
     with warnings.catch_warnings():
         # a failed run is read from the message below, not from odeint's warning
         warnings.simplefilter("ignore", _sint.ODEintWarning)
-        y, info = _sint.odeint(wrapped, y0, s_out, Dfun=lambda s, y: jac(s, y.tolist()),
-                               tfirst=True, full_output=True, rtol=tol.rel_tol,
-                               atol=tol.abs_tol, tcrit=[span[1]], mxstep=_NFEV_BUDGET)
+        y, info = _sint.odeint(wrapped, y0, sign * s_out, Dfun=dfun, tfirst=True,
+                               full_output=True, rtol=tol.rel_tol, atol=tol.abs_tol,
+                               tcrit=[sign * span[1]], mxstep=_NFEV_BUDGET)
     if info["message"] != "Integration successful.":
         raise StiffnessError(f"integrator failed on span {span}: {info['message']}")
     g = _OVERFLOW_GUARD - np.abs(y).max(axis=1)

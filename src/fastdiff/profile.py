@@ -19,8 +19,13 @@ Numerical notes kept out of the API: the continuation integrates
 z = h - C1 and W = log(wt) instead of (h, wt) because the term
 b'X(h - C1) loses every significant digit once h hugs C1 (X grows like
 exp(|s|/b') there), and the system turns stiff on the left, so it runs
-as one LSODA call (numerics.lsoda_at) that switches to BDF steps where it
-must and interpolates each grid node from its own steps.  tail_residual
+on LSODA (numerics.lsoda_at), which switches to BDF steps where it must
+and interpolates each grid node from its own steps.  Below rho =
+e^(s/b') = 0.1 it follows q = b'z/rho = wbar_rho/wbar in rho instead:
+rho = 0 is an irregular singular point whose solution is smooth in rho,
+while z decays like rho against the absolute tolerance, so in s the run
+spent about 700 of its 1,125 steps there at the reference point; the two
+legs take 216 + 165.  tail_residual
 integrates Y = e^(C2 s) Phi_2 instead of Phi_2, which decays like
 e^(-C2 s): LSODA's error control then follows an O(1) state, not the
 exponential.  Its forcing e^(C2 s) q stays O(1) because C2 = 1/b' +
@@ -72,7 +77,11 @@ _TAIL_SAMPLES = 400        # points on which tail_residual compares the two rout
 LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on z and W
 _ORIGIN_TERMS = 40         # origin series terms: rho* <= c/40 cuts it before its smallest
 _ORIGIN_Q_TOL = 1e-10      # relative q defect of the origin match (sweep's worst 2.9e-12)
+_RHO_LEG = 0.1             # continue_left integrates in rho = e^(s/b') below this
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)   # log of the largest float
+# the rho-leg's derivative for a trial state whose own one is not finite:
+# far past any true one, yet LSODA's weighted norms of it stay finite
+_TRIAL_DERIV = math.sqrt(sys.float_info.max)
 # BLAS's banded triangular solve, which _backward_recurrence runs on the tail
 (_TBSV,) = get_blas_funcs(("tbsv",), dtype=np.float64)
 
@@ -342,13 +351,23 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     """The whole Profile at eta_inf = 1: (h, wt) continued from b1 down to
     s_min, f(r) = r^(-gamma) wt, and the origin coefficient eta_origin.
 
-    Integrates z' = (n-2)(z+C1) + b' X z - m (z+C1)^2, W' = z with
-    X = exp(-s/b' + (1-m) W) by one LSODA run that outputs the grid nodes
-    below b1; the solution keeps -C1 < z < 0, which is asserted at every
-    node within integrator slack (BoundViolationError otherwise).
-    eta_origin and origin_q_defect come from _origin_match, which refuses a
-    grid too shallow for the origin series (ResolutionError) or a series
-    that misses z (ExtrapolationError).
+    Two LSODA runs output the grid nodes below b1.  The s-leg integrates
+    z' = (n-2)(z+C1) + b' X z - m (z+C1)^2, W' = z with
+    X = exp(-s/b' + (1-m) W) from b1 down to the last node at or below
+    rho = e^(s/b') = _RHO_LEG.  The rho-leg continues from there to the
+    first node in rho, on q = b' z / rho and P = e^((1-m) W):
+
+        rho^2 q' = a3 - a2 q P - a1 rho q - m rho^2 q^2,   W' = q,
+
+    the w-bar equation of _origin_series, and stores z = rho q / b'.  The
+    series never feeds the table, so expansion_check measures it against
+    a continuation that does not read it.  The solution keeps
+    -C1 < z < 0, which is asserted at every node within integrator slack
+    (BoundViolationError otherwise).  A first node where f or rho^2 leaves
+    the float range is refused (ResolutionError).  eta_origin and
+    origin_q_defect come from _origin_match, which refuses a grid too
+    shallow for the origin series (ResolutionError) or a series that
+    misses z (ExtrapolationError).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -375,6 +394,25 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
         X = X_of(sv, W)
         return [[(n - 2) + bp * X - 2.0 * m * (z + C1), bp * X * (1.0 - m) * z], [1.0, 0.0]]
 
+    a1, a2, a3 = p.a1, p.a2, p.a3
+
+    def P_of(W):
+        # capped so that a wild trial state's P is inf-free and exp cannot raise
+        return math.exp(min((1.0 - m) * W, _LOG_FLOAT_MAX))
+
+    def rho_rhs(rho, y):
+        q, W = y
+        dq = (a3 - a2 * q * P_of(W) - a1 * rho * q) / (rho * rho) - m * q * q
+        # a Newton trial state far off the solution (the stale Jacobian of a
+        # long step toward rho = 0) must fail LSODA's convergence test, which
+        # a nan or inf derivative passes: odepack's max-norm drops nan
+        return [dq if abs(dq) < _TRIAL_DERIV else _TRIAL_DERIV, q]
+
+    def rho_jac(rho, y):
+        q, W = y
+        aP, r2 = a2 * P_of(W), rho * rho
+        return [[-(aP + a1 * rho) / r2 - 2.0 * m * q, -(1.0 - m) * aP * q / r2], [1.0, 0.0]]
+
     # one uniform grid across continuation + tail; node n_left is b1 up to
     # roundoff and takes b1's state (LSODA refuses an output a few ulp away)
     n_left = int(math.ceil((b1 - s_min) / PROFILE_DS))
@@ -388,13 +426,25 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     if log_f0 >= _LOG_FLOAT_MAX:
         raise ResolutionError(f"f >= e^{log_f0:.0f} overflows at the first node s = {s_grid[0]:.6g}; "
                               f"choose a shallower s_min")
+    # the s-leg ends on node k, the last at or below rho = _RHO_LEG, and the
+    # rho-leg takes nodes k-1 .. 0 from there
+    k = max(int(np.searchsorted(s_grid[:n_left], bp * math.log(_RHO_LEG), side="right")) - 1, 0)
+    rho = np.exp(s_grid[:k + 1] / bp)
+    if rho[0] * rho[0] < sys.float_info.min:
+        raise ResolutionError(f"rho^2 = e^(2 s/b') underflows at the first node s = {s_grid[0]:.6g}; "
+                              f"choose a shallower s_min")
 
-    # LSODA controls each step's local error only, so the run is held 20x
+    # LSODA controls each step's local error only, so the runs are held 20x
     # inside tol; the floor keeps rel_tol 135 ulp clear of roundoff
+    left_tol = Tolerances(abs_tol=LEFT_ABS_TOL, rel_tol=max(tol / 20.0, 3e-14))
     y, _ = lsoda_at(rhs, jac, [float(tail.h[0]) - C1, math.log(float(tail.wt[0]))],
-                    np.concatenate([[b1], s_grid[n_left - 1::-1]]),
-                    tol=Tolerances(abs_tol=LEFT_ABS_TOL, rel_tol=max(tol / 20.0, 3e-14)))
+                    np.concatenate([[b1], s_grid[k:n_left][::-1]]), tol=left_tol)
     zl, Wl = y[:, ::-1]
+    if k:
+        y, _ = lsoda_at(rho_rhs, rho_jac, [bp * float(zl[0]) / float(rho[k]), float(Wl[0])],
+                        rho[::-1], tol=left_tol)
+        ql, Wr = y[:, :0:-1]
+        zl, Wl = np.concatenate([rho[:k] * ql / bp, zl]), np.concatenate([Wr, Wl])
     log_f0 = -gamma * float(s_grid[0]) + float(Wl[0])
     if log_f0 >= _LOG_FLOAT_MAX:
         raise ResolutionError(f"f = e^{log_f0:.0f} overflows at the first node s = {s_grid[0]:.6g}; "
@@ -410,10 +460,10 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
         raise BoundViolationError(f"h left (0, C1) beyond integrator slack: z range [{z.min()}, {z.max()}]")
     # z and h each decay below double resolution of C1 at opposite ends, so
     # the open-interval facts z < 0 and h > 0 live in different arrays: z is
-    # floored strictly negative (the integrator cannot resolve signs below its
-    # tolerance anyway, and an exact 0 would break downstream strictness
-    # checks), while h keeps the tail's own positive values instead of the
-    # cancellation-prone C1 + z.
+    # floored strictly negative (an exact 0 would break downstream strictness
+    # checks; the rho-leg's z = rho q / b' keeps q's sign, so the floor binds
+    # at no completing sweep point), while h keeps the tail's own positive
+    # values instead of the cancellation-prone C1 + z.
     z = np.minimum(z, -1e-250)
     h = np.concatenate([C1 + zl, h_tail])
     wt = np.exp(W)
@@ -507,11 +557,16 @@ def rescale_profile(profile: Profile, lam: float) -> Profile:
     except OverflowError:
         raise RangeError(f"lambda = {lam:.3g} takes the scale factors past the float range") from None
     s_new = profile.s_grid - math.log(lam)
+    # f decreases from the first node, so an overflow is refused from log f
+    # there, formed on floats: kappa wt can underflow to 0 further down the
+    # table, and its array log would warn first
+    log_kappa = (two1m - p.gamma) * math.log(lam)
+    log_f0 = -p.gamma * float(s_new[0]) + log_kappa + math.log(float(profile.wt[0]))
+    if log_f0 > _LOG_FLOAT_MAX:
+        raise ResolutionError(f"f = e^{log_f0:.0f} overflows at the first node once rescaled "
+                              f"by lambda = {lam:.3g}; choose a shallower s_min")
     wt_new = kappa * profile.wt
     log_f = -p.gamma * s_new + np.log(wt_new)
-    if log_f[0] > _LOG_FLOAT_MAX:                    # f decreases from the first node
-        raise ResolutionError(f"f = e^{log_f[0]:.0f} overflows at the first node once rescaled "
-                              f"by lambda = {lam:.3g}; choose a shallower s_min")
     return replace(
         profile,
         eta_inf=profile.eta_inf * kappa_inf,

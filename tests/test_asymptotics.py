@@ -66,10 +66,18 @@ class TestExpansionCheck:
         rep = expansion_check(unit_eta_profile)
         assert rep.rel_err1 <= 1e-6
         assert rep.rel_err2 <= 1e-3
-        # the series against the continuation on the window: measured 9.2e-15
-        # for rho q = beta' z and 7.5e-13 for log wbar
+        # the series against the continuation on the window: measured 2.8e-16
+        # for rho q = beta' z and 1.5e-15 for log wbar
         assert rep.q_defect <= 1e-12
         assert rep.logw_defect <= 1e-11
+
+    def test_rho_leg_holds_the_origin_to_roundoff(self, unit_eta_profile):
+        # continue_left integrates q = wbar_rho / wbar in rho below rho = 0.1,
+        # so the window's d1 and log wbar carry q's relative error: measured
+        # 8.3e-15 and 1.5e-15, where following z in s read 5.2e-13 and 7.5e-13
+        rep = expansion_check(unit_eta_profile)
+        assert rep.rel_err1 <= 1e-13
+        assert rep.logw_defect <= 1e-13
 
     def test_eta_recovered(self, unit_eta_profile):
         rep = expansion_check(unit_eta_profile)

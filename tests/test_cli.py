@@ -429,6 +429,28 @@ class TestExitCodes:
         assert rc == 0
         assert read_json(tmp_path / "profile_summary.json")["s_range"][0] < -150.0
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "4", "--m", "0.05", "--gamma", "38.10526315789474", "--s-max", "12"],
+        ["--n", "4", "--m", "0.05", "--gamma", "38.10526315789474", "--s-max", "18"],
+        ["--n", "4", "--m", "0.2", "--gamma", "9", "--s-min=-60"],
+    ], ids=["s-max-12", "s-max-18", "s-min-60"])
+    def test_backward_runs_stop_at_their_end(self, argv, tmp_path):
+        # a backward LSODA run stepped past its end, where tail_residual's
+        # exp(-s/b') raised OverflowError (b' = 0.029) and continue_left's
+        # X = exp(-s/b' + (1-m) W) overflowed with a RuntimeWarning
+        assert cli.main(["profile", *argv, "--out", str(tmp_path)]) == 0
+
+    def test_tiny_eta_is_exit_3(self, tmp_path):
+        # kappa = lam^(2/(1-m) - gamma) is subnormal, so kappa wt underflows to
+        # 0 down the table: refused from log f at the first node, before any
+        # array log
+        rc = cli.main(["profile", "--n", "3", "--eta", "5e-324", "--out", str(tmp_path)])
+        assert rc == 3
+        record = read_json(tmp_path / "error.json")
+        assert record["error"] == "ResolutionError"
+        assert record["message"] == ("f = e^1375 overflows at the first node once rescaled by "
+                                     "lambda = 3.45e+215; choose a shallower s_min")
+
     def test_converge_from_before_t1(self, tmp_path):
         # the reference window ends inside the grid's image at t0 < 1
         rc = cli.main(["converge", "--n", "3", "--t0", "0.5", "--tau-max", "0.1",

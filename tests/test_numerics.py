@@ -191,16 +191,17 @@ class TestLsodaAt:
         assert seen == {(name, float, list, float, float) for name in ("rhs", "jac")}
 
     def test_float_callbacks_keep_the_bits(self, tail_ref, monkeypatch):
-        # continue_left's (z, W) and build_weight's table are bit for bit the
-        # runs whose callbacks get y as a numpy array: IEEE float and numpy
+        # each of continue_left's two runs (the s-leg's (z, W) and the
+        # rho-leg's (q, W)) and build_weight's table are bit for bit the runs
+        # whose callbacks get y as a numpy array: IEEE float and numpy
         # float64 arithmetic round alike
         def numpy_callbacks(rhs, jac, y0, s_out, **options):
             return lsoda_at(lambda s, y: rhs(s, np.array(y)), lambda s, y: jac(s, np.array(y)),
                             y0, s_out, **options)
 
-        left, tables = [], []
-        for driver in (lsoda_at, numpy_callbacks):
-            def recording(*args, driver=driver, **options):
+        runs, tables = ([], []), []
+        for driver, left in zip((lsoda_at, numpy_callbacks), runs):
+            def recording(*args, driver=driver, left=left, **options):
                 left.append(driver(*args, **options)[0])
                 return left[-1], 0
 
@@ -209,8 +210,24 @@ class TestLsodaAt:
             fastdiff.continue_left(tail_ref)
             w = build_weight(BumpSpec(mu=0.5, n=3))
             tables.append(np.stack([w.table_phi, w.table_dphi]))
-        assert np.array_equal(*left)
+        float_runs, numpy_runs = runs
+        assert len(float_runs) == len(numpy_runs) == 2
+        for a, b in zip(float_runs, numpy_runs):
+            assert np.array_equal(a, b)
         assert np.array_equal(*tables)
+
+    def test_backward_run_stops_at_the_last_point(self):
+        # odeint honours tcrit only on increasing times: y' = -y over [1, 0]
+        # stepped to s = -0.023 before the decreasing span ran in -s
+        seen = []
+
+        def rhs(s, y):
+            seen.append(s)
+            return [-y[0]]
+
+        y, _ = lsoda_at(rhs, lambda s, y: [[-1.0]], [1.0], np.linspace(1.0, 0.0, 11))
+        assert min(seen) >= 0.0
+        assert np.max(np.abs(y[0] - np.exp(1.0 - np.linspace(1.0, 0.0, 11)))) < 1e-8
 
     def test_backward_outputs_match_the_exact_solution(self):
         # y' = y from 1 at s = 1 down to 0, the way continue_left runs

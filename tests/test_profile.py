@@ -13,6 +13,7 @@ from scipy.interpolate import CubicSpline
 
 from fastdiff import (
     ExtrapolationError,
+    FastDiffError,
     RangeError,
     ResolutionError,
     ToleranceError,
@@ -199,11 +200,11 @@ class TestContinueLeft:
 
     @pytest.mark.parametrize("point", [(3, 0.2, 4.0), (4, 0.45, 4.04)], ids=["reference", "4-0.45-4.04"])
     def test_left_part_matches_solve_ivp_lsoda(self, point):
-        # the same system, start and tolerances through solve_ivp's LSODA and
-        # its dense output at the nodes below b1; the step sequences differ
-        # (odeint picks its first step from the first output), and the two
-        # agree to 3.2e-13 in W and 1.5e-14 in z at the reference point,
-        # 1.3e-12 and 6.6e-14 at (4, 0.45, 4.04) (measured)
+        # the s system, start and tolerances through solve_ivp's LSODA and its
+        # dense output at the nodes below b1, where continue_left switches to
+        # the rho system below rho = 0.1; the two agree to 6.7e-13 in W and
+        # 1.7e-14 in z at the reference point, 1.9e-12 and 6.6e-14 at
+        # (4, 0.45, 4.04) (measured)
         p = derive_params(*point)
         tail = picard_solve(derive_fp_constants(p))
         prof = continue_left(tail)
@@ -225,6 +226,30 @@ class TestContinueLeft:
         z_ref, W_ref = res.sol(prof.s_grid[left])
         assert np.abs(np.log(prof.wt[left]) - W_ref).max() <= 5e-12
         assert np.abs(prof.z[left] - np.minimum(z_ref, -1e-250)).max() <= 5e-13
+
+    def test_run_step_count(self, tail_ref, monkeypatch):
+        # below rho = 0.1 the rho-leg follows q = b' z / rho, which is smooth
+        # in rho, where the s-run followed z ~ rho down to LEFT_ABS_TOL:
+        # measured 216 + 165 steps at the reference point, 1,125 in s alone
+        steps = []
+
+        def recording(*args, **options):
+            y, n = lsoda_at(*args, **options)
+            steps.append(n)
+            return y, n
+
+        monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
+        continue_left(tail_ref)
+        assert len(steps) == 2 and sum(steps) <= 500
+
+    def test_rho_squared_underflow_is_typed(self):
+        # rho_min = e^(s_min/b') = 7e-177 at s_min = -78, where f still fits
+        # a float but rho^2 underflows to 0: never a ZeroDivisionError
+        tail = picard_solve(derive_fp_constants(derive_params(4, 0.2, 9.0)))
+        try:
+            continue_left(tail, s_min=-78.0)
+        except FastDiffError:
+            pass
 
     def test_smin_validation(self, tail_ref, fp_ref):
         with pytest.raises(RangeError):
