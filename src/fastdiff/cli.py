@@ -78,7 +78,7 @@ _WEIGHT = {
 _OUT = {"out": Opt(str, "out", "output directory (env FDX_OUT overrides)")}
 _S_RANGE = {
     "s_min": Opt(float, None, "left end of the log-radius range", nullable=True),
-    "s_max": Opt(float, None, "right end of the log-radius range", nullable=True),
+    "s_max": Opt(float, None, "right end of the Picard tail", nullable=True),
 }
 _STEPPING = {
     "dt_init": Opt(float, EvolveConfig.dt_init, "initial time step"),

@@ -10,10 +10,14 @@ The far-field tail of the profile is the unique fixed point of the map
 a 1/5-contraction on the set D_b1 for s >= b1.  Phi_1 is written at the
 far-field coefficient eta_inf = lim r^((n-2)/m) f(r) = 1, the one the profile
 is built at before rescaling.  Picard iteration on a uniform
-s-grid gives (wt, h) on [b1, s_max]; continue_left builds the whole Profile
-from it in one call: the tail continued to the left through the equivalent
-ODE system, f(r) = r^(-gamma) wt(log r), and eta_origin = lim r^gamma f
-from the origin series matched to the continuation (_origin_match).
+s-grid gives (wt, h) on [b1, s_max], by default s_max = b1 + max(40/C2,
+-log(tol)/C2): past the grid the map itself takes h = h_T e^(-C2 (s - s_T)),
+whose first neglected term is below e^(-40) there.  continue_left builds
+the whole Profile from it in one call: the tail continued to the left
+through the equivalent ODE system, the rows past the tail's end s_T read
+off that analytic tail, f(r) = r^(-gamma) wt(log r), and eta_origin =
+lim r^gamma f from the origin series matched to the continuation
+(_origin_match).
 
 Numerical notes kept out of the API: the continuation integrates
 z = h - C1 and W = log(wt) instead of (h, wt) because the term
@@ -120,8 +124,10 @@ class Profile:
     r_grid: np.ndarray
     f: np.ndarray
     eta_origin: float
-    # |r^((n-2)/m) f - eta_inf| at the last node, where the first correction
-    # is below e^(-40): it reads roundoff, not the far-field expansion
+    # |r^((n-2)/m) f - eta_inf| at the last node.  Unless an explicit s_max
+    # runs the tail past the table's usual end, that row is the analytic
+    # tail, W = -C1 s up to a term below e^(-40), so the gap reads roundoff
+    # (0 to 2.2e-16) and cannot see a defect of the table
     far_field_gap: float
     origin_q_defect: float     # relative, so rescaling leaves it as it is; see _origin_match
     fp_residual: float
@@ -216,6 +222,12 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     """Iterate (Phi_1, Phi_2) from the seed (e^{-C1 s}, min(C3,eps1) e^{-C2 s})
     until the weighted update norm drops below tol.
 
+    The tail runs from b1 to s_max, by default b1 + max(40/C2, -log(tol)/C2),
+    where the term Phi_1 and Phi_2 neglect past the grid is below e^(-40) and
+    tol: 4,001 nodes at the reference point.  An explicit s_max below
+    b1 + 40/C2 is refused with RangeError, and a tail grid whose D_b1
+    weights leave the double range with ResolutionError.
+
     Membership in D_b1 is asserted for every iterate; the returned
     fp_residual substitutes the fixed point back into the integral equation
     along a route independent of the Picard quadrature (see tail_residual).
@@ -224,7 +236,7 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
         raise RangeError(f"tol must be positive and finite, got {tol}")
     C1, C2, b1 = fp.params.C1, fp.C2, fp.b1
     if s_max is None:
-        s_max = b1 + max(40.0, 40.0 / C2, -math.log(tol) / C2)
+        s_max = b1 + max(40.0 / C2, -math.log(tol) / C2)
     if not b1 + 40.0 / C2 <= s_max < math.inf:
         raise RangeError(f"s_max must be finite and at least b1 + 40/C2 = {b1 + 40.0 / C2}, "
                          f"got {s_max}")
@@ -351,6 +363,13 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     """The whole Profile at eta_inf = 1: (h, wt) continued from b1 down to
     s_min, f(r) = r^(-gamma) wt, and the origin coefficient eta_origin.
 
+    The table ends at max(s_T, min(b1 + max(40, 40/C2, -log(tol)/C2),
+    -log(float_min)/C1)), s_T the tail's last node: out to b1 + 40, where the
+    checks' fixed windows read it, unless wt = e^W would leave the normal
+    floats first.  Rows up to s_T read the tail's splines; rows past it take
+    the analytic tail Phi_1 and Phi_2 already assume, h = h_T e^(-C2 (s -
+    s_T)), W = -C1 s - h/C2 and z = h - C1.
+
     Two LSODA runs output the grid nodes below b1.  The s-leg integrates
     z' = (n-2)(z+C1) + b' X z - m (z+C1)^2, W' = z with
     X = exp(-s/b' + (1-m) W) from b1 down to the last node at or below
@@ -417,7 +436,12 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # roundoff and takes b1's state (LSODA refuses an output a few ulp away)
     n_left = int(math.ceil((b1 - s_min) / PROFILE_DS))
     s_min_adj = b1 - n_left * PROFILE_DS
-    n_right = int(math.floor((tail.grid[-1] - b1) / PROFILE_DS))
+    # the table's right end (see above): the cap keeps wt = e^W and
+    # far_field_gap's e^(C1 s) normal floats
+    s_T, h_T, C2 = float(tail.grid[-1]), float(tail.h[-1]), tail.fp.C2
+    s_end = max(s_T, min(b1 + max(40.0, 40.0 / C2, -math.log(tol) / C2),
+                         -math.log(sys.float_info.min) / C1))
+    n_right = int(math.floor((s_end - b1) / PROFILE_DS))
     s_grid = s_min_adj + PROFILE_DS * np.arange(n_left + n_right + 1)
     # f = e^(-gamma s + W) peaks at the first node, where W' = z < 0 keeps W
     # at or above W(b1): f must overflow there if even W(b1) takes it past
@@ -449,11 +473,14 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     if log_f0 >= _LOG_FLOAT_MAX:
         raise ResolutionError(f"f = e^{log_f0:.0f} overflows at the first node s = {s_grid[0]:.6g}; "
                               f"choose a shallower s_min")
+    # rows past s_T take the analytic tail; log wt's tail spline is not kept
     sr = s_grid[n_left + 1:]
-    h_tail = tail.h_spline(sr)
+    j = int(np.searchsorted(sr, s_T, side="right"))
+    h_far = h_T * np.exp(-C2 * (sr[j:] - s_T))
+    h_tail = np.concatenate([tail.h_spline(sr[:j]), h_far])
     z = np.concatenate([zl, h_tail - C1])
-    # log wt's tail spline is not kept
-    W = np.concatenate([Wl, CubicSpline(tail.grid, np.log(tail.wt))(sr)])
+    W = np.concatenate([Wl, CubicSpline(tail.grid, np.log(tail.wt))(sr[:j]),
+                        -C1 * sr[j:] - h_far / C2])
 
     slack = max(1e3 * max(tol, 1e-13), 1e-9) * max(1.0, C1)
     if float(np.max(z)) > slack or float(np.min(z)) < -C1 - slack:
@@ -463,7 +490,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # floored strictly negative (an exact 0 would break downstream strictness
     # checks; the rho-leg's z = rho q / b' keeps q's sign, so the floor binds
     # at no completing sweep point), while h keeps the tail's own positive
-    # values instead of the cancellation-prone C1 + z.
+    # values instead of the cancellation-prone C1 + z.  Past s_T,
+    # h_T e^(-C2 (s - s_T)) underflows to 0 where C2 is large (the small-m
+    # sweep points), not at the reference point.
     z = np.minimum(z, -1e-250)
     h = np.concatenate([C1 + zl, h_tail])
     wt = np.exp(W)

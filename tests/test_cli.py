@@ -549,17 +549,27 @@ class TestExitCodes:
         assert record["exit_code"] == 3
 
     def test_tail_weight_overflow_is_exit_3(self, tmp_path):
-        # at m = 10% of (n-2)/n the tail grid runs to s = 40.2, where the
-        # D_b1 weight e^(C2 s), C2 = 27, is past the double range: refused
-        # before the first Picard iteration instead of passing the membership
+        # at m = 10% of (n-2)/n a tail grid run to s = 40.2 puts the D_b1
+        # weight e^(C2 s), C2 = 27, past the double range: refused before
+        # the first Picard iteration instead of passing the membership
         # check as inf * 0 = nan and ending in an invariant error
         rc = cli.main(["expansion", "--n", "3", "--m", "0.03333333", "--gamma", "16.03",
-                       "--out", str(tmp_path)])
+                       "--s-max", "40.2", "--out", str(tmp_path)])
         assert rc == 3
         record = read_json(tmp_path / "error.json")
         assert record["error"] == "ResolutionError"
         assert record["exit_code"] == 3
         assert not (tmp_path / "expansion_summary.json").exists()
+
+    def test_small_m_default_tail_runs(self, tmp_path):
+        # the default tail at the same point ends at b1 + 40/C2 = 1.64,
+        # where every D_b1 weight is finite, and the table reads the
+        # analytic tail past it
+        rc = cli.main(["expansion", "--n", "3", "--m", "0.03333333", "--gamma", "16.03",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "expansion_summary.json").exists()
+        assert not (tmp_path / "error.json").exists()
 
     def test_invariant_violation_is_exit_4(self, tmp_path):
         # bump amplitude 0.5 leaves the declared envelope a2 = 1.1

@@ -94,7 +94,7 @@ class TestPicardSolve:
 
     def test_residual_run_step_count(self, tail_ref, monkeypatch):
         # the scaled state Y = e^(C2 s) Phi_2 is O(1) over the tail, so LSODA
-        # need not follow Phi_2's e^(-C2 s) decay: measured 137 steps at the
+        # need not follow Phi_2's e^(-C2 s) decay: measured 114 steps at the
         # reference point, where integrating Phi_2 itself took 760
         steps = []
 
@@ -106,6 +106,58 @@ class TestPicardSolve:
         monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
         tail_residual(tail_ref)
         assert len(steps) == 1 and steps[0] <= 200
+
+
+class TestTailLength:
+    """The default tail ends at b1 + max(40/C2, -log(tol)/C2), and the table
+    runs on past it to b1 + 40 through the analytic tail."""
+
+    def test_reference_tail_and_table(self, tail_ref, base_profile, fp_ref):
+        # 40/C2 = 20 at the reference point, where C2 = 2
+        assert tail_ref.grid.size == 4001
+        assert tail_ref.grid[-1] == pytest.approx(fp_ref.b1 + 20.0, rel=1e-15)
+        assert base_profile.s_grid.size == 7765
+
+    def test_longer_tail_moves_no_row(self, base_profile, fp_ref):
+        # the floor of 40 in the tail does nothing for the fixed point: the
+        # table built from a tail to b1 + 40 has the same rows, wt and
+        # eta_origin, and h within 1e-12 where the short tail is not near
+        # its end
+        long = continue_left(picard_solve(fp_ref, s_max=fp_ref.b1 + 40.0))
+        assert np.array_equal(long.s_grid, base_profile.s_grid)
+        assert np.array_equal(np.log(long.wt), np.log(base_profile.wt))
+        assert long.eta_origin == base_profile.eta_origin
+        sel = (base_profile.s_grid >= fp_ref.b1) & (base_profile.s_grid <= fp_ref.b1 + 15.0)
+        rel = np.abs(base_profile.h[sel] / long.h[sel] - 1.0)
+        assert rel.max() <= 1e-12
+
+    def test_far_rows_are_the_analytic_tail(self, tail_ref, base_profile, fp_ref):
+        # past the tail's end s_T: h = h_T e^(-C2 (s - s_T)),
+        # W = -C1 s - (h_T / C2) e^(-C2 (s - s_T)) and z = h - C1
+        s_T, h_T = float(tail_ref.grid[-1]), float(tail_ref.h[-1])
+        C1, C2 = fp_ref.params.C1, fp_ref.C2
+        far = base_profile.s_grid > s_T
+        s = base_profile.s_grid[far]
+        assert s.size == 2000
+        decay = np.exp(-C2 * (s - s_T))
+        assert np.allclose(base_profile.h[far], h_T * decay, rtol=1e-15, atol=0.0)
+        assert np.allclose(np.log(base_profile.wt[far]), -C1 * s - h_T / C2 * decay, rtol=1e-15, atol=0.0)
+        assert np.array_equal(base_profile.z[far], np.minimum(base_profile.h[far] - C1, -1e-250))
+
+    def test_table_end_capped_where_wt_stays_normal(self):
+        # at (3, 0.0333, 3.466) the tail ends at b1 + 40/C2 = 1.86, and
+        # C1 = 26.5 would take wt = e^(-C1 s) below the normal floats before
+        # b1 + 40: the table stops at the last node below -log(float_min)/C1,
+        # so far_field_gap's e^(C1 s) is finite
+        m = 0.1 / 3
+        fp = derive_fp_constants(derive_params(3, m, 2 / (1 - m) + 0.05 * (1 / m - 2 / (1 - m))))
+        tail = picard_solve(fp)
+        prof = continue_left(tail)
+        cap = -math.log(np.finfo(float).tiny) / fp.params.C1
+        assert tail.grid[-1] == pytest.approx(fp.b1 + 40.0 / fp.C2, rel=1e-15)
+        assert cap - PROFILE_DS < prof.s_grid[-1] <= cap < fp.b1 + 40.0
+        assert np.all(prof.wt >= np.finfo(float).tiny)
+        assert prof.far_field_gap <= 1e-15
 
 
 class TestScalarSpline:
