@@ -163,7 +163,11 @@ def _build_profile(o: dict, params: ParamSet):
 
 def _cmd_profile(o: dict, params: ParamSet, weight: None):
     prof = _build_profile(o, params)
-    rows = zip(prof.s_grid, prof.r_grid, prof.h, prof.wt, prof.f, prof.rfr_over_f)
+    s, W = prof.s_grid, prof.W
+    log_f = -params.gamma * s + W
+    with np.errstate(over="ignore"):        # f past the double range reads inf
+        f = np.exp(log_f)
+    rows = zip(s, np.exp(s), prof.h, np.exp(W), f, log_f, prof.rfr_over_f)
     summary = {
         "eta_origin": prof.eta_origin,
         "eta_inf": prof.eta_inf,
@@ -174,7 +178,7 @@ def _cmd_profile(o: dict, params: ParamSet, weight: None):
         "s_range": [float(prof.s_grid[0]), float(prof.s_grid[-1])],
     }
     return {
-        "profile.csv": _csv_text(["s", "r", "h", "wt", "f", "rfr_over_f"], rows),
+        "profile.csv": _csv_text(["s", "r", "h", "wt", "f", "log_f", "rfr_over_f"], rows),
         "profile_summary.json": _json_text(summary),
     }, {}
 

@@ -15,9 +15,10 @@ s-grid gives (wt, h) on [b1, s_max], by default s_max = b1 + max(40/C2,
 whose first neglected term is below e^(-40) there.  continue_left builds
 the whole Profile from it in one call: the tail continued to the left
 through the equivalent ODE system, the rows past the tail's end s_T read
-off that analytic tail, f(r) = r^(-gamma) wt(log r), and eta_origin =
-lim r^gamma f from the origin series matched to the continuation
-(_origin_match).
+off that analytic tail, and eta_origin = lim r^gamma f from the origin
+series matched to the continuation (_origin_match).  The table keeps
+W = log wt, f(r) = e^(-gamma s + W) at s = log r, so the scaling family
+f_lam(r) = lam^(2/(1-m)) f(lam r) is two exact shifts (rescale_profile).
 
 Numerical notes kept out of the API: the continuation integrates
 z = h - C1 and W = log(wt) instead of (h, wt) because the term
@@ -114,15 +115,17 @@ class TailSolution:
 @dataclass(frozen=True)
 class Profile:
     """The profile table on the uniform s-grid, s = log r, with its origin
-    coefficient and the tail's Picard data, all built by continue_left."""
+    coefficient and the tail's Picard data, all built by continue_left.
+
+    Each row stores (s, z, h, W); r = e^s, wt = e^W and f = e^(-gamma s + W)
+    are formed by whoever reads them, since f and wt can leave the double
+    range at the ends of a deep or rescaled table."""
     params: ParamSet
     eta_inf: float
     s_grid: np.ndarray
     z: np.ndarray              # z = h - C1 = r w_r / w
     h: np.ndarray
-    wt: np.ndarray             # wt(s) = r^gamma f(r), r = e^s
-    r_grid: np.ndarray
-    f: np.ndarray
+    W: np.ndarray              # W(s) = log wt = log(r^gamma f(r)), r = e^s
     eta_origin: float
     # |r^((n-2)/m) f - eta_inf| at the last node.  Unless an explicit s_max
     # runs the tail past the table's usual end, that row is the analytic
@@ -360,8 +363,8 @@ def tail_residual(tail: TailSolution) -> float:
 
 
 def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float = 1e-12) -> Profile:
-    """The whole Profile at eta_inf = 1: (h, wt) continued from b1 down to
-    s_min, f(r) = r^(-gamma) wt, and the origin coefficient eta_origin.
+    """The whole Profile at eta_inf = 1: (h, W = log wt) continued from b1
+    down to s_min, and the origin coefficient eta_origin.
 
     The table ends at max(s_T, min(b1 + max(40, 40/C2, -log(tol)/C2),
     -log(float_min)/C1)), s_T the tail's last node: out to b1 + 40, where the
@@ -382,8 +385,8 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     series never feeds the table, so expansion_check measures it against
     a continuation that does not read it.  The solution keeps
     -C1 < z < 0, which is asserted at every node within integrator slack
-    (BoundViolationError otherwise).  A first node where f or rho^2 leaves
-    the float range is refused (ResolutionError).  eta_origin and
+    (BoundViolationError otherwise).  A first node where rho^2 underflows
+    is refused (ResolutionError).  eta_origin and
     origin_q_defect come from _origin_match, which refuses a grid too
     shallow for the origin series (ResolutionError) or a series that
     misses z (ExtrapolationError).
@@ -393,7 +396,8 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     p = tail.fp.params
     n, m, bp, gamma, C1 = p.n, p.m, p.beta_p, p.gamma, p.C1
     if s_min is None:
-        # 40 b', but no deeper than where f = e^(-gamma s) wt nears overflow
+        # 40 b', but no deeper than 600/gamma, which caps the table's length:
+        # 40 b' alone is s = -2,400, 240,000 rows, at (3, 0.3, 2.881)
         s_min = -min(40.0 * bp, 600.0 / gamma)
     b1 = float(tail.grid[0])
     if not -math.inf < s_min < b1:
@@ -443,13 +447,6 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                          -math.log(sys.float_info.min) / C1))
     n_right = int(math.floor((s_end - b1) / PROFILE_DS))
     s_grid = s_min_adj + PROFILE_DS * np.arange(n_left + n_right + 1)
-    # f = e^(-gamma s + W) peaks at the first node, where W' = z < 0 keeps W
-    # at or above W(b1): f must overflow there if even W(b1) takes it past
-    # the float range, so that grid is refused before the run
-    log_f0 = -gamma * float(s_grid[0]) + math.log(float(tail.wt[0]))
-    if log_f0 >= _LOG_FLOAT_MAX:
-        raise ResolutionError(f"f >= e^{log_f0:.0f} overflows at the first node s = {s_grid[0]:.6g}; "
-                              f"choose a shallower s_min")
     # the s-leg ends on node k, the last at or below rho = _RHO_LEG, and the
     # rho-leg takes nodes k-1 .. 0 from there
     k = max(int(np.searchsorted(s_grid[:n_left], bp * math.log(_RHO_LEG), side="right")) - 1, 0)
@@ -469,10 +466,6 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                         rho[::-1], tol=left_tol)
         ql, Wr = y[:, :0:-1]
         zl, Wl = np.concatenate([rho[:k] * ql / bp, zl]), np.concatenate([Wr, Wl])
-    log_f0 = -gamma * float(s_grid[0]) + float(Wl[0])
-    if log_f0 >= _LOG_FLOAT_MAX:
-        raise ResolutionError(f"f = e^{log_f0:.0f} overflows at the first node s = {s_grid[0]:.6g}; "
-                              f"choose a shallower s_min")
     # rows past s_T take the analytic tail; log wt's tail spline is not kept
     sr = s_grid[n_left + 1:]
     j = int(np.searchsorted(sr, s_T, side="right"))
@@ -495,13 +488,10 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # sweep points), not at the reference point.
     z = np.minimum(z, -1e-250)
     h = np.concatenate([C1 + zl, h_tail])
-    wt = np.exp(W)
-    f = np.exp(-gamma * s_grid + W)
     eta, q_defect = _origin_match(s_grid, z, W, p)
     return Profile(
-        params=p, eta_inf=1.0, s_grid=s_grid, z=z, h=h, wt=wt,
-        r_grid=np.exp(s_grid), f=f, eta_origin=eta,
-        far_field_gap=abs(float(wt[-1]) * math.exp(C1 * float(s_grid[-1])) - 1.0),
+        params=p, eta_inf=1.0, s_grid=s_grid, z=z, h=h, W=W, eta_origin=eta,
+        far_field_gap=abs(float(np.exp(W[-1])) * math.exp(C1 * float(s_grid[-1])) - 1.0),
         origin_q_defect=q_defect,
         fp_residual=tail.fp_residual, picard_iterations=tail.iterations,
     )
@@ -575,7 +565,8 @@ def _origin_match(s_grid: np.ndarray, z: np.ndarray, W: np.ndarray,
 
 
 def rescale_profile(profile: Profile, lam: float) -> Profile:
-    """The scaling family f_lam(r) = lam^(2/(1-m)) f(lam r) applied to the table."""
+    """The scaling family f_lam(r) = lam^(2/(1-m)) f(lam r) applied to the
+    table: s shifts by -log lam and W = log wt by (2/(1-m) - gamma) log lam."""
     if not 0.0 < lam < math.inf:
         raise RangeError(f"lambda must be positive and finite, got {lam}")
     p = profile.params
@@ -585,24 +576,12 @@ def rescale_profile(profile: Profile, lam: float) -> Profile:
         kappa_inf = lam ** (two1m - (p.n - 2) / p.m)     # eta_inf scale
     except OverflowError:
         raise RangeError(f"lambda = {lam:.3g} takes the scale factors past the float range") from None
-    s_new = profile.s_grid - math.log(lam)
-    # f decreases from the first node, so an overflow is refused from log f
-    # there, formed on floats: kappa wt can underflow to 0 further down the
-    # table, and its array log would warn first
-    log_kappa = (two1m - p.gamma) * math.log(lam)
-    log_f0 = -p.gamma * float(s_new[0]) + log_kappa + math.log(float(profile.wt[0]))
-    if log_f0 > _LOG_FLOAT_MAX:
-        raise ResolutionError(f"f = e^{log_f0:.0f} overflows at the first node once rescaled "
-                              f"by lambda = {lam:.3g}; choose a shallower s_min")
-    wt_new = kappa * profile.wt
-    log_f = -p.gamma * s_new + np.log(wt_new)
+    log_lam = math.log(lam)
     return replace(
         profile,
         eta_inf=profile.eta_inf * kappa_inf,
-        s_grid=s_new,
-        wt=wt_new,
-        r_grid=np.exp(s_new),
-        f=np.exp(log_f),
+        s_grid=profile.s_grid - log_lam,
+        W=profile.W + (two1m - p.gamma) * log_lam,
         eta_origin=profile.eta_origin * kappa,
         far_field_gap=profile.far_field_gap * abs(kappa_inf),
     )
@@ -645,7 +624,7 @@ def profile_interpolator(profile: Profile):
     path's bits: _spline_at and numpy's own log and exp.
     """
     s = profile.s_grid
-    spline = CubicSpline(s, np.log(profile.wt))
+    spline = CubicSpline(s, profile.W)
     log_wt_at = _spline_at(spline)
     gamma = profile.params.gamma
     lo, hi = float(s[0]), float(s[-1])

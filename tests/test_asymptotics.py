@@ -41,12 +41,8 @@ def _sweep_points():
     return points
 
 
-# the reference point and the 24 sweep points with m at 50/90% of (n-2)/n,
-# but for one whose profile builds and is refused when rescaled: at (8,
-# 0.675, 6.291) lambda = 6.5e12 takes f past the double range at the
-# default table's first node
-SWEEP_REFUSED = [p for p in _sweep_points() if point_id(p) == "n8-m0.675-g6.291"]
-SWEEP_COMPLETING = [p for p in _sweep_points() if p not in SWEEP_REFUSED]
+# the reference point and the 24 sweep points with m at 50/90% of (n-2)/n
+SWEEP_COMPLETING = _sweep_points()
 
 
 class TestExpansionCheck:
@@ -97,9 +93,7 @@ class TestExpansionCheck:
             s_grid=unit_eta_profile.s_grid[sel],
             z=unit_eta_profile.z[sel],
             h=unit_eta_profile.h[sel],
-            wt=unit_eta_profile.wt[sel],
-            r_grid=unit_eta_profile.r_grid[sel],
-            f=unit_eta_profile.f[sel],
+            W=unit_eta_profile.W[sel],
         )
         with pytest.raises(ResolutionError):
             expansion_check(stub)
@@ -124,11 +118,6 @@ class TestExpansionCheck:
         assert err1 <= 1e-8
         assert err2 <= 1e-4
 
-    @pytest.mark.parametrize("point", SWEEP_REFUSED, ids=point_id)
-    def test_sweep_refusal_is_typed(self, point):
-        with pytest.raises(ResolutionError, match="overflows at the first node once rescaled"):
-            solve_for_eta(derive_params(*point), 1.0)
-
 
 class TestEquationResiduals:
     def test_f_equation(self, unit_eta_profile):
@@ -143,19 +132,24 @@ class TestEquationResiduals:
     def test_residuals_detect_defects(self, unit_eta_profile):
         # a one-part-in-1e3 smooth dent must push the relative defect above
         # the acceptance gate, otherwise the residual checks prove nothing:
-        # in f at s = 5, in wt at s = -3 (rho = 0.027) for the w-bar check
-        # and in h at s = -3 (sigma = 3) for the inverted check
+        # in wt at s = 5 and at s = -3 for the f check, which forms f from
+        # the stored W (the s = -3 dent reads 2.3e-4 against a clean 1.27e-7),
+        # in wt at s = -3 (rho = 0.027) for the w-bar check and in h at
+        # s = -3 (sigma = 3) for the inverted check
         prof = unit_eta_profile
-        p, s = prof.params, prof.s_grid
+        s = prof.s_grid
 
-        def dent(at):
-            return 1.0 + 1e-3 * np.exp(-((s - at) ** 2))
+        def bump(at):
+            return 1e-3 * np.exp(-((s - at) ** 2))
 
-        wt_f = prof.wt * dent(5.0)
+        def dent_wt(at):
+            return replace(prof, W=prof.W + np.log1p(bump(at)))
+
         for check, bad in (
-                (f_ode_residual, replace(prof, wt=wt_f, f=np.exp(-p.gamma * s) * wt_f)),
-                (wbar_ode_residual, replace(prof, wt=prof.wt * dent(-3.0))),
-                (lambda q: inversion_report(q).residual, replace(prof, h=prof.h * dent(-3.0)))):
+                (f_ode_residual, dent_wt(5.0)),
+                (f_ode_residual, dent_wt(-3.0)),
+                (wbar_ode_residual, dent_wt(-3.0)),
+                (lambda q: inversion_report(q).residual, replace(prof, h=prof.h * (1.0 + bump(-3.0))))):
             dented, clean = check(bad), check(prof)
             assert dented > 1e-5
             assert dented > 100.0 * clean

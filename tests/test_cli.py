@@ -122,7 +122,7 @@ class TestProfileCommand:
         rc = cli.main(["profile", "--n", "3", "--out", str(tmp_path)])
         assert rc == 0
         header, rows = csv_rows(tmp_path / "profile.csv")
-        assert header == ["s", "r", "h", "wt", "f", "rfr_over_f"]
+        assert header == ["s", "r", "h", "wt", "f", "log_f", "rfr_over_f"]
         assert len(rows) > 1000
         summary = read_json(tmp_path / "profile_summary.json")
         assert summary["eta_origin"] == pytest.approx(1.0, rel=1e-8)
@@ -408,21 +408,26 @@ class TestExitCodes:
         record = read_json(tmp_path / "error.json")
         assert (record["error"], record["message"]) == ("RangeError", message)
 
-    @pytest.mark.parametrize("s_min, message", [
-        ("-200", "f >= e^796 overflows at the first node s = -200.01"),
-        ("-1000", "f >= e^3996 overflows at the first node s = -1000.01"),
-        ("-178", "f = e^713 overflows at the first node s = -178.01"),
-    ], ids=["-200", "-1000", "-178"])
-    def test_deep_s_min_is_exit_3(self, s_min, message, tmp_path):
-        # f = e^(-gamma s + W) past the double range at the table's first
-        # node: -200 and -1000 are refused before the continuation runs, since
-        # W there is at least W(b1); -178 passes that test, and its W read
-        # after the run takes f past the range
+    @pytest.mark.parametrize("s_min, code", [("-177", 0), ("-178", 0), ("-200", 0), ("-1000", 3)],
+                             ids=["-177", "-178", "-200", "-1000"])
+    def test_deep_s_min_is_exit_3(self, s_min, code, tmp_path):
+        # the table keeps W = log wt, so an f = e^(-gamma s + W) past the
+        # double range at the deep rows is no failure: profile.csv's f reads
+        # inf there (from s_min = -178 on) and its log_f stays finite.  Only
+        # rho^2 = e^(2 s/b') underflowing at the first node is refused
         rc = cli.main(["profile", "--n", "3", f"--s-min={s_min}", "--out", str(tmp_path)])
-        assert rc == 3
-        record = read_json(tmp_path / "error.json")
-        assert record["error"] == "ResolutionError"
-        assert record["message"] == f"{message}; choose a shallower s_min"
+        assert rc == code
+        if code:
+            record = read_json(tmp_path / "error.json")
+            assert record["error"] == "ResolutionError"
+            assert record["message"] == ("rho^2 = e^(2 s/b') underflows at the first node "
+                                         "s = -1000.01; choose a shallower s_min")
+            return
+        header, rows = csv_rows(tmp_path / "profile.csv")
+        f, log_f = (np.array([float(row[header.index(c)]) for row in rows]) for c in ("f", "log_f"))
+        assert np.all(np.isfinite(log_f))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(f, np.exp(log_f))
 
     def test_deep_s_min_within_float_range_runs(self, tmp_path):
         rc = cli.main(["profile", "--n", "3", "--s-min=-150", "--out", str(tmp_path)])
@@ -441,15 +446,24 @@ class TestExitCodes:
         assert cli.main(["profile", *argv, "--out", str(tmp_path)]) == 0
 
     def test_tiny_eta_is_exit_3(self, tmp_path):
-        # kappa = lam^(2/(1-m) - gamma) is subnormal, so kappa wt underflows to
-        # 0 down the table: refused from log f at the first node, before any
-        # array log
+        # lambda = 3.45e215 shifts the table by -log lambda = -496, so no row
+        # lies in f_ode_residual's window r in [1e-3, 1e3]: a typed refusal,
+        # not an IndexError from an empty selection
         rc = cli.main(["profile", "--n", "3", "--eta", "5e-324", "--out", str(tmp_path)])
         assert rc == 3
         record = read_json(tmp_path / "error.json")
         assert record["error"] == "ResolutionError"
-        assert record["message"] == ("f = e^1375 overflows at the first node once rescaled by "
-                                     "lambda = 3.45e+215; choose a shallower s_min")
+        assert record["message"] == ("0 table rows lie in the f-equation window r in [0.001, 1000]; "
+                                     "the table spans s in [-529.633, -451.993]")
+
+    def test_tiny_eta_expansion_is_exit_3(self, tmp_path):
+        # expansion_check forms eta^(2m-1) as eta lam lam, lam = eta^(m-1):
+        # lam^2 = 1e320 alone overflows at eta = 1e-200
+        rc = cli.main(["expansion", "--n", "3", "--eta", "1e-200", "--out", str(tmp_path)])
+        assert rc == 3
+        record = read_json(tmp_path / "error.json")
+        assert (record["error"], record["message"]) == (
+            "ResolutionError", "profile s-range too narrow to mirror for the inversion check")
 
     def test_converge_from_before_t1(self, tmp_path):
         # the reference window ends inside the grid's image at t0 < 1

@@ -3,7 +3,7 @@ iteration, strict pointwise bounds after leftward continuation, the
 origin series match, the rescaling family, and the solve-for-eta wrapper."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +35,11 @@ from fastdiff.profile import (PROFILE_DS, _ORIGIN_Q_TOL, _backward_recurrence, _
 # parameter point, frozen from a converged run; guards against silent drift
 # in the quadrature/continuation stack.
 ETA_ORIGIN_BASE = 1.8089242558402994
+
+
+def _f(prof):
+    """The profile f = e^(-gamma s + W) on every row of the table."""
+    return np.exp(-prof.params.gamma * prof.s_grid + prof.W)
 
 
 class TestPicardSolve:
@@ -125,7 +130,7 @@ class TestTailLength:
         # its end
         long = continue_left(picard_solve(fp_ref, s_max=fp_ref.b1 + 40.0))
         assert np.array_equal(long.s_grid, base_profile.s_grid)
-        assert np.array_equal(np.log(long.wt), np.log(base_profile.wt))
+        assert np.array_equal(long.W, base_profile.W)
         assert long.eta_origin == base_profile.eta_origin
         sel = (base_profile.s_grid >= fp_ref.b1) & (base_profile.s_grid <= fp_ref.b1 + 15.0)
         rel = np.abs(base_profile.h[sel] / long.h[sel] - 1.0)
@@ -141,7 +146,7 @@ class TestTailLength:
         assert s.size == 2000
         decay = np.exp(-C2 * (s - s_T))
         assert np.allclose(base_profile.h[far], h_T * decay, rtol=1e-15, atol=0.0)
-        assert np.allclose(np.log(base_profile.wt[far]), -C1 * s - h_T / C2 * decay, rtol=1e-15, atol=0.0)
+        assert np.allclose(base_profile.W[far], -C1 * s - h_T / C2 * decay, rtol=1e-15, atol=0.0)
         assert np.array_equal(base_profile.z[far], np.minimum(base_profile.h[far] - C1, -1e-250))
 
     def test_table_end_capped_where_wt_stays_normal(self):
@@ -156,7 +161,7 @@ class TestTailLength:
         cap = -math.log(np.finfo(float).tiny) / fp.params.C1
         assert tail.grid[-1] == pytest.approx(fp.b1 + 40.0 / fp.C2, rel=1e-15)
         assert cap - PROFILE_DS < prof.s_grid[-1] <= cap < fp.b1 + 40.0
-        assert np.all(prof.wt >= np.finfo(float).tiny)
+        assert np.all(np.exp(prof.W) >= np.finfo(float).tiny)
         assert prof.far_field_gap <= 1e-15
 
 
@@ -173,8 +178,8 @@ class TestScalarSpline:
         short = np.array([-1.0, -0.7, -0.1, 0.3, 0.35, 1.2, 2.0])
         uniform = np.linspace(-1.0, 2.0, 7)
         tables = [(tail_ref.grid, tail_ref.h), (tail_ref.grid, tail_ref.wt),
-                  (base_profile.s_grid, np.log(base_profile.wt)),
-                  (unit_eta_profile.s_grid, np.log(unit_eta_profile.wt)),
+                  (base_profile.s_grid, base_profile.W),
+                  (unit_eta_profile.s_grid, unit_eta_profile.W),
                   (short, np.sin(3.0 * short) + 2.0),
                   (uniform, np.sin(3.0 * uniform) + 2.0)]
         for s, values in tables:
@@ -244,11 +249,10 @@ class TestContinueLeft:
         assert np.min(np.abs(s - fp_ref.b1)) <= 1e-12
 
     def test_table_consistency(self, base_profile):
-        p = base_profile.params
-        assert np.allclose(base_profile.r_grid, np.exp(base_profile.s_grid), rtol=1e-14)
-        wt_check = base_profile.f * base_profile.r_grid**p.gamma
-        assert np.allclose(wt_check, base_profile.wt, rtol=1e-10)
-        assert np.all(base_profile.f > 0.0)
+        # one stored state per row: r, wt and f are formed by their readers
+        assert not {f.name for f in fields(base_profile)} & {"r_grid", "wt", "f"}
+        assert np.all(np.isfinite(base_profile.W))
+        assert np.all(_f(base_profile) > 0.0)
 
     @pytest.mark.parametrize("point", [(3, 0.2, 4.0), (4, 0.45, 4.04)], ids=["reference", "4-0.45-4.04"])
     def test_left_part_matches_solve_ivp_lsoda(self, point):
@@ -276,7 +280,7 @@ class TestContinueLeft:
                         method="LSODA", jac=jac, rtol=5e-14, atol=1e-14, dense_output=True)
         assert res.status == 0
         z_ref, W_ref = res.sol(prof.s_grid[left])
-        assert np.abs(np.log(prof.wt[left]) - W_ref).max() <= 5e-12
+        assert np.abs(prof.W[left] - W_ref).max() <= 5e-12
         assert np.abs(prof.z[left] - np.minimum(z_ref, -1e-250)).max() <= 5e-13
 
     def test_run_step_count(self, tail_ref, monkeypatch):
@@ -317,10 +321,10 @@ class TestRecoverProfile:
         # by lam^(2/(1-m) - (n-2)/m), and keeps the relative q defect
         prof = continue_left(tail_ref)
         p = prof.params
-        eta, q_defect = _origin_match(prof.s_grid, prof.z, np.log(prof.wt), p)
+        eta, q_defect = _origin_match(prof.s_grid, prof.z, prof.W, p)
         assert prof.eta_origin == pytest.approx(eta, rel=1e-15)
         assert prof.origin_q_defect == pytest.approx(q_defect, rel=1e-6, abs=1e-15)
-        assert prof.far_field_gap == abs(float(prof.wt[-1]) * math.exp(p.C1 * float(prof.s_grid[-1])) - 1.0)
+        assert prof.far_field_gap == abs(float(np.exp(prof.W[-1])) * math.exp(p.C1 * float(prof.s_grid[-1])) - 1.0)
         assert (prof.fp_residual, prof.picard_iterations) == (tail_ref.fp_residual, tail_ref.iterations)
         lam = 1.7
         two1m = 2.0 / (1.0 - p.m)
@@ -372,7 +376,7 @@ class TestRecoverProfile:
     def test_detects_corrupted_origin_region(self, base_profile):
         # z raised by 1e-3 on the window below rho*: the q check trips
         p = base_profile.params
-        W = np.log(base_profile.wt)
+        W = base_profile.W
         i = _origin_node(base_profile.s_grid, base_profile.eta_origin, p)
         z_bad = base_profile.z.copy()
         z_bad[:i + 1] *= 1.0 + 1e-3
@@ -392,13 +396,15 @@ class TestRescaleProfile:
         assert scaled.eta_inf == pytest.approx(
             base_profile.eta_inf * lam ** (two1m - (p.n - 2) / p.m), rel=1e-14)
         # pointwise: f_lam(r/lam) = lam^(2/(1-m)) f(r)
-        assert np.allclose(scaled.r_grid, base_profile.r_grid / lam, rtol=1e-13)
-        assert np.allclose(scaled.f, lam**two1m * base_profile.f, rtol=1e-12)
+        assert np.allclose(np.exp(scaled.s_grid), np.exp(base_profile.s_grid) / lam, rtol=1e-13)
+        assert np.allclose(_f(scaled), lam**two1m * _f(base_profile), rtol=1e-12)
 
     def test_roundtrip(self, base_profile):
         back = rescale_profile(rescale_profile(base_profile, 2.0), 0.5)
         assert back.eta_origin == pytest.approx(base_profile.eta_origin, rel=1e-12)
-        assert np.allclose(back.wt, base_profile.wt, rtol=1e-12)
+        # two shifts by (2/(1-m) - gamma) log 2 = -1.04, each rounded to half
+        # an ulp of |W| <= 44.3: measured 3.6e-15
+        assert np.abs(back.W - base_profile.W).max() <= 4e-15
 
     def test_validation(self, base_profile):
         with pytest.raises(RangeError):
@@ -414,21 +420,21 @@ class TestSolveForEta:
     def test_far_field_consistency(self, unit_eta_profile):
         C1 = unit_eta_profile.params.C1
         s_last = float(unit_eta_profile.s_grid[-1])
-        wt_last = float(unit_eta_profile.wt[-1])
+        wt_last = math.exp(float(unit_eta_profile.W[-1]))
         assert wt_last * math.exp(C1 * s_last) == pytest.approx(unit_eta_profile.eta_inf, rel=1e-8)
 
     def test_finite_when_c2_below_one(self):
         # at (3, 0.3, 3.095) 40 b' = 240 and gamma * 240 overflows
         # e^(-gamma s); the default left end stops short of that
         prof = solve_for_eta(derive_params(3, 0.3, 3.095), 1.0)
-        assert np.all(np.isfinite(prof.f))
+        assert np.all(np.isfinite(_f(prof)))
         assert prof.eta_origin == pytest.approx(1.0, rel=1e-10)
 
     def test_completes_where_stiff_trial_steps_overflowed(self):
         # an admissible point where a trial step of the left continuation
         # that overshoots W overflows exp in X(s, W)
         prof = solve_for_eta(derive_params(4, 0.45, 4.04), 1.0)
-        assert np.all(np.isfinite(prof.f))
+        assert np.all(np.isfinite(_f(prof)))
         assert prof.eta_origin == pytest.approx(1.0, rel=1e-10)
 
     def test_target_validation(self, params_ref):
@@ -475,14 +481,13 @@ def _radius_with_log(sv):
 class TestInterpolator:
     def test_matches_table_nodes(self, base_profile):
         f_of_r = profile_interpolator(base_profile)
-        idx = np.linspace(0, base_profile.r_grid.size - 1, 17).astype(int)
-        for k in idx:
-            assert f_of_r(float(base_profile.r_grid[k])) == pytest.approx(
-                float(base_profile.f[k]), rel=1e-12)
+        r, f = np.exp(base_profile.s_grid), _f(base_profile)
+        for k in np.linspace(0, r.size - 1, 17).astype(int):
+            assert f_of_r(float(r[k])) == pytest.approx(float(f[k]), rel=1e-12)
 
     def test_array_and_scalar_semantics(self, base_profile):
         f_of_r = profile_interpolator(base_profile)
-        r = base_profile.r_grid[100:103]
+        r = np.exp(base_profile.s_grid)[100:103]
         out = f_of_r(r)
         assert out.shape == r.shape
         assert isinstance(f_of_r(float(r[0])), float)
@@ -490,9 +495,9 @@ class TestInterpolator:
     def test_out_of_range(self, base_profile):
         f_of_r = profile_interpolator(base_profile)
         with pytest.raises(RangeError):
-            f_of_r(float(base_profile.r_grid[0]) * 0.5)
+            f_of_r(float(np.exp(base_profile.s_grid)[0]) * 0.5)
         with pytest.raises(RangeError):
-            f_of_r(float(base_profile.r_grid[-1]) * 1.5)
+            f_of_r(float(np.exp(base_profile.s_grid)[-1]) * 1.5)
         with pytest.raises(RangeError):
             f_of_r(0.0)
         with pytest.raises(RangeError):
@@ -500,7 +505,7 @@ class TestInterpolator:
 
     def test_non_finite_radius_raises(self, base_profile):
         f_of_r = profile_interpolator(base_profile)
-        inner = float(base_profile.r_grid[100])
+        inner = float(np.exp(base_profile.s_grid)[100])
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(RangeError):
                 f_of_r(bad)
@@ -518,7 +523,7 @@ class TestInterpolator:
             s = prof.s_grid
             ends = [_radius_with_log(s[0]), _radius_with_log(s[-1])]
             outside = np.exp([s[0] - 5e-13, s[-1] + 5e-13])
-            radii = np.concatenate([prof.r_grid, ends, outside,
+            radii = np.concatenate([np.exp(prof.s_grid), ends, outside,
                                     np.exp(rng.uniform(s[0], s[-1], 10_000))])
             batch = f_of_r(radii)
             scalar = np.array([f_of_r(float(r)) for r in radii])
