@@ -127,10 +127,11 @@ class Profile:
     h: np.ndarray
     W: np.ndarray              # W(s) = log wt = log(r^gamma f(r)), r = e^s
     eta_origin: float
-    # |r^((n-2)/m) f - eta_inf| at the last node.  Unless an explicit s_max
-    # runs the tail past the table's usual end, that row is the analytic
-    # tail, W = -C1 s up to a term below e^(-40), so the gap reads roundoff
-    # (0 to 2.2e-16) and cannot see a defect of the table
+    # |r^((n-2)/m) f - eta_inf| at the last node, the one check of the
+    # far-field limit.  Unless an explicit s_max runs the tail past the
+    # table's usual end, that row is the analytic tail, W = -C1 s up to a
+    # term below e^(-40), so the gap reads roundoff (0 to 2.2e-16) and
+    # cannot see a defect of the table
     far_field_gap: float
     origin_q_defect: float     # relative, so rescaling leaves it as it is; see _origin_match
     fp_residual: float
@@ -384,8 +385,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     the w-bar equation of _origin_series, and stores z = rho q / b'.  The
     series never feeds the table, so expansion_check measures it against
     a continuation that does not read it.  The solution keeps
-    -C1 < z < 0, which is asserted at every node within integrator slack
-    (BoundViolationError otherwise).  A first node where rho^2 underflows
+    -C1 < z < 0: z < 0 is asserted strictly at every node and z > -C1
+    within integrator slack (BoundViolationError otherwise), on z as
+    computed, with no floor.  A first node where rho^2 underflows
     is refused (ResolutionError).  eta_origin and
     origin_q_defect come from _origin_match, which refuses a grid too
     shallow for the origin series (ResolutionError) or a series that
@@ -476,17 +478,10 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                         -C1 * sr[j:] - h_far / C2])
 
     slack = max(1e3 * max(tol, 1e-13), 1e-9) * max(1.0, C1)
-    if float(np.max(z)) > slack or float(np.min(z)) < -C1 - slack:
-        raise BoundViolationError(f"h left (0, C1) beyond integrator slack: z range [{z.min()}, {z.max()}]")
-    # z and h each decay below double resolution of C1 at opposite ends, so
-    # the open-interval facts z < 0 and h > 0 live in different arrays: z is
-    # floored strictly negative (an exact 0 would break downstream strictness
-    # checks; the rho-leg's z = rho q / b' keeps q's sign, so the floor binds
-    # at no completing sweep point), while h keeps the tail's own positive
-    # values instead of the cancellation-prone C1 + z.  Past s_T,
-    # h_T e^(-C2 (s - s_T)) underflows to 0 where C2 is large (the small-m
-    # sweep points), not at the reference point.
-    z = np.minimum(z, -1e-250)
+    if not float(np.max(z)) < 0.0 or float(np.min(z)) < -C1 - slack:
+        raise BoundViolationError(f"h left (0, C1): z range [{z.min()}, {z.max()}] must lie "
+                                  f"below 0 and above -C1 - {slack:.3g}")
+    # past b1, h keeps the tail's own values, not C1 + z, which cancels where h << C1
     h = np.concatenate([C1 + zl, h_tail])
     eta, q_defect = _origin_match(s_grid, z, W, p)
     return Profile(

@@ -4,7 +4,8 @@ The sweep is 36 points: n in {3, 4, 5, 8}, m at 10/50/90% of (n-2)/n and
 gamma at 5/50/95% of its window (2/(1-m), (n-2)/m).  Each point builds the
 tail, its continuation and the profile rescaled to origin coefficient 1 (the
 steps of solve_for_eta), then runs expansion_check, inversion_report and the
-two ODE residuals.  A point that fails records the class of its typed error;
+two ODE residuals, and counts ACCEPTANCE 03's pointwise violations.  A
+point that fails records the class of its typed error;
 one that completes records each checked value and whether it lies inside
 the ACCEPTANCE bound of the same name.  tests/sweep_expected.json holds the
 table, its values to two digits, and tests/test_sweep.py asserts that a run
@@ -22,6 +23,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from fastdiff import (
     FastDiffError,
     continue_left,
@@ -38,9 +41,10 @@ from fastdiff import (
 
 EXPECTED = Path(__file__).with_name("sweep_expected.json")
 
-# value name -> the ACCEPTANCE bound it is held to (criteria 02, 04, 05, 06);
+# value name -> the ACCEPTANCE bound it is held to (criteria 02 to 06);
 # far_field_gap's bound depends on the tail and is formed in run_point
 BOUNDS = {
+    "pointwise_violations": 0,
     "d1_rel_err": 1e-2,
     "d2_rel_err": 2e-2,
     "f_residual": 1e-5,
@@ -61,6 +65,14 @@ def sweep_points():
     return points
 
 
+def pointwise_violations(prof):
+    """ACCEPTANCE 03's count: rows that break 0 < h, z < 0, r f_r/f <=
+    -gamma or r f_r/f >= -(n-2)/m, each bound counted on its own."""
+    p, rfr = prof.params, prof.rfr_over_f
+    return int(np.sum(~(prof.h > 0.0)) + np.sum(~(prof.z < 0.0))
+               + np.sum(~(rfr <= -p.gamma)) + np.sum(~(rfr >= -(p.n - 2) / p.m)))
+
+
 def point_id(point):
     return "n%d-m%.4g-g%.4g" % point
 
@@ -75,6 +87,7 @@ def run_point(point):
         prof = rescale_profile(base, lambda_for_amplitude(base, 1.0))
         rep = expansion_check(prof)
         values = {
+            "pointwise_violations": pointwise_violations(prof),
             "d1_rel_err": rep.rel_err1,
             "d2_rel_err": rep.rel_err2,
             "f_residual": f_ode_residual(prof),
@@ -100,10 +113,12 @@ def run_sweep():
 
 
 def _rounded(row):
-    """The row as the expected file holds it: each value to two digits."""
+    """The row as the expected file holds it: each value to two digits, a
+    count exactly."""
     if "values" not in row:
         return row
-    return {**row, "values": {k: float("%.2g" % v) for k, v in row["values"].items()}}
+    return {**row, "values": {k: v if isinstance(v, int) else float("%.2g" % v)
+                              for k, v in row["values"].items()}}
 
 
 def main(argv):
@@ -112,7 +127,8 @@ def main(argv):
     if "--write" in argv:
         EXPECTED.write_text(json.dumps([_rounded(row) for row in rows], indent=1) + "\n")
     for row in rows:
-        out = [f"{k} {v:.2g}{'' if row['inside'][k] else ' (above bound)'}"
+        out = [f"{k} {v if isinstance(v, int) else f'{v:.2g}'}"
+               f"{'' if row['inside'][k] else ' (above bound)'}"
                for k, v in row.get("values", {}).items()]
         print(f"{row['point']:>24}  {row['outcome']:<20} {', '.join(out)}")
 

@@ -465,6 +465,20 @@ class TestExitCodes:
         assert (record["error"], record["message"]) == (
             "ResolutionError", "profile s-range too narrow to mirror for the inversion check")
 
+    @pytest.mark.parametrize("eta, code", [("1e10", 0), ("1e15", 0), ("1e20", 0), ("1e25", 3), ("1e-30", 3)])
+    def test_large_eta_expansion(self, eta, code, tmp_path):
+        # rescaling to eta shifts the table, so the mirrored rows |s| <= S,
+        # S = min(-s_0, s_end), end short of the far field: at 1e10 the
+        # last is s = 3.0 of the unit-eta table, where g has not reached
+        # eta_inf.  The inversion reads no limit there; far_field_gap reads
+        # it at the table's end.  At 1e25 and 1e-30, S <= 1
+        rc = cli.main(["expansion", "--n", "3", "--eta", eta, "--out", str(tmp_path)])
+        assert rc == code
+        if code:
+            record = read_json(tmp_path / "error.json")
+            assert (record["error"], record["message"]) == (
+                "ResolutionError", "profile s-range too narrow to mirror for the inversion check")
+
     def test_converge_from_before_t1(self, tmp_path):
         # the reference window ends inside the grid's image at t0 < 1
         rc = cli.main(["converge", "--n", "3", "--t0", "0.5", "--tau-max", "0.1",

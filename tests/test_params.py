@@ -38,6 +38,15 @@ class TestExponents:
             p = fd.derive_params(n, m, gamma)
             assert rel_err(p.alpha * (1 - m), 2 * p.beta - 1) <= 1e-13
 
+    def test_transformed_exponent_ratio(self):
+        # the inverted equation's coefficients alpha~ = alpha - (n-2) beta/m
+        # and beta~ = -beta have the ratio alpha~/beta~ = C1 = (n-2)/m - gamma
+        for n, m, gamma in [(3, 0.2, 4.0), (4, 0.25, 5.5), (5, 0.1, 8.0), (3, 0.3, 3.1)]:
+            p = fd.derive_params(n, m, gamma)
+            ratio = (p.alpha - (n - 2) / m * p.beta) / (-p.beta)
+            assert rel_err(ratio, p.C1) <= 1e-13
+            assert rel_err(p.C1, (n - 2) / m - gamma) <= REL
+
     def test_beta_magnitude_decreases_in_gamma(self):
         gammas = np.linspace(3.0, 4.8, 12)
         betas = [abs(fd.derive_params(3, 0.2, g).beta) for g in gammas]

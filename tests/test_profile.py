@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from fastdiff import (
+    BoundViolationError,
     ExtrapolationError,
     FastDiffError,
     RangeError,
@@ -147,7 +148,7 @@ class TestTailLength:
         decay = np.exp(-C2 * (s - s_T))
         assert np.allclose(base_profile.h[far], h_T * decay, rtol=1e-15, atol=0.0)
         assert np.allclose(base_profile.W[far], -C1 * s - h_T / C2 * decay, rtol=1e-15, atol=0.0)
-        assert np.array_equal(base_profile.z[far], np.minimum(base_profile.h[far] - C1, -1e-250))
+        assert np.array_equal(base_profile.z[far], base_profile.h[far] - C1)
 
     def test_table_end_capped_where_wt_stays_normal(self):
         # at (3, 0.0333, 3.466) the tail ends at b1 + 40/C2 = 1.86, and
@@ -230,6 +231,24 @@ class TestContinueLeft:
         assert np.all(base_profile.z > -C1 - 1e-12)
         assert np.all(base_profile.h < C1 + 1e-12)
 
+    def test_positive_z_is_refused(self, tail_ref):
+        # h[0] a hair above C1 starts the continuation at z = +1e-12 on the
+        # row b1: z < 0 is checked strictly, with no slack and no floor
+        C1 = tail_ref.fp.params.C1
+        h = tail_ref.h.copy()
+        h[0] = C1 * (1.0 + 1e-12)
+        with pytest.raises(BoundViolationError, match="must lie below 0"):
+            continue_left(replace(tail_ref, h=h))
+
+    @pytest.mark.parametrize("point", [(3, 1 / 6, 5.82), (4, 0.25, 16 / 3), (5, 0.3, 9.642857142857142)],
+                             ids=["n3-m0.1667-g5.82", "n4-m0.25-g5.333", "n5-m0.3-g9.643"])
+    def test_z_strictly_negative_where_it_is_small(self, point):
+        # points where |z| falls below the continuation's absolute tolerance
+        # 1e-14 inside |s| <= 20: the rho-leg's z = rho q / b' keeps q's sign,
+        # so z < 0 holds on every row as computed
+        prof = continue_left(picard_solve(derive_fp_constants(derive_params(*point))))
+        assert np.all(prof.z < 0.0)
+
     def test_slope_ratio_bounds(self, base_profile):
         # r f_r / f = z - gamma; z decays below the resolution of gamma at
         # the far end, so the strict inequality is carried by z itself while
@@ -281,7 +300,7 @@ class TestContinueLeft:
         assert res.status == 0
         z_ref, W_ref = res.sol(prof.s_grid[left])
         assert np.abs(prof.W[left] - W_ref).max() <= 5e-12
-        assert np.abs(prof.z[left] - np.minimum(z_ref, -1e-250)).max() <= 5e-13
+        assert np.abs(prof.z[left] - z_ref).max() <= 5e-13
 
     def test_run_step_count(self, tail_ref, monkeypatch):
         # below rho = 0.1 the rho-leg follows q = b' z / rho, which is smooth
