@@ -14,16 +14,15 @@ satisfies equivalent differential/series representations:
   * f_ode_residual: defect of (f^m/m)'' + (n-1)/r (f^m/m)' + alpha f
       + beta r f_r = 0.
   * inversion_report: defect of the Kelvin-inverted equation for
-    g(y) = y^(-(n-2)/m) f(1/y) on the table's nodes mirrored
-    (sigma = log y = -s).
+    g(y) = y^(-(n-2)/m) f(1/y) on the table's rows, sigma = log y = -s.
 
 The profile's invariants are checked where the table is built, not here:
 -C1 < z < 0 in continue_left, and the far-field limit r^((n-2)/m) f ->
 eta_inf in Profile.far_field_gap.
 
 No check fits a spline: each reads the profile table row by row, and the
-residuals take their derivatives by five-point differences at the table's
-own step.
+residuals read only the rows of their own window, where they take their
+derivatives by centred five-point differences at the table's own step.
 
 All residuals are normalized by the largest term magnitude at each node
 (the equations carry 1/rho^2 scalings that make absolute defects meaningless).
@@ -70,11 +69,12 @@ class ExpansionReport:
 
 @dataclass(frozen=True)
 class InversionReport:
-    """residual sees a defect in the table's wt or h on every mirrored row.
-    double_inversion_err reads one row's log wt on both sides, so it is the
-    roundoff of ((n-2)/m - C1 - gamma) sigma: 2.84e-14 at the reference
-    point, with or without a 1e-3 dent in wt.  It cannot fail, and stays
-    only because perfbench's expansion workload reads it."""
+    """residual sees a defect in the table's wt or h on every row of its
+    window.  double_inversion_err reads one row's log wt on both sides, so
+    it is the roundoff of ((n-2)/m - C1 - gamma) sigma on those rows:
+    3.55e-15 at the reference point, with or without a 1e-3 dent in wt.  It
+    cannot fail, and stays only because perfbench's expansion workload
+    reads it."""
 
     residual: float
     double_inversion_err: float
@@ -116,10 +116,18 @@ def expansion_check(profile: Profile) -> ExpansionReport:
     )
 
 
-def _off_edges(size: int) -> np.ndarray:
-    """Mask of the nodes clear of deriv_uniform's one-sided edge stencils."""
-    idx = np.arange(size)
-    return (idx >= 3) & (idx <= size - 4)
+def _window(s: np.ndarray, lo: float, hi: float, window: str) -> slice:
+    """The table rows with lo <= s <= hi that a centred five-point stencil
+    reaches, and the two stencil rows on each side of them: a check forms
+    its exponentials on these rows only, since past them they can leave the
+    double range.  ResolutionError if fewer than 5 such window rows clear
+    the table's two edge rows."""
+    i = max(int(np.searchsorted(s, lo)), 2)
+    j = min(int(np.searchsorted(s, hi, side="right")), s.size - 2)
+    if j - i < 5:
+        raise ResolutionError(f"{max(j - i, 0)} table rows lie in the {window}; the table "
+                              f"spans s in [{s[0]:.6g}, {s[-1]:.6g}]")
+    return slice(i - 2, j + 2)
 
 
 def _residual_over_terms(terms):
@@ -131,16 +139,18 @@ def _residual_over_terms(terms):
 
 def wbar_ode_residual(profile: Profile) -> float:
     """Max relative defect of the w-bar equation over rho in [1e-4, 1],
-    all derivatives by centered differences in s at the table's own step."""
+    all derivatives by centered differences in s at the table's own step.
+    ResolutionError if fewer than 5 rows lie in the window."""
     p = profile.params
     c = 1.0 / p.beta_p
-    s, wt = profile.s_grid, np.exp(profile.W)
+    s = profile.s_grid
+    rows = _window(s, math.log(1e-4) / c, 0.0, "w-bar-equation window rho in [0.0001, 1]")
     ds = float(s[1] - s[0])
-    d1s = deriv_uniform(wt, ds, deriv=1)
-    d2s = deriv_uniform(wt, ds, deriv=2)
-    sel = (s >= math.log(1e-4) / c) & (s <= 0.0) & _off_edges(s.size)
-    rho = np.exp(c * s[sel])
-    w, ws, wss = wt[sel], d1s[sel], d2s[sel]
+    wt = np.exp(profile.W[rows])
+    ws = deriv_uniform(wt, ds, deriv=1)
+    wss = deriv_uniform(wt, ds, deriv=2)
+    rho = np.exp(c * s[rows][2:-2])
+    w = wt[2:-2]
     U = ws / (c * w)                            # rho wb_rho / wb
     terms = [
         (wss - c * ws) / (c * c * w) - U * U,   # rho^2 (wb_rho/wb)_rho
@@ -157,30 +167,22 @@ def f_ode_residual(profile: Profile) -> float:
     + beta r f_r over r in [1e-3, 1e3], all derivatives by centered
     differences in s = log r.  f = e^(-gamma s + W) is formed on the
     window's rows and the two stencil rows on each side only: past them it
-    can leave the double range.  ResolutionError if fewer than 5 rows clear
-    of the table's edge stencils lie in the window."""
+    can leave the double range.  ResolutionError if fewer than 5 rows lie
+    in the window."""
     p = profile.params
     s = profile.s_grid
-    sel = (s >= math.log(_F_WINDOW[0])) & (s <= math.log(_F_WINDOW[1]))
-    rows = np.flatnonzero(sel & _off_edges(s.size))
-    if rows.size < 5:
-        raise ResolutionError(f"{rows.size} table rows lie in the f-equation window r in "
-                              f"[{_F_WINDOW[0]:g}, {_F_WINDOW[1]:g}]; the table spans s in "
-                              f"[{s[0]:.6g}, {s[-1]:.6g}]")
-    lo, hi = rows[0] - 2, rows[-1] + 3
-    sw = s[lo:hi]
-    f = np.exp(-p.gamma * sw + profile.W[lo:hi])
+    rows = _window(s, math.log(_F_WINDOW[0]), math.log(_F_WINDOW[1]),
+                   f"f-equation window r in [{_F_WINDOW[0]:g}, {_F_WINDOW[1]:g}]")
+    sw = s[rows]
+    f = np.exp(-p.gamma * sw + profile.W[rows])
     ds = float(s[1] - s[0])
     F = f ** p.m / p.m
-    Fs = deriv_uniform(F, ds, deriv=1)[2:-2]
-    Fss = deriv_uniform(F, ds, deriv=2)[2:-2]
-    fs = deriv_uniform(f, ds, deriv=1)[2:-2]
     e2 = np.exp(-2.0 * sw[2:-2])
     terms = [
-        e2 * Fss,
-        e2 * (p.n - 2) * Fs,
+        e2 * deriv_uniform(F, ds, deriv=2),
+        e2 * (p.n - 2) * deriv_uniform(F, ds, deriv=1),
         p.alpha * f[2:-2],
-        p.beta * fs,
+        p.beta * deriv_uniform(f, ds, deriv=1),
     ]
     return float(np.max(_residual_over_terms(terms)))
 
@@ -191,14 +193,15 @@ def inversion_report(profile: Profile) -> InversionReport:
     In sigma = log y the equation reads, with Gamma = g^m/m and
     E = e^((( n-2-nm)/m - 2) sigma):
         e^(-2 sigma)(Gamma_ss + (n-2) Gamma_s) + E (at g + bt g_sigma) = 0.
-    g is read on the table's own nodes mirrored, sigma = -s for every row
-    with |s| <= min(-s_0, s_end), so each value of g comes from one row's
-    W and h.  Gamma_sigma = -g^m h(-sigma) follows from the stored
-    logarithmic derivative; the remaining outer derivative is taken
-    numerically through Q = e^((n-2) sigma) Gamma_sigma, which keeps the
-    exponentially flat end (g -> eta_inf) numerically meaningful.
+    g is read on the table's rows with sigma = -s in the window
+    y in [1e-2, 1e2], reversed so that sigma ascends, so each value of g
+    comes from one row's W and h.  Gamma_sigma = -g^m h(-sigma) follows
+    from the stored logarithmic derivative; the remaining outer derivative
+    is taken numerically through Q = e^((n-2) sigma) Gamma_sigma, which
+    keeps the exponentially flat end (g -> eta_inf) numerically meaningful.
     Of its fields only residual can see a defect in wt or h (see
-    InversionReport).
+    InversionReport).  ResolutionError if fewer than 5 rows lie in the
+    window.
     """
     p = profile.params
     n, m = p.n, p.m
@@ -207,28 +210,19 @@ def inversion_report(profile: Profile) -> InversionReport:
     bt = -p.beta
 
     s = profile.s_grid
-    S = min(-float(s[0]), float(s[-1]))
-    if S <= 1.0:
-        raise ResolutionError("profile s-range too narrow to mirror for the inversion check")
-    # the rows with |s| <= S, reversed so that sigma = -s ascends
-    rows = np.flatnonzero(np.abs(s) <= S)[::-1]
-    sig, h_rev = -s[rows], profile.h[rows]
-    log_wt = profile.W[rows]
+    rows = _window(s, -math.log(1e2), -math.log(1e-2), "inverted-equation window y in [0.01, 100]")
+    sig, h_rev, log_wt = -s[rows][::-1], profile.h[rows][::-1], profile.W[rows][::-1]
     ds = float(sig[1] - sig[0])
 
     log_g = -C1 * sig + log_wt
     g = np.exp(log_g)
-    g_sigma = -g * h_rev
     Gamma_sigma = -(g ** m) * h_rev
-
     Q = np.exp((n - 2) * sig) * Gamma_sigma
-    Q_sigma = deriv_uniform(Q, ds, deriv=1)
-    sel = (sig >= math.log(1e-2)) & (sig <= math.log(1e2))
-    sel &= _off_edges(sig.size)
-    # formed on the window only: e^(-n sigma) overflows at the grid's ends
-    diffusion = np.exp(-n * sig[sel]) * Q_sigma[sel]
-    E = np.exp(((n - 2 - n * m) / m - 2.0) * sig[sel])
-    res = _residual_over_terms([diffusion, E * at * g[sel], E * bt * g_sigma[sel]])
+    sw = sig[2:-2]
+    diffusion = np.exp(-n * sw) * deriv_uniform(Q, ds, deriv=1)
+    E = np.exp(((n - 2 - n * m) / m - 2.0) * sw)
+    g_sigma = -g[2:-2] * h_rev[2:-2]
+    res = _residual_over_terms([diffusion, E * at * g[2:-2], E * bt * g_sigma])
     residual = float(np.max(res))
 
     # involution: applying the transform twice returns f, row by row: the

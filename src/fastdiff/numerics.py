@@ -221,29 +221,21 @@ def fd_weights(offsets, deriv: int) -> np.ndarray:
 
 
 @functools.cache
-def _five_point_stencils(deriv: int) -> np.ndarray:
-    """Read-only fd_weights at offsets arange(5) - j in row j: row 2 is the
-    centred stencil, rows 0-1 and 3-4 the one-sided ones of the edge nodes."""
-    rows = np.array([fd_weights(np.arange(5) - j, deriv) for j in range(5)])
-    rows.flags.writeable = False
-    return rows
+def _centred_stencil(deriv: int) -> np.ndarray:
+    """Read-only fd_weights at offsets -2..2."""
+    w = fd_weights(np.arange(5) - 2, deriv)
+    w.flags.writeable = False
+    return w
 
 
 def deriv_uniform(y, dx: float, deriv: int = 1) -> np.ndarray:
-    """Derivative of uniformly sampled values by five-point stencils,
-    one-sided at the edges: 4th-order first derivatives and 3rd/4th-order
+    """Derivative of uniformly sampled values at the n - 4 interior nodes
+    y[2:-2], by the centred five-point stencil: 4th order for first and
     second derivatives.  RangeError unless 0 <= deriv < 5 is an int, y is
-    1-d and dx is positive and finite."""
+    1-d with at least 5 nodes and dx is positive and finite."""
     y = _uniform_table(y, dx)
-    n = y.size
-    if n < 5:
+    if y.size < 5:
         raise RangeError("need at least 5 nodes")
     _check_deriv(deriv, 5)        # before the cache, which takes True for 1
-    w = _five_point_stencils(deriv)
-    out = np.empty(n)
     # correlate applies the stencil in natural order: out[i] = sum_j y[i+j] w[j]
-    out[2:n - 2] = np.correlate(y, w[2], mode="valid")
-    for i in range(2):
-        out[i] = w[i] @ y[:5]
-        out[n - 1 - i] = w[4 - i] @ y[-5:]
-    return out / dx ** deriv
+    return np.correlate(y, _centred_stencil(deriv), mode="valid") / dx ** deriv

@@ -155,6 +155,19 @@ class TestEquationResiduals:
             assert dented > 1e-5
             assert dented > 100.0 * clean
 
+    @pytest.mark.parametrize("eta", [1e25, 1e-200])
+    def test_window_without_rows_is_typed(self, eta):
+        # rescaling to eta shifts the table off the windows: w-bar's rho in
+        # [1e-4, 1] holds no row at either eta, and its max over the empty
+        # selection raised numpy's bare ValueError
+        prof = solve_for_eta(derive_params(*REFERENCE_POINT), eta)
+        for check in (f_ode_residual, wbar_ode_residual, lambda q: inversion_report(q).residual):
+            try:
+                value = check(prof)
+            except ResolutionError:
+                continue
+            assert np.isfinite(value)
+
 
 def _dented(prof, field, at):
     """prof with a 1e-3 relative Gaussian dent (width 1 in s) at s = at in
@@ -203,7 +216,7 @@ MUTATION_POINTS = [REFERENCE_POINT,
 # second point: rho in [1e-4, 1] starts at s = beta' log 1e-4, -7.7 at the
 # reference and -17.5 where beta' = 1.89.  Dents at s >= 15 lie past every
 # window; there only a z dent shows, as z < -C1 where h is below 1e-3 C1.
-# s = 33.7 is the reference table's last mirrored row, which no check reads
+# s = 33.7 is -s_0 of the reference table, a row that no check reads either
 # (far_field_gap reads the table's last row when it is built).  eta_origin
 # off by 1e-6 moves d1 and d2 by about 1e-6, far inside their gates
 MUTATIONS = {

@@ -457,27 +457,30 @@ class TestExitCodes:
                                      "the table spans s in [-529.633, -451.993]")
 
     def test_tiny_eta_expansion_is_exit_3(self, tmp_path):
-        # expansion_check forms eta^(2m-1) as eta lam lam, lam = eta^(m-1):
-        # lam^2 = 1e320 alone overflows at eta = 1e-200
+        # expansion_check forms eta^(2m-1) as eta lam lam, lam = eta^(m-1),
+        # since lam^2 = 1e320 alone overflows at eta = 1e-200; it passes,
+        # and the shifted table holds no row of the inverted check's window
         rc = cli.main(["expansion", "--n", "3", "--eta", "1e-200", "--out", str(tmp_path)])
         assert rc == 3
         record = read_json(tmp_path / "error.json")
         assert (record["error"], record["message"]) == (
-            "ResolutionError", "profile s-range too narrow to mirror for the inversion check")
+            "ResolutionError", "0 table rows lie in the inverted-equation window y in [0.01, 100]; "
+                               "the table spans s in [-340.746, -263.106]")
 
-    @pytest.mark.parametrize("eta, code", [("1e10", 0), ("1e15", 0), ("1e20", 0), ("1e25", 3), ("1e-30", 3)])
+    @pytest.mark.parametrize("eta, code", [("1e10", 0), ("1e15", 0), ("1e20", 0), ("1e25", 3), ("1e-30", 0)])
     def test_large_eta_expansion(self, eta, code, tmp_path):
-        # rescaling to eta shifts the table, so the mirrored rows |s| <= S,
-        # S = min(-s_0, s_end), end short of the far field: at 1e10 the
-        # last is s = 3.0 of the unit-eta table, where g has not reached
-        # eta_inf.  The inversion reads no limit there; far_field_gap reads
-        # it at the table's end.  At 1e25 and 1e-30, S <= 1
+        # rescaling to eta shifts the table, and each check reads only its
+        # own window's rows; far_field_gap reads the limit at the table's
+        # end.  At 1e-30 the table spans s in [-79.8, -2.1], which still
+        # meets every window; at 1e25 it starts at s = 4.64, right of the
+        # inverted window s in [-4.6, 4.6]
         rc = cli.main(["expansion", "--n", "3", "--eta", eta, "--out", str(tmp_path)])
         assert rc == code
         if code:
             record = read_json(tmp_path / "error.json")
             assert (record["error"], record["message"]) == (
-                "ResolutionError", "profile s-range too narrow to mirror for the inversion check")
+                "ResolutionError", "0 table rows lie in the inverted-equation window y in [0.01, 100]; "
+                                   "the table spans s in [4.64142, 82.2814]")
 
     def test_converge_from_before_t1(self, tmp_path):
         # the reference window ends inside the grid's image at t0 < 1
