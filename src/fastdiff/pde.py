@@ -11,18 +11,22 @@ which resolves power-law fields uniformly per decade.  Time stepping is fully
 implicit (backward Euler, theta = 1) with a damped Newton inner solve; the
 Jacobian is tridiagonal and the centered stencil is an M-matrix whenever
 dx < 2/(n-2), which is what makes the discrete comparison and weighted-L1
-contraction properties of the continuous flow carry over to the scheme.
+contraction properties of the continuous flow carry over to the scheme.  A
+tridiagonal M-matrix is diagonally similar to a symmetric one, which is then
+positive definite (Varga, Matrix Iterative Analysis), so each Newton system
+is solved in that form, without pivoting, by LAPACK's dptsv.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import dptsv
 
 from .errors import (
     ConfigError,
@@ -67,6 +71,10 @@ _DT_SHRINK = 0.5
 _DT_GROW = 1.3
 _GROW_THRESHOLD = 3
 _MAX_STEPS = 2_000_000
+
+# |log s| of the Newton solve's symmetrizer s stays below this, so that s and
+# 1/s are normal floats
+_LOG_S_LIMIT = -math.log(sys.float_info.min)
 
 # Degree of the polynomial in u, through the last accepted states, from
 # which Newton starts on a cap-sized step.
@@ -128,16 +136,16 @@ class EvolveConfig:
     the fields of one step share one iteration count.  The start's residual
     is not tested, so every step takes at least one linear solve.  The
     scaled residual has a roundoff floor above the default tolerance
-    (7.7e-10 to 7.3e-7 over the steps of fdx converge's orbit run, 640 nodes
-    on [1e-3, 1e3]), so there the increment test ends each step, one linear
-    solve after the iterate has converged.  From u_old that takes three or
-    four solves: on fdx contract's 20 pair seeds (512 nodes) 3,706 of the
-    4,264 steps take four and 558 take three.  A settled start that
+    (6.0e-10 to 7.3e-7 at the states that the steps of fdx converge's orbit
+    run return, 640 nodes on [1e-3, 1e3]), so there the increment test ends
+    each step, one linear solve after the iterate has converged.  From u_old
+    that takes three or four solves: on fdx contract's 20 pair seeds (512
+    nodes) 3,706 of the 4,264 steps take four and 558 take three.  A settled start that
     _Lockstep predicts in u is already within newton_tol and takes one:
-    11,851 of the orbit run's 12,012 predicted steps.  No residual follows a
+    11,850 of the orbit run's 12,012 predicted steps.  No residual follows a
     converged full increment: the step returns u + delta once it clears the
     positivity floor, without the damping veto.  Each Newton iteration takes
-    one power, u^m: the residual's u^m/m and the Jacobian's u^(m-1) = u^m/u
+    one power, u^m: the residual's u^m/m and the solve's u^(1-m) = u/u^m
     both come from it.
     dt_rel_max, when set, caps the step at dt_rel_max * t, which is the
     natural accuracy knob for runs spanning decades of time.
@@ -292,18 +300,25 @@ class _Stepper:
     The fields lie end to end in one flat array of k N nodes, field b on
     [b N, (b + 1) N).  Newton solves for the k N - 2 nodes between the outer
     two: each field's interior rows are its own tridiagonal rows, and the
-    2 (k - 1) trace nodes between the fields are identity rows (diagonal
-    1/dt, no couplings, zero residual).  The matrix is block diagonal with
-    zero seams, so one dgtsv call gives every block the bits of a solve of
-    its own, and the residual, the Jacobian's diagonals and the norms each
-    run once over contiguous memory.  One Newton iteration solves the whole
+    2 (k - 1) trace nodes between the fields are diagonal rows (no
+    couplings, zero residual, so zero increment).  The matrix is block
+    diagonal with zero seams.  It is solved in its symmetric positive
+    definite form (see _solve) by one dptsv call, whose factorization and
+    substitutions carry no pivoting: across a zero coupling the multiplier
+    is 0/d = 0, so the next pivot d - 0 * 0 and the next right-hand side
+    entry b - 0 * b keep their bits, and every block gets the bits of a
+    solve of its own.  The residual, the diagonal and the norms each run
+    once over contiguous memory.  One Newton iteration solves the whole
     system: its convergence tests, its positivity backtracking and its
     damping veto read maxima over all rows, so the fields share one lam and
-    one iteration count, and k = 1 is the single-field step.  A field whose
-    own iteration would have stopped takes roundoff-sized increments until
-    the slowest field converges, which moves it by far less than newton_tol
-    (at most 5.8e-14 relative for a constant state stepped next to a
-    sandwiched field, against the default 1e-11).  Newton converges on the
+    one iteration count, and k = 1 is the single-field step.  So a field
+    whose own step takes the flat step's count keeps its own step's bits,
+    and a field whose own step would have stopped sooner takes
+    roundoff-sized increments until the slowest field converges, which
+    moves it by far less than newton_tol (at most 5.8e-14 relative for a
+    constant state stepped next to a sandwiched field, against the default
+    1e-11).  Which of the two a sandwiched field takes can turn on the
+    rounding of its last increment.  Newton converges on the
     backward-Euler solution of every field, and the weighted-L1 contraction
     of sandwiched pairs is a property of that solution (the discrete
     comparison principle of the M-matrix step), not of the path Newton
@@ -351,24 +366,39 @@ class _Stepper:
 
         e2 = np.exp(-2.0 * x[1:-1])
         zero = np.zeros(1)
-        lo, ce, hi = (np.concatenate([zero, e2 * c, zero]) for c in (
-            1.0 / dx**2 - kdrift / (2.0 * dx), -2.0 / dx**2, 1.0 / dx**2 + kdrift / (2.0 * dx)))
+        c_lo, c_hi = 1.0 / dx**2 - kdrift / (2.0 * dx), 1.0 / dx**2 + kdrift / (2.0 * dx)
+        lo, ce, hi = (np.concatenate([zero, e2 * c, zero]) for c in (c_lo, -2.0 / dx**2, c_hi))
         self.lo, self.ce, self.hi = flat(lo), flat(ce), flat(hi)
-        # the negated couplings of the Jacobian's rows scaled by 1/dt: row i
-        # is nlo dF[i-1], nce dF[i] + 1/dt, nhi dF[i+1], with dF = u^(m-1);
-        # a trace node neither couples nor is coupled to
         self.nce = -self.ce
-        self.nlo = -np.tile(np.concatenate([zero, zero, lo[2:-1], zero]), k)[2:-1]
-        self.nhi = -np.tile(np.concatenate([zero, hi[1:-2], zero, zero]), k)[1:-2]
-        # LAPACK's tridiagonal solver, the routine solve_banded((1, 1), ...)
-        # calls, without that wrapper's validation on every Newton iteration
-        (self.gtsv,) = get_lapack_funcs(("gtsv",), (self.ce,))
+        # In y = u^(m-1) delta, Newton's system is M y = -G/dt with M =
+        # tridiag(-lo, -ce + u^(1-m)/dt, -hi), whose couplings are the grid's
+        # alone.  With s_(j+1)/s_j = sqrt(lo_(j+1)/hi_j), S^-1 M S is
+        # symmetric, with couplings e_j = -sqrt(lo_(j+1)) sqrt(hi_j).  log s
+        # is summed on the log and centred, so no product or ratio of lo and
+        # hi is formed, and s and 1/s must be normal floats
+        log_s = np.concatenate([zero, np.cumsum(0.5 * math.log(c_lo / c_hi) - dxs[1:-1])])
+        log_s -= 0.5 * (log_s[0] + log_s[-1])
+        self.log_s_max = float(np.abs(log_s).max())
+        if self.log_s_max >= _LOG_S_LIMIT:
+            raise RangeError(
+                f"grid [{r[0]:.4g}, {r[-1]:.4g}] too wide for its spacing: the Newton solve's "
+                f"symmetrizer passes the float range"
+            )
+        # log |ce| / s, whose largest value bounds the stencil term of the
+        # right-hand side -G/s; tested with the data by _Lockstep
+        self.log_ce_s_max = float(np.max(math.log(2.0 / dx**2) - 2.0 * x[1:-1] - log_s))
+        s = np.concatenate([[1.0], np.exp(log_s), [1.0]])
+        self.s = flat(s)
+        self.minus_inv_s = flat(-1.0 / s)
+        # the trace nodes take s = 1, and e_j couples node j to j + 1: zero at
+        # a trace node, so across the seams
+        self.e = -np.tile(np.concatenate([np.sqrt(lo[1:]) * np.sqrt(hi[:-1]), zero]), k)[1:-2]
 
     def _residual(self, u: np.ndarray, uo_int: np.ndarray,
                   dt: float) -> tuple[np.ndarray, np.ndarray]:
         # G = u[1:-1] - uo_int - dt * (lo F[:-2] + ce F[1:-1] + hi F[2:]) with
         # F = u^m / m, in that operation order, on as few temporaries; returns
-        # (G, P) with P = u^m, from which the Jacobian takes u^(m-1) = P/u
+        # (G, P) with P = u^m, from which the solve takes u^(1-m) = u/P
         P = u**self.m
         F = P / self.m
         LF = self.lo * F[:-2]
@@ -379,6 +409,20 @@ class _Stepper:
         G -= LF
         return G, P
 
+    def _solve(self, G: np.ndarray, w: np.ndarray, nce_dt: np.ndarray,
+               e_dt: np.ndarray) -> np.ndarray:
+        """Newton's increment delta from the residual G and w = u^(1-m), with
+        -ce and the couplings e of S^-1 M S scaled by dt: one dptsv call
+        solves dt S^-1 M S z = -G/s, whose diagonal is dt (-ce) + w, and
+        delta = s z w.  A matrix that LAPACK finds not positive definite
+        raises _StepReject."""
+        _, _, z, info = dptsv(nce_dt + w, e_dt, G * self.minus_inv_s, True, False, True)
+        if info != 0:
+            raise _StepReject("newton")
+        z *= self.s
+        z *= w
+        return z
+
     def step(self, u_old: np.ndarray, t: float, dt: float,
              start: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
         """One implicit step of every field to t + dt; returns the flat state
@@ -386,9 +430,9 @@ class _Stepper:
 
         Newton starts from u_old, or from start when given: a flat array the
         step may overwrite, whose interior is the first iterate (its traces
-        are set here).  Each iteration solves the flat system with its rows
-        scaled by 1/dt, J/dt delta = -G/dt, so the stored couplings carry no
-        dt and u^(m-1) comes from the residual's u^m.  Every rule reads one
+        are set here).  Each iteration solves the flat system in _solve,
+        whose couplings and -ce are scaled by dt once per step and whose
+        u^(1-m) comes from the residual's u^m.  Every rule reads one
         maximum over all rows of the flat system.  A full increment within
         newton_tol in the scaled norm ends the step once u + delta clears the
         positivity floor, with no residual after it, so a start that close to
@@ -400,11 +444,11 @@ class _Stepper:
         all fields.
 
         The first failure raises _StepReject: "newton" for an update that is
-        not finite, a failed linear solve, a start that is not positive and
-        finite, or newton_max iterations without convergence; on exhausted
-        backtracking, "positivity" if the last trial is below the floor,
-        "newton" if the damping veto refused it.  The caller decides whether
-        to shrink dt.
+        not finite, a matrix that dptsv finds not positive definite, a start
+        that is not positive and finite, or newton_max iterations without
+        convergence; on exhausted backtracking, "positivity" if the last
+        trial is below the floor, "newton" if the damping veto refused it.
+        The caller decides whether to shrink dt.
         """
         cfg = self.cfg
         tol = cfg.newton_tol
@@ -430,19 +474,13 @@ class _Stepper:
         uo_int = uo[1:-1]
         scale = uo_int  # positive by invariant; fixed per step
         floor = 1e-8 * scale
-        rdt, mrdt = 1.0 / dt, -1.0 / dt
+        nce_dt, e_dt = self.nce * dt, self.e * dt
         G, P = self._residual(u, uo_int, dt)
         # scaled residual norm of the current iterate: the start's is formed
         # only when a damping veto reads it, later ones come from the trial
         err0 = None
         for it in range(cfg.newton_max):
-            dF = P[1:-1] / u[1:-1]  # u^(m-1)
-            # rows scaled by 1/dt; the four inputs are new arrays, so LAPACK
-            # may overwrite them
-            _, _, _, delta, info = self.gtsv(self.nlo * dF[:-1], self.nce * dF + rdt,
-                                             self.nhi * dF[1:], G * mrdt, True, True, True, True)
-            if info != 0:
-                raise _StepReject("newton")
+            delta = self._solve(G, u[1:-1] / P[1:-1], nce_dt, e_dt)
             # scaled increment norm; nan or inf here is a non-finite update
             inc = float((np.abs(delta) / scale).max())
             if not math.isfinite(inc):
@@ -540,16 +578,22 @@ class _Lockstep:
         self.stepper = _Stepper(fields[0].r_grid, params, cfg, [f.bc for f in fields])
         self.k = len(fields)
         self.u = np.concatenate([f.u for f in fields])
-        # each product of the residual's stencil term and its partial sums
-        # (|ce| u^m/m), and of the Jacobian (|ce| u^(m-1)), is at most max|ce|
-        # times the largest such factor of the data; tested on the log
-        m = params.m
-        log_u = np.log(self.u)
-        log_factor = max(m * float(log_u.max()) - math.log(m), (m - 1.0) * float(log_u.min()))
-        if self.stepper.log_ce_max + log_factor >= _LOG_FLOAT_MAX:
+        # each product of the residual's stencil term and its partial sums is
+        # at most max|ce| u^m/m over the data, and the Newton solve's
+        # right-hand side -G/s at most max(|ce|/s) u^m/m or max(1/s) u;
+        # tested on the log
+        stepper, r = self.stepper, fields[0].r_grid
+        log_u_max = math.log(float(self.u.max()))
+        log_F = params.m * log_u_max - math.log(params.m)
+        if stepper.log_ce_max + log_F >= _LOG_FLOAT_MAX:
             raise RangeError(
-                f"inner radius {fields[0].r_grid[0]:.4g} too small: the stencil applied to "
-                f"the data overflows a float"
+                f"inner radius {r[0]:.4g} too small: the stencil applied to the data "
+                f"overflows a float"
+            )
+        if max(stepper.log_ce_s_max + log_F, stepper.log_s_max + log_u_max) >= _LOG_FLOAT_MAX:
+            raise RangeError(
+                f"grid [{r[0]:.4g}, {r[-1]:.4g}] too wide for the data: the Newton solve's "
+                f"right-hand side G/s overflows a float"
             )
         self.cfg = cfg
         self.one_m = 1.0 - params.m

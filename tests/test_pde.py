@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 import fastdiff.pde
 from fastdiff import (
@@ -254,6 +254,29 @@ class TestEvolveBasics:
         with pytest.raises(RangeError, match="inner radius 1e-154 too small"):
             evolve(field, EvolveConfig(), [1.5])
 
+    @pytest.mark.parametrize("r_in, r_out, nodes, refusal", [
+        # about the widest grid the inner-radius guard takes at n = 8 (dx
+        # just under 2/(n-2) = 1/3): s spans far past the float range
+        (1e-153, 1e308, 3300, "too wide for its spacing"),
+        # s and 1/s are floats, but 1/s times the stencil on u = 1 is not
+        (1e-151, 1.0, 4000, "too wide for the data"),
+        # both fit: the constant state steps, with no RuntimeWarning
+        (1e-150, 1.0, 4000, None),
+    ])
+    def test_wide_grid_steps_or_is_range_error(self, r_in, r_out, nodes, refusal):
+        # the Newton solve's symmetrizer s grows like r^(-n/2) on a fine grid
+        # and faster on a coarse one; each grid the stencil guards accept
+        # either steps cleanly or is a typed RangeError before the first step
+        params = derive_params(8, 0.375, 8.0)
+        field = RadialField(log_grid(r_in, r_out, nodes), np.ones(nodes), 1.0,
+                            (lambda t: 1.0, lambda t: 1.0), params=params)
+        if refusal:
+            with pytest.raises(RangeError, match=refusal):
+                evolve(field, EvolveConfig(), [1.01])
+        else:
+            [out] = evolve(field, EvolveConfig(), [1.01])
+            assert np.max(np.abs(out.u - 1.0)) <= 1e-11
+
     def test_grid_must_be_log_uniform(self, params_ref):
         r = np.linspace(0.1, 10.0, 64)
         field = RadialField(r, np.ones(64), 1.0, (lambda t: 1.0, lambda t: 1.0),
@@ -286,35 +309,35 @@ class TestEvolveBasics:
         assert st.dt_final > 0
 
 
-def _patch_gtsv(monkeypatch, increment):
-    """Route the steppers' gtsv through increment(call, delta), whose value
-    replaces the solve's delta; call counts the solves from 1."""
-    lookup = fastdiff.pde.get_lapack_funcs
+def _patch_solve(monkeypatch, increment):
+    """Route the steppers' Newton solve through increment(call, delta), whose
+    value replaces the solve's delta; call counts the solves from 1."""
+    solve = _Stepper._solve
     calls = []
 
-    def patched_lookup(names, arrays):
-        (gtsv,) = lookup(names, arrays)
+    def patched(self, *args):
+        delta = solve(self, *args)
+        calls.append(None)
+        return increment(len(calls), delta)
 
-        def patched(*args):
-            du2, d, du, x, info = gtsv(*args)
-            calls.append(None)
-            return du2, d, du, increment(len(calls), x), info
-
-        return (patched,)
-
-    monkeypatch.setattr(fastdiff.pde, "get_lapack_funcs", patched_lookup)
+    monkeypatch.setattr(_Stepper, "_solve", patched)
 
 
 def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
-    """The backward-Euler Newton step written against solve_banded: the
-    residual recomputed at the top of every iteration and the Jacobian laid
-    out in banded storage, with its rows scaled by 1/dt, dF = u^m / u and the
-    right-hand side -G times 1/dt.  The start's residual is not tested: the
-    first iteration always solves.  A full increment within newton_tol that
-    clears the positivity floor ends the step with no residual after it, so
-    no damping veto.  Returns (u_new, newton_iterations, damped), where
-    damped says whether an accepted Newton update was scaled by lam < 1."""
-    m, cfg, lo, ce, hi = stepper.m, stepper.cfg, stepper.lo, stepper.ce, stepper.hi
+    """The backward-Euler Newton step written against solveh_banded: the
+    residual recomputed at the top of every iteration and, in y = u^(m-1)
+    delta, the Newton matrix tridiag(-lo, -ce + u^(1-m)/dt, -hi) times dt,
+    symmetrized by the stepper's s and laid out in upper banded storage:
+    diagonal dt (-ce) + w with w = u / u^m, couplings -sqrt(lo[j+1])
+    sqrt(hi[j]) dt, right-hand side -G/s, and delta = s z w.  The start's
+    residual is not tested: the first iteration always solves.  A full
+    increment within newton_tol that clears the positivity floor ends the
+    step with no residual after it, so no damping veto.  Returns (u_new,
+    newton_iterations, damped), where damped says whether an accepted
+    Newton update was scaled by lam < 1."""
+    m, cfg, lo, ce, hi, s = stepper.m, stepper.cfg, stepper.lo, stepper.ce, stepper.hi, stepper.s
+    # s symmetrizes the matrix, to the rounding of its log-space sum
+    assert np.allclose(s[1:] / s[:-1], np.sqrt(lo[1:] / hi[:-1]), rtol=1e-13, atol=0.0)
 
     def residual(u):
         F = u**m / m
@@ -323,20 +346,18 @@ def _reference_step(stepper, u_old, t, dt, bc_left, bc_right):
     u = u_old.copy()
     u[0], u[-1] = float(bc_left(t + dt)), float(bc_right(t + dt))
     scale = u_old[1:-1]
-    ab = np.empty((3, scale.size))
+    ab = np.empty((2, scale.size))
+    ab[0, 0] = 0.0
+    ab[0, 1:] = -np.sqrt(lo[1:]) * np.sqrt(hi[:-1]) * dt
     damped = False
     for it in range(cfg.newton_max):
         G = residual(u)
         err0 = float(np.max(np.abs(G) / scale))
         if it and err0 <= cfg.newton_tol:
             return u, it, damped
-        dF = u**m / u
-        ab[1] = 1.0 / dt - ce * dF[1:-1]
-        ab[0, 0] = 0.0
-        ab[0, 1:] = -hi[:-1] * dF[2:-1]
-        ab[2, -1] = 0.0
-        ab[2, :-1] = -lo[1:] * dF[1:-2]
-        delta = solve_banded((1, 1), ab, -G * (1.0 / dt))
+        w = u[1:-1] / u[1:-1] ** m
+        ab[1] = -ce * dt + w
+        delta = s * solveh_banded(ab, -G * (1.0 / s)) * w
         lam = 1.0
         for _ in range(11):
             trial = u[1:-1] + lam * delta
@@ -430,24 +451,52 @@ class TestStepperKernel:
         assert out.stats.newton_total == iters_ref == 1
         assert np.array_equal(out.u, u_ref)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n, m, gamma", [(3, 0.2, 4.0), (5, 0.3, 6.0), (8, 0.375, 8.0)])
+    def test_symmetrized_solve_matches_the_unsymmetric_system(self, n, m, gamma, k):
+        # the first Newton increment of a Barenblatt, an orbit and a constant
+        # state, one field or two end to end, against solve_banded on the
+        # unsymmetric system J/dt delta = -G/dt: rows -lo u^(m-1), -ce
+        # u^(m-1) + 1/dt, -hi u^(m-1), no couplings to or from a trace node.
+        # Each field's increment agrees to 1e-12 of its largest entry (the
+        # constant state's is roundoff), and a trace row's is 0 in both
+        params = derive_params(n, m, gamma)
+        grid = log_grid(1e-2, 1e2, 128)
+        N = grid.size
+        orbit = self_similar_solution(fastdiff.solve_for_eta(params, target_eta=1.0), 1.0)
+        states = [barenblatt(n, m, 1.0, 8.0)(grid, 1.0), orbit(grid, 1.0),
+                  np.full(N, 2.5)]
+        stepper = _Stepper(grid, params, EvolveConfig(), [(None, None)] * k)
+        trace = np.isin(np.arange(1, k * N - 1) % N, (0, N - 1))
+        for i in range(len(states)):
+            u = np.concatenate([states[(i + b) % len(states)] for b in range(k)])
+            for dt in (1e-3, 0.05):
+                G, P = stepper._residual(u, u[1:-1], dt)
+                delta = stepper._solve(G, u[1:-1] / P[1:-1], stepper.nce * dt, stepper.e * dt)
+                dF = P[1:-1] / u[1:-1]
+                ab = np.zeros((3, k * N - 2))
+                ab[0, 1:] = np.where(trace[1:], 0.0, -stepper.hi[:-1] * dF[1:])
+                ab[1] = -stepper.ce * dF + 1.0 / dt
+                ab[2, :-1] = np.where(trace[:-1], 0.0, -stepper.lo[1:] * dF[:-1])
+                ref = solve_banded((1, 1), ab, -G / dt)
+                assert np.all(delta[trace] == 0.0) and np.all(ref[trace] == 0.0)
+                for rows in np.array_split(np.arange(k * N - 2), k):
+                    gap = np.max(np.abs(delta[rows] - ref[rows]))
+                    assert gap <= 1e-12 * np.max(np.abs(ref[rows]))
+
     @pytest.mark.parametrize("info, bad", [(1, 0.0), (0, math.nan), (0, math.inf)])
     def test_failed_linear_solve_is_newton_divergence(self, grid128, params_ref, bb,
                                                       monkeypatch, info, bad):
         # a solve that LAPACK flags as singular (info > 0), even with a usable
         # answer, or a non-finite update ends as the typed Newton failure,
         # not a LinAlgError or ValueError
-        lookup = fastdiff.pde.get_lapack_funcs
+        ptsv = fastdiff.pde.dptsv
 
-        def failing_lookup(names, arrays):
-            (gtsv,) = lookup(names, arrays)
+        def failing_ptsv(*args):
+            d, e, x, _ = ptsv(*args)
+            return d, e, x + bad, info
 
-            def failing_gtsv(*args):
-                du2, d, du, x, _ = gtsv(*args)
-                return du2, d, du, x + bad, info
-
-            return (failing_gtsv,)
-
-        monkeypatch.setattr(fastdiff.pde, "get_lapack_funcs", failing_lookup)
+        monkeypatch.setattr(fastdiff.pde, "dptsv", failing_ptsv)
         field = _bb_field(bb, grid128, 1.0, params_ref)
         with pytest.raises(NewtonDivergence):
             evolve(field, EvolveConfig(dt_init=0.01, dt_max=0.01, dt_min=0.01), [1.5])
@@ -461,7 +510,7 @@ class TestStepperKernel:
         cfg = EvolveConfig(dt_init=0.01, dt_max=0.01, dt_min=0.01)
         plain = evolve(field, cfg, [1.01])[-1]
         u_int = field.u[1:-1]
-        _patch_gtsv(monkeypatch, lambda call, delta: -2.0 * u_int if call == 1 else delta)
+        _patch_solve(monkeypatch, lambda call, delta: -2.0 * u_int if call == 1 else delta)
         out = evolve(field, cfg, [1.01])[-1]
         assert out.stats.n_rejected == 0
         assert out.stats.newton_total > plain.stats.newton_total
@@ -474,7 +523,7 @@ class TestStepperKernel:
         # and at dt_min the step ends as the typed positivity failure (exit 4)
         field = _bb_field(bb, grid128, 1.0, params_ref)
         u_int = field.u[1:-1]
-        _patch_gtsv(monkeypatch, lambda call, delta: -(1.0 + 2.0**11) * u_int)
+        _patch_solve(monkeypatch, lambda call, delta: -(1.0 + 2.0**11) * u_int)
         with pytest.raises(PositivityError, match="positivity backtracking exhausted") as exc:
             evolve(field, EvolveConfig(dt_init=0.01, dt_max=0.01, dt_min=0.01), [1.5])
         assert exc.value.exit_code == 4
@@ -727,6 +776,24 @@ def _flat_and_single_steps(fields, params, cfg, dts, predict):
     return out
 
 
+def _fields_on_their_paths(steps):
+    """The _Stepper contract for every field of every flat step from
+    _flat_and_single_steps: a field whose own count equals the flat count
+    keeps its own step's bits, and a field that converges sooner alone ends
+    within 1e-11 of its own step.  Returns how many (step, field) pairs take
+    the second path."""
+    sooner = 0
+    for u, iters, us, counts in steps:
+        for part, own, flat_count, count in zip(u.reshape(len(us), -1), us, iters, counts):
+            if count == flat_count:
+                assert np.array_equal(part, own)
+            else:
+                assert count < flat_count
+                assert np.max(np.abs(part - own) / own) <= 1e-11
+                sooner += 1
+    return sooner
+
+
 class TestFlatLockstep:
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("nodes", [128, 131])
@@ -746,9 +813,8 @@ class TestFlatLockstep:
                  for u, f in zip(grown[-1][0].reshape(k, -1), fields)]
         capped = _flat_and_single_steps(later, params_ref, cfg,
                                         [2.5e-4 * t1 * 1.0001**j for j in range(12)], predict=True)
-        for u, iters, us, counts in grown + capped:
-            assert iters == counts
-            assert np.array_equal(u, np.concatenate(us))
+        # no field converges sooner alone than its flat step on these grids
+        assert _fields_on_their_paths(grown + capped) == 0
         assert max(max(iters) for _, iters, _, _ in capped[4:]) <= 2
 
     def test_fields_converge_at_different_counts(self, unit_eta_profile, params_ref):
@@ -768,11 +834,8 @@ class TestFlatLockstep:
             for u, iters, us, counts in steps:
                 assert counts[c] == 1 < max(counts)
                 assert iters == [max(counts)] * len(fields)
-                for b, (part, own) in enumerate(zip(u.reshape(len(fields), -1), us)):
-                    if b == c:
-                        assert np.max(np.abs(part - own) / own) <= 1e-11
-                    else:
-                        assert np.array_equal(part, own)
+            # the constant field converges sooner on every step, and no other
+            assert _fields_on_their_paths(steps) == len(steps)
 
     @pytest.mark.parametrize("newton_tol, iters_expected", [(1e-11, 6), (0.5, 1)])
     def test_damping_veto_in_one_field(self, grid128, params_ref, bb, newton_tol, iters_expected):
@@ -781,7 +844,7 @@ class TestFlatLockstep:
         # residual over both fields, so both take the halved update, and the
         # step takes the rough field's count.  The rough field keeps the bits
         # of its own step.  At newton_tol = 1e-11 the full updates that follow
-        # bring the smooth field within newton_tol of its own step (4.7e-15).
+        # bring the smooth field within newton_tol of its own step (3.2e-15).
         # At newton_tol = 0.5 the damped increment ends the step, so the
         # smooth field keeps half of its first update, 5.5e-2 from its own
         # step, which takes the full one
@@ -828,7 +891,7 @@ class TestFlatLockstep:
                 delta[:n - 2] = -2.0 * field.u[1:-1]
             return delta
 
-        _patch_gtsv(monkeypatch, corrupt)
+        _patch_solve(monkeypatch, corrupt)
         single = _Stepper(grid128, params_ref, cfg, [field.bc])
         flat = _Stepper(grid128, params_ref, cfg, [field.bc, other.bc])
         u_one, it_one = single.step(field.u, 1.0, 0.01)
@@ -871,7 +934,7 @@ class TestFlatLockstep:
                         delta[rows] = kills[how](delta[rows], field.u[1:-1])
             return delta
 
-        _patch_gtsv(monkeypatch, corrupt)
+        _patch_solve(monkeypatch, corrupt)
         attempts = []
         step = _Stepper.step
 
@@ -901,7 +964,7 @@ class TestFlatLockstep:
                 delta[n:2 * n - 2] = math.nan
             return delta
 
-        _patch_gtsv(monkeypatch, corrupt)
+        _patch_solve(monkeypatch, corrupt)
         flat = _Stepper(grid128, params_ref, EvolveConfig(), [field.bc, field.bc])
         with pytest.raises(_StepReject) as exc:
             flat.step(np.concatenate([field.u, field.u]), 1.0, 0.01)
