@@ -31,10 +31,8 @@ from .errors import (
 )
 from .params import FPConstants, ParamSet, derive_fp_constants, derive_params
 from .numerics import (
-    Tolerances,
     cumulative_integral,
     deriv_uniform,
-    fd_weights,
     integrate_table,
     lsoda_at,
     quad_adaptive,

@@ -140,6 +140,8 @@ def _residual_over_terms(terms):
 def wbar_ode_residual(profile: Profile) -> float:
     """Max relative defect of the w-bar equation over rho in [1e-4, 1],
     all derivatives by centered differences in s at the table's own step.
+    Below about 1e-8 the value is the check's roundoff floor, not a measure
+    of the table: the second differences of wt amplify its rounding.
     ResolutionError if fewer than 5 rows lie in the window."""
     p = profile.params
     c = 1.0 / p.beta_p

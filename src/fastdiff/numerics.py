@@ -2,17 +2,15 @@
 
 Every ODE the package integrates runs through one routine, lsoda_at:
 ODEPACK's LSODA in one odeint call, with the states wanted at given points;
-adaptive quadrature is a thin contract over scipy's quad.  The uniform-grid
-composite rules and finite difference stencils used throughout the package
-live here as well.
+adaptive quadrature on a finite interval is a thin contract over scipy's quad.
+The uniform-grid composite rules live here too, and the two centred
+five-point stencils [1, -8, 0, 8, -1]/12 and [-1, 16, -30, 16, -1]/12.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,12 +19,10 @@ from scipy import integrate as _sint
 from .errors import BlowUpError, QuadratureError, RangeError, StiffnessError
 
 __all__ = [
-    "Tolerances",
     "lsoda_at",
     "quad_adaptive",
     "cumulative_integral",
     "integrate_table",
-    "fd_weights",
     "deriv_uniform",
 ]
 
@@ -37,31 +33,30 @@ _NFEV_BUDGET = 50_000_000
 _QUAD_LIMIT = 200          # subintervals of one adaptive quadrature
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
-            raise RangeError(f"tolerances must be positive and finite, got {self}")
-
-
-def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, tol: Tolerances = Tolerances()):
+def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, *, rel_tol: float, abs_tol: float):
     """States of y' = rhs(s, y) at the monotone points s_out from y(s_out[0])
-    = y0, by one LSODA run through scipy's odeint: Adams or BDF steps as
-    stiffness comes and goes, the analytic Jacobian jac(s, y)[i][j] =
-    df_i/dy_j, no step or rhs call past s_out[-1] whether s_out increases or
-    decreases, and LSODA's own interpolation at each point (a repeated point
-    takes the same state).  rhs and jac get s and y as Python floats (y a
-    list), so a callback computes without numpy scalars and with the same
-    IEEE bits.  Returns (y, steps) with y[:, k] the state at s_out[k].
-    Raises StiffnessError when LSODA fails, a state is not finite or the
-    evaluation budget runs out; BlowUpError when max|y| goes from at or
-    below the overflow guard to at or above it between two points;
-    RangeError on a non-finite start, non-finite or non-monotone points, or
-    an empty span.
+    = y0, by one LSODA run through scipy's odeint at local error tolerances
+    rel_tol and abs_tol: Adams or BDF steps as stiffness comes and goes, the
+    analytic Jacobian jac(s, y)[i][j] = df_i/dy_j, no step or rhs call past
+    s_out[-1] whether s_out increases or decreases, and LSODA's own
+    interpolation at each point (a repeated point takes the same state).
+    rhs and jac get s and y as Python floats (y a list), so a callback
+    computes without numpy scalars and with the same IEEE bits.  Returns
+    (y, steps) with y[:, k] the state at s_out[k].  Raises StiffnessError
+    when LSODA fails, a state is not finite or the evaluation budget runs
+    out; BlowUpError when max|y| goes from at or below the overflow guard to
+    at or above it between two points; RangeError on a tolerance that is not
+    positive and finite, a non-finite start, non-finite or non-monotone
+    points, or an empty span.
+
+    rhs must return a finite derivative for every state, Newton trial states
+    far off the solution included: odepack's weighted max-norm drops nan, so
+    a nan derivative passes the corrector's test and the run ends in
+    StiffnessError instead of retrying the step.  continue_left's rho-leg
+    returns profile._TRIAL_DERIV in its place.
     """
+    if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
+        raise RangeError(f"rel_tol {rel_tol} and abs_tol {abs_tol} must be positive and finite")
     s_out = np.asarray(s_out, dtype=float)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     span = (float(s_out[0]), float(s_out[-1]))
@@ -94,7 +89,7 @@ def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, tol: Tolerances = Toleranc
         # a failed run is read from the message below, not from odeint's warning
         warnings.simplefilter("ignore", _sint.ODEintWarning)
         y, info = _sint.odeint(wrapped, y0, sign * s_out, Dfun=dfun, tfirst=True,
-                               full_output=True, rtol=tol.rel_tol, atol=tol.abs_tol,
+                               full_output=True, rtol=rel_tol, atol=abs_tol,
                                tcrit=[sign * span[1]], mxstep=_NFEV_BUDGET)
     if info["message"] != "Integration successful.":
         raise StiffnessError(f"integrator failed on span {span}: {info['message']}")
@@ -109,17 +104,12 @@ def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, tol: Tolerances = Toleranc
 
 
 def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Gauss-Kronrod integral of f over [a, b]; b may be math.inf.
-    RangeError unless -inf < a < b <= inf and tol is positive and finite.
-
-    Callers with semi-infinite ranges and known analytic tails are expected to
-    split at a finite point and add the closed-form tail; the infinite-range
-    path here is for integrands that decay fast enough on their own.
-    """
+    """Adaptive Gauss-Kronrod integral of f over the finite interval [a, b].
+    RangeError unless -inf < a < b < inf and tol is positive and finite."""
     if not 0 < tol < math.inf:
         raise RangeError("tol must be positive and finite")
-    if not -math.inf < a < b <= math.inf:
-        raise RangeError(f"need -inf < a < b <= inf, got [{a}, {b}]")
+    if not -math.inf < a < b < math.inf:
+        raise RangeError(f"need -inf < a < b < inf, got [{a}, {b}]")
     value, abserr, info, *rest = _sint.quad(
         f, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT, full_output=True
     )
@@ -190,52 +180,21 @@ def integrate_table(y, dx: float) -> float:
 
 # --- finite-difference stencils ----------------------------------------------
 
-
-def _check_deriv(deriv, k: int) -> None:
-    """RangeError unless deriv is an int (not a bool) in [0, k)."""
-    if isinstance(deriv, bool) or not isinstance(deriv, (int, np.integer)):
-        raise RangeError(f"derivative order must be an int, got {deriv!r}")
-    if not 0 <= deriv < k:
-        raise RangeError(f"derivative order must lie in [0, {k}) for {k} stencil points, got {deriv}")
-
-
-def fd_weights(offsets, deriv: int) -> np.ndarray:
-    """Stencil weights for d^deriv/dx^deriv at 0 from nodes at the given offsets.
-
-    Solves the Vandermonde moment system; exact for polynomials up to
-    degree len(offsets)-1.  Weights are in units of dx^-deriv.  RangeError
-    unless 0 <= deriv < len(offsets) is an int and the offsets are finite
-    and distinct.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    k = offsets.size
-    _check_deriv(deriv, k)
-    if not np.isfinite(offsets).all():
-        raise RangeError(f"stencil offsets must be finite, got {offsets}")
-    if np.unique(offsets).size != k:
-        raise RangeError(f"stencil offsets must be distinct, got {offsets}")
-    A = np.vander(offsets, k, increasing=True).T
-    b = np.zeros(k)
-    b[deriv] = math.factorial(deriv)
-    return np.linalg.solve(A, b)
-
-
-@functools.cache
-def _centred_stencil(deriv: int) -> np.ndarray:
-    """Read-only fd_weights at offsets -2..2."""
-    w = fd_weights(np.arange(5) - 2, deriv)
-    w.flags.writeable = False
-    return w
+# centred five-point weights at offsets -2..2 in units of dx^-deriv, exact for quartics
+_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_D1.flags.writeable = _D2.flags.writeable = False
 
 
 def deriv_uniform(y, dx: float, deriv: int = 1) -> np.ndarray:
-    """Derivative of uniformly sampled values at the n - 4 interior nodes
-    y[2:-2], by the centred five-point stencil: 4th order for first and
-    second derivatives.  RangeError unless 0 <= deriv < 5 is an int, y is
-    1-d with at least 5 nodes and dx is positive and finite."""
+    """First or second derivative of uniformly sampled values at the n - 4
+    interior nodes y[2:-2], by the centred five-point stencil (4th order).
+    RangeError unless deriv is the int 1 or 2, y is 1-d with at least 5
+    nodes and dx is positive and finite."""
     y = _uniform_table(y, dx)
     if y.size < 5:
         raise RangeError("need at least 5 nodes")
-    _check_deriv(deriv, 5)        # before the cache, which takes True for 1
+    if isinstance(deriv, bool) or not isinstance(deriv, (int, np.integer)) or deriv not in (1, 2):
+        raise RangeError(f"derivative order must be the int 1 or 2, got {deriv!r}")
     # correlate applies the stencil in natural order: out[i] = sum_j y[i+j] w[j]
-    return np.correlate(y, _centred_stencil(deriv), mode="valid") / dx ** deriv
+    return np.correlate(y, _D1 if deriv == 1 else _D2, mode="valid") / dx ** deriv

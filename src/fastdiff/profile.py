@@ -60,7 +60,7 @@ from .errors import (
     ResolutionError,
     ToleranceError,
 )
-from .numerics import _W_FIRST, _W_LAST, _W_MID, Tolerances, cumulative_integral, lsoda_at
+from .numerics import _W_FIRST, _W_LAST, _W_MID, cumulative_integral, lsoda_at
 from .params import FPConstants, ParamSet, derive_fp_constants
 
 __all__ = [
@@ -355,7 +355,7 @@ def tail_residual(tail: TailSolution) -> float:
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
     # when the window is the whole grid its last sample repeats s_max
     Y, _ = lsoda_at(rhs, jac, [math.exp(C2 * s[-1]) * y_end], np.concatenate([[s[-1]], sc[::-1]]),
-                    tol=Tolerances(abs_tol=1e-300, rel_tol=1e-12))
+                    rel_tol=1e-12, abs_tol=1e-300)
     res_h = np.abs(h_sp(sc) - Y[0, :0:-1] * np.exp(-C2 * sc)) * np.exp(0.5 * C2 * sc)
     F = h_sp.antiderivative()
     phi1 = np.exp(-(F(s[-1]) - F(sc) + h[-1] / C2) - C1 * sc)
@@ -459,13 +459,13 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
 
     # LSODA controls each step's local error only, so the runs are held 20x
     # inside tol; the floor keeps rel_tol 135 ulp clear of roundoff
-    left_tol = Tolerances(abs_tol=LEFT_ABS_TOL, rel_tol=max(tol / 20.0, 3e-14))
+    left_tol = {"rel_tol": max(tol / 20.0, 3e-14), "abs_tol": LEFT_ABS_TOL}
     y, _ = lsoda_at(rhs, jac, [float(tail.h[0]) - C1, math.log(float(tail.wt[0]))],
-                    np.concatenate([[b1], s_grid[k:n_left][::-1]]), tol=left_tol)
+                    np.concatenate([[b1], s_grid[k:n_left][::-1]]), **left_tol)
     zl, Wl = y[:, ::-1]
     if k:
         y, _ = lsoda_at(rho_rhs, rho_jac, [bp * float(zl[0]) / float(rho[k]), float(Wl[0])],
-                        rho[::-1], tol=left_tol)
+                        rho[::-1], **left_tol)
         ql, Wr = y[:, :0:-1]
         zl, Wl = np.concatenate([rho[:k] * ql / bp, zl]), np.concatenate([Wr, Wl])
     # rows past s_T take the analytic tail; log wt's tail spline is not kept

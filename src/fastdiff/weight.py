@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatchError, QuadratureError, RangeError
-from .numerics import Tolerances, integrate_table, lsoda_at, quad_adaptive
+from .numerics import integrate_table, lsoda_at, quad_adaptive
 
 __all__ = ["BumpSpec", "WeightFunction", "WeightedGrid", "build_weight", "eval_weight", "weighted_grid"]
 
@@ -120,7 +120,7 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     # I rises from 0 through about 1e-7 at the bump's onset (r = 1.1), so its
     # absolute tolerance sits far below that
     (I, phi), _ = lsoda_at(rhs, jac, [0.0, 1.0], np.concatenate([[1.0], table_r[mask]]),
-                           tol=Tolerances(abs_tol=1e-18, rel_tol=1e-13))
+                           rel_tol=1e-13, abs_tol=1e-18)
     table_phi[mask] = phi[1:]
     table_dphi[mask] = -a4 * table_r[mask] ** (1.0 - n) * I[1:]
 

@@ -712,6 +712,21 @@ class TestConfigResolution:
         _, rows = csv_rows(out / "weight.csv")
         assert len(rows) == 21
 
+    def test_config_file_choice_reaches_the_run(self, tmp_path, capsys):
+        # a choice option's file value is taken as it stands
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "barenblatt"}))
+        out = tmp_path / "o"
+        assert cli.main(["evolve", "--n", "3", "--out", str(out), "--nodes", "16",
+                         "--t-end", "1.1", "--samples", "2", "--config", str(cfg)]) == 0
+        assert read_json(out / "evolve_manifest.json")["config"]["kind"] == "barenblatt"
+        assert read_json(out / "evolve_summary.json")["kind"] == "barenblatt"
+        # a nullable option's refusal names null among the values it takes
+        cfg.write_text(json.dumps({"mu": "x"}))
+        assert cli.main(["weight", "--n", "3", "--out", str(out), "--config", str(cfg)]) == 2
+        assert "config file: mu must be a number or null, got 'x'" in capsys.readouterr().err
+        assert read_json(out / "error.json")["error"] == "ConfigError"
+
     def test_config_file_reaches_evolve_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dt_rel_max": 2e-3, "mu": None}))

@@ -12,17 +12,19 @@ import fastdiff.profile
 import fastdiff.weight
 from fastdiff.errors import BlowUpError, QuadratureError, RangeError, StiffnessError
 from fastdiff.numerics import (
-    Tolerances,
-    _centred_stencil,
+    _D1,
+    _D2,
     cumulative_integral,
     deriv_uniform,
-    fd_weights,
     integrate_table,
     lsoda_at,
     quad_adaptive,
 )
 from fastdiff.profile import tail_residual
 from fastdiff.weight import BumpSpec, build_weight
+
+# LSODA tolerances of the runs below that test no tolerance of their own
+TOL = {"rel_tol": 1e-10, "abs_tol": 1e-12}
 
 
 class TestIntegrateOde:
@@ -32,7 +34,7 @@ class TestIntegrateOde:
     def test_linear_decay_exact(self):
         # y' = -2y, y(0)=3  ->  y(s) = 3 e^{-2s}
         y, _ = lsoda_at(lambda s, y: [-2.0 * y[0]], lambda s, y: [[-2.0]], [3.0], [0.0, 2.0],
-                        tol=Tolerances(abs_tol=1e-13, rel_tol=1e-12))
+                        rel_tol=1e-12, abs_tol=1e-13)
         assert abs(y[0, -1] - 3.0 * math.exp(-4.0)) < 1e-10
 
     def test_harmonic_oscillator_dense_output(self):
@@ -40,44 +42,49 @@ class TestIntegrateOde:
         # steps matches cos/sin
         ss = np.linspace(0.0, 10.0, 37)
         y, _ = lsoda_at(lambda s, y: [y[1], -y[0]], lambda s, y: [[0.0, 1.0], [-1.0, 0.0]],
-                        [1.0, 0.0], ss, tol=Tolerances(abs_tol=1e-12, rel_tol=1e-11))
+                        [1.0, 0.0], ss, rel_tol=1e-11, abs_tol=1e-12)
         assert np.max(np.abs(y[0] - np.cos(ss))) < 1e-8
         assert np.max(np.abs(y[1] + np.sin(ss))) < 1e-8
 
     def test_backward_integration(self):
         # integrating y' = y from 1 down to 0 must reproduce e^{s-1}
-        y, _ = lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], [1.0, 0.0])
+        y, _ = lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], [1.0, 0.0], **TOL)
         assert abs(y[0, -1] - math.exp(-1.0)) < 1e-9
 
     def test_overflow_guard_raises(self):
         # y = e^s passes the guard 1e12 at s = log(1e12) = 27.631; the first
         # output point past it, on a 0.005 grid, is 27.635
         with pytest.raises(BlowUpError, match=r"s=27\.63"):
-            lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], np.linspace(0.0, 40.0, 8001))
+            lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], np.linspace(0.0, 40.0, 8001),
+                     **TOL)
 
     def test_naccepted_counts_steps_not_points(self):
         # the step count is LSODA's own: more output points on the same span
         # interpolate within the same steps
         rhs, jac = lambda s, y: [-y[0]], lambda s, y: [[-1.0]]
-        _, steps = lsoda_at(rhs, jac, [1.0], [0.0, 3.0])
-        _, steps_dense = lsoda_at(rhs, jac, [1.0], np.linspace(0.0, 3.0, 301))
+        _, steps = lsoda_at(rhs, jac, [1.0], [0.0, 3.0], **TOL)
+        _, steps_dense = lsoda_at(rhs, jac, [1.0], np.linspace(0.0, 3.0, 301), **TOL)
         assert steps_dense == steps < 301
 
     def test_nonfinite_start_slope_raises(self):
         with pytest.raises(StiffnessError, match="state not finite"):
-            lsoda_at(lambda s, y: [math.inf], lambda s, y: [[0.0]], [1.0], [0.0, 1.0])
+            lsoda_at(lambda s, y: [math.inf], lambda s, y: [[0.0]], [1.0], [0.0, 1.0], **TOL)
 
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     def test_tolerances_must_be_finite(self, field):
-        with pytest.raises(RangeError, match="positive and finite"):
-            Tolerances(**{field: math.inf})
+        # refused before odeint, which takes a nan or negative tolerance
+        # without a word
+        for bad in (math.inf, math.nan, 0.0, -1e-12):
+            with pytest.raises(RangeError, match="positive and finite"):
+                lsoda_at(lambda s, y: [-y[0]], lambda s, y: [[-1.0]], [1.0], [0.0, 1.0],
+                         **{**TOL, field: bad})
 
     def test_nonfinite_initial_state_raises(self):
         with pytest.raises(RangeError, match="initial state must be finite"):
-            lsoda_at(lambda s, y: [0.0], lambda s, y: [[0.0]], [math.nan], [0.0, 1.0])
+            lsoda_at(lambda s, y: [0.0], lambda s, y: [[0.0]], [math.nan], [0.0, 1.0], **TOL)
 
     @pytest.mark.parametrize("solve", [
-        lambda rhs: lsoda_at(rhs, lambda s, y: [[0.0]], [1.0], [1.0, 1.0]),
+        lambda rhs: lsoda_at(rhs, lambda s, y: [[0.0]], [1.0], [1.0, 1.0], **TOL),
     ], ids=["lsoda"])
     def test_empty_span_raises(self, solve):
         with pytest.raises(RangeError, match="empty span"):
@@ -100,17 +107,17 @@ class TestIntegrateOdeMatchesSolveIvp:
 
         def recording(rhs, jac, y0, s_out, **options):
             y, steps = lsoda_at(rhs, jac, y0, s_out, **options)
-            runs.append((rhs, y0, s_out, options["tol"], y))
+            runs.append((rhs, y0, s_out, options["abs_tol"], y))
             return y, steps
 
         monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
         for tail in (tail_ref, other_tail):
             runs.clear()
             assert tail_residual(tail) == tail.fp_residual
-            (rhs, y0, s_out, tol, y), = runs
+            (rhs, y0, s_out, abs_tol, y), = runs
             assert len(y0) == 1 and y.shape == (1, len(s_out))
             res = solve_ivp(rhs, (s_out[0], s_out[-1]), y0, method="DOP853",
-                            rtol=2.5e-14, atol=tol.abs_tol, dense_output=True)
+                            rtol=2.5e-14, atol=abs_tol, dense_output=True)
             assert res.status == 0
             ref = res.sol(s_out)[0]
             assert (np.abs(y[0] - ref) <= 1e-11 * np.abs(ref)).all()
@@ -167,7 +174,7 @@ class TestLsodaAt:
             return [[-lam]]
 
         ss = np.linspace(0.0, 2.0, 41)
-        y, steps = lsoda_at(rhs, jac, [1.0], ss, tol=Tolerances(abs_tol=1e-12, rel_tol=1e-10))
+        y, steps = lsoda_at(rhs, jac, [1.0], ss, **TOL)
         assert jac_calls, "the analytic Jacobian never reached LSODA"
         assert y.shape == (1, ss.size)
         assert np.max(np.abs(y[0] - np.cos(ss))) < 1e-7
@@ -187,7 +194,7 @@ class TestLsodaAt:
             seen.add(("jac", type(s), type(y), *map(type, y)))
             return [[-1e6, 0.0], [1.0, -1.0]]
 
-        lsoda_at(rhs, jac, [1.0, 0.0], np.linspace(0.0, 2.0, 5))
+        lsoda_at(rhs, jac, [1.0, 0.0], np.linspace(0.0, 2.0, 5), **TOL)
         assert seen == {(name, float, list, float, float) for name in ("rhs", "jac")}
 
     def test_float_callbacks_keep_the_bits(self, tail_ref, monkeypatch):
@@ -225,7 +232,7 @@ class TestLsodaAt:
             seen.append(s)
             return [-y[0]]
 
-        y, _ = lsoda_at(rhs, lambda s, y: [[-1.0]], [1.0], np.linspace(1.0, 0.0, 11))
+        y, _ = lsoda_at(rhs, lambda s, y: [[-1.0]], [1.0], np.linspace(1.0, 0.0, 11), **TOL)
         assert min(seen) >= 0.0
         assert np.max(np.abs(y[0] - np.exp(1.0 - np.linspace(1.0, 0.0, 11)))) < 1e-8
 
@@ -233,38 +240,40 @@ class TestLsodaAt:
         # y' = y from 1 at s = 1 down to 0, the way continue_left runs
         ss = np.linspace(1.0, 0.0, 11)
         y, _ = lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], ss,
-                        tol=Tolerances(abs_tol=1e-14, rel_tol=1e-12))
+                        rel_tol=1e-12, abs_tol=1e-14)
         assert y[0, 0] == 1.0
         assert np.max(np.abs(y[0] - np.exp(ss - 1.0))) < 1e-11
 
     @pytest.mark.parametrize("rhs, tol, budget, match", [
-        (lambda s, y: [-y[0]], Tolerances(abs_tol=1e-300, rel_tol=1e-300), 10 ** 6,
+        (lambda s, y: [-y[0]], {"rel_tol": 1e-300, "abs_tol": 1e-300}, 10 ** 6,
          "integrator failed on span .*: Illegal input"),
-        (lambda s, y: [math.nan if s > 0.5 else -y[0]], Tolerances(), 10 ** 6, "state not finite"),
-        (lambda s, y: [-y[0]], Tolerances(), 5, "budget exhausted"),
+        (lambda s, y: [math.nan if s > 0.5 else -y[0]], TOL, 10 ** 6, "state not finite"),
+        (lambda s, y: [-y[0]], TOL, 5, "budget exhausted"),
     ], ids=["refused-tolerance", "nan", "budget"])
     def test_failed_run_is_stiffness_error_without_warning(self, rhs, tol, budget, match, monkeypatch):
         monkeypatch.setattr(fastdiff.numerics, "_NFEV_BUDGET", budget)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StiffnessError, match=match):
-                lsoda_at(rhs, lambda s, y: [[-1.0]], [1.0], np.linspace(0.0, 1.0, 11), tol=tol)
+                lsoda_at(rhs, lambda s, y: [[-1.0]], [1.0], np.linspace(0.0, 1.0, 11), **tol)
 
     @pytest.mark.parametrize("s_out", [[0.0, 0.5, 0.3, 1.0], [0.0, math.nan, 1.0]],
                              ids=["not-monotone", "nan"])
     def test_bad_output_points_raise(self, s_out):
         with pytest.raises(RangeError, match="finite and monotone"):
-            lsoda_at(lambda s, y: [-y[0]], lambda s, y: [[-1.0]], [1.0], s_out)
+            lsoda_at(lambda s, y: [-y[0]], lambda s, y: [[-1.0]], [1.0], s_out, **TOL)
 
     def test_repeated_points_take_the_same_state(self):
-        y, _ = lsoda_at(lambda s, y: [-y[0]], lambda s, y: [[-1.0]], [1.0], [0.0, 0.5, 0.5, 1.0, 1.0])
+        y, _ = lsoda_at(lambda s, y: [-y[0]], lambda s, y: [[-1.0]], [1.0], [0.0, 0.5, 0.5, 1.0, 1.0],
+                        **TOL)
         assert y[0, 1] == y[0, 2] and y[0, 3] == y[0, 4]
         assert np.max(np.abs(y[0] - np.exp(-np.array([0.0, 0.5, 0.5, 1.0, 1.0])))) < 1e-9
 
     def test_overflow_guard_on_the_outputs(self):
         # y = e^s passes the guard 1e12 at s = 27.63, between outputs 24 and 28
         with pytest.raises(BlowUpError, match=r"s=28\b"):
-            lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], np.linspace(0.0, 40.0, 11))
+            lsoda_at(lambda s, y: [y[0]], lambda s, y: [[1.0]], [1.0], np.linspace(0.0, 40.0, 11),
+                     **TOL)
 
 
 class TestQuadAdaptive:
@@ -272,8 +281,11 @@ class TestQuadAdaptive:
         assert abs(quad_adaptive(lambda x: 3.0 * x ** 2, 0.0, 2.0) - 8.0) < 1e-12
 
     def test_gaussian_to_infinity(self):
-        got = quad_adaptive(lambda x: math.exp(-x * x), 0.0, math.inf)
-        assert abs(got - math.sqrt(math.pi) / 2.0) < 1e-10
+        # every caller integrates over [1, 2]: an infinite bound is refused,
+        # not sent to quad's semi-infinite transform
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)):
+            with pytest.raises(RangeError, match="< inf"):
+                quad_adaptive(lambda x: math.exp(-x * x), a, b)
 
     def test_oscillatory(self):
         got = quad_adaptive(lambda x: math.sin(10.0 * x), 0.0, math.pi)
@@ -355,41 +367,29 @@ class TestCompositeRules:
 
 
 class TestStencils:
+    @staticmethod
+    def _weights(deriv):
+        # deriv_uniform on the five unit vectors at dx = 1 reads its stencil off
+        return np.array([deriv_uniform(e, 1.0, deriv=deriv)[0] for e in np.eye(5)])
+
     def test_centered_first_derivative_weights(self):
-        got = fd_weights([-2, -1, 0, 1, 2], 1)
-        assert np.allclose(got, np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, atol=1e-13)
+        assert np.array_equal(self._weights(1), np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0)
 
     def test_centered_second_derivative_weights(self):
-        got = fd_weights([-1, 0, 1], 2)
-        assert np.allclose(got, [1.0, -2.0, 1.0], atol=1e-13)
-
-    def test_one_sided_first_derivative_weights(self):
-        got = fd_weights([0, 1, 2], 1)
-        assert np.allclose(got, [-1.5, 2.0, -0.5], atol=1e-13)
+        assert np.array_equal(self._weights(2), np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0)
 
     def test_deriv_order_exceeds_stencil_raises(self):
-        with pytest.raises(RangeError):
-            fd_weights([0, 1], 2)
+        # only the first and second derivative stencils are kept: orders the
+        # five points could still carry are refused
+        for deriv in (3, 4):
+            with pytest.raises(RangeError, match="1 or 2"):
+                deriv_uniform(np.ones(9), 1.0, deriv=deriv)
 
-    @pytest.mark.parametrize("deriv", [-1, 1.5, True, 5])
+    @pytest.mark.parametrize("deriv", [-1, 0, 1.0, 1.5, True, 5])
     def test_bad_deriv_order_raises(self, deriv):
-        # -1 once failed in math.factorial, 1.5 as an index, and True would
-        # take the cached first-derivative stencils
-        with pytest.raises(RangeError, match="derivative order"):
-            fd_weights([-2, -1, 0, 1, 2], deriv)
+        # 1.0 and True compare equal to 1 but are not the int order
         with pytest.raises(RangeError, match="derivative order"):
             deriv_uniform(np.ones(9), 1.0, deriv=deriv)
-
-    def test_repeated_offsets_raise(self):
-        # a repeated node makes the moment system singular
-        with pytest.raises(RangeError, match="distinct"):
-            fd_weights([0, 0, 1], 1)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_offsets_raise(self, bad):
-        # nan gave nan weights, inf gave zeros
-        with pytest.raises(RangeError, match="finite"):
-            fd_weights([0, bad, 1], 1)
 
     @pytest.mark.parametrize("dx", [0.0, -1.0, math.nan, math.inf])
     def test_deriv_uniform_bad_spacing_raises(self, dx):
@@ -403,7 +403,8 @@ class TestStencils:
             deriv_uniform(np.ones((9, 2)), 0.1)
 
     def test_numpy_int_deriv_accepted(self):
-        assert np.array_equal(fd_weights([-1, 0, 1], np.int64(2)), fd_weights([-1, 0, 1], 2))
+        y = np.exp(np.linspace(0.0, 1.0, 11))
+        assert np.array_equal(deriv_uniform(y, 0.1, deriv=np.int64(2)), deriv_uniform(y, 0.1, deriv=2))
 
     def test_deriv_uniform_sign_and_accuracy(self):
         # regression: the correlation must apply stencil weights in natural
@@ -432,13 +433,14 @@ class TestStencils:
 
     @pytest.mark.parametrize("deriv", [1, 2])
     def test_deriv_uniform_stored_stencils(self, deriv):
-        # the stencil is built once per order; the output keeps the bits
-        # of fd_weights solved on every call
+        # the stencils are read-only module constants, applied as they stand
+        w = (_D1, _D2)[deriv - 1]
         y = np.exp(np.sin(np.linspace(0.0, 3.0, 57)))
         dx = 3.0 / 56
-        ref = np.correlate(y, fd_weights(np.arange(5) - 2, deriv), "valid")
-        assert np.array_equal(deriv_uniform(y, dx, deriv=deriv), ref / dx ** deriv)
-        assert not _centred_stencil(deriv).flags.writeable
+        assert np.array_equal(deriv_uniform(y, dx, deriv=deriv), np.correlate(y, w, "valid") / dx ** deriv)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     def test_needs_enough_nodes(self):
         with pytest.raises(RangeError):

@@ -298,6 +298,20 @@ class TestEvolveBasics:
         with pytest.raises(NewtonDivergence):
             evolve(field, stiff, [1.5])
 
+    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_bad_boundary_trace_is_positivity_error(self, grid128, params_ref, side, bad):
+        # a trace that turns 0 or nan after three steps is refused at the new
+        # time of the fourth, before its Newton solve: never a nan field or a
+        # dt halved down to dt_min
+        traces = [lambda t: 1.0, lambda t: 1.0]
+        traces[side] = lambda t: 1.0 if t < 1.0035 else bad
+        field = RadialField(grid128, np.ones(grid128.size), 1.0, tuple(traces), params=params_ref)
+        with pytest.raises(PositivityError, match="boundary trace not positive") as exc:
+            evolve(field, EvolveConfig(dt_init=1e-3, dt_max=1e-3), [1.1])
+        assert float(str(exc.value).rsplit("t=", 1)[1]) == pytest.approx(1.004, abs=1e-12)
+        assert exc.value.exit_code == 4
+
     def test_stats_recorded(self, grid128, params_ref, bb):
         field = _bb_field(bb, grid128, 1.0, params_ref)
         [out] = evolve(field, EvolveConfig(dt_init=1e-3, dt_max=0.01), [1.2])
