@@ -65,7 +65,9 @@ __all__ = [
 _SANDWICH_RTOL = 1e-8
 
 # Step-size control of the lockstep marcher: halve dt on a rejected step, grow
-# it by _DT_GROW after a step whose Newton count is <= _GROW_THRESHOLD.
+# it by _DT_GROW after a step whose Newton iterations to convergence number
+# <= _GROW_THRESHOLD (its linear solves, plus one on a step that stopped on
+# the predicted next increment).
 _MAX_BACKTRACK = 10
 _DT_SHRINK = 0.5
 _DT_GROW = 1.3
@@ -112,7 +114,8 @@ class EvolveStats:
     n_rejected counts every rejected step; n_rejected_positivity the part of
     them whose Newton update could not be backtracked above the positivity
     floor.  The rest are Newton failures: a stall, a failed or non-finite
-    solve, or an unusable start.
+    solve, or an unusable start.  newton_total counts the linear solves of
+    the accepted steps.
     """
 
     t_start: float
@@ -130,23 +133,29 @@ class EvolveStats:
 class EvolveConfig:
     """Controls for the implicit one-step scheme (theta = 1, backward Euler).
 
-    newton_tol is relative: the inner iteration stops once either the scaled
-    residual of an updated iterate or the scaled increment drops below it;
-    both are maxima over every node of every field marched together, so
-    the fields of one step share one iteration count.  The start's residual
-    is not tested, so every step takes at least one linear solve.  The
-    scaled residual has a roundoff floor above the default tolerance
-    (6.0e-10 to 7.3e-7 at the states that the steps of fdx converge's orbit
-    run return, 640 nodes on [1e-3, 1e3]), so there the increment test ends
-    each step, one linear solve after the iterate has converged.  From u_old
-    that takes three or four solves: on fdx contract's 20 pair seeds (512
-    nodes) 3,706 of the 4,264 steps take four and 558 take three.  A settled start that
+    newton_tol is relative: the inner iteration stops once the scaled
+    residual of an updated iterate, the scaled increment, or the next
+    increment that the contraction rate predicts drops below it.  After two
+    consecutive full (lam = 1) updates with scaled increments inc_prev and
+    inc, theta = inc/inc_prev, and theta < 1 with theta/(1 - theta) inc <=
+    newton_tol ends the step (Deuflhard, Newton Methods for Nonlinear
+    Problems, 2004; Hairer & Wanner, Solving ODEs II, IV.8).  All three are
+    maxima over every node of every field marched together, so the fields
+    of one step share one iteration count.  The start's residual is not
+    tested, so every step takes at least one linear solve.  The scaled
+    residual has a roundoff floor above the default tolerance (6.0e-10 to
+    7.3e-7 at the states that the steps of fdx converge's orbit run return,
+    640 nodes on [1e-3, 1e3]), so there an increment test ends each step,
+    and the predicted one ends it at the solve that converged the iterate.
+    From u_old that takes two or three solves: on fdx contract's 20 pair
+    seeds (512 nodes) 4,073 of the 4,264 steps take three and 191 take two,
+    and 3,897 of them stop on the prediction.  A settled start that
     _Lockstep predicts in u is already within newton_tol and takes one:
-    11,850 of the orbit run's 12,012 predicted steps.  No residual follows a
-    converged full increment: the step returns u + delta once it clears the
-    positivity floor, without the damping veto.  Each Newton iteration takes
-    one power, u^m: the residual's u^m/m and the solve's u^(1-m) = u/u^m
-    both come from it.
+    11,852 of the orbit run's 12,012 predicted steps.  No residual follows
+    a converged full increment or a predicted stop: the step returns u +
+    delta once it clears the positivity floor, without the damping veto.
+    Each Newton iteration takes one power, u^m: the residual's u^m/m and
+    the solve's u^(1-m) = u/u^m both come from it.
     dt_rel_max, when set, caps the step at dt_rel_max * t, which is the
     natural accuracy knob for runs spanning decades of time.
     """
@@ -315,7 +324,7 @@ class _Stepper:
     whose own step takes the flat step's count keeps its own step's bits,
     and a field whose own step would have stopped sooner takes
     roundoff-sized increments until the slowest field converges, which
-    moves it by far less than newton_tol (at most 5.8e-14 relative for a
+    moves it by far less than newton_tol (at most 2.9e-14 relative for a
     constant state stepped next to a sandwiched field, against the default
     1e-11).  Which of the two a sandwiched field takes can turn on the
     rounding of its last increment.  Newton converges on the
@@ -424,9 +433,12 @@ class _Stepper:
         return z
 
     def step(self, u_old: np.ndarray, t: float, dt: float,
-             start: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
-        """One implicit step of every field to t + dt; returns the flat state
-        and the Newton iteration count, which all fields share.
+             start: Optional[np.ndarray] = None) -> tuple[np.ndarray, int, int]:
+        """One implicit step of every field to t + dt; returns the flat state,
+        the linear solves and the Newton iterations to convergence, which
+        all fields share.  The iterations are the solves, plus one on a step
+        that stopped on its predicted next increment: the solve an
+        increment test would spend to see that increment.
 
         Newton starts from u_old, or from start when given: a flat array the
         step may overwrite, whose interior is the first iterate (its traces
@@ -436,16 +448,18 @@ class _Stepper:
         maximum over all rows of the flat system.  A full increment within
         newton_tol in the scaled norm ends the step once u + delta clears the
         positivity floor, with no residual after it, so a start that close to
-        the solution costs one residual and one solve.  Otherwise the damping
-        veto decides on the trial's scaled residual norm, and a trial it
-        accepts ends the step when its increment lam delta or that residual
-        norm is within newton_tol.  The start's scaled residual norm is formed
-        only when a damping veto reads it.  Backtracking halves one lam for
-        all fields.
+        the solution costs one residual and one solve.  So does a full
+        increment after a full one whose rate theta = inc/inc_prev < 1
+        predicts a next increment theta/(1 - theta) inc within newton_tol.
+        Otherwise the damping veto decides on the trial's scaled residual
+        norm, and a trial it accepts ends the step when its increment lam
+        delta or that residual norm is within newton_tol.  The start's scaled
+        residual norm is formed only when a damping veto reads it.
+        Backtracking halves one lam for all fields.
 
         The first failure raises _StepReject: "newton" for an update that is
         not finite, a matrix that dptsv finds not positive definite, a start
-        that is not positive and finite, or newton_max iterations without
+        that is not positive and finite, or newton_max solves without
         convergence; on exhausted backtracking, "positivity" if the last
         trial is below the floor, "newton" if the damping veto refused it.
         The caller decides whether to shrink dt.
@@ -479,12 +493,16 @@ class _Stepper:
         # scaled residual norm of the current iterate: the start's is formed
         # only when a damping veto reads it, later ones come from the trial
         err0 = None
+        # scaled norm of the last update when it was a full one, else None
+        inc_prev = None
         for it in range(cfg.newton_max):
             delta = self._solve(G, u[1:-1] / P[1:-1], nce_dt, e_dt)
             # scaled increment norm; nan or inf here is a non-finite update
             inc = float((np.abs(delta) / scale).max())
             if not math.isfinite(inc):
                 raise _StepReject("newton")
+            # the contraction rate over two full updates
+            theta = math.inf if inc_prev is None else inc / inc_prev
             u_int = u[1:-1]
             lam = 1.0
             u_try = np.empty_like(u)
@@ -499,7 +517,11 @@ class _Stepper:
                 if lam == 1.0 and inc <= tol:
                     # a converged full increment ends the step: no trial
                     # residual, so no damping veto on a roundoff-sized update
-                    return u_try, it + 1
+                    return u_try, it + 1, it + 1
+                if lam == 1.0 and theta < 1.0 and theta / (1.0 - theta) * inc <= tol:
+                    # so does one whose predicted next increment would be
+                    # converged; it counts the solve that would have shown it
+                    return u_try, it + 1, it + 2
                 if err0 is None:
                     err0 = float((np.abs(G) / scale).max())
                 G, P = self._residual(u_try, uo_int, dt)
@@ -509,13 +531,14 @@ class _Stepper:
                     # lam is a power of two, so lam * inc is the scaled norm
                     # of lam * delta
                     if lam * inc <= tol or err_try <= tol:
-                        return u_try, it + 1
+                        return u_try, it + 1, it + 1
                     break
                 reason = "newton"
                 lam *= 0.5
             else:
                 raise _StepReject(reason)
             u, err0 = u_try, err_try
+            inc_prev = inc if lam == 1.0 else None
         raise _StepReject("newton")
 
 
@@ -559,9 +582,9 @@ class _Lockstep:
     contraction argument apply to evolved pairs; a single field marches alone.
     The fields are held end to end in one flat state, u, which one _Stepper
     advances as one system; each accepted step makes a new array, so a state
-    is never written after it is accepted.  Step and Newton counts are
-    shared, so every field's newton_total is the same; min_u and ab_max are
-    per field.  A rejection anywhere rejects the step for all fields.
+    is never written after it is accepted.  Step and linear-solve counts
+    are shared, so every field's newton_total is the same; min_u and ab_max
+    are per field.  A rejection anywhere rejects the step for all fields.
 
     On a step whose size a cap sets (dt_max or dt_rel_max * t, not the
     Newton-count growth rule), Newton starts from the polynomial in u of
@@ -570,7 +593,8 @@ class _Lockstep:
     Solving ODEs II, IV.8).  Once it has settled, that start is within
     newton_tol of the step's solution, so the step takes one linear solve.
     A step the growth rule sizes starts from u_old: there the step's Newton
-    count picks the next dt, and a cheaper start would let dt grow further.
+    iterations to convergence pick the next dt, and a cheaper start would
+    let dt grow further.
     Such steps only keep references to the accepted states.
     """
 
@@ -626,7 +650,7 @@ class _Lockstep:
             predicted = cap <= self.dt and bool(self.hs)
             try:
                 start = _predict(self.past, self.hs, dt, k) if predicted else None
-                u_new, iters = self.stepper.step(self.u, t, dt, start)
+                u_new, solves, iters = self.stepper.step(self.u, t, dt, start)
             except _StepReject as rej:
                 self.n_rejected += 1
                 self.n_rejected_positivity += rej.reason == "positivity"
@@ -656,7 +680,7 @@ class _Lockstep:
             for i in range(k):
                 self.ab_max[i] = max(self.ab_max[i], gain * rel_max[i] - 1.0)
                 self.min_u[i] = min(self.min_u[i], u_min[i])
-            self.newton_total += iters
+            self.newton_total += solves
             self.u = u_new
             self.past = [u_new] + self.past[:_PREDICT_DEGREE]
             self.hs = [dt] + self.hs[:_PREDICT_DEGREE - 1]
