@@ -99,8 +99,9 @@ def expansion_check(profile: Profile) -> ExpansionReport:
     t = lam * np.exp(profile.s_grid[:i + 1] / bp)
     rq = bp * profile.z[:i + 1]
     u = t / t[-1]
-    (c1, c2), *_ = np.linalg.lstsq(np.column_stack([u, u * u]),
-                                   rq - t ** 3 * polyval(t, Q[2:]), rcond=None)
+    P2 = polyval(t, Q[2:])
+    Qt = Q[0] + (Q[1] + P2 * t) * t               # polyval(t, Q), the same float operations
+    (c1, c2), *_ = np.linalg.lstsq(np.column_stack([u, u * u]), rq - t ** 3 * P2, rcond=None)
     q0, q1 = c1 / t[-1], c2 / t[-1] ** 2         # Q_0 and Q_1 as measured
     d1, d2 = eta * lam * q0, eta * lam * lam * (q1 + q0 * q0)
     if not d1 < 0:
@@ -111,7 +112,7 @@ def expansion_check(profile: Profile) -> ExpansionReport:
         eta=eta, d1=d1, d2=d2, d1_ref=d1_ref, d2_ref=d2_ref,
         rel_err1=abs(d1 - d1_ref) / abs(d1_ref),
         rel_err2=abs(d2 - d2_ref) / abs(d2_ref),
-        q_defect=float(np.max(np.abs(rq - t * polyval(t, Q)))),
+        q_defect=float(np.max(np.abs(rq - t * Qt))),
         logw_defect=float(np.max(np.abs(profile.W[:i + 1] - log_wbar))),
     )
 

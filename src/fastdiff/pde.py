@@ -65,9 +65,10 @@ __all__ = [
 _SANDWICH_RTOL = 1e-8
 
 # Step-size control of the lockstep marcher: halve dt on a rejected step, grow
-# it by _DT_GROW after a step whose Newton iterations to convergence number
-# <= _GROW_THRESHOLD (its linear solves, plus one on a step that stopped on
-# the predicted next increment).
+# it by _DT_GROW after a predicted step (one a cap sized), and after any other
+# step whose Newton iterations to convergence number <= _GROW_THRESHOLD (its
+# linear solves, plus one on a step that stopped on the predicted next
+# increment).
 _MAX_BACKTRACK = 10
 _DT_SHRINK = 0.5
 _DT_GROW = 1.3
@@ -594,7 +595,10 @@ class _Lockstep:
     newton_tol of the step's solution, so the step takes one linear solve.
     A step the growth rule sizes starts from u_old: there the step's Newton
     iterations to convergence pick the next dt, and a cheaper start would
-    let dt grow further.
+    let dt grow further.  After a capped step dt grows whatever its count,
+    so it stays at the cap: a count of 4 (a predicted stop counts the solve
+    it skips) would otherwise leave dt just below the next cap and hand the
+    following steps to the growth rule, from u_old.
     Such steps only keep references to the accepted states.
     """
 
@@ -688,7 +692,8 @@ class _Lockstep:
             # a remainder clamped onto t_target says nothing about the step
             # size: dt stays, so a cap that sized the steps before still does
             if not clamped:
-                self.dt = min(dt * _DT_GROW, cfg.dt_max) if iters <= _GROW_THRESHOLD else dt
+                grow = predicted or iters <= _GROW_THRESHOLD
+                self.dt = min(dt * _DT_GROW, cfg.dt_max) if grow else dt
             t = t_new
             if self.n_steps > _MAX_STEPS:
                 raise ToleranceError(

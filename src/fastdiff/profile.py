@@ -12,7 +12,10 @@ far-field coefficient eta_inf = lim r^((n-2)/m) f(r) = 1, the one the profile
 is built at before rescaling.  Picard iteration on a uniform
 s-grid gives (wt, h) on [b1, s_max], by default s_max = b1 + max(40/C2,
 -log(tol)/C2): past the grid the map itself takes h = h_T e^(-C2 (s - s_T)),
-whose first neglected term is below e^(-40) there.  continue_left builds
+whose first neglected term is below e^(-40) there.  It starts on the first
+term of the far-field expansion r^((n-2)/m) f = 1 + d_inf r^(-C2) + ...,
+h = -C2 d_inf e^(-C2 s) with d_inf = -b' C1 / (C2 (n-2+C2)), which lies in
+D_b1 (_tail_seed).  continue_left builds
 the whole Profile from it in one call: the tail continued to the left
 through the equivalent ODE system, the rows past the tail's end s_T read
 off that analytic tail, and eta_origin = lim r^gamma f from the origin
@@ -47,7 +50,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
 from scipy.linalg import get_blas_funcs
 
@@ -148,11 +150,11 @@ def _weighted_norm(dwt, dh, weights):
     return max(float(np.max(np.abs(dwt) * e1)), float(np.max(np.abs(dh) * e2_half)))
 
 
-def _check_membership(wt, h, s, fp, slack, weights):
-    """All D_b1 constraints: distance to the anchor <= eps1 in the weighted
-    norm, wt e^{C1 s} <= eta_inf = 1, and 0 <= h e^{C2 s} <= C3."""
+def _check_membership(wt, h, anchor, fp, slack, weights):
+    """All D_b1 constraints: distance to the anchor (e^{-C1 s}, 0) <= eps1 in
+    the weighted norm, wt e^{C1 s} <= eta_inf = 1, and 0 <= h e^{C2 s} <= C3."""
     e1, e2, _ = weights
-    anchor_gap = _weighted_norm(wt - np.exp(-fp.params.C1 * s), h, weights)
+    anchor_gap = _weighted_norm(wt - anchor, h, weights)
     if anchor_gap > fp.eps1 + slack:
         raise InternalError(f"iterate left D_b1: anchor distance {anchor_gap} > eps1 = {fp.eps1}")
     top = float(np.max(wt * e1))
@@ -165,8 +167,9 @@ def _check_membership(wt, h, s, fp, slack, weights):
         )
 
 
-def _phi_map(wt, h, s, ds, fp):
-    """One simultaneous application of (Phi_1, Phi_2) on the uniform grid.
+def _phi_map(wt, h, s, ds, fp, decay):
+    """One simultaneous application of (Phi_1, Phi_2) on the uniform grid;
+    decay is e^(-s/b') on the grid, which every application reads.
 
     The outer integral of Phi_2 is accumulated right to left through
     R_i = a_i R_{i+1} + b_i with every exponential argument <= O(ds), so
@@ -181,7 +184,7 @@ def _phi_map(wt, h, s, ds, fp):
     wt_new = np.exp(-int_h - C1 * s)
 
     # Phi_2
-    X = np.exp(-s / bp) * wt ** (1.0 - m)
+    X = decay * wt ** (1.0 - m)
     G = cumulative_integral(X, ds, "forward")
     q = bp * C1 * X + m * h * h
 
@@ -222,9 +225,28 @@ def _backward_recurrence(a, b, last):
     return _TBSV(1, band, np.append(b, last), diag=1, overwrite_x=1)
 
 
+def _tail_seed(fp: FPConstants, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Picard's start (wt0, h0) on the tail grid s: the first term of the
+    far-field expansion, h0 = c e^(-C2 s) with c = min(b' C1/(n-2+C2), C3,
+    eps1), and wt0 = Phi_1(h0) = exp(-C1 s - h0/C2).
+
+    b' C1/(n-2+C2) = -C2 d_inf is h's leading coefficient, from
+    r^((n-2)/m) f = 1 + d_inf r^(-C2) + ...: Phi_2 of the anchor
+    (e^(-C1 s), 0) to first order in its X = e^(-C2 s).  The seed lies in
+    D_b1: h0 e^(C2 s) = c lies in [0, C3], wt0 e^(C1 s) <= 1, and its
+    weighted distance to the anchor is at most eps1: c e^(-C2 s/2) <= c <=
+    eps1 in h, and in wt 1 - e^(-h0/C2) <= (c/C2) e^(-C2 b1) <=
+    C5 e^(-C2 b0) <= eps1, since C5 = C3/C2 and b0 takes
+    log((C3+C5)/eps1) into account."""
+    p = fp.params
+    c = min(p.beta_p * p.C1 / (p.n - 2 + fp.C2), fp.C3, fp.eps1)
+    h = c * np.exp(-fp.C2 * s)
+    return np.exp(-p.C1 * s - h / fp.C2), h
+
+
 def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e-12) -> TailSolution:
-    """Iterate (Phi_1, Phi_2) from the seed (e^{-C1 s}, min(C3,eps1) e^{-C2 s})
-    until the weighted update norm drops below tol.
+    """Iterate (Phi_1, Phi_2) from the first term of the far-field expansion
+    (_tail_seed) until the weighted update norm drops below tol.
 
     The tail runs from b1 to s_max, by default b1 + max(40/C2, -log(tol)/C2),
     where the term Phi_1 and Phi_2 neglect past the grid is below e^(-40) and
@@ -257,15 +279,15 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     if not all(np.isfinite(w).all() for w in weights):
         raise ResolutionError(f"D_b1 weights e^(C1 s), e^(C2 s) overflow on the tail grid "
                               f"[{b1:.6g}, {s[-1]:.6g}] (C1 = {C1:.6g}, C2 = {C2:.6g})")
-    wt = np.exp(-C1 * s)
-    h = min(fp.C3, fp.eps1) * np.exp(-C2 * s)
-    _check_membership(wt, h, s, fp, slack, weights)
+    anchor, decay = np.exp(-C1 * s), np.exp(-s / fp.params.beta_p)
+    wt, h = _tail_seed(fp, s)
+    _check_membership(wt, h, anchor, fp, slack, weights)
 
     norms, ratios = [], []
     stall = 0
     for it in range(1, _PICARD_MAX_ITER + 1):
-        wt_new, h_new = _phi_map(wt, h, s, ds, fp)
-        _check_membership(wt_new, h_new, s, fp, slack, weights)
+        wt_new, h_new = _phi_map(wt, h, s, ds, fp, decay)
+        _check_membership(wt_new, h_new, anchor, fp, slack, weights)
         upd = _weighted_norm(wt_new - wt, h_new - h, weights)
         if norms and norms[-1] > _NOISE_FLOOR and upd > _NOISE_FLOOR:
             ratio = upd / norms[-1]
@@ -529,6 +551,14 @@ def _origin_node(s_grid: np.ndarray, eta: float, params: ParamSet) -> int:
     return int(np.searchsorted(s_grid, bp * math.log(rho_star), side="right")) - 1
 
 
+def _horner(t: float, coeffs: list[float]) -> float:
+    """polyval(t, coeffs) on floats: the same Horner order, so the same bits."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = c + acc * t
+    return acc
+
+
 def _origin_match(s_grid: np.ndarray, z: np.ndarray, W: np.ndarray,
                   params: ParamSet) -> tuple[float, float]:
     """(eta_origin, q defect): the origin series matched to the continuation
@@ -541,12 +571,13 @@ def _origin_match(s_grid: np.ndarray, z: np.ndarray, W: np.ndarray,
     LEFT_ABS_TOL; the sweep's worst is 2.9e-12, and a defect above
     _ORIGIN_Q_TOL = 1e-10 raises ExtrapolationError."""
     Q = _origin_series(params)
+    q_coeffs, int_coeffs = Q.tolist(), (Q / np.arange(1, Q.size + 1)).tolist()
     i = _origin_node(s_grid, math.exp(float(W[0])), params)
     rho, log_eta = math.exp(float(s_grid[i]) / params.beta_p), float(W[0])
     for _ in range(50):
         t = math.exp((params.m - 1.0) * log_eta) * rho          # lam rho
-        rq = t * polyval(t, Q)                                  # rho q_series(rho)
-        step = (float(W[i]) - log_eta - t * polyval(t, Q / np.arange(1, Q.size + 1))) \
+        rq = t * _horner(t, q_coeffs)                           # rho q_series(rho)
+        step = (float(W[i]) - log_eta - t * _horner(t, int_coeffs)) \
             / (1.0 + (params.m - 1.0) * rq)
         log_eta += step
         if abs(step) <= 1e-15:

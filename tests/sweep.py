@@ -5,12 +5,13 @@ gamma at 5/50/95% of its window (2/(1-m), (n-2)/m).  Each point builds the
 tail, its continuation and the profile rescaled to origin coefficient 1 (the
 steps of solve_for_eta), then runs expansion_check, inversion_report and the
 two ODE residuals, and counts ACCEPTANCE 03's pointwise violations.  A
-point that fails records the class of its typed error;
-one that completes records each checked value and whether it lies inside
-the ACCEPTANCE bound of the same name.  tests/sweep_expected.json holds the
-table, its values to two digits, and tests/test_sweep.py asserts that a run
-reproduces it.  run_point keeps the values unrounded, for the tests that
-read them.
+point that fails records the class of its typed error; one that completes
+records each checked value and whether it lies inside the ACCEPTANCE bound
+of the same name.  Every row also records the point's Picard iteration
+count, which no bound holds.  tests/sweep_expected.json holds the table,
+its values to two digits, and tests/test_sweep.py asserts that a run
+reproduces its outcomes and inside flags.  run_point keeps the values
+unrounded, for the tests that read them.
 
 Print the table with  PYTHONPATH=src python tests/sweep.py  and rewrite the
 expected file with  PYTHONPATH=src python tests/sweep.py --write.
@@ -79,11 +80,15 @@ def point_id(point):
 
 @functools.cache
 def run_point(point):
-    """The table row of one point: its outcome, and for a completing point
-    each value with whether it is inside its ACCEPTANCE bound."""
+    """The table row of one point: its outcome, its Picard iteration count
+    (None if picard_solve failed), and for a completing point each value
+    with whether it is inside its ACCEPTANCE bound."""
+    iterations = None
     try:
         fp = derive_fp_constants(derive_params(*point))
-        base = continue_left(picard_solve(fp))
+        tail = picard_solve(fp)
+        iterations = tail.iterations
+        base = continue_left(tail)
         prof = rescale_profile(base, lambda_for_amplitude(base, 1.0))
         rep = expansion_check(prof)
         values = {
@@ -97,12 +102,14 @@ def run_point(point):
             "far_field_gap": base.far_field_gap,
         }
     except FastDiffError as exc:
-        return {"point": point_id(point), "outcome": type(exc).__name__}
+        return {"point": point_id(point), "outcome": type(exc).__name__,
+                "picard_iterations": iterations}
     far_bound = math.exp(-fp.C2 * (float(base.s_grid[-1]) - fp.b1)) + 1e-8
     bounds = {**BOUNDS, "far_field_gap": far_bound}
     return {
         "point": point_id(point),
         "outcome": "pass",
+        "picard_iterations": iterations,
         "values": values,
         "inside": {k: bool(v <= bounds[k]) for k, v in values.items()},
     }
@@ -130,7 +137,8 @@ def main(argv):
         out = [f"{k} {v if isinstance(v, int) else f'{v:.2g}'}"
                f"{'' if row['inside'][k] else ' (above bound)'}"
                for k, v in row.get("values", {}).items()]
-        print(f"{row['point']:>24}  {row['outcome']:<20} {', '.join(out)}")
+        print(f"{row['point']:>24}  {row['outcome']:<20} picard {row['picard_iterations']}, "
+              f"{', '.join(out)}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from fastdiff import (
     FastDiffError,
@@ -19,6 +20,7 @@ from fastdiff import (
     solve_for_eta,
     wbar_ode_residual,
 )
+from fastdiff.profile import _origin_node, _origin_series
 from sweep import point_id, pointwise_violations, run_point
 
 # Closed-form targets at the reference point (n=3, m=1/5, gamma=4) for a
@@ -98,6 +100,16 @@ class TestExpansionCheck:
         )
         with pytest.raises(ResolutionError):
             expansion_check(stub)
+
+    def test_q_defect_is_the_series_defect(self, unit_eta_profile):
+        # Q(t) comes from the Q[2:] Horner pass the fit reads; it must give
+        # polyval(t, Q)'s bits on the fit window
+        prof, p = unit_eta_profile, unit_eta_profile.params
+        Q = _origin_series(p)
+        i = _origin_node(prof.s_grid, prof.eta_origin, p)
+        t = prof.eta_origin ** (p.m - 1.0) * np.exp(prof.s_grid[:i + 1] / p.beta_p)
+        rq = p.beta_p * prof.z[:i + 1]
+        assert expansion_check(prof).q_defect == float(np.max(np.abs(rq - t * polyval(t, Q))))
 
     def test_reads_the_continuation_state(self, unit_eta_profile):
         # d1 = eta beta' z/rho at 0: z scaled by 1 + 1e-3 must move d1 by 1e-3

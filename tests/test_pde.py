@@ -760,6 +760,21 @@ class TestNewtonPredictor:
         assert out.stats.n_rejected_positivity == 0
         assert out.stats.n_steps == len(attempts) - 1
 
+    def test_bump_steps_stay_at_the_cap(self, unit_eta_profile, weight_ref, monkeypatch):
+        # fdx converge --case bump to t = 1.02.  The predicted step at
+        # t = 1.00087 counts 4 (its predicted stop counts the solve it skips);
+        # dt must still grow, or it stays just below the next cap and the
+        # growth rule sizes the following steps from u_old (58 of them)
+        calls = _record_steps(monkeypatch)
+        u0 = power_bump_initial(unit_eta_profile.params, 1.0, 0.10, -1.2, 2.0)
+        cfg = EvolveConfig(dt_init=1e-4, dt_rel_max=2.5e-4)
+        convergence_experiment(unit_eta_profile, 1.0, 1.0, 1.2, u0, [0.0, math.log(1.02)], cfg,
+                               weight_ref, log_grid(1e-3, 1e3, 640))
+        first = next(i for i, (_, _, predicted, _) in enumerate(calls) if predicted)
+        past_ramp = calls[first:]
+        assert len(past_ramp) >= 70
+        assert all(predicted for _, _, predicted, _ in past_ramp)
+
     def test_growth_sized_steps_start_from_u_old(self, grid128, params_ref, bb, monkeypatch):
         # no cap binds: dt grows from dt_init and stays below dt_max, so the
         # Newton count chooses every step and none is predicted

@@ -29,13 +29,18 @@ from fastdiff import (
 )
 import fastdiff.profile
 from fastdiff.numerics import lsoda_at
-from fastdiff.profile import (PROFILE_DS, _ORIGIN_Q_TOL, _backward_recurrence, _origin_match,
-                              _origin_node, _origin_series, _spline_at)
+from fastdiff.profile import (PROFILE_DS, _ORIGIN_Q_TOL, _backward_recurrence, _check_membership,
+                              _horner, _origin_match, _origin_node, _origin_series, _spline_at,
+                              _tail_seed, _weighted_norm)
+from sweep import point_id, sweep_points
 
 # Origin coefficient of the base profile (eta_inf = 1) at the reference
 # parameter point, frozen from a converged run; guards against silent drift
 # in the quadrature/continuation stack.
 ETA_ORIGIN_BASE = 1.8089242558402994
+# d_inf in r^((n-2)/m) f = 1 + d_inf r^(-C2) + ... at the reference point:
+# -b' C1 / (C2 (n-2+C2)) = -(5/6) / (2 * 3)
+D_INF_REF = -5.0 / 36.0
 
 
 def _f(prof):
@@ -54,6 +59,56 @@ class TestPicardSolve:
 
     def test_converges_in_few_iterations(self, tail_ref):
         assert tail_ref.iterations <= 8
+
+    def test_far_field_seed_at_the_reference_point(self, tail_ref, fp_ref):
+        # the seed's h coefficient is h's own leading one, -C2 d_inf = 5/18,
+        # so the first sweep corrects only higher-order terms: update norms
+        # 1.5e-7, 5.2e-10, 6.8e-13
+        _, h0 = _tail_seed(fp_ref, np.zeros(1))
+        assert h0[0] == pytest.approx(-fp_ref.C2 * D_INF_REF, rel=1e-15)
+        assert tail_ref.iterations == 3
+        assert tail_ref.update_norms[0] <= 1e-6
+
+    @pytest.mark.parametrize("point", [(3, 0.2, 4.0), (3, 0.3, 3.095), (5, 0.06, 26.06)])
+    def test_far_field_seed_keeps_the_fixed_point(self, point, monkeypatch):
+        # the fixed point is unique in D_b1: Phi iterated to tol from the old
+        # seed (e^(-C1 s), min(C3, eps1) e^(-C2 s)), on the grid, step and
+        # e^(-s/b') picard_solve passes, ends on picard_solve's tail
+        fp = derive_fp_constants(derive_params(*point))
+        phi_map, passed = fastdiff.profile._phi_map, []
+
+        def recording(wt, h, *rest):
+            passed.append(rest)
+            return phi_map(wt, h, *rest)
+
+        monkeypatch.setattr(fastdiff.profile, "_phi_map", recording)
+        tail = picard_solve(fp)
+        s, ds, _, decay = passed[0]
+        C1, C2 = fp.params.C1, fp.C2
+        weights = (np.exp(C1 * s), np.exp(C2 * s), np.exp(0.5 * C2 * s))
+        wt, h = np.exp(-C1 * s), min(fp.C3, fp.eps1) * np.exp(-C2 * s)
+        for _ in range(20):
+            wt_new, h_new = phi_map(wt, h, s, ds, fp, decay)
+            upd = _weighted_norm(wt_new - wt, h_new - h, weights)
+            wt, h = wt_new, h_new
+            if upd <= 1e-12:
+                break
+        else:
+            pytest.fail("the old seed did not reach tol in 20 iterations")
+        np.testing.assert_allclose(tail.h, h, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(tail.wt, wt, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("point", sweep_points(), ids=point_id)
+    def test_far_field_seed_lies_in_d_b1(self, point):
+        # on the default tail grid [b1, b1 + 40/C2], with a slack of a few
+        # ulp for wt0 e^(C1 s) = e^(-C1 s - h0/C2) e^(C1 s) <= 1, where
+        # picard_solve allows 2e-12
+        fp = derive_fp_constants(derive_params(*point))
+        C1, C2 = fp.params.C1, fp.C2
+        s = np.linspace(fp.b1, fp.b1 + 40.0 / C2, 4001)
+        weights = (np.exp(C1 * s), np.exp(C2 * s), np.exp(0.5 * C2 * s))
+        wt, h = _tail_seed(fp, s)
+        _check_membership(wt, h, np.exp(-C1 * s), fp, 1e-15, weights)
 
     def test_grid_structure(self, tail_ref, fp_ref):
         s = tail_ref.grid
@@ -358,6 +413,13 @@ class TestRecoverProfile:
         # does not read: measured 3.5e-13, gate 1e-10
         assert base_profile.origin_q_defect <= _ORIGIN_Q_TOL
         assert base_profile.origin_q_defect <= 1e-11
+
+    def test_horner_is_polyval(self, params_ref):
+        # _origin_match's float Horner loop gives polyval's bits
+        Q = _origin_series(params_ref)
+        for coeffs in (Q, Q / np.arange(1, Q.size + 1)):
+            for t in np.geomspace(1e-4, 1.0, 50).tolist():
+                assert _horner(t, coeffs.tolist()) == np.polynomial.polynomial.polyval(t, coeffs)
 
     def test_series_recursion(self, params_ref):
         # the first two coefficients give the closed forms wbar_rho(0) = a3/a2
