@@ -17,15 +17,17 @@ satisfies equivalent differential/series representations:
     g(y) = y^(-(n-2)/m) f(1/y) on the table's rows, sigma = log y = -s.
 
 The profile's invariants are checked where the table is built, not here:
--C1 < z < 0 in continue_left, and the far-field limit r^((n-2)/m) f ->
-eta_inf in Profile.far_field_gap.
+-C1 < z < 0 by the stored xi = log(h/(-z)), which continue_left makes
+finite on every row, and the far-field limit r^((n-2)/m) f -> eta_inf in
+Profile.far_field_gap.
 
 No check fits a spline: each reads the profile table row by row, and the
 residuals read only the rows of their own window, where they take their
 derivatives by centred five-point differences at the table's own step.
 
 All residuals are normalized by the largest term magnitude at each node
-(the equations carry 1/rho^2 scalings that make absolute defects meaningless).
+(the equations carry 1/rho^2 scalings that make absolute defects
+meaningless); a node where every term underflows to 0 is a ResolutionError.
 """
 
 from __future__ import annotations
@@ -132,9 +134,13 @@ def _window(s: np.ndarray, lo: float, hi: float, window: str) -> slice:
 
 
 def _residual_over_terms(terms):
-    """|sum of terms| / max |term|, elementwise over node arrays."""
+    """|sum of terms| / max |term|, elementwise over node arrays;
+    ResolutionError where every term of a node is 0, which is 0/0."""
     total = np.abs(sum(terms))
     scale = np.maximum.reduce([np.abs(t) for t in terms])
+    if np.any(scale == 0.0):
+        raise ResolutionError(f"every term of the equation underflows to 0 on "
+                              f"{int(np.sum(scale == 0.0))} rows of the window")
     return total / scale
 
 
@@ -198,13 +204,16 @@ def inversion_report(profile: Profile) -> InversionReport:
         e^(-2 sigma)(Gamma_ss + (n-2) Gamma_s) + E (at g + bt g_sigma) = 0.
     g is read on the table's rows with sigma = -s in the window
     y in [1e-2, 1e2], reversed so that sigma ascends, so each value of g
-    comes from one row's W and h.  Gamma_sigma = -g^m h(-sigma) follows
+    comes from one row's W and xi.  Gamma_sigma = -g^m h(-sigma) follows
     from the stored logarithmic derivative; the remaining outer derivative
     is taken numerically through Q = e^((n-2) sigma) Gamma_sigma, which
     keeps the exponentially flat end (g -> eta_inf) numerically meaningful.
-    Of its fields only residual can see a defect in wt or h (see
+    Q, E g and E g_sigma = -E g h are each one exp of a sum of logs, as
+    f_ode_residual forms f: E alone overflows where its rate, about 243 at
+    (5, 0.012, 3.264), meets sigma = log 100, and g underflows where C1
+    does.  Of its fields only residual can see a defect in wt or h (see
     InversionReport).  ResolutionError if fewer than 5 rows lie in the
-    window.
+    window, or where every term of a row underflows.
     """
     p = profile.params
     n, m = p.n, p.m
@@ -218,14 +227,11 @@ def inversion_report(profile: Profile) -> InversionReport:
     ds = float(sig[1] - sig[0])
 
     log_g = -C1 * sig + log_wt
-    g = np.exp(log_g)
-    Gamma_sigma = -(g ** m) * h_rev
-    Q = np.exp((n - 2) * sig) * Gamma_sigma
+    Q = -h_rev * np.exp((n - 2) * sig + m * log_g)
     sw = sig[2:-2]
     diffusion = np.exp(-n * sw) * deriv_uniform(Q, ds, deriv=1)
-    E = np.exp(((n - 2 - n * m) / m - 2.0) * sw)
-    g_sigma = -g[2:-2] * h_rev[2:-2]
-    res = _residual_over_terms([diffusion, E * at * g[2:-2], E * bt * g_sigma])
+    Eg = np.exp(((n - 2 - n * m) / m - 2.0) * sw + log_g[2:-2])
+    res = _residual_over_terms([diffusion, at * Eg, -bt * Eg * h_rev[2:-2]])
     residual = float(np.max(res))
 
     # involution: applying the transform twice returns f, row by row: the

@@ -23,21 +23,24 @@ series matched to the continuation (_origin_match).  The table keeps
 W = log wt, f(r) = e^(-gamma s + W) at s = log r, so the scaling family
 f_lam(r) = lam^(2/(1-m)) f(lam r) is two exact shifts (rescale_profile).
 
-Numerical notes kept out of the API: the continuation integrates
-z = h - C1 and W = log(wt) instead of (h, wt) because the term
-b'X(h - C1) loses every significant digit once h hugs C1 (X grows like
-exp(|s|/b') there), and the system turns stiff on the left, so it runs
+Numerical notes kept out of the API: each row stores the logit
+xi = log(h/(-z)) of the log-slope, z = h - C1 = r w_r/w, which lies in
+(-C1, 0), and h = C1/(1 + e^(-xi)) and z = -C1/(1 + e^xi) are formed from
+it.  Neither ever cancels: C1 + z loses every digit of h once h falls
+below C1's rounding (b1 reaches 227 at (3, 0.3, 2.881)), and h - C1 every
+digit of z once z falls below it on the left, while h itself underflows
+on the analytic rows where C2 is large.  The continuation integrates
+(xi, W = log wt) in s, and the system turns stiff on the left, so it runs
 on LSODA (numerics.lsoda_at), which switches to BDF steps where it must
 and interpolates each grid node from its own steps.  Below rho =
 e^(s/b') = 0.1 it follows q = b'z/rho = wbar_rho/wbar in rho instead:
 rho = 0 is an irregular singular point whose solution is smooth in rho,
-while z decays like rho against the absolute tolerance, so in s the run
-spent about 700 of its 1,125 steps there at the reference point; the two
-legs take 216 + 165.  tail_residual
-integrates Y = e^(C2 s) Phi_2 instead of Phi_2, which decays like
-e^(-C2 s): LSODA's error control then follows an O(1) state, not the
-exponential.  Its forcing e^(C2 s) q stays O(1) because C2 = 1/b' +
-(1-m) C1 gives e^(C2 s) X = (wt e^(C1 s))^(1-m) <= 1 on D_b1.
+while z decays like rho, so in s the run spent about 700 of its 1,125
+steps there at the reference point; the two legs take 217 + 155.
+tail_residual integrates Y = e^(C2 s) Phi_2 instead of Phi_2, which
+decays like e^(-C2 s): LSODA's error control then follows an O(1) state,
+not the exponential.  Its forcing e^(C2 s) q stays O(1) because C2 = 1/b'
++ (1-m) C1 gives e^(C2 s) X = (wt e^(C1 s))^(1-m) <= 1 on D_b1.
 """
 
 from __future__ import annotations
@@ -81,13 +84,13 @@ PROFILE_DS = 0.01          # uniform spacing of the assembled profile grid
 _NOISE_FLOOR = 2e-14       # update norms below this are roundoff, not contraction data
 _PICARD_MAX_ITER = 200     # far above the ~8 iterations the 1/5-contraction needs
 _TAIL_SAMPLES = 400        # points on which tail_residual compares the two routes
-LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on z and W
+LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on its states
 _ORIGIN_TERMS = 40         # origin series terms: rho* <= c/40 cuts it before its smallest
 _ORIGIN_Q_TOL = 1e-10      # relative q defect of the origin match (sweep's worst 2.9e-12)
 _RHO_LEG = 0.1             # continue_left integrates in rho = e^(s/b') below this
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)   # log of the largest float
-# the rho-leg's derivative for a trial state whose own one is not finite:
-# far past any true one, yet LSODA's weighted norms of it stay finite
+# continue_left's derivative or Jacobian entry for a trial state whose own
+# one is not finite: far past any true one, yet LSODA's norms of it stay finite
 _TRIAL_DERIV = math.sqrt(sys.float_info.max)
 # BLAS's banded triangular solve, which _backward_recurrence runs on the tail
 (_TBSV,) = get_blas_funcs(("tbsv",), dtype=np.float64)
@@ -119,14 +122,15 @@ class Profile:
     """The profile table on the uniform s-grid, s = log r, with its origin
     coefficient and the tail's Picard data, all built by continue_left.
 
-    Each row stores (s, z, h, W); r = e^s, wt = e^W and f = e^(-gamma s + W)
+    Each row stores (s, xi, W); r = e^s, wt = e^W and f = e^(-gamma s + W)
     are formed by whoever reads them, since f and wt can leave the double
-    range at the ends of a deep or rescaled table."""
+    range at the ends of a deep or rescaled table, and so are h, z and
+    r f_r/f from xi.  xi is finite on every row, so 0 < h < C1 holds by
+    construction, though the float h reads 0 where C1 e^xi underflows."""
     params: ParamSet
     eta_inf: float
     s_grid: np.ndarray
-    z: np.ndarray              # z = h - C1 = r w_r / w
-    h: np.ndarray
+    xi: np.ndarray             # xi = log(h / (-z)), the logit of the log-slope
     W: np.ndarray              # W(s) = log wt = log(r^gamma f(r)), r = e^s
     eta_origin: float
     # |r^((n-2)/m) f - eta_inf| at the last node, the one check of the
@@ -138,6 +142,17 @@ class Profile:
     origin_q_defect: float     # relative, so rescaling leaves it as it is; see _origin_match
     fp_residual: float
     picard_iterations: int
+
+    @property
+    def h(self) -> np.ndarray:
+        """h = C1 / (1 + e^(-xi)) at every node, 0 where e^(-xi) overflows."""
+        with np.errstate(over="ignore"):
+            return self.params.C1 / (1.0 + np.exp(-self.xi))
+
+    @property
+    def z(self) -> np.ndarray:
+        """z = h - C1 = r w_r / w = -C1 / (1 + e^xi) at every node."""
+        return -self.params.C1 / (1.0 + np.exp(self.xi))
 
     @property
     def rfr_over_f(self) -> np.ndarray:
@@ -385,8 +400,20 @@ def tail_residual(tail: TailSolution) -> float:
     return float(max(res_h.max(), res_wt.max()))
 
 
+def _logit(h, mz) -> np.ndarray:
+    """xi = log(h / (-z)) from finite h and -z = C1 - h; BoundViolationError,
+    before the log, unless both are positive (nan is not), which is
+    0 < h < C1."""
+    if not (np.all(h > 0.0) and np.all(mz > 0.0)):
+        bad = ~(np.greater(h, 0.0) & np.greater(mz, 0.0))
+        raise BoundViolationError(f"h left (0, C1) on {int(np.sum(bad))} rows: h in "
+                                  f"[{np.min(h):.6g}, {np.max(h):.6g}], -z = C1 - h in "
+                                  f"[{np.min(mz):.6g}, {np.max(mz):.6g}]")
+    return np.log(h / mz)
+
+
 def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float = 1e-12) -> Profile:
-    """The whole Profile at eta_inf = 1: (h, W = log wt) continued from b1
+    """The whole Profile at eta_inf = 1: (xi, W = log wt) continued from b1
     down to s_min, and the origin coefficient eta_origin.
 
     The table ends at max(s_T, min(b1 + max(40, 40/C2, -log(tol)/C2),
@@ -394,26 +421,30 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     checks' fixed windows read it, unless wt = e^W would leave the normal
     floats first.  Rows up to s_T read the tail's splines; rows past it take
     the analytic tail Phi_1 and Phi_2 already assume, h = h_T e^(-C2 (s -
-    s_T)), W = -C1 s - h/C2 and z = h - C1.
+    s_T)) and W = -C1 s - h/C2, whose xi takes log h = log h_T - C2 (s - s_T)
+    whole, so it stays finite where h underflows.
 
     Two LSODA runs output the grid nodes below b1.  The s-leg integrates
-    z' = (n-2)(z+C1) + b' X z - m (z+C1)^2, W' = z with
-    X = exp(-s/b' + (1-m) W) from b1 down to the last node at or below
+
+        xi' = ((n-2) - m h)(1 + e^xi) - b'(X + X e^(-xi)),   W' = z,
+
+    h = C1/(1 + e^(-xi)), z = -C1/(1 + e^xi), X = exp(-s/b' + (1-m) W),
+    from xi = log h(b1) - log(C1 - h(b1)) down to the last node at or below
     rho = e^(s/b') = _RHO_LEG.  The rho-leg continues from there to the
     first node in rho, on q = b' z / rho and P = e^((1-m) W):
 
         rho^2 q' = a3 - a2 q P - a1 rho q - m rho^2 q^2,   W' = q,
 
-    the w-bar equation of _origin_series, and stores z = rho q / b'.  The
-    series never feeds the table, so expansion_check measures it against
-    a continuation that does not read it.  The solution keeps
-    -C1 < z < 0: z < 0 is asserted strictly at every node and z > -C1
-    within integrator slack (BoundViolationError otherwise), on z as
-    computed, with no floor.  A first node where rho^2 underflows
-    is refused (ResolutionError).  eta_origin and
-    origin_q_defect come from _origin_match, which refuses a grid too
-    shallow for the origin series (ResolutionError) or a series that
-    misses z (ExtrapolationError).
+    the w-bar equation of _origin_series, and stores xi = log(C1 + z) -
+    log(-z), z = rho q / b'.  The series never feeds the table, so
+    expansion_check measures it against a continuation that does not read
+    it.  Every row's xi is finite: the s-leg's is LSODA's state, and every
+    other row's is refused with BoundViolationError, before its log, where
+    h or -z is not positive, as is a start h(b1) outside (0, C1) before the
+    LSODA run.  A first node where rho^2 underflows is refused
+    (ResolutionError).  eta_origin and origin_q_defect come from
+    _origin_match, which refuses a grid too shallow for the origin series
+    (ResolutionError) or a series that misses z (ExtrapolationError).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -427,19 +458,30 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     if not -math.inf < s_min < b1:
         raise RangeError(f"s_min = {s_min} must be finite and below b1 = {b1}")
 
-    def X_of(sv, W):
-        return float(np.exp(-sv / bp + (1.0 - m) * W))
+    # a Newton trial state far off the solution must fail LSODA's
+    # convergence test, which a nan or inf derivative passes (odepack's
+    # max-norm drops nan): each exp argument is capped at the log of the
+    # largest float, and a derivative or Jacobian entry past _TRIAL_DERIV
+    # reads _TRIAL_DERIV.  E = e^xi, Y = X e^(-xi), so X = Y E, and
+    # h = C1 E/(1 + E): two exp calls, and no 1/E
+    n2, mC1, L = n - 2, m * C1, _LOG_FLOAT_MAX
 
     def rhs(sv, y):
-        z, W = y
-        X = X_of(sv, W)
-        hh = z + C1
-        return [(n - 2) * hh + bp * X * z - m * hh * hh, z]
+        xi, W = y
+        a = (1.0 - m) * W - sv / bp - xi
+        E, Y = math.exp(xi if xi < L else L), math.exp(a if a < L else L)
+        E1 = 1.0 + E
+        dxi = (n2 - mC1 * (E / E1)) * E1 - bp * (Y * E + Y)
+        return [dxi if abs(dxi) < _TRIAL_DERIV else _TRIAL_DERIV, -C1 / E1]
 
     def jac(sv, y):
-        z, W = y
-        X = X_of(sv, W)
-        return [[(n - 2) + bp * X - 2.0 * m * (z + C1), bp * X * (1.0 - m) * z], [1.0, 0.0]]
+        xi, W = y
+        a = (1.0 - m) * W - sv / bp - xi
+        E, Y = math.exp(xi if xi < L else L), math.exp(a if a < L else L)
+        h = C1 * (E / (1.0 + E))
+        return [[min((n2 - m * h) * E - m * h + bp * Y, _TRIAL_DERIV),
+                 max(-bp * (1.0 - m) * (Y * E + Y), -_TRIAL_DERIV)],
+                [h / (1.0 + E), 0.0]]
 
     a1, a2, a3 = p.a1, p.a2, p.a3
 
@@ -450,9 +492,8 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     def rho_rhs(rho, y):
         q, W = y
         dq = (a3 - a2 * q * P_of(W) - a1 * rho * q) / (rho * rho) - m * q * q
-        # a Newton trial state far off the solution (the stale Jacobian of a
-        # long step toward rho = 0) must fail LSODA's convergence test, which
-        # a nan or inf derivative passes: odepack's max-norm drops nan
+        # a trial state far off the solution (the stale Jacobian of a long
+        # step toward rho = 0) is guarded as the s-leg's is
         return [dq if abs(dq) < _TRIAL_DERIV else _TRIAL_DERIV, q]
 
     def rho_jac(rho, y):
@@ -482,36 +523,34 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # LSODA controls each step's local error only, so the runs are held 20x
     # inside tol; the floor keeps rel_tol 135 ulp clear of roundoff
     left_tol = {"rel_tol": max(tol / 20.0, 3e-14), "abs_tol": LEFT_ABS_TOL}
-    y, _ = lsoda_at(rhs, jac, [float(tail.h[0]) - C1, math.log(float(tail.wt[0]))],
+    h_b1 = float(tail.h[0])
+    y, _ = lsoda_at(rhs, jac, [float(_logit(h_b1, C1 - h_b1)), math.log(float(tail.wt[0]))],
                     np.concatenate([[b1], s_grid[k:n_left][::-1]]), **left_tol)
-    zl, Wl = y[:, ::-1]
+    xil, Wl = y[:, ::-1]
+    zr = np.empty(0)
     if k:
-        y, _ = lsoda_at(rho_rhs, rho_jac, [bp * float(zl[0]) / float(rho[k]), float(Wl[0])],
+        zk = rhs(float(s_grid[k]), [float(xil[0]), float(Wl[0])])[1]     # the s-leg's W' = z
+        y, _ = lsoda_at(rho_rhs, rho_jac, [bp * zk / float(rho[k]), float(Wl[0])],
                         rho[::-1], **left_tol)
         ql, Wr = y[:, :0:-1]
-        zl, Wl = np.concatenate([rho[:k] * ql / bp, zl]), np.concatenate([Wr, Wl])
+        zr, Wl = rho[:k] * ql / bp, np.concatenate([Wr, Wl])
     # rows past s_T take the analytic tail; log wt's tail spline is not kept
     sr = s_grid[n_left + 1:]
     j = int(np.searchsorted(sr, s_T, side="right"))
+    h_tail = tail.h_spline(sr[:j])
     h_far = h_T * np.exp(-C2 * (sr[j:] - s_T))
-    h_tail = np.concatenate([tail.h_spline(sr[:j]), h_far])
-    z = np.concatenate([zl, h_tail - C1])
+    xi = np.concatenate([_logit(C1 + zr, -zr), xil, _logit(h_tail, C1 - h_tail),
+                         _logit(h_T, C1 - h_far) - C2 * (sr[j:] - s_T)])
     W = np.concatenate([Wl, CubicSpline(tail.grid, np.log(tail.wt))(sr[:j]),
                         -C1 * sr[j:] - h_far / C2])
-
-    slack = max(1e3 * max(tol, 1e-13), 1e-9) * max(1.0, C1)
-    if not float(np.max(z)) < 0.0 or float(np.min(z)) < -C1 - slack:
-        raise BoundViolationError(f"h left (0, C1): z range [{z.min()}, {z.max()}] must lie "
-                                  f"below 0 and above -C1 - {slack:.3g}")
-    # past b1, h keeps the tail's own values, not C1 + z, which cancels where h << C1
-    h = np.concatenate([C1 + zl, h_tail])
-    eta, q_defect = _origin_match(s_grid, z, W, p)
-    return Profile(
-        params=p, eta_inf=1.0, s_grid=s_grid, z=z, h=h, W=W, eta_origin=eta,
+    prof = Profile(
+        params=p, eta_inf=1.0, s_grid=s_grid, xi=xi, W=W, eta_origin=math.nan,
         far_field_gap=abs(float(np.exp(W[-1])) * math.exp(C1 * float(s_grid[-1])) - 1.0),
-        origin_q_defect=q_defect,
+        origin_q_defect=math.nan,
         fp_residual=tail.fp_residual, picard_iterations=tail.iterations,
     )
+    eta, q_defect = _origin_match(s_grid, prof.z, W, p)
+    return replace(prof, eta_origin=eta, origin_q_defect=q_defect)
 
 
 @functools.cache

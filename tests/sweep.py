@@ -14,7 +14,9 @@ reproduces its outcomes and inside flags.  run_point keeps the values
 unrounded, for the tests that read them.
 
 Print the table with  PYTHONPATH=src python tests/sweep.py  and rewrite the
-expected file with  PYTHONPATH=src python tests/sweep.py --write.
+expected file with  PYTHONPATH=src python tests/sweep.py --write, which
+also prints each outcome and inside flag that differs from the file it
+overwrites, one line each, as  point key old → new.
 """
 
 import functools
@@ -67,10 +69,11 @@ def sweep_points():
 
 
 def pointwise_violations(prof):
-    """ACCEPTANCE 03's count: rows that break 0 < h, z < 0, r f_r/f <=
-    -gamma or r f_r/f >= -(n-2)/m, each bound counted on its own."""
+    """ACCEPTANCE 03's count: rows whose xi = log(h/(-z)) is not finite,
+    which is 0 < h < C1, and rows that break r f_r/f <= -gamma or
+    r f_r/f >= -(n-2)/m, each bound counted on its own."""
     p, rfr = prof.params, prof.rfr_over_f
-    return int(np.sum(~(prof.h > 0.0)) + np.sum(~(prof.z < 0.0))
+    return int(np.sum(~np.isfinite(prof.xi))
                + np.sum(~(rfr <= -p.gamma)) + np.sum(~(rfr >= -(p.n - 2) / p.m)))
 
 
@@ -128,11 +131,30 @@ def _rounded(row):
                               for k, v in row["values"].items()}}
 
 
+def flips(old_rows, rows):
+    """'point key old → new' for each outcome and inside flag of rows that
+    differs from old_rows; a key one side lacks reads None there."""
+    old = {row["point"]: row for row in old_rows}
+    lines = []
+    for row in rows:
+        prev = old.get(row["point"], {})
+        if prev.get("outcome") != row["outcome"]:
+            lines.append(f"{row['point']} outcome {prev.get('outcome')} → {row['outcome']}")
+        before, after = prev.get("inside", {}), row.get("inside", {})
+        for k in [*after, *(k for k in before if k not in after)]:
+            if before.get(k) != after.get(k):
+                lines.append(f"{row['point']} {k} {before.get(k)} → {after.get(k)}")
+    return lines
+
+
 def main(argv):
     warnings.simplefilter("error", RuntimeWarning)
     rows = run_sweep()
     if "--write" in argv:
+        old_rows = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else []
         EXPECTED.write_text(json.dumps([_rounded(row) for row in rows], indent=1) + "\n")
+        for line in flips(old_rows, rows):
+            print(line)
     for row in rows:
         out = [f"{k} {v if isinstance(v, int) else f'{v:.2g}'}"
                f"{'' if row['inside'][k] else ' (above bound)'}"

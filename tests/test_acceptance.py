@@ -188,18 +188,16 @@ def test_criterion_02_picard_contraction(tail_ref, capsys):
 
 def test_criterion_03_pointwise_bounds(unit_eta_profile, capsys):
     p = unit_eta_profile.params
-    C1 = (p.n - 2) / p.m - p.gamma
-    # h and z = h - C1 carry the two strict inequalities in the
-    # representation where each is well conditioned; the conjugate bounds
-    # are the same statements (h < C1 iff z < 0, z > -C1 iff h > 0)
-    n_viol = int(np.sum(~(unit_eta_profile.h > 0.0)))
-    n_viol += int(np.sum(~(unit_eta_profile.z < 0.0)))
+    # the table stores xi = log(h/(-z)), z = h - C1: a finite xi is
+    # 0 < h < C1, and so -C1 < z < 0, where the floats h and z formed from
+    # it can round to 0 or -C1
+    n_viol = int(np.sum(~np.isfinite(unit_eta_profile.xi)))
     rfr = unit_eta_profile.rfr_over_f
     n_viol += int(np.sum(~(rfr <= -p.gamma)))
     n_viol += int(np.sum(~(rfr >= -(p.n - 2) / p.m)))
     ok = n_viol == 0
     _emit(capsys, 3, "pointwise bounds 0 < h < C1 and slope ratio window", ok,
-          f"{n_viol} violations across {unit_eta_profile.h.size} nodes")
+          f"{n_viol} violations across {unit_eta_profile.xi.size} nodes")
     assert ok
 
 

@@ -48,6 +48,14 @@ def _sweep_points():
 SWEEP_COMPLETING = _sweep_points()
 
 
+def _corner(n, fm, fg):
+    """(n, m, gamma) with m at fraction fm of (n-2)/n and gamma at fraction
+    fg of its window (2/(1-m), (n-2)/m), as the sweep places its points."""
+    m = fm * (n - 2) / n
+    lo, hi = 2 / (1 - m), (n - 2) / m
+    return n, m, lo + fg * (hi - lo)
+
+
 class TestExpansionCheck:
     def test_first_derivative_within_one_percent(self, unit_eta_profile):
         rep = expansion_check(unit_eta_profile)
@@ -94,8 +102,7 @@ class TestExpansionCheck:
         stub = replace(
             unit_eta_profile,
             s_grid=unit_eta_profile.s_grid[sel],
-            z=unit_eta_profile.z[sel],
-            h=unit_eta_profile.h[sel],
+            xi=unit_eta_profile.xi[sel],
             W=unit_eta_profile.W[sel],
         )
         with pytest.raises(ResolutionError):
@@ -113,7 +120,7 @@ class TestExpansionCheck:
 
     def test_reads_the_continuation_state(self, unit_eta_profile):
         # d1 = eta beta' z/rho at 0: z scaled by 1 + 1e-3 must move d1 by 1e-3
-        bad = replace(unit_eta_profile, z=unit_eta_profile.z * (1.0 + 1e-3))
+        bad = _scaled(unit_eta_profile, "z", 1.0 + 1e-3)
         assert expansion_check(bad).rel_err1 == pytest.approx(1e-3, rel=0.01)
 
     @pytest.mark.parametrize("point", SWEEP_COMPLETING, ids=point_id)
@@ -162,10 +169,26 @@ class TestEquationResiduals:
                 (f_ode_residual, dent_wt(5.0)),
                 (f_ode_residual, dent_wt(-3.0)),
                 (wbar_ode_residual, dent_wt(-3.0)),
-                (lambda q: inversion_report(q).residual, replace(prof, h=prof.h * (1.0 + bump(-3.0))))):
+                (lambda q: inversion_report(q).residual, _scaled(prof, "h", 1.0 + bump(-3.0)))):
             dented, clean = check(bad), check(prof)
             assert dented > 1e-5
             assert dented > 100.0 * clean
+
+    def test_rows_whose_terms_all_underflow_are_typed(self):
+        # at (3, 0.00667, 149.3), m at 2% of (n-2)/n and gamma at 99.5% of
+        # its window, every term of the f equation underflows to 0 on rows
+        # of its window, where the relative defect was 0/0
+        prof = solve_for_eta(derive_params(*_corner(3, 0.02, 0.995)), 1.0)
+        with pytest.raises(ResolutionError, match="underflows to 0"):
+            f_ode_residual(prof)
+
+    def test_inverted_terms_do_not_overflow(self):
+        # at (5, 0.012, 3.264), m at 2% of (n-2)/n and gamma at 0.5% of its
+        # window, E = e^(243 sigma) overflows at sigma = log 100; E g is
+        # formed on the log, and the residual is a number (far above the
+        # gate: the table step does not resolve this point)
+        prof = solve_for_eta(derive_params(*_corner(5, 0.02, 0.005)), 1.0)
+        assert np.isfinite(inversion_report(prof).residual)
 
     @pytest.mark.parametrize("eta", [1e25, 1e-200])
     def test_window_without_rows_is_typed(self, eta):
@@ -181,13 +204,26 @@ class TestEquationResiduals:
             assert np.isfinite(value)
 
 
+def _scaled(prof, field, factor):
+    """prof with z or h times factor, a float or one per row, made on the
+    stored xi = log(h/(-z)): the other of the two follows from h - z = C1.
+    With factor = 1 + b, z's scaling adds log1p(-b e^-xi) - log1p(b) to xi
+    and h's log1p(b) - log1p(-b e^xi); a row pushed out of -C1 < z < 0
+    reads xi = nan."""
+    b, xi = np.asarray(factor, dtype=float) - 1.0, prof.xi
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if field == "z":
+            return replace(prof, xi=xi + np.log1p(-b * np.exp(-xi)) - np.log1p(b))
+        return replace(prof, xi=xi + np.log1p(b) - np.log1p(-b * np.exp(xi)))
+
+
 def _dented(prof, field, at):
     """prof with a 1e-3 relative Gaussian dent (width 1 in s) at s = at in
-    wt = e^W, z or h."""
+    wt = e^W, z or h; a dent in z or h is one in xi (see _scaled)."""
     bump = 1e-3 * np.exp(-((prof.s_grid - at) ** 2))
     if field == "W":
         return replace(prof, W=prof.W + np.log1p(bump))
-    return replace(prof, **{field: getattr(prof, field) * (1.0 + bump)})
+    return _scaled(prof, field, 1.0 + bump)
 
 
 def _tripped(prof):
@@ -230,14 +266,19 @@ MUTATION_POINTS = [REFERENCE_POINT,
 # window; there only a z dent shows, as z < -C1 where h is below 1e-3 C1.
 # s = 33.7 is -s_0 of the reference table, a row that no check reads either
 # (far_field_gap reads the table's last row when it is built).  eta_origin
-# off by 1e-6 moves d1 and d2 by about 1e-6, far inside their gates
+# off by 1e-6 moves d1 and d2 by about 1e-6, far inside their gates.  The
+# table stores xi, so a z dent moves h as well and an h dent moves z
+# (_scaled): at s = -20, where -z is below 1e-3 h, an h dent takes h past
+# C1 and xi to nan, which ACCEPTANCE 03 counts and the origin fit reads,
+# and at s = -3 each of the two trips what reads the other.  z-sign is a
+# nan xi at one row, which the inverted check reads through h
 MUTATIONS = {
     "W@-20": (set(), {"wbar"}),
     "z@-20": (set(), set()),
-    "h@-20": (set(), set()),
+    "h@-20": ({"pointwise", "d1", "d2"}, {"pointwise", "d1", "d2"}),
     "W@-3": ({"f", "wbar", "inverted"}, {"f", "wbar", "inverted"}),
-    "z@-3": ({"d2"}, set()),
-    "h@-3": ({"inverted"}, {"inverted"}),
+    "z@-3": ({"d2", "inverted"}, {"inverted"}),
+    "h@-3": ({"d2", "inverted"}, {"inverted"}),
     "W@15": (set(), set()),
     "z@15": ({"pointwise"}, {"pointwise"}),
     "h@15": (set(), set()),
@@ -248,7 +289,7 @@ MUTATIONS = {
     "z@33.7": ({"pointwise"}, {"pointwise"}),
     "h@33.7": (set(), set()),
     "eta": (set(), set()),
-    "z-sign": ({"pointwise"}, {"pointwise"}),
+    "z-sign": ({"pointwise", "inverted"}, {"pointwise", "inverted"}),
 }
 
 
@@ -256,10 +297,10 @@ def _mutated(prof, name):
     if name == "eta":
         return replace(prof, eta_origin=prof.eta_origin * (1.0 + 1e-6))
     if name == "z-sign":                    # at the row nearest s = 0
-        z = prof.z.copy()
-        i = int(np.argmin(np.abs(prof.s_grid)))
-        z[i] = -z[i]
-        return replace(prof, z=z)
+        # z > 0 has no xi = log(h/(-z)): its log reads nan
+        xi = prof.xi.copy()
+        xi[int(np.argmin(np.abs(prof.s_grid)))] = np.nan
+        return replace(prof, xi=xi)
     field, at = name.split("@")
     return _dented(prof, field, float(at))
 

@@ -198,13 +198,17 @@ class TestLsodaAt:
         assert seen == {(name, float, list, float, float) for name in ("rhs", "jac")}
 
     def test_float_callbacks_keep_the_bits(self, tail_ref, monkeypatch):
-        # each of continue_left's two runs (the s-leg's (z, W) and the
+        # each of continue_left's two runs (the s-leg's (xi, W) and the
         # rho-leg's (q, W)) and build_weight's table are bit for bit the runs
         # whose callbacks get y as a numpy array: IEEE float and numpy
-        # float64 arithmetic round alike
+        # float64 arithmetic round alike.  A float product past the double
+        # range reads inf silently, where a numpy scalar's also warns: the
+        # rho-leg meets one in a Newton trial state at rho = 5e-18, whose
+        # rhs then reads _TRIAL_DERIV on both paths
         def numpy_callbacks(rhs, jac, y0, s_out, **options):
-            return lsoda_at(lambda s, y: rhs(s, np.array(y)), lambda s, y: jac(s, np.array(y)),
-                            y0, s_out, **options)
+            with np.errstate(over="ignore"):
+                return lsoda_at(lambda s, y: rhs(s, np.array(y)), lambda s, y: jac(s, np.array(y)),
+                                y0, s_out, **options)
 
         runs, tables = ([], []), []
         for driver, left in zip((lsoda_at, numpy_callbacks), runs):

@@ -2,7 +2,9 @@
 iteration, strict pointwise bounds after leftward continuation, the
 origin series match, the rescaling family, and the solve-for-eta wrapper."""
 
+import itertools
 import math
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -193,17 +195,32 @@ class TestTailLength:
         assert rel.max() <= 1e-12
 
     def test_far_rows_are_the_analytic_tail(self, tail_ref, base_profile, fp_ref):
-        # past the tail's end s_T: h = h_T e^(-C2 (s - s_T)),
-        # W = -C1 s - (h_T / C2) e^(-C2 (s - s_T)) and z = h - C1
+        # past the tail's end s_T: log h = log h_T - C2 (s - s_T) and
+        # W = -C1 s - (h_T / C2) e^(-C2 (s - s_T)).  h is formed from the
+        # stored xi, whose rounding of about 1e-16 |xi| (|xi| <= 90 here) is
+        # h's relative error, so h itself is held on its logarithm
         s_T, h_T = float(tail_ref.grid[-1]), float(tail_ref.h[-1])
         C1, C2 = fp_ref.params.C1, fp_ref.C2
         far = base_profile.s_grid > s_T
         s = base_profile.s_grid[far]
         assert s.size == 2000
         decay = np.exp(-C2 * (s - s_T))
-        assert np.allclose(base_profile.h[far], h_T * decay, rtol=1e-15, atol=0.0)
+        assert np.allclose(np.log(base_profile.h[far]), math.log(h_T) - C2 * (s - s_T),
+                           rtol=1e-15, atol=0.0)
         assert np.allclose(base_profile.W[far], -C1 * s - h_T / C2 * decay, rtol=1e-15, atol=0.0)
-        assert np.array_equal(base_profile.z[far], base_profile.h[far] - C1)
+
+    def test_far_rows_keep_h_where_it_underflows(self):
+        # at (3, 0.0333, 16.03), C2 = 27 takes h_T e^(-C2 (s - s_T)) below
+        # the smallest float on 1,269 of the analytic rows, where the
+        # table stored h = 0; xi keeps log h there, whose slope is -C2
+        m = 0.1 / 3
+        fp = derive_fp_constants(derive_params(3, m, 2 / (1 - m) + 0.5 * (1 / m - 2 / (1 - m))))
+        prof = continue_left(picard_solve(fp))
+        assert np.all(np.isfinite(prof.xi))
+        gone = prof.h == 0.0
+        assert gone.sum() > 1000
+        log_h = prof.xi[gone] + math.log(fp.params.C1)
+        assert np.allclose(np.diff(log_h), -fp.C2 * PROFILE_DS, rtol=1e-9)
 
     def test_table_end_capped_where_wt_stays_normal(self):
         # at (3, 0.0333, 3.466) the tail ends at b1 + 40/C2 = 1.86, and
@@ -278,21 +295,34 @@ class TestBackwardRecurrence:
 class TestContinueLeft:
     def test_strict_pointwise_bounds(self, base_profile):
         C1 = (base_profile.params.n - 2) / base_profile.params.m - base_profile.params.gamma
-        # h and z = h - C1 are stored in their well-conditioned forms; the
-        # four open bounds follow pairwise: h > 0 and z > -C1 are the same
-        # statement, as are z < 0 and h < C1.
+        # h and z = h - C1 are formed from the stored xi, neither from the
+        # other; the four open bounds follow pairwise: h > 0 and z > -C1 are
+        # the same statement, as are z < 0 and h < C1.
         assert np.all(base_profile.h > 0.0)
         assert np.all(base_profile.z < 0.0)
         assert np.all(base_profile.z > -C1 - 1e-12)
         assert np.all(base_profile.h < C1 + 1e-12)
 
-    def test_positive_z_is_refused(self, tail_ref):
+    def test_positive_z_is_refused(self, tail_ref, monkeypatch):
         # h[0] a hair above C1 starts the continuation at z = +1e-12 on the
-        # row b1: z < 0 is checked strictly, with no slack and no floor
+        # row b1, which has no xi = log(h / (-z)): refused strictly, with no
+        # slack and no floor, before the LSODA run and before any log
+        def no_run(*args, **options):
+            raise AssertionError("continue_left ran LSODA from a start outside (0, C1)")
+
+        monkeypatch.setattr(fastdiff.profile, "lsoda_at", no_run)
         C1 = tail_ref.fp.params.C1
         h = tail_ref.h.copy()
         h[0] = C1 * (1.0 + 1e-12)
-        with pytest.raises(BoundViolationError, match="must lie below 0"):
+        with pytest.raises(BoundViolationError, match=r"^h left \(0, C1\) on 1 rows"):
+            continue_left(replace(tail_ref, h=h))
+
+    def test_row_outside_the_bounds_is_refused(self, tail_ref):
+        # the tail's rows past b1 with h < 0 have no xi: refused by count,
+        # before the log that would read nan
+        h = tail_ref.h.copy()
+        h[1:] = -h[1:]
+        with pytest.raises(BoundViolationError, match=r"^h left \(0, C1\) on \d{4} rows"):
             continue_left(replace(tail_ref, h=h))
 
     @pytest.mark.parametrize("point", [(3, 1 / 6, 5.82), (4, 0.25, 16 / 3), (5, 0.3, 9.642857142857142)],
@@ -330,37 +360,47 @@ class TestContinueLeft:
 
     @pytest.mark.parametrize("point", [(3, 0.2, 4.0), (4, 0.45, 4.04)], ids=["reference", "4-0.45-4.04"])
     def test_left_part_matches_solve_ivp_lsoda(self, point):
-        # the s system, start and tolerances through solve_ivp's LSODA and its
-        # dense output at the nodes below b1, where continue_left switches to
-        # the rho system below rho = 0.1; the two agree to 6.7e-13 in W and
-        # 1.7e-14 in z at the reference point, 1.9e-12 and 6.6e-14 at
-        # (4, 0.45, 4.04) (measured)
+        # the s system in (xi, W), start and tolerances through solve_ivp's
+        # LSODA and its dense output at the nodes below b1, where
+        # continue_left switches to the rho system below rho = 0.1.  The
+        # reference is written with h, z and X as three exps of its own.  The
+        # two agree to 3.2e-12 in W and 3.0e-14 in z at the reference point,
+        # 2.7e-12 and 9.6e-15 at (4, 0.45, 4.04) (measured).  A reference in
+        # (z, W) read W 6.7e-11 off there: its h = z + C1 cancels where h is
+        # below C1's rounding, 658 rows of the base table
         p = derive_params(*point)
         tail = picard_solve(derive_fp_constants(p))
         prof = continue_left(tail)
         n, m, bp, C1 = p.n, p.m, p.beta_p, p.C1
 
-        def rhs(s, y):
+        def parts(s, y):
             X = math.exp(-s / bp + (1.0 - m) * y[1])
-            return [(n - 2) * (y[0] + C1) + bp * X * y[0] - m * (y[0] + C1) ** 2, y[0]]
+            return X, C1 / (1.0 + math.exp(-y[0])), -C1 / (1.0 + math.exp(y[0])), math.exp(y[0])
+
+        def rhs(s, y):
+            X, h, z, e = parts(s, y)
+            return [((n - 2) - m * h) * (1.0 + e) - bp * (X + X / e), z]
 
         def jac(s, y):
-            X = math.exp(-s / bp + (1.0 - m) * y[1])
-            return [[(n - 2) + bp * X - 2.0 * m * (y[0] + C1), bp * X * (1.0 - m) * y[0]], [1.0, 0.0]]
+            X, h, z, e = parts(s, y)
+            return [[((n - 2) - m * h) * e - m * h + bp * X / e, -bp * (1.0 - m) * (X + X / e)],
+                    [-h * z / C1, 0.0]]
 
         b1 = float(tail.grid[0])
         left = prof.s_grid < b1 - 1e-9
-        res = solve_ivp(rhs, (b1, prof.s_grid[0]), [tail.h[0] - C1, math.log(tail.wt[0])],
+        xi_b1 = math.log(tail.h[0]) - math.log(C1 - tail.h[0])
+        res = solve_ivp(rhs, (b1, prof.s_grid[0]), [xi_b1, math.log(tail.wt[0])],
                         method="LSODA", jac=jac, rtol=5e-14, atol=1e-14, dense_output=True)
         assert res.status == 0
-        z_ref, W_ref = res.sol(prof.s_grid[left])
+        xi_ref, W_ref = res.sol(prof.s_grid[left])
         assert np.abs(prof.W[left] - W_ref).max() <= 5e-12
-        assert np.abs(prof.z[left] - z_ref).max() <= 5e-13
+        assert np.abs(prof.z[left] + C1 / (1.0 + np.exp(xi_ref))).max() <= 5e-13
 
     def test_run_step_count(self, tail_ref, monkeypatch):
         # below rho = 0.1 the rho-leg follows q = b' z / rho, which is smooth
         # in rho, where the s-run followed z ~ rho down to LEFT_ABS_TOL:
-        # measured 216 + 165 steps at the reference point, 1,125 in s alone
+        # measured 217 + 155 steps at the reference point (216 + 155 with the
+        # s-leg in z), 1,125 in s alone
         steps = []
 
         def recording(*args, **options):
@@ -371,6 +411,36 @@ class TestContinueLeft:
         monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
         continue_left(tail_ref)
         assert len(steps) == 2 and sum(steps) <= 500
+
+    def test_wild_trial_state_ends_typed_or_passes(self, monkeypatch):
+        # at (3, 0.3267, 2.971), m at 98% of (n-2)/n and gamma at 0.5% of its
+        # window, an s-leg written with an unguarded math.exp(xi) met a
+        # Newton trial state past the double range and raised
+        # OverflowError.  The build ends in a typed error or a table whose
+        # xi is finite on every row, and the s-leg's rhs and Jacobian are
+        # finite on states far off any solution, as odepack needs
+        legs = []
+
+        def recording(rhs, jac, *args, **options):
+            legs.append((rhs, jac))
+            return lsoda_at(rhs, jac, *args, **options)
+
+        m = 0.98 / 3
+        lo, hi = 2 / (1 - m), 1 / m
+        tail = picard_solve(derive_fp_constants(derive_params(3, m, lo + 0.005 * (hi - lo))))
+        monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                assert np.all(np.isfinite(continue_left(tail).xi))
+            except FastDiffError:
+                pass
+            rhs, jac = legs[0]
+            b1 = float(tail.grid[0])
+            for y in itertools.product((-1e300, -800.0, 0.0, 800.0, 1e300), repeat=2):
+                for sv in (b1, b1 - 1e4):
+                    assert np.all(np.isfinite(rhs(sv, list(y))))
+                    assert np.all(np.isfinite(jac(sv, list(y))))
 
     def test_rho_squared_underflow_is_typed(self):
         # rho_min = e^(s_min/b') = 7e-177 at s_min = -78, where f still fits

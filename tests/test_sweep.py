@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from sweep import EXPECTED, point_id, run_point, sweep_points
+from sweep import EXPECTED, flips, point_id, run_point, sweep_points
 
 ROWS = {row["point"]: row for row in json.loads(EXPECTED.read_text())}
 
@@ -22,3 +22,15 @@ def test_point_matches_table(point):
     row, expected = run_point(point), ROWS[point_id(point)]
     assert row["outcome"] == expected["outcome"]
     assert row.get("inside") == expected.get("inside")
+
+
+def test_write_reports_each_flip():
+    # the lines --write prints: a changed outcome, a flag that flips, and a
+    # flag one side lacks; equal rows print nothing
+    old = [{"point": "a", "outcome": "pass", "inside": {"f": False, "g": True}},
+           {"point": "b", "outcome": "pass", "inside": {"f": True}},
+           {"point": "c", "outcome": "pass", "inside": {"f": True}}]
+    new = [{"point": "a", "outcome": "pass", "inside": {"f": True, "g": True}},
+           {"point": "b", "outcome": "ResolutionError"},
+           {"point": "c", "outcome": "pass", "inside": {"f": True}}]
+    assert flips(old, new) == ["a f False → True", "b outcome pass → ResolutionError", "b f True → None"]
