@@ -91,12 +91,19 @@ def expansion_check(profile: Profile) -> ExpansionReport:
     >= 2 to q0 rho + q1 rho^2 gives d1 = eta q0 and d2 = eta (q1 + q0^2),
     eta = profile.eta_origin.  In rho q every node carries z's absolute
     error, so the nodes near rho* decide the fit, not the deep ones where q
-    is noise over rho.  ResolutionError if the grid does not reach rho*/2.
+    is noise over rho.  ResolutionError if the grid does not reach rho*/2,
+    or if xi <= 0 at rho*, which is z <= -C1/2: the window then reaches
+    past the profile's transition into the far field, whose rows no origin
+    series fits.
     """
     p = profile.params
     eta, bp = profile.eta_origin, p.beta_p
     Q = _origin_series(p)
     i = _origin_node(profile.s_grid, eta, p)
+    if not profile.xi[i] > 0.0:
+        raise ResolutionError(f"origin fit window reaches past the transition: xi = "
+                              f"{profile.xi[i]:.3g} <= 0 (z <= -C1/2) at rho* = "
+                              f"{math.exp(profile.s_grid[i] / bp):.3g}")
     lam = eta ** (p.m - 1.0)                     # q(rho) = lam Q(lam rho)
     t = lam * np.exp(profile.s_grid[:i + 1] / bp)
     rq = bp * profile.z[:i + 1]

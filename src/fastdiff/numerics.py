@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
 Every ODE the package integrates runs through one routine, lsoda_at:
-ODEPACK's LSODA in one odeint call, with the states wanted at given points;
+ODEPACK's LSODA in one odeint call, with the states wanted at given points
+and LSODA's own difference-quotient Jacobian unless the caller passes one;
 adaptive quadrature on a finite interval is a thin contract over scipy's quad.
 The uniform-grid composite rules live here too, and the two centred
 five-point stencils [1, -8, 0, 8, -1]/12 and [-1, 16, -30, 16, -1]/12.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate as _sint
@@ -33,14 +34,14 @@ _NFEV_BUDGET = 50_000_000
 _QUAD_LIMIT = 200          # subintervals of one adaptive quadrature
 
 
-def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, *, rel_tol: float, abs_tol: float):
+def lsoda_at(rhs: Callable, y0, s_out, *, rel_tol: float, abs_tol: float,
+             jac: Optional[Callable] = None):
     """States of y' = rhs(s, y) at the monotone points s_out from y(s_out[0])
     = y0, by one LSODA run through scipy's odeint at local error tolerances
-    rel_tol and abs_tol: Adams or BDF steps as stiffness comes and goes, the
-    analytic Jacobian jac(s, y)[i][j] = df_i/dy_j, no step or rhs call past
-    s_out[-1] whether s_out increases or decreases, and LSODA's own
-    interpolation at each point (a repeated point takes the same state).
-    rhs and jac get s and y as Python floats (y a list), so a callback
+    rel_tol and abs_tol: Adams or BDF steps as stiffness comes and goes, no
+    step or rhs call past s_out[-1] whether s_out increases or decreases,
+    and LSODA's own interpolation at each point (a repeated point takes the
+    same state).  rhs gets s and y as Python floats (y a list), so it
     computes without numpy scalars and with the same IEEE bits.  Returns
     (y, steps) with y[:, k] the state at s_out[k].  Raises StiffnessError
     when LSODA fails, a state is not finite or the evaluation budget runs
@@ -49,11 +50,16 @@ def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, *, rel_tol: float, abs_tol
     positive and finite, a non-finite start, non-finite or non-monotone
     points, or an empty span.
 
+    Without jac, LSODA forms the Jacobian by difference quotients of rhs
+    (Hindmarsh, ODEPACK, 1983); jac(s, y)[i][j] = df_i/dy_j, called like
+    rhs, replaces them.  Only continue_left's rho-leg passes one: it takes
+    155 steps at the reference point with it and 182 without.
+
     rhs must return a finite derivative for every state, Newton trial states
     far off the solution included: odepack's weighted max-norm drops nan, so
     a nan derivative passes the corrector's test and the run ends in
-    StiffnessError instead of retrying the step.  continue_left's rho-leg
-    returns profile._TRIAL_DERIV in its place.
+    StiffnessError instead of retrying the step.  continue_left's two legs
+    return profile._TRIAL_DERIV in its place.
     """
     if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
         raise RangeError(f"rel_tol {rel_tol} and abs_tol {abs_tol} must be positive and finite")
@@ -88,8 +94,8 @@ def lsoda_at(rhs: Callable, jac: Callable, y0, s_out, *, rel_tol: float, abs_tol
     with warnings.catch_warnings():
         # a failed run is read from the message below, not from odeint's warning
         warnings.simplefilter("ignore", _sint.ODEintWarning)
-        y, info = _sint.odeint(wrapped, y0, sign * s_out, Dfun=dfun, tfirst=True,
-                               full_output=True, rtol=rel_tol, atol=abs_tol,
+        y, info = _sint.odeint(wrapped, y0, sign * s_out, Dfun=None if jac is None else dfun,
+                               tfirst=True, full_output=True, rtol=rel_tol, atol=abs_tol,
                                tcrit=[sign * span[1]], mxstep=_NFEV_BUDGET)
     if info["message"] != "Integration successful.":
         raise StiffnessError(f"integrator failed on span {span}: {info['message']}")

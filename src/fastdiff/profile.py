@@ -80,7 +80,7 @@ __all__ = [
     "profile_interpolator",
 ]
 
-PROFILE_DS = 0.01          # uniform spacing of the assembled profile grid
+PROFILE_DS = 0.01          # cap on the profile grid's uniform step min(PROFILE_DS, 0.02/C2)
 _NOISE_FLOOR = 2e-14       # update norms below this are roundoff, not contraction data
 _PICARD_MAX_ITER = 200     # far above the ~8 iterations the 1/5-contraction needs
 _TAIL_SAMPLES = 400        # points on which tail_residual compares the two routes
@@ -89,8 +89,9 @@ _ORIGIN_TERMS = 40         # origin series terms: rho* <= c/40 cuts it before it
 _ORIGIN_Q_TOL = 1e-10      # relative q defect of the origin match (sweep's worst 2.9e-12)
 _RHO_LEG = 0.1             # continue_left integrates in rho = e^(s/b') below this
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)   # log of the largest float
-# continue_left's derivative or Jacobian entry for a trial state whose own
-# one is not finite: far past any true one, yet LSODA's norms of it stay finite
+# continue_left's derivative for a trial state whose own one is not finite:
+# far past any true one, yet LSODA's norms of it and the difference
+# quotients of its Jacobian stay finite
 _TRIAL_DERIV = math.sqrt(sys.float_info.max)
 # BLAS's banded triangular solve, which _backward_recurrence runs on the tail
 (_TBSV,) = get_blas_funcs(("tbsv",), dtype=np.float64)
@@ -265,7 +266,8 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
 
     The tail runs from b1 to s_max, by default b1 + max(40/C2, -log(tol)/C2),
     where the term Phi_1 and Phi_2 neglect past the grid is below e^(-40) and
-    tol: 4,001 nodes at the reference point.  An explicit s_max below
+    tol, at a step of at most min(0.01/C2, 0.015/(n-2+C2)): 4,001 nodes at
+    the reference point.  An explicit s_max below
     b1 + 40/C2 is refused with RangeError, and a tail grid whose D_b1
     weights leave the double range with ResolutionError.
 
@@ -281,7 +283,8 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     if not b1 + 40.0 / C2 <= s_max < math.inf:
         raise RangeError(f"s_max must be finite and at least b1 + 40/C2 = {b1 + 40.0 / C2}, "
                          f"got {s_max}")
-    ds_target = 0.01 / C2
+    # the kernel of Phi_2 varies at rate n - 2 + b'X, h at rate C2
+    ds_target = min(0.01 / C2, 0.015 / (fp.params.n - 2 + C2))
     nseg = int(math.ceil((s_max - b1) / ds_target))
     ds = (s_max - b1) / nseg
     s = b1 + ds * np.arange(nseg + 1)
@@ -363,7 +366,7 @@ def tail_residual(tail: TailSolution) -> float:
     run (numerics.lsoda_at) that outputs the _TAIL_SAMPLES comparison
     points, where h is compared with Y e^(-C2 s).  On y the error control
     would follow its e^(-C2 s) decay step by step: 760 steps where Y takes
-    137 at the reference point.  J = int_s^inf h in Phi_1 is the exact
+    118 at the reference point.  J = int_s^inf h in Phi_1 is the exact
     integral F(s_max) - F(s) of h's cubic spline, F its antiderivative, plus
     the analytic tail h(s_max)/C2.  Comparing against (h, wt) there avoids
     every piece of the Picard quadrature path.
@@ -376,22 +379,16 @@ def tail_residual(tail: TailSolution) -> float:
     wt_sp = CubicSpline(s, wt)
     h_at, wt_at = _spline_at(h_sp), _spline_at(wt_sp)
 
-    def X_of(sv):
-        return math.exp(-sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
-
     def rhs(sv, Y):
-        X = X_of(sv)
+        X = math.exp(-sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
         hv = h_at(sv)
         q = bp * C1 * X + m * hv * hv
         return [(n - 2 + C2 + bp * X) * Y[0] - math.exp(C2 * sv) * q]
 
-    def jac(sv, Y):
-        return [[n - 2 + C2 + bp * X_of(sv)]]
-
     y_end = (bp * C1 * math.exp(-s[-1] / bp) * wt[-1] ** (1.0 - m) + m * h[-1] ** 2) / (n - 2 + C2)
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
     # when the window is the whole grid its last sample repeats s_max
-    Y, _ = lsoda_at(rhs, jac, [math.exp(C2 * s[-1]) * y_end], np.concatenate([[s[-1]], sc[::-1]]),
+    Y, _ = lsoda_at(rhs, [math.exp(C2 * s[-1]) * y_end], np.concatenate([[s[-1]], sc[::-1]]),
                     rel_tol=1e-12, abs_tol=1e-300)
     res_h = np.abs(h_sp(sc) - Y[0, :0:-1] * np.exp(-C2 * sc)) * np.exp(0.5 * C2 * sc)
     F = h_sp.antiderivative()
@@ -416,7 +413,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     """The whole Profile at eta_inf = 1: (xi, W = log wt) continued from b1
     down to s_min, and the origin coefficient eta_origin.
 
-    The table ends at max(s_T, min(b1 + max(40, 40/C2, -log(tol)/C2),
+    The table's uniform step is min(PROFILE_DS, 0.02/C2), so the far
+    field's e^(-C2 s) takes at least 50 rows per e-fold.  It ends at
+    max(s_T, min(b1 + max(40, 40/C2, -log(tol)/C2),
     -log(float_min)/C1)), s_T the tail's last node: out to b1 + 40, where the
     checks' fixed windows read it, unless wt = e^W would leave the normal
     floats first.  Rows up to s_T read the tail's splines; rows past it take
@@ -461,9 +460,10 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # a Newton trial state far off the solution must fail LSODA's
     # convergence test, which a nan or inf derivative passes (odepack's
     # max-norm drops nan): each exp argument is capped at the log of the
-    # largest float, and a derivative or Jacobian entry past _TRIAL_DERIV
-    # reads _TRIAL_DERIV.  E = e^xi, Y = X e^(-xi), so X = Y E, and
-    # h = C1 E/(1 + E): two exp calls, and no 1/E
+    # largest float, and a derivative past _TRIAL_DERIV reads _TRIAL_DERIV,
+    # so LSODA's difference-quotient Jacobian of it stays finite too.
+    # E = e^xi, Y = X e^(-xi), so X = Y E, and h = C1 E/(1 + E): two exp
+    # calls, and no 1/E
     n2, mC1, L = n - 2, m * C1, _LOG_FLOAT_MAX
 
     def rhs(sv, y):
@@ -473,15 +473,6 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
         E1 = 1.0 + E
         dxi = (n2 - mC1 * (E / E1)) * E1 - bp * (Y * E + Y)
         return [dxi if abs(dxi) < _TRIAL_DERIV else _TRIAL_DERIV, -C1 / E1]
-
-    def jac(sv, y):
-        xi, W = y
-        a = (1.0 - m) * W - sv / bp - xi
-        E, Y = math.exp(xi if xi < L else L), math.exp(a if a < L else L)
-        h = C1 * (E / (1.0 + E))
-        return [[min((n2 - m * h) * E - m * h + bp * Y, _TRIAL_DERIV),
-                 max(-bp * (1.0 - m) * (Y * E + Y), -_TRIAL_DERIV)],
-                [h / (1.0 + E), 0.0]]
 
     a1, a2, a3 = p.a1, p.a2, p.a3
 
@@ -501,17 +492,19 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
         aP, r2 = a2 * P_of(W), rho * rho
         return [[-(aP + a1 * rho) / r2 - 2.0 * m * q, -(1.0 - m) * aP * q / r2], [1.0, 0.0]]
 
-    # one uniform grid across continuation + tail; node n_left is b1 up to
-    # roundoff and takes b1's state (LSODA refuses an output a few ulp away)
-    n_left = int(math.ceil((b1 - s_min) / PROFILE_DS))
-    s_min_adj = b1 - n_left * PROFILE_DS
+    # one uniform grid across continuation + tail, at a step that resolves
+    # the tail's decay rate C2; node n_left is b1 up to roundoff and takes
+    # b1's state (LSODA refuses an output a few ulp away)
+    s_T, h_T, C2 = float(tail.grid[-1]), float(tail.h[-1]), tail.fp.C2
+    ds = min(PROFILE_DS, 0.02 / C2)
+    n_left = int(math.ceil((b1 - s_min) / ds))
+    s_min_adj = b1 - n_left * ds
     # the table's right end (see above): the cap keeps wt = e^W and
     # far_field_gap's e^(C1 s) normal floats
-    s_T, h_T, C2 = float(tail.grid[-1]), float(tail.h[-1]), tail.fp.C2
     s_end = max(s_T, min(b1 + max(40.0, 40.0 / C2, -math.log(tol) / C2),
                          -math.log(sys.float_info.min) / C1))
-    n_right = int(math.floor((s_end - b1) / PROFILE_DS))
-    s_grid = s_min_adj + PROFILE_DS * np.arange(n_left + n_right + 1)
+    n_right = int(math.floor((s_end - b1) / ds))
+    s_grid = s_min_adj + ds * np.arange(n_left + n_right + 1)
     # the s-leg ends on node k, the last at or below rho = _RHO_LEG, and the
     # rho-leg takes nodes k-1 .. 0 from there
     k = max(int(np.searchsorted(s_grid[:n_left], bp * math.log(_RHO_LEG), side="right")) - 1, 0)
@@ -524,14 +517,14 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # inside tol; the floor keeps rel_tol 135 ulp clear of roundoff
     left_tol = {"rel_tol": max(tol / 20.0, 3e-14), "abs_tol": LEFT_ABS_TOL}
     h_b1 = float(tail.h[0])
-    y, _ = lsoda_at(rhs, jac, [float(_logit(h_b1, C1 - h_b1)), math.log(float(tail.wt[0]))],
+    y, _ = lsoda_at(rhs, [float(_logit(h_b1, C1 - h_b1)), math.log(float(tail.wt[0]))],
                     np.concatenate([[b1], s_grid[k:n_left][::-1]]), **left_tol)
     xil, Wl = y[:, ::-1]
     zr = np.empty(0)
     if k:
         zk = rhs(float(s_grid[k]), [float(xil[0]), float(Wl[0])])[1]     # the s-leg's W' = z
-        y, _ = lsoda_at(rho_rhs, rho_jac, [bp * zk / float(rho[k]), float(Wl[0])],
-                        rho[::-1], **left_tol)
+        y, _ = lsoda_at(rho_rhs, [bp * zk / float(rho[k]), float(Wl[0])], rho[::-1],
+                        jac=rho_jac, **left_tol)
         ql, Wr = y[:, :0:-1]
         zr, Wl = rho[:k] * ql / bp, np.concatenate([Wr, Wl])
     # rows past s_T take the analytic tail; log wt's tail spline is not kept

@@ -110,16 +110,13 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     def rhs(r, y):
         return [r ** (n - 1) * spec.eta1(r), -a4 * r ** (1.0 - n) * y[0]]
 
-    def jac(r, y):
-        return [[0.0, 0.0], [-a4 * r ** (1.0 - n), 0.0]]
-
     table_r = np.geomspace(TABLE_RMIN, 2.0, TABLE_SIZE)
     table_phi = np.ones(TABLE_SIZE)
     table_dphi = np.zeros(TABLE_SIZE)
     mask = table_r > 1.0
     # I rises from 0 through about 1e-7 at the bump's onset (r = 1.1), so its
     # absolute tolerance sits far below that
-    (I, phi), _ = lsoda_at(rhs, jac, [0.0, 1.0], np.concatenate([[1.0], table_r[mask]]),
+    (I, phi), _ = lsoda_at(rhs, [0.0, 1.0], np.concatenate([[1.0], table_r[mask]]),
                            rel_tol=1e-13, abs_tol=1e-18)
     table_phi[mask] = phi[1:]
     table_dphi[mask] = -a4 * table_r[mask] ** (1.0 - n) * I[1:]

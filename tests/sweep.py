@@ -1,24 +1,30 @@
-"""The sweep table: every profile check at every admissible sweep point.
+"""The sweep and edge tables: every profile check at admissible points.
 
 The sweep is 36 points: n in {3, 4, 5, 8}, m at 10/50/90% of (n-2)/n and
-gamma at 5/50/95% of its window (2/(1-m), (n-2)/m).  Each point builds the
+gamma at 5/50/95% of its window (2/(1-m), (n-2)/m).  The edge table is 18
+points nearer the corners of the range: n in {3, 5, 8}, m at 2/50/98% of
+(n-2)/n and gamma at 0.5/99.5% of its window.  Each point builds the
 tail, its continuation and the profile rescaled to origin coefficient 1 (the
 steps of solve_for_eta), then runs expansion_check, inversion_report and the
 two ODE residuals, and counts ACCEPTANCE 03's pointwise violations.  A
 point that fails records the class of its typed error; one that completes
 records each checked value and whether it lies inside the ACCEPTANCE bound
 of the same name.  Every row also records the point's Picard iteration
-count, which no bound holds.  tests/sweep_expected.json holds the table,
-its values to two digits, and tests/test_sweep.py asserts that a run
-reproduces its outcomes and inside flags.  run_point keeps the values
+count and the step count of each LSODA run it made (tail_residual's, then
+continue_left's s-leg and rho-leg), which no bound holds.
+tests/sweep_expected.json and tests/edge_expected.json hold the tables,
+their values to two digits, and tests/test_sweep.py asserts that a run
+reproduces their outcomes and inside flags, and that every sweep flag is
+true.  The edge table is recorded as computed.  run_point keeps the values
 unrounded, for the tests that read them.
 
-Print the table with  PYTHONPATH=src python tests/sweep.py  and rewrite the
-expected file with  PYTHONPATH=src python tests/sweep.py --write, which
+Print the tables with  PYTHONPATH=src python tests/sweep.py  and rewrite the
+expected files with  PYTHONPATH=src python tests/sweep.py --write, which
 also prints each outcome and inside flag that differs from the file it
 overwrites, one line each, as  point key old → new.
 """
 
+import contextlib
 import functools
 import json
 import math
@@ -28,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+import fastdiff.profile
 from fastdiff import (
     FastDiffError,
     continue_left,
@@ -43,6 +50,7 @@ from fastdiff import (
 )
 
 EXPECTED = Path(__file__).with_name("sweep_expected.json")
+EDGE_EXPECTED = Path(__file__).with_name("edge_expected.json")
 
 # value name -> the ACCEPTANCE bound it is held to (criteria 02 to 06);
 # far_field_gap's bound depends on the tail and is formed in run_point
@@ -57,15 +65,26 @@ BOUNDS = {
 }
 
 
-def sweep_points():
-    """The 36 admissible (n, m, gamma), in table order."""
+def _grid(ns, m_fractions, gamma_fractions):
+    """(n, m, gamma) with m at each fraction of (n-2)/n and gamma at each
+    fraction of its window, in table order."""
     points = []
-    for n in (3, 4, 5, 8):
-        for fm in (0.1, 0.5, 0.9):
+    for n in ns:
+        for fm in m_fractions:
             m = fm * (n - 2) / n
             lo, hi = 2 / (1 - m), (n - 2) / m
-            points += [(n, m, lo + fg * (hi - lo)) for fg in (0.05, 0.5, 0.95)]
+            points += [(n, m, lo + fg * (hi - lo)) for fg in gamma_fractions]
     return points
+
+
+def sweep_points():
+    """The 36 admissible (n, m, gamma) of the sweep, in table order."""
+    return _grid((3, 4, 5, 8), (0.1, 0.5, 0.9), (0.05, 0.5, 0.95))
+
+
+def edge_points():
+    """The 18 admissible (n, m, gamma) of the edge table, in table order."""
+    return _grid((3, 5, 8), (0.02, 0.5, 0.98), (0.005, 0.995))
 
 
 def pointwise_violations(prof):
@@ -81,17 +100,37 @@ def point_id(point):
     return "n%d-m%.4g-g%.4g" % point
 
 
+@contextlib.contextmanager
+def _lsoda_steps():
+    """The step counts of the profile's LSODA runs made inside the block,
+    in the order they ran."""
+    steps, run = [], fastdiff.profile.lsoda_at
+
+    def recording(*args, **options):
+        y, n = run(*args, **options)
+        steps.append(n)
+        return y, n
+
+    fastdiff.profile.lsoda_at = recording
+    try:
+        yield steps
+    finally:
+        fastdiff.profile.lsoda_at = run
+
+
 @functools.cache
 def run_point(point):
     """The table row of one point: its outcome, its Picard iteration count
-    (None if picard_solve failed), and for a completing point each value
-    with whether it is inside its ACCEPTANCE bound."""
-    iterations = None
+    (None if picard_solve failed), the step counts of the LSODA runs that
+    completed, and for a completing point each value with whether it is
+    inside its ACCEPTANCE bound."""
+    iterations, steps = None, []
     try:
         fp = derive_fp_constants(derive_params(*point))
-        tail = picard_solve(fp)
-        iterations = tail.iterations
-        base = continue_left(tail)
+        with _lsoda_steps() as steps:
+            tail = picard_solve(fp)
+            iterations = tail.iterations
+            base = continue_left(tail)
         prof = rescale_profile(base, lambda_for_amplitude(base, 1.0))
         rep = expansion_check(prof)
         values = {
@@ -106,20 +145,21 @@ def run_point(point):
         }
     except FastDiffError as exc:
         return {"point": point_id(point), "outcome": type(exc).__name__,
-                "picard_iterations": iterations}
+                "picard_iterations": iterations, "lsoda_steps": steps}
     far_bound = math.exp(-fp.C2 * (float(base.s_grid[-1]) - fp.b1)) + 1e-8
     bounds = {**BOUNDS, "far_field_gap": far_bound}
     return {
         "point": point_id(point),
         "outcome": "pass",
         "picard_iterations": iterations,
+        "lsoda_steps": steps,
         "values": values,
         "inside": {k: bool(v <= bounds[k]) for k, v in values.items()},
     }
 
 
-def run_sweep():
-    return [run_point(p) for p in sweep_points()]
+# each table's points and expected file, in the order main prints them
+TABLES = {"sweep": (sweep_points, EXPECTED), "edge": (edge_points, EDGE_EXPECTED)}
 
 
 def _rounded(row):
@@ -149,18 +189,21 @@ def flips(old_rows, rows):
 
 def main(argv):
     warnings.simplefilter("error", RuntimeWarning)
-    rows = run_sweep()
+    tables = {name: [run_point(p) for p in points()] for name, (points, _) in TABLES.items()}
     if "--write" in argv:
-        old_rows = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else []
-        EXPECTED.write_text(json.dumps([_rounded(row) for row in rows], indent=1) + "\n")
-        for line in flips(old_rows, rows):
-            print(line)
-    for row in rows:
-        out = [f"{k} {v if isinstance(v, int) else f'{v:.2g}'}"
-               f"{'' if row['inside'][k] else ' (above bound)'}"
-               for k, v in row.get("values", {}).items()]
-        print(f"{row['point']:>24}  {row['outcome']:<20} picard {row['picard_iterations']}, "
-              f"{', '.join(out)}")
+        for name, (_, path) in TABLES.items():
+            old_rows = json.loads(path.read_text()) if path.exists() else []
+            path.write_text(json.dumps([_rounded(row) for row in tables[name]], indent=1) + "\n")
+            for line in flips(old_rows, tables[name]):
+                print(line)
+    for name, rows in tables.items():
+        print(f"{name} table")
+        for row in rows:
+            out = [f"{k} {v if isinstance(v, int) else f'{v:.2g}'}"
+                   f"{'' if row['inside'][k] else ' (above bound)'}"
+                   for k, v in row.get("values", {}).items()]
+            print(f"{row['point']:>24}  {row['outcome']:<20} picard {row['picard_iterations']}, "
+                  f"lsoda {row['lsoda_steps']}, {', '.join(out)}")
 
 
 if __name__ == "__main__":

@@ -108,6 +108,16 @@ class TestExpansionCheck:
         with pytest.raises(ResolutionError):
             expansion_check(stub)
 
+    def test_window_past_the_transition_is_refused(self):
+        # at (3, 0.00667, 2.753), m at 2% of (n-2)/n and gamma at 0.5% of
+        # its window, the eta = 1 table leaves its origin regime below
+        # rho = 0.01, so the window's last node rho* = 0.01 lies on the far
+        # side of the transition (xi = -20.7, z near -C1): refused before
+        # the fit, which read w-bar_rho(0) = +9,571 and raised InternalError
+        prof = solve_for_eta(derive_params(*_corner(3, 0.02, 0.005)), 1.0)
+        with pytest.raises(ResolutionError, match="past the transition: xi = -20.7 <= 0"):
+            expansion_check(prof)
+
     def test_q_defect_is_the_series_defect(self, unit_eta_profile):
         # Q(t) comes from the Q[2:] Horner pass the fit reads; it must give
         # polyval(t, Q)'s bits on the fit window
