@@ -20,12 +20,14 @@ is solved in that form, without pivoting, by LAPACK's dptsv.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg.blas import idamax
 from scipy.linalg.lapack import dptsv
 
 from .errors import (
@@ -144,21 +146,22 @@ class EvolveConfig:
     maxima over every node of every field marched together, so the fields
     of one step share one iteration count.  The start's residual is not
     tested, so every step takes at least one linear solve.  The scaled
-    residual has a roundoff floor above the default tolerance (6.0e-10 to
-    7.3e-7 at the states that the steps of fdx converge's orbit run return,
+    residual has a roundoff floor above the default tolerance (5.2e-10 to
+    8.2e-7 at the states that the steps of fdx converge's orbit run return,
     640 nodes on [1e-3, 1e3]), so there an increment test ends each step,
     and the predicted one ends it at the solve that converged the iterate.
     From u_old that takes two or three solves: on fdx contract's 20 pair
     seeds (512 nodes) 4,073 of the 4,264 steps take three and 191 take two,
     and 3,897 of them stop on the prediction.  A settled start that
     _Lockstep predicts in u is already within newton_tol and takes one:
-    11,852 of the orbit run's 12,012 predicted steps.  No residual follows
+    11,850 of the orbit run's 12,012 predicted steps.  No residual follows
     a converged full increment or a predicted stop: the step returns u +
     delta once it clears the positivity floor, without the damping veto.
     Each Newton iteration takes one power, u^m: the residual's u^m/m and
     the solve's u^(1-m) = u/u^m both come from it.
     dt_rel_max, when set, caps the step at dt_rel_max * t, which is the
-    natural accuracy knob for runs spanning decades of time.
+    natural accuracy knob for runs spanning decades of time.  The five float
+    fields take a real number and refuse a bool; dt_rel_max may be None.
     """
 
     dt_init: float = 1e-4
@@ -169,11 +172,15 @@ class EvolveConfig:
     newton_max: int = 12
 
     def __post_init__(self):
-        for name in ("dt_init", "dt_max", "dt_min", "newton_tol"):
-            if not 0 < getattr(self, name) < math.inf:
+        for name in ("dt_init", "dt_max", "dt_min", "dt_rel_max", "newton_tol"):
+            value = getattr(self, name)
+            if name == "dt_rel_max" and value is None:
+                continue
+            # a bool is an int to isinstance, so True would pass as 1.0
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
-        if self.dt_rel_max is not None and not 0 < self.dt_rel_max < math.inf:
-            raise ConfigError("dt_rel_max must be positive and finite when set")
         if not self.dt_min <= self.dt_init <= self.dt_max:
             raise ConfigError("need dt_min <= dt_init <= dt_max")
         if (isinstance(self.newton_max, bool) or not isinstance(self.newton_max, (int, np.integer))
@@ -403,6 +410,14 @@ class _Stepper:
         # the trace nodes take s = 1, and e_j couples node j to j + 1: zero at
         # a trace node, so across the seams
         self.e = -np.tile(np.concatenate([np.sqrt(lo[1:]) * np.sqrt(hi[:-1]), zero]), k)[1:-2]
+        # per-step buffers, rewritten by every step: the positivity floor, -ce
+        # and the couplings scaled by dt (dptsv copies e, so e_dt lasts the
+        # step), the scaled norms' |v|/scale and the trial's rows below the
+        # floor
+        rows = self.ce.size
+        self.floor, self.nce_dt, self.norm = np.empty(rows), np.empty(rows), np.empty(rows)
+        self.e_dt = np.empty(rows - 1)
+        self.below = np.empty(rows, dtype=bool)
 
     def _residual(self, u: np.ndarray, uo_int: np.ndarray,
                   dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -432,6 +447,12 @@ class _Stepper:
         z *= self.s
         z *= w
         return z
+
+    def _scaled_max(self, v: np.ndarray, scale: np.ndarray) -> float:
+        """max |v|/scale, formed in self.norm"""
+        norm = np.abs(v, out=self.norm)
+        norm /= scale
+        return float(norm.max())
 
     def step(self, u_old: np.ndarray, t: float, dt: float,
              start: Optional[np.ndarray] = None) -> tuple[np.ndarray, int, int]:
@@ -488,8 +509,9 @@ class _Stepper:
             raise _StepReject("newton")
         uo_int = uo[1:-1]
         scale = uo_int  # positive by invariant; fixed per step
-        floor = 1e-8 * scale
-        nce_dt, e_dt = self.nce * dt, self.e * dt
+        floor = np.multiply(scale, 1e-8, out=self.floor)
+        nce_dt = np.multiply(self.nce, dt, out=self.nce_dt)
+        e_dt = np.multiply(self.e, dt, out=self.e_dt)
         G, P = self._residual(u, uo_int, dt)
         # scaled residual norm of the current iterate: the start's is formed
         # only when a damping veto reads it, later ones come from the trial
@@ -499,7 +521,7 @@ class _Stepper:
         for it in range(cfg.newton_max):
             delta = self._solve(G, u[1:-1] / P[1:-1], nce_dt, e_dt)
             # scaled increment norm; nan or inf here is a non-finite update
-            inc = float((np.abs(delta) / scale).max())
+            inc = self._scaled_max(delta, scale)
             if not math.isfinite(inc):
                 raise _StepReject("newton")
             # the contraction rate over two full updates
@@ -511,7 +533,7 @@ class _Stepper:
             trial = u_try[1:-1]
             for _ in range(_MAX_BACKTRACK + 1):
                 np.add(u_int, delta if lam == 1.0 else lam * delta, out=trial)
-                if np.count_nonzero(trial <= floor):
+                if np.count_nonzero(np.less_equal(trial, floor, out=self.below)):
                     reason = "positivity"
                     lam *= 0.5
                     continue
@@ -524,9 +546,9 @@ class _Stepper:
                     # converged; it counts the solve that would have shown it
                     return u_try, it + 1, it + 2
                 if err0 is None:
-                    err0 = float((np.abs(G) / scale).max())
+                    err0 = self._scaled_max(G, scale)
                 G, P = self._residual(u_try, uo_int, dt)
-                err_try = float((np.abs(G) / scale).max())
+                err_try = self._scaled_max(G, scale)
                 # damped Newton: allow mild non-monotonicity, veto blow-up
                 if err_try <= 2.0 * err0 or err_try <= tol:
                     # lam is a power of two, so lam * inc is the scaled norm
@@ -549,30 +571,43 @@ def _predict(states: Sequence[np.ndarray], hs: Sequence[float], dt: float,
     accepted flat states of n_fields fields (newest first; hs[j] is the step
     from states[j + 1] to states[j]), dt past the newest, as a Lagrange-weighted
     sum with weights summing to 1, formed in one np.dot of the weights with
-    each field's states; only each field's interior is meaningful, the step
-    sets the traces.  A start that is not positive, or would overflow, raises
-    _StepReject."""
+    each field's states.  states is a list of arrays or the rows of one 2-d
+    block, which give the same bits.  Only each field's interior is
+    meaningful, the step sets the traces.  A start that would overflow
+    raises _StepReject; one that is not positive is the step's to refuse."""
     nodes = [0.0]
     for h in hs:
         nodes.append(nodes[-1] - h)
-    w = [math.prod([(dt - xk) / (xj - xk) for xk in nodes if xk != xj]) for xj in nodes]
-    w[0] = 1.0 - sum(w[1:])
+    # each weight past the newest is the product of its ratios, taken left to
+    # right; the newest's is 1 minus their sum, so that the weights sum to 1
+    rest = []
+    for xj in nodes[1:]:
+        wj = 1.0
+        for xk in nodes:
+            if xk != xj:
+                wj *= (dt - xk) / (xj - xk)
+        rest.append(wj)
+    w = [1.0 - sum(rest)] + rest
     # the weights are divided by their absolute sum, so no partial sum can
     # overflow, and whether the start would is a float comparison
     total = sum(map(abs, w))
     w = [wj / total for wj in w]
     if n_fields == 1:
         start = np.dot(w, states)
-        inner = start[1:-1]
+        inners = [start[1:-1]]
     else:
         # np.dot's bits at a node can depend on its place in BLAS's vector
         # blocks, so each field takes its own product, as it would alone
-        start = np.concatenate([np.dot(w, rows) for rows in zip(*(s.reshape(n_fields, -1)
-                                                                  for s in states))])
-        inner = start.reshape(n_fields, -1)[:, 1:-1]
-    if not (float(inner.min()) > 0.0 and float(inner.max()) * total < math.inf):
-        raise _StepReject("newton")
-    inner *= total
+        rows = np.asarray(states).reshape(len(w), n_fields, -1)
+        start = np.concatenate([np.dot(w, rows[:, b]) for b in range(n_fields)])
+        inners = start.reshape(n_fields, -1)[:, 1:-1]
+    for inner in inners:
+        # the largest |value|, by BLAS's idamax in one pass, so that a start
+        # of either sign that would overflow is refused before the in-place
+        # product; idamax may pass over a nan, which the step refuses
+        if not abs(float(inner[idamax(inner)])) * total < math.inf:
+            raise _StepReject("newton")
+        inner *= total
     return start
 
 
@@ -599,7 +634,8 @@ class _Lockstep:
     so it stays at the cap: a count of 4 (a predicted stop counts the solve
     it skips) would otherwise leave dt just below the next cap and hand the
     following steps to the growth rule, from u_old.
-    Such steps only keep references to the accepted states.
+    The predictor reads copies of the accepted states from a ring block;
+    the accepted array itself is still never written.
     """
 
     def __init__(self, fields: Sequence[RadialField], params: ParamSet, cfg: EvolveConfig):
@@ -627,10 +663,16 @@ class _Lockstep:
         self.one_m = 1.0 - params.m
         self.t_start = self.t = fields[0].t
         self.dt = cfg.dt_init
-        # the accepted states, newest first (self.u leads), and the step
-        # sizes between them, newest first
-        self.past = [self.u]
+        # the last _PREDICT_DEGREE + 1 accepted states, each copied to rows
+        # head and head + _PREDICT_DEGREE + 1 of one block, so that
+        # ring[head:head + q] holds the newest q, newest first, and no row
+        # moves; and the step sizes between them, newest first
+        self.ring = np.empty((2 * (_PREDICT_DEGREE + 1), self.u.size))
+        self.head = 0
+        self.ring[0] = self.ring[_PREDICT_DEGREE + 1] = self.u
         self.hs: list[float] = []
+        # buffer for the decay bound's (u_new - u_old)/u_new
+        self.rel = np.empty_like(self.u)
         self.n_steps = self.n_rejected = self.n_rejected_positivity = 0
         self.newton_total = 0
         self.min_u = [float(np.min(f.u)) for f in fields]
@@ -653,7 +695,8 @@ class _Lockstep:
             dt = t_target - t if clamped else dt_prop
             predicted = cap <= self.dt and bool(self.hs)
             try:
-                start = _predict(self.past, self.hs, dt, k) if predicted else None
+                q = len(self.hs) + 1
+                start = _predict(self.ring[self.head:self.head + q], self.hs, dt, k) if predicted else None
                 u_new, solves, iters = self.stepper.step(self.u, t, dt, start)
             except _StepReject as rej:
                 self.n_rejected += 1
@@ -674,7 +717,7 @@ class _Lockstep:
             # ((u_new - u_old)/dt - bound)/bound with bound = u_new/((1-m) t_new),
             # as gain max((u_new - u_old)/u_new) - 1 over each field's interior:
             # gain > 0 commutes with max
-            rel = u_new - self.u
+            rel = np.subtract(u_new, self.u, out=self.rel)
             rel /= u_new
             if k == 1:
                 rel_max, u_min = [float(rel[1:-1].max())], [float(u_new.min())]
@@ -686,7 +729,8 @@ class _Lockstep:
                 self.min_u[i] = min(self.min_u[i], u_min[i])
             self.newton_total += solves
             self.u = u_new
-            self.past = [u_new] + self.past[:_PREDICT_DEGREE]
+            self.head = head = (self.head - 1) % (_PREDICT_DEGREE + 1)
+            self.ring[head] = self.ring[head + _PREDICT_DEGREE + 1] = u_new
             self.hs = [dt] + self.hs[:_PREDICT_DEGREE - 1]
             self.n_steps += 1
             # a remainder clamped onto t_target says nothing about the step

@@ -306,10 +306,15 @@ def test_criterion_10_large_time_convergence(convergence_block, capsys):
     ok_time = convergence_block["elapsed"] <= 600.0
 
     ok = ok_orbit and ok_decreasing and ok_final and ok_time
+    # the step sequence of each run, printed so that a change to it shows;
+    # no gate reads it
+    steps = "; ".join(f"{name} n_steps {st.n_steps}, newton_total {st.newton_total}, "
+                      f"n_rejected {st.n_rejected}"
+                      for name, st in zip(("orbit", "bump"), convergence_block["stats"]))
     _emit(capsys, 10, "rescaled solutions converge to the limit profile", ok,
           f"orbit rel distance {rel_orbit:.2e} <= 5e-3; perturbed decreasing past "
           f"tau=0.5: {ok_decreasing}, final/initial {ratio:.3f} <= 0.1; "
-          f"runtime {convergence_block['elapsed']:.0f}s <= 600s")
+          f"runtime {convergence_block['elapsed']:.0f}s <= 600s; {steps}")
     assert ok
 
 

@@ -111,6 +111,21 @@ class TestEvolveConfig:
                 with pytest.raises(ConfigError, match=name):
                     EvolveConfig(**{name: bad})
 
+    @pytest.mark.parametrize("name, bad", [
+        # True would pass as 1.0: Newton at a tolerance of 1, dt at 1
+        ("dt_max", True), ("dt_rel_max", True), ("newton_tol", True), ("dt_min", False),
+        # these would reach the range comparison and raise a bare TypeError
+        ("dt_max", "0.1"), ("newton_tol", None), ("dt_init", 1 + 0j), ("dt_min", None),
+    ])
+    def test_float_fields_refuse_bool_and_non_real(self, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            EvolveConfig(**{name: bad})
+
+    def test_float_fields_take_any_real(self):
+        cfg = EvolveConfig(dt_init=np.float64(1e-3), dt_max=1, dt_rel_max=None,
+                           newton_tol=np.float32(1e-6))
+        assert cfg.dt_max == 1 and cfg.dt_rel_max is None
+
 
 class TestRadialField:
     def test_validation(self, grid128, params_ref):
@@ -622,20 +637,24 @@ class TestStepperKernel:
 
     def test_unusable_start_is_rejected(self, grid128, params_ref, bb):
         # a negative extrapolation, or a start with a zero or a nan, ends in
-        # _StepReject.  _predict raises no RuntimeWarning, which the test
-        # configuration would turn into an error, even where its sum would
-        # pass the largest float
+        # _StepReject from the step; a start that would overflow, of either
+        # sign, in _StepReject from _predict.  _predict raises no
+        # RuntimeWarning, which the test configuration would turn into an
+        # error, even where its sum would pass the largest float
         field = _bb_field(bb, grid128, 1.0, params_ref)
         stepper = _Stepper(grid128, params_ref, EvolveConfig(), [field.bc])
+        # u halves per 1e-3, so 2 ahead the line through both states is
+        # negative: _predict returns it, and the step refuses it
+        start = _predict([field.u, 2.0 * field.u], [1e-3], 2.0, 1)
+        assert float(start[1:-1].max()) < 0.0
         with pytest.raises(_StepReject):
-            # u halves per 1e-3, so 2 ahead the line through both states is negative
-            start = _predict([field.u, 2.0 * field.u], [1e-3], 2.0, 1)
             stepper.step(field.u, 1.0, 2.0, start)
         big = 1e300 * field.u / field.u.max()
         start = _predict([big, 0.5 * big], [1e-3], 2.0, 1)
         assert np.allclose(start[1:-1], 1001.0 * big[1:-1], rtol=1e-12, atol=0.0)
-        with pytest.raises(_StepReject):
-            _predict([big, 0.5 * big], [1e-3], 1e6, 1)
+        for states in ([big, 0.5 * big], [0.5 * big, big]):
+            with pytest.raises(_StepReject):
+                _predict(states, [1e-3], 1e6, 1)
         for bad in (0.0, math.nan):
             start = field.u.copy()
             start[5] = bad
@@ -759,6 +778,47 @@ class TestNewtonPredictor:
         assert out.stats.n_rejected == 1
         assert out.stats.n_rejected_positivity == 0
         assert out.stats.n_steps == len(attempts) - 1
+
+    @pytest.mark.parametrize("lams", [(1.0,), (1.0, 1.2)])
+    def test_ring_start_equals_the_listed_states_start(self, unit_eta_profile, monkeypatch,
+                                                        lams):
+        # the orbit, alone and next to the orbit of another scaling, on fdx
+        # converge's grid from dt_init at the cap, so prediction begins at
+        # the second step through 2, then 3, then 4 states.  Over about 40
+        # steps the ring wraps several times, and the third predicted start
+        # is rejected (one node negated).  Every window _Lockstep reads from
+        # the ring is the accepted states newest first, and its start equals
+        # _predict's over those states listed, bit for bit
+        profile, grid = unit_eta_profile, log_grid(1e-3, 1e3, 640)
+        fields = [sample_solution(self_similar_solution(profile, lam), 2.0, grid, profile.params)
+                  for lam in lams]
+        accepted = [np.concatenate([f.u for f in fields])]
+        windows = []
+        step, predict = _Stepper.step, fastdiff.pde._predict
+
+        def recording(self, u_old, t, dt, start=None):
+            u_new, solves, iters = step(self, u_old, t, dt, start)
+            accepted.insert(0, u_new)
+            return u_new, solves, iters
+
+        def checked(states, hs, dt, n_fields):
+            start = predict(states, hs, dt, n_fields)
+            listed = accepted[:len(hs) + 1]
+            assert np.array_equal(states, np.array(listed))
+            assert np.array_equal(start, predict(listed, hs, dt, n_fields))
+            windows.append(len(listed))
+            if len(windows) == 3:
+                start[5] = -start[5]
+            return start
+
+        monkeypatch.setattr(_Stepper, "step", recording)
+        monkeypatch.setattr(fastdiff.pde, "_predict", checked)
+        march = _Lockstep(fields, profile.params, EvolveConfig(dt_init=5e-4, dt_rel_max=2.5e-4))
+        march.advance(2.02)
+        assert windows[:3] == [2, 3, 4]
+        assert len(windows) > 2 * (fastdiff.pde._PREDICT_DEGREE + 1) + 3
+        assert march.n_rejected == 1
+        assert march.n_steps == len(accepted) - 1
 
     def test_bump_steps_stay_at_the_cap(self, unit_eta_profile, weight_ref, monkeypatch):
         # fdx converge --case bump to t = 1.02.  The predicted step at
