@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -64,12 +65,18 @@ class Opt(NamedTuple):
     nullable: bool = False
 
 
+def _default(func: Callable, name: str):
+    """The default of func's parameter name, so a flag and its library
+    function share one value."""
+    return inspect.signature(func).parameters[name].default
+
+
 _PROFILE_MODEL = {
     "m": Opt(float, 0.2, "diffusion exponent, 0 < m < (n-2)/n"),
     "gamma": Opt(float, 4.0, "singularity strength, 2/(1-m) < gamma < (n-2)/m"),
     "eta": Opt(float, 1.0, "target origin coefficient lim r^gamma f"),
-    "b1_margin": Opt(float, 0.05, "relative safety margin above b0"),
-    "tol": Opt(float, 1e-12, "master tolerance for the solvers"),
+    "b1_margin": Opt(float, _default(solve_for_eta, "b1_margin"), "relative safety margin above b0"),
+    "tol": Opt(float, _default(solve_for_eta, "tol"), "master tolerance for the solvers"),
 }
 _WEIGHT = {
     "mu": Opt(float, None, "weight decay exponent, 0 < mu < n-2 (default (n-2)/2)",
@@ -95,9 +102,9 @@ _STEPPING = {
 }
 _BUMP = {
     "a0": Opt(float, 1.0, "power-law amplitude"),
-    "amp": Opt(float, 0.10, "bump amplitude"),
-    "center": Opt(float, -1.2, "bump center in log r"),
-    "width": Opt(float, 2.0, "bump half-width in log r"),
+    "amp": Opt(float, _default(power_bump_initial, "amp"), "bump amplitude"),
+    "center": Opt(float, _default(power_bump_initial, "center"), "bump center in log r"),
+    "width": Opt(float, _default(power_bump_initial, "width"), "bump half-width in log r"),
 }
 _EVOLVE_FIELDS = {f.name for f in fields(EvolveConfig)}
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
@@ -390,9 +397,10 @@ _COMMANDS = {
         **_PROFILE_MODEL, **_WEIGHT, **_STEPPING,
         "t_end": Opt(float, 3.0, "final time"),
         "samples": Opt(int, 12, "number of sampled times"),
-        "lam_a": Opt(float, 1.2, "first envelope scaling"),
-        "lam_b": Opt(float, 0.8, "second envelope scaling"),
-        "theta_amp": Opt(float, 0.12, "amplitude of the random interpolation field"),
+        "lam_a": Opt(float, _default(random_sandwiched_pair, "lam_pair")[0], "first envelope scaling"),
+        "lam_b": Opt(float, _default(random_sandwiched_pair, "lam_pair")[1], "second envelope scaling"),
+        "theta_amp": Opt(float, _default(random_sandwiched_pair, "theta_amp"),
+                         "amplitude of the random interpolation field"),
         "seed": Opt(int, 0, "random seed"),
     }),
     "converge": Command(_cmd_converge, "large-time convergence of rescaled solutions", {

@@ -88,6 +88,9 @@ LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on its states
 _ORIGIN_TERMS = 40         # origin series terms: rho* <= c/40 cuts it before its smallest
 _ORIGIN_Q_TOL = 1e-10      # relative q defect of the origin match (sweep's worst 2.9e-12)
 _RHO_LEG = 0.1             # continue_left integrates in rho = e^(s/b') below this
+# most nodes of a tail grid or profile table; the largest default ones hold
+# 100,668 (the tail at (8, 0.735, 7.55)) and 786,222 (the table at (8, 0.015, 398))
+_MAX_NODES = 10**7
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)   # log of the largest float
 # continue_left's derivative for a trial state whose own one is not finite:
 # far past any true one, yet LSODA's norms of it and the difference
@@ -101,8 +104,11 @@ _TRIAL_DERIV = math.sqrt(sys.float_info.max)
 class TailSolution:
     """The Picard fixed point (wt, h) on the uniform tail grid [b1, s_max].
 
-    h_spline, the cubic spline of h on the grid, is built on first use and
-    kept by the instance: tail_residual and continue_left both read it.
+    The tail's two interpolants, the cubic splines h_spline of h and
+    W_spline of W = log wt on the grid, are built on first use and kept by
+    the instance: tail_residual and continue_left both read them.  W is
+    about -C1 s, so its spline is near exact where one of wt = e^W would
+    err by about (5/384)(C1 ds)^4 relative.
     """
     grid: np.ndarray
     h: np.ndarray
@@ -116,6 +122,10 @@ class TailSolution:
     @cached_property
     def h_spline(self) -> CubicSpline:
         return CubicSpline(self.grid, self.h)
+
+    @cached_property
+    def W_spline(self) -> CubicSpline:
+        return CubicSpline(self.grid, np.log(self.wt))
 
 
 @dataclass(frozen=True)
@@ -241,6 +251,13 @@ def _backward_recurrence(a, b, last):
     return _TBSV(1, band, np.append(b, last), diag=1, overwrite_x=1)
 
 
+def _check_nodes(count: float, what: str) -> None:
+    """RangeError for a grid of count > _MAX_NODES nodes, inf included."""
+    if not count <= _MAX_NODES:
+        raise RangeError(f"{what} would hold {count:.3g} nodes, over the budget of {_MAX_NODES:,}; "
+                         f"choose a shorter range")
+
+
 def _tail_seed(fp: FPConstants, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Picard's start (wt0, h0) on the tail grid s: the first term of the
     far-field expansion, h0 = c e^(-C2 s) with c = min(b' C1/(n-2+C2), C3,
@@ -266,10 +283,11 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
 
     The tail runs from b1 to s_max, by default b1 + max(40/C2, -log(tol)/C2),
     where the term Phi_1 and Phi_2 neglect past the grid is below e^(-40) and
-    tol, at a step of at most min(0.01/C2, 0.015/(n-2+C2)): 4,001 nodes at
-    the reference point.  An explicit s_max below
-    b1 + 40/C2 is refused with RangeError, and a tail grid whose D_b1
-    weights leave the double range with ResolutionError.
+    tol, at a step of at most 0.01/C2, the scale of h: 4,001 nodes at the
+    reference point.  An explicit s_max below b1 + 40/C2, or one whose grid
+    would hold more than _MAX_NODES nodes, is refused with RangeError before
+    any array is made, and a tail grid whose D_b1 weights leave the double
+    range with ResolutionError.
 
     Membership in D_b1 is asserted for every iterate; the returned
     fp_residual substitutes the fixed point back into the integral equation
@@ -283,8 +301,8 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     if not b1 + 40.0 / C2 <= s_max < math.inf:
         raise RangeError(f"s_max must be finite and at least b1 + 40/C2 = {b1 + 40.0 / C2}, "
                          f"got {s_max}")
-    # the kernel of Phi_2 varies at rate n - 2 + b'X, h at rate C2
-    ds_target = min(0.01 / C2, 0.015 / (fp.params.n - 2 + C2))
+    ds_target = 0.01 / C2
+    _check_nodes((s_max - b1) / ds_target + 1.0, "the tail grid")
     nseg = int(math.ceil((s_max - b1) / ds_target))
     ds = (s_max - b1) / nseg
     s = b1 + ds * np.arange(nseg + 1)
@@ -326,7 +344,7 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
         grid=s, h=h, wt=wt, fp_residual=math.nan, iterations=it, fp=fp,
         update_norms=np.asarray(norms), update_ratios=np.asarray(ratios),
     )
-    # set in place, so the tail keeps the h spline tail_residual built
+    # set in place, so the tail keeps the splines tail_residual built
     object.__setattr__(tail, "fp_residual", tail_residual(tail))
     return tail
 
@@ -366,21 +384,22 @@ def tail_residual(tail: TailSolution) -> float:
     run (numerics.lsoda_at) that outputs the _TAIL_SAMPLES comparison
     points, where h is compared with Y e^(-C2 s).  On y the error control
     would follow its e^(-C2 s) decay step by step: 760 steps where Y takes
-    118 at the reference point.  J = int_s^inf h in Phi_1 is the exact
+    108 at the reference point.  J = int_s^inf h in Phi_1 is the exact
     integral F(s_max) - F(s) of h's cubic spline, F its antiderivative, plus
-    the analytic tail h(s_max)/C2.  Comparing against (h, wt) there avoids
-    every piece of the Picard quadrature path.
+    the analytic tail h(s_max)/C2.  wt enters through the tail's spline of
+    W = log wt, as X = exp((1-m) W - s/b') and as the wt = e^W compared
+    with Phi_1.  Comparing against (h, wt) there avoids every piece of the
+    Picard quadrature path.
     """
     fp = tail.fp
     p = fp.params
     n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, fp.C2
     s, h, wt = tail.grid, tail.h, tail.wt
-    h_sp = tail.h_spline
-    wt_sp = CubicSpline(s, wt)
-    h_at, wt_at = _spline_at(h_sp), _spline_at(wt_sp)
+    h_sp, W_sp = tail.h_spline, tail.W_spline
+    h_at, W_at = _spline_at(h_sp), _spline_at(W_sp)
 
     def rhs(sv, Y):
-        X = math.exp(-sv / bp) * max(wt_at(sv), 0.0) ** (1.0 - m)
+        X = math.exp((1.0 - m) * W_at(sv) - sv / bp)
         hv = h_at(sv)
         q = bp * C1 * X + m * hv * hv
         return [(n - 2 + C2 + bp * X) * Y[0] - math.exp(C2 * sv) * q]
@@ -393,7 +412,7 @@ def tail_residual(tail: TailSolution) -> float:
     res_h = np.abs(h_sp(sc) - Y[0, :0:-1] * np.exp(-C2 * sc)) * np.exp(0.5 * C2 * sc)
     F = h_sp.antiderivative()
     phi1 = np.exp(-(F(s[-1]) - F(sc) + h[-1] / C2) - C1 * sc)
-    res_wt = np.abs(wt_sp(sc) - phi1) * np.exp(C1 * sc)
+    res_wt = np.abs(np.exp(W_sp(sc)) - phi1) * np.exp(C1 * sc)
     return float(max(res_h.max(), res_wt.max()))
 
 
@@ -443,7 +462,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     LSODA run.  A first node where rho^2 underflows is refused
     (ResolutionError).  eta_origin and origin_q_defect come from
     _origin_match, which refuses a grid too shallow for the origin series
-    (ResolutionError) or a series that misses z (ExtrapolationError).
+    (ResolutionError) or a series that misses z (ExtrapolationError).  A
+    table of more than _MAX_NODES rows is refused with RangeError before
+    any array is made.
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -497,12 +518,14 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # b1's state (LSODA refuses an output a few ulp away)
     s_T, h_T, C2 = float(tail.grid[-1]), float(tail.h[-1]), tail.fp.C2
     ds = min(PROFILE_DS, 0.02 / C2)
-    n_left = int(math.ceil((b1 - s_min) / ds))
-    s_min_adj = b1 - n_left * ds
     # the table's right end (see above): the cap keeps wt = e^W and
     # far_field_gap's e^(C1 s) normal floats
     s_end = max(s_T, min(b1 + max(40.0, 40.0 / C2, -math.log(tol) / C2),
                          -math.log(sys.float_info.min) / C1))
+    # n_left + n_right + 1 rows, fewer than this
+    _check_nodes((s_end - s_min) / ds + 2.0, "the profile table")
+    n_left = int(math.ceil((b1 - s_min) / ds))
+    s_min_adj = b1 - n_left * ds
     n_right = int(math.floor((s_end - b1) / ds))
     s_grid = s_min_adj + ds * np.arange(n_left + n_right + 1)
     # the s-leg ends on node k, the last at or below rho = _RHO_LEG, and the
@@ -527,15 +550,14 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                         jac=rho_jac, **left_tol)
         ql, Wr = y[:, :0:-1]
         zr, Wl = rho[:k] * ql / bp, np.concatenate([Wr, Wl])
-    # rows past s_T take the analytic tail; log wt's tail spline is not kept
+    # rows past s_T take the analytic tail
     sr = s_grid[n_left + 1:]
     j = int(np.searchsorted(sr, s_T, side="right"))
     h_tail = tail.h_spline(sr[:j])
     h_far = h_T * np.exp(-C2 * (sr[j:] - s_T))
     xi = np.concatenate([_logit(C1 + zr, -zr), xil, _logit(h_tail, C1 - h_tail),
                          _logit(h_T, C1 - h_far) - C2 * (sr[j:] - s_T)])
-    W = np.concatenate([Wl, CubicSpline(tail.grid, np.log(tail.wt))(sr[:j]),
-                        -C1 * sr[j:] - h_far / C2])
+    W = np.concatenate([Wl, tail.W_spline(sr[:j]), -C1 * sr[j:] - h_far / C2])
     prof = Profile(
         params=p, eta_inf=1.0, s_grid=s_grid, xi=xi, W=W, eta_origin=math.nan,
         far_field_gap=abs(float(np.exp(W[-1])) * math.exp(C1 * float(s_grid[-1])) - 1.0),
@@ -656,7 +678,7 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
     if not 0.0 < target_eta < math.inf:
         raise RangeError(f"target_eta must be positive and finite, got {target_eta}")
     fp = derive_fp_constants(params, b1_margin=b1_margin)
-    # no name holds the tail, so it and its h spline die after continue_left
+    # no name holds the tail, so it and its splines die after continue_left
     prof = continue_left(picard_solve(fp, s_max=s_max, tol=tol), s_min=s_min, tol=tol)
     return rescale_profile(prof, lambda_for_amplitude(prof, target_eta))
 

@@ -10,8 +10,9 @@ two ODE residuals, and counts ACCEPTANCE 03's pointwise violations.  A
 point that fails records the class of its typed error; one that completes
 records each checked value and whether it lies inside the ACCEPTANCE bound
 of the same name.  Every row also records the point's Picard iteration
-count and the step count of each LSODA run it made (tail_residual's, then
-continue_left's s-leg and rho-leg), which no bound holds.
+count, its tail grid's node count and the step count of each LSODA run it
+made (tail_residual's, then continue_left's s-leg and rho-leg), which no
+bound holds.
 tests/sweep_expected.json and tests/edge_expected.json hold the tables,
 their values to two digits, and tests/test_sweep.py asserts that a run
 reproduces their outcomes and inside flags, and that every sweep flag is
@@ -121,15 +122,15 @@ def _lsoda_steps():
 @functools.cache
 def run_point(point):
     """The table row of one point: its outcome, its Picard iteration count
-    (None if picard_solve failed), the step counts of the LSODA runs that
-    completed, and for a completing point each value with whether it is
-    inside its ACCEPTANCE bound."""
-    iterations, steps = None, []
+    and tail node count (None if picard_solve failed), the step counts of
+    the LSODA runs that completed, and for a completing point each value
+    with whether it is inside its ACCEPTANCE bound."""
+    iterations, nodes, steps = None, None, []
     try:
         fp = derive_fp_constants(derive_params(*point))
         with _lsoda_steps() as steps:
             tail = picard_solve(fp)
-            iterations = tail.iterations
+            iterations, nodes = tail.iterations, tail.grid.size
             base = continue_left(tail)
         prof = rescale_profile(base, lambda_for_amplitude(base, 1.0))
         rep = expansion_check(prof)
@@ -145,13 +146,14 @@ def run_point(point):
         }
     except FastDiffError as exc:
         return {"point": point_id(point), "outcome": type(exc).__name__,
-                "picard_iterations": iterations, "lsoda_steps": steps}
+                "picard_iterations": iterations, "tail_nodes": nodes, "lsoda_steps": steps}
     far_bound = math.exp(-fp.C2 * (float(base.s_grid[-1]) - fp.b1)) + 1e-8
     bounds = {**BOUNDS, "far_field_gap": far_bound}
     return {
         "point": point_id(point),
         "outcome": "pass",
         "picard_iterations": iterations,
+        "tail_nodes": nodes,
         "lsoda_steps": steps,
         "values": values,
         "inside": {k: bool(v <= bounds[k]) for k, v in values.items()},
@@ -203,7 +205,7 @@ def main(argv):
                    f"{'' if row['inside'][k] else ' (above bound)'}"
                    for k, v in row.get("values", {}).items()]
             print(f"{row['point']:>24}  {row['outcome']:<20} picard {row['picard_iterations']}, "
-                  f"lsoda {row['lsoda_steps']}, {', '.join(out)}")
+                  f"tail nodes {row['tail_nodes']}, lsoda {row['lsoda_steps']}, {', '.join(out)}")
 
 
 if __name__ == "__main__":

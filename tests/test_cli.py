@@ -568,6 +568,16 @@ class TestExitCodes:
         assert cli.main([*argv, "--n", "3", "--out", str(tmp_path)]) == 2
         assert "must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--s-max=1e300", "--s-min=-1e300"])
+    def test_oversized_grid_is_bad_input(self, flag, tmp_path):
+        # a tail or table past the node budget is refused before it is
+        # allocated, where numpy raised an untyped "Maximum allowed size"
+        rc = cli.main(["profile", "--n", "3", flag, "--out", str(tmp_path)])
+        assert rc == 2
+        record = read_json(tmp_path / "error.json")
+        assert record["error"] == "RangeError" and "budget" in record["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["error.json"]
+
     def test_numerical_failure_is_exit_3(self, tmp_path):
         rc = cli.main(["evolve", "--n", "3", "--kind", "barenblatt", "--out", str(tmp_path),
                        "--nodes", "96", "--r-in", "0.01", "--r-out", "100",
@@ -757,27 +767,52 @@ class TestConfigResolution:
     def test_option_defaults_are_the_library_defaults(self):
         # one place for each default: an option's default is the default of
         # the library parameter it feeds, in every command that takes it
-        def default(fn, name):
-            return inspect.signature(fn).parameters[name].default
-
-        lam_pair = default(fastdiff.random_sandwiched_pair, "lam_pair")
-        library = {
-            "amp": default(fastdiff.power_bump_initial, "amp"),
-            "center": default(fastdiff.power_bump_initial, "center"),
-            "width": default(fastdiff.power_bump_initial, "width"),
-            "lam_a": lam_pair[0],
-            "lam_b": lam_pair[1],
-            "theta_amp": default(fastdiff.random_sandwiched_pair, "theta_amp"),
-            "tol": default(fastdiff.solve_for_eta, "tol"),
-            "b1_margin": default(fastdiff.solve_for_eta, "b1_margin"),
-            "t0": default(fastdiff.convergence_experiment, "t0"),
-        }
+        library = library_defaults()
         seen = set()
         for name, command in cli._COMMANDS.items():
             for key in library.keys() & command.options.keys():
                 assert command.options[key].default == library[key], (name, key)
                 seen.add(key)
         assert seen == set(library)
+
+    def test_option_defaults_follow_the_library_signatures(self):
+        # the defaults are read off the signatures, not copied: other library
+        # defaults reach the options when cli is loaded again
+        other = {fastdiff.solve_for_eta: (2e-12, 0.07, None, None),
+                 fastdiff.power_bump_initial: (0.2, -1.0, 3.0),
+                 fastdiff.random_sandwiched_pair: ((1.3, 0.7), 0.2)}
+        saved = {f: f.__defaults__ for f in other}
+        try:
+            for f, defaults in other.items():
+                f.__defaults__ = defaults
+            importlib.reload(cli)
+            library = library_defaults()
+            for command in cli._COMMANDS.values():
+                for key in library.keys() & command.options.keys() - {"t0"}:
+                    assert command.options[key].default == library[key], key
+        finally:
+            for f, defaults in saved.items():
+                f.__defaults__ = defaults
+            importlib.reload(cli)
+
+
+def library_defaults():
+    """The library default of each fdx option that feeds one parameter."""
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    lam_pair = default(fastdiff.random_sandwiched_pair, "lam_pair")
+    return {
+        "amp": default(fastdiff.power_bump_initial, "amp"),
+        "center": default(fastdiff.power_bump_initial, "center"),
+        "width": default(fastdiff.power_bump_initial, "width"),
+        "lam_a": lam_pair[0],
+        "lam_b": lam_pair[1],
+        "theta_amp": default(fastdiff.random_sandwiched_pair, "theta_amp"),
+        "tol": default(fastdiff.solve_for_eta, "tol"),
+        "b1_margin": default(fastdiff.solve_for_eta, "b1_margin"),
+        "t0": default(fastdiff.convergence_experiment, "t0"),
+    }
 
 
 FDX_SUBCOMMANDS = {"profile", "expansion", "weight", "evolve", "contract", "converge"}

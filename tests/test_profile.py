@@ -31,7 +31,8 @@ from fastdiff import (
 )
 import fastdiff.profile
 from fastdiff.numerics import lsoda_at
-from fastdiff.profile import (PROFILE_DS, _ORIGIN_Q_TOL, _backward_recurrence, _check_membership,
+from fastdiff.profile import (PROFILE_DS, _MAX_NODES, _ORIGIN_Q_TOL, _backward_recurrence,
+                              _check_membership,
                               _horner, _origin_match, _origin_node, _origin_series, _spline_at,
                               _tail_seed, _weighted_norm)
 from sweep import point_id, sweep_points
@@ -58,6 +59,26 @@ class TestPicardSolve:
 
     def test_fixed_point_residual(self, tail_ref):
         assert 0.0 <= tail_ref.fp_residual <= 1e-10
+
+    def test_fixed_point_residual_where_wt_decays_fast(self):
+        # C1 = 3.2 here: a cubic spline of wt = e^(-C1 s) itself errs by
+        # about (5/384)(C1 ds)^4 relative and read 7.5e-11 against the gate
+        # 1e-10; on the spline of log wt the reading is the fixed point's
+        # own defect, 3.5e-13
+        fp = derive_fp_constants(derive_params(8, 0.375, 3.84))
+        assert picard_solve(fp).fp_residual <= 1e-12
+
+    @pytest.mark.parametrize("point", [(3, 0.2, 4.0), (8, 0.375, 3.84)], ids=["ref", "n8-m0.375"])
+    def test_residual_sees_a_smooth_wt_dent(self, point):
+        # a relative dent of 1e-10 in wt, a Gaussian of width 0.05 at b1 + 1,
+        # reads about 1e-10: 36x and 283x the clean readings.  On a spline of
+        # wt itself the second point read 1.26x, its interpolation error
+        # hiding the dent.  replace() makes a new tail, so no spline carries over
+        fp = derive_fp_constants(derive_params(*point))
+        tail = picard_solve(fp)
+        x = (tail.grid - fp.b1 - 1.0) / 0.05
+        dented = replace(tail, wt=tail.wt * (1.0 + 1e-10 * np.exp(-x * x)))
+        assert tail_residual(dented) >= 10.0 * tail.fp_residual
 
     def test_converges_in_few_iterations(self, tail_ref):
         assert tail_ref.iterations <= 8
@@ -126,6 +147,13 @@ class TestPicardSolve:
         with pytest.raises(RangeError):
             picard_solve(fp_ref, s_max=fp_ref.b1 + 1.0)
 
+    @pytest.mark.parametrize("past", [1e300, 0.01 * _MAX_NODES], ids=["1e300", "one-node-past"])
+    def test_oversized_grid_is_refused(self, past, fp_ref):
+        # at the step 0.01/C2, b1 + (0.01/C2) _MAX_NODES is one node past the
+        # budget; the refusal comes before any array is made
+        with pytest.raises(RangeError, match="budget"):
+            picard_solve(fp_ref, s_max=fp_ref.b1 + past / fp_ref.C2)
+
     def test_default_s_max_when_c2_below_one(self):
         # at m = 90% of (n-2)/n, C2 = 1/3: the default right end must clear
         # the b1 + 40/C2 floor the function itself enforces
@@ -157,7 +185,7 @@ class TestPicardSolve:
 
     def test_residual_run_step_count(self, tail_ref, monkeypatch):
         # the scaled state Y = e^(C2 s) Phi_2 is O(1) over the tail, so LSODA
-        # need not follow Phi_2's e^(-C2 s) decay: measured 118 steps at the
+        # need not follow Phi_2's e^(-C2 s) decay: measured 108 steps at the
         # reference point, where integrating Phi_2 itself took 760
         steps = []
 
@@ -455,6 +483,14 @@ class TestContinueLeft:
     def test_smin_validation(self, tail_ref, fp_ref):
         with pytest.raises(RangeError):
             continue_left(tail_ref, s_min=fp_ref.b1 + 5.0)
+
+    @pytest.mark.parametrize("depth", [1e300, PROFILE_DS * _MAX_NODES], ids=["1e300", "just-past"])
+    def test_oversized_table_is_refused(self, depth, tail_ref, fp_ref):
+        # the reference table's step is PROFILE_DS, so the rows left of b1
+        # alone fill the budget at the second depth; the refusal comes
+        # before any array is made
+        with pytest.raises(RangeError, match="budget"):
+            continue_left(tail_ref, s_min=fp_ref.b1 - depth)
 
 
 class TestRecoverProfile:
