@@ -98,7 +98,7 @@ _STEPPING = {
     "r_in": Opt(float, 1e-3, "inner truncation radius"),
     "r_out": Opt(float, 1e3, "outer truncation radius"),
     "nodes": Opt(int, 512, "grid nodes (log-uniform)"),
-    "t0": Opt(float, 1.0, "initial time"),
+    "t0": Opt(float, _default(convergence_experiment, "t0"), "initial time"),
 }
 _BUMP = {
     "a0": Opt(float, 1.0, "power-law amplitude"),

@@ -108,12 +108,13 @@ class TailSolution:
     W_spline of W = log wt on the grid, are built on first use and kept by
     the instance: tail_residual and continue_left both read them.  W is
     about -C1 s, so its spline is near exact where one of wt = e^W would
-    err by about (5/384)(C1 ds)^4 relative.
+    err by about (5/384)(C1 ds)^4 relative.  fp_residual, the fixed point's
+    defect along tail_residual's independent route, is one LSODA run, also
+    made on first read and kept: a caller that never reads it never pays.
     """
     grid: np.ndarray
     h: np.ndarray
     wt: np.ndarray
-    fp_residual: float
     iterations: int
     fp: FPConstants
     update_norms: np.ndarray
@@ -127,17 +128,25 @@ class TailSolution:
     def W_spline(self) -> CubicSpline:
         return CubicSpline(self.grid, np.log(self.wt))
 
+    @cached_property
+    def fp_residual(self) -> float:
+        return tail_residual(self)
+
 
 @dataclass(frozen=True)
 class Profile:
     """The profile table on the uniform s-grid, s = log r, with its origin
-    coefficient and the tail's Picard data, all built by continue_left.
+    coefficient and the tail it was continued from, all built by
+    continue_left.
 
     Each row stores (s, xi, W); r = e^s, wt = e^W and f = e^(-gamma s + W)
     are formed by whoever reads them, since f and wt can leave the double
     range at the ends of a deep or rescaled table, and so are h, z and
     r f_r/f from xi.  xi is finite on every row, so 0 < h < C1 holds by
-    construction, though the float h reads 0 where C1 e^xi underflows."""
+    construction, though the float h reads 0 where C1 e^xi underflows.
+    fp_residual and picard_iterations are the tail's, read through it: the
+    residual is computed on the first read of any profile that shares the
+    tail, rescale_profile's copies included, and each reads the same float."""
     params: ParamSet
     eta_inf: float
     s_grid: np.ndarray
@@ -151,8 +160,17 @@ class Profile:
     # cannot see a defect of the table
     far_field_gap: float
     origin_q_defect: float     # relative, so rescaling leaves it as it is; see _origin_match
-    fp_residual: float
-    picard_iterations: int
+    tail: TailSolution
+
+    @property
+    def fp_residual(self) -> float:
+        """The tail's fixed-point residual, tail_residual(tail)."""
+        return self.tail.fp_residual
+
+    @property
+    def picard_iterations(self) -> int:
+        """The tail's Picard iteration count."""
+        return self.tail.iterations
 
     @property
     def h(self) -> np.ndarray:
@@ -223,13 +241,15 @@ def _phi_map(wt, h, s, ds, fp, decay):
     a = np.exp(-bp * np.diff(G) - k * ds)           # carry factor across one interval
     b = np.empty(npts - 1)
     w0, w1, w2, w3 = _W_MID
-    i = np.arange(1, npts - 2)
+    # rel(i - 1, i), rel(i + 1, i) and rel(i + 2, i) on i = 1 .. npts - 3,
+    # from slices: j - i is constant, so k ds (j - i) is the same float, and
     # rel(i + 1, i) is a[i] to the bit
+    Gi = G[1:-2]
     b[1:-1] = ds * (
-        w0 * rel(i - 1, i) * q[i - 1]
-        + w1 * q[i]
-        + w2 * a[1:-1] * q[i + 1]
-        + w3 * rel(i + 2, i) * q[i + 2]
+        w0 * np.exp(-bp * (G[:-3] - Gi) + k * ds) * q[:-3]
+        + w1 * q[1:-2]
+        + w2 * a[1:-1] * q[2:-1]
+        + w3 * np.exp(-bp * (G[3:] - Gi) - 2 * k * ds) * q[3:]
     )
     b[0] = ds * sum(_W_FIRST[j] * rel(j, 0) * q[j] for j in range(4))
     last = npts - 2
@@ -289,9 +309,10 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     any array is made, and a tail grid whose D_b1 weights leave the double
     range with ResolutionError.
 
-    Membership in D_b1 is asserted for every iterate; the returned
-    fp_residual substitutes the fixed point back into the integral equation
-    along a route independent of the Picard quadrature (see tail_residual).
+    Membership in D_b1 is asserted for every iterate; the returned tail's
+    fp_residual, computed on its first read, substitutes the fixed point
+    back into the integral equation along a route independent of the
+    Picard quadrature (see tail_residual).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -340,13 +361,10 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     else:
         raise ToleranceError(f"Picard iteration did not reach {tol} in {_PICARD_MAX_ITER} iterations")
 
-    tail = TailSolution(
-        grid=s, h=h, wt=wt, fp_residual=math.nan, iterations=it, fp=fp,
+    return TailSolution(
+        grid=s, h=h, wt=wt, iterations=it, fp=fp,
         update_norms=np.asarray(norms), update_ratios=np.asarray(ratios),
     )
-    # set in place, so the tail keeps the splines tail_residual built
-    object.__setattr__(tail, "fp_residual", tail_residual(tail))
-    return tail
 
 
 def _spline_at(spline: CubicSpline):
@@ -561,8 +579,7 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     prof = Profile(
         params=p, eta_inf=1.0, s_grid=s_grid, xi=xi, W=W, eta_origin=math.nan,
         far_field_gap=abs(float(np.exp(W[-1])) * math.exp(C1 * float(s_grid[-1])) - 1.0),
-        origin_q_defect=math.nan,
-        fp_residual=tail.fp_residual, picard_iterations=tail.iterations,
+        origin_q_defect=math.nan, tail=tail,
     )
     eta, q_defect = _origin_match(s_grid, prof.z, W, p)
     return replace(prof, eta_origin=eta, origin_q_defect=q_defect)
@@ -678,7 +695,8 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
     if not 0.0 < target_eta < math.inf:
         raise RangeError(f"target_eta must be positive and finite, got {target_eta}")
     fp = derive_fp_constants(params, b1_margin=b1_margin)
-    # no name holds the tail, so it and its splines die after continue_left
+    # the profile keeps its tail, with the tail's two cached splines (about
+    # 0.4 MB at the reference point), for fp_residual's first read
     prof = continue_left(picard_solve(fp, s_max=s_max, tol=tol), s_min=s_min, tol=tol)
     return rescale_profile(prof, lambda_for_amplitude(prof, target_eta))
 

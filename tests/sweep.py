@@ -131,6 +131,7 @@ def run_point(point):
         with _lsoda_steps() as steps:
             tail = picard_solve(fp)
             iterations, nodes = tail.iterations, tail.grid.size
+            tail.fp_residual    # read here, so tail_residual's run is recorded first
             base = continue_left(tail)
         prof = rescale_profile(base, lambda_for_amplitude(base, 1.0))
         rep = expansion_check(prof)

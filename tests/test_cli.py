@@ -780,7 +780,8 @@ class TestConfigResolution:
         # defaults reach the options when cli is loaded again
         other = {fastdiff.solve_for_eta: (2e-12, 0.07, None, None),
                  fastdiff.power_bump_initial: (0.2, -1.0, 3.0),
-                 fastdiff.random_sandwiched_pair: ((1.3, 0.7), 0.2)}
+                 fastdiff.random_sandwiched_pair: ((1.3, 0.7), 0.2),
+                 fastdiff.convergence_experiment: (2.0,)}
         saved = {f: f.__defaults__ for f in other}
         try:
             for f, defaults in other.items():
@@ -788,7 +789,7 @@ class TestConfigResolution:
             importlib.reload(cli)
             library = library_defaults()
             for command in cli._COMMANDS.values():
-                for key in library.keys() & command.options.keys() - {"t0"}:
+                for key in library.keys() & command.options.keys():
                     assert command.options[key].default == library[key], key
         finally:
             for f, defaults in saved.items():

@@ -199,6 +199,51 @@ class TestPicardSolve:
         assert len(steps) == 1 and steps[0] <= 200
 
 
+class TestResidualOnFirstRead:
+    """tail_residual runs only where fp_residual is read: once, on the tail's
+    first read, and every profile continued from the tail reads that float."""
+
+    @pytest.fixture
+    def lsoda_runs(self, monkeypatch):
+        """The step counts of the profile module's LSODA runs, in order."""
+        steps = []
+
+        def recording(*args, **options):
+            y, n = lsoda_at(*args, **options)
+            steps.append(n)
+            return y, n
+
+        monkeypatch.setattr(fastdiff.profile, "lsoda_at", recording)
+        return steps
+
+    def test_a_build_runs_only_the_continuation(self, fp_ref, lsoda_runs):
+        tail = picard_solve(fp_ref)
+        assert lsoda_runs == []
+        continue_left(tail)
+        assert len(lsoda_runs) == 2                     # the s-leg and the rho-leg
+
+    def test_first_read_runs_tail_residual_once(self, fp_ref, lsoda_runs):
+        tail = picard_solve(fp_ref)
+        lsoda_runs.clear()
+        residual = tail.fp_residual
+        assert len(lsoda_runs) == 1
+        assert tail.fp_residual == residual
+        assert len(lsoda_runs) == 1
+        assert tail_residual(tail) == residual
+
+    def test_profiles_read_their_tails_residual(self, params_ref, lsoda_runs):
+        prof = solve_for_eta(params_ref, 1.0)
+        scaled = rescale_profile(prof, 1.7)
+        assert len(lsoda_runs) == 2
+        # the first read, through a copy, computes it for every profile
+        residual = scaled.fp_residual
+        assert len(lsoda_runs) == 3
+        assert prof.fp_residual == residual == tail_residual(prof.tail)
+        assert rescale_profile(scaled, 0.5).fp_residual == residual
+        assert prof.picard_iterations == scaled.picard_iterations == prof.tail.iterations
+        assert len(lsoda_runs) == 4                     # tail_residual's own call
+
+
 class TestTailLength:
     """The default tail ends at b1 + max(40/C2, -log(tol)/C2), and the table
     runs on past it to b1 + 40 through the analytic tail."""
