@@ -148,6 +148,8 @@ def derive_fp_constants(params: ParamSet, b1_margin: float = 0.05) -> FPConstant
     C2 = 1.0 / bp + (1.0 - m) * C1
     if not (C1 > 0.0 and C2 > 0.0):
         raise InternalError(f"C1, C2 must be positive in the admissible range, got {C1}, {C2}")
+    if not C2 * C2 < math.inf:       # C2 ** 2 below would raise OverflowError
+        raise RangeError(f"m = {m:.3g} puts C2 = {C2:.3g} past the square root of the largest float")
     C3 = (bp * C1 + m) / C2
     C4 = max(
         2.0 * C3 / C2,

@@ -271,7 +271,10 @@ def barenblatt(n: int, m: float, k: float, T: float) -> Callable:
             raise RangeError(f"Barenblatt field is defined for 0 < t < {T}, got t={t}")
         r_arr = np.asarray(r, dtype=float)
         s = T - t
-        return s**alpha1 * (c_star / (k**2 + (s**beta1 * r_arr) ** 2)) ** (1.0 / (1.0 - m))
+        try:
+            return s**alpha1 * (c_star / (k**2 + (s**beta1 * r_arr) ** 2)) ** (1.0 / (1.0 - m))
+        except OverflowError:
+            raise RangeError(f"k = {k:.3g} or T - t = {s:.3g} takes the field past the float range") from None
 
     return B
 

@@ -2,26 +2,26 @@
 
 The far-field tail of the profile is the unique fixed point of the map
 
-    Phi_1(wt, h)(s) = exp(-int_s^inf h) * exp(-C1 s)
-    Phi_2(wt, h)(s) = int_s^inf exp(-b' int_s^rho X - (n-2)(rho-s))
-                      * (b' C1 X(rho) + m h(rho)^2) drho,
-    X(rho) = exp(-rho / b') * wt(rho)^(1-m),
+    Phi_1(W, h)(s) = -int_s^inf h - C1 s
+    Phi_2(W, h)(s) = int_s^inf exp(-b' int_s^rho X - (n-2)(rho-s))
+                     * (b' C1 X(rho) + m h(rho)^2) drho,
+    X(rho) = exp((1-m) W(rho) - rho / b'),
 
-a 1/5-contraction on the set D_b1 for s >= b1.  Phi_1 is written at the
+a 1/5-contraction on the set D_b1 for s >= b1, whose bounds read the scaled
+state v = wt e^(C1 s) = e^(W + C1 s), W = log wt.  Phi_1 is written at the
 far-field coefficient eta_inf = lim r^((n-2)/m) f(r) = 1, the one the profile
-is built at before rescaling.  Picard iteration on a uniform
-s-grid gives (wt, h) on [b1, s_max], by default s_max = b1 + max(40/C2,
--log(tol)/C2): past the grid the map itself takes h = h_T e^(-C2 (s - s_T)),
-whose first neglected term is below e^(-40) there.  It starts on the first
-term of the far-field expansion r^((n-2)/m) f = 1 + d_inf r^(-C2) + ...,
-h = -C2 d_inf e^(-C2 s) with d_inf = -b' C1 / (C2 (n-2+C2)), which lies in
-D_b1 (_tail_seed).  continue_left builds
-the whole Profile from it in one call: the tail continued to the left
-through the equivalent ODE system, the rows past the tail's end s_T read
-off that analytic tail, and eta_origin = lim r^gamma f from the origin
-series matched to the continuation (_origin_match).  The table keeps
-W = log wt, f(r) = e^(-gamma s + W) at s = log r, so the scaling family
-f_lam(r) = lam^(2/(1-m)) f(lam r) is two exact shifts (rescale_profile).
+is built at before rescaling.  Picard iteration on a uniform s-grid gives
+(W, h) on [b1, s_max], by default s_max = b1 + max(40/C2, -log(tol)/C2): past
+the grid the map itself takes h = h_T e^(-C2 (s - s_T)), whose first neglected
+term is below e^(-40) there.  It starts on the first term of the far-field
+expansion r^((n-2)/m) f = 1 + d_inf r^(-C2) + ..., h = -C2 d_inf e^(-C2 s)
+with d_inf = -b' C1 / (C2 (n-2+C2)), which lies in D_b1 (_tail_seed).
+continue_left builds the whole Profile from it in one call: the tail continued
+to the left through the equivalent ODE system, the rows past the tail's end
+s_T read off that analytic tail, and eta_origin = lim r^gamma f from the
+origin series matched to the continuation (_origin_match).  The table keeps W
+too, f(r) = e^(-gamma s + W) at s = log r, so the scaling family f_lam(r) =
+lam^(2/(1-m)) f(lam r) is two exact shifts (rescale_profile).
 
 Numerical notes kept out of the API: each row stores the logit
 xi = log(h/(-z)) of the log-slope, z = h - C1 = r w_r/w, which lies in
@@ -40,7 +40,7 @@ steps there at the reference point; the two legs take 217 + 155.
 tail_residual integrates Y = e^(C2 s) Phi_2 instead of Phi_2, which
 decays like e^(-C2 s): LSODA's error control then follows an O(1) state,
 not the exponential.  Its forcing e^(C2 s) q stays O(1) because C2 = 1/b'
-+ (1-m) C1 gives e^(C2 s) X = (wt e^(C1 s))^(1-m) <= 1 on D_b1.
++ (1-m) C1 gives e^(C2 s) X = v^(1-m) <= 1 on D_b1.
 """
 
 from __future__ import annotations
@@ -102,19 +102,19 @@ _TRIAL_DERIV = math.sqrt(sys.float_info.max)
 
 @dataclass(frozen=True)
 class TailSolution:
-    """The Picard fixed point (wt, h) on the uniform tail grid [b1, s_max].
+    """The Picard fixed point (W = log wt, h) on the tail grid [b1, s_max].
 
     The tail's two interpolants, the cubic splines h_spline of h and
-    W_spline of W = log wt on the grid, are built on first use and kept by
-    the instance: tail_residual and continue_left both read them.  W is
-    about -C1 s, so its spline is near exact where one of wt = e^W would
-    err by about (5/384)(C1 ds)^4 relative.  fp_residual, the fixed point's
+    W_spline of W on the grid, are built on first use and kept by the
+    instance: tail_residual and continue_left both read them.  W is about
+    -C1 s, so its spline is near exact where one of wt = e^W would err by
+    about (5/384)(C1 ds)^4 relative.  fp_residual, the fixed point's
     defect along tail_residual's independent route, is one LSODA run, also
     made on first read and kept: a caller that never reads it never pays.
     """
     grid: np.ndarray
     h: np.ndarray
-    wt: np.ndarray
+    W: np.ndarray
     iterations: int
     fp: FPConstants
     update_norms: np.ndarray
@@ -126,7 +126,7 @@ class TailSolution:
 
     @cached_property
     def W_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, np.log(self.wt))
+        return CubicSpline(self.grid, self.W)
 
     @cached_property
     def fp_residual(self) -> float:
@@ -189,31 +189,27 @@ class Profile:
         return self.z - self.params.gamma
 
 
-def _weighted_norm(dwt, dh, weights):
-    e1, _, e2_half = weights
-    return max(float(np.max(np.abs(dwt) * e1)), float(np.max(np.abs(dh) * e2_half)))
+def _weighted_norm(dv, dh, weights):
+    return max(float(np.max(np.abs(dv))), float(np.max(np.abs(dh) * weights[1])))
 
 
-def _check_membership(wt, h, anchor, fp, slack, weights):
-    """All D_b1 constraints: distance to the anchor (e^{-C1 s}, 0) <= eps1 in
-    the weighted norm, wt e^{C1 s} <= eta_inf = 1, and 0 <= h e^{C2 s} <= C3."""
-    e1, e2, _ = weights
-    anchor_gap = _weighted_norm(wt - anchor, h, weights)
+def _check_membership(v, h, fp, slack, weights):
+    """All D_b1 constraints on (v = e^(W + C1 s), h): distance to the anchor
+    (1, 0) <= eps1 in the weighted norm, v <= eta_inf = 1, 0 <= h e^(C2 s) <= C3."""
+    anchor_gap = _weighted_norm(v - 1.0, h, weights)
     if anchor_gap > fp.eps1 + slack:
         raise InternalError(f"iterate left D_b1: anchor distance {anchor_gap} > eps1 = {fp.eps1}")
-    top = float(np.max(wt * e1))
+    top = float(np.max(v))
     if top > 1.0 + slack:
-        raise InternalError(f"iterate left D_b1: wt e^(C1 s) reached {top} > eta_inf = 1")
-    hw = h * e2
+        raise InternalError(f"iterate left D_b1: v = e^(W + C1 s) reached {top} > eta_inf = 1")
+    hw = h * weights[0]
     if float(np.min(hw)) < -slack or float(np.max(hw)) > fp.C3 + slack:
-        raise InternalError(
-            f"iterate left D_b1: h e^(C2 s) range [{hw.min()}, {hw.max()}] outside [0, C3]"
-        )
+        raise InternalError(f"iterate left D_b1: h e^(C2 s) range [{hw.min()}, {hw.max()}] outside [0, C3]")
 
 
-def _phi_map(wt, h, s, ds, fp, decay):
-    """One simultaneous application of (Phi_1, Phi_2) on the uniform grid;
-    decay is e^(-s/b') on the grid, which every application reads.
+def _phi_map(W, h, s, ds, fp):
+    """One simultaneous application of (Phi_1, Phi_2) to (W, h) on the
+    uniform grid, with X = exp((1-m) W - s/b') formed as one exp.
 
     The outer integral of Phi_2 is accumulated right to left through
     R_i = a_i R_{i+1} + b_i with every exponential argument <= O(ds), so
@@ -222,13 +218,11 @@ def _phi_map(wt, h, s, ds, fp, decay):
     p = fp.params
     n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, fp.C2
 
-    # Phi_1
-    int_h = cumulative_integral(h, ds, "backward")
-    int_h = int_h + h[-1] / C2                      # analytic tail bound as correction
-    wt_new = np.exp(-int_h - C1 * s)
+    # Phi_1, with the analytic tail h_T/C2 of int h past the grid
+    W_new = -(cumulative_integral(h, ds, "backward") + h[-1] / C2) - C1 * s
 
     # Phi_2
-    X = decay * wt ** (1.0 - m)
+    X = np.exp((1.0 - m) * W - s / bp)
     G = cumulative_integral(X, ds, "forward")
     q = bp * C1 * X + m * h * h
 
@@ -256,7 +250,7 @@ def _phi_map(wt, h, s, ds, fp, decay):
     b[-1] = ds * sum(_W_LAST[j] * rel(npts - 4 + j, last) * q[npts - 4 + j] for j in range(4))
 
     # the last node takes the analytic tail of the outer integral
-    return wt_new, _backward_recurrence(a, b, q[-1] / (k + C2))
+    return W_new, _backward_recurrence(a, b, q[-1] / (k + C2))
 
 
 def _backward_recurrence(a, b, last):
@@ -279,22 +273,22 @@ def _check_nodes(count: float, what: str) -> None:
 
 
 def _tail_seed(fp: FPConstants, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Picard's start (wt0, h0) on the tail grid s: the first term of the
+    """Picard's start (W0, h0) on the tail grid s: the first term of the
     far-field expansion, h0 = c e^(-C2 s) with c = min(b' C1/(n-2+C2), C3,
-    eps1), and wt0 = Phi_1(h0) = exp(-C1 s - h0/C2).
+    eps1), and W0 = Phi_1(h0) = -C1 s - h0/C2.
 
     b' C1/(n-2+C2) = -C2 d_inf is h's leading coefficient, from
     r^((n-2)/m) f = 1 + d_inf r^(-C2) + ...: Phi_2 of the anchor
-    (e^(-C1 s), 0) to first order in its X = e^(-C2 s).  The seed lies in
-    D_b1: h0 e^(C2 s) = c lies in [0, C3], wt0 e^(C1 s) <= 1, and its
-    weighted distance to the anchor is at most eps1: c e^(-C2 s/2) <= c <=
-    eps1 in h, and in wt 1 - e^(-h0/C2) <= (c/C2) e^(-C2 b1) <=
+    (W, h) = (-C1 s, 0) to first order in its X = e^(-C2 s).  The seed lies
+    in D_b1: h0 e^(C2 s) = c lies in [0, C3], v0 = e^(W0 + C1 s) <= 1, and
+    its weighted distance to the anchor (1, 0) is at most eps1: c e^(-C2 s/2)
+    <= c <= eps1 in h, and in v 1 - e^(-h0/C2) <= (c/C2) e^(-C2 b1) <=
     C5 e^(-C2 b0) <= eps1, since C5 = C3/C2 and b0 takes
     log((C3+C5)/eps1) into account."""
     p = fp.params
     c = min(p.beta_p * p.C1 / (p.n - 2 + fp.C2), fp.C3, fp.eps1)
     h = c * np.exp(-fp.C2 * s)
-    return np.exp(-p.C1 * s - h / fp.C2), h
+    return -p.C1 * s - h / fp.C2, h
 
 
 def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e-12) -> TailSolution:
@@ -306,13 +300,13 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     tol, at a step of at most 0.01/C2, the scale of h: 4,001 nodes at the
     reference point.  An explicit s_max below b1 + 40/C2, or one whose grid
     would hold more than _MAX_NODES nodes, is refused with RangeError before
-    any array is made, and a tail grid whose D_b1 weights leave the double
-    range with ResolutionError.
+    any array is made, and a tail grid whose D_b1 weight e^(C2 s) leaves the
+    double range with ResolutionError.
 
-    Membership in D_b1 is asserted for every iterate; the returned tail's
-    fp_residual, computed on its first read, substitutes the fixed point
-    back into the integral equation along a route independent of the
-    Picard quadrature (see tail_residual).
+    Membership in D_b1 is asserted for every iterate, on v = e^(W + C1 s);
+    the returned tail's fp_residual, computed on its first read, substitutes
+    the fixed point back into the integral equation along a route
+    independent of the Picard quadrature (see tail_residual).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -324,45 +318,48 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
                          f"got {s_max}")
     ds_target = 0.01 / C2
     _check_nodes((s_max - b1) / ds_target + 1.0, "the tail grid")
-    nseg = int(math.ceil((s_max - b1) / ds_target))
+    # at least one step: a b1 past about 2^53 * 40/C2 absorbs 40/C2, and
+    # its grid of step 0 is refused below, since e^(C2 b1) overflows there
+    nseg = max(int(math.ceil((s_max - b1) / ds_target)), 1)
     ds = (s_max - b1) / nseg
     s = b1 + ds * np.arange(nseg + 1)
 
+    # D_b1's weights e^(C2 s), e^(C2 s/2); one past the double range would
+    # make h e^(C2 s) = 0 * inf = nan, which passes every bound test
+    with np.errstate(over="ignore"):
+        weights = (np.exp(C2 * s), np.exp(0.5 * C2 * s))
+    if not np.isfinite(weights[0][-1]):
+        raise ResolutionError(f"D_b1 weight e^(C2 s) overflows on the tail grid "
+                              f"[{b1:.6g}, {s[-1]:.6g}] (C2 = {C2:.6g})")
+
     slack = 2e-12
-    # D_b1's weights e^{C1 s}, e^{C2 s}, e^{C2 s / 2}; one past the double
-    # range would make h e^{C2 s} = 0 * inf = nan, which passes every bound test
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = (np.exp(C1 * s), np.exp(C2 * s), np.exp(0.5 * C2 * s))
-    if not all(np.isfinite(w).all() for w in weights):
-        raise ResolutionError(f"D_b1 weights e^(C1 s), e^(C2 s) overflow on the tail grid "
-                              f"[{b1:.6g}, {s[-1]:.6g}] (C1 = {C1:.6g}, C2 = {C2:.6g})")
-    anchor, decay = np.exp(-C1 * s), np.exp(-s / fp.params.beta_p)
-    wt, h = _tail_seed(fp, s)
-    _check_membership(wt, h, anchor, fp, slack, weights)
+    W, h = _tail_seed(fp, s)
+    v = np.exp(W + C1 * s)
+    _check_membership(v, h, fp, slack, weights)
 
     norms, ratios = [], []
     stall = 0
     for it in range(1, _PICARD_MAX_ITER + 1):
-        wt_new, h_new = _phi_map(wt, h, s, ds, fp, decay)
-        _check_membership(wt_new, h_new, anchor, fp, slack, weights)
-        upd = _weighted_norm(wt_new - wt, h_new - h, weights)
+        W_new, h_new = _phi_map(W, h, s, ds, fp)
+        v_new = np.exp(W_new + C1 * s)
+        _check_membership(v_new, h_new, fp, slack, weights)
+        upd = _weighted_norm(v_new - v, h_new - h, weights)
         if norms and norms[-1] > _NOISE_FLOOR and upd > _NOISE_FLOOR:
             ratio = upd / norms[-1]
             ratios.append(ratio)
             stall = stall + 1 if ratio > 0.99 else 0
             if stall >= 3:
-                raise NonContractionError(
-                    f"update ratio above 0.99 for 3 consecutive iterations (last {ratio:.3g})"
-                )
+                raise NonContractionError(f"update ratio above 0.99 for 3 consecutive "
+                                          f"iterations (last {ratio:.3g})")
         norms.append(upd)
-        wt, h = wt_new, h_new
+        W, h, v = W_new, h_new, v_new
         if upd <= tol:
             break
     else:
         raise ToleranceError(f"Picard iteration did not reach {tol} in {_PICARD_MAX_ITER} iterations")
 
     return TailSolution(
-        grid=s, h=h, wt=wt, iterations=it, fp=fp,
+        grid=s, h=h, W=W, iterations=it, fp=fp,
         update_norms=np.asarray(norms), update_ratios=np.asarray(ratios),
     )
 
@@ -394,25 +391,24 @@ def _spline_at(spline: CubicSpline):
 def tail_residual(tail: TailSolution) -> float:
     """Weighted sup defect of the fixed point in the integral equation.
 
-    Independent route: for frozen (wt, h) the map value y = Phi_2(wt,h)
+    Independent route: for frozen (W, h) the map value y = Phi_2(W, h)
     satisfies the linear ODE y' = (n-2 + b'X) y - q.  Its scaled state
     Y = e^(C2 s) y solves Y' = (n-2 + C2 + b'X) Y - e^(C2 s) q, whose forcing
-    is O(1) since e^(C2 s) X = (wt e^(C1 s))^(1-m) <= 1 on D_b1; Y is
+    is O(1) since e^(C2 s) X = e^((1-m)(W + C1 s)) <= 1 on D_b1; Y is
     integrated backward from Y(s_max) = e^(C2 s_max) y(s_max) in one LSODA
     run (numerics.lsoda_at) that outputs the _TAIL_SAMPLES comparison
     points, where h is compared with Y e^(-C2 s).  On y the error control
     would follow its e^(-C2 s) decay step by step: 760 steps where Y takes
-    108 at the reference point.  J = int_s^inf h in Phi_1 is the exact
+    127 at the reference point.  J = int_s^inf h in Phi_1 is the exact
     integral F(s_max) - F(s) of h's cubic spline, F its antiderivative, plus
-    the analytic tail h(s_max)/C2.  wt enters through the tail's spline of
-    W = log wt, as X = exp((1-m) W - s/b') and as the wt = e^W compared
-    with Phi_1.  Comparing against (h, wt) there avoids every piece of the
-    Picard quadrature path.
+    the analytic tail h(s_max)/C2.  W = log wt enters through the tail's
+    spline, as X = exp((1-m) W - s/b') and as the scaled state e^(W + C1 s)
+    compared with e^(-J), Phi_1's.  Comparing against (h, W) there avoids
+    every piece of the Picard quadrature path.
     """
-    fp = tail.fp
-    p = fp.params
-    n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, fp.C2
-    s, h, wt = tail.grid, tail.h, tail.wt
+    p = tail.fp.params
+    n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, tail.fp.C2
+    s, h, W = tail.grid, tail.h, tail.W
     h_sp, W_sp = tail.h_spline, tail.W_spline
     h_at, W_at = _spline_at(h_sp), _spline_at(W_sp)
 
@@ -422,16 +418,15 @@ def tail_residual(tail: TailSolution) -> float:
         q = bp * C1 * X + m * hv * hv
         return [(n - 2 + C2 + bp * X) * Y[0] - math.exp(C2 * sv) * q]
 
-    y_end = (bp * C1 * math.exp(-s[-1] / bp) * wt[-1] ** (1.0 - m) + m * h[-1] ** 2) / (n - 2 + C2)
+    y_end = (bp * C1 * math.exp((1.0 - m) * W[-1] - s[-1] / bp) + m * h[-1] ** 2) / (n - 2 + C2)
     sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
     # when the window is the whole grid its last sample repeats s_max
     Y, _ = lsoda_at(rhs, [math.exp(C2 * s[-1]) * y_end], np.concatenate([[s[-1]], sc[::-1]]),
                     rel_tol=1e-12, abs_tol=1e-300)
     res_h = np.abs(h_sp(sc) - Y[0, :0:-1] * np.exp(-C2 * sc)) * np.exp(0.5 * C2 * sc)
     F = h_sp.antiderivative()
-    phi1 = np.exp(-(F(s[-1]) - F(sc) + h[-1] / C2) - C1 * sc)
-    res_wt = np.abs(np.exp(W_sp(sc)) - phi1) * np.exp(C1 * sc)
-    return float(max(res_h.max(), res_wt.max()))
+    res_W = np.abs(np.exp(W_sp(sc) + C1 * sc) - np.exp(-(F(s[-1]) - F(sc) + h[-1] / C2)))
+    return float(max(res_h.max(), res_W.max()))
 
 
 def _logit(h, mz) -> np.ndarray:
@@ -536,8 +531,8 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # b1's state (LSODA refuses an output a few ulp away)
     s_T, h_T, C2 = float(tail.grid[-1]), float(tail.h[-1]), tail.fp.C2
     ds = min(PROFILE_DS, 0.02 / C2)
-    # the table's right end (see above): the cap keeps wt = e^W and
-    # far_field_gap's e^(C1 s) normal floats
+    # the table's right end (see above): the cap keeps wt = e^W a normal
+    # float; far_field_gap reads W + C1 s, so it needs no cap of its own
     s_end = max(s_T, min(b1 + max(40.0, 40.0 / C2, -math.log(tol) / C2),
                          -math.log(sys.float_info.min) / C1))
     # n_left + n_right + 1 rows, fewer than this
@@ -558,7 +553,7 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # inside tol; the floor keeps rel_tol 135 ulp clear of roundoff
     left_tol = {"rel_tol": max(tol / 20.0, 3e-14), "abs_tol": LEFT_ABS_TOL}
     h_b1 = float(tail.h[0])
-    y, _ = lsoda_at(rhs, [float(_logit(h_b1, C1 - h_b1)), math.log(float(tail.wt[0]))],
+    y, _ = lsoda_at(rhs, [float(_logit(h_b1, C1 - h_b1)), float(tail.W[0])],
                     np.concatenate([[b1], s_grid[k:n_left][::-1]]), **left_tol)
     xil, Wl = y[:, ::-1]
     zr = np.empty(0)
@@ -578,7 +573,7 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     W = np.concatenate([Wl, tail.W_spline(sr[:j]), -C1 * sr[j:] - h_far / C2])
     prof = Profile(
         params=p, eta_inf=1.0, s_grid=s_grid, xi=xi, W=W, eta_origin=math.nan,
-        far_field_gap=abs(float(np.exp(W[-1])) * math.exp(C1 * float(s_grid[-1])) - 1.0),
+        far_field_gap=abs(math.expm1(float(W[-1]) + C1 * float(s_grid[-1]))),
         origin_q_defect=math.nan, tail=tail,
     )
     eta, q_defect = _origin_match(s_grid, prof.z, W, p)

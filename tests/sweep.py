@@ -22,11 +22,14 @@ unrounded, for the tests that read them.
 Print the tables with  PYTHONPATH=src python tests/sweep.py  and rewrite the
 expected files with  PYTHONPATH=src python tests/sweep.py --write, which
 also prints each outcome and inside flag that differs from the file it
-overwrites, one line each, as  point key old → new.
+overwrites, one line each, as  point key old → new.  Each table ends on a
+totals line: its rows' Picard iterations, tail nodes and LSODA steps at
+each run position (tail_residual, s-leg, rho-leg), summed.
 """
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -207,6 +210,10 @@ def main(argv):
                    for k, v in row.get("values", {}).items()]
             print(f"{row['point']:>24}  {row['outcome']:<20} picard {row['picard_iterations']}, "
                   f"tail nodes {row['tail_nodes']}, lsoda {row['lsoda_steps']}, {', '.join(out)}")
+        lsoda = [sum(col) for col in itertools.zip_longest(*(row["lsoda_steps"] for row in rows),
+                                                            fillvalue=0)]
+        print(f"{'totals':>24}  picard {sum(row['picard_iterations'] or 0 for row in rows)}, "
+              f"tail nodes {sum(row['tail_nodes'] or 0 for row in rows)}, lsoda {lsoda}")
 
 
 if __name__ == "__main__":

@@ -612,6 +612,48 @@ class TestExitCodes:
         assert (tmp_path / "expansion_summary.json").exists()
         assert not (tmp_path / "error.json").exists()
 
+    def test_tail_past_e_c1s_overflow_runs(self, tmp_path):
+        # at (3, 0.05, 2.5) a tail run to s = 41 takes C1 s = 717.5 past the
+        # double range but C2 s = 697 not: the tail iterates W = log wt and
+        # reads D_b1 through e^(W + C1 s), so no e^(C1 s) is formed to overflow
+        point = ["--n", "3", "--m", "0.05", "--gamma", "2.5", "--s-max", "41"]
+        assert cli.main(["profile", *point, "--out", str(tmp_path)]) == 0
+        summary = read_json(tmp_path / "profile_summary.json")
+        assert 0.0 <= summary["fp_residual"] <= 1e-10
+        assert 0.0 <= summary["far_field_gap"] <= 1e-12
+        assert cli.main(["expansion", *point, "--out", str(tmp_path)]) == 0
+        expansion = read_json(tmp_path / "expansion_summary.json")["expansion"]
+        assert expansion["rel_err1"] <= 1e-10 and expansion["rel_err2"] <= 1e-10
+        assert not (tmp_path / "error.json").exists()
+
+    def test_b1_past_its_own_tail_length_is_exit_3(self, tmp_path):
+        # at b1_margin = 1e17, b1 + 40/C2 rounds to b1 and the tail grid
+        # would have no step: refused with the D_b1 weight error that
+        # margins 1e2 to 1e16 give, not a ZeroDivisionError
+        rc = cli.main(["profile", "--n", "3", "--b1-margin", "1e17", "--out", str(tmp_path)])
+        assert rc == 3
+        record = read_json(tmp_path / "error.json")
+        assert (record["error"], record["exit_code"]) == ("ResolutionError", 3)
+
+    def test_m_whose_c2_squared_overflows_is_bad_input(self, tmp_path):
+        # m = 1e-300 puts C2 near 1e300, whose square derive_fp_constants
+        # takes: refused before it, not an OverflowError traceback
+        rc = cli.main(["profile", "--n", "3", "--m", "1e-300", "--gamma", "3",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        record = read_json(tmp_path / "error.json")
+        assert (record["error"], record["exit_code"]) == ("RangeError", 2)
+
+    @pytest.mark.parametrize("flag", ["--bb-k", "--bb-t"])
+    def test_overflowing_barenblatt_is_bad_input(self, flag, tmp_path):
+        # k^2 or (T - t)^alpha1 past the float range in the closed form, as
+        # self_similar_solution refuses its t^(-alpha)
+        rc = cli.main(["evolve", "--n", "3", "--kind", "barenblatt", flag, "1e200",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        record = read_json(tmp_path / "error.json")
+        assert (record["error"], record["exit_code"]) == ("RangeError", 2)
+
     def test_invariant_violation_is_exit_4(self, tmp_path):
         # bump amplitude 0.5 leaves the declared envelope a2 = 1.1
         rc = cli.main(["converge", "--n", "3", "--case", "bump", "--out", str(tmp_path),

@@ -71,13 +71,14 @@ class TestPicardSolve:
     @pytest.mark.parametrize("point", [(3, 0.2, 4.0), (8, 0.375, 3.84)], ids=["ref", "n8-m0.375"])
     def test_residual_sees_a_smooth_wt_dent(self, point):
         # a relative dent of 1e-10 in wt, a Gaussian of width 0.05 at b1 + 1,
-        # reads about 1e-10: 36x and 283x the clean readings.  On a spline of
-        # wt itself the second point read 1.26x, its interpolation error
-        # hiding the dent.  replace() makes a new tail, so no spline carries over
+        # so log1p of it in W = log wt, reads about 1e-10: 36x and 283x the
+        # clean readings.  On a spline of wt itself the second point read
+        # 1.26x, its interpolation error hiding the dent.  replace() makes a
+        # new tail, so no spline carries over
         fp = derive_fp_constants(derive_params(*point))
         tail = picard_solve(fp)
         x = (tail.grid - fp.b1 - 1.0) / 0.05
-        dented = replace(tail, wt=tail.wt * (1.0 + 1e-10 * np.exp(-x * x)))
+        dented = replace(tail, W=tail.W + np.log1p(1e-10 * np.exp(-x * x)))
         assert tail_residual(dented) >= 10.0 * tail.fp_residual
 
     def test_converges_in_few_iterations(self, tail_ref):
@@ -95,43 +96,44 @@ class TestPicardSolve:
     @pytest.mark.parametrize("point", [(3, 0.2, 4.0), (3, 0.3, 3.095), (5, 0.06, 26.06)])
     def test_far_field_seed_keeps_the_fixed_point(self, point, monkeypatch):
         # the fixed point is unique in D_b1: Phi iterated to tol from the old
-        # seed (e^(-C1 s), min(C3, eps1) e^(-C2 s)), on the grid, step and
-        # e^(-s/b') picard_solve passes, ends on picard_solve's tail
+        # seed (W, h) = (-C1 s, min(C3, eps1) e^(-C2 s)), on the grid and
+        # step picard_solve passes, ends on picard_solve's tail; an rtol on
+        # wt is the same atol on W = log wt
         fp = derive_fp_constants(derive_params(*point))
         phi_map, passed = fastdiff.profile._phi_map, []
 
-        def recording(wt, h, *rest):
+        def recording(W, h, *rest):
             passed.append(rest)
-            return phi_map(wt, h, *rest)
+            return phi_map(W, h, *rest)
 
         monkeypatch.setattr(fastdiff.profile, "_phi_map", recording)
         tail = picard_solve(fp)
-        s, ds, _, decay = passed[0]
+        s, ds, _ = passed[0]
         C1, C2 = fp.params.C1, fp.C2
-        weights = (np.exp(C1 * s), np.exp(C2 * s), np.exp(0.5 * C2 * s))
-        wt, h = np.exp(-C1 * s), min(fp.C3, fp.eps1) * np.exp(-C2 * s)
+        weights = (np.exp(C2 * s), np.exp(0.5 * C2 * s))
+        W, h = -C1 * s, min(fp.C3, fp.eps1) * np.exp(-C2 * s)
         for _ in range(20):
-            wt_new, h_new = phi_map(wt, h, s, ds, fp, decay)
-            upd = _weighted_norm(wt_new - wt, h_new - h, weights)
-            wt, h = wt_new, h_new
+            W_new, h_new = phi_map(W, h, s, ds, fp)
+            upd = _weighted_norm(np.exp(W_new + C1 * s) - np.exp(W + C1 * s), h_new - h, weights)
+            W, h = W_new, h_new
             if upd <= 1e-12:
                 break
         else:
             pytest.fail("the old seed did not reach tol in 20 iterations")
         np.testing.assert_allclose(tail.h, h, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(tail.wt, wt, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(tail.W, W, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("point", sweep_points(), ids=point_id)
     def test_far_field_seed_lies_in_d_b1(self, point):
         # on the default tail grid [b1, b1 + 40/C2], with a slack of a few
-        # ulp for wt0 e^(C1 s) = e^(-C1 s - h0/C2) e^(C1 s) <= 1, where
-        # picard_solve allows 2e-12
+        # ulp for v0 = e^(W0 + C1 s) = e^(-h0/C2) <= 1, where picard_solve
+        # allows 2e-12
         fp = derive_fp_constants(derive_params(*point))
         C1, C2 = fp.params.C1, fp.C2
         s = np.linspace(fp.b1, fp.b1 + 40.0 / C2, 4001)
-        weights = (np.exp(C1 * s), np.exp(C2 * s), np.exp(0.5 * C2 * s))
-        wt, h = _tail_seed(fp, s)
-        _check_membership(wt, h, np.exp(-C1 * s), fp, 1e-15, weights)
+        weights = (np.exp(C2 * s), np.exp(0.5 * C2 * s))
+        W, h = _tail_seed(fp, s)
+        _check_membership(np.exp(W + C1 * s), h, fp, 1e-15, weights)
 
     def test_grid_structure(self, tail_ref, fp_ref):
         s = tail_ref.grid
@@ -172,10 +174,11 @@ class TestPicardSolve:
     def test_residual_detector_responds_to_perturbation(self, tail_ref):
         # the independent residual route must flag a profile that is off by
         # one part in 1e6, otherwise the cross-check is vacuous; measured
-        # 1.0e-6 for wt and 3.77e-9 for h (whose J part reads 2.6e-11,
-        # 1e-6 of J(b1), against 1.6e-12 unperturbed)
-        for field, floor in (("wt", 1e-8), ("h", 1e-9)):
-            perturbed = replace(tail_ref, **{field: getattr(tail_ref, field) * (1.0 + 1e-6)})
+        # 1.0e-6 for wt, log1p(1e-6) added to W = log wt, and 3.77e-9 for h
+        # (whose J part reads 2.6e-11, 1e-6 of J(b1), against 1.6e-12
+        # unperturbed)
+        for perturbed, floor in ((replace(tail_ref, W=tail_ref.W + math.log1p(1e-6)), 1e-8),
+                                 (replace(tail_ref, h=tail_ref.h * (1.0 + 1e-6)), 1e-9)):
             res = tail_residual(perturbed)
             assert res >= floor
             assert res <= 1e-4
@@ -185,7 +188,7 @@ class TestPicardSolve:
 
     def test_residual_run_step_count(self, tail_ref, monkeypatch):
         # the scaled state Y = e^(C2 s) Phi_2 is O(1) over the tail, so LSODA
-        # need not follow Phi_2's e^(-C2 s) decay: measured 108 steps at the
+        # need not follow Phi_2's e^(-C2 s) decay: measured 127 steps at the
         # reference point, where integrating Phi_2 itself took 760
         steps = []
 
@@ -301,7 +304,7 @@ class TestTailLength:
         # at (3, 0.0333, 3.466) the tail ends at b1 + 40/C2 = 1.86, and
         # C1 = 26.5 would take wt = e^(-C1 s) below the normal floats before
         # b1 + 40: the table stops at the last node below -log(float_min)/C1,
-        # so far_field_gap's e^(C1 s) is finite
+        # so wt = e^W stays a normal float
         m = 0.1 / 3
         fp = derive_fp_constants(derive_params(3, m, 2 / (1 - m) + 0.05 * (1 / m - 2 / (1 - m))))
         tail = picard_solve(fp)
@@ -317,15 +320,15 @@ class TestScalarSpline:
     def test_bit_identical_to_cubic_spline(self, tail_ref, base_profile, unit_eta_profile):
         # one evaluator serves tail_residual's right-hand side and the
         # interpolator's float path, so it must give spline(s)'s bits: on the
-        # tail's tables, on both profiles' log wt tables and on a short
-        # non-uniform and a short uniform grid; at every knot and the floats
+        # tail's h and W = log wt tables, on both profiles' W tables and on a
+        # short non-uniform and a short uniform grid; at every knot and the floats
         # beside it, at both ends, 1e-9 outside them, just inside the last
         # knot (where the clamped index picks the piece) and at seeded
         # interior points
         rng = np.random.default_rng(12)
         short = np.array([-1.0, -0.7, -0.1, 0.3, 0.35, 1.2, 2.0])
         uniform = np.linspace(-1.0, 2.0, 7)
-        tables = [(tail_ref.grid, tail_ref.h), (tail_ref.grid, tail_ref.wt),
+        tables = [(tail_ref.grid, tail_ref.h), (tail_ref.grid, tail_ref.W),
                   (base_profile.s_grid, base_profile.W),
                   (unit_eta_profile.s_grid, unit_eta_profile.W),
                   (short, np.sin(3.0 * short) + 2.0),
@@ -464,7 +467,7 @@ class TestContinueLeft:
         b1 = float(tail.grid[0])
         left = prof.s_grid < b1 - 1e-9
         xi_b1 = math.log(tail.h[0]) - math.log(C1 - tail.h[0])
-        res = solve_ivp(rhs, (b1, prof.s_grid[0]), [xi_b1, math.log(tail.wt[0])],
+        res = solve_ivp(rhs, (b1, prof.s_grid[0]), [xi_b1, tail.W[0]],
                         method="LSODA", jac=jac, rtol=5e-14, atol=1e-14, dense_output=True)
         assert res.status == 0
         xi_ref, W_ref = res.sol(prof.s_grid[left])
@@ -550,7 +553,7 @@ class TestRecoverProfile:
         eta, q_defect = _origin_match(prof.s_grid, prof.z, prof.W, p)
         assert prof.eta_origin == pytest.approx(eta, rel=1e-15)
         assert prof.origin_q_defect == pytest.approx(q_defect, rel=1e-6, abs=1e-15)
-        assert prof.far_field_gap == abs(float(np.exp(prof.W[-1])) * math.exp(p.C1 * float(prof.s_grid[-1])) - 1.0)
+        assert prof.far_field_gap == abs(math.expm1(float(prof.W[-1]) + p.C1 * float(prof.s_grid[-1])))
         assert (prof.fp_residual, prof.picard_iterations) == (tail_ref.fp_residual, tail_ref.iterations)
         lam = 1.7
         two1m = 2.0 / (1.0 - p.m)
