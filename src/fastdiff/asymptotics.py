@@ -24,6 +24,9 @@ Profile.far_field_gap.
 No check fits a spline: each reads the profile table row by row, and the
 residuals read only the rows of their own window, where they take their
 derivatives by centred five-point differences at the table's own step.
+Each window lies at a fixed offset from the transition row s_t
+(Profile.transition), r_t = e^(s_t) and rho_t = e^(s_t/beta'), so a table
+and any rescale of it read the same rows.
 
 All residuals are normalized by the largest term magnitude at each node
 (the equations carry 1/rho^2 scalings that make absolute defects
@@ -33,6 +36,7 @@ meaningless); a node where every term underflows to 0 is a ResolutionError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +55,8 @@ __all__ = [
     "inversion_report",
 ]
 
-_F_WINDOW = (1e-3, 1e3)        # radii on which f_ode_residual is taken
+_F_WINDOW = (1e-3, 1e3)        # r/r_t on which f_ode_residual is taken
+_LOG_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,10 @@ class ExpansionReport:
 
 @dataclass(frozen=True)
 class InversionReport:
-    """residual sees a defect in the table's wt or h on every row of its
-    window.  double_inversion_err reads one row's log wt on both sides, so
-    it is the roundoff of ((n-2)/m - C1 - gamma) sigma on those rows:
-    3.55e-15 at the reference point, with or without a 1e-3 dent in wt.  It
-    cannot fail, and stays only because perfbench's expansion workload
-    reads it."""
+    """Only residual sees a defect in the table's wt or h.
+    double_inversion_err reads one row's log wt on both sides, so it is the
+    roundoff of ((n-2)/m - C1 - gamma) sigma, 3.55e-15 at the reference point
+    with or without a dent: it cannot fail, and stays as perfbench reads it."""
 
     residual: float
     double_inversion_err: float
@@ -99,7 +102,7 @@ def expansion_check(profile: Profile) -> ExpansionReport:
     p = profile.params
     eta, bp = profile.eta_origin, p.beta_p
     Q = _origin_series(p)
-    i = _origin_node(profile.s_grid, eta, p)
+    i = _origin_node(profile, eta)
     if not profile.xi[i] > 0.0:
         raise ResolutionError(f"origin fit window reaches past the transition: xi = "
                               f"{profile.xi[i]:.3g} <= 0 (z <= -C1/2) at rho* = "
@@ -126,18 +129,26 @@ def expansion_check(profile: Profile) -> ExpansionReport:
     )
 
 
-def _window(s: np.ndarray, lo: float, hi: float, window: str) -> slice:
-    """The table rows with lo <= s <= hi that a centred five-point stencil
-    reaches, and the two stencil rows on each side of them: a check forms
-    its exponentials on these rows only, since past them they can leave the
-    double range.  ResolutionError if fewer than 5 such window rows clear
-    the table's two edge rows."""
-    i = max(int(np.searchsorted(s, lo)), 2)
-    j = min(int(np.searchsorted(s, hi, side="right")), s.size - 2)
+def _window(profile: Profile, lo: float, hi: float, window: str) -> slice:
+    """The table rows with lo <= s - s_t <= hi and the two stencil rows on
+    each side, where a check forms its exponentials: past them they can
+    leave the double range.  ResolutionError if fewer than 5 such window
+    rows clear the table's two edge rows."""
+    s, s_t = profile.s_grid, float(profile.s_grid[profile.transition])
+    i = max(int(np.searchsorted(s, s_t + lo)), 2)
+    j = min(int(np.searchsorted(s, s_t + hi, side="right")), s.size - 2)
     if j - i < 5:
-        raise ResolutionError(f"{max(j - i, 0)} table rows lie in the {window}; the table "
-                              f"spans s in [{s[0]:.6g}, {s[-1]:.6g}]")
+        raise ResolutionError(f"{max(j - i, 0)} table rows lie in the {window}, s_t = {s_t:.6g}")
     return slice(i - 2, j + 2)
+
+
+def _exp_normal(log_x: np.ndarray, name: str) -> np.ndarray:
+    """e^log_x; ResolutionError before the exp unless every value is a
+    normal float, which a deep or rescaled table's f or wt need not be."""
+    lo, hi = float(np.min(log_x)), float(np.max(log_x))
+    if not (_LOG_NORMAL[0] <= lo and hi <= _LOG_NORMAL[1]):
+        raise ResolutionError(f"{name} leaves the normal floats: log {name} in [{lo:.6g}, {hi:.6g}]")
+    return np.exp(log_x)
 
 
 def _residual_over_terms(terms):
@@ -152,17 +163,17 @@ def _residual_over_terms(terms):
 
 
 def wbar_ode_residual(profile: Profile) -> float:
-    """Max relative defect of the w-bar equation over rho in [1e-4, 1],
+    """Max relative defect of the w-bar equation over rho/rho_t in [1e-4, 1],
     all derivatives by centered differences in s at the table's own step.
-    Below about 1e-8 the value is the check's roundoff floor, not a measure
-    of the table: the second differences of wt amplify its rounding.
-    ResolutionError if fewer than 5 rows lie in the window."""
+    Below about 1e-8 the value is the check's roundoff floor: the second
+    differences of wt amplify its rounding.  ResolutionError if fewer than
+    5 rows lie in the window, or wt is not a normal float there."""
     p = profile.params
     c = 1.0 / p.beta_p
     s = profile.s_grid
-    rows = _window(s, math.log(1e-4) / c, 0.0, "w-bar-equation window rho in [0.0001, 1]")
+    rows = _window(profile, math.log(1e-4) / c, 0.0, "w-bar-equation window rho/rho_t in [0.0001, 1]")
     ds = float(s[1] - s[0])
-    wt = np.exp(profile.W[rows])
+    wt = _exp_normal(profile.W[rows], "wt")
     ws = deriv_uniform(wt, ds, deriv=1)
     wss = deriv_uniform(wt, ds, deriv=2)
     rho = np.exp(c * s[rows][2:-2])
@@ -180,17 +191,17 @@ def wbar_ode_residual(profile: Profile) -> float:
 
 def f_ode_residual(profile: Profile) -> float:
     """Max relative defect of (f^m/m)_rr + (n-1)/r (f^m/m)_r + alpha f
-    + beta r f_r over r in [1e-3, 1e3], all derivatives by centered
+    + beta r f_r over r/r_t in [1e-3, 1e3], all derivatives by centered
     differences in s = log r.  f = e^(-gamma s + W) is formed on the
-    window's rows and the two stencil rows on each side only: past them it
-    can leave the double range.  ResolutionError if fewer than 5 rows lie
-    in the window."""
+    window's rows and the two stencil rows on each side only.
+    ResolutionError if fewer than 5 rows lie in the window, or f is not a
+    normal float there."""
     p = profile.params
     s = profile.s_grid
-    rows = _window(s, math.log(_F_WINDOW[0]), math.log(_F_WINDOW[1]),
-                   f"f-equation window r in [{_F_WINDOW[0]:g}, {_F_WINDOW[1]:g}]")
+    rows = _window(profile, math.log(_F_WINDOW[0]), math.log(_F_WINDOW[1]),
+                   f"f-equation window r/r_t in [{_F_WINDOW[0]:g}, {_F_WINDOW[1]:g}]")
     sw = s[rows]
-    f = np.exp(-p.gamma * sw + profile.W[rows])
+    f = _exp_normal(-p.gamma * sw + profile.W[rows], "f")
     ds = float(s[1] - s[0])
     F = f ** p.m / p.m
     e2 = np.exp(-2.0 * sw[2:-2])
@@ -210,26 +221,25 @@ def inversion_report(profile: Profile) -> InversionReport:
     E = e^((( n-2-nm)/m - 2) sigma):
         e^(-2 sigma)(Gamma_ss + (n-2) Gamma_s) + E (at g + bt g_sigma) = 0.
     g is read on the table's rows with sigma = -s in the window
-    y in [1e-2, 1e2], reversed so that sigma ascends, so each value of g
+    y r_t in [1e-2, 1e2], reversed so that sigma ascends, so each value of g
     comes from one row's W and xi.  Gamma_sigma = -g^m h(-sigma) follows
     from the stored logarithmic derivative; the remaining outer derivative
     is taken numerically through Q = e^((n-2) sigma) Gamma_sigma, which
     keeps the exponentially flat end (g -> eta_inf) numerically meaningful.
-    Q, E g and E g_sigma = -E g h are each one exp of a sum of logs, as
-    f_ode_residual forms f: E alone overflows where its rate, about 243 at
-    (5, 0.012, 3.264), meets sigma = log 100, and g underflows where C1
-    does.  Of its fields only residual can see a defect in wt or h (see
-    InversionReport).  ResolutionError if fewer than 5 rows lie in the
-    window, or where every term of a row underflows.
+    Q, E g and E g_sigma = -E g h are each one exp of a sum of logs: E
+    alone overflows where its rate (243 at (5, 0.012, 3.264)) meets the
+    window's edge, and g underflows where C1 does.  ResolutionError if
+    fewer than 5 rows lie in the window, or where every term of a row
+    underflows.
     """
     p = profile.params
-    n, m = p.n, p.m
-    C1 = p.C1
+    n, m, C1 = p.n, p.m, p.C1
     at = p.alpha - (n - 2) / m * p.beta
     bt = -p.beta
 
     s = profile.s_grid
-    rows = _window(s, -math.log(1e2), -math.log(1e-2), "inverted-equation window y in [0.01, 100]")
+    rows = _window(profile, -math.log(1e2), -math.log(1e-2),
+                   "inverted-equation window y r_t in [0.01, 100]")
     sig, h_rev, log_wt = -s[rows][::-1], profile.h[rows][::-1], profile.W[rows][::-1]
     ds = float(sig[1] - sig[0])
 

@@ -17,30 +17,24 @@ term is below e^(-40) there.  It starts on the first term of the far-field
 expansion r^((n-2)/m) f = 1 + d_inf r^(-C2) + ..., h = -C2 d_inf e^(-C2 s)
 with d_inf = -b' C1 / (C2 (n-2+C2)), which lies in D_b1 (_tail_seed).
 continue_left builds the whole Profile from it in one call: the tail continued
-to the left through the equivalent ODE system, the rows past the tail's end
-s_T read off that analytic tail, and eta_origin = lim r^gamma f from the
-origin series matched to the continuation (_origin_match).  The table keeps W
-too, f(r) = e^(-gamma s + W) at s = log r, so the scaling family f_lam(r) =
-lam^(2/(1-m)) f(lam r) is two exact shifts (rescale_profile).
+to the left through the equivalent ODE system, up to the tail's last node,
+and eta_origin = lim r^gamma f from the origin series matched to the
+continuation (_origin_match).  The table keeps W too, f(r) = e^(-gamma s + W)
+at s = log r, so the scaling family f_lam(r) = lam^(2/(1-m)) f(lam r) is two
+exact shifts (rescale_profile).
 
 Numerical notes kept out of the API: each row stores the logit
 xi = log(h/(-z)) of the log-slope, z = h - C1 = r w_r/w, which lies in
 (-C1, 0), and h = C1/(1 + e^(-xi)) and z = -C1/(1 + e^xi) are formed from
 it.  Neither ever cancels: C1 + z loses every digit of h once h falls
 below C1's rounding (b1 reaches 227 at (3, 0.3, 2.881)), and h - C1 every
-digit of z once z falls below it on the left, while h itself underflows
-on the analytic rows where C2 is large.  The continuation integrates
+digit of z once z falls below it on the left.  The continuation integrates
 (xi, W = log wt) in s, and the system turns stiff on the left, so it runs
 on LSODA (numerics.lsoda_at), which switches to BDF steps where it must
 and interpolates each grid node from its own steps.  Below rho =
 e^(s/b') = 0.1 it follows q = b'z/rho = wbar_rho/wbar in rho instead:
 rho = 0 is an irregular singular point whose solution is smooth in rho,
-while z decays like rho, so in s the run spent about 700 of its 1,125
-steps there at the reference point; the two legs take 217 + 155.
-tail_residual integrates Y = e^(C2 s) Phi_2 instead of Phi_2, which
-decays like e^(-C2 s): LSODA's error control then follows an O(1) state,
-not the exponential.  Its forcing e^(C2 s) q stays O(1) because C2 = 1/b'
-+ (1-m) C1 gives e^(C2 s) X = v^(1-m) <= 1 on D_b1.
+while z decays like rho, which took most of the steps of a run in s.
 """
 
 from __future__ import annotations
@@ -88,8 +82,10 @@ LEFT_ABS_TOL = 1e-14       # continue_left's absolute tolerance on its states
 _ORIGIN_TERMS = 40         # origin series terms: rho* <= c/40 cuts it before its smallest
 _ORIGIN_Q_TOL = 1e-10      # relative q defect of the origin match (sweep's worst 2.9e-12)
 _RHO_LEG = 0.1             # continue_left integrates in rho = e^(s/b') below this
+_CONTRACTION = 0.2         # the paper's contraction factor of Phi on D_b1
+_ORIGIN_FRACTION = 0.02    # rho* of the origin match is at most this times rho_t's
 # most nodes of a tail grid or profile table; the largest default ones hold
-# 100,668 (the tail at (8, 0.735, 7.55)) and 786,222 (the table at (8, 0.015, 398))
+# 100,668 (the tail at (8, 0.735, 7.55)) and 402,636 (the table at (3, 0.00667, 2.753))
 _MAX_NODES = 10**7
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)   # log of the largest float
 # continue_left's derivative for a trial state whose own one is not finite:
@@ -106,11 +102,9 @@ class TailSolution:
 
     The tail's two interpolants, the cubic splines h_spline of h and
     W_spline of W on the grid, are built on first use and kept by the
-    instance: tail_residual and continue_left both read them.  W is about
-    -C1 s, so its spline is near exact where one of wt = e^W would err by
-    about (5/384)(C1 ds)^4 relative.  fp_residual, the fixed point's
-    defect along tail_residual's independent route, is one LSODA run, also
-    made on first read and kept: a caller that never reads it never pays.
+    instance: tail_residual and continue_left both read them.
+    fp_residual, the fixed point's defect along tail_residual's independent
+    route, is one LSODA run, also made on first read and kept.
     """
     grid: np.ndarray
     h: np.ndarray
@@ -144,20 +138,16 @@ class Profile:
     range at the ends of a deep or rescaled table, and so are h, z and
     r f_r/f from xi.  xi is finite on every row, so 0 < h < C1 holds by
     construction, though the float h reads 0 where C1 e^xi underflows.
-    fp_residual and picard_iterations are the tail's, read through it: the
-    residual is computed on the first read of any profile that shares the
-    tail, rescale_profile's copies included, and each reads the same float."""
+    fp_residual and picard_iterations are the tail's, read through it, so
+    every profile that shares the tail reads the same residual float."""
     params: ParamSet
     eta_inf: float
     s_grid: np.ndarray
     xi: np.ndarray             # xi = log(h / (-z)), the logit of the log-slope
     W: np.ndarray              # W(s) = log wt = log(r^gamma f(r)), r = e^s
     eta_origin: float
-    # |r^((n-2)/m) f - eta_inf| at the last node, the one check of the
-    # far-field limit.  Unless an explicit s_max runs the tail past the
-    # table's usual end, that row is the analytic tail, W = -C1 s up to a
-    # term below e^(-40), so the gap reads roundoff (0 to 2.2e-16) and
-    # cannot see a defect of the table
+    # |r^((n-2)/m) f - eta_inf| at the tail's last node, the far-field check:
+    # it reads Phi_1's W + C1 s = -h_T/C2 < e^(-40), so cannot see a defect
     far_field_gap: float
     origin_q_defect: float     # relative, so rescaling leaves it as it is; see _origin_match
     tail: TailSolution
@@ -187,6 +177,15 @@ class Profile:
     def rfr_over_f(self) -> np.ndarray:
         """r f_r / f = (r w_r / w) - gamma at every node."""
         return self.z - self.params.gamma
+
+    @property
+    def transition(self) -> int:
+        """Index of the first row with xi <= 0, z <= -C1/2, where the far
+        field takes over from the origin regime; ResolutionError if none."""
+        t = int(np.argmax(self.xi <= 0.0))
+        if not self.xi[t] <= 0.0:
+            raise ResolutionError("no row has xi <= 0 (z <= -C1/2): the table ends before the transition")
+        return t
 
 
 def _weighted_norm(dv, dh, weights):
@@ -303,10 +302,11 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     any array is made, and a tail grid whose D_b1 weight e^(C2 s) leaves the
     double range with ResolutionError.
 
-    Membership in D_b1 is asserted for every iterate, on v = e^(W + C1 s);
-    the returned tail's fp_residual, computed on its first read, substitutes
-    the fixed point back into the integral equation along a route
-    independent of the Picard quadrature (see tail_residual).
+    Membership in D_b1 is asserted for every iterate, on v = e^(W + C1 s),
+    and the 1/5-contraction for each update ratio whose norms lie above
+    _NOISE_FLOOR (NonContractionError).  The tail's fp_residual, computed on
+    first read, puts the fixed point back into the integral equation along
+    a route independent of the Picard quadrature (see tail_residual).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -338,7 +338,6 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     _check_membership(v, h, fp, slack, weights)
 
     norms, ratios = [], []
-    stall = 0
     for it in range(1, _PICARD_MAX_ITER + 1):
         W_new, h_new = _phi_map(W, h, s, ds, fp)
         v_new = np.exp(W_new + C1 * s)
@@ -347,10 +346,9 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
         if norms and norms[-1] > _NOISE_FLOOR and upd > _NOISE_FLOOR:
             ratio = upd / norms[-1]
             ratios.append(ratio)
-            stall = stall + 1 if ratio > 0.99 else 0
-            if stall >= 3:
-                raise NonContractionError(f"update ratio above 0.99 for 3 consecutive "
-                                          f"iterations (last {ratio:.3g})")
+            if ratio > _CONTRACTION:
+                raise NonContractionError(f"update ratio {ratio:.3g} at iteration {it} is above "
+                                          f"the contraction factor {_CONTRACTION:g} of Phi on D_b1")
         norms.append(upd)
         W, h, v = W_new, h_new, v_new
         if upd <= tol:
@@ -397,9 +395,8 @@ def tail_residual(tail: TailSolution) -> float:
     is O(1) since e^(C2 s) X = e^((1-m)(W + C1 s)) <= 1 on D_b1; Y is
     integrated backward from Y(s_max) = e^(C2 s_max) y(s_max) in one LSODA
     run (numerics.lsoda_at) that outputs the _TAIL_SAMPLES comparison
-    points, where h is compared with Y e^(-C2 s).  On y the error control
-    would follow its e^(-C2 s) decay step by step: 760 steps where Y takes
-    127 at the reference point.  J = int_s^inf h in Phi_1 is the exact
+    points, where h is compared with Y e^(-C2 s); on y the error control
+    would follow its decay step by step.  J = int_s^inf h in Phi_1 is the exact
     integral F(s_max) - F(s) of h's cubic spline, F its antiderivative, plus
     the analytic tail h(s_max)/C2.  W = log wt enters through the tail's
     spline, as X = exp((1-m) W - s/b') and as the scaled state e^(W + C1 s)
@@ -446,14 +443,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     down to s_min, and the origin coefficient eta_origin.
 
     The table's uniform step is min(PROFILE_DS, 0.02/C2), so the far
-    field's e^(-C2 s) takes at least 50 rows per e-fold.  It ends at
-    max(s_T, min(b1 + max(40, 40/C2, -log(tol)/C2),
-    -log(float_min)/C1)), s_T the tail's last node: out to b1 + 40, where the
-    checks' fixed windows read it, unless wt = e^W would leave the normal
-    floats first.  Rows up to s_T read the tail's splines; rows past it take
-    the analytic tail Phi_1 and Phi_2 already assume, h = h_T e^(-C2 (s -
-    s_T)) and W = -C1 s - h/C2, whose xi takes log h = log h_T - C2 (s - s_T)
-    whole, so it stays finite where h underflows.
+    field's e^(-C2 s) takes at least 50 rows per e-fold.  Its rows past b1
+    read the tail's two splines, up to the last node at or below the tail's
+    last one s_T; past s_T, profile_interpolator reads the analytic tail.
 
     Two LSODA runs output the grid nodes below b1.  The s-leg integrates
 
@@ -467,17 +459,12 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
         rho^2 q' = a3 - a2 q P - a1 rho q - m rho^2 q^2,   W' = q,
 
     the w-bar equation of _origin_series, and stores xi = log(C1 + z) -
-    log(-z), z = rho q / b'.  The series never feeds the table, so
-    expansion_check measures it against a continuation that does not read
-    it.  Every row's xi is finite: the s-leg's is LSODA's state, and every
-    other row's is refused with BoundViolationError, before its log, where
-    h or -z is not positive, as is a start h(b1) outside (0, C1) before the
-    LSODA run.  A first node where rho^2 underflows is refused
-    (ResolutionError).  eta_origin and origin_q_defect come from
-    _origin_match, which refuses a grid too shallow for the origin series
-    (ResolutionError) or a series that misses z (ExtrapolationError).  A
-    table of more than _MAX_NODES rows is refused with RangeError before
-    any array is made.
+    log(-z), z = rho q / b': the series never feeds the table.  Refused: a
+    row, or the start h(b1), whose h or -z is not positive, before its log
+    (BoundViolationError); a first node where rho^2 underflows, or a grid
+    too shallow for the origin series (ResolutionError); a series that
+    misses z (ExtrapolationError, _origin_match); a table of more than
+    _MAX_NODES rows, before any array is made (RangeError).
     """
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
@@ -529,17 +516,12 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # one uniform grid across continuation + tail, at a step that resolves
     # the tail's decay rate C2; node n_left is b1 up to roundoff and takes
     # b1's state (LSODA refuses an output a few ulp away)
-    s_T, h_T, C2 = float(tail.grid[-1]), float(tail.h[-1]), tail.fp.C2
-    ds = min(PROFILE_DS, 0.02 / C2)
-    # the table's right end (see above): the cap keeps wt = e^W a normal
-    # float; far_field_gap reads W + C1 s, so it needs no cap of its own
-    s_end = max(s_T, min(b1 + max(40.0, 40.0 / C2, -math.log(tol) / C2),
-                         -math.log(sys.float_info.min) / C1))
+    s_T, ds = float(tail.grid[-1]), min(PROFILE_DS, 0.02 / tail.fp.C2)
     # n_left + n_right + 1 rows, fewer than this
-    _check_nodes((s_end - s_min) / ds + 2.0, "the profile table")
+    _check_nodes((s_T - s_min) / ds + 2.0, "the profile table")
     n_left = int(math.ceil((b1 - s_min) / ds))
     s_min_adj = b1 - n_left * ds
-    n_right = int(math.floor((s_end - b1) / ds))
+    n_right = int(math.floor((s_T - b1) / ds))
     s_grid = s_min_adj + ds * np.arange(n_left + n_right + 1)
     # the s-leg ends on node k, the last at or below rho = _RHO_LEG, and the
     # rho-leg takes nodes k-1 .. 0 from there
@@ -563,20 +545,16 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                         jac=rho_jac, **left_tol)
         ql, Wr = y[:, :0:-1]
         zr, Wl = rho[:k] * ql / bp, np.concatenate([Wr, Wl])
-    # rows past s_T take the analytic tail
     sr = s_grid[n_left + 1:]
-    j = int(np.searchsorted(sr, s_T, side="right"))
-    h_tail = tail.h_spline(sr[:j])
-    h_far = h_T * np.exp(-C2 * (sr[j:] - s_T))
-    xi = np.concatenate([_logit(C1 + zr, -zr), xil, _logit(h_tail, C1 - h_tail),
-                         _logit(h_T, C1 - h_far) - C2 * (sr[j:] - s_T)])
-    W = np.concatenate([Wl, tail.W_spline(sr[:j]), -C1 * sr[j:] - h_far / C2])
+    h_tail = tail.h_spline(sr)
+    xi = np.concatenate([_logit(C1 + zr, -zr), xil, _logit(h_tail, C1 - h_tail)])
+    W = np.concatenate([Wl, tail.W_spline(sr)])
     prof = Profile(
         params=p, eta_inf=1.0, s_grid=s_grid, xi=xi, W=W, eta_origin=math.nan,
         far_field_gap=abs(math.expm1(float(W[-1]) + C1 * float(s_grid[-1]))),
         origin_q_defect=math.nan, tail=tail,
     )
-    eta, q_defect = _origin_match(s_grid, prof.z, W, p)
+    eta, q_defect = _origin_match(prof)
     return replace(prof, eta_origin=eta, origin_q_defect=q_defect)
 
 
@@ -603,18 +581,24 @@ def _origin_series(params: ParamSet) -> np.ndarray:
     return Q
 
 
-def _origin_node(s_grid: np.ndarray, eta: float, params: ParamSet) -> int:
-    """Index of the match node rho*, the last at or below min(c/40, max(1e-2,
-    2 rho_min)), rho = e^(s/b'): at rho <= c/40 the series' smallest term
-    lies past its _ORIGIN_TERMS.  A grid whose first node rho_min lies above
-    rho*/2 leaves no window [rho_min, rho*] to fit: ResolutionError."""
-    bp = params.beta_p
-    rho_min = math.exp(float(s_grid[0]) / bp)
-    rho_star = min(-params.a2 * eta ** (1.0 - params.m) / 40.0, max(1e-2, 2.0 * rho_min))
-    if 2.0 * rho_min > rho_star:
-        raise ResolutionError(f"profile reaches only rho = {rho_min:.3g} > rho*/2 = "
-                              f"{rho_star / 2:.3g} of the origin series; extend s_min")
-    return int(np.searchsorted(s_grid, bp * math.log(rho_star), side="right")) - 1
+def _origin_node(profile: Profile, eta: float) -> int:
+    """Index of the match node rho*, the last at or below min(c/40,
+    max(_ORIGIN_FRACTION rho_t, 2 rho_min)), rho = e^(s/b') formed on its log,
+    rho_t the transition row's: at rho <= c/40 the series' smallest term lies
+    past its _ORIGIN_TERMS.  A first node rho_min above rho*/2 leaves no
+    window [rho_min, rho*] to fit: ResolutionError."""
+    s_grid, bp = profile.s_grid, profile.params.beta_p
+    if not eta > 0.0:
+        raise ResolutionError(f"origin coefficient eta = {eta} has no origin series to match")
+    log_rho_min = float(s_grid[0]) / bp
+    log_rho_star = min(math.log(-profile.params.a2 * eta ** (1.0 - profile.params.m) / 40.0),
+                       max(math.log(_ORIGIN_FRACTION) + float(s_grid[profile.transition]) / bp,
+                           math.log(2.0) + log_rho_min))
+    if math.log(2.0) + log_rho_min > log_rho_star:
+        raise ResolutionError(f"profile reaches only rho = {math.exp(min(log_rho_min, _LOG_FLOAT_MAX)):.3g}"
+                              f" > rho*/2 = {math.exp(log_rho_star) / 2:.3g} of the origin series; "
+                              f"extend s_min")
+    return int(np.searchsorted(s_grid, bp * log_rho_star, side="right")) - 1
 
 
 def _horner(t: float, coeffs: list[float]) -> float:
@@ -625,8 +609,7 @@ def _horner(t: float, coeffs: list[float]) -> float:
     return acc
 
 
-def _origin_match(s_grid: np.ndarray, z: np.ndarray, W: np.ndarray,
-                  params: ParamSet) -> tuple[float, float]:
+def _origin_match(profile: Profile) -> tuple[float, float]:
     """(eta_origin, q defect): the origin series matched to the continuation
     (z, W = log wt) at the node rho* of _origin_node, c taken at W[0].
     log eta solves log eta = W(rho*) - int_0^rho* q_series(eta), no spline,
@@ -636,10 +619,11 @@ def _origin_match(s_grid: np.ndarray, z: np.ndarray, W: np.ndarray,
     does not read: the series errs there by about exp(-40), z by
     LEFT_ABS_TOL; the sweep's worst is 2.9e-12, and a defect above
     _ORIGIN_Q_TOL = 1e-10 raises ExtrapolationError."""
+    params, W = profile.params, profile.W
     Q = _origin_series(params)
     q_coeffs, int_coeffs = Q.tolist(), (Q / np.arange(1, Q.size + 1)).tolist()
-    i = _origin_node(s_grid, math.exp(float(W[0])), params)
-    rho, log_eta = math.exp(float(s_grid[i]) / params.beta_p), float(W[0])
+    i = _origin_node(profile, math.exp(float(W[0])))
+    rho, log_eta = math.exp(float(profile.s_grid[i]) / params.beta_p), float(W[0])
     for _ in range(50):
         t = math.exp((params.m - 1.0) * log_eta) * rho          # lam rho
         rq = t * _horner(t, q_coeffs)                           # rho q_series(rho)
@@ -650,7 +634,7 @@ def _origin_match(s_grid: np.ndarray, z: np.ndarray, W: np.ndarray,
             break
     else:
         raise ExtrapolationError(f"origin match did not settle: last step {step:g} in log eta")
-    defect = abs(rq - params.beta_p * float(z[i])) / abs(rq)
+    defect = abs(rq - params.beta_p * float(profile.z[i])) / abs(rq)
     if not defect <= _ORIGIN_Q_TOL:
         raise ExtrapolationError(f"origin series misses z at rho* = {rho:.3g}: q defect {defect:.3g}")
     return math.exp(log_eta), defect
@@ -709,39 +693,45 @@ def lambda_for_amplitude(profile: Profile, a: float) -> float:
 
 
 def profile_interpolator(profile: Profile):
-    """Callable f(r) on the profile's radial range; RangeError outside it.
+    """Callable f(r) for finite r from the table's first radius on;
+    RangeError below it, and for r <= 0, inf or nan.
 
     Interpolates log wt cubically in s = log r, so relative accuracy is
-    uniform over the full dynamic range of f.  A float radius (the boundary
-    traces of the experiments) takes a scalar path that gives the array
-    path's bits: _spline_at and numpy's own log and exp.
+    uniform over the full dynamic range of f.  Past the last row (s_e, W_e,
+    h_e) it reads the analytic tail, W = W_e - C1 d + (h_e/C2)(1 - e^(-C2 d)),
+    d = s - s_e, in any rescaled frame.  A float radius (the boundary traces
+    of the experiments) takes a scalar path that gives the array path's
+    bits: _spline_at and numpy's own log, exp and expm1.
     """
     s = profile.s_grid
     spline = CubicSpline(s, profile.W)
     log_wt_at = _spline_at(spline)
-    gamma = profile.params.gamma
+    gamma, C1, C2 = profile.params.gamma, profile.params.C1, profile.tail.fp.C2
     lo, hi = float(s[0]), float(s[-1])
+    W_e, hC2 = float(profile.W[-1]), float(profile.h[-1]) / C2
 
-    def out_of_table(sq_min, sq_max):
-        return RangeError(
-            f"radius outside profile table: log r in [{sq_min:.3f}, {sq_max:.3f}], "
-            f"table spans [{lo:.3f}, {hi:.3f}]"
-        )
+    def log_wt_past(d):
+        return W_e - C1 * d - hC2 * np.expm1(-C2 * d)
 
     def f_of_r(r):
         if isinstance(r, float):
-            if not r > 0:
-                raise RangeError(f"radius must be positive, got {r}")
+            if not 0.0 < r < math.inf:
+                raise RangeError(f"radius must be positive and finite, got {r}")
             sq = float(np.log(r))
-            if sq < lo - 1e-12 or sq > hi + 1e-12:
-                raise out_of_table(sq, sq)
-            return float(np.exp(-gamma * sq + log_wt_at(min(max(sq, lo), hi))))
+            if sq < lo - 1e-12:
+                raise RangeError(f"radius below profile table: log r = {sq:.3f} < {lo:.3f}")
+            log_wt = log_wt_past(sq - hi) if sq > hi else log_wt_at(max(sq, lo))
+            return float(np.exp(-gamma * sq + log_wt))
         r_arr = np.asarray(r, dtype=float)
-        if not np.all(r_arr > 0):
-            raise RangeError("radius must be positive, got a non-positive or nan value")
+        if not np.all((r_arr > 0) & (r_arr < math.inf)):
+            raise RangeError("radius must be positive and finite, got a non-positive, inf or nan value")
         sq = np.log(r_arr)
-        if float(sq.min()) < lo - 1e-12 or float(sq.max()) > hi + 1e-12:
-            raise out_of_table(sq.min(), sq.max())
-        return np.exp(-gamma * sq + spline(np.clip(sq, lo, hi)))
+        if float(sq.min()) < lo - 1e-12:
+            raise RangeError(f"radius below profile table: log r = {sq.min():.3f} < {lo:.3f}")
+        log_wt = spline(np.clip(sq, lo, hi))
+        past = sq > hi
+        if past.any():
+            log_wt[past] = log_wt_past(sq[past] - hi)
+        return np.exp(-gamma * sq + log_wt)
 
     return f_of_r

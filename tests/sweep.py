@@ -10,9 +10,9 @@ two ODE residuals, and counts ACCEPTANCE 03's pointwise violations.  A
 point that fails records the class of its typed error; one that completes
 records each checked value and whether it lies inside the ACCEPTANCE bound
 of the same name.  Every row also records the point's Picard iteration
-count, its tail grid's node count and the step count of each LSODA run it
-made (tail_residual's, then continue_left's s-leg and rho-leg), which no
-bound holds.
+count, its tail grid's node count, its base table's row count and the
+step count of each LSODA run it made (tail_residual's, then continue_left's
+s-leg and rho-leg), which no bound holds.
 tests/sweep_expected.json and tests/edge_expected.json hold the tables,
 their values to two digits, and tests/test_sweep.py asserts that a run
 reproduces their outcomes and inside flags, and that every sweep flag is
@@ -23,8 +23,8 @@ Print the tables with  PYTHONPATH=src python tests/sweep.py  and rewrite the
 expected files with  PYTHONPATH=src python tests/sweep.py --write, which
 also prints each outcome and inside flag that differs from the file it
 overwrites, one line each, as  point key old → new.  Each table ends on a
-totals line: its rows' Picard iterations, tail nodes and LSODA steps at
-each run position (tail_residual, s-leg, rho-leg), summed.
+totals line: its rows' Picard iterations, tail nodes, base table rows and
+LSODA steps at each run position (tail_residual, s-leg, rho-leg), summed.
 """
 
 import contextlib
@@ -125,10 +125,11 @@ def _lsoda_steps():
 @functools.cache
 def run_point(point):
     """The table row of one point: its outcome, its Picard iteration count
-    and tail node count (None if picard_solve failed), the step counts of
-    the LSODA runs that completed, and for a completing point each value
-    with whether it is inside its ACCEPTANCE bound."""
-    iterations, nodes, steps = None, None, []
+    and tail node count (None if picard_solve failed), its base table's row
+    count (None if continue_left failed), the step counts of the LSODA runs
+    that completed, and for a completing point each value with whether it
+    is inside its ACCEPTANCE bound."""
+    iterations, nodes, rows, steps = None, None, None, []
     try:
         fp = derive_fp_constants(derive_params(*point))
         with _lsoda_steps() as steps:
@@ -136,6 +137,7 @@ def run_point(point):
             iterations, nodes = tail.iterations, tail.grid.size
             tail.fp_residual    # read here, so tail_residual's run is recorded first
             base = continue_left(tail)
+        rows = base.s_grid.size
         prof = rescale_profile(base, lambda_for_amplitude(base, 1.0))
         rep = expansion_check(prof)
         values = {
@@ -150,7 +152,8 @@ def run_point(point):
         }
     except FastDiffError as exc:
         return {"point": point_id(point), "outcome": type(exc).__name__,
-                "picard_iterations": iterations, "tail_nodes": nodes, "lsoda_steps": steps}
+                "picard_iterations": iterations, "tail_nodes": nodes, "table_rows": rows,
+                "lsoda_steps": steps}
     far_bound = math.exp(-fp.C2 * (float(base.s_grid[-1]) - fp.b1)) + 1e-8
     bounds = {**BOUNDS, "far_field_gap": far_bound}
     return {
@@ -158,6 +161,7 @@ def run_point(point):
         "outcome": "pass",
         "picard_iterations": iterations,
         "tail_nodes": nodes,
+        "table_rows": rows,
         "lsoda_steps": steps,
         "values": values,
         "inside": {k: bool(v <= bounds[k]) for k, v in values.items()},
@@ -209,11 +213,13 @@ def main(argv):
                    f"{'' if row['inside'][k] else ' (above bound)'}"
                    for k, v in row.get("values", {}).items()]
             print(f"{row['point']:>24}  {row['outcome']:<20} picard {row['picard_iterations']}, "
-                  f"tail nodes {row['tail_nodes']}, lsoda {row['lsoda_steps']}, {', '.join(out)}")
+                  f"tail nodes {row['tail_nodes']}, table rows {row['table_rows']}, "
+                  f"lsoda {row['lsoda_steps']}, {', '.join(out)}")
         lsoda = [sum(col) for col in itertools.zip_longest(*(row["lsoda_steps"] for row in rows),
                                                             fillvalue=0)]
         print(f"{'totals':>24}  picard {sum(row['picard_iterations'] or 0 for row in rows)}, "
-              f"tail nodes {sum(row['tail_nodes'] or 0 for row in rows)}, lsoda {lsoda}")
+              f"tail nodes {sum(row['tail_nodes'] or 0 for row in rows)}, "
+              f"table rows {sum(row['table_rows'] or 0 for row in rows)}, lsoda {lsoda}")
 
 
 if __name__ == "__main__":

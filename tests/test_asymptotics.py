@@ -13,10 +13,14 @@ from numpy.polynomial.polynomial import polyval
 from fastdiff import (
     FastDiffError,
     ResolutionError,
+    continue_left,
+    derive_fp_constants,
     derive_params,
     expansion_check,
     f_ode_residual,
     inversion_report,
+    picard_solve,
+    rescale_profile,
     solve_for_eta,
     wbar_ode_residual,
 )
@@ -109,21 +113,33 @@ class TestExpansionCheck:
             expansion_check(stub)
 
     def test_window_past_the_transition_is_refused(self):
-        # at (3, 0.00667, 2.753), m at 2% of (n-2)/n and gamma at 0.5% of
-        # its window, the eta = 1 table leaves its origin regime below
-        # rho = 0.01, so the window's last node rho* = 0.01 lies on the far
-        # side of the transition (xi = -20.7, z near -C1): refused before
-        # the fit, which read w-bar_rho(0) = +9,571 and raised InternalError
-        prof = solve_for_eta(derive_params(*_corner(3, 0.02, 0.005)), 1.0)
-        with pytest.raises(ResolutionError, match="past the transition: xi = -20.7 <= 0"):
-            expansion_check(prof)
+        # rho* <= max(0.02 rho_t, 2 rho_min), so only a table whose first
+        # row lies above rho_t/2 can put its match node past the transition
+        # rho_t, and continue_left refuses every such table it builds.  At
+        # (3, 1/6, 2.58), where c/40 = 1.9 rho_t, the eta = 1 table cut to
+        # start at 0.6 rho_t puts rho* = 2 rho_min on the far side of the
+        # transition (xi = -3.63, z below -C1/2): refused before the fit
+        prof = solve_for_eta(derive_params(*_corner(3, 0.5, 0.05)), 1.0)
+        s_t = prof.s_grid[prof.transition]
+        sel = prof.s_grid >= s_t + prof.params.beta_p * np.log(0.6)
+        stub = replace(prof, s_grid=prof.s_grid[sel], xi=prof.xi[sel], W=prof.W[sel])
+        with pytest.raises(ResolutionError, match="past the transition: xi = -3.63 <= 0"):
+            expansion_check(stub)
+
+    def test_underflowed_origin_coefficient_is_typed(self, base_profile):
+        # rescaling the reference table by 1e250 takes eta_origin = 1.81
+        # lam^(-1.5) below the floats to 0: refused before the log of the
+        # series' radius c/40 = |a2| eta^(1-m)/40, which would raise a bare
+        # ValueError
+        with pytest.raises(ResolutionError, match="eta = 0.0 has no origin series"):
+            expansion_check(rescale_profile(base_profile, 1e250))
 
     def test_q_defect_is_the_series_defect(self, unit_eta_profile):
         # Q(t) comes from the Q[2:] Horner pass the fit reads; it must give
         # polyval(t, Q)'s bits on the fit window
         prof, p = unit_eta_profile, unit_eta_profile.params
         Q = _origin_series(p)
-        i = _origin_node(prof.s_grid, prof.eta_origin, p)
+        i = _origin_node(prof, prof.eta_origin)
         t = prof.eta_origin ** (p.m - 1.0) * np.exp(prof.s_grid[:i + 1] / p.beta_p)
         rq = p.beta_p * prof.z[:i + 1]
         assert expansion_check(prof).q_defect == float(np.max(np.abs(rq - t * polyval(t, Q))))
@@ -184,13 +200,15 @@ class TestEquationResiduals:
             assert dented > 1e-5
             assert dented > 100.0 * clean
 
-    def test_rows_whose_terms_all_underflow_are_typed(self):
-        # at (3, 0.00667, 149.3), m at 2% of (n-2)/n and gamma at 99.5% of
-        # its window, every term of the f equation underflows to 0 on rows
-        # of its window, where the relative defect was 0/0
-        prof = solve_for_eta(derive_params(*_corner(3, 0.02, 0.995)), 1.0)
-        with pytest.raises(ResolutionError, match="underflows to 0"):
-            f_ode_residual(prof)
+    def test_rows_whose_terms_all_underflow_are_typed(self, base_profile):
+        # the f equation's terms underflowed only on the closed-form rows the
+        # table no longer stores, at (3, 0.00667, 149.3), and its window now
+        # refuses an f past the normal floats first.  The inverted equation
+        # still reaches the refusal: on the reference table rescaled by
+        # 1e150 every one of its terms underflows to 0 on the window's rows,
+        # where the relative defect would be 0/0
+        with pytest.raises(ResolutionError, match="underflows to 0 on 921 rows"):
+            inversion_report(rescale_profile(base_profile, 1e150))
 
     def test_inverted_terms_do_not_overflow(self):
         # at (5, 0.012, 3.264), m at 2% of (n-2)/n and gamma at 0.5% of its
@@ -202,16 +220,20 @@ class TestEquationResiduals:
 
     @pytest.mark.parametrize("eta", [1e25, 1e-200])
     def test_window_without_rows_is_typed(self, eta):
-        # rescaling to eta shifts the table off the windows: w-bar's rho in
-        # [1e-4, 1] holds no row at either eta, and its max over the empty
-        # selection raised numpy's bare ValueError
+        # rescaling to eta shifts the table, and each window moves with it
+        # (an absolute window once held no row at either eta, and its max
+        # over the empty selection raised numpy's bare ValueError): at 1e25
+        # every check reads its value on the base table's rows, and at
+        # 1e-200, where f leaves the double range, the f and inverted checks
+        # refuse with a typed error
         prof = solve_for_eta(derive_params(*REFERENCE_POINT), eta)
+        outcomes = []
         for check in (f_ode_residual, wbar_ode_residual, lambda q: inversion_report(q).residual):
             try:
-                value = check(prof)
+                outcomes.append(check(prof) <= 1e-5)
             except ResolutionError:
-                continue
-            assert np.isfinite(value)
+                outcomes.append("refused")
+        assert outcomes == ([True] * 3 if eta > 1 else ["refused", True, "refused"])
 
 
 def _scaled(prof, field, factor):
@@ -271,10 +293,13 @@ MUTATION_POINTS = [REFERENCE_POINT,
 # mutation -> the checks it trips at each of MUTATION_POINTS.  An empty set
 # is a blind spot: a check that comes to cover it must update this table.
 # Dents at s = -20 lie below the residuals' windows, except w-bar's at the
-# second point: rho in [1e-4, 1] starts at s = beta' log 1e-4, -7.7 at the
-# reference and -17.5 where beta' = 1.89.  Dents at s >= 15 lie past every
-# window; there only a z dent shows, as z < -C1 where h is below 1e-3 C1.
-# s = 33.7 is -s_0 of the reference table, a row that no check reads either
+# second point: rho in e^(s_t/beta') [1e-4, 1] starts at s = s_t + beta' log
+# 1e-4, -8.6 at the reference and -18.5 where beta' = 1.89.  Dents at
+# s >= 15 lie past every window; there only a z dent shows, as z < -C1
+# where h is below 1e-3 C1.  The reference table ends at s_T = 23.9 (the
+# eta = 1 frame), so a dent at s = 30 or 33.7 (-s_0 of that table) moves
+# no stored row there and trips nothing; the second point's table runs to
+# s = 112, where they are tail rows that no check reads either
 # (far_field_gap reads the table's last row when it is built).  eta_origin
 # off by 1e-6 moves d1 and d2 by about 1e-6, far inside their gates.  The
 # table stores xi, so a z dent moves h as well and an h dent moves z
@@ -293,10 +318,10 @@ MUTATIONS = {
     "z@15": ({"pointwise"}, {"pointwise"}),
     "h@15": (set(), set()),
     "W@30": (set(), set()),
-    "z@30": ({"pointwise"}, {"pointwise"}),
+    "z@30": (set(), {"pointwise"}),
     "h@30": (set(), set()),
     "W@33.7": (set(), set()),
-    "z@33.7": ({"pointwise"}, {"pointwise"}),
+    "z@33.7": (set(), {"pointwise"}),
     "h@33.7": (set(), set()),
     "eta": (set(), set()),
     "z-sign": ({"pointwise", "inverted"}, {"pointwise", "inverted"}),
@@ -324,6 +349,41 @@ class TestMutationTable:
     @pytest.mark.parametrize("name", list(MUTATIONS))
     def test_mutation_trips_exactly(self, name, k):
         assert _tripped(_mutated(_unit_eta(MUTATION_POINTS[k]), name)) == MUTATIONS[name][k]
+
+
+def _five_checks(prof):
+    rep = expansion_check(prof)
+    return {"f": f_ode_residual(prof), "wbar": wbar_ode_residual(prof),
+            "inverted": inversion_report(prof).residual, "d1": rep.rel_err1, "d2": rep.rel_err2}
+
+
+@functools.cache
+def _base_checks(point):
+    base = continue_left(picard_solve(derive_fp_constants(derive_params(*point))))
+    return base, _five_checks(base)
+
+
+class TestScaleInvariance:
+    """rescale_profile is an exact symmetry of the profile equation: two
+    shifts of the stored state.  Every check places its window relative to
+    the profile's transition, so it reads the same rows, and the same value
+    up to the rounding of the shifted s and W, on a table and on any
+    rescale of it.  Measured over lambda in 1e-10 .. 1e10 at the two
+    mutation points: f moves by at most 1.28e-4 relative and the inverted
+    residual by 2.53e-6, their second differences amplifying that rounding;
+    w-bar, d1 and d2 read their roundoff on every table, at most 4.0e-8,
+    9.1e-15 and 1.7e-12.  Tolerances: f 1.5e-4 and inverted 3e-6 relative;
+    w-bar 5e-8, d1 1e-14 and d2 2e-12 on both values."""
+
+    @pytest.mark.parametrize("lam", [1e-10, 1e-5, 1.0, 1e5, 1e10])
+    @pytest.mark.parametrize("point", MUTATION_POINTS, ids=point_id)
+    def test_checks_read_the_table_not_its_scale(self, point, lam):
+        base, ref = _base_checks(point)
+        got = _five_checks(rescale_profile(base, lam))
+        assert got["f"] == pytest.approx(ref["f"], rel=1.5e-4, abs=0.0)
+        assert got["inverted"] == pytest.approx(ref["inverted"], rel=3e-6, abs=0.0)
+        for name, floor in (("wbar", 5e-8), ("d1", 1e-14), ("d2", 2e-12)):
+            assert max(got[name], ref[name]) <= floor, name
 
 
 class TestInversion:

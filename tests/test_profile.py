@@ -17,6 +17,7 @@ from fastdiff import (
     BoundViolationError,
     ExtrapolationError,
     FastDiffError,
+    NonContractionError,
     RangeError,
     ResolutionError,
     ToleranceError,
@@ -56,6 +57,18 @@ class TestPicardSolve:
         assert tail_ref.update_ratios.size >= 2
         assert np.all(tail_ref.update_ratios <= 0.25)
         assert np.all(np.diff(tail_ref.update_norms) < 0)
+
+    def test_ratio_above_one_fifth_is_refused(self):
+        # Phi is a 1/5-contraction on D_b1, so an update ratio above 1/5 is
+        # a broken constant.  At (5, 0.54, 4.952) with b1 cut to 0.1 b1 the
+        # iteration still converges, with a first ratio of 0.302 and the
+        # rest below 0.15; it is refused there (the sweep's and the edge
+        # table's worst ratio at the true b1 is 0.0153)
+        m = 0.9 * 3 / 5
+        fp = derive_fp_constants(derive_params(5, m, 2 / (1 - m) + 0.5 * (3 / m - 2 / (1 - m))))
+        picard_solve(fp)
+        with pytest.raises(NonContractionError, match=r"^update ratio 0\.302 at iteration 2 is above"):
+            picard_solve(replace(fp, b1=0.1 * fp.b1))
 
     def test_fixed_point_residual(self, tail_ref):
         assert 0.0 <= tail_ref.fp_residual <= 1e-10
@@ -248,70 +261,82 @@ class TestResidualOnFirstRead:
 
 
 class TestTailLength:
-    """The default tail ends at b1 + max(40/C2, -log(tol)/C2), and the table
-    runs on past it to b1 + 40 through the analytic tail."""
+    """The default tail ends at s_T = b1 + max(40/C2, -log(tol)/C2), and the
+    table at the last node at or below it: it stores only computed rows,
+    and profile_interpolator takes the analytic tail past them."""
 
     def test_reference_tail_and_table(self, tail_ref, base_profile, fp_ref):
-        # 40/C2 = 20 at the reference point, where C2 = 2
+        # 40/C2 = 20 at the reference point, where C2 = 2; the table's 5,765
+        # rows end on s_T itself there
         assert tail_ref.grid.size == 4001
-        assert tail_ref.grid[-1] == pytest.approx(fp_ref.b1 + 20.0, rel=1e-15)
-        assert base_profile.s_grid.size == 7765
+        s_T = float(tail_ref.grid[-1])
+        assert s_T == pytest.approx(fp_ref.b1 + 20.0, rel=1e-15)
+        assert base_profile.s_grid.size == 5765
+        ds = float(base_profile.s_grid[1] - base_profile.s_grid[0])
+        assert s_T - ds < base_profile.s_grid[-1] <= s_T
 
     def test_longer_tail_moves_no_row(self, base_profile, fp_ref):
-        # the floor of 40 in the tail does nothing for the fixed point: the
-        # table built from a tail to b1 + 40 has the same rows, wt and
-        # eta_origin, and h within 1e-12 where the short tail is not near
-        # its end
+        # the floor of 40 in the tail does nothing for the fixed point: a
+        # tail to b1 + 40 runs the table on to b1 + 40, and on the rows the
+        # short table holds it has the same s, wt and eta_origin, and h
+        # within 1e-12 where the short tail is not near its end
         long = continue_left(picard_solve(fp_ref, s_max=fp_ref.b1 + 40.0))
-        assert np.array_equal(long.s_grid, base_profile.s_grid)
-        assert np.array_equal(long.W, base_profile.W)
+        k = base_profile.s_grid.size
+        assert long.s_grid[-1] == pytest.approx(fp_ref.b1 + 40.0, abs=PROFILE_DS)
+        assert np.array_equal(long.s_grid[:k], base_profile.s_grid)
+        assert np.array_equal(long.W[:k], base_profile.W)
         assert long.eta_origin == base_profile.eta_origin
         sel = (base_profile.s_grid >= fp_ref.b1) & (base_profile.s_grid <= fp_ref.b1 + 15.0)
-        rel = np.abs(base_profile.h[sel] / long.h[sel] - 1.0)
+        rel = np.abs(base_profile.h[sel] / long.h[:k][sel] - 1.0)
         assert rel.max() <= 1e-12
 
     def test_far_rows_are_the_analytic_tail(self, tail_ref, base_profile, fp_ref):
-        # past the tail's end s_T: log h = log h_T - C2 (s - s_T) and
-        # W = -C1 s - (h_T / C2) e^(-C2 (s - s_T)).  h is formed from the
-        # stored xi, whose rounding of about 1e-16 |xi| (|xi| <= 90 here) is
-        # h's relative error, so h itself is held on its logarithm
+        # every row past b1 is the tail's splines, and past the table
+        # profile_interpolator gives the analytic tail the table once stored
+        # as 2,000 rows to b1 + 40: W = -C1 s - (h_T / C2) e^(-C2 (s - s_T))
+        # at the table's step, f to 1e-14 relative (measured: the same bits)
+        C1, C2, gamma = fp_ref.params.C1, fp_ref.C2, fp_ref.params.gamma
+        s, k = base_profile.s_grid, int(np.searchsorted(base_profile.s_grid, fp_ref.b1))
+        assert np.array_equal(base_profile.W[k + 1:], tail_ref.W_spline(s[k + 1:]))
+        assert np.allclose(base_profile.h[k + 1:], tail_ref.h_spline(s[k + 1:]), rtol=1e-14, atol=0.0)
         s_T, h_T = float(tail_ref.grid[-1]), float(tail_ref.h[-1])
-        C1, C2 = fp_ref.params.C1, fp_ref.C2
-        far = base_profile.s_grid > s_T
-        s = base_profile.s_grid[far]
-        assert s.size == 2000
-        decay = np.exp(-C2 * (s - s_T))
-        assert np.allclose(np.log(base_profile.h[far]), math.log(h_T) - C2 * (s - s_T),
-                           rtol=1e-15, atol=0.0)
-        assert np.allclose(base_profile.W[far], -C1 * s - h_T / C2 * decay, rtol=1e-15, atol=0.0)
+        ds = float(s[1] - s[0])
+        far = s[-1] + ds * np.arange(1, 2001)
+        f_far = np.exp(-gamma * far - C1 * far - h_T / C2 * np.exp(-C2 * (far - s_T)))
+        f_of_r = profile_interpolator(base_profile)
+        assert np.allclose(f_of_r(np.exp(far)), f_far, rtol=1e-14, atol=0.0)
 
     def test_far_rows_keep_h_where_it_underflows(self):
-        # at (3, 0.0333, 16.03), C2 = 27 takes h_T e^(-C2 (s - s_T)) below
-        # the smallest float on 19,018 of the analytic rows, where the
-        # table stored h = 0; xi keeps log h there, whose slope is -C2 per
-        # unit s, -0.02 per row at the table step 0.02/C2
+        # at (3, 0.0333, 16.03), C2 = 27 took h_T e^(-C2 (s - s_T)) below the
+        # smallest float on 19,018 closed-form rows past s_T.  Those rows are
+        # no longer stored: h is a positive float on every row, and past the
+        # table the analytic tail's h_e e^(-C2 d) reads 0 once C2 d passes
+        # 745, so f falls at the far-field rate gamma + C1 = (n-2)/m per unit
+        # s until it underflows too
         m = 0.1 / 3
         fp = derive_fp_constants(derive_params(3, m, 2 / (1 - m) + 0.5 * (1 / m - 2 / (1 - m))))
         prof = continue_left(picard_solve(fp))
         assert np.all(np.isfinite(prof.xi))
-        gone = prof.h == 0.0
-        assert gone.sum() > 1000
-        log_h = prof.xi[gone] + math.log(fp.params.C1)
-        ds = float(prof.s_grid[1] - prof.s_grid[0])
-        assert np.allclose(np.diff(log_h), -fp.C2 * ds, rtol=1e-9)
+        assert np.all(prof.h > 0.0)
+        s_e = float(prof.s_grid[-1])
+        f_of_r = profile_interpolator(prof)
+        s = s_e + np.linspace(1.0, 15.0, 141)
+        log_f = np.log(f_of_r(np.exp(s)))
+        assert np.allclose(np.diff(log_f) / np.diff(s), -1.0 / m, rtol=1e-9)
+        assert np.array_equal(f_of_r(np.exp(s_e + np.array([28.0, 40.0]))), [0.0, 0.0])
 
     def test_table_end_capped_where_wt_stays_normal(self):
-        # at (3, 0.0333, 3.466) the tail ends at b1 + 40/C2 = 1.86, and
-        # C1 = 26.5 would take wt = e^(-C1 s) below the normal floats before
-        # b1 + 40: the table stops at the last node below -log(float_min)/C1,
-        # so wt = e^W stays a normal float
+        # at (3, 0.0333, 3.466) the tail ends at b1 + 40/C2 = 1.86, and C1 =
+        # 26.5 would take wt = e^(-C1 s) below the normal floats past
+        # -log(float_min)/C1 = 26.7, where the table once needed a cap: it
+        # now ends at s_T, so wt = e^W is a normal float on every row
         m = 0.1 / 3
         fp = derive_fp_constants(derive_params(3, m, 2 / (1 - m) + 0.05 * (1 / m - 2 / (1 - m))))
         tail = picard_solve(fp)
         prof = continue_left(tail)
-        cap = -math.log(np.finfo(float).tiny) / fp.params.C1
-        assert tail.grid[-1] == pytest.approx(fp.b1 + 40.0 / fp.C2, rel=1e-15)
-        assert cap - PROFILE_DS < prof.s_grid[-1] <= cap < fp.b1 + 40.0
+        s_T = float(tail.grid[-1])
+        assert s_T == pytest.approx(fp.b1 + 40.0 / fp.C2, rel=1e-15)
+        assert s_T - PROFILE_DS < prof.s_grid[-1] <= s_T
         assert np.all(np.exp(prof.W) >= np.finfo(float).tiny)
         assert prof.far_field_gap <= 1e-15
 
@@ -550,7 +575,7 @@ class TestRecoverProfile:
         # by lam^(2/(1-m) - (n-2)/m), and keeps the relative q defect
         prof = continue_left(tail_ref)
         p = prof.params
-        eta, q_defect = _origin_match(prof.s_grid, prof.z, prof.W, p)
+        eta, q_defect = _origin_match(prof)
         assert prof.eta_origin == pytest.approx(eta, rel=1e-15)
         assert prof.origin_q_defect == pytest.approx(q_defect, rel=1e-6, abs=1e-15)
         assert prof.far_field_gap == abs(math.expm1(float(prof.W[-1]) + p.C1 * float(prof.s_grid[-1])))
@@ -610,15 +635,32 @@ class TestRecoverProfile:
             continue_left(tail_ref, s_min=-3.0)
 
     def test_detects_corrupted_origin_region(self, base_profile):
-        # z raised by 1e-3 on the window below rho*: the q check trips
-        p = base_profile.params
-        W = base_profile.W
-        i = _origin_node(base_profile.s_grid, base_profile.eta_origin, p)
-        z_bad = base_profile.z.copy()
-        z_bad[:i + 1] *= 1.0 + 1e-3
+        # z raised by 1e-3 on the window below rho*, on the stored xi =
+        # log(h/(-z)), h = C1 + z: the q check trips
+        C1 = base_profile.params.C1
+        i = _origin_node(base_profile, base_profile.eta_origin)
+        z_bad = base_profile.z[:i + 1] * (1.0 + 1e-3)
+        xi_bad = base_profile.xi.copy()
+        xi_bad[:i + 1] = np.log((C1 + z_bad) / -z_bad)
         with pytest.raises(ExtrapolationError, match="q defect 0.001"):
-            _origin_match(base_profile.s_grid, z_bad, W, p)
-        _origin_match(base_profile.s_grid, base_profile.z, W, p)
+            _origin_match(replace(base_profile, xi=xi_bad))
+        _origin_match(base_profile)
+
+    def test_match_node_follows_the_transition(self, base_profile):
+        # rho* = min(c/40, max(0.02 rho_t, 2 rho_min)), rho_t the transition
+        # row's rho: at the reference point 0.02 rho_t = 0.0101 and c/40 =
+        # 0.028, and the node stays the one the absolute rho* = 0.01 picked.
+        # A rescaled table keeps the node: the transition moves with it
+        p = base_profile.params
+        t, i = base_profile.transition, _origin_node(base_profile, base_profile.eta_origin)
+        assert base_profile.xi[t] <= 0.0 < base_profile.xi[t - 1]
+        rho = np.exp(base_profile.s_grid / p.beta_p)
+        assert rho[i] <= 0.02 * rho[t] < rho[i + 1]
+        assert i == int(np.searchsorted(base_profile.s_grid, p.beta_p * math.log(1e-2), side="right")) - 1
+        for lam in (1e-10, 1e10):
+            scaled = rescale_profile(base_profile, lam)
+            assert scaled.transition == t
+            assert _origin_node(scaled, scaled.eta_origin) == i
 
 
 class TestRescaleProfile:
@@ -729,15 +771,29 @@ class TestInterpolator:
         assert isinstance(f_of_r(float(r[0])), float)
 
     def test_out_of_range(self, base_profile):
+        # below the table's first radius and at r <= 0 it refuses; past the
+        # last radius it reads the analytic tail, below the last row's f
         f_of_r = profile_interpolator(base_profile)
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="below profile table"):
             f_of_r(float(np.exp(base_profile.s_grid)[0]) * 0.5)
-        with pytest.raises(RangeError):
-            f_of_r(float(np.exp(base_profile.s_grid)[-1]) * 1.5)
+        with pytest.raises(RangeError, match="below profile table"):
+            f_of_r(np.exp(base_profile.s_grid[:3]) * 0.5)
+        r_e = float(np.exp(base_profile.s_grid)[-1])
+        assert 0.0 < f_of_r(r_e * 1.5) < f_of_r(r_e)
         with pytest.raises(RangeError):
             f_of_r(0.0)
         with pytest.raises(RangeError):
             f_of_r(-1.0)
+
+    def test_continuous_at_the_last_row(self, base_profile, unit_eta_profile):
+        # the spline's last piece and the analytic tail meet at the last
+        # row: one ulp of r apart, f moves by the roundoff of log r's step
+        for prof in (base_profile, unit_eta_profile):
+            f_of_r = profile_interpolator(prof)
+            r_e = _radius_with_log(float(prof.s_grid[-1]))
+            at, past = f_of_r(r_e), f_of_r(float(np.nextafter(r_e, math.inf)))
+            assert past == pytest.approx(at, rel=1e-13)
+            assert at == pytest.approx(float(_f(prof)[-1]), rel=1e-15)
 
     def test_non_finite_radius_raises(self, base_profile):
         f_of_r = profile_interpolator(base_profile)
@@ -752,14 +808,16 @@ class TestInterpolator:
 
     def test_scalar_path_equals_array_path(self, base_profile, unit_eta_profile):
         # a float radius takes the scalar path, an array the PPoly path; the
-        # two must agree to the last bit, the end pieces included
+        # two must agree to the last bit, the end pieces and the analytic
+        # tail past the last row included
         rng = np.random.default_rng(8)
         for prof in (base_profile, unit_eta_profile):
             f_of_r = profile_interpolator(prof)
             s = prof.s_grid
             ends = [_radius_with_log(s[0]), _radius_with_log(s[-1])]
             outside = np.exp([s[0] - 5e-13, s[-1] + 5e-13])
-            radii = np.concatenate([np.exp(prof.s_grid), ends, outside,
+            past = np.exp(rng.uniform(s[-1], s[-1] + 50.0, 1_000))
+            radii = np.concatenate([np.exp(prof.s_grid), ends, outside, past,
                                     np.exp(rng.uniform(s[0], s[-1], 10_000))])
             batch = f_of_r(radii)
             scalar = np.array([f_of_r(float(r)) for r in radii])
