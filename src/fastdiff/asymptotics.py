@@ -28,15 +28,16 @@ Each window lies at a fixed offset from the transition row s_t
 (Profile.transition), r_t = e^(s_t) and rho_t = e^(s_t/beta'), so a table
 and any rescale of it read the same rows.
 
-All residuals are normalized by the largest term magnitude at each node
-(the equations carry 1/rho^2 scalings that make absolute defects
-meaningless); a node where every term underflows to 0 is a ResolutionError.
+Each residual divides its equation through by its solution, so every term
+is a ratio that a rescale leaves as it is, formed from the stored logs with
+no exp of f, wt or g at the table's scale.  Its value at a node is
+|sum of terms| / max |term|; each divided equation keeps one nonzero
+constant term (alpha, -a3 or at), so that max is never 0.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 _F_WINDOW = (1e-3, 1e3)        # r/r_t on which f_ode_residual is taken
-_LOG_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,8 @@ def expansion_check(profile: Profile) -> ExpansionReport:
 
 def _window(profile: Profile, lo: float, hi: float, window: str) -> slice:
     """The table rows with lo <= s - s_t <= hi and the two stencil rows on
-    each side, where a check forms its exponentials: past them they can
-    leave the double range.  ResolutionError if fewer than 5 such window
-    rows clear the table's two edge rows."""
+    each side, which a residual's centred differences read.  ResolutionError
+    if fewer than 5 such window rows clear the table's two edge rows."""
     s, s_t = profile.s_grid, float(profile.s_grid[profile.transition])
     i = max(int(np.searchsorted(s, s_t + lo)), 2)
     j = min(int(np.searchsorted(s, s_t + hi, side="right")), s.size - 2)
@@ -142,48 +141,37 @@ def _window(profile: Profile, lo: float, hi: float, window: str) -> slice:
     return slice(i - 2, j + 2)
 
 
-def _exp_normal(log_x: np.ndarray, name: str) -> np.ndarray:
-    """e^log_x; ResolutionError before the exp unless every value is a
-    normal float, which a deep or rescaled table's f or wt need not be."""
-    lo, hi = float(np.min(log_x)), float(np.max(log_x))
-    if not (_LOG_NORMAL[0] <= lo and hi <= _LOG_NORMAL[1]):
-        raise ResolutionError(f"{name} leaves the normal floats: log {name} in [{lo:.6g}, {hi:.6g}]")
-    return np.exp(log_x)
-
-
 def _residual_over_terms(terms):
-    """|sum of terms| / max |term|, elementwise over node arrays;
-    ResolutionError where every term of a node is 0, which is 0/0."""
-    total = np.abs(sum(terms))
-    scale = np.maximum.reduce([np.abs(t) for t in terms])
-    if np.any(scale == 0.0):
-        raise ResolutionError(f"every term of the equation underflows to 0 on "
-                              f"{int(np.sum(scale == 0.0))} rows of the window")
-    return total / scale
+    """|sum of terms| / max |term|, elementwise over node arrays."""
+    return np.abs(sum(terms)) / np.maximum.reduce([np.abs(t) for t in terms])
 
 
 def wbar_ode_residual(profile: Profile) -> float:
     """Max relative defect of the w-bar equation over rho/rho_t in [1e-4, 1],
     all derivatives by centered differences in s at the table's own step.
-    Below about 1e-8 the value is the check's roundoff floor: the second
-    differences of wt amplify its rounding.  ResolutionError if fewer than
-    5 rows lie in the window, or wt is not a normal float there."""
+    Times rho^2 its a2 term is a2 U X, U = rho wb_rho/wb and X = wb^(1-m)/rho
+    = e^((1-m) W - s/beta'); the stencils read wt over its window's largest
+    value, since on W the chain rule doubles their roundoff on a shifted
+    table.  Below about 1e-8 the value is the check's roundoff floor: the
+    second differences of wt amplify its rounding.  ResolutionError if fewer
+    than 5 rows lie in the window."""
     p = profile.params
     c = 1.0 / p.beta_p
     s = profile.s_grid
     rows = _window(profile, math.log(1e-4) / c, 0.0, "w-bar-equation window rho/rho_t in [0.0001, 1]")
     ds = float(s[1] - s[0])
-    wt = _exp_normal(profile.W[rows], "wt")
+    W = profile.W[rows]
+    wt = np.exp(W - np.max(W))
     ws = deriv_uniform(wt, ds, deriv=1)
     wss = deriv_uniform(wt, ds, deriv=2)
-    rho = np.exp(c * s[rows][2:-2])
     w = wt[2:-2]
     U = ws / (c * w)                            # rho wb_rho / wb
+    X = np.exp((1.0 - p.m) * W[2:-2] - c * s[rows][2:-2])
     terms = [
         (wss - c * ws) / (c * c * w) - U * U,   # rho^2 (wb_rho/wb)_rho
         p.m * U * U,
         p.a1 * U,
-        p.a2 * ws / (c * rho * w ** p.m),       # rho^2 * a2/rho^2 * wb_rho/wb^m
+        p.a2 * U * X,                           # rho^2 * a2/rho^2 * wb_rho/wb^m
         np.full_like(U, -p.a3),
     ]
     return float(np.max(_residual_over_terms(terms)))
@@ -191,25 +179,24 @@ def wbar_ode_residual(profile: Profile) -> float:
 
 def f_ode_residual(profile: Profile) -> float:
     """Max relative defect of (f^m/m)_rr + (n-1)/r (f^m/m)_r + alpha f
-    + beta r f_r over r/r_t in [1e-3, 1e3], all derivatives by centered
-    differences in s = log r.  f = e^(-gamma s + W) is formed on the
-    window's rows and the two stencil rows on each side only.
-    ResolutionError if fewer than 5 rows lie in the window, or f is not a
-    normal float there."""
+    + beta r f_r over r/r_t in [1e-3, 1e3], divided through by f.  With
+    L = log f = -gamma s + W and E = r^(-2) f^(m-1) = e^((m-1) L - 2s) the
+    terms are E (L'' + m L'^2), (n-2) E L', alpha and beta L', all
+    derivatives by centered differences in s = log r.  ResolutionError if
+    fewer than 5 rows lie in the window."""
     p = profile.params
     s = profile.s_grid
     rows = _window(profile, math.log(_F_WINDOW[0]), math.log(_F_WINDOW[1]),
                    f"f-equation window r/r_t in [{_F_WINDOW[0]:g}, {_F_WINDOW[1]:g}]")
-    sw = s[rows]
-    f = _exp_normal(-p.gamma * sw + profile.W[rows], "f")
     ds = float(s[1] - s[0])
-    F = f ** p.m / p.m
-    e2 = np.exp(-2.0 * sw[2:-2])
+    L = -p.gamma * s[rows] + profile.W[rows]
+    L1, L2 = deriv_uniform(L, ds, deriv=1), deriv_uniform(L, ds, deriv=2)
+    E = np.exp((p.m - 1.0) * L[2:-2] - 2.0 * s[rows][2:-2])
     terms = [
-        e2 * deriv_uniform(F, ds, deriv=2),
-        e2 * (p.n - 2) * deriv_uniform(F, ds, deriv=1),
-        p.alpha * f[2:-2],
-        p.beta * deriv_uniform(f, ds, deriv=1),
+        E * (L2 + p.m * L1 * L1),
+        (p.n - 2) * E * L1,
+        np.full_like(L1, p.alpha),
+        p.beta * L1,
     ]
     return float(np.max(_residual_over_terms(terms)))
 
@@ -222,15 +209,14 @@ def inversion_report(profile: Profile) -> InversionReport:
         e^(-2 sigma)(Gamma_ss + (n-2) Gamma_s) + E (at g + bt g_sigma) = 0.
     g is read on the table's rows with sigma = -s in the window
     y r_t in [1e-2, 1e2], reversed so that sigma ascends, so each value of g
-    comes from one row's W and xi.  Gamma_sigma = -g^m h(-sigma) follows
-    from the stored logarithmic derivative; the remaining outer derivative
-    is taken numerically through Q = e^((n-2) sigma) Gamma_sigma, which
-    keeps the exponentially flat end (g -> eta_inf) numerically meaningful.
-    Q, E g and E g_sigma = -E g h are each one exp of a sum of logs: E
-    alone overflows where its rate (243 at (5, 0.012, 3.264)) meets the
-    window's edge, and g underflows where C1 does.  ResolutionError if
-    fewer than 5 rows lie in the window, or where every term of a row
-    underflows.
+    comes from one row's W and xi.  Gamma_sigma = -g^m h follows from the
+    stored logarithmic derivative, and the outer derivative is taken through
+    Q = e^((n-2) sigma) Gamma_sigma, which keeps the exponentially flat end
+    (g -> eta_inf) numerically meaningful.  Divided through by E g the
+    terms are -e^(Y + log h) (log|Q|)_sigma, at and -bt h, with
+    Y = (m-1) log g - ((n-2)/m - n) sigma and log h = log C1 -
+    log(1 + e^(-xi)) read off xi, so h never underflows to a log of 0.
+    ResolutionError if fewer than 5 rows lie in the window.
     """
     p = profile.params
     n, m, C1 = p.n, p.m, p.C1
@@ -240,15 +226,16 @@ def inversion_report(profile: Profile) -> InversionReport:
     s = profile.s_grid
     rows = _window(profile, -math.log(1e2), -math.log(1e-2),
                    "inverted-equation window y r_t in [0.01, 100]")
-    sig, h_rev, log_wt = -s[rows][::-1], profile.h[rows][::-1], profile.W[rows][::-1]
+    sig, xi, log_wt = -s[rows][::-1], profile.xi[rows][::-1], profile.W[rows][::-1]
     ds = float(sig[1] - sig[0])
 
     log_g = -C1 * sig + log_wt
-    Q = -h_rev * np.exp((n - 2) * sig + m * log_g)
-    sw = sig[2:-2]
-    diffusion = np.exp(-n * sw) * deriv_uniform(Q, ds, deriv=1)
-    Eg = np.exp(((n - 2 - n * m) / m - 2.0) * sw + log_g[2:-2])
-    res = _residual_over_terms([diffusion, at * Eg, -bt * Eg * h_rev[2:-2]])
+    with np.errstate(invalid="ignore"):         # a nan xi reads a nan residual
+        log_h = math.log(C1) - np.logaddexp(0.0, -xi)
+    dlogQ = deriv_uniform(log_h + (n - 2) * sig + m * log_g, ds, deriv=1)
+    Y = (m - 1.0) * log_g[2:-2] - ((n - 2) / m - n) * sig[2:-2]
+    lh = log_h[2:-2]
+    res = _residual_over_terms([-np.exp(Y + lh) * dlogQ, np.full_like(Y, at), -bt * np.exp(lh)])
     residual = float(np.max(res))
 
     # involution: applying the transform twice returns f, row by row: the

@@ -642,7 +642,10 @@ def _origin_match(profile: Profile) -> tuple[float, float]:
 
 def rescale_profile(profile: Profile, lam: float) -> Profile:
     """The scaling family f_lam(r) = lam^(2/(1-m)) f(lam r) applied to the
-    table: s shifts by -log lam and W = log wt by (2/(1-m) - gamma) log lam."""
+    table: s shifts by -log lam and W = log wt by (2/(1-m) - gamma) log lam.
+    RangeError for a lam that takes a scale factor past the float range or
+    eta_origin below the normal floats; eta_inf, which no check reads, may
+    underflow."""
     if not 0.0 < lam < math.inf:
         raise RangeError(f"lambda must be positive and finite, got {lam}")
     p = profile.params
@@ -652,13 +655,16 @@ def rescale_profile(profile: Profile, lam: float) -> Profile:
         kappa_inf = lam ** (two1m - (p.n - 2) / p.m)     # eta_inf scale
     except OverflowError:
         raise RangeError(f"lambda = {lam:.3g} takes the scale factors past the float range") from None
+    eta = profile.eta_origin * kappa
+    if eta < sys.float_info.min:
+        raise RangeError(f"lambda = {lam:.3g} takes eta_origin below the normal floats: {eta:.3g}")
     log_lam = math.log(lam)
     return replace(
         profile,
         eta_inf=profile.eta_inf * kappa_inf,
         s_grid=profile.s_grid - log_lam,
         W=profile.W + (two1m - p.gamma) * log_lam,
-        eta_origin=profile.eta_origin * kappa,
+        eta_origin=eta,
         far_field_gap=profile.far_field_gap * abs(kappa_inf),
     )
 

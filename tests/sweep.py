@@ -24,7 +24,8 @@ expected files with  PYTHONPATH=src python tests/sweep.py --write, which
 also prints each outcome and inside flag that differs from the file it
 overwrites, one line each, as  point key old → new.  Each table ends on a
 totals line: its rows' Picard iterations, tail nodes, base table rows and
-LSODA steps at each run position (tail_residual, s-leg, rho-leg), summed.
+LSODA steps at each run position (tail_residual, s-leg, rho-leg), summed,
+and the worst of each value in WORST over its completing rows.
 """
 
 import contextlib
@@ -67,6 +68,8 @@ BOUNDS = {
     "inverted_residual": 1e-5,
     "fp_residual": 1e-10,
 }
+# the values whose worst over a table its totals line prints
+WORST = ("f_residual", "wbar_residual", "inverted_residual", "d1_rel_err", "d2_rel_err", "fp_residual")
 
 
 def _grid(ns, m_fractions, gamma_fractions):
@@ -217,9 +220,11 @@ def main(argv):
                   f"lsoda {row['lsoda_steps']}, {', '.join(out)}")
         lsoda = [sum(col) for col in itertools.zip_longest(*(row["lsoda_steps"] for row in rows),
                                                             fillvalue=0)]
+        worst = [f"{k} {max(row['values'][k] for row in rows if 'values' in row):.2g}" for k in WORST]
         print(f"{'totals':>24}  picard {sum(row['picard_iterations'] or 0 for row in rows)}, "
               f"tail nodes {sum(row['tail_nodes'] or 0 for row in rows)}, "
-              f"table rows {sum(row['table_rows'] or 0 for row in rows)}, lsoda {lsoda}")
+              f"table rows {sum(row['table_rows'] or 0 for row in rows)}, lsoda {lsoda}, "
+              f"worst {', '.join(worst)}")
 
 
 if __name__ == "__main__":

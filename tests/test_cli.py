@@ -445,35 +445,29 @@ class TestExitCodes:
         # X = exp(-s/b' + (1-m) W) overflowed with a RuntimeWarning
         assert cli.main(["profile", *argv, "--out", str(tmp_path)]) == 0
 
-    def test_tiny_eta_is_exit_3(self, tmp_path):
-        # lambda = 3.45e215 shifts the table by -log lambda = -496, and f by
-        # lambda^(2/(1-m)) = e^1240: f_ode_residual's window, which moves
-        # with the table, holds no f that is a float.  A typed refusal
-        # before the exp, not an f_ode_residual of null from an overflow
+    def test_tiny_eta_is_exit_2(self, tmp_path):
+        # lambda = 3.45e215 takes eta_origin = 1.81 lambda^(-1.5) to the
+        # subnormal 9.88e-324, not the 5e-324 asked for: rescale_profile
+        # refuses an eta_origin below the normal floats
         rc = cli.main(["profile", "--n", "3", "--eta", "5e-324", "--out", str(tmp_path)])
-        assert rc == 3
+        assert rc == 2
         record = read_json(tmp_path / "error.json")
-        assert record["error"] == "ResolutionError"
-        assert record["message"] == "f leaves the normal floats: log f in [1208.98, 1271.29]"
-
-    def test_tiny_eta_expansion_is_exit_3(self, tmp_path):
-        # expansion_check forms eta^(2m-1) as eta lam lam, lam = eta^(m-1),
-        # since lam^2 = 1e320 alone overflows at eta = 1e-200; it passes,
-        # and on the table shifted by -307 every term of the inverted
-        # equation underflows on its window's rows
-        rc = cli.main(["expansion", "--n", "3", "--eta", "1e-200", "--out", str(tmp_path)])
-        assert rc == 3
-        record = read_json(tmp_path / "error.json")
-        assert (record["error"], record["message"]) == (
-            "ResolutionError", "every term of the equation underflows to 0 on 921 rows of the window")
+        assert record["error"] == "RangeError"
+        assert record["message"] == ("lambda = 3.45e+215 takes eta_origin below the normal floats: "
+                                     "9.88e-324")
 
     @pytest.mark.parametrize("eta, code", [("1e10", 0), ("1e15", 0), ("1e20", 0), ("1e25", 0),
-                                           ("1e-30", 0), ("1e-60", 0), ("1e150", 0), ("1e-150", 0)])
+                                           ("1e-30", 0), ("1e-60", 0), ("1e150", 0), ("1e-150", 0),
+                                           ("1e180", 0), ("1e-200", 0)])
     def test_large_eta_expansion(self, eta, code, tmp_path):
         # rescaling to eta shifts the table, and every window moves with the
         # profile's transition: at 1e25 the table starts at s = 4.64, right
-        # of the absolute window y in [0.01, 100] that once refused it, and
-        # from 1e-150 to 1e150 every value stays inside its gate
+        # of the absolute window y in [0.01, 100] that once refused it.
+        # Each residual is divided through by its solution, so from 1e-200
+        # to 1e180, where f leaves the double range on the table, every
+        # value stays inside its gate; expansion_check forms eta^(2m-1) as
+        # eta lam lam, lam = eta^(m-1), since lam^2 = 1e320 alone overflows
+        # at eta = 1e-200
         rc = cli.main(["expansion", "--n", "3", "--eta", eta, "--out", str(tmp_path)])
         assert rc == code
         summary = read_json(tmp_path / "expansion_summary.json")
