@@ -18,8 +18,9 @@ satisfies equivalent differential/series representations:
 
 The profile's invariants are checked where the table is built, not here:
 -C1 < z < 0 by the stored xi = log(h/(-z)), which continue_left makes
-finite on every row, and the far-field limit r^((n-2)/m) f -> eta_inf in
-Profile.far_field_gap.
+finite on every row, and the far-field limit r^((n-2)/m) f -> eta_inf by the
+tail's fixed point, whose defect profile.tail_residual reads over the whole
+tail.
 
 No check fits a spline: each reads the profile table row by row, and the
 residuals read only the rows of their own window, where they take their

@@ -83,10 +83,7 @@ _WEIGHT = {
               nullable=True),
 }
 _OUT = {"out": Opt(str, "out", "output directory (env FDX_OUT overrides)")}
-_S_RANGE = {
-    "s_min": Opt(float, None, "left end of the log-radius range", nullable=True),
-    "s_max": Opt(float, None, "right end of the Picard tail", nullable=True),
-}
+_S_MIN = {"s_min": Opt(float, None, "left end of the log-radius range", nullable=True)}
 _STEPPING = {
     "dt_init": Opt(float, EvolveConfig.dt_init, "initial time step"),
     "dt_max": Opt(float, EvolveConfig.dt_max, "largest allowed time step"),
@@ -160,11 +157,10 @@ def _derived_block(o: dict, params: Optional[ParamSet],
 def _build_profile(o: dict, params: ParamSet):
     return solve_for_eta(
         params,
-        target_eta=o["eta"],
+        target_eta=o.get("eta", 1.0),       # converge takes no eta
         tol=o["tol"],
         b1_margin=o["b1_margin"],
         s_min=o.get("s_min"),
-        s_max=o.get("s_max"),
     )
 
 
@@ -181,7 +177,6 @@ def _cmd_profile(o: dict, params: ParamSet, weight: None):
         "fp_residual": prof.fp_residual,
         "ode_residual_max": f_ode_residual(prof),
         "iterations": prof.picard_iterations,
-        "far_field_gap": prof.far_field_gap,
         "s_range": [float(prof.s_grid[0]), float(prof.s_grid[-1])],
     }
     return {
@@ -373,9 +368,9 @@ class Command(NamedTuple):
 
 _COMMANDS = {
     "profile": Command(_cmd_profile, "construct the singular profile f",
-                       {**_PROFILE_MODEL, **_S_RANGE}),
+                       {**_PROFILE_MODEL, **_S_MIN}),
     "expansion": Command(_cmd_expansion, "origin/far-field expansion and inversion checks",
-                         {**_PROFILE_MODEL, **_S_RANGE}),
+                         {**_PROFILE_MODEL, **_S_MIN}),
     "weight": Command(_cmd_weight, "superharmonic weight phi_mu", {
         **_WEIGHT,
         "r_lo": Opt(float, 0.1, "smallest tabulated radius"),
@@ -403,8 +398,10 @@ _COMMANDS = {
                          "amplitude of the random interpolation field"),
         "seed": Opt(int, 0, "random seed"),
     }),
+    # converge rescales the profile to a0, a1 and a2 itself, so an eta
+    # would move only the frame its lambdas are reported in
     "converge": Command(_cmd_converge, "large-time convergence of rescaled solutions", {
-        **_PROFILE_MODEL, **_WEIGHT, **_STEPPING,
+        **{k: v for k, v in _PROFILE_MODEL.items() if k != "eta"}, **_WEIGHT, **_STEPPING,
         "dt_rel_max": _STEPPING["dt_rel_max"]._replace(default=2.5e-4),
         "nodes": _STEPPING["nodes"]._replace(default=640),
         "case": Opt(("orbit", "bump"), "orbit", None),

@@ -11,9 +11,9 @@ a 1/5-contraction on the set D_b1 for s >= b1, whose bounds read the scaled
 state v = wt e^(C1 s) = e^(W + C1 s), W = log wt.  Phi_1 is written at the
 far-field coefficient eta_inf = lim r^((n-2)/m) f(r) = 1, the one the profile
 is built at before rescaling.  Picard iteration on a uniform s-grid gives
-(W, h) on [b1, s_max], by default s_max = b1 + max(40/C2, -log(tol)/C2): past
-the grid the map itself takes h = h_T e^(-C2 (s - s_T)), whose first neglected
-term is below e^(-40) there.  It starts on the first term of the far-field
+(W, h) on [b1, s_T], s_T = b1 + max(40/C2, -log(tol)/C2): past the grid the
+map itself takes h = h_T e^(-C2 (s - s_T)), whose first neglected term is
+below e^(-40) there.  It starts on the first term of the far-field
 expansion r^((n-2)/m) f = 1 + d_inf r^(-C2) + ..., h = -C2 d_inf e^(-C2 s)
 with d_inf = -b' C1 / (C2 (n-2+C2)), which lies in D_b1 (_tail_seed).
 continue_left builds the whole Profile from it in one call: the tail continued
@@ -84,8 +84,8 @@ _ORIGIN_Q_TOL = 1e-10      # relative q defect of the origin match (sweep's wors
 _RHO_LEG = 0.1             # continue_left integrates in rho = e^(s/b') below this
 _CONTRACTION = 0.2         # the paper's contraction factor of Phi on D_b1
 _ORIGIN_FRACTION = 0.02    # rho* of the origin match is at most this times rho_t's
-# most nodes of a tail grid or profile table; the largest default ones hold
-# 100,668 (the tail at (8, 0.735, 7.55)) and 402,636 (the table at (3, 0.00667, 2.753))
+# most rows of a profile table; the largest default one holds 402,636, at
+# (3, 0.00667, 2.753), and no tail grid reaches it (see picard_solve)
 _MAX_NODES = 10**7
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)   # log of the largest float
 # continue_left's derivative for a trial state whose own one is not finite:
@@ -98,7 +98,7 @@ _TRIAL_DERIV = math.sqrt(sys.float_info.max)
 
 @dataclass(frozen=True)
 class TailSolution:
-    """The Picard fixed point (W = log wt, h) on the tail grid [b1, s_max].
+    """The Picard fixed point (W = log wt, h) on the tail grid [b1, s_T].
 
     The tail's two interpolants, the cubic splines h_spline of h and
     W_spline of W on the grid, are built on first use and kept by the
@@ -146,9 +146,6 @@ class Profile:
     xi: np.ndarray             # xi = log(h / (-z)), the logit of the log-slope
     W: np.ndarray              # W(s) = log wt = log(r^gamma f(r)), r = e^s
     eta_origin: float
-    # |r^((n-2)/m) f - eta_inf| at the tail's last node, the far-field check:
-    # it reads Phi_1's W + C1 s = -h_T/C2 < e^(-40), so cannot see a defect
-    far_field_gap: float
     origin_q_defect: float     # relative, so rescaling leaves it as it is; see _origin_match
     tail: TailSolution
 
@@ -264,13 +261,6 @@ def _backward_recurrence(a, b, last):
     return _TBSV(1, band, np.append(b, last), diag=1, overwrite_x=1)
 
 
-def _check_nodes(count: float, what: str) -> None:
-    """RangeError for a grid of count > _MAX_NODES nodes, inf included."""
-    if not count <= _MAX_NODES:
-        raise RangeError(f"{what} would hold {count:.3g} nodes, over the budget of {_MAX_NODES:,}; "
-                         f"choose a shorter range")
-
-
 def _tail_seed(fp: FPConstants, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Picard's start (W0, h0) on the tail grid s: the first term of the
     far-field expansion, h0 = c e^(-C2 s) with c = min(b' C1/(n-2+C2), C3,
@@ -290,17 +280,16 @@ def _tail_seed(fp: FPConstants, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -p.C1 * s - h / fp.C2, h
 
 
-def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e-12) -> TailSolution:
+def picard_solve(fp: FPConstants, tol: float = 1e-12) -> TailSolution:
     """Iterate (Phi_1, Phi_2) from the first term of the far-field expansion
     (_tail_seed) until the weighted update norm drops below tol.
 
-    The tail runs from b1 to s_max, by default b1 + max(40/C2, -log(tol)/C2),
-    where the term Phi_1 and Phi_2 neglect past the grid is below e^(-40) and
-    tol, at a step of at most 0.01/C2, the scale of h: 4,001 nodes at the
-    reference point.  An explicit s_max below b1 + 40/C2, or one whose grid
-    would hold more than _MAX_NODES nodes, is refused with RangeError before
-    any array is made, and a tail grid whose D_b1 weight e^(C2 s) leaves the
-    double range with ResolutionError.
+    The tail runs from b1 to s_T = b1 + max(40/C2, -log(tol)/C2), where the
+    term Phi_1 and Phi_2 neglect past the grid is below e^(-40) and tol, at
+    a step of at most 0.01/C2, the scale of h: max(40, -log tol)/0.01 + 1
+    nodes, 4,001 at tol = 1e-12 and about 74,400 at the smallest positive
+    tol.  A tail whose D_b1 weight e^(C2 s) leaves the double range is
+    refused with ResolutionError before any array is made.
 
     Membership in D_b1 is asserted for every iterate, on v = e^(W + C1 s),
     and the 1/5-contraction for each update ratio whose norms lie above
@@ -311,26 +300,17 @@ def picard_solve(fp: FPConstants, s_max: Optional[float] = None, tol: float = 1e
     if not 0.0 < tol < math.inf:
         raise RangeError(f"tol must be positive and finite, got {tol}")
     C1, C2, b1 = fp.params.C1, fp.C2, fp.b1
-    if s_max is None:
-        s_max = b1 + max(40.0 / C2, -math.log(tol) / C2)
-    if not b1 + 40.0 / C2 <= s_max < math.inf:
-        raise RangeError(f"s_max must be finite and at least b1 + 40/C2 = {b1 + 40.0 / C2}, "
-                         f"got {s_max}")
-    ds_target = 0.01 / C2
-    _check_nodes((s_max - b1) / ds_target + 1.0, "the tail grid")
-    # at least one step: a b1 past about 2^53 * 40/C2 absorbs 40/C2, and
-    # its grid of step 0 is refused below, since e^(C2 b1) overflows there
-    nseg = max(int(math.ceil((s_max - b1) / ds_target)), 1)
-    ds = (s_max - b1) / nseg
-    s = b1 + ds * np.arange(nseg + 1)
-
+    s_T = b1 + max(40.0 / C2, -math.log(tol) / C2)
     # D_b1's weights e^(C2 s), e^(C2 s/2); one past the double range would
-    # make h e^(C2 s) = 0 * inf = nan, which passes every bound test
-    with np.errstate(over="ignore"):
-        weights = (np.exp(C2 * s), np.exp(0.5 * C2 * s))
-    if not np.isfinite(weights[0][-1]):
+    # make h e^(C2 s) = 0 * inf = nan, which passes every bound test.  Below
+    # it b1 < 710/C2 cannot absorb 40/C2, so the grid has at least 4,000 steps
+    if not C2 * s_T <= _LOG_FLOAT_MAX:
         raise ResolutionError(f"D_b1 weight e^(C2 s) overflows on the tail grid "
-                              f"[{b1:.6g}, {s[-1]:.6g}] (C2 = {C2:.6g})")
+                              f"[{b1:.6g}, {s_T:.6g}] (C2 = {C2:.6g})")
+    nseg = int(math.ceil((s_T - b1) / (0.01 / C2)))
+    ds = (s_T - b1) / nseg
+    s = b1 + ds * np.arange(nseg + 1)
+    weights = (np.exp(C2 * s), np.exp(0.5 * C2 * s))
 
     slack = 2e-12
     W, h = _tail_seed(fp, s)
@@ -393,15 +373,17 @@ def tail_residual(tail: TailSolution) -> float:
     satisfies the linear ODE y' = (n-2 + b'X) y - q.  Its scaled state
     Y = e^(C2 s) y solves Y' = (n-2 + C2 + b'X) Y - e^(C2 s) q, whose forcing
     is O(1) since e^(C2 s) X = e^((1-m)(W + C1 s)) <= 1 on D_b1; Y is
-    integrated backward from Y(s_max) = e^(C2 s_max) y(s_max) in one LSODA
-    run (numerics.lsoda_at) that outputs the _TAIL_SAMPLES comparison
-    points, where h is compared with Y e^(-C2 s); on y the error control
-    would follow its decay step by step.  J = int_s^inf h in Phi_1 is the exact
-    integral F(s_max) - F(s) of h's cubic spline, F its antiderivative, plus
-    the analytic tail h(s_max)/C2.  W = log wt enters through the tail's
-    spline, as X = exp((1-m) W - s/b') and as the scaled state e^(W + C1 s)
-    compared with e^(-J), Phi_1's.  Comparing against (h, W) there avoids
-    every piece of the Picard quadrature path.
+    integrated backward from Y(s_T) = e^(C2 s_T) y(s_T) in one LSODA run
+    (numerics.lsoda_at) that outputs the _TAIL_SAMPLES comparison points,
+    spaced evenly over the whole tail [b1, s_T], where h is compared with
+    Y e^(-C2 s); on y the error control would follow its decay step by step.
+    J = int_s^inf h in Phi_1 is the exact integral F(s_T) - F(s) of h's
+    cubic spline, F its antiderivative, plus the analytic tail h(s_T)/C2.
+    W = log wt enters through the tail's spline, as X = exp((1-m) W - s/b')
+    and as the scaled state e^(W + C1 s) compared with e^(-J), Phi_1's: up
+    to s_T, where W + C1 s fixes eta_inf = 1, so this is also the far-field
+    check.  Comparing against (h, W) there avoids every piece of the Picard
+    quadrature path.
     """
     p = tail.fp.params
     n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, tail.fp.C2
@@ -416,8 +398,8 @@ def tail_residual(tail: TailSolution) -> float:
         return [(n - 2 + C2 + bp * X) * Y[0] - math.exp(C2 * sv) * q]
 
     y_end = (bp * C1 * math.exp((1.0 - m) * W[-1] - s[-1] / bp) + m * h[-1] ** 2) / (n - 2 + C2)
-    sc = np.linspace(s[0], s[0] + min(20.0, s[-1] - s[0]), _TAIL_SAMPLES)
-    # when the window is the whole grid its last sample repeats s_max
+    sc = np.linspace(s[0], s[-1], _TAIL_SAMPLES)
+    # the last sample repeats the run's start s_T
     Y, _ = lsoda_at(rhs, [math.exp(C2 * s[-1]) * y_end], np.concatenate([[s[-1]], sc[::-1]]),
                     rel_tol=1e-12, abs_tol=1e-300)
     res_h = np.abs(h_sp(sc) - Y[0, :0:-1] * np.exp(-C2 * sc)) * np.exp(0.5 * C2 * sc)
@@ -517,8 +499,10 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     # the tail's decay rate C2; node n_left is b1 up to roundoff and takes
     # b1's state (LSODA refuses an output a few ulp away)
     s_T, ds = float(tail.grid[-1]), min(PROFILE_DS, 0.02 / tail.fp.C2)
-    # n_left + n_right + 1 rows, fewer than this
-    _check_nodes((s_T - s_min) / ds + 2.0, "the profile table")
+    rows = (s_T - s_min) / ds + 2.0      # n_left + n_right + 1 rows, fewer than this
+    if not rows <= _MAX_NODES:
+        raise RangeError(f"the profile table would hold {rows:.3g} nodes, over the budget of "
+                         f"{_MAX_NODES:,}; choose a shorter range")
     n_left = int(math.ceil((b1 - s_min) / ds))
     s_min_adj = b1 - n_left * ds
     n_right = int(math.floor((s_T - b1) / ds))
@@ -551,7 +535,6 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
     W = np.concatenate([Wl, tail.W_spline(sr)])
     prof = Profile(
         params=p, eta_inf=1.0, s_grid=s_grid, xi=xi, W=W, eta_origin=math.nan,
-        far_field_gap=abs(math.expm1(float(W[-1]) + C1 * float(s_grid[-1]))),
         origin_q_defect=math.nan, tail=tail,
     )
     eta, q_defect = _origin_match(prof)
@@ -665,13 +648,11 @@ def rescale_profile(profile: Profile, lam: float) -> Profile:
         s_grid=profile.s_grid - log_lam,
         W=profile.W + (two1m - p.gamma) * log_lam,
         eta_origin=eta,
-        far_field_gap=profile.far_field_gap * abs(kappa_inf),
     )
 
 
 def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
-                  b1_margin: float = 0.05, s_min: Optional[float] = None,
-                  s_max: Optional[float] = None) -> Profile:
+                  b1_margin: float = 0.05, s_min: Optional[float] = None) -> Profile:
     """Profile with prescribed origin coefficient lim r^gamma f = target_eta.
 
     Builds the base profile at eta_inf = 1, reads off its origin coefficient,
@@ -682,7 +663,7 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
     fp = derive_fp_constants(params, b1_margin=b1_margin)
     # the profile keeps its tail, with the tail's two cached splines (about
     # 0.4 MB at the reference point), for fp_residual's first read
-    prof = continue_left(picard_solve(fp, s_max=s_max, tol=tol), s_min=s_min, tol=tol)
+    prof = continue_left(picard_solve(fp, tol=tol), s_min=s_min, tol=tol)
     return rescale_profile(prof, lambda_for_amplitude(prof, target_eta))
 
 

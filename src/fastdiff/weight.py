@@ -143,18 +143,17 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
 
 
 def _find_r0(w: WeightFunction) -> float:
-    """Smallest scanned radius > 2 past which both two-sided bounds hold:
-    a4/2 < phi r^mu < 2 a4 and mu a4/2 < -phi' r^(mu+1) < 2 mu a4."""
+    """Radius R0 >= 2 past which both two-sided bounds hold:
+    a4/2 < phi r^mu < 2 a4 and mu a4/2 < -phi' r^(mu+1) < 2 mu a4.  Past 2,
+    phi r^mu / a4 - 1 = k r^(-(n-2-mu)), k = _tail_coef, and the correction of
+    -phi' r^(mu+1) / (mu a4) is (n-2)/mu > 1 times it, so both lie inside 1/2
+    past R0 = max(2, (2 (n-2) |k| / mu)^(1/(n-2-mu))).  RangeError for an R0
+    past the float range."""
     n, mu = w.spec.n, w.spec.mu
-    r = np.geomspace(2.0, 1e8, 20001)
-    corr = w._tail_coef * r ** (-(n - 2 - mu))          # phi r^mu / a4 = 1 + corr
-    corr_d = (n - 2) / mu * w._tail_coef * r ** (-(n - 2 - mu))
-    ok = (np.abs(corr) < 0.5) & (np.abs(corr_d) < 0.5)
-    if not ok[-1]:
-        raise RangeError("two-sided bounds never hold on the scanned range; bump is degenerate")
-    # corrections decay monotonically, so the first True index is conclusive
-    idx = int(np.argmax(ok))
-    return float(r[idx])
+    try:
+        return max(2.0, (2.0 * (n - 2) * abs(w._tail_coef) / mu) ** (1.0 / (n - 2 - mu)))
+    except OverflowError:
+        raise RangeError(f"R0 lies past the float range at mu = {mu}, n = {n}") from None
 
 
 def eval_weight(w: WeightFunction, r):

@@ -260,8 +260,9 @@ def _tripped(prof):
     """The checks of a built table that leave their ACCEPTANCE gate on prof:
     03's pointwise bounds, 05's d1 and d2, 06's three residuals and the
     double inversion.  A check that raises a typed error counts as tripped.
-    04's origin_q_defect and far_field_gap are formed while the table is
-    built, so a defect put into a built table does not reach them."""
+    04's origin_q_defect is formed while the table is built, and its
+    fp_residual reads the tail, so a defect put into a built table does
+    not reach them."""
     tripped = {"pointwise"} if pointwise_violations(prof) else set()
     checks = {
         "d1": (lambda q: expansion_check(q).rel_err1, 1e-2),
@@ -297,8 +298,8 @@ MUTATION_POINTS = [REFERENCE_POINT,
 # where h is below 1e-3 C1.  The reference table ends at s_T = 23.9 (the
 # eta = 1 frame), so a dent at s = 30 or 33.7 (-s_0 of that table) moves
 # no stored row there and trips nothing; the second point's table runs to
-# s = 112, where they are tail rows that no check reads either
-# (far_field_gap reads the table's last row when it is built).  eta_origin
+# s = 112, where they are tail rows that no check of the table reads
+# either (fp_residual reads the tail itself).  eta_origin
 # off by 1e-6 moves d1 and d2 by about 1e-6, far inside their gates.  The
 # table stores xi, so a z dent moves h as well and an h dent moves z
 # (_scaled): at s = -20, where -z is below 1e-3 h, an h dent takes h past

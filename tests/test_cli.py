@@ -127,11 +127,13 @@ class TestProfileCommand:
         summary = read_json(tmp_path / "profile_summary.json")
         assert summary["eta_origin"] == pytest.approx(1.0, rel=1e-8)
         assert summary["fp_residual"] <= 1e-10
-        assert summary["far_field_gap"] <= 1e-8
         assert summary["ode_residual_max"] <= 1e-5
         assert summary["iterations"] <= 10
         s_lo, s_hi = summary["s_range"]
         assert s_lo < 0 < s_hi
+        # the far-field check is fp_residual, read over the whole tail
+        assert set(summary) == {"eta_origin", "eta_inf", "fp_residual", "ode_residual_max",
+                                "iterations", "s_range"}
 
 
 class TestExpansionCommand:
@@ -435,13 +437,10 @@ class TestExitCodes:
         assert read_json(tmp_path / "profile_summary.json")["s_range"][0] < -150.0
 
     @pytest.mark.parametrize("argv", [
-        ["--n", "4", "--m", "0.05", "--gamma", "38.10526315789474", "--s-max", "12"],
-        ["--n", "4", "--m", "0.05", "--gamma", "38.10526315789474", "--s-max", "18"],
         ["--n", "4", "--m", "0.2", "--gamma", "9", "--s-min=-60"],
-    ], ids=["s-max-12", "s-max-18", "s-min-60"])
+    ], ids=["s-min-60"])
     def test_backward_runs_stop_at_their_end(self, argv, tmp_path):
-        # a backward LSODA run stepped past its end, where tail_residual's
-        # exp(-s/b') raised OverflowError (b' = 0.029) and continue_left's
+        # a backward LSODA run stepped past its end, where continue_left's
         # X = exp(-s/b' + (1-m) W) overflowed with a RuntimeWarning
         assert cli.main(["profile", *argv, "--out", str(tmp_path)]) == 0
 
@@ -573,10 +572,10 @@ class TestExitCodes:
         assert cli.main([*argv, "--n", "3", "--out", str(tmp_path)]) == 2
         assert "must be a finite number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--s-max=1e300", "--s-min=-1e300"])
+    @pytest.mark.parametrize("flag", ["--s-min=-1e300"])
     def test_oversized_grid_is_bad_input(self, flag, tmp_path):
-        # a tail or table past the node budget is refused before it is
-        # allocated, where numpy raised an untyped "Maximum allowed size"
+        # a table past the node budget is refused before it is allocated,
+        # where numpy raised an untyped "Maximum allowed size"
         rc = cli.main(["profile", "--n", "3", flag, "--out", str(tmp_path)])
         assert rc == 2
         record = read_json(tmp_path / "error.json")
@@ -595,17 +594,20 @@ class TestExitCodes:
         assert record["exit_code"] == 3
 
     def test_tail_weight_overflow_is_exit_3(self, tmp_path):
-        # at m = 10% of (n-2)/n a tail grid run to s = 40.2 puts the D_b1
-        # weight e^(C2 s), C2 = 27, past the double range: refused before
-        # the first Picard iteration instead of passing the membership
-        # check as inf * 0 = nan and ending in an invariant error
-        rc = cli.main(["expansion", "--n", "3", "--m", "0.03333333", "--gamma", "16.03",
-                       "--s-max", "40.2", "--out", str(tmp_path)])
-        assert rc == 3
-        record = read_json(tmp_path / "error.json")
-        assert record["error"] == "ResolutionError"
-        assert record["exit_code"] == 3
-        assert not (tmp_path / "expansion_summary.json").exists()
+        # at m = 10% of (n-2)/n (C2 = 27) b1_margin = 200 puts b1 at 31, and
+        # at the reference point 1e308 puts it at inf: the D_b1 weight
+        # e^(C2 s) leaves the double range on the tail, refused before any
+        # array is made instead of passing the membership check as
+        # inf * 0 = nan and ending in an invariant error
+        for point in (["--m", "0.03333333", "--gamma", "16.03", "--b1-margin", "200"],
+                      ["--b1-margin", "1e308"]):
+            rc = cli.main(["expansion", "--n", "3", *point, "--out", str(tmp_path)])
+            assert rc == 3
+            record = read_json(tmp_path / "error.json")
+            assert record["error"] == "ResolutionError"
+            assert record["message"].startswith("D_b1 weight e^(C2 s) overflows on the tail grid")
+            assert record["exit_code"] == 3
+            assert not (tmp_path / "expansion_summary.json").exists()
 
     def test_small_m_default_tail_runs(self, tmp_path):
         # the default tail at the same point ends at b1 + 40/C2 = 1.64,
@@ -617,19 +619,18 @@ class TestExitCodes:
         assert (tmp_path / "expansion_summary.json").exists()
         assert not (tmp_path / "error.json").exists()
 
-    def test_tail_past_e_c1s_overflow_runs(self, tmp_path):
-        # at (3, 0.05, 2.5) a tail run to s = 41 takes C1 s = 717.5 past the
-        # double range but C2 s = 697 not: the tail iterates W = log wt and
-        # reads D_b1 through e^(W + C1 s), so no e^(C1 s) is formed to overflow
-        point = ["--n", "3", "--m", "0.05", "--gamma", "2.5", "--s-max", "41"]
-        assert cli.main(["profile", *point, "--out", str(tmp_path)]) == 0
-        summary = read_json(tmp_path / "profile_summary.json")
-        assert 0.0 <= summary["fp_residual"] <= 1e-10
-        assert 0.0 <= summary["far_field_gap"] <= 1e-12
-        assert cli.main(["expansion", *point, "--out", str(tmp_path)]) == 0
-        expansion = read_json(tmp_path / "expansion_summary.json")["expansion"]
-        assert expansion["rel_err1"] <= 1e-10 and expansion["rel_err2"] <= 1e-10
-        assert not (tmp_path / "error.json").exists()
+    def test_tail_past_e_c1s_overflow_runs(self):
+        # at (8, 0.74625, 7.88257), gamma at 0.5% of its window, the default
+        # tail ends at s_T = 0.158 with C1 = 4955, so C1 s_T = 781 is past
+        # the double range while C2 s_T = 0.0063 is not: the tail iterates
+        # W = log wt and reads D_b1 through e^(W + C1 s), so no e^(C1 s) is
+        # formed to overflow.  The continuation fails there on its own
+        # account (the origin match), so the tail is what is tested
+        params = fastdiff.derive_params(8, 0.74625, 7.88257)
+        tail = fastdiff.picard_solve(fastdiff.derive_fp_constants(params))
+        assert params.C1 * float(tail.grid[-1]) > math.log(sys.float_info.max)
+        assert np.all(np.isfinite(tail.W)) and np.all(np.isfinite(tail.h))
+        assert 0.0 <= tail.fp_residual <= 1e-10
 
     def test_b1_past_its_own_tail_length_is_exit_3(self, tmp_path):
         # at b1_margin = 1e17, b1 + 40/C2 rounds to b1 and the tail grid
@@ -740,6 +741,21 @@ class TestCommandScope:
                          "--out", str(tmp_path)]) == 2
         assert f"config file: {command} has no option rho1" in capsys.readouterr().err
 
+    def test_converge_takes_no_eta(self, tmp_path, capsys):
+        # converge rescales the profile to a0, a1 and a2, so eta would move
+        # only the frame its lambdas are reported in: it builds the eta = 1
+        # profile and refuses the flag and the config key
+        flags = help_flags("converge", capsys)
+        assert "--eta" not in flags
+        assert PROFILE_MODEL_FLAGS - {"--eta"} <= flags
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["converge", "--n", "3", "--eta", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta": 2.0}))
+        assert cli.main(["converge", "--n", "3", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config file: converge has no option eta" in capsys.readouterr().err
+
     def test_weight_takes_no_profile_model(self, capsys):
         flags = help_flags("weight", capsys)
         assert not PROFILE_MODEL_FLAGS & flags
@@ -825,7 +841,7 @@ class TestConfigResolution:
     def test_option_defaults_follow_the_library_signatures(self):
         # the defaults are read off the signatures, not copied: other library
         # defaults reach the options when cli is loaded again
-        other = {fastdiff.solve_for_eta: (2e-12, 0.07, None, None),
+        other = {fastdiff.solve_for_eta: (2e-12, 0.07, None),
                  fastdiff.power_bump_initial: (0.2, -1.0, 3.0),
                  fastdiff.random_sandwiched_pair: ((1.3, 0.7), 0.2),
                  fastdiff.convergence_experiment: (2.0,)}

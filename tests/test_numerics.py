@@ -124,7 +124,7 @@ class TestIntegrateOdeMatchesSolveIvp:
             assert (np.abs(y[0] - ref) <= 1e-11 * np.abs(ref)).all()
 
     def test_tail_integral_matches_ppoly_integrate(self, tail_ref, other_tail):
-        # tail_residual's J = int_s^{s_max} h = F(s_max) - F(s), F the
+        # tail_residual's J = int_s^{s_T} h = F(s_T) - F(s), F the
         # antiderivative of h's spline, against PPoly.integrate at 20 points
         # of its window, at knots and between them.  Measured gaps, relative
         # to J's largest value: 6.3e-15 at the reference point, 1.2e-14 at

@@ -159,19 +159,10 @@ class TestPicardSolve:
     def test_validation(self, fp_ref):
         with pytest.raises(RangeError):
             picard_solve(fp_ref, tol=0.0)
-        with pytest.raises(RangeError):
-            picard_solve(fp_ref, s_max=fp_ref.b1 + 1.0)
-
-    @pytest.mark.parametrize("past", [1e300, 0.01 * _MAX_NODES], ids=["1e300", "one-node-past"])
-    def test_oversized_grid_is_refused(self, past, fp_ref):
-        # at the step 0.01/C2, b1 + (0.01/C2) _MAX_NODES is one node past the
-        # budget; the refusal comes before any array is made
-        with pytest.raises(RangeError, match="budget"):
-            picard_solve(fp_ref, s_max=fp_ref.b1 + past / fp_ref.C2)
 
     def test_default_s_max_when_c2_below_one(self):
-        # at m = 90% of (n-2)/n, C2 = 1/3: the default right end must clear
-        # the b1 + 40/C2 floor the function itself enforces
+        # at m = 90% of (n-2)/n, C2 = 1/3: the tail's right end must clear
+        # b1 + 40/C2, where the term Phi neglects past it is below e^(-40)
         fp = derive_fp_constants(derive_params(3, 0.3, 3.095))
         assert fp.C2 < 1.0
         tail = picard_solve(fp)
@@ -195,6 +186,17 @@ class TestPicardSolve:
             res = tail_residual(perturbed)
             assert res >= floor
             assert res <= 1e-4
+
+    @pytest.mark.parametrize("point", [(5, 0.54, 5.495), (8, 0.675, 7.521)], ids=point_id)
+    def test_residual_reads_the_whole_tail(self, point):
+        # at C2 < 2 the tail runs past b1 + 20, and a 1e-6 dent in W over
+        # its last quarter, past b1 + 20, reads 1.0e-6
+        tail = picard_solve(derive_fp_constants(derive_params(*point)))
+        assert tail.fp.C2 < 2.0
+        far = tail.grid >= tail.grid[0] + 0.75 * (tail.grid[-1] - tail.grid[0])
+        dented = replace(tail, W=tail.W + np.where(far, math.log1p(1e-6), 0.0))
+        assert tail_residual(tail) <= 1e-12
+        assert tail_residual(dented) >= 5e-7
 
     def test_residual_recomputation_is_deterministic(self, tail_ref):
         assert tail_residual(tail_ref) == tail_ref.fp_residual
@@ -275,21 +277,6 @@ class TestTailLength:
         ds = float(base_profile.s_grid[1] - base_profile.s_grid[0])
         assert s_T - ds < base_profile.s_grid[-1] <= s_T
 
-    def test_longer_tail_moves_no_row(self, base_profile, fp_ref):
-        # the floor of 40 in the tail does nothing for the fixed point: a
-        # tail to b1 + 40 runs the table on to b1 + 40, and on the rows the
-        # short table holds it has the same s, wt and eta_origin, and h
-        # within 1e-12 where the short tail is not near its end
-        long = continue_left(picard_solve(fp_ref, s_max=fp_ref.b1 + 40.0))
-        k = base_profile.s_grid.size
-        assert long.s_grid[-1] == pytest.approx(fp_ref.b1 + 40.0, abs=PROFILE_DS)
-        assert np.array_equal(long.s_grid[:k], base_profile.s_grid)
-        assert np.array_equal(long.W[:k], base_profile.W)
-        assert long.eta_origin == base_profile.eta_origin
-        sel = (base_profile.s_grid >= fp_ref.b1) & (base_profile.s_grid <= fp_ref.b1 + 15.0)
-        rel = np.abs(base_profile.h[sel] / long.h[:k][sel] - 1.0)
-        assert rel.max() <= 1e-12
-
     def test_far_rows_are_the_analytic_tail(self, tail_ref, base_profile, fp_ref):
         # every row past b1 is the tail's splines, and past the table
         # profile_interpolator gives the analytic tail the table once stored
@@ -338,7 +325,6 @@ class TestTailLength:
         assert s_T == pytest.approx(fp.b1 + 40.0 / fp.C2, rel=1e-15)
         assert s_T - PROFILE_DS < prof.s_grid[-1] <= s_T
         assert np.all(np.exp(prof.W) >= np.finfo(float).tiny)
-        assert prof.far_field_gap <= 1e-15
 
 
 class TestScalarSpline:
@@ -571,14 +557,14 @@ class TestRecoverProfile:
 
     def test_carries_origin_coefficient_and_far_field_gap(self, tail_ref):
         # one call builds the whole profile, and rescale_profile scales what
-        # it carries: eta_origin by lam^(2/(1-m) - gamma), the far-field gap
-        # by lam^(2/(1-m) - (n-2)/m), and keeps the relative q defect
+        # it carries: eta_origin by lam^(2/(1-m) - gamma), eta_inf by
+        # lam^(2/(1-m) - (n-2)/m), and keeps the relative q defect and the
+        # tail, whose fp_residual is the far-field check
         prof = continue_left(tail_ref)
         p = prof.params
         eta, q_defect = _origin_match(prof)
         assert prof.eta_origin == pytest.approx(eta, rel=1e-15)
         assert prof.origin_q_defect == pytest.approx(q_defect, rel=1e-6, abs=1e-15)
-        assert prof.far_field_gap == abs(math.expm1(float(prof.W[-1]) + p.C1 * float(prof.s_grid[-1])))
         assert (prof.fp_residual, prof.picard_iterations) == (tail_ref.fp_residual, tail_ref.iterations)
         lam = 1.7
         two1m = 2.0 / (1.0 - p.m)
@@ -586,7 +572,8 @@ class TestRecoverProfile:
         kappa = lam ** (two1m - p.gamma)
         assert scaled.eta_origin == prof.eta_origin * kappa
         assert scaled.origin_q_defect == prof.origin_q_defect
-        assert scaled.far_field_gap == prof.far_field_gap * lam ** (two1m - (p.n - 2) / p.m)
+        assert scaled.eta_inf == prof.eta_inf * lam ** (two1m - (p.n - 2) / p.m)
+        assert scaled.fp_residual == prof.fp_residual
 
     def test_origin_match_meets_z(self, base_profile):
         # the series' q at rho* against b' z / rho there, which the match
@@ -620,11 +607,14 @@ class TestRecoverProfile:
     def test_eta_origin_regression(self, base_profile):
         assert base_profile.eta_origin == pytest.approx(ETA_ORIGIN_BASE, rel=1e-9)
 
-    def test_far_field_gap(self, base_profile, fp_ref):
-        s_max = float(base_profile.s_grid[-1])
-        bound = math.exp(-fp_ref.C2 * (s_max - fp_ref.b1)) + 1e-8
-        assert base_profile.far_field_gap <= bound
-        assert base_profile.far_field_gap <= 1e-10
+    def test_far_field_gap(self, tail_ref):
+        # the far-field limit eta_inf = 1 is W + C1 s -> 0, which
+        # tail_residual compares with Phi_1(h) up to s_T: its last sample is
+        # s_T, and a 1e-6 dent in W on the tail's last 2% alone reads 1e-6
+        assert tail_ref.fp_residual <= 1e-10
+        far = tail_ref.grid >= tail_ref.grid[-1] - 0.02 * (tail_ref.grid[-1] - tail_ref.grid[0])
+        dented = replace(tail_ref, W=tail_ref.W + np.where(far, math.log1p(1e-6), 0.0))
+        assert tail_residual(dented) >= 5e-7
 
     def test_shallow_profile_rejected(self, tail_ref):
         # rho_min = e^(-3/b') = 0.027 is above rho*/2: the window below the
@@ -728,11 +718,9 @@ class TestSolveForEta:
     (lambda p: solve_for_eta(p, 1.0, b1_margin=math.inf), "b1_margin"),
     (lambda p: solve_for_eta(p, 1.0, tol=math.inf), "tol"),
     (lambda p: continue_left(picard_solve(derive_fp_constants(p)), tol=math.inf), "tol"),
-    (lambda p: solve_for_eta(p, 1.0, s_max=math.inf), "s_max"),
     (lambda p: solve_for_eta(p, 1.0, s_min=-math.inf), "s_min"),
     (lambda p: solve_for_eta(p, math.inf), "target_eta"),
-], ids=["n-nan", "n-inf", "b1_margin", "tol", "continue_left-tol", "s_max", "s_min",
-        "target_eta"])
+], ids=["n-nan", "n-inf", "b1_margin", "tol", "continue_left-tol", "s_min", "target_eta"])
 def test_non_finite_input_is_range_error(build, name, params_ref):
     # refused where the value enters, by name, before it reaches int() or a solver
     with pytest.raises(RangeError, match=name):
@@ -740,11 +728,10 @@ def test_non_finite_input_is_range_error(build, name, params_ref):
 
 
 class TestEndpointInsensitivity:
-    def test_eta_origin_stable_under_window_changes(self, base_profile, fp_ref):
-        # moving both integration endpoints must not move the origin
+    def test_eta_origin_stable_under_window_changes(self, base_profile, tail_ref):
+        # moving the left integration endpoint must not move the origin
         # coefficient: the profile the pipeline selects is unique
-        tail2 = picard_solve(fp_ref, s_max=fp_ref.b1 + 48.0)
-        prof2 = continue_left(tail2, s_min=base_profile.s_grid[0] - 2.0)
+        prof2 = continue_left(tail_ref, s_min=base_profile.s_grid[0] - 2.0)
         assert prof2.eta_origin == pytest.approx(base_profile.eta_origin, rel=1e-8)
 
 

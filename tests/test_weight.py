@@ -184,12 +184,22 @@ class TestSuperharmonicity:
 
 class TestR0:
     def test_two_sided_bounds_hold_at_r0(self, weight_ref):
-        mu, a4, r0 = weight_ref.spec.mu, weight_ref.a4, weight_ref.R0
-        assert r0 > 2.0
-        r = np.array([r0, 2 * r0, 100 * r0])
-        phi, dphi = eval_weight(weight_ref, r)
-        assert np.all((a4 / 2 < phi * r**mu) & (phi * r**mu < 2 * a4))
-        assert np.all((mu * a4 / 2 < -dphi * r ** (mu + 1)) & (-dphi * r ** (mu + 1) < 2 * mu * a4))
+        # R0 is the root of the larger correction, so the bounds hold
+        # strictly past it; at mu = 0.97 it lies at 1.6e10
+        for w in (weight_ref, build_weight(BumpSpec(mu=0.97, n=3))):
+            mu, a4, r0 = w.spec.mu, w.a4, w.R0
+            assert r0 > 2.0
+            r = np.array([r0 * (1.0 + 1e-9), 2 * r0, 100 * r0])
+            phi, dphi = eval_weight(w, r)
+            assert np.all((a4 / 2 < phi * r**mu) & (phi * r**mu < 2 * a4))
+            assert np.all((mu * a4 / 2 < -dphi * r ** (mu + 1)) & (-dphi * r ** (mu + 1) < 2 * mu * a4))
+        assert weight_ref.R0 == pytest.approx(5.981919877827245, rel=1e-14)
+
+    def test_r0_past_the_float_range_is_range_error(self):
+        # at mu = 0.999999 the root (2 (n-2) |k| / mu)^(1/(n-2-mu)) takes a
+        # power 1e6 of a number above 1
+        with pytest.raises(RangeError, match="past the float range"):
+            build_weight(BumpSpec(mu=0.999999, n=3))
 
     def test_bounds_fail_just_inside_r0(self, weight_ref):
         mu, a4 = weight_ref.spec.mu, weight_ref.a4
