@@ -22,7 +22,6 @@ from .errors import (
     NewtonDivergence,
     NonContractionError,
     PositivityError,
-    QuadratureError,
     RangeError,
     ResolutionError,
     SandwichViolationError,
@@ -35,7 +34,6 @@ from .numerics import (
     deriv_uniform,
     integrate_table,
     lsoda_at,
-    quad_adaptive,
 )
 from .profile import (
     Profile,

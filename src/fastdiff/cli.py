@@ -516,7 +516,7 @@ def run(args: argparse.Namespace) -> int:
         if "m" in table:
             params = derive_params(opts["n"], opts["m"], opts["gamma"])
         if "mu" in table:
-            # at build_weight's own quadrature tolerance; --tol is the profile solvers'
+            # --tol is the profile solvers'; the weight's one LSODA run sets its own
             weight = build_weight(BumpSpec(mu=opts["mu"], n=opts["n"]))
         artifacts, extra = _COMMANDS[command].compute(opts, params, weight)
         manifest = {"command": command, "config": opts,

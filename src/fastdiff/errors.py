@@ -52,10 +52,6 @@ class GridMismatchError(InputError):
 
 # --- numerical failures ------------------------------------------------------
 
-class QuadratureError(NumericalError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
-
-
 class StiffnessError(NumericalError):
     """ODE step size underflowed before reaching the end of the span."""
 

@@ -2,8 +2,7 @@
 
 Every ODE the package integrates runs through one routine, lsoda_at:
 ODEPACK's LSODA in one odeint call, with the states wanted at given points
-and LSODA's own difference-quotient Jacobian unless the caller passes one;
-adaptive quadrature on a finite interval is a thin contract over scipy's quad.
+and LSODA's own difference-quotient Jacobian unless the caller passes one.
 The uniform-grid composite rules live here too, and the two centred
 five-point stencils [1, -8, 0, 8, -1]/12 and [-1, 16, -30, 16, -1]/12.
 """
@@ -17,11 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate as _sint
 
-from .errors import BlowUpError, QuadratureError, RangeError, StiffnessError
+from .errors import BlowUpError, RangeError, StiffnessError
 
 __all__ = [
     "lsoda_at",
-    "quad_adaptive",
     "cumulative_integral",
     "integrate_table",
     "deriv_uniform",
@@ -31,7 +29,6 @@ __all__ = [
 # guard is a bug signal; and no solve it makes comes near the rhs-call budget
 _OVERFLOW_GUARD = 1e12
 _NFEV_BUDGET = 50_000_000
-_QUAD_LIMIT = 200          # subintervals of one adaptive quadrature
 
 
 def lsoda_at(rhs: Callable, y0, s_out, *, rel_tol: float, abs_tol: float,
@@ -107,25 +104,6 @@ def lsoda_at(rhs: Callable, y0, s_out, *, rel_tol: float, abs_tol: float,
         raise BlowUpError(f"state exceeded overflow guard {_OVERFLOW_GUARD:g} "
                           f"by s={s_out[crossed[0] + 1]:.6g}")
     return y.T, int(info["nst"][-1])
-
-
-def quad_adaptive(f: Callable, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Gauss-Kronrod integral of f over the finite interval [a, b].
-    RangeError unless -inf < a < b < inf and tol is positive and finite."""
-    if not 0 < tol < math.inf:
-        raise RangeError("tol must be positive and finite")
-    if not -math.inf < a < b < math.inf:
-        raise RangeError(f"need -inf < a < b < inf, got [{a}, {b}]")
-    value, abserr, info, *rest = _sint.quad(
-        f, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT, full_output=True
-    )
-    if rest:
-        raise QuadratureError(f"quadrature did not converge on [{a}, {b}]: {rest[0]}")
-    if abserr > 10.0 * tol * (1.0 + abs(value)):
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:g} exceeds tolerance {tol:g} on [{a}, {b}]"
-        )
-    return value
 
 
 # --- uniform-grid composite rules -------------------------------------------

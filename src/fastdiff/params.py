@@ -140,7 +140,7 @@ def derive_fp_constants(params: ParamSet, b1_margin: float = 0.05) -> FPConstant
     The profile is built there and rescaled to its origin coefficient (see
     solve_for_eta).  b0 is the abscissa beyond which the tail map is a
     1/5-contraction on its invariant set; b1 = b0 * (1 + b1_margin) is where
-    the construction actually starts.
+    the construction actually starts, and a RangeError unless it is finite.
     """
     if not 0.0 < b1_margin < math.inf:
         raise RangeError(f"b1_margin must be positive and finite, got {b1_margin}")
@@ -165,6 +165,9 @@ def derive_fp_constants(params: ParamSet, b1_margin: float = 0.05) -> FPConstant
         math.log((10.0 + C3 + bp) / C2),
         math.log((C3 + C5) / eps1),
     )
+    b1 = b0 * (1.0 + b1_margin)
+    if not b1 < math.inf:
+        raise RangeError(f"b1_margin = {b1_margin:g} puts b1 = b0 (1 + b1_margin) past the float range")
     return FPConstants(
         params=params,
         C2=C2,
@@ -173,5 +176,5 @@ def derive_fp_constants(params: ParamSet, b1_margin: float = 0.05) -> FPConstant
         C5=C5,
         eps1=eps1,
         b0=b0,
-        b1=b0 * (1.0 + b1_margin),
+        b1=b1,
     )

@@ -4,7 +4,9 @@ phi_mu(r) = 1 - a4 * int_0^r s^(1-n) (int_0^s rho^(n-1) eta1(rho) drho) ds,
 normalized so phi -> a4 r^(-mu) at infinity.  The bump eta1 vanishes on
 [0,1], equals mu(n-2-mu) r^(-mu-2) beyond 2, and is bridged by a fixed
 C-infinity ramp in between so the construction is reproducible bit for bit.
-phi is superharmonic: Delta phi = -a4 eta1 <= 0.
+phi is superharmonic: Delta phi = -a4 eta1 <= 0.  One LSODA run on [1, 2]
+gives both integrals at the table radii and, at its end, the constants;
+beyond 2 phi takes its closed form.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import GridMismatchError, QuadratureError, RangeError
-from .numerics import integrate_table, lsoda_at, quad_adaptive
+from .errors import GridMismatchError, RangeError
+from .numerics import integrate_table, lsoda_at
 
 __all__ = ["BumpSpec", "WeightFunction", "WeightedGrid", "build_weight", "eval_weight", "weighted_grid"]
 
@@ -57,7 +59,6 @@ class WeightFunction:
     a5: float
     k0: float
     R0: float
-    quad_tol: float
     table_r: np.ndarray
     table_phi: np.ndarray
     table_dphi: np.ndarray
@@ -81,44 +82,32 @@ class WeightFunction:
         return -(n - 2) * self.a4 * self._tail_coef * r ** (1.0 - n) - mu * self.a4 * r ** (-mu - 1.0)
 
 
-def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
-    """Construct phi_mu: a4/a5 by adaptive quadrature, dense table on [1e-3, 2],
+def build_weight(spec: BumpSpec) -> WeightFunction:
+    """Construct phi_mu from one LSODA run on [1, 2] for I = int_1^r rho^(n-1)
+    eta1 and J = int_1^r s^(1-n) I(s) ds: a5 = I(2), a4 = 1/(J(2) + k0), the
+    dense table phi = 1 - a4 J, phi' = -a4 r^(1-n) I on [1e-3, 2], the
     analytic branch beyond 2, and the computed radius R0 past which the
     two-sided power-law bounds on (phi, phi') hold."""
-    if not 0 < quad_tol < math.inf:
-        raise RangeError("quad_tol must be positive and finite")
     n, mu = spec.n, spec.mu
-    # quad misses 1e-14 from n = 5 on but meets 1e-13 up to n = 16, so the
-    # inner target stays two digits inside quad_tol down to that floor
-    inner_tol = max(min(quad_tol, 1e-10) * 1e-2, 1e-13)
 
-    a5 = quad_adaptive(lambda rho: rho ** (n - 1) * spec.eta1(rho), 1.0, 2.0, tol=inner_tol)
-    k0 = (2.0 ** (2 - n) * a5 + (n - 2 - mu) * 2.0 ** (-mu)) / (n - 2)
-
-    # 1/a4 = int_1^2 s^(1-n) (int_1^s rho^(n-1) eta1 drho) ds + k0.  Fubini on
-    # the triangle collapses the double integral to a single one.
-    def fubini_integrand(rho):
-        return spec.eta1(rho) * rho ** (n - 1) * (rho ** (2.0 - n) - 2.0 ** (2.0 - n)) / (n - 2)
-
-    inv_a4 = quad_adaptive(fubini_integrand, 1.0, 2.0, tol=inner_tol) + k0
-    if not inv_a4 > 0:
-        raise QuadratureError(f"1/a4 came out non-positive: {inv_a4}")
-    a4 = 1.0 / inv_a4
-
-    # Dense table via the equivalent ODE system on [1,2]:
-    #   I' = r^(n-1) eta1,  phi' = -a4 r^(1-n) I,  I(1)=0, phi(1)=1.
     def rhs(r, y):
-        return [r ** (n - 1) * spec.eta1(r), -a4 * r ** (1.0 - n) * y[0]]
+        return [r ** (n - 1) * spec.eta1(r), r ** (1.0 - n) * y[0]]
 
     table_r = np.geomspace(TABLE_RMIN, 2.0, TABLE_SIZE)
+    mask = table_r > 1.0
+    # I rises from 0 through about 1e-7 at the bump's onset (r = 1.1), and J
+    # more slowly still, so the absolute tolerance sits far below that
+    (I, J), _ = lsoda_at(rhs, [0.0, 0.0], np.concatenate([[1.0], table_r[mask]]),
+                         rel_tol=1e-13, abs_tol=1e-18)
+    a5 = float(I[-1])
+    k0 = (2.0 ** (2 - n) * a5 + (n - 2 - mu) * 2.0 ** (-mu)) / (n - 2)
+    # J >= 0 since eta1 >= 0 and k0 > 0 since n - 2 - mu > 0, so a4 > 0;
+    # phi(2) = 1 - a4 J(2) = a4 k0 and phi'(2) = -a4 2^(1-n) a5 are the
+    # analytic branch's own values at 2
+    a4 = 1.0 / (float(J[-1]) + k0)
     table_phi = np.ones(TABLE_SIZE)
     table_dphi = np.zeros(TABLE_SIZE)
-    mask = table_r > 1.0
-    # I rises from 0 through about 1e-7 at the bump's onset (r = 1.1), so its
-    # absolute tolerance sits far below that
-    (I, phi), _ = lsoda_at(rhs, [0.0, 1.0], np.concatenate([[1.0], table_r[mask]]),
-                           rel_tol=1e-13, abs_tol=1e-18)
-    table_phi[mask] = phi[1:]
+    table_phi[mask] = 1.0 - a4 * J[1:]
     table_dphi[mask] = -a4 * table_r[mask] ** (1.0 - n) * I[1:]
 
     # interpolation over (1, 2]; below 1 the weight is exactly (1, 0)
@@ -127,17 +116,10 @@ def build_weight(spec: BumpSpec, quad_tol: float = 1e-10) -> WeightFunction:
     dphi_spline = CubicSpline(table_r[sub], table_dphi[sub])
 
     w = WeightFunction(
-        spec=spec, a4=a4, a5=a5, k0=k0, R0=math.nan, quad_tol=quad_tol,
+        spec=spec, a4=a4, a5=a5, k0=k0, R0=math.nan,
         table_r=table_r, table_phi=table_phi, table_dphi=table_dphi,
         _phi_spline=phi_spline, _dphi_spline=dphi_spline,
     )
-    # cross-check the two routes where they meet: table end vs analytic branch
-    phi2, tail_at_2 = phi[-1], w.phi_tail(2.0)
-    if abs(phi2 - tail_at_2) > 50.0 * max(quad_tol, 1e-12):
-        raise QuadratureError(
-            f"table/closed-form mismatch at r=2: {phi2} vs {tail_at_2} "
-            f"(diff {abs(phi2 - tail_at_2):.3e})"
-        )
     object.__setattr__(w, "R0", _find_r0(w))
     return w
 

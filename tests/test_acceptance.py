@@ -19,8 +19,6 @@ from fastdiff import (
     EvolveConfig,
     RadialField,
     barenblatt,
-    build_weight,
-    BumpSpec,
     contraction_experiment,
     convergence_experiment,
     eval_weight,
@@ -36,6 +34,7 @@ from fastdiff import (
     wbar_ode_residual,
 )
 from fastdiff.profile import _ORIGIN_Q_TOL
+from test_weight import A4_REF
 
 ANNULUS = (0.1, 10.0)
 
@@ -238,12 +237,10 @@ def test_criterion_06_equation_residuals(unit_eta_profile, capsys):
 
 
 def test_criterion_07_weight_construction(weight_ref, capsys):
+    """a4 against the frozen 30-digit value of an independent route, and the
+    discrete Laplacian of phi nowhere positive on [0.05, 50]."""
     spec = weight_ref.spec
-    a4_half = build_weight(spec, quad_tol=weight_ref.quad_tol / 2.0).a4
-    drift = abs(a4_half - weight_ref.a4) / abs(weight_ref.a4)
-
-    seam = abs(float(weight_ref.table_phi[-1]) - float(weight_ref.phi_tail(2.0)))
-    seam_tol = 50.0 * max(weight_ref.quad_tol, 1e-12)
+    a4_err = abs(weight_ref.a4 - A4_REF) / A4_REF
 
     x = np.linspace(math.log(0.05), math.log(50.0), 4001)
     dx = x[1] - x[0]
@@ -255,9 +252,9 @@ def test_criterion_07_weight_construction(weight_ref, capsys):
     )
     lap_max = float(np.max(lap))
 
-    ok = drift <= 1e-8 and seam <= seam_tol and lap_max <= 1e-8
-    _emit(capsys, 7, "weight normalization, closed-form seam, superharmonicity", ok,
-          f"a4 drift {drift:.2e} <= 1e-8, seam gap {seam:.2e} <= {seam_tol:.1e}, "
+    ok = a4_err <= 1e-8 and lap_max <= 1e-8
+    _emit(capsys, 7, "weight normalization and superharmonicity", ok,
+          f"a4 vs frozen reference {a4_err:.2e} <= 1e-8, "
           f"max discrete Laplacian {lap_max:.2e} <= 1e-8")
     assert ok
 

@@ -31,7 +31,6 @@ from fastdiff.errors import (
     NewtonDivergence,
     NonContractionError,
     PositivityError,
-    QuadratureError,
     RangeError,
     ResolutionError,
     SandwichViolationError,
@@ -313,7 +312,7 @@ class TestExitCodes:
     def test_mapping_table(self):
         expected = {
             ConfigError: 2, RangeError: 2, DegenerateError: 2, GridMismatchError: 2,
-            QuadratureError: 3, StiffnessError: 3, BlowUpError: 3, ToleranceError: 3,
+            StiffnessError: 3, BlowUpError: 3, ToleranceError: 3,
             ExtrapolationError: 3, ResolutionError: 3, NewtonDivergence: 3,
             InternalError: 4, NonContractionError: 4, BoundViolationError: 4,
             PositivityError: 4, SandwichViolationError: 4,
@@ -594,20 +593,29 @@ class TestExitCodes:
         assert record["exit_code"] == 3
 
     def test_tail_weight_overflow_is_exit_3(self, tmp_path):
-        # at m = 10% of (n-2)/n (C2 = 27) b1_margin = 200 puts b1 at 31, and
-        # at the reference point 1e308 puts it at inf: the D_b1 weight
-        # e^(C2 s) leaves the double range on the tail, refused before any
-        # array is made instead of passing the membership check as
-        # inf * 0 = nan and ending in an invariant error
-        for point in (["--m", "0.03333333", "--gamma", "16.03", "--b1-margin", "200"],
-                      ["--b1-margin", "1e308"]):
-            rc = cli.main(["expansion", "--n", "3", *point, "--out", str(tmp_path)])
-            assert rc == 3
-            record = read_json(tmp_path / "error.json")
-            assert record["error"] == "ResolutionError"
-            assert record["message"].startswith("D_b1 weight e^(C2 s) overflows on the tail grid")
-            assert record["exit_code"] == 3
-            assert not (tmp_path / "expansion_summary.json").exists()
+        # at m = 10% of (n-2)/n (C2 = 27) b1_margin = 200 puts b1 at 31: the
+        # D_b1 weight e^(C2 s) leaves the double range on the tail, refused
+        # before any array is made instead of passing the membership check
+        # as inf * 0 = nan and ending in an invariant error
+        rc = cli.main(["expansion", "--n", "3", "--m", "0.03333333", "--gamma", "16.03",
+                       "--b1-margin", "200", "--out", str(tmp_path)])
+        assert rc == 3
+        record = read_json(tmp_path / "error.json")
+        assert record["error"] == "ResolutionError"
+        assert record["message"].startswith("D_b1 weight e^(C2 s) overflows on the tail grid")
+        assert record["exit_code"] == 3
+        assert not (tmp_path / "expansion_summary.json").exists()
+
+    def test_b1_past_the_float_range_is_bad_input(self, tmp_path):
+        # a finite b1_margin of 1e308 puts b1 = b0 (1 + b1_margin) at inf at
+        # the reference point; it ended in a ResolutionError on the tail
+        # grid [inf, inf]
+        rc = cli.main(["expansion", "--n", "3", "--b1-margin", "1e308", "--out", str(tmp_path)])
+        assert rc == 2
+        record = read_json(tmp_path / "error.json")
+        assert (record["error"], record["exit_code"]) == ("RangeError", 2)
+        assert "past the float range" in record["message"]
+        assert not (tmp_path / "expansion_summary.json").exists()
 
     def test_small_m_default_tail_runs(self, tmp_path):
         # the default tail at the same point ends at b1 + 40/C2 = 1.64,

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 import fastdiff.numerics
 import fastdiff.profile
 import fastdiff.weight
-from fastdiff.errors import BlowUpError, QuadratureError, RangeError, StiffnessError
+from fastdiff.errors import BlowUpError, RangeError, StiffnessError
 from fastdiff.numerics import (
     _D1,
     _D2,
@@ -18,7 +18,6 @@ from fastdiff.numerics import (
     deriv_uniform,
     integrate_table,
     lsoda_at,
-    quad_adaptive,
 )
 from fastdiff.profile import tail_residual
 from fastdiff.weight import BumpSpec, build_weight
@@ -140,10 +139,11 @@ class TestIntegrateOdeMatchesSolveIvp:
 
     @pytest.mark.parametrize("mu, n", [(0.5, 3), (1.5, 5)])
     def test_build_weight_table_matches_solve_ivp(self, mu, n):
-        # the table's ODE I' = r^(n-1) eta1, phi' = -a4 r^(1-n) I through
+        # the table's phi = 1 - a4 J and phi' = -a4 r^(1-n) I against
+        # I' = r^(n-1) eta1, phi' = -a4 r^(1-n) I from phi(1) = 1 through
         # solve_ivp's DOP853 at the same tolerances.  Measured gaps,
-        # relative to each column's largest value: up to 6.6e-13 in phi'
-        # and 2.9e-14 in phi
+        # relative to each column's largest value: up to 5.3e-13 in phi'
+        # and 3.5e-14 in phi
         spec = BumpSpec(mu=mu, n=n)
         w = build_weight(spec)
         mask = w.table_r > 1.0
@@ -297,35 +297,6 @@ class TestLsodaAt:
         with pytest.raises(BlowUpError, match=r"s=28\b"):
             lsoda_at(lambda s, y: [y[0]], [1.0], np.linspace(0.0, 40.0, 11), **TOL,
                      jac=lambda s, y: [[1.0]])
-
-
-class TestQuadAdaptive:
-    def test_polynomial_exact(self):
-        assert abs(quad_adaptive(lambda x: 3.0 * x ** 2, 0.0, 2.0) - 8.0) < 1e-12
-
-    def test_gaussian_to_infinity(self):
-        # every caller integrates over [1, 2]: an infinite bound is refused,
-        # not sent to quad's semi-infinite transform
-        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)):
-            with pytest.raises(RangeError, match="< inf"):
-                quad_adaptive(lambda x: math.exp(-x * x), a, b)
-
-    def test_oscillatory(self):
-        got = quad_adaptive(lambda x: math.sin(10.0 * x), 0.0, math.pi)
-        # int_0^pi sin(10x) = (1 - cos(10 pi))/10 = 0
-        assert abs(got) < 1e-10
-
-    def test_bad_tol_raises(self):
-        for tol in (0.0, math.inf, math.nan):
-            with pytest.raises(RangeError):
-                quad_adaptive(lambda x: x, 0.0, 1.0, tol=tol)
-
-    @pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 1.0), (2.0, 1.0)])
-    def test_bad_bounds_raise(self, a, b):
-        # a nan upper bound integrated to 0.0 without a word, and a nan
-        # lower bound ended in a QuadratureError that blamed roundoff
-        with pytest.raises(RangeError):
-            quad_adaptive(lambda x: x, a, b)
 
 
 class TestCompositeRules:
