@@ -100,11 +100,11 @@ _TRIAL_DERIV = math.sqrt(sys.float_info.max)
 class TailSolution:
     """The Picard fixed point (W = log wt, h) on the tail grid [b1, s_T].
 
-    The tail's two interpolants, the cubic splines h_spline of h and
-    W_spline of W on the grid, are built on first use and kept by the
-    instance: tail_residual and continue_left both read them.
+    The cubic splines h_spline of h and W_spline of W on the grid are built
+    on first use and kept by the instance; only tail_residual reads them.
     fp_residual, the fixed point's defect along tail_residual's independent
-    route, is one LSODA run, also made on first read and kept.
+    route, is one LSODA run, also made on first read and kept, so a profile
+    build fits no spline (continue_left reads the tail through _tail_rows).
     """
     grid: np.ndarray
     h: np.ndarray
@@ -408,6 +408,33 @@ def tail_residual(tail: TailSolution) -> float:
     return float(max(res_h.max(), res_W.max()))
 
 
+def _tail_rows(tail: TailSolution, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, W) at the points s of [b1, s_T], by cubic Hermite interpolation
+    on the tail's nodes with the slopes its equations give there: W' = z =
+    h - C1 (Phi_1) and h' = (n-2 + b'X) h - b'C1 X - m h^2 (Phi_2's ODE, the
+    one tail_residual integrates).  A point on a node takes that node's
+    values.  With exact slopes the interpolant errs by at most
+    ds^4/384 max|y^(4)| (de Boor, A Practical Guide to Splines, 2001), a
+    fifth of a cubic spline's bound, and needs no linear solve."""
+    p = tail.fp.params
+    m, bp, C1 = p.m, p.beta_p, p.C1
+    g, h, W = tail.grid, tail.h, tail.W
+    X = np.exp((1.0 - m) * W - g / bp)
+    dh = (p.n - 2 + bp * X) * h - bp * C1 * X - m * h * h
+    i = np.clip(np.searchsorted(g, s, side="right") - 1, 0, g.size - 2)
+    j = i + 1
+    ds = g[j] - g[i]
+    u = (s - g[i]) / ds
+    v = 1.0 - u
+    # the Hermite basis is (1, 0, 0, 0) at u = 0 and (0, 1, 0, 0) at u = 1
+    # to the bit
+    e0, e1 = (1.0 + 2.0 * u) * v * v, u * u * (3.0 - 2.0 * u)
+    d0, d1 = ds * u * v * v, -ds * u * u * v
+    h_s = e0 * h[i] + e1 * h[j] + d0 * dh[i] + d1 * dh[j]
+    W_s = e0 * W[i] + e1 * W[j] + d0 * (h[i] - C1) + d1 * (h[j] - C1)
+    return h_s, W_s
+
+
 def _logit(h, mz) -> np.ndarray:
     """xi = log(h / (-z)) from finite h and -z = C1 - h; BoundViolationError,
     before the log, unless both are positive (nan is not), which is
@@ -426,8 +453,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
 
     The table's uniform step is min(PROFILE_DS, 0.02/C2), so the far
     field's e^(-C2 s) takes at least 50 rows per e-fold.  Its rows past b1
-    read the tail's two splines, up to the last node at or below the tail's
-    last one s_T; past s_T, profile_interpolator reads the analytic tail.
+    are the tail's Hermite interpolant (_tail_rows), up to the last node at
+    or below the tail's last one s_T; past s_T, profile_interpolator reads
+    the analytic tail.
 
     Two LSODA runs output the grid nodes below b1.  The s-leg integrates
 
@@ -529,10 +557,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                         jac=rho_jac, **left_tol)
         ql, Wr = y[:, :0:-1]
         zr, Wl = rho[:k] * ql / bp, np.concatenate([Wr, Wl])
-    sr = s_grid[n_left + 1:]
-    h_tail = tail.h_spline(sr)
+    h_tail, W_tail = _tail_rows(tail, s_grid[n_left + 1:])
     xi = np.concatenate([_logit(C1 + zr, -zr), xil, _logit(h_tail, C1 - h_tail)])
-    W = np.concatenate([Wl, tail.W_spline(sr)])
+    W = np.concatenate([Wl, W_tail])
     prof = Profile(
         params=p, eta_inf=1.0, s_grid=s_grid, xi=xi, W=W, eta_origin=math.nan,
         origin_q_defect=math.nan, tail=tail,
@@ -661,8 +688,8 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
     if not 0.0 < target_eta < math.inf:
         raise RangeError(f"target_eta must be positive and finite, got {target_eta}")
     fp = derive_fp_constants(params, b1_margin=b1_margin)
-    # the profile keeps its tail, with the tail's two cached splines (about
-    # 0.4 MB at the reference point), for fp_residual's first read
+    # the profile keeps its tail for fp_residual's first read, which fits
+    # the tail's two splines (about 0.4 MB at the reference point) and keeps them
     prof = continue_left(picard_solve(fp, tol=tol), s_min=s_min, tol=tol)
     return rescale_profile(prof, lambda_for_amplitude(prof, target_eta))
 

@@ -35,7 +35,7 @@ from fastdiff.numerics import lsoda_at
 from fastdiff.profile import (PROFILE_DS, _MAX_NODES, _ORIGIN_Q_TOL, _backward_recurrence,
                               _check_membership,
                               _horner, _origin_match, _origin_node, _origin_series, _spline_at,
-                              _tail_seed, _weighted_norm)
+                              _tail_rows, _tail_seed, _weighted_norm)
 from sweep import point_id, sweep_points
 
 # Origin coefficient of the base profile (eta_inf = 1) at the reference
@@ -240,6 +240,14 @@ class TestResidualOnFirstRead:
         continue_left(tail)
         assert len(lsoda_runs) == 2                     # the s-leg and the rho-leg
 
+    def test_a_build_fits_no_spline(self):
+        # the table's rows past b1 come from _tail_rows; only fp_residual's
+        # first read fits the tail's two splines, for tail_residual's route
+        prof = solve_for_eta(derive_params(3, 0.2, 4.0), 1.0)
+        assert "h_spline" not in vars(prof.tail) and "W_spline" not in vars(prof.tail)
+        assert prof.fp_residual == 2.7790122317253055e-12
+        assert "h_spline" in vars(prof.tail) and "W_spline" in vars(prof.tail)
+
     def test_first_read_runs_tail_residual_once(self, fp_ref, lsoda_runs):
         tail = picard_solve(fp_ref)
         lsoda_runs.clear()
@@ -278,20 +286,43 @@ class TestTailLength:
         assert s_T - ds < base_profile.s_grid[-1] <= s_T
 
     def test_far_rows_are_the_analytic_tail(self, tail_ref, base_profile, fp_ref):
-        # every row past b1 is the tail's splines, and past the table
-        # profile_interpolator gives the analytic tail the table once stored
-        # as 2,000 rows to b1 + 40: W = -C1 s - (h_T / C2) e^(-C2 (s - s_T))
-        # at the table's step, f to 1e-14 relative (measured: the same bits)
+        # every row past b1 is _tail_rows' Hermite interpolant of the tail,
+        # and past the table profile_interpolator gives the analytic tail
+        # the table once stored as 2,000 rows to b1 + 40: W = -C1 s -
+        # (h_T / C2) e^(-C2 (s - s_T)) at the table's step, f to 1e-14
+        # relative (measured: the same bits)
         C1, C2, gamma = fp_ref.params.C1, fp_ref.C2, fp_ref.params.gamma
         s, k = base_profile.s_grid, int(np.searchsorted(base_profile.s_grid, fp_ref.b1))
-        assert np.array_equal(base_profile.W[k + 1:], tail_ref.W_spline(s[k + 1:]))
+        h_rows, W_rows = _tail_rows(tail_ref, s[k + 1:])
+        assert np.array_equal(base_profile.W[k + 1:], W_rows)
+        assert np.array_equal(base_profile.xi[k + 1:], np.log(h_rows / (C1 - h_rows)))
+        # the rows lie within 4.4e-15 of a tail node here, so the tail's
+        # splines read the same values: measured 3.6e-15 relative in h and
+        # 1.8e-15 in W, half an ulp of |W| <= 24.3 (bound: under three ulps)
         assert np.allclose(base_profile.h[k + 1:], tail_ref.h_spline(s[k + 1:]), rtol=1e-14, atol=0.0)
+        assert np.allclose(base_profile.W[k + 1:], tail_ref.W_spline(s[k + 1:]), rtol=0.0, atol=1e-14)
         s_T, h_T = float(tail_ref.grid[-1]), float(tail_ref.h[-1])
         ds = float(s[1] - s[0])
         far = s[-1] + ds * np.arange(1, 2001)
         f_far = np.exp(-gamma * far - C1 * far - h_T / C2 * np.exp(-C2 * (far - s_T)))
         f_of_r = profile_interpolator(base_profile)
         assert np.allclose(f_of_r(np.exp(far)), f_far, rtol=1e-14, atol=0.0)
+
+    def test_far_rows_between_tail_nodes(self):
+        # at (5, 0.54, 5.495) C2 = 0.556 puts the tail's step at 0.018 and
+        # the table's at 0.01, so the rows fall between nodes.  There the
+        # Hermite rows and the tail's splines differ by 8.6e-9 relative in h
+        # and 2.7e-15 in W (|W| <= 6.8), 30x below Picard's own grid error:
+        # h moves by 2.6e-7 relative against a tail 8x finer
+        fp = derive_fp_constants(derive_params(5, 0.54, 5.495))
+        tail = picard_solve(fp)
+        prof = continue_left(tail)
+        s, k = prof.s_grid, int(np.searchsorted(prof.s_grid, fp.b1))
+        assert float(s[1] - s[0]) < float(tail.grid[1] - tail.grid[0]) / 1.5
+        assert np.allclose(prof.h[k + 1:], tail.h_spline(s[k + 1:]), rtol=2e-8, atol=0.0)
+        assert np.allclose(prof.W[k + 1:], tail.W_spline(s[k + 1:]), rtol=0.0, atol=1e-14)
+        h_nodes, W_nodes = _tail_rows(tail, tail.grid)
+        assert np.array_equal(h_nodes, tail.h) and np.array_equal(W_nodes, tail.W)
 
     def test_far_rows_keep_h_where_it_underflows(self):
         # at (3, 0.0333, 16.03), C2 = 27 took h_T e^(-C2 (s - s_T)) below the
