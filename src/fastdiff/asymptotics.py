@@ -42,11 +42,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import InternalError, ResolutionError
 from .numerics import deriv_uniform
-from .profile import Profile, _origin_node, _origin_series
+from .profile import Profile, _horner, _origin_node, _origin_series
 
 __all__ = [
     "ExpansionReport",
@@ -112,7 +111,8 @@ def expansion_check(profile: Profile) -> ExpansionReport:
     t = lam * np.exp(profile.s_grid[:i + 1] / bp)
     rq = bp * profile.z[:i + 1]
     u = t / t[-1]
-    P2 = polyval(t, Q[2:])
+    coeffs = Q.tolist()
+    P2 = _horner(t, coeffs[2:])
     Qt = Q[0] + (Q[1] + P2 * t) * t               # polyval(t, Q), the same float operations
     (c1, c2), *_ = np.linalg.lstsq(np.column_stack([u, u * u]), rq - t ** 3 * P2, rcond=None)
     q0, q1 = c1 / t[-1], c2 / t[-1] ** 2         # Q_0 and Q_1 as measured
@@ -120,7 +120,7 @@ def expansion_check(profile: Profile) -> ExpansionReport:
     if not d1 < 0:
         raise InternalError(f"measured w-bar_rho(0) = {d1} is not negative")
     d1_ref, d2_ref = eta * lam * Q[0], eta * lam * lam * (Q[1] + Q[0] ** 2)
-    log_wbar = math.log(eta) + t * polyval(t, Q / np.arange(1, Q.size + 1))
+    log_wbar = math.log(eta) + t * _horner(t, (Q / np.arange(1, Q.size + 1)).tolist())
     return ExpansionReport(
         eta=eta, d1=d1, d2=d2, d1_ref=d1_ref, d2_ref=d2_ref,
         rel_err1=abs(d1 - d1_ref) / abs(d1_ref),

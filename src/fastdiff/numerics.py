@@ -52,6 +52,15 @@ def lsoda_at(rhs: Callable, y0, s_out, *, rel_tol: float, abs_tol: float,
     rhs, replaces them.  Only continue_left's rho-leg passes one: it takes
     155 steps at the reference point with it and 182 without.
 
+    Each rhs call goes through one callback, built once per run for the
+    span's direction and the state's size: it counts the call against the
+    budget and hands rhs the state as a list, and on a decreasing span it
+    negates s and the derivative, 1 or 2 components by a fixed-size
+    expression and more by a comprehension.  On one core of a shared Xeon
+    VM under CPython 3.11 it adds 70-100 ns to an increasing call, 130-200
+    ns to a decreasing one of 1 or 2 components and 350-450 ns past that,
+    where a trivial rhs itself takes 150-250 ns.
+
     rhs must return a finite derivative for every state, Newton trial states
     far off the solution included: odepack's weighted max-norm drops nan, so
     a nan derivative passes the corrector's test and the run ends in
@@ -70,20 +79,46 @@ def lsoda_at(rhs: Callable, y0, s_out, *, rel_tol: float, abs_tol: float,
         raise RangeError(f"output points must be finite and monotone on span {span}")
     if span[0] == span[1]:
         raise RangeError(f"empty span {span}")
-    nfev = 0
     # odeint honours tcrit only on increasing times, so a decreasing span
     # runs as the increasing one in t = -s: negated rhs, jac and times give
     # the same steps and bits, and the last step stops on s_out[-1]
     sign = 1.0 if span[1] > span[0] else -1.0
+    nfev = 0
 
-    def wrapped(t, y):
+    def exhausted():
+        return StiffnessError(f"evaluation budget exhausted ({_NFEV_BUDGET} rhs calls) on span {span}")
+
+    def increasing(t, y):
         nonlocal nfev
         nfev += 1
         if nfev > _NFEV_BUDGET:
-            raise StiffnessError(f"evaluation budget exhausted ({_NFEV_BUDGET} rhs calls) on span {span}")
-        if sign > 0.0:
-            return rhs(t, y.tolist())
+            raise exhausted()
+        return rhs(t, y.tolist())
+
+    def decreasing_1(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > _NFEV_BUDGET:
+            raise exhausted()
+        (a,) = rhs(-t, y.tolist())
+        return [-a]
+
+    def decreasing_2(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > _NFEV_BUDGET:
+            raise exhausted()
+        a, b = rhs(-t, y.tolist())
+        return [-a, -b]
+
+    def decreasing(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > _NFEV_BUDGET:
+            raise exhausted()
         return [-v for v in rhs(-t, y.tolist())]
+
+    wrapped = increasing if sign > 0.0 else {1: decreasing_1, 2: decreasing_2}.get(y0.size, decreasing)
 
     def dfun(t, y):
         return [[sign * v for v in row] for row in jac(sign * t, y.tolist())]
@@ -133,8 +168,14 @@ def _interval_increments(y: np.ndarray, dx: float) -> np.ndarray:
     inc = np.empty(n - 1)
     inc[0] = _W_FIRST @ y[:4]
     inc[-1] = _W_LAST @ y[-4:]
-    inc[1:-1] = _W_MID[0] * y[:-3] + _W_MID[1] * y[1:-2] + _W_MID[2] * y[2:-1] + _W_MID[3] * y[3:]
-    return inc * dx
+    # w0 y[:-3] + w1 y[1:-2] + w2 y[2:-1] + w3 y[3:], summed left to right
+    # in place: the same float operations in the same order
+    mid, term = inc[1:-1], np.empty(n - 3)
+    np.multiply(y[:-3], _W_MID[0], out=mid)
+    for j in (1, 2, 3):
+        mid += np.multiply(y[j:n - 3 + j], _W_MID[j], out=term)
+    inc *= dx
+    return inc
 
 
 def cumulative_integral(y, dx: float, direction: str = "forward") -> np.ndarray:
@@ -151,7 +192,7 @@ def cumulative_integral(y, dx: float, direction: str = "forward") -> np.ndarray:
         np.cumsum(inc, out=out[1:])
     elif direction == "backward":
         out[-1] = 0.0
-        out[:-1] = np.cumsum(inc[::-1])[::-1]
+        np.cumsum(inc[::-1], out=out[-2::-1])
     else:
         raise RangeError(f"unknown direction {direction!r}")
     return out

@@ -214,13 +214,21 @@ def _phi_map(W, h, s, ds, fp):
     p = fp.params
     n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, fp.C2
 
-    # Phi_1, with the analytic tail h_T/C2 of int h past the grid
-    W_new = -(cumulative_integral(h, ds, "backward") + h[-1] / C2) - C1 * s
+    # Phi_1, with the analytic tail h_T/C2 of int h past the grid:
+    # -(J + h_T/C2) - C1 s, formed in place
+    W_new = cumulative_integral(h, ds, "backward")
+    W_new += h[-1] / C2
+    np.negative(W_new, out=W_new)
+    W_new -= C1 * s
 
-    # Phi_2
-    X = np.exp((1.0 - m) * W - s / bp)
+    # Phi_2; X = exp((1-m) W - s/b') and q = b'C1 X + m h h
+    X = np.multiply(W, 1.0 - m)
+    X -= s / bp
+    np.exp(X, out=X)
     G = cumulative_integral(X, ds, "forward")
-    q = bp * C1 * X + m * h * h
+    q, term = np.multiply(X, bp * C1), np.multiply(h, m)
+    term *= h
+    q += term
 
     k = n - 2
     npts = s.size
@@ -228,19 +236,34 @@ def _phi_map(W, h, s, ds, fp):
     def rel(j_idx, i_idx):
         return np.exp(-bp * (G[j_idx] - G[i_idx]) - k * ds * (j_idx - i_idx))
 
-    a = np.exp(-bp * np.diff(G) - k * ds)           # carry factor across one interval
+    def rel_into(out, Gj, Gi, shift):
+        # rel on slices, into out: exp(-bp (Gj - Gi) + shift), shift = -k ds (j - i)
+        np.subtract(Gj, Gi, out=out)
+        out *= -bp
+        out += shift
+        return np.exp(out, out=out)
+
+    a = rel_into(np.empty(npts - 1), G[1:], G[:-1], -k * ds)    # carry factor across one interval
     b = np.empty(npts - 1)
     w0, w1, w2, w3 = _W_MID
-    # rel(i - 1, i), rel(i + 1, i) and rel(i + 2, i) on i = 1 .. npts - 3,
-    # from slices: j - i is constant, so k ds (j - i) is the same float, and
-    # rel(i + 1, i) is a[i] to the bit
-    Gi = G[1:-2]
-    b[1:-1] = ds * (
-        w0 * np.exp(-bp * (G[:-3] - Gi) + k * ds) * q[:-3]
-        + w1 * q[1:-2]
-        + w2 * a[1:-1] * q[2:-1]
-        + w3 * np.exp(-bp * (G[3:] - Gi) - 2 * k * ds) * q[3:]
-    )
+    # b_i / ds = w0 rel(i - 1, i) q[i-1] + w1 q[i] + w2 rel(i + 1, i) q[i+1]
+    # + w3 rel(i + 2, i) q[i+2] on i = 1 .. npts - 3, summed left to right
+    # in place from slices: j - i is constant, so k ds (j - i) is the same
+    # float, and rel(i + 1, i) is a[i] to the bit; term's first npts - 3
+    # entries are the scratch row
+    Gi, mid, term = G[1:-2], b[1:-1], term[:npts - 3]
+    rel_into(mid, G[:-3], Gi, k * ds)
+    mid *= w0
+    mid *= q[:-3]
+    mid += np.multiply(q[1:-2], w1, out=term)
+    np.multiply(a[1:-1], w2, out=term)
+    term *= q[2:-1]
+    mid += term
+    rel_into(term, G[3:], Gi, -2 * k * ds)
+    term *= w3
+    term *= q[3:]
+    mid += term
+    mid *= ds
     b[0] = ds * sum(_W_FIRST[j] * rel(j, 0) * q[j] for j in range(4))
     last = npts - 2
     b[-1] = ds * sum(_W_LAST[j] * rel(npts - 4 + j, last) * q[npts - 4 + j] for j in range(4))
@@ -253,12 +276,16 @@ def _backward_recurrence(a, b, last):
     """R_i = a_i R_{i+1} + b_i from R_n = last, right to left: the unit upper
     bidiagonal system R_i - a_i R_{i+1} = b_i, R_n = last, solved by one BLAS
     tbsv call.  Its band storage holds -a on the superdiagonal (row 0, from
-    column 1) over the unit diagonal, which diag=1 leaves unread; the
-    kernel may fuse each multiply-add, so a node can differ from the same
-    loop on floats by a rounding or two."""
-    band = np.ones((2, len(a) + 1), order="F")
-    band[0, 1:] = -a
-    return _TBSV(1, band, np.append(b, last), diag=1, overwrite_x=1)
+    column 1) over the unit diagonal, which diag=1 leaves unread, as it
+    does band[0, 0]: both stay unset.  The kernel may fuse each
+    multiply-add, so a node can differ from the same loop on floats by a
+    rounding or two."""
+    band = np.empty((2, len(a) + 1), order="F")
+    np.negative(a, out=band[0, 1:])
+    x = np.empty(len(b) + 1)
+    x[:-1] = b
+    x[-1] = last
+    return _TBSV(1, band, x, diag=1, overwrite_x=1)
 
 
 def _tail_seed(fp: FPConstants, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,14 +340,16 @@ def picard_solve(fp: FPConstants, tol: float = 1e-12) -> TailSolution:
     weights = (np.exp(C2 * s), np.exp(0.5 * C2 * s))
 
     slack = 2e-12
+    C1s = C1 * s
     W, h = _tail_seed(fp, s)
-    v = np.exp(W + C1 * s)
+    v = np.exp(W + C1s)
     _check_membership(v, h, fp, slack, weights)
 
     norms, ratios = [], []
     for it in range(1, _PICARD_MAX_ITER + 1):
         W_new, h_new = _phi_map(W, h, s, ds, fp)
-        v_new = np.exp(W_new + C1 * s)
+        v_new = np.add(W_new, C1s)
+        np.exp(v_new, out=v_new)
         _check_membership(v_new, h_new, fp, slack, weights)
         upd = _weighted_norm(v_new - v, h_new - h, weights)
         if norms and norms[-1] > _NOISE_FLOOR and upd > _NOISE_FLOOR:
@@ -505,23 +534,23 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
         dxi = (n2 - mC1 * (E / E1)) * E1 - bp * (Y * E + Y)
         return [dxi if abs(dxi) < _TRIAL_DERIV else _TRIAL_DERIV, -C1 / E1]
 
-    a1, a2, a3 = p.a1, p.a2, p.a3
+    a1, a2, a3, m1 = p.a1, p.a2, p.a3, 1.0 - m
 
-    def P_of(W):
-        # capped so that a wild trial state's P is inf-free and exp cannot raise
-        return math.exp(min((1.0 - m) * W, _LOG_FLOAT_MAX))
-
+    # P = e^((1-m) W), its argument capped as min(arg, L) would, nan
+    # included, so that a wild trial state's P is inf-free and exp cannot
+    # raise; a trial state far off the solution (the stale Jacobian of a
+    # long step toward rho = 0) is guarded as the s-leg's is
     def rho_rhs(rho, y):
         q, W = y
-        dq = (a3 - a2 * q * P_of(W) - a1 * rho * q) / (rho * rho) - m * q * q
-        # a trial state far off the solution (the stale Jacobian of a long
-        # step toward rho = 0) is guarded as the s-leg's is
+        a = m1 * W
+        dq = (a3 - a2 * q * math.exp(L if a > L else a) - a1 * rho * q) / (rho * rho) - m * q * q
         return [dq if abs(dq) < _TRIAL_DERIV else _TRIAL_DERIV, q]
 
     def rho_jac(rho, y):
         q, W = y
-        aP, r2 = a2 * P_of(W), rho * rho
-        return [[-(aP + a1 * rho) / r2 - 2.0 * m * q, -(1.0 - m) * aP * q / r2], [1.0, 0.0]]
+        a = m1 * W
+        aP, r2 = a2 * math.exp(L if a > L else a), rho * rho
+        return [[-(aP + a1 * rho) / r2 - 2.0 * m * q, -m1 * aP * q / r2], [1.0, 0.0]]
 
     # one uniform grid across continuation + tail, at a step that resolves
     # the tail's decay rate C2; node n_left is b1 up to roundoff and takes
@@ -611,11 +640,14 @@ def _origin_node(profile: Profile, eta: float) -> int:
     return int(np.searchsorted(s_grid, bp * log_rho_star, side="right")) - 1
 
 
-def _horner(t: float, coeffs: list[float]) -> float:
-    """polyval(t, coeffs) on floats: the same Horner order, so the same bits."""
-    acc = coeffs[-1]
+def _horner(t, coeffs: list[float]):
+    """polyval(t, coeffs) for a float or an array t: polyval's start
+    c[-1] + t*0, then acc = acc t + c, in place on an array.  The same
+    float operations in the same order, so the same bits."""
+    acc = coeffs[-1] + t * 0.0
     for c in coeffs[-2::-1]:
-        acc = c + acc * t
+        acc *= t
+        acc += c
     return acc
 
 
@@ -644,7 +676,8 @@ def _origin_match(profile: Profile) -> tuple[float, float]:
             break
     else:
         raise ExtrapolationError(f"origin match did not settle: last step {step:g} in log eta")
-    defect = abs(rq - params.beta_p * float(profile.z[i])) / abs(rq)
+    z = float(-params.C1 / (1.0 + np.exp(profile.xi[i])))     # Profile.z at row i alone
+    defect = abs(rq - params.beta_p * z) / abs(rq)
     if not defect <= _ORIGIN_Q_TOL:
         raise ExtrapolationError(f"origin series misses z at rho* = {rho:.3g}: q defect {defect:.3g}")
     return math.exp(log_eta), defect

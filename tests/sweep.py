@@ -25,11 +25,16 @@ also prints each outcome and inside flag that differs from the file it
 overwrites, one line each, as  point key old → new.  Each table ends on a
 totals line: its rows' Picard iterations, tail nodes, base table rows and
 LSODA steps at each run position (tail_residual, s-leg, rho-leg), summed,
-and the worst of each value in WORST over its completing rows.
+and the worst of each value in WORST over its completing rows, and then a
+digest line: the SHA-256 over the SHA-256 of each completing point's base
+table bytes (s_grid, xi, W, then eta_origin), in table order.  The digest
+is printed only, so a change that keeps every table's bits reads the same
+line before and after it.
 """
 
 import contextlib
 import functools
+import hashlib
 import itertools
 import json
 import sys
@@ -139,6 +144,8 @@ def run_point(point):
             tail.fp_residual    # read here, so tail_residual's run is recorded first
             base = continue_left(tail)
         rows = base.s_grid.size
+        table = hashlib.sha256(b"".join(a.tobytes() for a in (base.s_grid, base.xi, base.W)))
+        table.update(np.float64(base.eta_origin).tobytes())
         prof = rescale_profile(base, lambda_for_amplitude(base, 1.0))
         rep = expansion_check(prof)
         values = {
@@ -163,6 +170,7 @@ def run_point(point):
         "lsoda_steps": steps,
         "values": values,
         "inside": {k: bool(v <= BOUNDS[k]) for k, v in values.items()},
+        "table_sha256": table.digest(),
     }
 
 
@@ -172,9 +180,10 @@ TABLES = {"sweep": (sweep_points, EXPECTED), "edge": (edge_points, EDGE_EXPECTED
 
 def _rounded(row):
     """The row as the expected file holds it: each value to two digits, a
-    count exactly."""
+    count exactly, and no table digest."""
     if "values" not in row:
         return row
+    row = {k: v for k, v in row.items() if k != "table_sha256"}
     return {**row, "values": {k: v if isinstance(v, int) else float("%.2g" % v)
                               for k, v in row["values"].items()}}
 
@@ -220,6 +229,9 @@ def main(argv):
               f"tail nodes {sum(row['tail_nodes'] or 0 for row in rows)}, "
               f"table rows {sum(row['table_rows'] or 0 for row in rows)}, lsoda {lsoda}, "
               f"worst {', '.join(worst)}")
+        tables_hash = hashlib.sha256(b"".join(row["table_sha256"] for row in rows if "values" in row))
+        print(f"{'digest':>24}  sha256 {tables_hash.hexdigest()} over "
+              f"{sum('values' in row for row in rows)} base tables (s_grid, xi, W, eta_origin)")
 
 
 if __name__ == "__main__":

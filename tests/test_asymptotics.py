@@ -3,6 +3,7 @@ derivatives against the origin series, equation residuals in the three
 formulations, the inversion involution, and which check sees which defect."""
 
 import functools
+import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -145,6 +146,16 @@ class TestExpansionCheck:
         t = prof.eta_origin ** (p.m - 1.0) * np.exp(prof.s_grid[:i + 1] / p.beta_p)
         rq = p.beta_p * prof.z[:i + 1]
         assert expansion_check(prof).q_defect == float(np.max(np.abs(rq - t * polyval(t, Q))))
+
+    def test_logw_defect_is_the_series_defect(self, unit_eta_profile):
+        # log w-bar's series comes from an in-place Horner loop; it must give
+        # polyval's bits on the fit window
+        prof, p = unit_eta_profile, unit_eta_profile.params
+        Q = _origin_series(p)
+        i = _origin_node(prof, prof.eta_origin)
+        t = prof.eta_origin ** (p.m - 1.0) * np.exp(prof.s_grid[:i + 1] / p.beta_p)
+        log_wbar = math.log(prof.eta_origin) + t * polyval(t, Q / np.arange(1, Q.size + 1))
+        assert expansion_check(prof).logw_defect == float(np.max(np.abs(prof.W[:i + 1] - log_wbar)))
 
     def test_reads_the_continuation_state(self, unit_eta_profile):
         # d1 = eta beta' z/rho at 0: z scaled by 1 + 1e-3 must move d1 by 1e-3

@@ -14,6 +14,9 @@ from fastdiff.errors import BlowUpError, RangeError, StiffnessError
 from fastdiff.numerics import (
     _D1,
     _D2,
+    _W_FIRST,
+    _W_LAST,
+    _W_MID,
     cumulative_integral,
     deriv_uniform,
     integrate_table,
@@ -267,18 +270,49 @@ class TestLsodaAt:
         assert y[0, 0] == 1.0
         assert np.max(np.abs(y[0] - np.exp(ss - 1.0))) < 1e-11
 
-    @pytest.mark.parametrize("rhs, tol, budget, match", [
-        (lambda s, y: [-y[0]], {"rel_tol": 1e-300, "abs_tol": 1e-300}, 10 ** 6,
+    @pytest.mark.parametrize("rhs, tol, budget, span, match", [
+        (lambda s, y: [-y[0]], {"rel_tol": 1e-300, "abs_tol": 1e-300}, 10 ** 6, (0.0, 1.0),
          "integrator failed on span .*: Illegal input"),
-        (lambda s, y: [math.nan if s > 0.5 else -y[0]], TOL, 10 ** 6, "state not finite"),
-        (lambda s, y: [-y[0]], TOL, 5, "budget exhausted"),
-    ], ids=["refused-tolerance", "nan", "budget"])
-    def test_failed_run_is_stiffness_error_without_warning(self, rhs, tol, budget, match, monkeypatch):
+        (lambda s, y: [math.nan if s > 0.5 else -y[0]], TOL, 10 ** 6, (0.0, 1.0), "state not finite"),
+        (lambda s, y: [-y[0]], TOL, 5, (0.0, 1.0), "budget exhausted"),
+        (lambda s, y: [-y[0]], TOL, 5, (1.0, 0.0), "budget exhausted"),
+    ], ids=["refused-tolerance", "nan", "budget", "budget-decreasing"])
+    def test_failed_run_is_stiffness_error_without_warning(self, rhs, tol, budget, span, match, monkeypatch):
         monkeypatch.setattr(fastdiff.numerics, "_NFEV_BUDGET", budget)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StiffnessError, match=match):
-                lsoda_at(rhs, [1.0], np.linspace(0.0, 1.0, 11), **tol, jac=lambda s, y: [[-1.0]])
+                lsoda_at(rhs, [1.0], np.linspace(*span, 11), **tol, jac=lambda s, y: [[-1.0]])
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("span", [(0.0, 1.0), (1.0, 0.0)], ids=["increasing", "decreasing"])
+    def test_budget_counts_every_call(self, size, span, monkeypatch):
+        # the callback is built per direction and state size, and each one
+        # lets rhs run exactly the budget's number of calls
+        calls = []
+
+        def rhs(s, y):
+            calls.append(s)
+            return [-v for v in y]
+
+        monkeypatch.setattr(fastdiff.numerics, "_NFEV_BUDGET", 7)
+        with pytest.raises(StiffnessError, match=r"budget exhausted \(7 rhs calls\)"):
+            lsoda_at(rhs, [1.0] * size, np.linspace(*span, 11), **TOL)
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_decreasing_span_is_the_increasing_run_in_minus_s(self, size):
+        # a decreasing span returns the bits of the increasing run in t = -s
+        # with the rhs negated by hand, for every callback shape
+        def rhs(s, y):
+            return [math.sin(s) * y[k - 1] - 0.5 * y[k] for k in range(size)]
+
+        y0, ss = [1.0, 0.5, -0.25][:size], np.linspace(2.0, -1.0, 31)
+        down, steps = lsoda_at(rhs, y0, ss, rel_tol=1e-11, abs_tol=1e-13)
+        up, up_steps = lsoda_at(lambda t, y: [-v for v in rhs(-t, y)], y0, -ss,
+                                rel_tol=1e-11, abs_tol=1e-13)
+        assert steps == up_steps
+        assert np.array_equal(down, up)
 
     @pytest.mark.parametrize("s_out", [[0.0, 0.5, 0.3, 1.0], [0.0, math.nan, 1.0]],
                              ids=["not-monotone", "nan"])
@@ -338,6 +372,21 @@ class TestCompositeRules:
         bw = cumulative_integral(y, dx, "backward")
         total = integrate_table(y, dx)
         assert np.max(np.abs(fw + bw - total)) < 1e-14
+
+    def test_rules_are_the_four_term_weights_to_the_bit(self):
+        # each interval's increment is w0 y[i-1] + w1 y[i] + w2 y[i+1] +
+        # w3 y[i+2] summed left to right, one-sided at the ends, times dx; the
+        # cumulative and whole-table rules sum those increments
+        y, dx = np.random.default_rng(7).normal(size=203), 0.0173
+        inc = np.empty(y.size - 1)
+        inc[0] = _W_FIRST @ y[:4]
+        inc[-1] = _W_LAST @ y[-4:]
+        inc[1:-1] = _W_MID[0] * y[:-3] + _W_MID[1] * y[1:-2] + _W_MID[2] * y[2:-1] + _W_MID[3] * y[3:]
+        inc = inc * dx
+        assert np.array_equal(cumulative_integral(y, dx, "forward"), np.concatenate([[0.0], np.cumsum(inc)]))
+        assert np.array_equal(cumulative_integral(y, dx, "backward"),
+                              np.concatenate([np.cumsum(inc[::-1])[::-1], [0.0]]))
+        assert integrate_table(y, dx) == float(np.sum(inc))
 
     def test_too_few_nodes_raises(self):
         with pytest.raises(RangeError):

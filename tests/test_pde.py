@@ -66,8 +66,8 @@ def _bb_field(bb_fn, grid, t, params):
 class TestLogGrid:
     def test_log_uniform(self):
         g = log_grid(1e-2, 1e2, 41)
-        assert g[0] == pytest.approx(1e-2, rel=1e-15)
-        assert g[-1] == pytest.approx(1e2, rel=1e-15)
+        assert g[0] == pytest.approx(1e-2, rel=1e-15, abs=0)
+        assert g[-1] == pytest.approx(1e2, rel=1e-15, abs=0)
         dx = np.diff(np.log(g))
         assert np.allclose(dx, dx[0], rtol=1e-10)
 

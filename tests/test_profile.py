@@ -613,11 +613,14 @@ class TestRecoverProfile:
         assert base_profile.origin_q_defect <= 1e-11
 
     def test_horner_is_polyval(self, params_ref):
-        # _origin_match's float Horner loop gives polyval's bits
+        # the Horner loop of _origin_match (on floats) and of expansion_check
+        # (in place on arrays) gives polyval's bits
         Q = _origin_series(params_ref)
+        ts = np.geomspace(1e-4, 1.0, 50)
         for coeffs in (Q, Q / np.arange(1, Q.size + 1)):
-            for t in np.geomspace(1e-4, 1.0, 50).tolist():
+            for t in ts.tolist():
                 assert _horner(t, coeffs.tolist()) == np.polynomial.polynomial.polyval(t, coeffs)
+            assert np.array_equal(_horner(ts, coeffs.tolist()), np.polynomial.polynomial.polyval(ts, coeffs))
 
     def test_series_recursion(self, params_ref):
         # the first two coefficients give the closed forms wbar_rho(0) = a3/a2
@@ -810,8 +813,8 @@ class TestInterpolator:
             f_of_r = profile_interpolator(prof)
             r_e = _radius_with_log(float(prof.s_grid[-1]))
             at, past = f_of_r(r_e), f_of_r(float(np.nextafter(r_e, math.inf)))
-            assert past == pytest.approx(at, rel=1e-13)
-            assert at == pytest.approx(float(_f(prof)[-1]), rel=1e-15)
+            assert past == pytest.approx(at, rel=1e-13, abs=0)
+            assert at == pytest.approx(float(_f(prof)[-1]), rel=1e-15, abs=0)
 
     def test_non_finite_radius_raises(self, base_profile):
         f_of_r = profile_interpolator(base_profile)
