@@ -47,7 +47,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import get_blas_funcs
 
 from .errors import (
@@ -59,7 +58,7 @@ from .errors import (
     ResolutionError,
     ToleranceError,
 )
-from .numerics import _W_FIRST, _W_LAST, _W_MID, cumulative_integral, lsoda_at
+from .numerics import _W_FIRST, _W_LAST, _W_MID, cumulative_integral, hermite, lsoda_at
 from .params import FPConstants, ParamSet, derive_fp_constants
 
 __all__ = [
@@ -99,13 +98,9 @@ _TRIAL_DERIV = math.sqrt(sys.float_info.max)
 @dataclass(frozen=True)
 class TailSolution:
     """The Picard fixed point (W = log wt, h) on the tail grid [b1, s_T].
-
-    The cubic splines h_spline of h and W_spline of W on the grid are built
-    on first use and kept by the instance; only tail_residual reads them.
-    fp_residual, the fixed point's defect along tail_residual's independent
-    route, is one LSODA run, also made on first read and kept, so a profile
-    build fits no spline (continue_left reads the tail through _tail_rows).
-    """
+    fp_residual, its defect along tail_residual's independent route, is one
+    LSODA run, made on first read and kept; between the nodes the tail is
+    read through _tail_hermite, which keeps nothing on the instance."""
     grid: np.ndarray
     h: np.ndarray
     W: np.ndarray
@@ -113,14 +108,6 @@ class TailSolution:
     fp: FPConstants
     update_norms: np.ndarray
     update_ratios: np.ndarray
-
-    @cached_property
-    def h_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.h)
-
-    @cached_property
-    def W_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.W)
 
     @cached_property
     def fp_residual(self) -> float:
@@ -371,28 +358,16 @@ def picard_solve(fp: FPConstants, tol: float = 1e-12) -> TailSolution:
     )
 
 
-def _spline_at(spline: CubicSpline):
-    """Float evaluator with the bits of spline(s): PPoly's interval (the
-    rightmost knot <= s, clamped to the end pieces), guessed from the mean
-    spacing and corrected, and PPoly's power-sum order on the spline's own
-    arrays; c[j * nseg + i] multiplies (s - x_i)^(3 - j)."""
-    x = memoryview(spline.x)
-    c = memoryview(spline.c.ravel())
-    nseg = len(x) - 1
-    last, c1, c2, c3 = nseg - 1, nseg, 2 * nseg, 3 * nseg
-    x0, per_ds = x[0], nseg / (x[nseg] - x[0])
-
-    def at(sv):
-        i = min(int((sv - x0) * per_ds), last) if sv > x0 else 0
-        while sv < x[i] and i > 0:
-            i -= 1
-        while i < last and sv >= x[i + 1]:
-            i += 1
-        t = sv - x[i]
-        t2 = t * t
-        return c[c3 + i] + c[c2 + i] * t + c[c1 + i] * t2 + c[i] * (t2 * t)
-
-    return at
+def _tail_hermite(tail: TailSolution):
+    """(h_at, W_at): the tail's h and W interpolated by numerics.hermite on
+    its nodes, with the slopes its equations give there: W' = z = h - C1
+    (Phi_1) and h' = (n-2 + b'X) h - b'C1 X - m h^2 (Phi_2's ODE, the one
+    tail_residual integrates)."""
+    p, g, h, W = tail.fp.params, tail.grid, tail.h, tail.W
+    m, bp, C1 = p.m, p.beta_p, p.C1
+    X = np.exp((1.0 - m) * W - g / bp)
+    dh = (p.n - 2 + bp * X) * h - bp * C1 * X - m * h * h
+    return hermite(g, h, dh), hermite(g, W, h - C1)
 
 
 def tail_residual(tail: TailSolution) -> float:
@@ -406,19 +381,18 @@ def tail_residual(tail: TailSolution) -> float:
     (numerics.lsoda_at) that outputs the _TAIL_SAMPLES comparison points,
     spaced evenly over the whole tail [b1, s_T], where h is compared with
     Y e^(-C2 s); on y the error control would follow its decay step by step.
-    J = int_s^inf h in Phi_1 is the exact integral F(s_T) - F(s) of h's
-    cubic spline, F its antiderivative, plus the analytic tail h(s_T)/C2.
-    W = log wt enters through the tail's spline, as X = exp((1-m) W - s/b')
-    and as the scaled state e^(W + C1 s) compared with e^(-J), Phi_1's: up
-    to s_T, where W + C1 s fixes eta_inf = 1, so this is also the far-field
-    check.  Comparing against (h, W) there avoids every piece of the Picard
+    Between the nodes h and W = log wt are the tail's Hermite interpolants
+    (_tail_hermite), which read only the node values and the equations;
+    J = int_s^inf h in Phi_1 is h's exact integral to s_T plus the analytic
+    tail h(s_T)/C2.  W enters as X = exp((1-m) W - s/b') and as the scaled
+    state e^(W + C1 s) compared with e^(-J), Phi_1's: up to s_T, where
+    W + C1 s fixes eta_inf = 1, so this is also the far-field check.  Comparing against (h, W) there avoids every piece of the Picard
     quadrature path.
     """
     p = tail.fp.params
     n, m, bp, C1, C2 = p.n, p.m, p.beta_p, p.C1, tail.fp.C2
     s, h, W = tail.grid, tail.h, tail.W
-    h_sp, W_sp = tail.h_spline, tail.W_spline
-    h_at, W_at = _spline_at(h_sp), _spline_at(W_sp)
+    h_at, W_at = _tail_hermite(tail)
 
     def rhs(sv, Y):
         X = math.exp((1.0 - m) * W_at(sv) - sv / bp)
@@ -431,37 +405,9 @@ def tail_residual(tail: TailSolution) -> float:
     # the last sample repeats the run's start s_T
     Y, _ = lsoda_at(rhs, [math.exp(C2 * s[-1]) * y_end], np.concatenate([[s[-1]], sc[::-1]]),
                     rel_tol=1e-12, abs_tol=1e-300)
-    res_h = np.abs(h_sp(sc) - Y[0, :0:-1] * np.exp(-C2 * sc)) * np.exp(0.5 * C2 * sc)
-    F = h_sp.antiderivative()
-    res_W = np.abs(np.exp(W_sp(sc) + C1 * sc) - np.exp(-(F(s[-1]) - F(sc) + h[-1] / C2)))
+    res_h = np.abs(h_at(sc) - Y[0, :0:-1] * np.exp(-C2 * sc)) * np.exp(0.5 * C2 * sc)
+    res_W = np.abs(np.exp(W_at(sc) + C1 * sc) - np.exp(-(h_at.integral(sc) + h[-1] / C2)))
     return float(max(res_h.max(), res_W.max()))
-
-
-def _tail_rows(tail: TailSolution, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, W) at the points s of [b1, s_T], by cubic Hermite interpolation
-    on the tail's nodes with the slopes its equations give there: W' = z =
-    h - C1 (Phi_1) and h' = (n-2 + b'X) h - b'C1 X - m h^2 (Phi_2's ODE, the
-    one tail_residual integrates).  A point on a node takes that node's
-    values.  With exact slopes the interpolant errs by at most
-    ds^4/384 max|y^(4)| (de Boor, A Practical Guide to Splines, 2001), a
-    fifth of a cubic spline's bound, and needs no linear solve."""
-    p = tail.fp.params
-    m, bp, C1 = p.m, p.beta_p, p.C1
-    g, h, W = tail.grid, tail.h, tail.W
-    X = np.exp((1.0 - m) * W - g / bp)
-    dh = (p.n - 2 + bp * X) * h - bp * C1 * X - m * h * h
-    i = np.clip(np.searchsorted(g, s, side="right") - 1, 0, g.size - 2)
-    j = i + 1
-    ds = g[j] - g[i]
-    u = (s - g[i]) / ds
-    v = 1.0 - u
-    # the Hermite basis is (1, 0, 0, 0) at u = 0 and (0, 1, 0, 0) at u = 1
-    # to the bit
-    e0, e1 = (1.0 + 2.0 * u) * v * v, u * u * (3.0 - 2.0 * u)
-    d0, d1 = ds * u * v * v, -ds * u * u * v
-    h_s = e0 * h[i] + e1 * h[j] + d0 * dh[i] + d1 * dh[j]
-    W_s = e0 * W[i] + e1 * W[j] + d0 * (h[i] - C1) + d1 * (h[j] - C1)
-    return h_s, W_s
 
 
 def _logit(h, mz) -> np.ndarray:
@@ -482,9 +428,9 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
 
     The table's uniform step is min(PROFILE_DS, 0.02/C2), so the far
     field's e^(-C2 s) takes at least 50 rows per e-fold.  Its rows past b1
-    are the tail's Hermite interpolant (_tail_rows), up to the last node at
-    or below the tail's last one s_T; past s_T, profile_interpolator reads
-    the analytic tail.
+    are the tail's Hermite interpolants (_tail_hermite), up to the last
+    node at or below the tail's last one s_T; past s_T,
+    profile_interpolator reads the analytic tail.
 
     Two LSODA runs output the grid nodes below b1.  The s-leg integrates
 
@@ -586,7 +532,7 @@ def continue_left(tail: TailSolution, s_min: Optional[float] = None, tol: float 
                         jac=rho_jac, **left_tol)
         ql, Wr = y[:, :0:-1]
         zr, Wl = rho[:k] * ql / bp, np.concatenate([Wr, Wl])
-    h_tail, W_tail = _tail_rows(tail, s_grid[n_left + 1:])
+    h_tail, W_tail = (at(s_grid[n_left + 1:]) for at in _tail_hermite(tail))
     xi = np.concatenate([_logit(C1 + zr, -zr), xil, _logit(h_tail, C1 - h_tail)])
     W = np.concatenate([Wl, W_tail])
     prof = Profile(
@@ -721,8 +667,7 @@ def solve_for_eta(params: ParamSet, target_eta: float, tol: float = 1e-12,
     if not 0.0 < target_eta < math.inf:
         raise RangeError(f"target_eta must be positive and finite, got {target_eta}")
     fp = derive_fp_constants(params, b1_margin=b1_margin)
-    # the profile keeps its tail for fp_residual's first read, which fits
-    # the tail's two splines (about 0.4 MB at the reference point) and keeps them
+    # the profile keeps its tail, and with it fp_residual once it is read
     prof = continue_left(picard_solve(fp, tol=tol), s_min=s_min, tol=tol)
     return rescale_profile(prof, lambda_for_amplitude(prof, target_eta))
 
@@ -743,16 +688,16 @@ def profile_interpolator(profile: Profile):
     """Callable f(r) for finite r from the table's first radius on;
     RangeError below it, and for r <= 0, inf or nan.
 
-    Interpolates log wt cubically in s = log r, so relative accuracy is
-    uniform over the full dynamic range of f.  Past the last row (s_e, W_e,
-    h_e) it reads the analytic tail, W = W_e - C1 d + (h_e/C2)(1 - e^(-C2 d)),
-    d = s - s_e, in any rescaled frame.  A float radius (the boundary traces
+    Interpolates log wt in s = log r by numerics.hermite on the table's
+    (W, z), z = W' on every row, so relative accuracy is uniform over the
+    full dynamic range of f.  Past the last row (s_e, W_e, h_e) it reads
+    the analytic tail, W = W_e - C1 d + (h_e/C2)(1 - e^(-C2 d)), d = s - s_e,
+    in any rescaled frame.  A float radius (the boundary traces
     of the experiments) takes a scalar path that gives the array path's
-    bits: _spline_at and numpy's own log, exp and expm1.
+    bits: hermite's float path and numpy's own log, exp and expm1.
     """
     s = profile.s_grid
-    spline = CubicSpline(s, profile.W)
-    log_wt_at = _spline_at(spline)
+    log_wt_at = hermite(s, profile.W, profile.z)
     gamma, C1, C2 = profile.params.gamma, profile.params.C1, profile.tail.fp.C2
     lo, hi = float(s[0]), float(s[-1])
     W_e, hC2 = float(profile.W[-1]), float(profile.h[-1]) / C2
@@ -775,7 +720,7 @@ def profile_interpolator(profile: Profile):
         sq = np.log(r_arr)
         if float(sq.min()) < lo - 1e-12:
             raise RangeError(f"radius below profile table: log r = {sq.min():.3f} < {lo:.3f}")
-        log_wt = spline(np.clip(sq, lo, hi))
+        log_wt = log_wt_at(np.clip(sq, lo, hi))
         past = sq > hi
         if past.any():
             log_wt[past] = log_wt_past(sq[past] - hi)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatchError, RangeError
-from .numerics import integrate_table, lsoda_at
+from .numerics import hermite, integrate_table, lsoda_at
 
 __all__ = ["BumpSpec", "WeightFunction", "WeightedGrid", "build_weight", "eval_weight", "weighted_grid"]
 
@@ -62,8 +62,8 @@ class WeightFunction:
     table_r: np.ndarray
     table_phi: np.ndarray
     table_dphi: np.ndarray
-    _phi_spline: CubicSpline
-    _dphi_spline: CubicSpline
+    _phi_at: Callable          # numerics.hermite on (phi, phi') over the table
+    _dphi_at: Callable         # and on (phi', phi'')
 
     # closed-form helpers for the analytic branch r > 2
     @property
@@ -85,7 +85,8 @@ class WeightFunction:
 def build_weight(spec: BumpSpec) -> WeightFunction:
     """Construct phi_mu from one LSODA run on [1, 2] for I = int_1^r rho^(n-1)
     eta1 and J = int_1^r s^(1-n) I(s) ds: a5 = I(2), a4 = 1/(J(2) + k0), the
-    dense table phi = 1 - a4 J, phi' = -a4 r^(1-n) I on [1e-3, 2], the
+    dense table phi = 1 - a4 J, phi' = -a4 r^(1-n) I on [1e-3, 2], with
+    phi'' = -a4 ((1-n) r^(-n) I + eta1) for its Hermite interpolants, the
     analytic branch beyond 2, and the computed radius R0 past which the
     two-sided power-law bounds on (phi, phi') hold."""
     n, mu = spec.n, spec.mu
@@ -108,17 +109,16 @@ def build_weight(spec: BumpSpec) -> WeightFunction:
     table_phi = np.ones(TABLE_SIZE)
     table_dphi = np.zeros(TABLE_SIZE)
     table_phi[mask] = 1.0 - a4 * J[1:]
-    table_dphi[mask] = -a4 * table_r[mask] ** (1.0 - n) * I[1:]
-
-    # interpolation over (1, 2]; below 1 the weight is exactly (1, 0)
-    sub = table_r >= 0.5
-    phi_spline = CubicSpline(table_r[sub], table_phi[sub])
-    dphi_spline = CubicSpline(table_r[sub], table_dphi[sub])
+    r = table_r[mask]
+    table_dphi[mask] = -a4 * r ** (1.0 - n) * I[1:]
+    # below 1 the weight is exactly (1, 0, 0)
+    ddphi = np.zeros(TABLE_SIZE)
+    ddphi[mask] = -a4 * ((1.0 - n) * r ** (-n) * I[1:] + [spec.eta1(rv) for rv in r.tolist()])
 
     w = WeightFunction(
         spec=spec, a4=a4, a5=a5, k0=k0, R0=math.nan,
         table_r=table_r, table_phi=table_phi, table_dphi=table_dphi,
-        _phi_spline=phi_spline, _dphi_spline=dphi_spline,
+        _phi_at=hermite(table_r, table_phi, table_dphi), _dphi_at=hermite(table_r, table_dphi, ddphi),
     )
     object.__setattr__(w, "R0", _find_r0(w))
     return w
@@ -140,7 +140,8 @@ def _find_r0(w: WeightFunction) -> float:
 
 def eval_weight(w: WeightFunction, r):
     """Arrays (phi, phi') of r's shape at the radii r >= 0: exact 1 below
-    the bump, cubic interpolation on the bump interval, closed form beyond 2."""
+    the bump, cubic Hermite interpolation on the bump interval, closed form
+    beyond 2."""
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0) or not np.all(np.isfinite(r_arr)):
         raise RangeError("radius must be finite and non-negative")
@@ -148,12 +149,8 @@ def eval_weight(w: WeightFunction, r):
     dphi = np.zeros_like(r_arr)
     mid = (r_arr > 1.0) & (r_arr <= 2.0)
     far = r_arr > 2.0
-    if mid.any():
-        phi[mid] = w._phi_spline(r_arr[mid])
-        dphi[mid] = w._dphi_spline(r_arr[mid])
-    if far.any():
-        phi[far] = w.phi_tail(r_arr[far])
-        dphi[far] = w.dphi_tail(r_arr[far])
+    phi[mid], dphi[mid] = w._phi_at(r_arr[mid]), w._dphi_at(r_arr[mid])
+    phi[far], dphi[far] = w.phi_tail(r_arr[far]), w.dphi_tail(r_arr[far])
     return phi, dphi
 
 

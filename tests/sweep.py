@@ -25,11 +25,13 @@ also prints each outcome and inside flag that differs from the file it
 overwrites, one line each, as  point key old → new.  Each table ends on a
 totals line: its rows' Picard iterations, tail nodes, base table rows and
 LSODA steps at each run position (tail_residual, s-leg, rho-leg), summed,
-and the worst of each value in WORST over its completing rows, and then a
-digest line: the SHA-256 over the SHA-256 of each completing point's base
-table bytes (s_grid, xi, W, then eta_origin), in table order.  The digest
-is printed only, so a change that keeps every table's bits reads the same
-line before and after it.
+and the worst of each value in WORST over its completing rows, and then two
+digest lines: the SHA-256 over the SHA-256 of each completing point's base
+table bytes (s_grid, xi, W, then eta_origin), in table order, and the same
+over only the rows at or left of b1, the continuation's, and eta_origin.
+The digests are printed only, so a change that keeps every table's bits
+reads the same lines before and after it, and one that moves only the
+rows past b1, which interpolate the tail, keeps the second.
 """
 
 import contextlib
@@ -144,8 +146,12 @@ def run_point(point):
             tail.fp_residual    # read here, so tail_residual's run is recorded first
             base = continue_left(tail)
         rows = base.s_grid.size
-        table = hashlib.sha256(b"".join(a.tobytes() for a in (base.s_grid, base.xi, base.W)))
-        table.update(np.float64(base.eta_origin).tobytes())
+        # node n_left of continue_left is b1 up to roundoff, so the rows at
+        # or left of b1 are those below b1 + ds/2
+        left = int(np.searchsorted(base.s_grid, fp.b1 + 0.5 * (base.s_grid[1] - base.s_grid[0])))
+        table, left_table = (hashlib.sha256(b"".join(a[:k].tobytes() for a in (base.s_grid, base.xi, base.W))
+                                            + np.float64(base.eta_origin).tobytes())
+                             for k in (rows, left))
         prof = rescale_profile(base, lambda_for_amplitude(base, 1.0))
         rep = expansion_check(prof)
         values = {
@@ -171,6 +177,7 @@ def run_point(point):
         "values": values,
         "inside": {k: bool(v <= BOUNDS[k]) for k, v in values.items()},
         "table_sha256": table.digest(),
+        "left_sha256": left_table.digest(),
     }
 
 
@@ -183,7 +190,7 @@ def _rounded(row):
     count exactly, and no table digest."""
     if "values" not in row:
         return row
-    row = {k: v for k, v in row.items() if k != "table_sha256"}
+    row = {k: v for k, v in row.items() if k not in ("table_sha256", "left_sha256")}
     return {**row, "values": {k: v if isinstance(v, int) else float("%.2g" % v)
                               for k, v in row["values"].items()}}
 
@@ -229,9 +236,10 @@ def main(argv):
               f"tail nodes {sum(row['tail_nodes'] or 0 for row in rows)}, "
               f"table rows {sum(row['table_rows'] or 0 for row in rows)}, lsoda {lsoda}, "
               f"worst {', '.join(worst)}")
-        tables_hash = hashlib.sha256(b"".join(row["table_sha256"] for row in rows if "values" in row))
-        print(f"{'digest':>24}  sha256 {tables_hash.hexdigest()} over "
-              f"{sum('values' in row for row in rows)} base tables (s_grid, xi, W, eta_origin)")
+        done = [row for row in rows if "values" in row]
+        for key, what in (("table_sha256", "base tables"), ("left_sha256", "base tables' rows at or left of b1")):
+            digest = hashlib.sha256(b"".join(row[key] for row in done)).hexdigest()
+            print(f"{'digest':>24}  sha256 {digest} over {len(done)} {what} (s_grid, xi, W, eta_origin)")
 
 
 if __name__ == "__main__":

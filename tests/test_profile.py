@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from fastdiff import (
     BoundViolationError,
@@ -34,8 +34,8 @@ import fastdiff.profile
 from fastdiff.numerics import lsoda_at
 from fastdiff.profile import (PROFILE_DS, _MAX_NODES, _ORIGIN_Q_TOL, _backward_recurrence,
                               _check_membership,
-                              _horner, _origin_match, _origin_node, _origin_series, _spline_at,
-                              _tail_rows, _tail_seed, _weighted_norm)
+                              _horner, _origin_match, _origin_node, _origin_series, _tail_hermite,
+                              _tail_seed, _weighted_norm)
 from sweep import point_id, sweep_points
 
 # Origin coefficient of the base profile (eta_inf = 1) at the reference
@@ -240,13 +240,20 @@ class TestResidualOnFirstRead:
         continue_left(tail)
         assert len(lsoda_runs) == 2                     # the s-leg and the rho-leg
 
-    def test_a_build_fits_no_spline(self):
-        # the table's rows past b1 come from _tail_rows; only fp_residual's
-        # first read fits the tail's two splines, for tail_residual's route
+    def test_a_build_fits_no_spline(self, monkeypatch):
+        # a build, its fp_residual and its interpolator read the tables
+        # through numerics.hermite and fit no piecewise polynomial, and the
+        # tail keeps nothing past its fields but fp_residual once read
+        def refused(*args, **kwargs):
+            raise AssertionError("a piecewise polynomial was fitted")
+
+        monkeypatch.setattr(PPoly, "__init__", refused)
         prof = solve_for_eta(derive_params(3, 0.2, 4.0), 1.0)
-        assert "h_spline" not in vars(prof.tail) and "W_spline" not in vars(prof.tail)
-        assert prof.fp_residual == 2.7790122317253055e-12
-        assert "h_spline" in vars(prof.tail) and "W_spline" in vars(prof.tail)
+        own = {f.name for f in fields(prof.tail)}
+        assert set(vars(prof.tail)) == own
+        assert prof.fp_residual == 2.7790092348055394e-12
+        assert set(vars(prof.tail)) == own | {"fp_residual"}
+        assert np.all(profile_interpolator(prof)(np.exp(prof.s_grid[::100])) > 0.0)
 
     def test_first_read_runs_tail_residual_once(self, fp_ref, lsoda_runs):
         tail = picard_solve(fp_ref)
@@ -286,21 +293,24 @@ class TestTailLength:
         assert s_T - ds < base_profile.s_grid[-1] <= s_T
 
     def test_far_rows_are_the_analytic_tail(self, tail_ref, base_profile, fp_ref):
-        # every row past b1 is _tail_rows' Hermite interpolant of the tail,
+        # every row past b1 is the tail's Hermite interpolant (_tail_hermite),
         # and past the table profile_interpolator gives the analytic tail
         # the table once stored as 2,000 rows to b1 + 40: W = -C1 s -
         # (h_T / C2) e^(-C2 (s - s_T)) at the table's step, f to 1e-14
         # relative (measured: the same bits)
         C1, C2, gamma = fp_ref.params.C1, fp_ref.C2, fp_ref.params.gamma
         s, k = base_profile.s_grid, int(np.searchsorted(base_profile.s_grid, fp_ref.b1))
-        h_rows, W_rows = _tail_rows(tail_ref, s[k + 1:])
+        h_at, W_at = _tail_hermite(tail_ref)
+        h_rows, W_rows = h_at(s[k + 1:]), W_at(s[k + 1:])
         assert np.array_equal(base_profile.W[k + 1:], W_rows)
         assert np.array_equal(base_profile.xi[k + 1:], np.log(h_rows / (C1 - h_rows)))
-        # the rows lie within 4.4e-15 of a tail node here, so the tail's
-        # splines read the same values: measured 3.6e-15 relative in h and
-        # 1.8e-15 in W, half an ulp of |W| <= 24.3 (bound: under three ulps)
-        assert np.allclose(base_profile.h[k + 1:], tail_ref.h_spline(s[k + 1:]), rtol=1e-14, atol=0.0)
-        assert np.allclose(base_profile.W[k + 1:], tail_ref.W_spline(s[k + 1:]), rtol=0.0, atol=1e-14)
+        # the rows lie within 4.4e-15 of a tail node here, so cubic splines
+        # of the tail's h and W read the same values: measured 3.7e-15
+        # relative in h and 1.8e-15 in W, half an ulp of |W| <= 24.3 (bound:
+        # under three ulps)
+        g = tail_ref.grid
+        assert np.allclose(base_profile.h[k + 1:], CubicSpline(g, tail_ref.h)(s[k + 1:]), rtol=1e-14, atol=0.0)
+        assert np.allclose(base_profile.W[k + 1:], CubicSpline(g, tail_ref.W)(s[k + 1:]), rtol=0.0, atol=1e-14)
         s_T, h_T = float(tail_ref.grid[-1]), float(tail_ref.h[-1])
         ds = float(s[1] - s[0])
         far = s[-1] + ds * np.arange(1, 2001)
@@ -311,18 +321,18 @@ class TestTailLength:
     def test_far_rows_between_tail_nodes(self):
         # at (5, 0.54, 5.495) C2 = 0.556 puts the tail's step at 0.018 and
         # the table's at 0.01, so the rows fall between nodes.  There the
-        # Hermite rows and the tail's splines differ by 8.6e-9 relative in h
-        # and 2.7e-15 in W (|W| <= 6.8), 30x below Picard's own grid error:
-        # h moves by 2.6e-7 relative against a tail 8x finer
+        # Hermite rows and cubic splines of the tail differ by 8.6e-9
+        # relative in h and 1.8e-15 in W (|W| <= 6.8), 30x below Picard's own
+        # grid error: h moves by 2.6e-7 relative against a tail 8x finer
         fp = derive_fp_constants(derive_params(5, 0.54, 5.495))
         tail = picard_solve(fp)
         prof = continue_left(tail)
         s, k = prof.s_grid, int(np.searchsorted(prof.s_grid, fp.b1))
         assert float(s[1] - s[0]) < float(tail.grid[1] - tail.grid[0]) / 1.5
-        assert np.allclose(prof.h[k + 1:], tail.h_spline(s[k + 1:]), rtol=2e-8, atol=0.0)
-        assert np.allclose(prof.W[k + 1:], tail.W_spline(s[k + 1:]), rtol=0.0, atol=1e-14)
-        h_nodes, W_nodes = _tail_rows(tail, tail.grid)
-        assert np.array_equal(h_nodes, tail.h) and np.array_equal(W_nodes, tail.W)
+        assert np.allclose(prof.h[k + 1:], CubicSpline(tail.grid, tail.h)(s[k + 1:]), rtol=2e-8, atol=0.0)
+        assert np.allclose(prof.W[k + 1:], CubicSpline(tail.grid, tail.W)(s[k + 1:]), rtol=0.0, atol=1e-14)
+        h_at, W_at = _tail_hermite(tail)
+        assert np.array_equal(h_at(tail.grid), tail.h) and np.array_equal(W_at(tail.grid), tail.W)
 
     def test_far_rows_keep_h_where_it_underflows(self):
         # at (3, 0.0333, 16.03), C2 = 27 took h_T e^(-C2 (s - s_T)) below the
@@ -356,33 +366,6 @@ class TestTailLength:
         assert s_T == pytest.approx(fp.b1 + 40.0 / fp.C2, rel=1e-15)
         assert s_T - PROFILE_DS < prof.s_grid[-1] <= s_T
         assert np.all(np.exp(prof.W) >= np.finfo(float).tiny)
-
-
-class TestScalarSpline:
-    def test_bit_identical_to_cubic_spline(self, tail_ref, base_profile, unit_eta_profile):
-        # one evaluator serves tail_residual's right-hand side and the
-        # interpolator's float path, so it must give spline(s)'s bits: on the
-        # tail's h and W = log wt tables, on both profiles' W tables and on a
-        # short non-uniform and a short uniform grid; at every knot and the floats
-        # beside it, at both ends, 1e-9 outside them, just inside the last
-        # knot (where the clamped index picks the piece) and at seeded
-        # interior points
-        rng = np.random.default_rng(12)
-        short = np.array([-1.0, -0.7, -0.1, 0.3, 0.35, 1.2, 2.0])
-        uniform = np.linspace(-1.0, 2.0, 7)
-        tables = [(tail_ref.grid, tail_ref.h), (tail_ref.grid, tail_ref.W),
-                  (base_profile.s_grid, base_profile.W),
-                  (unit_eta_profile.s_grid, unit_eta_profile.W),
-                  (short, np.sin(3.0 * short) + 2.0),
-                  (uniform, np.sin(3.0 * uniform) + 2.0)]
-        for s, values in tables:
-            spline = CubicSpline(s, values)
-            at = _spline_at(spline)
-            points = np.concatenate([s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf),
-                                     [s[0] - 1e-9, s[-1] + 1e-9, s[-1] - 1e-3 * (s[1] - s[0])],
-                                     rng.uniform(s[0], s[-1], 2000)])
-            got = np.array([at(float(sv)) for sv in points])
-            assert np.array_equal(got, spline(points))
 
 
 class TestBackwardRecurrence:
@@ -828,7 +811,7 @@ class TestInterpolator:
                 f_of_r(np.asarray(bad))
 
     def test_scalar_path_equals_array_path(self, base_profile, unit_eta_profile):
-        # a float radius takes the scalar path, an array the PPoly path; the
+        # a float radius takes the scalar path, an array the array path; the
         # two must agree to the last bit, the end pieces and the analytic
         # tail past the last row included
         rng = np.random.default_rng(8)
