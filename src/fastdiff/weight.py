@@ -4,9 +4,10 @@ phi_mu(r) = 1 - a4 * int_0^r s^(1-n) (int_0^s rho^(n-1) eta1(rho) drho) ds,
 normalized so phi -> a4 r^(-mu) at infinity.  The bump eta1 vanishes on
 [0,1], equals mu(n-2-mu) r^(-mu-2) beyond 2, and is bridged by a fixed
 C-infinity ramp in between so the construction is reproducible bit for bit.
-phi is superharmonic: Delta phi = -a4 eta1 <= 0.  One LSODA run on [1, 2]
-gives both integrals at the table radii and, at its end, the constants;
-beyond 2 phi takes its closed form.
+phi is superharmonic: Delta phi = -a4 eta1 <= 0.  Below 1 phi is exactly 1;
+one LSODA run on [1, 2] gives both integrals at the table radii, which span
+the bump interval, and, at its end, the constants; beyond 2 phi takes its
+closed form.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class WeightFunction:
     a4: float
     a5: float
     k0: float
+    k: float                   # phi = a4 (k r^(2-n) + r^(-mu)) beyond 2
     R0: float
     table_r: np.ndarray
     table_phi: np.ndarray
@@ -65,82 +67,58 @@ class WeightFunction:
     _phi_at: Callable          # numerics.hermite on (phi, phi') over the table
     _dphi_at: Callable         # and on (phi', phi'')
 
-    # closed-form helpers for the analytic branch r > 2
-    @property
-    def _tail_coef(self) -> float:
-        n, mu = self.spec.n, self.spec.mu
-        return (self.a5 - mu * 2.0 ** (n - 2 - mu)) / (n - 2)
-
-    def phi_tail(self, r):
-        n, mu = self.spec.n, self.spec.mu
-        r = np.asarray(r, dtype=float)
-        return self.a4 * self._tail_coef * r ** (2.0 - n) + self.a4 * r ** (-mu)
-
-    def dphi_tail(self, r):
-        n, mu = self.spec.n, self.spec.mu
-        r = np.asarray(r, dtype=float)
-        return -(n - 2) * self.a4 * self._tail_coef * r ** (1.0 - n) - mu * self.a4 * r ** (-mu - 1.0)
-
 
 def build_weight(spec: BumpSpec) -> WeightFunction:
     """Construct phi_mu from one LSODA run on [1, 2] for I = int_1^r rho^(n-1)
     eta1 and J = int_1^r s^(1-n) I(s) ds: a5 = I(2), a4 = 1/(J(2) + k0), the
-    dense table phi = 1 - a4 J, phi' = -a4 r^(1-n) I on [1e-3, 2], with
-    phi'' = -a4 ((1-n) r^(-n) I + eta1) for its Hermite interpolants, the
-    analytic branch beyond 2, and the computed radius R0 past which the
-    two-sided power-law bounds on (phi, phi') hold."""
+    table phi = 1 - a4 J, phi' = -a4 r^(1-n) I at the nodes of
+    geomspace(1e-3, 2, 4096) from the last one at or below 1 onward, whose
+    first row is (1, 0, 0), with phi'' = -a4 ((1-n) r^(-n) I + eta1) for its
+    Hermite interpolants, and the closed form a4 (k r^(2-n) + r^(-mu))
+    beyond 2, k = (a5 - mu 2^(n-2-mu)) / (n-2).  R0 >= 2 is the radius past
+    which both two-sided bounds hold: a4/2 < phi r^mu < 2 a4 and
+    mu a4/2 < -phi' r^(mu+1) < 2 mu a4.  Past 2, phi r^mu / a4 - 1 =
+    k r^(-(n-2-mu)), and the correction of -phi' r^(mu+1) / (mu a4) is
+    (n-2)/mu > 1 times it, so both lie inside 1/2 past
+    R0 = max(2, (2 (n-2) |k| / mu)^(1/(n-2-mu))).  RangeError for an R0
+    past the float range."""
     n, mu = spec.n, spec.mu
 
     def rhs(r, y):
         return [r ** (n - 1) * spec.eta1(r), r ** (1.0 - n) * y[0]]
 
     table_r = np.geomspace(TABLE_RMIN, 2.0, TABLE_SIZE)
-    mask = table_r > 1.0
+    table_r = table_r[np.searchsorted(table_r, 1.0, side="right") - 1:]
+    r = table_r[1:]
     # I rises from 0 through about 1e-7 at the bump's onset (r = 1.1), and J
     # more slowly still, so the absolute tolerance sits far below that
-    (I, J), _ = lsoda_at(rhs, [0.0, 0.0], np.concatenate([[1.0], table_r[mask]]),
-                         rel_tol=1e-13, abs_tol=1e-18)
+    (I, J), _ = lsoda_at(rhs, [0.0, 0.0], np.concatenate([[1.0], r]), rel_tol=1e-13, abs_tol=1e-18)
     a5 = float(I[-1])
     k0 = (2.0 ** (2 - n) * a5 + (n - 2 - mu) * 2.0 ** (-mu)) / (n - 2)
     # J >= 0 since eta1 >= 0 and k0 > 0 since n - 2 - mu > 0, so a4 > 0;
     # phi(2) = 1 - a4 J(2) = a4 k0 and phi'(2) = -a4 2^(1-n) a5 are the
-    # analytic branch's own values at 2
+    # closed form's own values at 2
     a4 = 1.0 / (float(J[-1]) + k0)
-    table_phi = np.ones(TABLE_SIZE)
-    table_dphi = np.zeros(TABLE_SIZE)
-    table_phi[mask] = 1.0 - a4 * J[1:]
-    r = table_r[mask]
-    table_dphi[mask] = -a4 * r ** (1.0 - n) * I[1:]
-    # below 1 the weight is exactly (1, 0, 0)
-    ddphi = np.zeros(TABLE_SIZE)
-    ddphi[mask] = -a4 * ((1.0 - n) * r ** (-n) * I[1:] + [spec.eta1(rv) for rv in r.tolist()])
-
-    w = WeightFunction(
-        spec=spec, a4=a4, a5=a5, k0=k0, R0=math.nan,
+    k = (a5 - mu * 2.0 ** (n - 2 - mu)) / (n - 2)
+    try:
+        R0 = max(2.0, (2.0 * (n - 2) * abs(k) / mu) ** (1.0 / (n - 2 - mu)))
+    except OverflowError:
+        raise RangeError(f"R0 lies past the float range at mu = {mu}, n = {n}") from None
+    # row 0, at or below 1, is exactly (1, 0, 0); the formulas give -0.0 there
+    table_phi = np.concatenate([[1.0], 1.0 - a4 * J[1:]])
+    table_dphi = np.concatenate([[0.0], -a4 * r ** (1.0 - n) * I[1:]])
+    ddphi = np.concatenate([[0.0], -a4 * ((1.0 - n) * r ** (-n) * I[1:]
+                                          + [spec.eta1(rv) for rv in r.tolist()])])
+    return WeightFunction(
+        spec=spec, a4=a4, a5=a5, k0=k0, k=k, R0=R0,
         table_r=table_r, table_phi=table_phi, table_dphi=table_dphi,
         _phi_at=hermite(table_r, table_phi, table_dphi), _dphi_at=hermite(table_r, table_dphi, ddphi),
     )
-    object.__setattr__(w, "R0", _find_r0(w))
-    return w
-
-
-def _find_r0(w: WeightFunction) -> float:
-    """Radius R0 >= 2 past which both two-sided bounds hold:
-    a4/2 < phi r^mu < 2 a4 and mu a4/2 < -phi' r^(mu+1) < 2 mu a4.  Past 2,
-    phi r^mu / a4 - 1 = k r^(-(n-2-mu)), k = _tail_coef, and the correction of
-    -phi' r^(mu+1) / (mu a4) is (n-2)/mu > 1 times it, so both lie inside 1/2
-    past R0 = max(2, (2 (n-2) |k| / mu)^(1/(n-2-mu))).  RangeError for an R0
-    past the float range."""
-    n, mu = w.spec.n, w.spec.mu
-    try:
-        return max(2.0, (2.0 * (n - 2) * abs(w._tail_coef) / mu) ** (1.0 / (n - 2 - mu)))
-    except OverflowError:
-        raise RangeError(f"R0 lies past the float range at mu = {mu}, n = {n}") from None
 
 
 def eval_weight(w: WeightFunction, r):
-    """Arrays (phi, phi') of r's shape at the radii r >= 0: exact 1 below
-    the bump, cubic Hermite interpolation on the bump interval, closed form
+    """Arrays (phi, phi') of r's shape at the radii r >= 0: exact (1, 0) up
+    to 1, cubic Hermite interpolation on the table over (1, 2], closed form
     beyond 2."""
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0) or not np.all(np.isfinite(r_arr)):
@@ -150,7 +128,9 @@ def eval_weight(w: WeightFunction, r):
     mid = (r_arr > 1.0) & (r_arr <= 2.0)
     far = r_arr > 2.0
     phi[mid], dphi[mid] = w._phi_at(r_arr[mid]), w._dphi_at(r_arr[mid])
-    phi[far], dphi[far] = w.phi_tail(r_arr[far]), w.dphi_tail(r_arr[far])
+    n, mu, a4, k, rf = w.spec.n, w.spec.mu, w.a4, w.k, r_arr[far]
+    phi[far] = a4 * k * rf ** (2.0 - n) + a4 * rf ** (-mu)
+    dphi[far] = -(n - 2) * a4 * k * rf ** (1.0 - n) - mu * a4 * rf ** (-mu - 1.0)
     return phi, dphi
 
 

@@ -34,19 +34,13 @@ from fastdiff import (
     wbar_ode_residual,
 )
 from fastdiff.profile import _ORIGIN_Q_TOL
+from test_pde import _annulus_rel_err
 from test_weight import A4_REF
-
-ANNULUS = (0.1, 10.0)
 
 
 def _emit(capsys, num, name, ok, detail):
     with capsys.disabled():
         print(f"\nACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def _annulus_rel_err(grid, u, v):
-    sel = (grid >= ANNULUS[0]) & (grid <= ANNULUS[1])
-    return float(np.max(np.abs(u[sel] - v[sel]) / np.abs(v[sel])))
 
 
 # ----------------------------------------------------------------------

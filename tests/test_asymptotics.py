@@ -28,7 +28,7 @@ from fastdiff import (
     wbar_ode_residual,
 )
 from fastdiff.profile import _origin_node, _origin_series
-from sweep import point_id, pointwise_violations, run_point
+from sweep import _grid, point_id, pointwise_violations, run_point
 
 # Closed-form targets at the reference point (n=3, m=1/5, gamma=4) for a
 # profile normalized to lim r^gamma f = 1:
@@ -41,26 +41,8 @@ D2_REF = float(Fraction(-28, 625) * 10)
 REFERENCE_POINT = (3, 0.2, 4.0)
 
 
-def _sweep_points():
-    points = [REFERENCE_POINT]
-    for n in (3, 4, 5, 8):
-        for fm in (0.5, 0.9):
-            m = fm * (n - 2) / n
-            lo, hi = 2 / (1 - m), (n - 2) / m
-            points += [(n, m, lo + fg * (hi - lo)) for fg in (0.05, 0.5, 0.95)]
-    return points
-
-
 # the reference point and the 24 sweep points with m at 50/90% of (n-2)/n
-SWEEP_COMPLETING = _sweep_points()
-
-
-def _corner(n, fm, fg):
-    """(n, m, gamma) with m at fraction fm of (n-2)/n and gamma at fraction
-    fg of its window (2/(1-m), (n-2)/m), as the sweep places its points."""
-    m = fm * (n - 2) / n
-    lo, hi = 2 / (1 - m), (n - 2) / m
-    return n, m, lo + fg * (hi - lo)
+SWEEP_COMPLETING = [REFERENCE_POINT] + _grid((3, 4, 5, 8), (0.5, 0.9), (0.05, 0.5, 0.95))
 
 
 class TestExpansionCheck:
@@ -122,7 +104,7 @@ class TestExpansionCheck:
         # (3, 1/6, 2.58), where c/40 = 1.9 rho_t, the eta = 1 table cut to
         # start at 0.6 rho_t puts rho* = 2 rho_min on the far side of the
         # transition (xi = -3.63, z below -C1/2): refused before the fit
-        prof = solve_for_eta(derive_params(*_corner(3, 0.5, 0.05)), 1.0)
+        prof = solve_for_eta(derive_params(*_grid((3,), (0.5,), (0.05,))[0]), 1.0)
         s_t = prof.s_grid[prof.transition]
         sel = prof.s_grid >= s_t + prof.params.beta_p * np.log(0.6)
         stub = replace(prof, s_grid=prof.s_grid[sel], xi=prof.xi[sel], W=prof.W[sel])
@@ -230,7 +212,7 @@ class TestEquationResiduals:
         # at (5, 0.012, 3.264), m at 2% of (n-2)/n and gamma at 0.5% of its
         # window, E = e^(243 sigma) overflows at sigma = log 100; divided
         # through by E g no term forms E, and the residual reads 7.1e-10
-        prof = solve_for_eta(derive_params(*_corner(5, 0.02, 0.005)), 1.0)
+        prof = solve_for_eta(derive_params(*_grid((5,), (0.02,), (0.005,))[0]), 1.0)
         assert np.isfinite(inversion_report(prof).residual)
 
     @pytest.mark.parametrize("eta", [1e25, 1e-200])

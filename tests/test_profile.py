@@ -76,8 +76,8 @@ class TestPicardSolve:
     def test_fixed_point_residual_where_wt_decays_fast(self):
         # C1 = 3.2 here: a cubic spline of wt = e^(-C1 s) itself errs by
         # about (5/384)(C1 ds)^4 relative and read 7.5e-11 against the gate
-        # 1e-10; on the spline of log wt the reading is the fixed point's
-        # own defect, 3.5e-13
+        # 1e-10; on the Hermite interpolant of log wt, with its exact slope
+        # z, the reading is the fixed point's own defect, 3.5e-13
         fp = derive_fp_constants(derive_params(8, 0.375, 3.84))
         assert picard_solve(fp).fp_residual <= 1e-12
 
@@ -87,7 +87,8 @@ class TestPicardSolve:
         # so log1p of it in W = log wt, reads about 1e-10: 36x and 283x the
         # clean readings.  On a spline of wt itself the second point read
         # 1.26x, its interpolation error hiding the dent.  replace() makes a
-        # new tail, so no spline carries over
+        # new tail, whose Hermite interpolants tail_residual builds from the
+        # dented W
         fp = derive_fp_constants(derive_params(*point))
         tail = picard_solve(fp)
         x = (tail.grid - fp.b1 - 1.0) / 0.05
@@ -790,8 +791,9 @@ class TestInterpolator:
             f_of_r(-1.0)
 
     def test_continuous_at_the_last_row(self, base_profile, unit_eta_profile):
-        # the spline's last piece and the analytic tail meet at the last
-        # row: one ulp of r apart, f moves by the roundoff of log r's step
+        # the Hermite interpolant's last piece and the analytic tail meet at
+        # the last row: one ulp of r apart, f moves by the roundoff of log
+        # r's step
         for prof in (base_profile, unit_eta_profile):
             f_of_r = profile_interpolator(prof)
             r_e = _radius_with_log(float(prof.s_grid[-1]))

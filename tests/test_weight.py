@@ -1,7 +1,8 @@
 """Tests for the superharmonic weight: normalization constants against an
 independent high-precision quadrature route and against scipy's quad at
 four more points, pointwise values at mid-bump radii, knot continuity,
-discrete superharmonicity, and weighted distances."""
+the table's nodes and bits, discrete superharmonicity, and weighted
+distances."""
 
 import math
 
@@ -17,6 +18,7 @@ from fastdiff import (
     eval_weight,
     weighted_grid,
 )
+from fastdiff.numerics import hermite, lsoda_at
 
 # Reference values computed with mpmath at 30 significant digits via nested
 # adaptive quadrature of the double integral (no Fubini collapse, no ODE
@@ -154,6 +156,50 @@ class TestEvalWeight:
             eval_weight(weight_ref, np.array([1.0, np.nan]))
         with pytest.raises(RangeError):
             eval_weight(weight_ref, np.array([np.inf]))
+
+
+class TestTable:
+    @pytest.mark.parametrize("mu", [0.5, 0.97])
+    def test_bump_interval_table_keeps_the_full_tables_bits(self, mu):
+        # the table starts at the last node of geomspace(1e-3, 2, 4096) at or
+        # below 1, and eval_weight gives the bits of the full 4,096-row table
+        # padded with (1, 0, 0) at and below 1, rebuilt here from the same
+        # LSODA run, and of the closed form with k past 2
+        n = 3
+        spec = BumpSpec(mu=mu, n=n)
+        w = build_weight(spec)
+        full = np.geomspace(1e-3, 2.0, 4096)
+        assert np.array_equal(w.table_r, full[np.searchsorted(full, 1.0, side="right") - 1:])
+        assert w.table_r[0] <= 1.0 < w.table_r[1]
+        assert (w.table_phi[0], w.table_dphi[0]) == (1.0, 0.0)
+
+        def rhs(r, y):
+            return [r ** (n - 1) * spec.eta1(r), r ** (1.0 - n) * y[0]]
+
+        mask = full > 1.0
+        r = full[mask]
+        (I, J), _ = lsoda_at(rhs, [0.0, 0.0], np.concatenate([[1.0], r]), rel_tol=1e-13, abs_tol=1e-18)
+        k0 = (2.0 ** (2 - n) * I[-1] + (n - 2 - mu) * 2.0 ** (-mu)) / (n - 2)
+        a4 = 1.0 / (J[-1] + k0)
+        k = (I[-1] - mu * 2.0 ** (n - 2 - mu)) / (n - 2)
+        assert (w.a5, w.k0, w.a4, w.k) == (I[-1], k0, a4, k)
+        phi, dphi, ddphi = np.ones(full.size), np.zeros(full.size), np.zeros(full.size)
+        phi[mask] = 1.0 - a4 * J[1:]
+        dphi[mask] = -a4 * r ** (1.0 - n) * I[1:]
+        ddphi[mask] = -a4 * ((1.0 - n) * r ** (-n) * I[1:] + [spec.eta1(v) for v in r.tolist()])
+
+        ends = [1.0, 2.0] + [np.nextafter(x, d) for x in (1.0, 2.0) for d in (0.0, 3.0)]
+        radii = np.concatenate([np.linspace(1.0, 2.0, 2001)[1:], ends, np.geomspace(2.0, 1e8, 401)[1:]])
+        mid, far = (radii > 1.0) & (radii <= 2.0), radii > 2.0
+        expect_phi, expect_dphi = np.ones(radii.size), np.zeros(radii.size)
+        expect_phi[mid] = hermite(full, phi, dphi)(radii[mid])
+        expect_dphi[mid] = hermite(full, dphi, ddphi)(radii[mid])
+        s = radii[far]
+        expect_phi[far] = a4 * k * s ** (2.0 - n) + a4 * s ** (-mu)
+        expect_dphi[far] = -(n - 2) * a4 * k * s ** (1.0 - n) - mu * a4 * s ** (-mu - 1.0)
+        got_phi, got_dphi = eval_weight(w, radii)
+        assert np.array_equal(got_phi, expect_phi)
+        assert np.array_equal(got_dphi, expect_dphi)
 
 
 class TestSuperharmonicity:
